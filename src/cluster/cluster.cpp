@@ -4,6 +4,12 @@
 
 namespace lts::cluster {
 
+std::size_t ClusterSpec::num_nodes() const {
+  std::size_t total = 0;
+  for (const auto& site : sites) total += site.node_names.size();
+  return total;
+}
+
 ClusterSpec paper_cluster_spec() {
   ClusterSpec spec;
   spec.sites = {

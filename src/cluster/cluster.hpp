@@ -64,6 +64,10 @@ struct ClusterSpec {
   std::vector<SimTime> site_core_delay;
   Rate core_capacity_bps = 0.0;
   net::FlowOptions flow_options;
+
+  /// Nodes the spec declares, over all sites: the size of every
+  /// global-node-order vector above and of the Cluster built from it.
+  std::size_t num_nodes() const;
 };
 
 /// Returns the cluster spec used throughout the paper's evaluation:

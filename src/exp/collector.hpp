@@ -5,7 +5,9 @@
 // telemetry, run the job with the driver pinned on the target node, and log
 // (pre-launch telemetry of that node, job config, measured duration). With
 // the paper's parameters (60 configs x 6 nodes x 10 repeats) this yields the
-// 3600-sample training corpus.
+// 3600-sample training corpus. Each sample is a pure function of its seed,
+// so a configuration's samples run concurrently on ThreadPool::global();
+// the log is byte-identical for any pool size.
 #pragma once
 
 #include <functional>
@@ -27,7 +29,8 @@ struct CollectorOptions {
   /// bench_ext_e2e_stream). Off by default: the paper's batch workflow
   /// (§5.2) runs jobs in fresh conditions.
   bool residual_job = false;
-  /// Called after each sample with (samples done, samples total).
+  /// Called after each sample with (samples done, samples total), on the
+  /// calling thread, in log order.
   std::function<void(std::size_t, std::size_t)> progress;
 };
 

@@ -232,8 +232,7 @@ SimEnv::SimEnv(std::uint64_t seed, EnvOptions options)
   cluster::ClusterSpec spec = options_.cluster_spec;
   if (spec.node_access_extra_delay.empty() &&
       options_.max_node_extra_delay > 0.0) {
-    std::size_t total_nodes = 0;
-    for (const auto& site : spec.sites) total_nodes += site.node_names.size();
+    const std::size_t total_nodes = spec.num_nodes();
     for (std::size_t i = 0; i < total_nodes; ++i) {
       spec.node_access_extra_delay.push_back(
           rng.uniform(0.0, options_.max_node_extra_delay));

@@ -1,11 +1,14 @@
 #include "exp/evaluate.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "core/scheduler.hpp"
 #include "ml/metrics.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "util/stats.hpp"
+#include "util/thread_pool.hpp"
 
 namespace lts::exp {
 
@@ -58,6 +61,8 @@ EvalResult evaluate_methods(const std::vector<MethodUnderTest>& models,
                             const std::vector<Scenario>& matrix,
                             const EvalOptions& options) {
   LTS_REQUIRE(options.num_scenarios >= 1, "evaluate_methods: no scenarios");
+  LTS_REQUIRE(options.truth_repeats >= 1,
+              "evaluate_methods: truth_repeats >= 1");
   EvalResult result;
 
   std::vector<std::string> method_order = {"kube_default", "random"};
@@ -71,6 +76,9 @@ EvalResult evaluate_methods(const std::vector<MethodUnderTest>& models,
   std::map<std::string, int> top1_hits, top2_hits;
   std::map<std::string, double> regret_sum;
 
+  const std::size_t n_nodes = options.env.cluster_spec.num_nodes();
+  LTS_REQUIRE(n_nodes >= 1, "evaluate_methods: cluster has no nodes");
+  const auto repeats = static_cast<std::size_t>(options.truth_repeats);
   obs::Counter& scenarios_counter = obs::counter(
       "lts_eval_scenarios_total", {},
       "Evaluation scenarios completed (counterfactual truth computed)");
@@ -86,11 +94,38 @@ EvalResult evaluate_methods(const std::vector<MethodUnderTest>& models,
     outcome.scenario_id = scenario.id;
     outcome.seed = seed;
 
+    // --- simulation: the ranking environment and the counterfactuals -----
+    // Item 0 warms the environment every method ranks from; item
+    // 1 + node * repeats + rep is one counterfactual run. Each is a pure
+    // function of the scenario seed and writes only its own slot, so the
+    // outcome does not depend on the pool size or on interleaving.
+    std::unique_ptr<SimEnv> ranking_env;
+    telemetry::ClusterSnapshot snapshot;
+    std::vector<double> run_durations(n_nodes * repeats);
+    // lts-lint: shared-guarded(partitioned: item 0 writes only ranking_env and snapshot, item 1 + k only run_durations[k])
+    ThreadPool::global().parallel_for(
+        1 + run_durations.size(), [&](std::size_t i) {
+          if (i == 0) {
+            auto env = std::make_unique<SimEnv>(seed, options.env);
+            env->warmup();
+            snapshot = env->snapshot();
+            ranking_env = std::move(env);
+            return;
+          }
+          const std::size_t node = (i - 1) / repeats;
+          const std::uint64_t rep = (i - 1) % repeats;
+          SimEnv env(seed, options.env);
+          env.warmup();
+          run_durations[i - 1] =
+              env.run_job(scenario.config, node,
+                          job_seed + 0x9e3779b9ULL * rep)
+                  .duration();
+        });
+
     // --- method rankings, all from the state at warmup time -------------
+    // On this thread, in method order: obs::Tracer is single-threaded.
     {
-      SimEnv env(seed, options.env);
-      env.warmup();
-      const auto snapshot = env.snapshot();
+      SimEnv& env = *ranking_env;
       const std::size_t n = env.node_names().size();
 
       // Baseline: the default Kubernetes scheduler's ranking for the
@@ -125,10 +160,14 @@ EvalResult evaluate_methods(const std::vector<MethodUnderTest>& models,
         outcome.rankings[h] = rank_by(keys);
       }
 
-      // Supervised models: the paper's prediction-and-ranking pipeline.
-      // Every method ranks from the same raw snapshot; degradation-enabled
-      // methods see it through their staleness annotation/imputation first.
+      // Supervised models: the paper's prediction-and-ranking pipeline, one
+      // "evaluate/<method>" trace span each. Every method ranks from the
+      // same raw snapshot; degradation-enabled methods see it through their
+      // staleness annotation/imputation first.
       for (const auto& entry : models) {
+        const std::string span_name = "evaluate/" + entry.name;
+        obs::ScopedSpan span(obs::Tracer::global(), span_name.c_str(),
+                             snapshot.at);
         core::LtsScheduler scheduler(
             core::TelemetryFetcher(env.tsdb(), env.node_names(),
                                    options.env.snapshot, entry.degradation),
@@ -142,8 +181,8 @@ EvalResult evaluate_methods(const std::vector<MethodUnderTest>& models,
             telemetry::impute_stale_nodes(method_snapshot);
           }
         }
-        const auto decision =
-            scheduler.schedule_from_snapshot(method_snapshot, scenario.config);
+        const auto decision = scheduler.schedule_many_from_snapshot(
+            method_snapshot, std::span(&scenario.config, 1))[0];
         std::vector<std::size_t> ranked;
         ranked.reserve(decision.ranking.size());
         for (const auto& p : decision.ranking) {
@@ -153,20 +192,12 @@ EvalResult evaluate_methods(const std::vector<MethodUnderTest>& models,
       }
     }
 
-    // --- counterfactual ground truth -------------------------------------
+    // --- counterfactual ground truth: per-node mean, in repeat order -------
     {
-      LTS_REQUIRE(options.truth_repeats >= 1,
-                  "evaluate_methods: truth_repeats >= 1");
-      std::size_t n_nodes = SimEnv(seed, options.env).node_names().size();
       for (std::size_t node = 0; node < n_nodes; ++node) {
         double total = 0.0;
-        for (int rep = 0; rep < options.truth_repeats; ++rep) {
-          SimEnv env(seed, options.env);
-          env.warmup();
-          const auto run = env.run_job(
-              scenario.config, node,
-              job_seed + 0x9e3779b9ULL * static_cast<std::uint64_t>(rep));
-          total += run.duration();
+        for (std::size_t rep = 0; rep < repeats; ++rep) {
+          total += run_durations[node * repeats + rep];
         }
         outcome.node_durations.push_back(
             total / static_cast<double>(options.truth_repeats));

@@ -9,6 +9,13 @@
 // when the actual fastest node appears among its k highest-ranked choices —
 // exactly the paper's §6 criterion, with the advantage that our fastest
 // node is exact rather than inferred post hoc.
+//
+// A scenario's simulations (the ranking environment's warmup and the
+// nodes x truth_repeats counterfactual runs) are independent, so they run
+// concurrently on ThreadPool::global(), each into its own slot. Rankings,
+// model scoring (one "evaluate/<method>" trace span each), the per-node
+// sums and progress stay on the calling thread in scenario order, so every
+// outcome is bit-identical for any pool size.
 #pragma once
 
 #include <functional>
@@ -66,6 +73,8 @@ struct EvalOptions {
   ///   "least_cpu"  — pick lowest load-average node (host-only heuristic)
   ///   "least_rtt"  — pick lowest mean-RTT node (network-only heuristic)
   std::vector<std::string> heuristics;
+  /// Called after each scenario with (scenarios done, scenarios total), on
+  /// the calling thread.
   std::function<void(std::size_t, std::size_t)> progress;
 };
 

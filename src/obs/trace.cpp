@@ -10,8 +10,15 @@ double ms_since(Tracer::Clock::time_point begin) {
 }
 }  // namespace
 
+void Tracer::require_owner() const {
+  LTS_REQUIRE(std::this_thread::get_id() == owner_,
+              "Tracer: span call from a thread other than the one that "
+              "enabled it (the tracer is single-threaded)");
+}
+
 void Tracer::begin(std::string name, SimTime sim_now) {
   if (!enabled_) return;
+  require_owner();
   OpenSpan span;
   span.record.name = std::move(name);
   span.record.sim_begin = sim_now;
@@ -20,14 +27,18 @@ void Tracer::begin(std::string name, SimTime sim_now) {
 }
 
 void Tracer::phase(const std::string& name, SimTime sim_now) {
-  if (!enabled_ || open_.empty()) return;
+  if (!enabled_) return;
+  require_owner();
+  if (open_.empty()) return;
   OpenSpan& span = open_.back();
   span.record.phases.push_back(
       TracePhase{name, sim_now, ms_since(span.wall_begin)});
 }
 
 void Tracer::end(SimTime sim_now) {
-  if (!enabled_ || open_.empty()) return;
+  if (!enabled_) return;
+  require_owner();
+  if (open_.empty()) return;
   OpenSpan span = std::move(open_.back());
   open_.pop_back();
   span.record.sim_end = sim_now;

@@ -12,11 +12,19 @@
 // LtsScheduler::schedule contribute its pipeline phases to it, and append a
 // final "bind" phase after placing the pods. ScopedSpan with reuse_open
 // implements exactly that hand-off.
+//
+// A Tracer is single-threaded by contract: spans are opened, marked and
+// closed only on the thread that enabled it. The library code that fans out
+// on ThreadPool::global() (collect_training_data, evaluate_methods,
+// Trainer::train_and_evaluate) keeps every span on its calling thread; an
+// enabled tracer throws lts::Error on a call from any other thread rather
+// than race on its span stack.
 #pragma once
 
 #include <chrono>
 #include <cstddef>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "util/common.hpp"
@@ -46,7 +54,12 @@ class Tracer {
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  void set_enabled(bool enabled) { enabled_ = enabled; }
+  /// Enabling binds the tracer to the calling thread (see the contract
+  /// above).
+  void set_enabled(bool enabled) {
+    enabled_ = enabled;
+    if (enabled) owner_ = std::this_thread::get_id();
+  }
   bool enabled() const { return enabled_; }
 
   /// Opens a span; it becomes the innermost (receives phase marks) until
@@ -81,7 +94,11 @@ class Tracer {
     Clock::time_point wall_begin;
   };
 
+  /// Throws unless called on the thread that enabled the tracer.
+  void require_owner() const;
+
   bool enabled_ = false;
+  std::thread::id owner_;
   std::vector<OpenSpan> open_;      // innermost last
   std::vector<SpanRecord> spans_;   // completed
 };

@@ -1,9 +1,19 @@
 // Fixed-size worker pool with a parallel-for helper.
 //
-// Used by the ML module to train random-forest trees concurrently (each tree
-// is independent given its own Rng stream, so results stay deterministic
-// regardless of worker count or interleaving). On single-core hosts the pool
-// degrades gracefully to sequential execution.
+// Users of ThreadPool::global(), each running items that are independent
+// and write only their own slots, so results stay deterministic regardless
+// of worker count or interleaving:
+//   - ml: random-forest trees (one Rng stream per tree) and the presorted
+//     column scans of tree/GBT training;
+//   - net: the hierarchical max-min solver's independent sites;
+//   - exp::collect_training_data: one collection configuration's
+//     nodes x repeats samples;
+//   - exp::evaluate_methods: one scenario's ranking environment and its
+//     counterfactual runs;
+//   - core::Trainer::train_and_evaluate: holdout scoring in row blocks.
+// Merging, FP sums, progress callbacks and trace spans stay on the calling
+// thread. On single-core hosts the pool degrades gracefully to sequential
+// execution.
 #pragma once
 
 #include <condition_variable>

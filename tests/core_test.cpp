@@ -13,6 +13,7 @@
 #include "core/scheduler.hpp"
 #include "core/trainer.hpp"
 #include "k8s/manifest.hpp"
+#include "ml/metrics.hpp"
 
 namespace lts::core {
 namespace {
@@ -293,6 +294,48 @@ TEST(Trainer, EvaluationReportsSaneMetrics) {
   EXPECT_GT(report.test_r2, 0.8);
   EXPECT_LT(report.test_rmse, 1.0);
   EXPECT_LE(report.train_rmse, report.test_rmse * 1.5);
+}
+
+TEST(Trainer, BatchedHoldoutScoringMatchesPredictRowOracle) {
+  // train_and_evaluate scores with predict_batch in row blocks on the
+  // thread pool; the oracle is the scalar loop it replaced, one predict_row
+  // per row. Every report field must match bit for bit. 600 rows puts the
+  // 480 training rows across more than one block.
+  const auto data = synthetic_training_dataset(600, 21);
+  for (const std::string name : {"linear", "xgboost", "random_forest"}) {
+    Json params = Trainer::default_params(name);
+    if (name == "xgboost") params["n_rounds"] = 200;
+    if (name == "random_forest") params["n_estimators"] = 60;
+    std::unique_ptr<ml::Regressor> fitted;
+    const auto report =
+        Trainer::train_and_evaluate(name, data, 0.2, 13, params, &fitted);
+
+    Rng rng(13);
+    const auto [train_set, test_set] = data.train_test_split(0.2, rng);
+    const auto model = Trainer::train(name, train_set, params);
+    const auto scalar = [&](const ml::Dataset& rows) {
+      std::vector<double> pred;
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        pred.push_back(model->predict_row(rows.row(i)));
+      }
+      return pred;
+    };
+    const auto train_pred = scalar(train_set);
+    const auto test_pred = scalar(test_set);
+
+    EXPECT_FALSE(report.skipped) << name;
+    EXPECT_EQ(report.model_name, name);
+    EXPECT_EQ(report.train_rows, train_set.size()) << name;
+    EXPECT_EQ(report.test_rows, test_set.size()) << name;
+    EXPECT_EQ(report.train_rmse, ml::rmse(train_set.y(), train_pred)) << name;
+    EXPECT_EQ(report.test_rmse, ml::rmse(test_set.y(), test_pred)) << name;
+    EXPECT_EQ(report.test_mae, ml::mae(test_set.y(), test_pred)) << name;
+    EXPECT_EQ(report.test_r2, ml::r2_score(test_set.y(), test_pred)) << name;
+    ASSERT_NE(fitted, nullptr) << name;
+    EXPECT_EQ(ml::model_to_json(*fitted).dump(),
+              ml::model_to_json(*model).dump())
+        << name;
+  }
 }
 
 TEST(Trainer, DefaultParamsUseLogTarget) {

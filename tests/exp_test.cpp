@@ -3,15 +3,191 @@
 // evaluation protocol.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <sstream>
+#include <thread>
+
 #include "core/trainer.hpp"
 #include "exp/collector.hpp"
 #include "exp/envgen.hpp"
 #include "exp/evaluate.hpp"
 #include "exp/figures.hpp"
 #include "exp/scenario.hpp"
+#include "obs/trace.hpp"
 
 namespace lts::exp {
 namespace {
+
+// -------------------------------------------------------- serial oracles ----
+// The serial loops collect_training_data and evaluate_methods ran before
+// they fanned out on ThreadPool::global(), copied here and driving SimEnv
+// directly. The library must reproduce them bit for bit.
+
+CsvTable serial_collect(const std::vector<Scenario>& scenarios,
+                        const CollectorOptions& options) {
+  core::TrainingLogger logger;
+  const std::size_t num_nodes =
+      SimEnv(options.base_seed, options.env).node_names().size();
+  for (std::size_t s = 0; s < scenarios.size(); ++s) {
+    for (std::size_t target = 0; target < num_nodes; ++target) {
+      for (int rep = 0; rep < options.repeats; ++rep) {
+        const std::uint64_t seed = sample_seed(options, s, target, rep);
+        SimEnv env(seed, options.env);
+        env.warmup();
+        if (options.residual_job) {
+          Rng residual_rng(seed ^ 0x4e51d0a1ULL);
+          const auto& warm = sample_scenario(scenarios, residual_rng);
+          const auto node = static_cast<std::size_t>(residual_rng.uniform_int(
+              0, static_cast<std::int64_t>(env.node_names().size()) - 1));
+          env.run_job(warm.config, node, seed ^ 0x4e51d0a2ULL);
+        }
+        const auto snapshot = env.snapshot();
+        const auto result =
+            env.run_job(scenarios[s].config, target, seed ^ 0x5eedf00dULL);
+        logger.log_run(scenarios[s].id, snapshot, scenarios[s].config,
+                       result);
+      }
+    }
+  }
+  return logger.table();
+}
+
+std::vector<std::size_t> serial_rank_by(const std::vector<double>& keys) {
+  std::vector<std::size_t> order(keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return keys[a] < keys[b];
+                   });
+  return order;
+}
+
+bool serial_hit_topk(const std::vector<std::size_t>& ranking,
+                     std::size_t fastest, int k) {
+  const std::size_t limit =
+      std::min(ranking.size(), static_cast<std::size_t>(k));
+  for (std::size_t i = 0; i < limit; ++i) {
+    if (ranking[i] == fastest) return true;
+  }
+  return false;
+}
+
+EvalResult serial_evaluate(const std::vector<MethodUnderTest>& models,
+                           const std::vector<Scenario>& matrix,
+                           const EvalOptions& options) {
+  EvalResult result;
+  std::vector<std::string> method_order = {"kube_default", "random"};
+  for (const auto& h : options.heuristics) method_order.push_back(h);
+  for (const auto& entry : models) method_order.push_back(entry.name);
+  std::map<std::string, int> top1_hits, top2_hits;
+  std::map<std::string, double> regret_sum;
+
+  for (int s = 0; s < options.num_scenarios; ++s) {
+    const std::uint64_t seed =
+        options.base_seed + 7919ULL * static_cast<std::uint64_t>(s);
+    Rng pick_rng(seed ^ 0xabcdef12ULL);
+    const Scenario& scenario = sample_scenario(matrix, pick_rng);
+    const std::uint64_t job_seed = seed ^ 0x5eedf00dULL;
+
+    ScenarioOutcome outcome;
+    outcome.scenario_id = scenario.id;
+    outcome.seed = seed;
+    {
+      SimEnv env(seed, options.env);
+      env.warmup();
+      const auto snapshot = env.snapshot();
+      const std::size_t n = env.node_names().size();
+      std::vector<std::size_t> kube_rank;
+      for (const auto& scored : env.kube_ranking(scenario.config).ranking) {
+        kube_rank.push_back(env.cluster().node_index(scored.name));
+      }
+      outcome.rankings["kube_default"] = std::move(kube_rank);
+      std::vector<std::size_t> random_rank(n);
+      for (std::size_t i = 0; i < n; ++i) random_rank[i] = i;
+      Rng shuffle_rng(seed ^ 0x12341234ULL);
+      shuffle_rng.shuffle(random_rank);
+      outcome.rankings["random"] = std::move(random_rank);
+      for (const auto& h : options.heuristics) {
+        std::vector<double> keys(n, 0.0);
+        for (std::size_t i = 0; i < n; ++i) {
+          keys[i] = h == "least_cpu" ? snapshot.nodes[i].cpu_load
+                                     : snapshot.nodes[i].rtt_mean;
+        }
+        outcome.rankings[h] = serial_rank_by(keys);
+      }
+      for (const auto& entry : models) {
+        core::LtsScheduler scheduler(
+            core::TelemetryFetcher(env.tsdb(), env.node_names(),
+                                   options.env.snapshot, entry.degradation),
+            entry.model, entry.features, entry.risk_aversion,
+            entry.fallback);
+        auto method_snapshot = snapshot;
+        if (entry.degradation.enabled) {
+          telemetry::annotate_staleness(method_snapshot,
+                                        entry.degradation.max_staleness);
+          if (entry.degradation.impute) {
+            telemetry::impute_stale_nodes(method_snapshot);
+          }
+        }
+        const auto decision =
+            scheduler.schedule_from_snapshot(method_snapshot, scenario.config);
+        std::vector<std::size_t> ranked;
+        for (const auto& p : decision.ranking) {
+          ranked.push_back(env.cluster().node_index(p.node));
+        }
+        outcome.rankings[entry.name] = std::move(ranked);
+      }
+    }
+    const std::size_t n_nodes = SimEnv(seed, options.env).node_names().size();
+    for (std::size_t node = 0; node < n_nodes; ++node) {
+      double total = 0.0;
+      for (int rep = 0; rep < options.truth_repeats; ++rep) {
+        SimEnv env(seed, options.env);
+        env.warmup();
+        total += env.run_job(scenario.config, node,
+                             job_seed + 0x9e3779b9ULL *
+                                            static_cast<std::uint64_t>(rep))
+                     .duration();
+      }
+      outcome.node_durations.push_back(
+          total / static_cast<double>(options.truth_repeats));
+    }
+    outcome.fastest_node = static_cast<std::size_t>(
+        std::min_element(outcome.node_durations.begin(),
+                         outcome.node_durations.end()) -
+        outcome.node_durations.begin());
+    for (const auto& method : method_order) {
+      const auto& ranking = outcome.rankings.at(method);
+      if (serial_hit_topk(ranking, outcome.fastest_node, 1)) {
+        ++top1_hits[method];
+      }
+      if (serial_hit_topk(ranking, outcome.fastest_node, 2)) {
+        ++top2_hits[method];
+      }
+      regret_sum[method] += outcome.node_durations[ranking.front()] -
+                            outcome.node_durations[outcome.fastest_node];
+    }
+    result.outcomes.push_back(std::move(outcome));
+  }
+  const auto n = static_cast<double>(options.num_scenarios);
+  for (const auto& method : method_order) {
+    MethodAccuracy acc;
+    acc.method = method;
+    acc.scenarios = options.num_scenarios;
+    acc.top1 = static_cast<double>(top1_hits[method]) / n;
+    acc.top2 = static_cast<double>(top2_hits[method]) / n;
+    acc.mean_regret = regret_sum[method] / n;
+    result.accuracy.push_back(std::move(acc));
+  }
+  return result;
+}
+
+std::string csv_bytes(const CsvTable& table) {
+  std::ostringstream out;
+  table.write(out);
+  return out.str();
+}
 
 // ------------------------------------------------------------- scenario ----
 
@@ -161,14 +337,21 @@ TEST(Collector, ProducesExpectedSampleCount) {
   CollectorOptions options;
   options.repeats = 2;
   options.base_seed = 77;
-  std::size_t progress_calls = 0;
+  // Samples run on the thread pool; progress stays on the calling thread,
+  // one call per logged row with done = 1..total in order.
+  const auto caller = std::this_thread::get_id();
+  std::vector<std::size_t> done_seen;
   options.progress = [&](std::size_t done, std::size_t total) {
-    ++progress_calls;
-    EXPECT_LE(done, total);
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    EXPECT_EQ(total, 2u * 6u * 2u);
+    done_seen.push_back(done);
   };
   const CsvTable log = collect_training_data(matrix, options);
   EXPECT_EQ(log.num_rows(), 2u * 6u * 2u);
-  EXPECT_EQ(progress_calls, log.num_rows());
+  ASSERT_EQ(done_seen.size(), log.num_rows());
+  for (std::size_t i = 0; i < done_seen.size(); ++i) {
+    EXPECT_EQ(done_seen[i], i + 1);
+  }
 }
 
 TEST(Collector, CoversAllTargetNodes) {
@@ -213,7 +396,152 @@ TEST(Collector, SampleSeedsDistinct) {
   EXPECT_EQ(seeds.size(), 5u * 6u * 3u);
 }
 
+TEST(Collector, MatchesSerialOracle) {
+  // The fan-out over each scenario's samples must log exactly the serial
+  // loop's CSV, with and without the residual job.
+  auto matrix = paper_scenario_matrix();
+  matrix.resize(3);
+  for (const bool residual : {false, true}) {
+    CollectorOptions options;
+    options.repeats = 2;
+    options.base_seed = 4242;
+    options.residual_job = residual;
+    const CsvTable log = collect_training_data(matrix, options);
+    EXPECT_EQ(log.num_rows(), 3u * 6u * 2u) << residual;
+    EXPECT_EQ(csv_bytes(log), csv_bytes(serial_collect(matrix, options)))
+        << "residual_job=" << residual;
+  }
+}
+
 // -------------------------------------------------------------- evaluate ----
+
+/// Methods covering every scoring path: plain model ranking, risk-averse
+/// ranking (per-row uncertainty), degradation with stale-node demotion, and
+/// the pure fallback ranking (no model).
+std::vector<MethodUnderTest> oracle_methods(
+    const std::vector<Scenario>& matrix) {
+  CollectorOptions collect;
+  collect.repeats = 1;
+  const auto data =
+      core::Trainer::dataset_from_log(collect_training_data(matrix, collect));
+  std::shared_ptr<const ml::Regressor> linear =
+      core::Trainer::train("linear", data);
+  Json forest_params = core::Trainer::default_params("random_forest");
+  forest_params["n_estimators"] = 40;
+  std::shared_ptr<const ml::Regressor> forest =
+      core::Trainer::train("random_forest", data, forest_params);
+
+  std::vector<MethodUnderTest> methods;
+  methods.emplace_back("linear", linear);
+  methods.emplace_back("random_forest", forest);
+  methods.emplace_back("forest_risk", forest, core::FeatureSet::kTable1,
+                       /*risk_aversion=*/1.0);
+  MethodUnderTest degraded("linear_degraded", linear);
+  degraded.degradation.enabled = true;
+  degraded.fallback.enabled = true;
+  methods.push_back(degraded);
+  MethodUnderTest fallback_only("fallback_only", nullptr);
+  fallback_only.degradation.enabled = true;
+  fallback_only.fallback.enabled = true;
+  methods.push_back(fallback_only);
+  return methods;
+}
+
+TEST(Evaluate, MatchesSerialOracle) {
+  auto matrix = paper_scenario_matrix();
+  matrix.resize(6);
+  const auto methods = oracle_methods(matrix);
+  EvalOptions eval;
+  eval.num_scenarios = 3;
+  eval.truth_repeats = 3;
+  eval.base_seed = 31337;
+  eval.heuristics = {"least_cpu", "least_rtt"};
+  // A silent exporter makes node-3 stale at snapshot time: the degraded
+  // method imputes and demotes it.
+  fault::FaultSpec silence;
+  silence.kind = fault::FaultKind::kExporterSilence;
+  silence.target = "node-3";
+  silence.at = 20.0;
+  silence.duration = 100.0;
+  eval.env.faults = {silence};
+  const auto result = evaluate_methods(methods, matrix, eval);
+  const auto oracle = serial_evaluate(methods, matrix, eval);
+
+  ASSERT_EQ(result.outcomes.size(), oracle.outcomes.size());
+  for (std::size_t s = 0; s < oracle.outcomes.size(); ++s) {
+    const auto& got = result.outcomes[s];
+    const auto& want = oracle.outcomes[s];
+    EXPECT_EQ(got.scenario_id, want.scenario_id) << s;
+    EXPECT_EQ(got.seed, want.seed) << s;
+    EXPECT_EQ(got.rankings, want.rankings) << s;
+    ASSERT_EQ(got.node_durations.size(), want.node_durations.size()) << s;
+    EXPECT_EQ(std::memcmp(got.node_durations.data(),
+                          want.node_durations.data(),
+                          want.node_durations.size() * sizeof(double)),
+              0)
+        << s;
+    EXPECT_EQ(got.fastest_node, want.fastest_node) << s;
+  }
+  ASSERT_EQ(result.accuracy.size(), oracle.accuracy.size());
+  for (std::size_t m = 0; m < oracle.accuracy.size(); ++m) {
+    const auto& got = result.accuracy[m];
+    const auto& want = oracle.accuracy[m];
+    EXPECT_EQ(got.method, want.method);
+    EXPECT_EQ(got.scenarios, want.scenarios) << want.method;
+    EXPECT_EQ(got.top1, want.top1) << want.method;
+    EXPECT_EQ(got.top2, want.top2) << want.method;
+    EXPECT_EQ(got.mean_regret, want.mean_regret) << want.method;
+  }
+}
+
+TEST(Evaluate, TracesOneSpanPerScenarioAndMethodOnCallingThread) {
+  // `lts evaluate --trace-out` relies on this: one "evaluate/<method>" span
+  // per (scenario, method), in scenario order, each closed before the
+  // scenario's progress call. Enabling the tracer binds it to this thread,
+  // so a span call from a pool worker would throw out of evaluate_methods.
+  auto matrix = paper_scenario_matrix();
+  matrix.resize(6);
+  const auto methods = oracle_methods(matrix);
+  EvalOptions eval;
+  eval.num_scenarios = 3;
+  eval.truth_repeats = 1;
+  const auto caller = std::this_thread::get_id();
+  auto& tracer = obs::Tracer::global();
+  std::vector<std::size_t> spans_at_progress;
+  eval.progress = [&](std::size_t done, std::size_t total) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    EXPECT_EQ(done, spans_at_progress.size() + 1);
+    EXPECT_EQ(total, 3u);
+    spans_at_progress.push_back(tracer.num_spans());
+  };
+  tracer.clear();
+  tracer.set_enabled(true);
+  EXPECT_NO_THROW(evaluate_methods(methods, matrix, eval));
+  tracer.set_enabled(false);
+
+  const std::size_t m = methods.size();
+  ASSERT_EQ(tracer.num_spans(), 3u * m);
+  ASSERT_EQ(spans_at_progress.size(), 3u);
+  for (std::size_t s = 0; s < 3; ++s) {
+    EXPECT_EQ(spans_at_progress[s], (s + 1) * m) << s;
+  }
+  for (std::size_t k = 0; k < tracer.num_spans(); ++k) {
+    const auto& span = tracer.span(k);
+    const auto& method = methods[k % m];
+    EXPECT_EQ(span.name, "evaluate/" + method.name) << k;
+    EXPECT_EQ(span.sim_begin, EnvOptions{}.warmup) << k;
+    ASSERT_FALSE(span.phases.empty()) << k;
+    EXPECT_EQ(span.phases.back().name, "rank") << k;
+    if (method.model == nullptr) continue;  // fallback: rank only
+    if (!method.fallback.enabled) {
+      ASSERT_EQ(span.phases.size(), 3u) << k;
+      EXPECT_EQ(span.phases[0].name, "features") << k;
+      EXPECT_EQ(span.phases[1].name, "predict") << k;
+    }
+  }
+  tracer.clear();
+}
+
 
 TEST(Evaluate, ProtocolProducesConsistentOutcomes) {
   auto matrix = paper_scenario_matrix();

@@ -12,6 +12,7 @@
 #include "exp/stream.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/thread_pool.hpp"
 
 namespace lts::obs {
 namespace {
@@ -279,6 +280,26 @@ TEST(Tracer, ScopedSpanJoinsOpenCallerSpan) {
   }
   ASSERT_EQ(tracer.num_spans(), 2u);
   EXPECT_EQ(tracer.span(1).name, "schedule");
+}
+
+TEST(Tracer, RejectsSpanCallsFromOtherThreads) {
+  // Single-threaded by contract: enabling binds the tracer to this thread,
+  // and a span call from a pool worker throws instead of racing on the
+  // span stack. Disabled, it stays a no-op from anywhere.
+  Tracer tracer;
+  ThreadPool pool(1);
+  const auto from_worker = [&](auto call) { pool.submit(call).get(); };
+  EXPECT_NO_THROW(from_worker([&] { tracer.begin("off", 0.0); }));
+  tracer.set_enabled(true);
+  EXPECT_THROW(from_worker([&] { tracer.begin("worker", 0.0); }), Error);
+  tracer.begin("caller", 1.0);
+  EXPECT_THROW(from_worker([&] { tracer.phase("rank", 1.0); }), Error);
+  EXPECT_THROW(from_worker([&] { tracer.end(1.0); }), Error);
+  tracer.phase("rank", 1.0);
+  tracer.end(2.0);
+  ASSERT_EQ(tracer.num_spans(), 1u);
+  EXPECT_EQ(tracer.span(0).name, "caller");
+  ASSERT_EQ(tracer.span(0).phases.size(), 1u);
 }
 
 // ----------------------------------------------- observation-only proof ----

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <locale>
 #include <sstream>
 
 #include "lts_lint/rules.hpp"
@@ -95,6 +96,13 @@ std::vector<Diagnostic> lint_tree(const std::string& root,
 
   // Per-file passes are independent (each writes only its own slot), so the
   // merge below is deterministic for any worker count.
+  //
+  // Rules compile their std::regex patterns on first use, and compiling
+  // narrows each pattern character through the global locale's
+  // ctype<char> facet, which caches the result with an unsynchronized
+  // write. Filling that cache here leaves the workers only reads.
+  const auto& ctype = std::use_facet<std::ctype<char>>(std::locale());
+  for (int c = 0; c < 256; ++c) ctype.narrow(static_cast<char>(c), '\0');
   std::vector<std::vector<Diagnostic>> per_file(files.size());
   auto run_one = [&](std::size_t i) {
     per_file[i] = run_rules(project.files.at(files[i]), project,
