@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstdint>
 #include <optional>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -83,104 +84,49 @@ bool LtsScheduler::has_usable_model() const {
 
 Decision LtsScheduler::schedule(const spark::JobConfig& config,
                                 SimTime now) const {
-  // Joins the caller's per-decision span when one is open (the job-stream
-  // runner appends a "bind" phase after placement); otherwise the schedule
-  // call is the whole span.
-  obs::ScopedSpan span(obs::Tracer::global(), "schedule", now,
-                       /*reuse_open=*/true);
-  auto snapshot = fetcher_.fetch(now);
-  span.phase("fetch", now);
-  return schedule_from_snapshot(snapshot, config);
+  return std::move(schedule_many({&config, 1}, now).front());
 }
 
 Decision LtsScheduler::schedule_from_snapshot(
     const telemetry::ClusterSnapshot& snapshot,
     const spark::JobConfig& config) const {
-  obs::Tracer& tracer = obs::Tracer::global();
-  auto& metrics = SchedulerMetrics::get();
-  metrics.decisions.inc();
-  // One pointer snapshot per decision: every node in this ranking is
-  // scored by the same model even if a hot-swap lands mid-decision.
-  const std::shared_ptr<const ml::Regressor> model = current_model();
-  const bool model_usable = model != nullptr && model->is_fitted();
-  if (fallback_.enabled) {
-    std::size_t fresh = 0;
-    for (const auto& node : snapshot.nodes) {
-      if (!node.stale) ++fresh;
-    }
-    const bool snapshot_trusted =
-        !snapshot.nodes.empty() &&
-        static_cast<double>(fresh) >=
-            fallback_.min_fresh_fraction *
-                static_cast<double>(snapshot.nodes.size());
-    if (!model_usable || !snapshot_trusted) {
-      metrics.fallbacks.inc();
-      Decision decision = fallback_rank(snapshot);
-      tracer.phase("rank", snapshot.at);
-      return decision;
-    }
-  }
-
-  Decision decision;
-  std::vector<std::vector<double>> rows;
-  rows.reserve(snapshot.nodes.size());
-  for (const auto& node : snapshot.nodes) {
-    rows.push_back(FeatureConstructor::build(node, config, features_));
-  }
-  tracer.phase("features", snapshot.at);
-
-  std::vector<NodePrediction> predictions;
-  predictions.reserve(snapshot.nodes.size());
-  for (std::size_t i = 0; i < snapshot.nodes.size(); ++i) {
-    const auto& node = snapshot.nodes[i];
-    double score;
-    if (risk_aversion_ > 0.0) {
-      const auto p = model->predict_with_uncertainty(rows[i]);
-      score = p.mean + risk_aversion_ * p.stddev;
-    } else {
-      score = model->predict_row(rows[i]);
-    }
-    if (fallback_.enabled && fallback_.demote_stale && node.stale) {
-      score += kStaleDemotionPenalty;
-      ++decision.stale_demoted;
-    }
-    predictions.push_back(NodePrediction{node.node, score});
-  }
-  tracer.phase("predict", snapshot.at);
-
-  const int stale_demoted = decision.stale_demoted;
-  decision = DecisionModule::rank(std::move(predictions));
-  decision.stale_demoted = stale_demoted;
-  if (stale_demoted > 0) metrics.stale_demoted.inc(stale_demoted);
-  tracer.phase("rank", snapshot.at);
-  return decision;
+  return std::move(
+      schedule_many_from_snapshot(snapshot, {&config, 1}).front());
 }
 
 std::vector<Decision> LtsScheduler::schedule_many(
     std::span<const spark::JobConfig> configs, SimTime now) const {
-  const auto snapshot = fetcher_.fetch_shared(now);
-  return schedule_batch(*snapshot, configs, /*own_spans=*/true, now);
+  return schedule_batch(nullptr, configs, now);
 }
 
 std::vector<Decision> LtsScheduler::schedule_many_from_snapshot(
     const telemetry::ClusterSnapshot& snapshot,
     std::span<const spark::JobConfig> configs) const {
-  return schedule_batch(snapshot, configs, /*own_spans=*/false, snapshot.at);
+  return schedule_batch(&snapshot, configs, snapshot.at);
 }
 
 std::vector<Decision> LtsScheduler::schedule_batch(
-    const telemetry::ClusterSnapshot& snapshot,
-    std::span<const spark::JobConfig> configs, bool own_spans,
-    SimTime span_begin) const {
+    const telemetry::ClusterSnapshot* given,
+    std::span<const spark::JobConfig> configs, SimTime now) const {
   obs::Tracer& tracer = obs::Tracer::global();
   auto& metrics = SchedulerMetrics::get();
+  // The tracing rule (scheduler.hpp): the first decision's span is open
+  // across the shared fetch, feature build and model call.
+  const bool own_spans = given == nullptr;
+  std::optional<obs::ScopedSpan> span;
+  if (own_spans && !configs.empty()) {
+    span.emplace(tracer, "schedule", now, /*reuse_open=*/true);
+  }
+  std::shared_ptr<const telemetry::ClusterSnapshot> fetched;
+  if (own_spans) fetched = fetcher_.fetch_shared(now);
+  const telemetry::ClusterSnapshot& snapshot = own_spans ? *fetched : *given;
   std::vector<Decision> decisions;
   decisions.reserve(configs.size());
   if (configs.empty()) return decisions;
+  if (span) span->phase("fetch", now);
 
-  // One pointer snapshot for the whole queue: sequential schedule() calls
-  // take it per decision, but the sequences only differ if a hot-swap lands
-  // mid-queue — exactly the window batching is meant to close.
+  // One pointer snapshot for the whole queue: even if a hot-swap lands
+  // mid-queue, every candidate of every decision is scored by one model.
   const std::shared_ptr<const ml::Regressor> model = current_model();
   const bool model_usable = model != nullptr && model->is_fitted();
   bool use_fallback = false;
@@ -199,7 +145,7 @@ std::vector<Decision> LtsScheduler::schedule_batch(
 
   // One row-major feature block over every (pod, node) candidate, one
   // batched predict. Rows are grouped by config, nodes in snapshot order
-  // within each group — the same per-row vectors the scalar path builds.
+  // within each group.
   //
   // Queues are full of replicas: a deployment submits N pods with one spec,
   // and the workload model draws from a handful of app templates, so many
@@ -252,6 +198,7 @@ std::vector<Decision> LtsScheduler::schedule_batch(
         row_of.push_back(found);
       }
     }
+    tracer.phase("features", snapshot.at);
     const std::size_t n_unique = block.size() / cols;
     std::vector<double> unique_scores(n_unique);
     if (risk_aversion_ > 0.0) {
@@ -265,6 +212,7 @@ std::vector<Decision> LtsScheduler::schedule_batch(
     } else {
       model->predict_batch(block, n_unique, cols, unique_scores);
     }
+    tracer.phase("predict", snapshot.at);
     scores.resize(n_rows);
     for (std::size_t r = 0; r < n_rows; ++r) {
       scores[r] = unique_scores[row_of[r]];
@@ -272,42 +220,41 @@ std::vector<Decision> LtsScheduler::schedule_batch(
   }
 
   for (std::size_t c = 0; c < configs.size(); ++c) {
-    // Per-decision span bookkeeping replicates the sequential calls: with
-    // own_spans each decision gets its own "schedule" span (joined to the
-    // caller's if one is open) starting with a "fetch" phase — the fetch
-    // that logically served it came from the cache.
-    std::optional<obs::ScopedSpan> span;
-    if (own_spans) {
-      span.emplace(tracer, "schedule", span_begin, /*reuse_open=*/true);
-      span->phase("fetch", span_begin);
+    if (c > 0) {
+      if (own_spans) {
+        span.emplace(tracer, "schedule", now, /*reuse_open=*/true);
+        span->phase("fetch", now);
+      }
+      if (!use_fallback) {
+        tracer.phase("features", snapshot.at);
+        tracer.phase("predict", snapshot.at);
+      }
     }
     metrics.decisions.inc();
     if (use_fallback) {
       metrics.fallbacks.inc();
       decisions.push_back(fallback_rank(snapshot));
-      tracer.phase("rank", snapshot.at);
-      continue;
-    }
-    tracer.phase("features", snapshot.at);
-    Decision decision;
-    std::vector<NodePrediction> predictions;
-    predictions.reserve(n_nodes);
-    for (std::size_t i = 0; i < n_nodes; ++i) {
-      const auto& node = snapshot.nodes[i];
-      double score = scores[c * n_nodes + i];
-      if (fallback_.enabled && fallback_.demote_stale && node.stale) {
-        score += kStaleDemotionPenalty;
-        ++decision.stale_demoted;
+    } else {
+      Decision decision;
+      std::vector<NodePrediction> predictions;
+      predictions.reserve(n_nodes);
+      for (std::size_t i = 0; i < n_nodes; ++i) {
+        const auto& node = snapshot.nodes[i];
+        double score = scores[c * n_nodes + i];
+        if (fallback_.enabled && fallback_.demote_stale && node.stale) {
+          score += kStaleDemotionPenalty;
+          ++decision.stale_demoted;
+        }
+        predictions.push_back(NodePrediction{node.node, score});
       }
-      predictions.push_back(NodePrediction{node.node, score});
+      const int stale_demoted = decision.stale_demoted;
+      decision = DecisionModule::rank(std::move(predictions));
+      decision.stale_demoted = stale_demoted;
+      if (stale_demoted > 0) metrics.stale_demoted.inc(stale_demoted);
+      decisions.push_back(std::move(decision));
     }
-    tracer.phase("predict", snapshot.at);
-    const int stale_demoted = decision.stale_demoted;
-    decision = DecisionModule::rank(std::move(predictions));
-    decision.stale_demoted = stale_demoted;
-    if (stale_demoted > 0) metrics.stale_demoted.inc(stale_demoted);
     tracer.phase("rank", snapshot.at);
-    decisions.push_back(std::move(decision));
+    span.reset();
   }
   return decisions;
 }

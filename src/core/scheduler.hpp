@@ -55,6 +55,22 @@ class LtsScheduler {
                double risk_aversion = 0.0,
                FallbackOptions fallback = {});
 
+  // One serving path. schedule() and schedule_from_snapshot() are a batch
+  // of one through schedule_many() and schedule_many_from_snapshot(), which
+  // share schedule_batch(): one snapshot, one feature block over every
+  // (pod, node) candidate, one batched model call (predict_batch is
+  // bit-identical to predict_row, so batching never changes a decision).
+  //
+  // Tracing rule: a trace books each cost on the span that is open when
+  // the cost is incurred. The fetching entry points give every decision a
+  // "schedule" span (joined to the caller's when one is open) with phases
+  // fetch -> features -> predict -> rank; the first decision's span is open
+  // across the fetch, the feature build and the model call, and each later
+  // decision marks those phases at no cost before its own rank. The
+  // snapshot entry points open no span: the same phases minus fetch land on
+  // whatever span the caller has open. A fallback decision has no features
+  // or predict phase.
+
   /// Full pipeline: fetch telemetry as of `now`, score every candidate
   /// node, return the ranking.
   Decision schedule(const spark::JobConfig& config, SimTime now) const;
@@ -64,20 +80,15 @@ class LtsScheduler {
   Decision schedule_from_snapshot(const telemetry::ClusterSnapshot& snapshot,
                                   const spark::JobConfig& config) const;
 
-  /// Batched serving path: ranks a whole queue of pending pods in one pass
-  /// — one (cached) snapshot fetch, one feature block over every
-  /// (pod, node) candidate, one batched model prediction. The decision
-  /// sequence (nodes, scores, fallback/demotion flags, trace spans, metric
-  /// counts) is bit-identical to calling schedule() once per config at the
-  /// same `now`: predict_batch reproduces predict_row exactly, and the
-  /// cached snapshot is keyed on (TSDB epoch, now) so it equals a fresh
-  /// fetch by construction.
+  /// Ranks a whole queue of pending pods in one pass from one (cached)
+  /// snapshot fetch. The decisions equal schedule() once per config at the
+  /// same `now`: the cached snapshot is keyed on (TSDB epoch, now), so it
+  /// equals a fresh fetch by construction.
   std::vector<Decision> schedule_many(
       std::span<const spark::JobConfig> configs, SimTime now) const;
 
-  /// Batched variant of schedule_from_snapshot: same contract, no fetch
-  /// (and, like schedule_from_snapshot, no span of its own — phases land on
-  /// whatever span the caller has open).
+  /// Batched variant of schedule_from_snapshot: no fetch and no span of its
+  /// own.
   std::vector<Decision> schedule_many_from_snapshot(
       const telemetry::ClusterSnapshot& snapshot,
       std::span<const spark::JobConfig> configs) const;
@@ -109,14 +120,12 @@ class LtsScheduler {
   /// the snapshot cannot be trusted.
   Decision fallback_rank(const telemetry::ClusterSnapshot& snapshot) const;
 
-  /// Shared body of the two batched entry points. With `own_spans`, every
-  /// decision opens (or joins) a "schedule" span beginning at `span_begin`
-  /// and marks a "fetch" phase first — mirroring schedule(); without, only
-  /// the pipeline phases are marked — mirroring schedule_from_snapshot.
+  /// Shared body of every entry point. With `given` null it fetches the
+  /// snapshot at `now` and opens the per-decision spans; otherwise it ranks
+  /// from `given` and only marks phases (see the tracing rule above).
   std::vector<Decision> schedule_batch(
-      const telemetry::ClusterSnapshot& snapshot,
-      std::span<const spark::JobConfig> configs, bool own_spans,
-      SimTime span_begin) const;
+      const telemetry::ClusterSnapshot* given,
+      std::span<const spark::JobConfig> configs, SimTime now) const;
 
   TelemetryFetcher fetcher_;
   /// Guards model_ only: decisions copy the shared_ptr once, hot-swaps

@@ -360,16 +360,9 @@ spark::AppResult SimEnv::run_job(const spark::JobConfig& config,
     executor_nodes.push_back(cluster_->node_index(result.selected()));
   }
 
-  // The job's own randomness: DAG (Join skew) and runtime jitter streams
-  // derive from job_seed only, so placement does not perturb the draws.
-  Rng dag_rng(job_seed * 0x2545f4914f6cdd1dULL + 0x9e37);
-  auto dag = spark::build_dag(config, dag_rng, options_.workload_cost);
-  Rng app_rng(job_seed * 0xda942042e4dd58b5ULL + 0x7f4a);
-
-  spark::SparkApp app(*cluster_, config, std::move(dag), driver_node,
-                      executor_nodes, app_rng, options_.runtime);
+  const auto app = make_app(config, driver_node, executor_nodes, job_seed);
   bool done = false;
-  app.submit([&done](const spark::AppResult&) { done = true; });
+  app->submit([&done](const spark::AppResult&) { done = true; });
   const SimTime deadline = engine_.now() + options_.max_job_duration;
   while (!done) {
     LTS_REQUIRE(engine_.step(), "SimEnv: event queue drained mid-job");
@@ -380,7 +373,18 @@ spark::AppResult SimEnv::run_job(const spark::JobConfig& config,
   for (const auto& pod_name : bound_pods) {
     api_.remove_pod(pod_name);
   }
-  return app.result();
+  return app->result();
+}
+
+std::unique_ptr<spark::SparkApp> SimEnv::make_app(
+    const spark::JobConfig& config, std::size_t driver_node,
+    const std::vector<std::size_t>& executor_nodes, std::uint64_t job_seed) {
+  Rng dag_rng(job_seed * 0x2545f4914f6cdd1dULL + 0x9e37);
+  auto dag = spark::build_dag(config, dag_rng, options_.workload_cost);
+  Rng app_rng(job_seed * 0xda942042e4dd58b5ULL + 0x7f4a);
+  return std::make_unique<spark::SparkApp>(*cluster_, config, std::move(dag),
+                                           driver_node, executor_nodes,
+                                           app_rng, options_.runtime);
 }
 
 }  // namespace lts::exp

@@ -182,6 +182,13 @@ class SimEnv {
   spark::AppResult run_job(const spark::JobConfig& config,
                            std::size_t driver_node, std::uint64_t job_seed);
 
+  /// Builds the job's DAG and app on an already-bound placement, ready to
+  /// submit. The job's own randomness (DAG Join skew, runtime jitter)
+  /// derives from `job_seed` only, so placement never perturbs its draws.
+  std::unique_ptr<spark::SparkApp> make_app(
+      const spark::JobConfig& config, std::size_t driver_node,
+      const std::vector<std::size_t>& executor_nodes, std::uint64_t job_seed);
+
   /// Full ranking the default Kubernetes scheduler would produce for this
   /// job's driver pod right now (the Table 4 baseline).
   k8s::ScheduleResult kube_ranking(const spark::JobConfig& config);

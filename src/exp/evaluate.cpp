@@ -1,7 +1,6 @@
 #include "exp/evaluate.hpp"
 
 #include <algorithm>
-#include <span>
 
 #include "core/scheduler.hpp"
 #include "ml/metrics.hpp"
@@ -181,8 +180,8 @@ EvalResult evaluate_methods(const std::vector<MethodUnderTest>& models,
             telemetry::impute_stale_nodes(method_snapshot);
           }
         }
-        const auto decision = scheduler.schedule_many_from_snapshot(
-            method_snapshot, std::span(&scenario.config, 1))[0];
+        const auto decision =
+            scheduler.schedule_from_snapshot(method_snapshot, scenario.config);
         std::vector<std::size_t> ranked;
         ranked.reserve(decision.ranking.size());
         for (const auto& p : decision.ranking) {

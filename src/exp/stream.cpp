@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <optional>
 
+#include "core/job_builder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "spark/runtime.hpp"
-#include "spark/workloads.hpp"
 #include "util/string_util.hpp"
 
 namespace lts::exp {
@@ -31,6 +30,53 @@ std::string describe_rejections(const k8s::ScheduleResult& result) {
     out += "\n  " + node + ": " + reason;
   }
   return out;
+}
+
+void LiveJob::unbind(k8s::ApiServer& api) {
+  for (const auto& pod : pods) api.remove_pod(pod);
+  pods.clear();
+}
+
+std::optional<k8s::ScheduleResult> launch_job(
+    SimEnv& env, const JobLaunch& launch, LiveJob& live, StreamJobResult& job,
+    std::function<void(const spark::AppResult&)> on_complete) {
+  LTS_REQUIRE(live.pods.empty() && live.app == nullptr,
+              "launch_job: " + launch.name + " is already launched");
+  const spark::JobConfig& config = launch.config;
+  const auto driver_pod = core::JobBuilder::driver_pod(config, launch.name,
+                                                       launch.driver_node);
+  const auto driver_fit = env.kube_scheduler().schedule(driver_pod);
+  if (!driver_fit.feasible()) return driver_fit;
+  env.api().bind(driver_pod, launch.driver_node);
+  live.pods.push_back(driver_pod.name);
+  std::vector<std::size_t> executor_nodes;
+  for (int e = 0; e < config.executors; ++e) {
+    auto pod = core::JobBuilder::executor_pod(config, launch.name, e);
+    if (launch.offer != nullptr) {
+      pod.node_affinity = k8s::NodeAffinity{*launch.offer};
+    }
+    const auto where = env.kube_scheduler().schedule(pod);
+    if (!where.feasible()) {
+      live.unbind(env.api());
+      return where;
+    }
+    env.api().bind(pod, where.selected());
+    live.pods.push_back(pod.name);
+    executor_nodes.push_back(env.cluster().node_index(where.selected()));
+  }
+
+  live.app = env.make_app(config, env.cluster().node_index(launch.driver_node),
+                          executor_nodes, launch.job_seed);
+  live.app->submit([&env, &live, &job, on_complete = std::move(on_complete)](
+                       const spark::AppResult& app_result) {
+    job.driver_node = app_result.driver_node;
+    job.submitted = app_result.submit_time;
+    job.queueing_delay = app_result.submit_time - job.planned_arrival;
+    job.duration = app_result.duration();
+    live.unbind(env.api());
+    on_complete(app_result);
+  });
+  return std::nullopt;
 }
 
 std::string describe_job_config(const spark::JobConfig& config) {
@@ -113,9 +159,10 @@ StreamResult run_job_stream(StreamPolicy policy,
   StreamResult result;
   result.jobs.resize(plan.size());
   for (std::size_t j = 0; j < plan.size(); ++j) {
+    result.jobs[j].scenario_id = plan[j].scenario->id;
     result.jobs[j].planned_arrival = plan[j].arrival;
   }
-  std::vector<std::unique_ptr<spark::SparkApp>> apps(plan.size());
+  std::vector<LiveJob> live(plan.size());
   int remaining = options.num_jobs;
   const StreamCounters metrics = stream_counters();
 
@@ -156,9 +203,9 @@ StreamResult run_job_stream(StreamPolicy policy,
       });
     };
 
-    // Per-decision trace span for the model policy: the scheduler joins it
-    // with its fetch/features/predict/rank phases, and "bind" lands below
-    // once the pods are placed.
+    // Per-decision trace span for the model policy: the scheduler marks its
+    // features/predict/rank phases on it, and "bind" lands below once the
+    // pods are bound and the app submitted.
     std::optional<obs::ScopedSpan> span;
     if (model_policy) {
       span.emplace(obs::Tracer::global(), "decision", env.engine().now());
@@ -171,17 +218,11 @@ StreamResult run_job_stream(StreamPolicy policy,
       case StreamPolicy::kModelRetrain: {
         // Fetch explicitly (instead of scheduler->schedule) so the same
         // snapshot that produced the decision can seed the training row.
-        // The batched serving path — fetch_shared (epoch-keyed cache, no
-        // copy) + a batch-of-one schedule_many_from_snapshot (flattened
-        // predict_batch) — is bit-identical to the scalar
-        // fetch + schedule_from_snapshot it replaces, so the kModel
-        // decision sequence is unchanged.
         const SimTime now = env.engine().now();
         const auto snapshot = scheduler->fetcher().fetch_shared(now);
         if (span) span->phase("fetch", now);
         const auto decision =
-            scheduler->schedule_many_from_snapshot(*snapshot, {&config, 1})
-                .front();
+            scheduler->schedule_from_snapshot(*snapshot, config);
         driver_node = env.cluster().node_index(decision.selected());
         if (retrainer) {
           PendingFeedback& fb = feedback[j];
@@ -213,62 +254,32 @@ StreamResult run_job_stream(StreamPolicy policy,
         break;
     }
 
-    // Bind pods (driver pinned; executors via the default scheduler); on
-    // any infeasibility unwind the bindings and retry later.
-    const auto driver_pod = core::JobBuilder::driver_pod(
-        config, job_name, env.node_names()[driver_node]);
-    auto bound = std::make_shared<std::vector<std::string>>();
-    const auto driver_fit = env.kube_scheduler().schedule(driver_pod);
-    if (!driver_fit.feasible()) {
-      retry(driver_fit);
+    // Driver pinned, executors via the default scheduler; an infeasible pod
+    // unwinds the job's bindings and it retries later.
+    const JobLaunch launch{config, job_name, env.node_names()[driver_node],
+                           planned.job_seed};
+    const auto failed = launch_job(
+        env, launch, live[j], result.jobs[j],
+        [&, j](const spark::AppResult& app_result) {
+          metrics.jobs_completed.inc();
+          if (retrainer && feedback[j].valid) {
+            PendingFeedback& fb = feedback[j];
+            fb.record.duration = app_result.duration();
+            fb.record.shuffle_bytes = app_result.total_shuffle_bytes;
+            fb.record.max_spill_penalty = app_result.max_spill_penalty;
+            const auto event =
+                retrainer->on_completion(fb.record, fb.predicted);
+            if (event && event->outcome == core::RetrainOutcome::kSwapped) {
+              scheduler->set_model(retrainer->model());
+            }
+          }
+          --remaining;
+        });
+    if (failed) {
+      retry(*failed);
       return;
     }
-    env.api().bind(driver_pod, env.node_names()[driver_node]);
-    bound->push_back(driver_pod.name);
-    std::vector<std::size_t> executor_nodes;
-    for (int e = 0; e < config.executors; ++e) {
-      const auto pod = core::JobBuilder::executor_pod(config, job_name, e);
-      const auto where = env.kube_scheduler().schedule(pod);
-      if (!where.feasible()) {
-        for (const auto& name : *bound) env.api().remove_pod(name);
-        retry(where);
-        return;
-      }
-      env.api().bind(pod, where.selected());
-      bound->push_back(pod.name);
-      executor_nodes.push_back(env.cluster().node_index(where.selected()));
-    }
     if (span) span->phase("bind", env.engine().now());
-
-    Rng dag_rng(planned.job_seed * 0x2545f4914f6cdd1dULL + 0x9e37);
-    auto dag = spark::build_dag(config, dag_rng,
-                                env.options().workload_cost);
-    Rng app_rng(planned.job_seed * 0xda942042e4dd58b5ULL + 0x7f4a);
-    apps[j] = std::make_unique<spark::SparkApp>(
-        env.cluster(), config, std::move(dag), driver_node, executor_nodes,
-        app_rng, env.options().runtime);
-    apps[j]->submit([&, j, bound](const spark::AppResult& app_result) {
-      result.jobs[j].scenario_id = plan[j].scenario->id;
-      result.jobs[j].driver_node = app_result.driver_node;
-      result.jobs[j].submitted = app_result.submit_time;
-      result.jobs[j].queueing_delay =
-          app_result.submit_time - result.jobs[j].planned_arrival;
-      result.jobs[j].duration = app_result.duration();
-      for (const auto& pod : *bound) env.api().remove_pod(pod);
-      metrics.jobs_completed.inc();
-      if (retrainer && feedback[j].valid) {
-        PendingFeedback& fb = feedback[j];
-        fb.record.duration = app_result.duration();
-        fb.record.shuffle_bytes = app_result.total_shuffle_bytes;
-        fb.record.max_spill_penalty = app_result.max_spill_penalty;
-        const auto event =
-            retrainer->on_completion(fb.record, fb.predicted);
-        if (event && event->outcome == core::RetrainOutcome::kSwapped) {
-          scheduler->set_model(retrainer->model());
-        }
-      }
-      --remaining;
-    });
   };
 
   for (std::size_t j = 0; j < plan.size(); ++j) {
@@ -282,17 +293,7 @@ StreamResult run_job_stream(StreamPolicy policy,
                 "run_job_stream: stream failed to complete");
   }
 
-  // Makespan from *actual* submits: under backlog the first job can submit
-  // later than plan.front().arrival (retry path), and retries can reorder
-  // submissions, so the earliest submit is a min over jobs — the planned
-  // arrival would silently absorb queueing delay into the makespan.
-  SimTime first_submit = result.jobs.front().submitted;
-  SimTime last_finish = 0.0;
-  for (const auto& job : result.jobs) {
-    first_submit = std::min(first_submit, job.submitted);
-    last_finish = std::max(last_finish, job.submitted + job.duration);
-  }
-  result.makespan = last_finish - first_submit;
+  result.makespan = makespan(result.jobs);
   if (retrainer) {
     result.model_version = retrainer->model_version();
     result.retrain_events = retrainer->events();

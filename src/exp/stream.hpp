@@ -9,7 +9,10 @@
 // and makespan.
 #pragma once
 
+#include <algorithm>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -17,9 +20,11 @@
 #include "core/scheduler.hpp"
 #include "exp/envgen.hpp"
 #include "exp/scenario.hpp"
+#include "k8s/api.hpp"
 #include "k8s/scheduler.hpp"
 #include "ml/model.hpp"
 #include "obs/metrics.hpp"
+#include "spark/runtime.hpp"
 
 namespace lts::exp {
 
@@ -62,8 +67,9 @@ struct StreamJobResult {
   std::string driver_node;
   /// Pre-drawn arrival instant (when the job *asked* to run).
   SimTime planned_arrival = 0.0;
-  /// Actual submission instant: the first time placement succeeded. Under
-  /// backlog this is later than planned_arrival (retry path).
+  /// Actual submission instant: the last time placement succeeded. Under
+  /// backlog this is later than planned_arrival (retry path); a preempted
+  /// multi-tenant job restarts from scratch and submits again.
   SimTime submitted = 0.0;
   /// submitted - planned_arrival: time spent waiting for capacity.
   SimTime queueing_delay = 0.0;
@@ -110,6 +116,57 @@ StreamCounters stream_counters(const std::string& tenant = {});
 /// "\n  node: reason" line each (empty result explained too). Used by the
 /// bounded-retry failure paths of both stream runners.
 std::string describe_rejections(const k8s::ScheduleResult& result);
+
+/// A stream job's state while it holds the cluster: its bound pods (driver
+/// first) and its app. Both are empty until launch_job succeeds.
+struct LiveJob {
+  std::vector<std::string> pods;
+  std::unique_ptr<spark::SparkApp> app;
+
+  /// Removes every bound pod of the job through the API server.
+  void unbind(k8s::ApiServer& api);
+};
+
+/// One job placement for launch_job: the policy already chose the driver's
+/// node.
+struct JobLaunch {
+  const spark::JobConfig& config;
+  const std::string& name;         // pod-name prefix
+  const std::string& driver_node;  // the driver pod is pinned here
+  std::uint64_t job_seed;          // the job's own DAG and app randomness
+  /// Nodes the executors may use (a DRF offer); null = any node.
+  const std::vector<std::string>* offer = nullptr;
+};
+
+/// The job launch both stream runners share. Binds the pinned driver, then
+/// each executor through the default scheduler (restricted to the offer
+/// when one is given). On the first infeasible pod it unbinds every pod of
+/// the job and returns that attempt. Otherwise it records the pods in
+/// `live`, builds and submits the app (SimEnv::make_app) and returns
+/// nullopt. When the app completes, `job` gets its driver node, submit
+/// time, queueing delay and duration, the pods are unbound, and then
+/// `on_complete` runs.
+std::optional<k8s::ScheduleResult> launch_job(
+    SimEnv& env, const JobLaunch& launch, LiveJob& live, StreamJobResult& job,
+    std::function<void(const spark::AppResult&)> on_complete);
+
+/// Last completion minus first *actual* submission over a finished
+/// stream's jobs (StreamJobResult or a type extending it); `last_finish`,
+/// when given, receives the last completion. Under backlog the first job
+/// can submit later than its planned arrival and retries can reorder
+/// submissions, so the earliest submit is a min over jobs — the planned
+/// arrival would silently absorb queueing delay into the makespan.
+template <class Job>
+double makespan(const std::vector<Job>& jobs, SimTime* last_finish = nullptr) {
+  SimTime first_submit = jobs.front().submitted;
+  SimTime last = 0.0;
+  for (const StreamJobResult& job : jobs) {
+    first_submit = std::min(first_submit, job.submitted);
+    last = std::max(last, job.submitted + job.duration);
+  }
+  if (last_finish != nullptr) *last_finish = last;
+  return last - first_submit;
+}
 
 /// One-line human-readable job-config summary for diagnostics.
 std::string describe_job_config(const spark::JobConfig& config);

@@ -7,8 +7,6 @@
 #include "core/job_builder.hpp"
 #include "core/scheduler.hpp"
 #include "obs/metrics.hpp"
-#include "spark/runtime.hpp"
-#include "spark/workloads.hpp"
 #include "util/stats.hpp"
 #include "util/string_util.hpp"
 
@@ -154,8 +152,7 @@ TenantStreamsResult run_tenant_streams(const std::vector<exp::Scenario>& matrix,
     /// Job indices awaiting placement, kept sorted ascending (= arrival
     /// order; preempted jobs re-enter at their original position).
     std::vector<std::size_t> pending;
-    std::vector<std::unique_ptr<spark::SparkApp>> apps;
-    std::vector<std::vector<std::string>> bound;  // live pod names per job
+    std::vector<exp::LiveJob> live;
     std::unique_ptr<core::LtsScheduler> scheduler;  // kModel only
     exp::StreamCounters counters;
     obs::Counter* preemptions = nullptr;
@@ -175,7 +172,7 @@ TenantStreamsResult run_tenant_streams(const std::vector<exp::Scenario>& matrix,
     tres.jobs.resize(static_cast<std::size_t>(topt.num_jobs));
 
     auto [it, inserted] = runs.emplace(
-        name, TenantRun{&topt, &tres, {}, {}, {}, {}, nullptr,
+        name, TenantRun{&topt, &tres, {}, {}, {}, nullptr,
                         exp::stream_counters(name), nullptr});
     LTS_REQUIRE(inserted, "run_tenant_streams: duplicate tenant " + name);
     TenantRun& run = it->second;
@@ -192,11 +189,11 @@ TenantStreamsResult run_tenant_streams(const std::vector<exp::Scenario>& matrix,
       run.plan.push_back(PlannedJob{
           &exp::sample_scenario(matrix, rng), arrivals[j],
           tenant_seed * 1000003ULL + static_cast<std::uint64_t>(j), rng()});
+      tres.jobs[j].scenario_id = run.plan[j].scenario->id;
       tres.jobs[j].planned_arrival = arrivals[j];
       last_arrival = std::max(last_arrival, arrivals[j]);
     }
-    run.apps.resize(arrivals.size());
-    run.bound.resize(arrivals.size());
+    run.live.resize(arrivals.size());
     if (topt.policy == exp::StreamPolicy::kModel) {
       run.scheduler = std::make_unique<core::LtsScheduler>(
           core::TelemetryFetcher(env.tsdb(), env.node_names(),
@@ -251,11 +248,11 @@ TenantStreamsResult run_tenant_streams(const std::vector<exp::Scenario>& matrix,
   auto evict = [&](const PreemptionVictim& victim) {
     TenantRun& run = runs.at(victim.tenant);
     const std::size_t j = std::stoul(victim.job.substr(4));
-    LTS_ASSERT(run.apps[j] != nullptr);
-    run.apps[j]->cancel();
-    run.apps[j].reset();
-    for (const auto& pod : run.bound[j]) env.api().remove_pod(pod);
-    run.bound[j].clear();
+    exp::LiveJob& live = run.live[j];
+    LTS_ASSERT(live.app != nullptr);
+    live.app->cancel();
+    live.app.reset();
+    live.unbind(env.api());
     alloc.release(victim.tenant, victim.job, env.engine().now());
     run.pending.insert(
         std::lower_bound(run.pending.begin(), run.pending.end(), j), j);
@@ -321,11 +318,9 @@ TenantStreamsResult run_tenant_streams(const std::vector<exp::Scenario>& matrix,
                                  return offer_set.count(n.node) == 0;
                                }),
                 snapshot.nodes.end());
-            const auto decision =
-                run.scheduler
-                    ->schedule_many_from_snapshot(snapshot, {&config, 1})
-                    .front();
-            driver = decision.selected();
+            driver =
+                run.scheduler->schedule_from_snapshot(snapshot, config)
+                    .selected();
             have_driver = true;
             break;
           }
@@ -350,70 +345,24 @@ TenantStreamsResult run_tenant_streams(const std::vector<exp::Scenario>& matrix,
         }
 
         if (have_driver) {
-          // Bind driver (pinned) and executors (default scheduler within
-          // the offer); unwind everything on the first infeasibility.
-          auto bound = std::make_shared<std::vector<std::string>>();
-          const auto driver_pod =
-              core::JobBuilder::driver_pod(config, pod_prefix, driver);
-          const auto driver_fit = env.kube_scheduler().schedule(driver_pod);
-          if (!driver_fit.feasible()) {
-            last_attempt = driver_fit;
+          const auto failed = exp::launch_job(
+              env, {config, pod_prefix, driver, planned.job_seed, &offered},
+              run.live[j], run.result->jobs[j],
+              [&, name, j](const spark::AppResult&) {
+                alloc.release(name, job_key(j), env.engine().now());
+                runs.at(name).counters.jobs_completed.inc();
+                --remaining;
+                // Freed capacity: run another allocation round, but never
+                // from inside the completion callback (the app must not be
+                // replaced while its own frame is live).
+                env.engine().schedule_in(0.0, [&] { pump(false); });
+              });
+          if (failed) {
+            last_attempt = *failed;
           } else {
-            env.api().bind(driver_pod, driver);
-            bound->push_back(driver_pod.name);
-            const std::size_t driver_node = env.cluster().node_index(driver);
-            std::vector<std::size_t> executor_nodes;
-            bool executors_ok = true;
-            for (int e = 0; e < config.executors; ++e) {
-              auto pod = core::JobBuilder::executor_pod(config, pod_prefix, e);
-              pod.node_affinity = k8s::NodeAffinity{offered};
-              const auto where = env.kube_scheduler().schedule(pod);
-              if (!where.feasible()) {
-                for (const auto& p : *bound) env.api().remove_pod(p);
-                last_attempt = where;
-                executors_ok = false;
-                break;
-              }
-              env.api().bind(pod, where.selected());
-              bound->push_back(pod.name);
-              executor_nodes.push_back(
-                  env.cluster().node_index(where.selected()));
-            }
-            if (executors_ok) {
-              run.bound[j] = *bound;
-              alloc.charge(name, job_key(j), demand, qos, priority,
-                           env.engine().now());
-              Rng dag_rng(planned.job_seed * 0x2545f4914f6cdd1dULL + 0x9e37);
-              auto dag = spark::build_dag(config, dag_rng,
-                                          env.options().workload_cost);
-              Rng app_rng(planned.job_seed * 0xda942042e4dd58b5ULL + 0x7f4a);
-              run.apps[j] = std::make_unique<spark::SparkApp>(
-                  env.cluster(), config, std::move(dag), driver_node,
-                  executor_nodes, app_rng, env.options().runtime);
-              run.apps[j]->submit(
-                  [&, name, j](const spark::AppResult& app_result) {
-                    TenantRun& r = runs.at(name);
-                    TenantJobResult& job = r.result->jobs[j];
-                    job.scenario_id = r.plan[j].scenario->id;
-                    job.driver_node = app_result.driver_node;
-                    job.submitted = app_result.submit_time;
-                    job.queueing_delay =
-                        app_result.submit_time - job.planned_arrival;
-                    job.duration = app_result.duration();
-                    for (const auto& pod : r.bound[j]) {
-                      env.api().remove_pod(pod);
-                    }
-                    r.bound[j].clear();
-                    alloc.release(name, job_key(j), env.engine().now());
-                    r.counters.jobs_completed.inc();
-                    --remaining;
-                    // Freed capacity: run another allocation round, but
-                    // never from inside the completion callback (the app
-                    // must not be replaced while its own frame is live).
-                    env.engine().schedule_in(0.0, [&] { pump(false); });
-                  });
-              placed = true;
-            }
+            alloc.charge(name, job_key(j), demand, qos, priority,
+                         env.engine().now());
+            placed = true;
           }
         }
       }
@@ -535,13 +484,8 @@ TenantStreamsResult run_tenant_streams(const std::vector<exp::Scenario>& matrix,
   alloc.integrate_to(env.engine().now());
   for (auto& tres : result.tenants) {
     tres.share_integral = alloc.share_integral(tres.tenant);
-    SimTime first_submit = tres.jobs.front().submitted;
     SimTime last_finish = 0.0;
-    for (const auto& job : tres.jobs) {
-      first_submit = std::min(first_submit, job.submitted);
-      last_finish = std::max(last_finish, job.submitted + job.duration);
-    }
-    tres.makespan = last_finish - first_submit;
+    tres.makespan = exp::makespan(tres.jobs, &last_finish);
     result.horizon = std::max(result.horizon, last_finish);
   }
   result.jain_share = alloc.time_averaged_jain();

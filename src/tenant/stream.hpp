@@ -89,15 +89,7 @@ struct TenantStreamsOptions {
   SimTime retry_delay = 5.0;
 };
 
-struct TenantJobResult {
-  std::string scenario_id;
-  std::string driver_node;
-  SimTime planned_arrival = 0.0;
-  /// Final successful submission instant (after any deferrals/restarts).
-  SimTime submitted = 0.0;
-  SimTime queueing_delay = 0.0;  // submitted - planned_arrival
-  double duration = 0.0;
-  int placement_retries = 0;
+struct TenantJobResult : exp::StreamJobResult {
   /// Times this job was preempted (cancelled and restarted from scratch).
   int preemptions = 0;
 };

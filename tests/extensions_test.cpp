@@ -1,5 +1,6 @@
 // Tests for the §8 extension components: rich telemetry metrics, the rich
-// feature set, scaled cluster topologies, and the live job-stream runner.
+// feature set, scaled cluster topologies, and the live job-stream runner
+// with its shared job launcher.
 #include <gtest/gtest.h>
 
 #include "cluster/cluster.hpp"
@@ -420,6 +421,84 @@ TEST(Stream, BoundedRetryFailsLoudlyNamingJobAndRejections) {
     EXPECT_NE(msg.find("rejections of the last attempt"), std::string::npos)
         << msg;
   }
+}
+
+TEST(Stream, LaunchJobUnwindsEveryPodWhenExecutorsCannotFit) {
+  // The driver fits and the first executors bind, but the cluster runs out
+  // of cores before the last one: the launcher returns that attempt and
+  // leaves no pod of the job bound.
+  exp::SimEnv env(7);
+  env.warmup();
+  double free_cpu = 0.0;
+  std::vector<k8s::NodeEntry> before;
+  for (const auto& node : env.api().nodes()) {
+    before.push_back(node);
+    free_cpu += node.allocatable.cpu - node.requested.cpu;
+  }
+  spark::JobConfig config;
+  config.executor_cores = 2.0;
+  config.executors =
+      static_cast<int>(free_cpu / config.executor_cores) + 1;
+  const std::string name = "unwind";
+  exp::LiveJob live;
+  exp::StreamJobResult job;
+  const auto failed = exp::launch_job(
+      env, {config, name, env.node_names()[0], 1}, live, job,
+      [](const spark::AppResult&) { FAIL() << "unlaunched job completed"; });
+  ASSERT_TRUE(failed.has_value());
+  EXPECT_FALSE(failed->feasible());
+  EXPECT_FALSE(failed->rejected.empty());
+  EXPECT_TRUE(live.pods.empty());
+  EXPECT_EQ(live.app, nullptr);
+  const auto& after = env.api().nodes();
+  ASSERT_EQ(after.size(), before.size());
+  for (std::size_t i = 0; i < after.size(); ++i) {
+    EXPECT_EQ(after[i].requested.cpu, before[i].requested.cpu)
+        << after[i].name;
+    EXPECT_EQ(after[i].requested.memory, before[i].requested.memory)
+        << after[i].name;
+    EXPECT_EQ(after[i].pods, before[i].pods) << after[i].name;
+  }
+}
+
+TEST(Stream, LaunchJobPlacesExecutorsOnlyOnOfferedNodes) {
+  // A DRF offer restricts the executors; the driver stays pinned where the
+  // policy put it. The launched job then runs to completion, which fills
+  // its record and unbinds its pods.
+  exp::SimEnv env(7);
+  env.warmup();
+  const std::vector<std::string> offer{env.node_names()[1],
+                                       env.node_names()[4]};
+  spark::JobConfig config;
+  config.executors = 4;
+  const std::string name = "offered";
+  exp::LiveJob live;
+  exp::StreamJobResult job;
+  job.planned_arrival = env.engine().now();
+  bool completed = false;
+  const auto failed = exp::launch_job(
+      env, {config, name, env.node_names()[0], 11, &offer}, live, job,
+      [&](const spark::AppResult&) { completed = true; });
+  ASSERT_FALSE(failed.has_value());
+  ASSERT_NE(live.app, nullptr);
+  ASSERT_EQ(live.pods.size(), 5u);  // driver first, then the executors
+  EXPECT_EQ(env.api().pod_node(live.pods[0]), env.node_names()[0]);
+  for (std::size_t p = 1; p < live.pods.size(); ++p) {
+    const std::string& node = env.api().pod_node(live.pods[p]);
+    EXPECT_TRUE(node == offer[0] || node == offer[1])
+        << live.pods[p] << " on " << node;
+  }
+
+  const std::vector<std::string> job_pods = live.pods;
+  const SimTime deadline = env.engine().now() + 600.0;
+  while (!completed) {
+    ASSERT_TRUE(env.engine().step());
+    ASSERT_LT(env.engine().now(), deadline);
+  }
+  EXPECT_EQ(job.driver_node, env.node_names()[0]);
+  EXPECT_GT(job.duration, 0.0);
+  EXPECT_TRUE(live.pods.empty());
+  for (const auto& pod : job_pods) EXPECT_FALSE(env.api().has_pod(pod));
 }
 
 TEST(Stream, ModelPolicyRequiresFittedModel) {

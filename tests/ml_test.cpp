@@ -1,5 +1,6 @@
-// Unit tests for the ML library: matrix/solver, dataset, preprocessing,
-// metrics, and the four regressor families with serialization round-trips.
+// Unit tests for the ML library: matrix/solver, dataset, metrics, the four
+// regressor families with serialization round-trips, uncertainty, model
+// analysis, the model envelope, refits and the flat-ensemble limits.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,9 +14,7 @@
 #include "ml/matrix.hpp"
 #include "ml/metrics.hpp"
 #include "ml/model.hpp"
-#include "ml/preprocess.hpp"
 #include "ml/tree.hpp"
-#include "ml/validate.hpp"
 #include "util/rng.hpp"
 
 namespace lts::ml {
@@ -126,81 +125,6 @@ TEST(Dataset, MismatchedNamesRejected) {
   Dataset data;
   data.add_row(std::vector<double>{1.0, 2.0}, 3.0);
   EXPECT_THROW(data.set_feature_names({"only-one"}), Error);
-}
-
-// ----------------------------------------------------------- preprocess ----
-
-TEST(StandardScaler, ZeroMeanUnitVariance) {
-  Dataset data = make_synthetic(500, 3);
-  StandardScaler scaler;
-  scaler.fit(data.x());
-  const Matrix z = scaler.transform(data.x());
-  for (std::size_t j = 0; j < z.cols(); ++j) {
-    double sum = 0, sumsq = 0;
-    for (std::size_t i = 0; i < z.rows(); ++i) {
-      sum += z(i, j);
-      sumsq += z(i, j) * z(i, j);
-    }
-    const double mean = sum / z.rows();
-    EXPECT_NEAR(mean, 0.0, 1e-9);
-    EXPECT_NEAR(sumsq / z.rows() - mean * mean, 1.0, 1e-6);
-  }
-}
-
-TEST(StandardScaler, InverseTransformRoundTrips) {
-  Dataset data = make_synthetic(50, 4);
-  StandardScaler scaler;
-  scaler.fit(data.x());
-  const Matrix z = scaler.transform(data.x());
-  const Matrix back = scaler.inverse_transform(z);
-  for (std::size_t i = 0; i < back.rows(); ++i) {
-    for (std::size_t j = 0; j < back.cols(); ++j) {
-      EXPECT_NEAR(back(i, j), data.x()(i, j), 1e-9);
-    }
-  }
-}
-
-TEST(StandardScaler, ConstantColumnSafe) {
-  Matrix x(4, 1, 7.0);
-  StandardScaler scaler;
-  scaler.fit(x);
-  const auto z = scaler.transform_row(std::vector<double>{7.0});
-  EXPECT_DOUBLE_EQ(z[0], 0.0);
-}
-
-TEST(StandardScaler, JsonRoundTrip) {
-  Dataset data = make_synthetic(20, 5);
-  StandardScaler scaler;
-  scaler.fit(data.x());
-  const StandardScaler back = StandardScaler::from_json(
-      Json::parse(scaler.to_json().dump()));
-  EXPECT_EQ(back.mean(), scaler.mean());
-  EXPECT_EQ(back.stddev(), scaler.stddev());
-}
-
-TEST(OneHotEncoder, EncodesAndHandlesUnseen) {
-  OneHotEncoder enc;
-  const std::vector<std::string> values{"sort", "join", "sort", "pagerank"};
-  enc.fit(values);
-  EXPECT_EQ(enc.num_categories(), 3u);
-  const auto v = enc.transform_one("pagerank");
-  EXPECT_DOUBLE_EQ(v[enc.category_index("pagerank")], 1.0);
-  double total = 0;
-  for (const double x : v) total += x;
-  EXPECT_DOUBLE_EQ(total, 1.0);
-  // Unseen category -> all zeros, not an error.
-  const auto unseen = enc.transform_one("wordcount");
-  for (const double x : unseen) EXPECT_DOUBLE_EQ(x, 0.0);
-  EXPECT_EQ(enc.category_index("wordcount"), -1);
-}
-
-TEST(OneHotEncoder, JsonRoundTrip) {
-  OneHotEncoder enc;
-  const std::vector<std::string> values{"b", "a"};
-  enc.fit(values);
-  const auto back =
-      OneHotEncoder::from_json(Json::parse(enc.to_json().dump()));
-  EXPECT_EQ(back.categories(), enc.categories());
 }
 
 // -------------------------------------------------------------- metrics ----
@@ -631,47 +555,6 @@ TEST(LogTarget, RegistryWrapAndSerialize) {
   EXPECT_NE(dynamic_cast<LogTargetRegressor*>(restored.get()), nullptr);
   EXPECT_DOUBLE_EQ(restored->predict_row(data.row(0)),
                    model->predict_row(data.row(0)));
-}
-
-// ------------------------------------------------------------- validate ----
-
-TEST(Validate, KfoldPartitionsExactly) {
-  Rng rng(34);
-  const auto folds = kfold_indices(100, 5, rng);
-  ASSERT_EQ(folds.size(), 5u);
-  std::vector<int> seen(100, 0);
-  for (const auto& [train, test] : folds) {
-    EXPECT_EQ(train.size() + test.size(), 100u);
-    for (const auto i : test) ++seen[i];
-  }
-  for (const int count : seen) EXPECT_EQ(count, 1);
-}
-
-TEST(Validate, CrossValidateSaneNumbers) {
-  const Dataset data = make_synthetic(600, 35, 0.1, false);
-  const auto cv = cross_validate(
-      [] { return create_regressor("linear"); }, data, 4);
-  EXPECT_EQ(cv.fold_rmse.size(), 4u);
-  EXPECT_NEAR(cv.mean_rmse, 0.1, 0.05);
-  EXPECT_GT(cv.mean_r2, 0.95);
-}
-
-TEST(Validate, GridSearchPicksBetterParams) {
-  const Dataset data = make_synthetic(800, 36);
-  std::vector<Json> grid;
-  {
-    Json shallow = Json::object();
-    shallow["max_depth"] = 1;
-    grid.push_back(shallow);
-    Json deep = Json::object();
-    deep["max_depth"] = 8;
-    grid.push_back(deep);
-  }
-  const auto result = grid_search(
-      [](const Json& p) { return create_regressor("decision_tree", p); },
-      grid, data, 3);
-  EXPECT_EQ(result.best_params.at("max_depth").as_int(), 8);
-  EXPECT_EQ(result.all.size(), 2u);
 }
 
 }  // namespace

@@ -4,7 +4,10 @@
 // simulator relies on (instrumentation never changes simulation results).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <span>
+#include <string>
+#include <vector>
 
 #include "core/scheduler.hpp"
 #include "exp/envgen.hpp"
@@ -38,6 +41,55 @@ class ConstantModel : public ml::Regressor {
   Json to_json() const override { return Json::object(); }
   void from_json(const Json&) override {}
 };
+
+/// Busy-waits at least kSlowMs on steady_clock per prediction call, so a
+/// trace that books the model call where it happens shows at least that
+/// much wall time between the "features" and "predict" marks. Tests assert
+/// lower bounds only: a loaded host can only make the gap larger.
+constexpr double kSlowMs = 2.0;
+
+class SlowModel : public ConstantModel {
+ public:
+  double predict_row(std::span<const double> features) const override {
+    spin();
+    return ConstantModel::predict_row(features);
+  }
+  void predict_batch(std::span<const double>, std::size_t rows, std::size_t,
+                     std::span<double> out) const override {
+    spin();
+    for (std::size_t r = 0; r < rows; ++r) out[r] = 1.0;
+  }
+
+ private:
+  static void spin() {
+    const auto until = std::chrono::steady_clock::now() +
+                       std::chrono::duration<double, std::milli>(kSlowMs);
+    while (std::chrono::steady_clock::now() < until) {
+    }
+  }
+};
+
+std::vector<std::string> phase_names(const SpanRecord& span) {
+  std::vector<std::string> names;
+  for (const auto& phase : span.phases) names.push_back(phase.name);
+  return names;
+}
+
+/// Wall time between two phase marks of a span.
+double phase_gap_ms(const SpanRecord& span, const std::string& from,
+                    const std::string& to) {
+  double from_ms = -1.0, to_ms = -1.0;
+  for (const auto& phase : span.phases) {
+    if (phase.name == from) from_ms = phase.wall_ms;
+    if (phase.name == to) to_ms = phase.wall_ms;
+  }
+  EXPECT_GE(from_ms, 0.0) << "no phase " << from;
+  EXPECT_GE(to_ms, 0.0) << "no phase " << to;
+  return to_ms - from_ms;
+}
+
+const std::vector<std::string> kSchedulePhases = {"fetch", "features",
+                                                  "predict", "rank"};
 
 // ------------------------------------------------------------ registry ----
 
@@ -280,6 +332,86 @@ TEST(Tracer, ScopedSpanJoinsOpenCallerSpan) {
   }
   ASSERT_EQ(tracer.num_spans(), 2u);
   EXPECT_EQ(tracer.span(1).name, "schedule");
+}
+
+// Trace truthfulness: each cost lands on the phase of the span that is open
+// while it is incurred.
+
+TEST(Tracer, ScheduleBooksModelCallOnPredict) {
+  exp::SimEnv env(11);
+  env.warmup();
+  core::LtsScheduler scheduler(
+      core::TelemetryFetcher(env.tsdb(), env.node_names()),
+      std::make_shared<SlowModel>());
+  auto& tracer = Tracer::global();
+  tracer.clear();
+  tracer.set_enabled(true);
+  scheduler.schedule(small_job(), env.engine().now());
+  tracer.set_enabled(false);
+
+  ASSERT_EQ(tracer.num_spans(), 1u);
+  const auto& span = tracer.span(0);
+  EXPECT_EQ(span.name, "schedule");
+  EXPECT_EQ(phase_names(span), kSchedulePhases);
+  EXPECT_GE(phase_gap_ms(span, "features", "predict"), kSlowMs);
+  tracer.clear();
+}
+
+TEST(Tracer, SnapshotBatchOfOneBooksModelCallOnCallerSpan) {
+  // The job-stream runner's pattern: a caller "decision" span is open, the
+  // snapshot is fetched outside the scheduler, and the model call must land
+  // on that span's predict phase.
+  exp::SimEnv env(12);
+  env.warmup();
+  const SimTime now = env.engine().now();
+  core::LtsScheduler scheduler(
+      core::TelemetryFetcher(env.tsdb(), env.node_names()),
+      std::make_shared<SlowModel>());
+  const auto snapshot = scheduler.fetcher().fetch(now);
+  const auto job = small_job();
+  auto& tracer = Tracer::global();
+  tracer.clear();
+  tracer.set_enabled(true);
+  {
+    ScopedSpan decision(tracer, "decision", now);
+    scheduler.schedule_many_from_snapshot(snapshot, {&job, 1});
+  }
+  tracer.set_enabled(false);
+
+  ASSERT_EQ(tracer.num_spans(), 1u);
+  const auto& span = tracer.span(0);
+  EXPECT_EQ(span.name, "decision");
+  EXPECT_EQ(phase_names(span),
+            (std::vector<std::string>{"features", "predict", "rank"}));
+  EXPECT_GE(phase_gap_ms(span, "features", "predict"), kSlowMs);
+  tracer.clear();
+}
+
+TEST(Tracer, ScheduleManyBooksSharedModelCallOnFirstSpan) {
+  // One fetch and one model call serve the whole queue; they belong to the
+  // first decision's span, and every decision keeps its own span.
+  exp::SimEnv env(13);
+  env.warmup();
+  const SimTime now = env.engine().now();
+  core::LtsScheduler scheduler(
+      core::TelemetryFetcher(env.tsdb(), env.node_names()),
+      std::make_shared<SlowModel>());
+  std::vector<spark::JobConfig> configs(3, small_job());
+  configs[1].input_records *= 2;
+  configs[2].app = spark::AppType::kJoin;
+  auto& tracer = Tracer::global();
+  tracer.clear();
+  tracer.set_enabled(true);
+  scheduler.schedule_many(configs, now);
+  tracer.set_enabled(false);
+
+  ASSERT_EQ(tracer.num_spans(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(tracer.span(i).name, "schedule") << i;
+    EXPECT_EQ(phase_names(tracer.span(i)), kSchedulePhases) << i;
+  }
+  EXPECT_GE(phase_gap_ms(tracer.span(0), "features", "predict"), kSlowMs);
+  tracer.clear();
 }
 
 TEST(Tracer, RejectsSpanCallsFromOtherThreads) {

@@ -1,12 +1,14 @@
 // Differential tests for the batched serving path.
 //
 // The flattened predict_batch kernel, the epoch-keyed snapshot cache, and
-// LtsScheduler::schedule_many are all pure optimizations: every test here
-// pins them against the scalar reference implementations (predict_row's
-// pointer walk, an uncached TSDB sweep, N sequential schedule() calls) and
-// demands bit-identical results — EXPECT_EQ on doubles, not EXPECT_NEAR.
+// LtsScheduler's batched serving path are all pure optimizations: every
+// test here pins them against reference implementations (predict_row's
+// pointer walk, an uncached TSDB sweep, the scalar per-node pipeline
+// reference_decision, N sequential schedule() calls) and demands
+// bit-identical results — EXPECT_EQ on doubles, not EXPECT_NEAR.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
@@ -226,6 +228,88 @@ std::vector<spark::JobConfig> make_queue(std::size_t n) {
   return configs;
 }
 
+/// Fitted model predicting a constant: every fresh node ties, so stale
+/// demotion and the name tie-break alone decide the ranking.
+class ConstantModel : public ml::Regressor {
+ public:
+  void fit(const ml::Dataset&) override {}
+  double predict_row(std::span<const double>) const override { return 1.0; }
+  bool is_fitted() const override { return true; }
+  std::string name() const override { return "constant"; }
+  Json to_json() const override { return Json::object(); }
+  void from_json(const Json&) override {}
+};
+
+/// The scalar serving pipeline, kept as the oracle for the batched path:
+/// one feature vector and one predict_row (or predict_with_uncertainty)
+/// call per node, then stale demotion and ranking. Without metrics and
+/// spans; the fallback ranking is LtsScheduler's spreading heuristic
+/// written out.
+Decision reference_decision(const telemetry::ClusterSnapshot& snapshot,
+                            const spark::JobConfig& config,
+                            const std::shared_ptr<const ml::Regressor>& model,
+                            FeatureSet features, double risk_aversion,
+                            const FallbackOptions& fallback) {
+  const bool model_usable = model != nullptr && model->is_fitted();
+  if (fallback.enabled) {
+    std::size_t fresh = 0;
+    for (const auto& node : snapshot.nodes) {
+      if (!node.stale) ++fresh;
+    }
+    const bool snapshot_trusted =
+        !snapshot.nodes.empty() &&
+        static_cast<double>(fresh) >=
+            fallback.min_fresh_fraction *
+                static_cast<double>(snapshot.nodes.size());
+    if (!model_usable || !snapshot_trusted) {
+      double max_mem = 0.0;
+      for (const auto& node : snapshot.nodes) {
+        max_mem = std::max(max_mem, node.mem_available);
+      }
+      std::vector<NodePrediction> predictions;
+      for (const auto& node : snapshot.nodes) {
+        const double mem_frac =
+            max_mem > 0.0 ? node.mem_available / max_mem : 0.0;
+        predictions.push_back(
+            NodePrediction{node.node, node.cpu_load + (1.0 - mem_frac)});
+      }
+      Decision decision = DecisionModule::rank(std::move(predictions));
+      decision.used_fallback = true;
+      return decision;
+    }
+  }
+
+  Decision decision;
+  std::vector<std::vector<double>> rows;
+  rows.reserve(snapshot.nodes.size());
+  for (const auto& node : snapshot.nodes) {
+    rows.push_back(FeatureConstructor::build(node, config, features));
+  }
+
+  std::vector<NodePrediction> predictions;
+  predictions.reserve(snapshot.nodes.size());
+  for (std::size_t i = 0; i < snapshot.nodes.size(); ++i) {
+    const auto& node = snapshot.nodes[i];
+    double score;
+    if (risk_aversion > 0.0) {
+      const auto p = model->predict_with_uncertainty(rows[i]);
+      score = p.mean + risk_aversion * p.stddev;
+    } else {
+      score = model->predict_row(rows[i]);
+    }
+    if (fallback.enabled && fallback.demote_stale && node.stale) {
+      score += 1e9;  // LtsScheduler's stale-demotion penalty
+      ++decision.stale_demoted;
+    }
+    predictions.push_back(NodePrediction{node.node, score});
+  }
+
+  const int stale_demoted = decision.stale_demoted;
+  decision = DecisionModule::rank(std::move(predictions));
+  decision.stale_demoted = stale_demoted;
+  return decision;
+}
+
 void expect_decisions_equal(const Decision& a, const Decision& b,
                             const std::string& context) {
   EXPECT_EQ(a.used_fallback, b.used_fallback) << context;
@@ -236,6 +320,25 @@ void expect_decisions_equal(const Decision& a, const Decision& b,
     EXPECT_EQ(a.ranking[i].predicted_duration,
               b.ranking[i].predicted_duration)
         << context << " #" << i;
+  }
+}
+
+/// Each batched decision equals reference_decision for its config on the
+/// scheduler's own snapshot at `now`.
+void expect_reference_decisions(const LtsScheduler& scheduler,
+                                double risk_aversion,
+                                std::span<const spark::JobConfig> configs,
+                                const std::vector<Decision>& decisions,
+                                SimTime now, const std::string& context) {
+  const auto snapshot = scheduler.fetcher().fetch(now);
+  ASSERT_EQ(decisions.size(), configs.size()) << context;
+  for (std::size_t q = 0; q < configs.size(); ++q) {
+    expect_decisions_equal(
+        decisions[q],
+        reference_decision(snapshot, configs[q], scheduler.current_model(),
+                           scheduler.feature_set(), risk_aversion,
+                           scheduler.fallback()),
+        context + " vs reference, slot " + std::to_string(q));
   }
 }
 
@@ -258,6 +361,7 @@ TEST(ScheduleMany, EqualsSequentialScheduleCalls) {
     expect_decisions_equal(batched[q], sequential[q],
                            "queue slot " + std::to_string(q));
   }
+  expect_reference_decisions(scheduler, 0.0, configs, batched, now, "queue");
 }
 
 TEST(ScheduleMany, ReplicaQueueEqualsSequentialScheduleCalls) {
@@ -287,6 +391,8 @@ TEST(ScheduleMany, ReplicaQueueEqualsSequentialScheduleCalls) {
     expect_decisions_equal(batched[q], sequential[q],
                            "replica queue slot " + std::to_string(q));
   }
+  expect_reference_decisions(scheduler, 0.0, configs, batched, now,
+                             "replica queue");
 }
 
 TEST(ScheduleMany, EmitsSameTraceSpansAsSequentialCalls) {
@@ -371,6 +477,8 @@ TEST(ScheduleMany, FallbackQueueEqualsSequentialFallbacks) {
     expect_decisions_equal(batched[q], sequential[q],
                            "fallback slot " + std::to_string(q));
   }
+  expect_reference_decisions(scheduler, 0.0, configs, batched, now,
+                             "fallback queue");
 }
 
 TEST(ScheduleMany, RiskAversionPathEqualsSequential) {
@@ -392,6 +500,8 @@ TEST(ScheduleMany, RiskAversionPathEqualsSequential) {
     expect_decisions_equal(batched[q], sequential[q],
                            "risk slot " + std::to_string(q));
   }
+  expect_reference_decisions(scheduler, 0.7, configs, batched, now,
+                             "risk queue");
 }
 
 // ------------------------------------------------ snapshot cache keying ----
@@ -554,6 +664,17 @@ TEST(SnapshotCache, CachedSnapshotDemotesStaleNodesLikeFreshFetch) {
                            "cache vs sweep " + std::to_string(q));
     EXPECT_GT(second_pass[q].stale_demoted, 0) << q;
   }
+  expect_reference_decisions(via_cache, 0.0, configs, second_pass, now,
+                             "stale queue");
+
+  // With a tie-everything model demotion alone decides the ranking: the
+  // batch-of-one schedule() must still equal the scalar reference.
+  LtsScheduler constant(cached, std::make_shared<ConstantModel>(),
+                        FeatureSet::kTable1, 0.0, fallback);
+  const auto tied = constant.schedule(configs[0], now);
+  EXPECT_GT(tied.stale_demoted, 0);
+  expect_reference_decisions(constant, 0.0, {&configs[0], 1}, {tied}, now,
+                             "constant model, stale node");
 }
 
 }  // namespace
