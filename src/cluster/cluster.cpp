@@ -1,7 +1,5 @@
 #include "cluster/cluster.hpp"
 
-#include <algorithm>
-
 namespace lts::cluster {
 
 std::size_t ClusterSpec::num_nodes() const {
@@ -37,47 +35,24 @@ ClusterSpec paper_cluster_spec() {
 Cluster::Cluster(sim::Engine& engine, const ClusterSpec& spec)
     : engine_(engine) {
   LTS_REQUIRE(!spec.sites.empty(), "Cluster: no sites");
-  for (std::size_t si = 0; si < spec.sites.size(); ++si) {
-    const auto& site = spec.sites[si];
+  for (const auto& site : spec.sites) {
     const net::VertexId router = topo_.add_router("router-" + site.name);
-    topo_.set_vertex_site(router, static_cast<int>(si));
     site_names_.push_back(site.name);
     site_routers_.push_back(router);
     for (const auto& node_name : site.node_names) {
       const net::VertexId host = topo_.add_host(node_name);
-      topo_.set_vertex_site(host, static_cast<int>(si));
       SimTime access_delay = spec.access_delay;
       if (!spec.node_access_extra_delay.empty()) {
         LTS_REQUIRE(nodes_.size() < spec.node_access_extra_delay.size(),
                     "Cluster: node_access_extra_delay too short");
         access_delay += spec.node_access_extra_delay[nodes_.size()];
       }
-      Rate access_capacity = spec.access_capacity_bps;
-      if (!spec.node_access_capacity.empty()) {
-        LTS_REQUIRE(nodes_.size() < spec.node_access_capacity.size(),
-                    "Cluster: node_access_capacity too short");
-        access_capacity = spec.node_access_capacity[nodes_.size()];
-      }
-      const net::LinkId uplink =
-          topo_.add_duplex_link(host, router, access_capacity, access_delay);
+      const net::LinkId uplink = topo_.add_duplex_link(
+          host, router, spec.access_capacity_bps, access_delay);
       node_uplinks_.push_back(uplink);
       nodes_.push_back(std::make_unique<Node>(engine_, node_name, site.name,
                                               host, spec.node_cores,
                                               spec.node_memory));
-    }
-  }
-  if (!spec.site_core_delay.empty()) {
-    LTS_REQUIRE(spec.site_core_delay.size() == spec.sites.size(),
-                "Cluster: site_core_delay must list one delay per site");
-    LTS_REQUIRE(spec.core_capacity_bps > 0.0,
-                "Cluster: core_capacity_bps must be positive with a core");
-    // The core router stays site-less: its trunks bridge sites by
-    // construction, so the hierarchical solver treats all traffic crossing
-    // them as coupled.
-    const net::VertexId core = topo_.add_router("core");
-    for (std::size_t si = 0; si < site_routers_.size(); ++si) {
-      topo_.add_duplex_link(site_routers_[si], core, spec.core_capacity_bps,
-                            spec.site_core_delay[si]);
     }
   }
   for (const auto& wan : spec.wan_links) {

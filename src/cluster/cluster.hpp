@@ -50,19 +50,6 @@ struct ClusterSpec {
   /// mesh observes it, which lets a scheduler tell two same-site nodes
   /// apart.
   std::vector<SimTime> node_access_extra_delay;
-  /// Optional per-node access capacity (global node order, same indexing as
-  /// node_access_extra_delay). Empty = every node gets access_capacity_bps.
-  /// Models heterogeneous effective NIC speeds across a shared testbed.
-  std::vector<Rate> node_access_capacity;
-  /// Optional shared WAN core (the oversubscribed-backbone alternative to a
-  /// pairwise wan_links mesh; both may coexist — routing picks the lower
-  /// latency). When non-empty it must hold one one-way trunk delay per
-  /// site: a single core router is added and every site router gets a
-  /// duplex trunk of core_capacity_bps to it, so N sites share N trunks
-  /// instead of N*(N-1)/2 dedicated circuits and inter-site traffic
-  /// contends on them (RTT(a, b) = 2 * (delay[a] + delay[b])).
-  std::vector<SimTime> site_core_delay;
-  Rate core_capacity_bps = 0.0;
   net::FlowOptions flow_options;
 
   /// Nodes the spec declares, over all sites: the size of every

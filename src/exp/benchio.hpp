@@ -1,11 +1,11 @@
 // Machine-readable benchmark output.
 //
-// Every perf-tracking binary (bench_flow_scale, bench_sim_microbench)
-// funnels its results through one BenchReport so the repo emits a uniform
-// BENCH_<name>.json artifact per run: a flat list of (bench, metric, value,
-// unit) rows plus free-form string notes. CI uploads these as artifacts,
-// giving the project a perf trajectory across commits instead of numbers
-// that scroll away in job logs.
+// Every bench binary that tracks a trajectory funnels its results through
+// one BenchReport so the repo emits a uniform BENCH_<name>.json artifact
+// per run: a flat list of (bench, metric, value, unit) rows plus free-form
+// string notes. CI uploads these as artifacts, and bench/compare_baseline.py
+// gates a report's simulated rows against bench/baseline/<name>.json where
+// one is checked in, so numbers stop scrolling away in job logs.
 #pragma once
 
 #include <string>

@@ -6,124 +6,51 @@ namespace lts::exp {
 
 namespace {
 
-/// SplitMix64-style hash of a node index into [-1, 1): the deterministic
-/// capacity jitter draw. A hash, not an Rng stream, so adding nodes never
-/// shifts the multipliers of the nodes before them.
-double jitter_unit(std::uint64_t i) {
-  std::uint64_t z = (i + 1) * 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  z ^= z >> 31;
-  return 2.0 * (static_cast<double>(z >> 11) * 0x1.0p-53) - 1.0;
-}
+// Chain-of-distance RTT mesh: rtt(a, b) = min(kRttBase + kRttPerHop *
+// (b - a), kRttMax), like a string of geographically spread sites, over
+// pairwise WAN links of kWanCapacityBps per direction.
+constexpr SimTime kRttBase = 0.008;
+constexpr SimTime kRttPerHop = 0.014;
+constexpr SimTime kRttMax = 0.090;
+constexpr Rate kWanCapacityBps = 600e6;
 
 }  // namespace
 
-cluster::ClusterSpec scaled_cluster_spec(const ScaledClusterOptions& o) {
-  // Paper-scale bounds. The flow model's constants (TCP windows, queueing
-  // curves, scrape intervals) are calibrated for testbed-like regimes;
-  // inputs outside these ranges produce topologies whose numbers are
-  // physically meaningless, so they are rejected rather than clamped.
-  LTS_REQUIRE(o.sites >= 1 && o.sites <= 512,
+cluster::ClusterSpec scaled_cluster_spec(int sites, int nodes_per_site) {
+  // The shape comes from outside input (lts topology --sites/
+  // --nodes-per-site), so it is bounded rather than clamped: far past the
+  // testbed's scale the flow model's constants stop meaning anything.
+  LTS_REQUIRE(sites >= 1 && sites <= 512,
               "scaled_cluster_spec: sites must be in [1, 512]");
-  LTS_REQUIRE(o.nodes_per_site >= 1 && o.nodes_per_site <= 4096,
+  LTS_REQUIRE(nodes_per_site >= 1 && nodes_per_site <= 4096,
               "scaled_cluster_spec: nodes_per_site must be in [1, 4096]");
-  LTS_REQUIRE(static_cast<long long>(o.sites) * o.nodes_per_site <= 100000,
+  LTS_REQUIRE(static_cast<long long>(sites) * nodes_per_site <= 100000,
               "scaled_cluster_spec: total nodes must be <= 100000");
-  LTS_REQUIRE(
-      o.access_capacity_bps >= 1e6 && o.access_capacity_bps <= 12.5e9,
-      "scaled_cluster_spec: access_capacity_bps must be in [1e6, 12.5e9] "
-      "(1 Mbps to 100 Gbit NICs)");
-  LTS_REQUIRE(o.wan_capacity_bps >= 1e6 && o.wan_capacity_bps <= 125e9,
-              "scaled_cluster_spec: wan_capacity_bps must be in [1e6, 125e9]");
-  LTS_REQUIRE(o.rtt_max > 0.0 && o.rtt_max <= 1.0,
-              "scaled_cluster_spec: rtt_max must be in (0, 1] seconds");
-  LTS_REQUIRE(o.rtt_base >= 0.0 && o.rtt_base <= o.rtt_max,
-              "scaled_cluster_spec: rtt_base must be in [0, rtt_max]");
-  LTS_REQUIRE(o.rtt_per_hop >= 0.0 && o.rtt_per_hop <= o.rtt_max,
-              "scaled_cluster_spec: rtt_per_hop must be in [0, rtt_max]");
-  for (const double tier : o.nic_speed_tiers) {
-    LTS_REQUIRE(tier >= 0.05 && tier <= 100.0,
-                "scaled_cluster_spec: nic_speed_tiers entries must be in "
-                "[0.05, 100]");
-  }
-  LTS_REQUIRE(o.nic_jitter >= 0.0 && o.nic_jitter <= 0.5,
-              "scaled_cluster_spec: nic_jitter must be in [0, 0.5]");
-  LTS_REQUIRE(o.core_oversubscription >= 0.0 &&
-                  o.core_oversubscription <= 1000.0,
-              "scaled_cluster_spec: core_oversubscription must be in "
-              "[0, 1000]");
 
   cluster::ClusterSpec spec = cluster::paper_cluster_spec();
   spec.sites.clear();
   spec.wan_links.clear();
-  spec.access_capacity_bps = o.access_capacity_bps;
   int node = 0;
-  for (int s = 0; s < o.sites; ++s) {
+  for (int s = 0; s < sites; ++s) {
     cluster::SiteSpec site;
     site.name = "site-" + std::to_string(s + 1);
-    for (int n = 0; n < o.nodes_per_site; ++n) {
+    for (int n = 0; n < nodes_per_site; ++n) {
       site.node_names.push_back("node-" + std::to_string(++node));
     }
     spec.sites.push_back(std::move(site));
   }
-  if (!o.nic_speed_tiers.empty() || o.nic_jitter > 0.0) {
-    spec.node_access_capacity.reserve(static_cast<std::size_t>(node));
-    for (int i = 0; i < node; ++i) {
-      double scale = 1.0;
-      if (!o.nic_speed_tiers.empty()) {
-        scale *= o.nic_speed_tiers[static_cast<std::size_t>(i) %
-                                   o.nic_speed_tiers.size()];
-      }
-      if (o.nic_jitter > 0.0) {
-        scale *= 1.0 + o.nic_jitter * jitter_unit(static_cast<std::uint64_t>(i));
-      }
-      spec.node_access_capacity.push_back(o.access_capacity_bps * scale);
+  for (int a = 0; a < sites; ++a) {
+    for (int b = a + 1; b < sites; ++b) {
+      cluster::WanLinkSpec wan;
+      wan.site_a = "site-" + std::to_string(a + 1);
+      wan.site_b = "site-" + std::to_string(b + 1);
+      wan.rtt = std::min(kRttBase + kRttPerHop * static_cast<double>(b - a),
+                         kRttMax);
+      wan.capacity_bps = kWanCapacityBps;
+      spec.wan_links.push_back(wan);
     }
-  }
-  if (o.core_oversubscription > 0.0) {
-    // Oversubscribed shared core instead of dedicated pairwise circuits:
-    // trunk capacity = site aggregate NIC rate / oversubscription factor,
-    // trunk delay grows with the site index (clamped so no site pair's RTT
-    // exceeds rtt_max: RTT(a, b) = 2 * (delay[a] + delay[b])).
-    spec.core_capacity_bps =
-        std::max(1e6, static_cast<double>(o.nodes_per_site) *
-                          o.access_capacity_bps / o.core_oversubscription);
-    for (int s = 0; s < o.sites; ++s) {
-      const SimTime one_way = std::min(
-          o.rtt_base + o.rtt_per_hop * static_cast<double>(s), o.rtt_max) /
-          4.0;
-      spec.site_core_delay.push_back(one_way);
-    }
-  } else {
-    // Full mesh; RTT grows with "distance" along the site index, like a
-    // string of geographically spread institutions.
-    for (int a = 0; a < o.sites; ++a) {
-      for (int b = a + 1; b < o.sites; ++b) {
-        cluster::WanLinkSpec wan;
-        wan.site_a = "site-" + std::to_string(a + 1);
-        wan.site_b = "site-" + std::to_string(b + 1);
-        wan.rtt = std::min(o.rtt_base + o.rtt_per_hop *
-                                            static_cast<double>(b - a),
-                           o.rtt_max);
-        wan.capacity_bps = o.wan_capacity_bps;
-        spec.wan_links.push_back(wan);
-      }
-    }
-  }
-  if (o.hierarchical_solver) {
-    spec.flow_options.solver = net::SolverMode::kHierarchical;
   }
   return spec;
-}
-
-cluster::ClusterSpec scaled_cluster_spec(int sites, int nodes_per_site) {
-  LTS_REQUIRE(sites >= 1 && nodes_per_site >= 1,
-              "scaled_cluster_spec: need at least one site and node");
-  ScaledClusterOptions options;
-  options.sites = sites;
-  options.nodes_per_site = nodes_per_site;
-  return scaled_cluster_spec(options);
 }
 
 std::vector<fault::FaultSpec> generate_drift_schedule(
@@ -143,12 +70,12 @@ std::vector<fault::FaultSpec> generate_drift_schedule(
   Rng rng(seed * 0xbf58476d1ce4e5b9ULL + 0xd81f);
 
   if (spec.wan_links.empty()) {
-    // Single-site shapes (scaled_cluster_spec(1, N)) and shared-core
-    // topologies have no pairwise WAN links to drift. Degrade gracefully
-    // to intra-site drift: permanent capacity cuts on a sample of node
-    // access links, escalating on the same staircase. RTT spikes are
-    // skipped — they are defined on WAN site pairs — so the caller must
-    // have asked for a capacity component at all.
+    // Single-site shapes (scaled_cluster_spec(1, N)) have no WAN links to
+    // drift. Degrade gracefully to intra-site drift: permanent capacity
+    // cuts on a sample of node access links, escalating on the same
+    // staircase. RTT spikes are skipped — they are defined on WAN site
+    // pairs — so the caller must have asked for a capacity component at
+    // all.
     LTS_REQUIRE(options.max_capacity_cut > 0.0,
                 "generate_drift_schedule: topology has no WAN links and "
                 "max_capacity_cut is 0 — nothing can drift");

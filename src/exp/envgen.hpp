@@ -100,55 +100,13 @@ std::vector<fault::FaultSpec> generate_drift_schedule(
     const cluster::ClusterSpec& spec, std::uint64_t seed,
     const DriftScheduleOptions& options = {});
 
-/// Knobs for the parameterized scale-out topology generator. Every knob is
-/// validated against paper-scale bounds — scaled_cluster_spec throws
-/// lts::Error with a specific message on nonsensical input instead of
-/// emitting a topology whose RTTs or capacities silently leave the regime
-/// the flow model (and the paper's telemetry features) are calibrated for.
-struct ScaledClusterOptions {
-  int sites = 3;
-  int nodes_per_site = 2;
-
-  /// Baseline effective per-node NIC rate (see ClusterSpec), bytes/sec.
-  Rate access_capacity_bps = 200e6;
-  /// Heterogeneous NIC speeds: node i's access capacity is multiplied by
-  /// nic_speed_tiers[i % size] (think mixed VM flavors on one substrate).
-  /// Empty = homogeneous.
-  std::vector<double> nic_speed_tiers;
-  /// Deterministic per-node capacity jitter amplitude in [0, 0.5]: node i's
-  /// capacity is further scaled by 1 + nic_jitter * u_i with u_i hashed
-  /// from i into [-1, 1). Makes every node's fair share distinct, which is
-  /// the worst case for a global progressive fill (each share freezes in
-  /// its own round) and the regime the hierarchical solver targets.
-  double nic_jitter = 0.0;
-
-  /// Chain-of-distance RTT mesh: rtt(a, b) = min(rtt_base + rtt_per_hop *
-  /// (b - a), rtt_max), like a string of geographically spread sites.
-  SimTime rtt_base = 0.008;
-  SimTime rtt_per_hop = 0.014;
-  SimTime rtt_max = 0.090;
-  /// Per-direction capacity of each pairwise WAN link.
-  Rate wan_capacity_bps = 600e6;
-
-  /// > 0 drops the pairwise mesh for a shared core: one core router, one
-  /// trunk per site with capacity sites' aggregate access rate divided by
-  /// this factor — i.e. a trunk oversubscribed `core_oversubscription`:1
-  /// against its site's NICs. Trunk delays grow with the site index so the
-  /// RTT mesh keeps its chain-of-distance shape (clamped at rtt_max).
-  double core_oversubscription = 0.0;
-
-  /// Solve max-min fair rates with the per-site hierarchical solver.
-  bool hierarchical_solver = false;
-};
-
 /// Builds a larger deployment in the same style as the paper's testbed:
 /// `sites` site routers in a chain-of-distance full mesh (nearby sites get
 /// short RTTs, distant pairs long ones), `nodes_per_site` nodes each, with
 /// the paper's per-node resources. Node names stay "node-1".."node-N" in
 /// global order. Used by the §8 "evaluation at larger scale" extension.
-cluster::ClusterSpec scaled_cluster_spec(const ScaledClusterOptions& options);
-
-/// Shorthand for the defaults above with just the shape overridden.
+/// Throws lts::Error unless sites is in [1, 512], nodes_per_site in
+/// [1, 4096] and the product at most 100 000.
 cluster::ClusterSpec scaled_cluster_spec(int sites, int nodes_per_site);
 
 class SimEnv {

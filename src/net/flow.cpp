@@ -6,7 +6,6 @@
 #include <limits>
 
 #include "obs/metrics.hpp"
-#include "util/thread_pool.hpp"
 
 namespace lts::net {
 
@@ -56,31 +55,7 @@ FlowManager::FlowManager(sim::Engine& engine, const Topology& topo,
   rx_count_.assign(vertices, 0);
   host_tx_.assign(vertices, 0.0);
   host_rx_.assign(vertices, 0.0);
-  // Snapshot the site partition: the hierarchical solver needs per-link
-  // ownership on the hot path and the partition is fixed at construction
-  // time (fault injection mutates capacities/delays, never sites).
-  if (options_.solver == SolverMode::kHierarchical) {
-    num_sites_ = topo_.num_sites();
-    link_site_.resize(links);
-    for (std::size_t l = 0; l < links; ++l) {
-      link_site_[l] = topo_.link_site(static_cast<LinkId>(l));
-    }
-    site_scratch_.resize(static_cast<std::size_t>(num_sites_));
-    site_coupled_.assign(static_cast<std::size_t>(num_sites_), 0);
-  }
   last_update_ = engine_.now();
-}
-
-std::int32_t FlowManager::classify_site(VertexId src, VertexId dst,
-                                        const LinkId* path,
-                                        std::uint32_t path_len) const {
-  if (num_sites_ == 0) return -1;
-  const int site = topo_.vertex_site(src);
-  if (site < 0 || topo_.vertex_site(dst) != site) return -1;
-  for (std::uint32_t k = 0; k < path_len; ++k) {
-    if (link_site_[static_cast<std::size_t>(path[k])] != site) return -1;
-  }
-  return site;
 }
 
 std::uint32_t FlowManager::find_slot(FlowId id) const {
@@ -172,8 +147,6 @@ FlowId FlowManager::start(VertexId src, VertexId dst, Bytes size,
   f.path_len = static_cast<std::uint32_t>(route.size());
   path_arena_.insert(path_arena_.end(), route.begin(), route.end());
   live_path_words_ += f.path_len;
-  f.site = classify_site(src, dst, path_arena_.data() + f.path_begin,
-                         f.path_len);
   f.on_complete = std::move(on_complete);
   // Tail insertion: new ids are maximal, so both lists stay in id order.
   const auto srci = static_cast<std::size_t>(src);
@@ -397,15 +370,8 @@ std::size_t FlowManager::recompute_rates_core() {
   const std::uint64_t fill_epoch = ++epoch_;
   last_fill_epoch_ = fill_epoch;
   completion_heap_.clear();
-  stats_ = SolverStats{by_id_.size(), 0, 0};
   if (by_id_.empty()) return 0;
-
-  std::size_t rounds;
-  if (options_.solver == SolverMode::kHierarchical && num_sites_ > 0) {
-    rounds = hierarchical_fill(fill_epoch);
-  } else {
-    rounds = fill_flows(by_id_, fill_epoch, epoch_, touched_links_, unfrozen_);
-  }
+  const std::size_t rounds = fill_flows(fill_epoch);
 
   // Final accumulation in id order (the order the old full-map walk used,
   // so per-link sums round identically) doubles as the heap build.
@@ -431,92 +397,13 @@ std::size_t FlowManager::recompute_rates_core() {
   return rounds;
 }
 
-std::size_t FlowManager::hierarchical_fill(std::uint64_t fill_epoch) {
-  // Pass 1: a cross-site flow couples every site whose links it crosses —
-  // those sites' local flows share access links with WAN traffic, so their
-  // fair shares are not a site-local question.
-  std::fill(site_coupled_.begin(), site_coupled_.end(), 0);
-  for (const std::uint32_t s : by_id_) {
-    const Flow& f = slots_[s];
-    if (f.site >= 0) continue;
-    const LinkId* path = path_arena_.data() + f.path_begin;
-    for (std::uint32_t k = 0; k < f.path_len; ++k) {
-      const int site = link_site_[static_cast<std::size_t>(path[k])];
-      if (site >= 0) site_coupled_[static_cast<std::size_t>(site)] = 1;
-    }
-  }
-
-  // Pass 2: split, preserving FlowId order within every list (by_id_ is
-  // already sorted, so plain appends keep each sub-list sorted too).
-  coupled_.clear();
-  active_sites_.clear();
-  for (auto& sc : site_scratch_) sc.flows.clear();
-  for (const std::uint32_t s : by_id_) {
-    const std::int32_t site = slots_[s].site;
-    if (site >= 0 && site_coupled_[static_cast<std::size_t>(site)] == 0) {
-      auto& sc = site_scratch_[static_cast<std::size_t>(site)];
-      // lts-lint: alloc-ok(persistent scratch: cleared per solve with capacity retained, bounded by site count)
-      if (sc.flows.empty()) active_sites_.push_back(site);
-      // lts-lint: alloc-ok(persistent per-site scratch: cleared per solve with capacity retained, bounded by active flows)
-      sc.flows.push_back(s);
-    } else {
-      // lts-lint: alloc-ok(persistent scratch: cleared per solve with capacity retained, bounded by active flows)
-      coupled_.push_back(s);
-    }
-  }
-  stats_ = SolverStats{coupled_.size(), by_id_.size() - coupled_.size(),
-                       active_sites_.size()};
-
-  // The coupled set runs through the exact global fill. When it holds every
-  // flow (spanning traffic on the paper topology), this is bit-for-bit the
-  // flat solver: same list, same epochs, same arithmetic.
+std::size_t FlowManager::fill_flows(std::uint64_t fill_epoch) {
   std::size_t rounds = 0;
-  if (!coupled_.empty()) {
-    rounds += fill_flows(coupled_, fill_epoch, epoch_, touched_links_,
-                         unfrozen_);
-  }
-  if (active_sites_.empty()) return rounds;
-
-  // Independent sites: disjoint flow lists over disjoint site-owned links.
-  // Each worker stamps only its site's entries of the shared per-link
-  // arrays, using a private epoch cursor started from a common base — the
-  // base exceeds every stamp written so far, and equal cursor values across
-  // sites can never meet on the same array element. The outcome is
-  // byte-identical to solving the sites sequentially.
-  const std::uint64_t epoch_base = epoch_;
-  // lts-lint: shared-guarded(site-partitioned: each worker fills one site's flow list over that site's links only — every shared-array write lands on a site-owned element, and epoch cursors are thread-private)
-  ThreadPool::global().parallel_for(active_sites_.size(), [&](std::size_t i) {
-    auto& sc = site_scratch_[static_cast<std::size_t>(active_sites_[i])];
-    std::uint64_t cursor = epoch_base + 1;
-    sc.rounds =
-        fill_flows(sc.flows, epoch_base + 1, cursor, sc.touched, sc.unfrozen);
-    sc.epoch_end = cursor;
-  });
-
-  // Serial merge in site order: deterministic totals, and the shared epoch
-  // jumps past every per-site cursor so no later fill can collide with a
-  // stamp written inside the parallel section.
-  std::uint64_t epoch_end = epoch_base;
-  for (const int site : active_sites_) {
-    const auto& sc = site_scratch_[static_cast<std::size_t>(site)];
-    rounds += sc.rounds;
-    epoch_end = std::max(epoch_end, sc.epoch_end);
-  }
-  epoch_ = epoch_end;
-  return rounds;
-}
-
-std::size_t FlowManager::fill_flows(const std::vector<std::uint32_t>& flows,
-                                    std::uint64_t fill_epoch,
-                                    std::uint64_t& epoch_cursor,
-                                    std::vector<LinkId>& touched,
-                                    std::vector<std::uint32_t>& unfrozen) {
-  std::size_t rounds = 0;
-  unfrozen.clear();
-  unfrozen.reserve(flows.size());
-  for (const std::uint32_t s : flows) {
+  unfrozen_.clear();
+  unfrozen_.reserve(by_id_.size());
+  for (const std::uint32_t s : by_id_) {
     slots_[s].rate = 0.0;
-    unfrozen.push_back(s);
+    unfrozen_.push_back(s);
   }
 
   auto freeze = [&](std::uint32_t slot, Rate rate) {
@@ -536,17 +423,17 @@ std::size_t FlowManager::fill_flows(const std::vector<std::uint32_t>& flows,
 
   // Progressive filling freezes at least one flow per iteration; anything
   // beyond flows+1 iterations is a logic error, not a slow convergence.
-  std::size_t iteration_guard = flows.size() + 2;
-  while (!unfrozen.empty()) {
+  std::size_t iteration_guard = by_id_.size() + 2;
+  while (!unfrozen_.empty()) {
     LTS_ASSERT(iteration_guard-- > 0);
     ++rounds;
     // Per-round link state is epoch-stamped: a link's count (and later its
     // bottleneck mark) is valid only when stamped with this round's epoch,
     // so resetting costs nothing and per-round work is proportional to the
     // unfrozen flows' total path length, not to the number of links.
-    const std::uint64_t round_epoch = ++epoch_cursor;
-    touched.clear();
-    for (const std::uint32_t s : unfrozen) {
+    const std::uint64_t round_epoch = ++epoch_;
+    touched_links_.clear();
+    for (const std::uint32_t s : unfrozen_) {
       const Flow& f = slots_[s];
       const LinkId* path = path_arena_.data() + f.path_begin;
       for (std::uint32_t k = 0; k < f.path_len; ++k) {
@@ -555,8 +442,8 @@ std::size_t FlowManager::fill_flows(const std::vector<std::uint32_t>& flows,
         if (count_epoch_[li] != round_epoch) {
           count_epoch_[li] = round_epoch;
           link_count_[li] = 0;
-          // lts-lint: alloc-ok(caller-owned scratch: cleared per round with capacity retained, bounded by touched links)
-          touched.push_back(lid);
+          // lts-lint: alloc-ok(persistent scratch: cleared per round with capacity retained, bounded by touched links)
+          touched_links_.push_back(lid);
           if (residual_epoch_[li] != fill_epoch) {
             residual_epoch_[li] = fill_epoch;
             residual_[li] = topo_.link(lid).capacity;
@@ -569,7 +456,7 @@ std::size_t FlowManager::fill_flows(const std::vector<std::uint32_t>& flows,
     // of doubles is order-independent, so visiting links in touch order
     // gives the exact value the full index-order scan used to produce.
     Rate bottleneck_share = std::numeric_limits<Rate>::infinity();
-    for (const LinkId lid : touched) {
+    for (const LinkId lid : touched_links_) {
       const auto li = static_cast<std::size_t>(lid);
       bottleneck_share =
           std::min(bottleneck_share,
@@ -580,11 +467,11 @@ std::size_t FlowManager::fill_flows(const std::vector<std::uint32_t>& flows,
     // Flows whose TCP cap is below the share freeze at their cap first: they
     // cannot use their full fair share, which frees capacity for the rest.
     bool froze_capped = false;
-    for (std::size_t i = 0; i < unfrozen.size();) {
-      if (slots_[unfrozen[i]].cap <= bottleneck_share) {
-        freeze(unfrozen[i], slots_[unfrozen[i]].cap);
-        unfrozen[i] = unfrozen.back();
-        unfrozen.pop_back();
+    for (std::size_t i = 0; i < unfrozen_.size();) {
+      if (slots_[unfrozen_[i]].cap <= bottleneck_share) {
+        freeze(unfrozen_[i], slots_[unfrozen_[i]].cap);
+        unfrozen_[i] = unfrozen_.back();
+        unfrozen_.pop_back();
         froze_capped = true;
       } else {
         ++i;
@@ -599,15 +486,15 @@ std::size_t FlowManager::fill_flows(const std::vector<std::uint32_t>& flows,
     // set, freezing their flows at a share that belongs to a tighter link —
     // flows with identical paths then end up with different rates, which is
     // exactly the unfairness max-min forbids.
-    for (const LinkId lid : touched) {
+    for (const LinkId lid : touched_links_) {
       const auto li = static_cast<std::size_t>(lid);
       if (residual_[li] / static_cast<Rate>(link_count_[li]) <=
           bottleneck_share * (1.0 + 1e-12)) {
         bottleneck_epoch_[li] = round_epoch;
       }
     }
-    for (std::size_t i = 0; i < unfrozen.size();) {
-      const Flow& f = slots_[unfrozen[i]];
+    for (std::size_t i = 0; i < unfrozen_.size();) {
+      const Flow& f = slots_[unfrozen_[i]];
       bool on_bottleneck = false;
       const LinkId* path = path_arena_.data() + f.path_begin;
       for (std::uint32_t k = 0; k < f.path_len; ++k) {
@@ -618,9 +505,9 @@ std::size_t FlowManager::fill_flows(const std::vector<std::uint32_t>& flows,
         }
       }
       if (on_bottleneck) {
-        freeze(unfrozen[i], bottleneck_share);
-        unfrozen[i] = unfrozen.back();
-        unfrozen.pop_back();
+        freeze(unfrozen_[i], bottleneck_share);
+        unfrozen_[i] = unfrozen_.back();
+        unfrozen_.pop_back();
       } else {
         ++i;
       }

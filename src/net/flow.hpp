@@ -38,26 +38,6 @@ namespace lts::net {
 using FlowId = std::uint64_t;
 inline constexpr FlowId kInvalidFlow = 0;
 
-/// Which progressive-filling strategy recompute_rates uses.
-///
-/// kFlat runs one global fill over every active flow — exact max-min
-/// fairness, cost proportional to (global rounds × unfrozen flows).
-///
-/// kHierarchical exploits the site partition of the topology
-/// (Topology::set_vertex_site): a flow whose endpoints share a site and
-/// whose path never leaves that site's links is site-local. Sites touched
-/// by any cross-site flow are *coupled* — their flows compete with WAN
-/// traffic for access links — and are solved together with the cross-site
-/// flows by the same exact fill the flat mode runs, merged in FlowId order.
-/// The remaining sites are independent subproblems over disjoint link sets:
-/// they are solved per site (thread-pool parallel; every write is to
-/// site-owned state, so the result is deterministic regardless of worker
-/// interleaving and identical to running the sites sequentially). When
-/// every flow lands in the coupled set — e.g. the paper topology, where
-/// shuffles span sites — the hierarchical path degenerates to the flat
-/// fill and is bit-identical to it.
-enum class SolverMode { kFlat, kHierarchical };
-
 struct FlowOptions {
   /// TCP congestion-window proxy: a single flow's rate never exceeds
   /// tcp_window_bytes / base_rtt(src, dst).
@@ -69,9 +49,6 @@ struct FlowOptions {
   /// queueing curve is max_queue_delay * utilization^4: negligible when
   /// idle, steep near saturation.
   SimTime max_queue_delay = 0.030;
-  /// Solver strategy; kHierarchical needs the topology's vertices tagged
-  /// with sites (it silently behaves like kFlat on an untagged topology).
-  SolverMode solver = SolverMode::kFlat;
 };
 
 /// Snapshot of one flow's progress.
@@ -155,19 +132,6 @@ class FlowManager {
   /// O(1) from the per-host index counters.
   std::size_t host_active_flows(VertexId host) const;
 
-  /// How the last fill partitioned the flows (all-coupled under kFlat).
-  /// Exposed so tests can assert the hierarchical solver actually
-  /// decomposed (or refused to decompose) a given workload.
-  struct SolverStats {
-    std::size_t coupled_flows = 0;     // solved by the global exact fill
-    std::size_t site_local_flows = 0;  // solved by per-site sub-fills
-    std::size_t sites_solved = 0;      // independent site subproblems
-  };
-  SolverStats solver_stats() const {
-    ensure_fresh();
-    return stats_;
-  }
-
   const Topology& topology() const { return topo_; }
 
  private:
@@ -181,9 +145,6 @@ class FlowManager {
     Bytes remaining = 0.0;
     Rate rate = 0.0;
     Rate cap = 0.0;  // tcp window / base rtt
-    // Site owning every link of the flow's path (and both endpoints), or
-    // -1 for cross-site flows. Classified once at start().
-    std::int32_t site = -1;
     // Path span into path_arena_ (one contiguous block per flow).
     std::uint32_t path_begin = 0;
     std::uint32_t path_len = 0;
@@ -233,28 +194,10 @@ class FlowManager {
   /// The solver proper; returns the number of filling rounds it ran.
   std::size_t recompute_rates_core();
 
-  /// One progressive fill over `flows` (slot indices, ascending FlowId).
-  /// `fill_epoch` stamps this fill's residual/alloc state; `epoch_cursor`
-  /// supplies per-round stamps (pre-incremented each round, starting from
-  /// fill_epoch). The flat path passes by_id_/epoch_ and is arithmetically
-  /// identical to the pre-hierarchical solver; per-site sub-fills pass
-  /// their own cursor and scratch so they can run concurrently over
-  /// disjoint link sets. Returns the number of rounds.
-  std::size_t fill_flows(const std::vector<std::uint32_t>& flows,
-                         std::uint64_t fill_epoch,
-                         std::uint64_t& epoch_cursor,
-                         std::vector<LinkId>& touched,
-                         std::vector<std::uint32_t>& unfrozen);
-
-  /// Partitions the active flows into the coupled set (cross-site flows
-  /// plus all flows of sites they touch) and independent per-site lists,
-  /// fills the coupled set with the exact global machinery, then fills the
-  /// independent sites in parallel. Returns total rounds across sub-fills.
-  std::size_t hierarchical_fill(std::uint64_t fill_epoch);
-
-  /// Site index if src, dst, and every path link belong to one site.
-  std::int32_t classify_site(VertexId src, VertexId dst, const LinkId* path,
-                             std::uint32_t path_len) const;
+  /// One progressive fill over every active flow, in ascending FlowId
+  /// order. `fill_epoch` stamps this fill's residual state; epoch_ supplies
+  /// the per-round stamps. Returns the number of rounds.
+  std::size_t fill_flows(std::uint64_t fill_epoch);
 
   /// (Re)schedules the single pending completion event from the heap top.
   void schedule_next_completion();
@@ -331,26 +274,6 @@ class FlowManager {
   std::vector<LinkId> touched_links_;
   std::vector<std::uint32_t> unfrozen_;
   std::vector<HeapEntry> completion_heap_;
-
-  // Hierarchical-mode state. link_site_/num_sites_ snapshot the topology's
-  // site partition at construction (the partition is structural; capacities
-  // may mutate, sites may not). Each independent site solves against its
-  // own persistent scratch, so the parallel section shares no growable
-  // containers across workers.
-  std::vector<int> link_site_;
-  int num_sites_ = 0;
-  struct SiteScratch {
-    std::vector<std::uint32_t> flows;
-    std::vector<std::uint32_t> unfrozen;
-    std::vector<LinkId> touched;
-    std::uint64_t epoch_end = 0;
-    std::size_t rounds = 0;
-  };
-  std::vector<SiteScratch> site_scratch_;
-  std::vector<std::uint32_t> coupled_;
-  std::vector<std::uint8_t> site_coupled_;  // per site: touched by WAN flow
-  std::vector<int> active_sites_;
-  SolverStats stats_;
 
   mutable std::vector<Bytes> host_tx_;
   mutable std::vector<Bytes> host_rx_;

@@ -155,31 +155,6 @@ SimTime Topology::path_prop_delay(VertexId src, VertexId dst) const {
   return total;
 }
 
-void Topology::set_vertex_site(VertexId v, int site) {
-  LTS_REQUIRE(v >= 0 && static_cast<std::size_t>(v) < vertices_.size(),
-              "Topology: bad vertex id");
-  LTS_REQUIRE(site >= 0, "Topology: site index must be >= 0");
-  if (vertex_site_.size() < vertices_.size()) {
-    vertex_site_.resize(vertices_.size(), -1);
-  }
-  vertex_site_[static_cast<std::size_t>(v)] = site;
-  num_sites_ = std::max(num_sites_, site + 1);
-}
-
-int Topology::vertex_site(VertexId v) const {
-  LTS_REQUIRE(v >= 0 && static_cast<std::size_t>(v) < vertices_.size(),
-              "Topology: bad vertex id");
-  if (static_cast<std::size_t>(v) >= vertex_site_.size()) return -1;
-  return vertex_site_[static_cast<std::size_t>(v)];
-}
-
-int Topology::link_site(LinkId l) const {
-  const Link& lk = link(l);
-  const int s = vertex_site(lk.from);
-  if (s < 0 || vertex_site(lk.to) != s) return -1;
-  return s;
-}
-
 std::vector<VertexId> Topology::hosts() const {
   std::vector<VertexId> out;
   for (const auto& v : vertices_) {

@@ -56,7 +56,7 @@ class Topology {
   /// links). Deliberately does NOT invalidate routes: real WAN routing is
   /// static on the timescale of a job, so traffic keeps crossing the
   /// degraded link instead of rerouting around it. Callers holding a
-  /// FlowManager must call its refresh() afterwards.
+  /// FlowManager must call its invalidate_rates() afterwards.
   void set_link_capacity(LinkId l, Rate capacity_bps);
 
   /// Mutates a link's one-way propagation delay (fault injection: RTT
@@ -71,8 +71,9 @@ class Topology {
   VertexId find_vertex(const std::string& name) const;  // kNoVertex if absent
 
   /// Directed link ids along the latency-shortest path src -> dst. Throws if
-  /// unreachable. Routes are computed once and cached; call invalidate()
-  /// after mutating the topology (experiments never do mid-run).
+  /// unreachable. Routes are computed once and cached; call
+  /// invalidate_routes() after mutating the topology (experiments never do
+  /// mid-run).
   const std::vector<LinkId>& route(VertexId src, VertexId dst) const;
 
   /// One-way propagation delay along route(src, dst).
@@ -82,29 +83,12 @@ class Topology {
 
   std::vector<VertexId> hosts() const;
 
-  /// Optional site partition used by the hierarchical max-min solver: tags
-  /// a vertex with the site it belongs to (>= 0). Vertices never tagged
-  /// (core/backbone routers) belong to no site and report -1. A directed
-  /// link is site-owned iff both endpoints carry the same site tag, so the
-  /// partition of links is derived, never stored separately.
-  void set_vertex_site(VertexId v, int site);
-  int vertex_site(VertexId v) const;
-
-  /// One past the largest site index ever assigned (0 when untagged).
-  int num_sites() const { return num_sites_; }
-
-  /// Site of a link, or -1 when it bridges sites (WAN/core links) or
-  /// touches an untagged vertex.
-  int link_site(LinkId l) const;
-
  private:
   VertexId add_vertex(const std::string& name, bool is_host);
   void compute_routes_from(VertexId src) const;
 
   std::vector<Vertex> vertices_;
   std::vector<Link> links_;
-  std::vector<int> vertex_site_;  // parallel to vertices_; -1 = untagged
-  int num_sites_ = 0;
   // routes_[src][dst] = link ids; lazily filled per source via Dijkstra.
   mutable std::vector<std::vector<std::vector<LinkId>>> routes_;
   mutable std::vector<bool> routes_ready_;

@@ -34,50 +34,16 @@ void Engine::record_step_metrics() {
 }
 
 EventId Engine::schedule_at(SimTime t, std::function<void()> fn) {
-  return schedule_at(t, /*shard=*/0, std::move(fn));
-}
-
-EventId Engine::schedule_in(SimTime delay, std::function<void()> fn) {
-  LTS_REQUIRE(delay >= 0.0, "Engine: negative delay");
-  return schedule_at(now_ + delay, /*shard=*/0, std::move(fn));
-}
-
-EventId Engine::schedule_at(SimTime t, int shard, std::function<void()> fn) {
   LTS_REQUIRE(t >= now_, "Engine: cannot schedule event in the past");
-  LTS_REQUIRE(shard >= 0, "Engine: shard must be >= 0");
-  const EventId id = next_seq_++;
-  queue_.push(QueueEntry{t, id, id, shard});
+  const EventId id = next_id_++;
+  queue_.push(QueueEntry{t, id});
   handlers_.emplace(id, std::move(fn));
   return id;
 }
 
-EventId Engine::schedule_in(SimTime delay, int shard,
-                            std::function<void()> fn) {
+EventId Engine::schedule_in(SimTime delay, std::function<void()> fn) {
   LTS_REQUIRE(delay >= 0.0, "Engine: negative delay");
-  return schedule_at(now_ + delay, shard, std::move(fn));
-}
-
-void Engine::set_shard_batch_hooks(std::function<void(int)> on_begin,
-                                   std::function<void(int)> on_end) {
-  close_batch();
-  batch_begin_ = std::move(on_begin);
-  batch_end_ = std::move(on_end);
-  batch_hooks_ = batch_begin_ != nullptr || batch_end_ != nullptr;
-}
-
-void Engine::note_batch(SimTime time, std::int32_t shard) {
-  if (batch_open_ && batch_time_ == time && batch_shard_ == shard) return;
-  close_batch();
-  batch_open_ = true;
-  batch_time_ = time;
-  batch_shard_ = shard;
-  if (batch_begin_) batch_begin_(shard);
-}
-
-void Engine::close_batch() {
-  if (!batch_open_) return;
-  batch_open_ = false;
-  if (batch_end_) batch_end_(batch_shard_);
+  return schedule_at(now_ + delay, std::move(fn));
 }
 
 bool Engine::cancel(EventId id) {
@@ -93,7 +59,6 @@ bool Engine::step() {
     if (it == handlers_.end()) continue;  // cancelled
     LTS_ASSERT(entry.time >= now_);
     now_ = entry.time;
-    if (batch_hooks_) note_batch(entry.time, entry.shard);
     // Move the handler out before erasing so the callback may schedule or
     // cancel events (including re-entrant use of the same id space).
     auto fn = std::move(it->second);
@@ -105,7 +70,6 @@ bool Engine::step() {
     fn();
     return true;
   }
-  if (batch_hooks_) close_batch();
   return false;
 }
 
@@ -130,15 +94,10 @@ void Engine::run_until(SimTime t) {
 
 PeriodicTask::PeriodicTask(Engine& engine, SimTime interval, SimTime phase,
                            std::function<void()> fn)
-    : PeriodicTask(engine, interval, phase, /*shard=*/0, std::move(fn)) {}
-
-PeriodicTask::PeriodicTask(Engine& engine, SimTime interval, SimTime phase,
-                           int shard, std::function<void()> fn)
-    : engine_(engine), interval_(interval), shard_(shard),
-      fn_(std::move(fn)) {
+    : engine_(engine), interval_(interval), fn_(std::move(fn)) {
   LTS_REQUIRE(interval > 0.0, "PeriodicTask: interval must be positive");
   LTS_REQUIRE(phase >= 0.0, "PeriodicTask: negative phase");
-  pending_ = engine_.schedule_in(phase, shard_, [this] { arm(); });
+  pending_ = engine_.schedule_in(phase, [this] { arm(); });
 }
 
 PeriodicTask::~PeriodicTask() { stop(); }
@@ -154,7 +113,7 @@ void PeriodicTask::arm() {
   if (!running_) return;
   fn_();
   if (!running_) return;  // fn may have stopped us
-  pending_ = engine_.schedule_in(interval_, shard_, [this] { arm(); });
+  pending_ = engine_.schedule_in(interval_, [this] { arm(); });
 }
 
 }  // namespace lts::sim

@@ -5,7 +5,6 @@
 // of worker count or interleaving:
 //   - ml: random-forest trees (one Rng stream per tree) and the presorted
 //     column scans of tree/GBT training;
-//   - net: the hierarchical max-min solver's independent sites;
 //   - exp::collect_training_data: one collection configuration's
 //     nodes x repeats samples;
 //   - exp::evaluate_methods: one scenario's ranking environment and its

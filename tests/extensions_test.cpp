@@ -196,110 +196,21 @@ TEST(ScaledCluster, RejectsDegenerateShapes) {
 }
 
 TEST(ScaledCluster, RejectsOutOfBoundParameters) {
-  // Inputs outside the paper-scale envelope are rejected loudly, not
+  // Shapes outside the paper-scale envelope are rejected loudly, not
   // clamped — the flow model's constants are meaningless out there.
-  const auto message_of = [](exp::ScaledClusterOptions o) -> std::string {
+  const auto message_of = [](int sites, int nodes_per_site) -> std::string {
     try {
-      exp::scaled_cluster_spec(o);
+      exp::scaled_cluster_spec(sites, nodes_per_site);
     } catch (const Error& e) {
       return e.what();
     }
     return "";
   };
-  exp::ScaledClusterOptions o;
-  o.sites = 513;
-  EXPECT_NE(message_of(o).find("sites must be in [1, 512]"),
+  EXPECT_NE(message_of(513, 2).find("sites must be in [1, 512]"),
             std::string::npos);
-  o = {};
-  o.nodes_per_site = 5000;
-  EXPECT_NE(message_of(o).find("nodes_per_site"), std::string::npos);
-  o = {};
-  o.sites = 512;
-  o.nodes_per_site = 4096;  // 2M nodes: each knob legal, product absurd
-  EXPECT_NE(message_of(o).find("total nodes"), std::string::npos);
-  o = {};
-  o.access_capacity_bps = 1e3;  // 1 kbps NIC
-  EXPECT_NE(message_of(o).find("access_capacity_bps"), std::string::npos);
-  o = {};
-  o.wan_capacity_bps = 1e12;  // 8 Tbps circuit
-  EXPECT_NE(message_of(o).find("wan_capacity_bps"), std::string::npos);
-  o = {};
-  o.rtt_max = 2.0;  // two-second planet
-  EXPECT_NE(message_of(o).find("rtt_max"), std::string::npos);
-  o = {};
-  o.rtt_base = 0.5;  // exceeds the default rtt_max
-  EXPECT_NE(message_of(o).find("rtt_base"), std::string::npos);
-  o = {};
-  o.nic_speed_tiers = {0.001};
-  EXPECT_NE(message_of(o).find("nic_speed_tiers"), std::string::npos);
-  o = {};
-  o.nic_jitter = 0.75;
-  EXPECT_NE(message_of(o).find("nic_jitter"), std::string::npos);
-  o = {};
-  o.core_oversubscription = -1.0;
-  EXPECT_NE(message_of(o).find("core_oversubscription"), std::string::npos);
-}
-
-TEST(ScaledCluster, HeterogeneousNicsProduceDistinctCapacities) {
-  exp::ScaledClusterOptions o;
-  o.sites = 2;
-  o.nodes_per_site = 4;
-  o.nic_speed_tiers = {0.5, 1.0, 2.0};
-  o.nic_jitter = 0.2;
-  const auto spec = exp::scaled_cluster_spec(o);
-  ASSERT_EQ(spec.node_access_capacity.size(), 8u);
-  for (const Rate cap : spec.node_access_capacity) EXPECT_GT(cap, 0.0);
-  // Tiers cycle with period 3 over 8 nodes and jitter perturbs each node
-  // independently, so no two consecutive nodes may tie.
-  for (std::size_t i = 1; i < 8; ++i) {
-    EXPECT_NE(spec.node_access_capacity[i], spec.node_access_capacity[i - 1]);
-  }
-  // Determinism: the same options reproduce the same capacities bit-for-bit.
-  const auto again = exp::scaled_cluster_spec(o);
-  EXPECT_EQ(again.node_access_capacity, spec.node_access_capacity);
-
-  // The cluster applies the overrides to the actual access links.
-  sim::Engine engine;
-  cluster::Cluster cl(engine, spec);
-  for (std::size_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(cl.topology().link(cl.node_uplink(i)).capacity,
-              spec.node_access_capacity[i])
-        << "node " << i;
-  }
-}
-
-TEST(ScaledCluster, OversubscribedCoreRoutesAllSitePairs) {
-  exp::ScaledClusterOptions o;
-  o.sites = 5;
-  o.nodes_per_site = 2;
-  o.core_oversubscription = 4.0;
-  const auto spec = exp::scaled_cluster_spec(o);
-  EXPECT_TRUE(spec.wan_links.empty());
-  ASSERT_EQ(spec.site_core_delay.size(), 5u);
-  // Trunk = site aggregate NIC rate / oversubscription.
-  EXPECT_DOUBLE_EQ(spec.core_capacity_bps, 2 * o.access_capacity_bps / 4.0);
-
-  sim::Engine engine;
-  cluster::Cluster cl(engine, spec);
-  auto& flows = cl.flows();
-  // Every cross-site pair is reachable through the core, RTT grows with
-  // site distance, and no pair exceeds rtt_max (plus the small access legs).
-  const SimTime near = flows.base_rtt(cl.node(0).vertex(),
-                                      cl.node(2).vertex());
-  const SimTime far = flows.base_rtt(cl.node(0).vertex(),
-                                     cl.node(8).vertex());
-  EXPECT_GT(near, 0.0);
-  EXPECT_LT(near, far);
-  EXPECT_LE(far, o.rtt_max + 4 * spec.access_delay + 1e-9);
-}
-
-TEST(ScaledCluster, HierarchicalFlagSelectsSolver) {
-  exp::ScaledClusterOptions o;
-  o.hierarchical_solver = true;
-  const auto spec = exp::scaled_cluster_spec(o);
-  EXPECT_EQ(spec.flow_options.solver, net::SolverMode::kHierarchical);
-  EXPECT_EQ(exp::scaled_cluster_spec(3, 2).flow_options.solver,
-            net::SolverMode::kFlat);
+  EXPECT_NE(message_of(3, 5000).find("nodes_per_site"), std::string::npos);
+  // 2M nodes: each bound legal, product absurd.
+  EXPECT_NE(message_of(512, 4096).find("total nodes"), std::string::npos);
 }
 
 // ------------------------------------------------------------- stream ----

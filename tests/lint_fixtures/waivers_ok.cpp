@@ -25,11 +25,11 @@ void guarded_fanout(ThreadPool& pool) {
   });
 }
 
-void site_sharded_fanout(ThreadPool& pool) {
-  std::vector<double> per_site(8, 0.0);
-  // lts-lint: shared-guarded(site-partitioned: each worker writes only its own site's slot; no element is shared across workers)
+void partitioned_fanout(ThreadPool& pool) {
+  std::vector<double> per_item(8, 0.0);
+  // lts-lint: shared-guarded(partitioned: each worker writes only its own slot; no element is shared across workers)
   pool.parallel_for(8, [&](std::size_t i) {
-    per_site[i] += 1.0;
+    per_item[i] += 1.0;
   });
 }
 

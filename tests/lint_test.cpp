@@ -430,23 +430,25 @@ TEST(LintWaivers, MalformedWaiversAreDiagnosedAndDoNotSuppress) {
   EXPECT_EQ(count_rule(diags, "R4"), 1u);
 }
 
-TEST(LintWaivers, SitePartitionedStrategySilencesR4) {
-  // The hierarchical solver's per-site fan-out shares arrays whose elements
-  // are owned by exactly one site; `site-partitioned` is the recognized
-  // strategy for that discipline.
-  const std::string good =
+TEST(LintWaivers, SitePartitionedStrategyIsRejected) {
+  // `site-partitioned` is not a strategy (per-slot ownership of any kind is
+  // `partitioned`): it is a waiver-syntax error and does not suppress the
+  // R4 beneath it.
+  const std::string site_partitioned =
       "void f(ThreadPool& pool) {\n"
       "  // lts-lint: shared-guarded(site-partitioned: each worker writes only its site's slots)\n"
       "  pool.parallel_for(4, [&](std::size_t i) { (void)i; });\n"
       "}\n";
-  EXPECT_TRUE(lint_text("src/net/fixture.cpp", good).empty());
-  // A near-miss strategy name is rejected and does not suppress the R4.
+  auto diags = lint_text("src/net/fixture.cpp", site_partitioned);
+  EXPECT_EQ(count_rule(diags, "waiver-syntax"), 1u);
+  EXPECT_EQ(count_rule(diags, "R4"), 1u);
+  // A near-miss strategy name is rejected the same way.
   const std::string bad =
       "void f(ThreadPool& pool) {\n"
       "  // lts-lint: shared-guarded(sharded: sounds similar but is not a strategy)\n"
       "  pool.parallel_for(4, [&](std::size_t i) { (void)i; });\n"
       "}\n";
-  const auto diags = lint_text("src/net/fixture.cpp", bad);
+  diags = lint_text("src/net/fixture.cpp", bad);
   EXPECT_EQ(count_rule(diags, "waiver-syntax"), 1u);
   EXPECT_EQ(count_rule(diags, "R4"), 1u);
 }

@@ -459,203 +459,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MaxMinPropertyTest,
                          ::testing::Values(101, 102, 103, 104, 105, 106, 107,
                                            108, 109, 110));
 
-// ================================================ hierarchical solver ====
-
-// Drives the same flow sequence through a flat and a hierarchical manager
-// over one shared topology, so FlowIds line up and rates are comparable.
-struct SolverPair {
-  net::FlowManager flat;
-  net::FlowManager hier;
-
-  SolverPair(sim::Engine& engine, net::Topology& topo)
-      : flat(engine, topo, net::FlowOptions{}),
-        hier(engine, topo, hier_options()) {}
-
-  static net::FlowOptions hier_options() {
-    net::FlowOptions o;
-    o.solver = net::SolverMode::kHierarchical;
-    return o;
-  }
-
-  net::FlowId start(net::VertexId src, net::VertexId dst) {
-    const auto id = flat.start(src, dst, 1e15, nullptr);
-    EXPECT_EQ(hier.start(src, dst, 1e15, nullptr), id);
-    return id;
-  }
-
-  void cancel(net::FlowId id) {
-    flat.cancel(id);
-    hier.cancel(id);
-  }
-};
-
-TEST(HierarchicalSolver, BitIdenticalToFlatOnPaperTopology) {
-  // The scale-out contract mirrors PR 4's solver overhaul: on the paper's
-  // 3-site testbed, where spanning WAN traffic couples every site, the
-  // hierarchical solver must reproduce the flat progressive fill not
-  // approximately but BIT-FOR-BIT — same freeze order, same operands,
-  // identical doubles.
-  sim::Engine engine;
-  cluster::Cluster cl(engine, cluster::paper_cluster_spec());
-  ASSERT_EQ(cl.topology().num_sites(), 3);
-  SolverPair fms(engine, cl.topology());
-  const auto v = [&](std::size_t node) { return cl.node(node).vertex(); };
-
-  // Two long-lived cross-site flows chain sites 0-1 and 1-2: every site is
-  // coupled, so the hierarchical coupled fill covers ALL flows. These two
-  // are never cancelled.
-  std::vector<net::FlowId> live{fms.start(v(0), v(2)), fms.start(v(3), v(5))};
-
-  Rng rng(0xC0FFEE);
-  const std::size_t n_nodes = cl.num_nodes();
-  auto check = [&] {
-    for (const auto id : live) {
-      ASSERT_TRUE(fms.flat.active(id));
-      ASSERT_TRUE(fms.hier.active(id));
-      EXPECT_EQ(fms.hier.info(id).rate, fms.flat.info(id).rate)
-          << "flow " << id;
-    }
-    const auto stats = fms.hier.solver_stats();
-    EXPECT_EQ(stats.coupled_flows, live.size());
-    EXPECT_EQ(stats.site_local_flows, 0u);
-    EXPECT_EQ(stats.sites_solved, 0u);
-  };
-  check();
-
-  for (int wave = 0; wave < 6; ++wave) {
-    const int n_starts = static_cast<int>(rng.uniform_int(2, 8));
-    for (int i = 0; i < n_starts; ++i) {
-      const auto src = static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(n_nodes) - 1));
-      auto dst = static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(n_nodes) - 2));
-      if (dst >= src) ++dst;
-      live.push_back(fms.start(v(src), v(dst)));
-    }
-    if (wave % 2 == 1 && live.size() > 4) {
-      // Cancel only flows beyond the two spanning ones, keeping coupling.
-      const int n_cancels = static_cast<int>(
-          rng.uniform_int(1, static_cast<std::int64_t>(live.size() / 2)));
-      for (int c = 0; c < n_cancels && live.size() > 2; ++c) {
-        const auto pick = static_cast<std::size_t>(
-            rng.uniform_int(2, static_cast<std::int64_t>(live.size()) - 1));
-        fms.cancel(live[pick]);
-        live[pick] = live.back();
-        live.pop_back();
-      }
-    }
-    if (wave == 3) {
-      const auto l = cl.node_uplink(1);
-      cl.topology().set_link_capacity(l, cl.topology().link(l).capacity * 0.4);
-      fms.flat.invalidate_rates();
-      fms.hier.invalidate_rates();
-    }
-    check();
-  }
-}
-
-TEST(HierarchicalSolver, DecomposedSitesMatchFlatAndReportStats) {
-  // With cross-site traffic confined to sites 0 and 1, sites 2 and 3 are
-  // solved as independent subproblems. The decomposition changes the
-  // floating-point evaluation order across sites, so parity with flat is
-  // near (1e-9 relative), not exact — the exactness guarantee belongs to
-  // the coupled path above.
-  exp::ScaledClusterOptions opts;
-  opts.sites = 4;
-  opts.nodes_per_site = 3;
-  opts.nic_jitter = 0.3;  // distinct per-node shares: hardest fill order
-  sim::Engine engine;
-  cluster::Cluster cl(engine, exp::scaled_cluster_spec(opts));
-  SolverPair fms(engine, cl.topology());
-  const auto v = [&](std::size_t node) { return cl.node(node).vertex(); };
-
-  // Three site-local flows per site (a ring within each site)...
-  std::vector<net::FlowId> live;
-  for (std::size_t s = 0; s < 4; ++s) {
-    const std::size_t base = s * 3;
-    for (std::size_t k = 0; k < 3; ++k) {
-      live.push_back(fms.start(v(base + k), v(base + (k + 1) % 3)));
-    }
-  }
-  // ...plus one WAN flow between sites 0 and 1 only.
-  live.push_back(fms.start(v(0), v(3)));
-
-  for (const auto id : live) {
-    const Rate want = fms.flat.info(id).rate;
-    EXPECT_NEAR(fms.hier.info(id).rate, want, std::abs(want) * 1e-9)
-        << "flow " << id;
-  }
-  const auto stats = fms.hier.solver_stats();
-  EXPECT_EQ(stats.coupled_flows, 7u);       // 1 WAN + 3 each in sites 0, 1
-  EXPECT_EQ(stats.site_local_flows, 6u);    // sites 2 and 3
-  EXPECT_EQ(stats.sites_solved, 2u);
-
-  // Determinism across runs: a second hierarchical manager fed the same
-  // sequence must agree with the first EXACTLY, no matter how the pool
-  // interleaved the per-site fills.
-  net::FlowManager again(engine, cl.topology(), SolverPair::hier_options());
-  for (std::size_t s = 0; s < 4; ++s) {
-    const std::size_t base = s * 3;
-    for (std::size_t k = 0; k < 3; ++k) {
-      again.start(v(base + k), v(base + (k + 1) % 3), 1e15, nullptr);
-    }
-  }
-  again.start(v(0), v(3), 1e15, nullptr);
-  for (const auto id : live) {
-    EXPECT_EQ(again.info(id).rate, fms.hier.info(id).rate) << "flow " << id;
-  }
-}
-
-class HierarchicalPropertyTest : public ::testing::TestWithParam<std::uint64_t> {
-};
-
-TEST_P(HierarchicalPropertyTest, MatchesFlatOnRandomMultiSiteWorkloads) {
-  Rng rng(GetParam() ^ 0x9e37);
-  exp::ScaledClusterOptions opts;
-  opts.sites = static_cast<int>(rng.uniform_int(2, 5));
-  opts.nodes_per_site = static_cast<int>(rng.uniform_int(2, 4));
-  opts.nic_jitter = 0.25;
-  sim::Engine engine;
-  cluster::Cluster cl(engine, exp::scaled_cluster_spec(opts));
-  SolverPair fms(engine, cl.topology());
-  const std::size_t n_nodes = cl.num_nodes();
-
-  std::vector<net::FlowId> live;
-  for (int wave = 0; wave < 5; ++wave) {
-    const int n_starts = static_cast<int>(rng.uniform_int(2, 10));
-    for (int i = 0; i < n_starts; ++i) {
-      const auto src = static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(n_nodes) - 1));
-      auto dst = static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(n_nodes) - 2));
-      if (dst >= src) ++dst;
-      live.push_back(
-          fms.start(cl.node(src).vertex(), cl.node(dst).vertex()));
-    }
-    if (wave % 2 == 1 && live.size() > 2) {
-      const int n_cancels = static_cast<int>(
-          rng.uniform_int(1, static_cast<std::int64_t>(live.size() / 2)));
-      for (int c = 0; c < n_cancels; ++c) {
-        const auto pick = static_cast<std::size_t>(
-            rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
-        fms.cancel(live[pick]);
-        live[pick] = live.back();
-        live.pop_back();
-      }
-    }
-    for (const auto id : live) {
-      const Rate want = fms.flat.info(id).rate;
-      EXPECT_NEAR(fms.hier.info(id).rate, want, std::abs(want) * 1e-9)
-          << "flow " << id;
-    }
-    const auto stats = fms.hier.solver_stats();
-    EXPECT_EQ(stats.coupled_flows + stats.site_local_flows, live.size());
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, HierarchicalPropertyTest,
-                         ::testing::Values(201, 202, 203, 204, 205, 206));
-
 // ======================================================= cpu invariants ====
 
 class CpuPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};

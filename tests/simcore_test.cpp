@@ -227,95 +227,5 @@ TEST(PeriodicTask, TwoTasksInterleaveDeterministically) {
   EXPECT_EQ(order, "abababa");
 }
 
-// ------------------------------------------------------ shard batching ----
-
-TEST(EngineShards, SameTimeEventsGroupByAscendingShard) {
-  Engine engine;
-  std::string order;
-  // Inserted out of shard order on purpose: grouping must come from the
-  // comparator, not insertion.
-  engine.schedule_at(1.0, /*shard=*/2, [&] { order += "c"; });
-  engine.schedule_at(1.0, /*shard=*/0, [&] { order += "a"; });
-  engine.schedule_at(1.0, /*shard=*/1, [&] { order += "b"; });
-  engine.schedule_at(1.0, /*shard=*/1, [&] { order += "B"; });
-  // Time still dominates: an earlier event of a high shard runs first.
-  engine.schedule_at(0.5, /*shard=*/7, [&] { order += "z"; });
-  engine.run();
-  EXPECT_EQ(order, "zabBc");
-}
-
-TEST(EngineShards, UnshardedApiIsShardZero) {
-  Engine engine;
-  std::string order;
-  engine.schedule_at(1.0, /*shard=*/1, [&] { order += "s"; });
-  engine.schedule_at(1.0, [&] { order += "u"; });  // unsharded -> shard 0
-  engine.run();
-  EXPECT_EQ(order, "us");
-}
-
-TEST(EngineShards, NegativeShardThrows) {
-  Engine engine;
-  EXPECT_THROW(engine.schedule_at(1.0, -1, [] {}), Error);
-}
-
-TEST(EngineShards, BatchHooksFireAtGroupBoundaries) {
-  Engine engine;
-  std::string trace;
-  engine.set_shard_batch_hooks(
-      [&](int s) { trace += "B" + std::to_string(s); },
-      [&](int s) { trace += "E" + std::to_string(s); });
-  const auto event = [&](SimTime t, int shard) {
-    engine.schedule_at(t, shard, [&trace] { trace += "."; });
-  };
-  event(1.0, 0);
-  event(1.0, 0);
-  event(1.0, 1);
-  event(2.0, 1);  // same shard, new time: still a fresh batch
-  engine.run();
-  // The final batch closes when the queue drains.
-  EXPECT_EQ(trace, "B0..E0B1.E1B1.E1");
-}
-
-TEST(EngineShards, CancelledEventsOpenNoBatch) {
-  Engine engine;
-  std::string trace;
-  engine.set_shard_batch_hooks(
-      [&](int s) { trace += "B" + std::to_string(s); },
-      [&](int s) { trace += "E" + std::to_string(s); });
-  const auto keep = engine.schedule_at(1.0, 1, [&] { trace += "."; });
-  const auto drop = engine.schedule_at(1.0, 0, [&] { trace += "x"; });
-  engine.cancel(drop);
-  engine.run();
-  (void)keep;
-  // Shard 0's only event was cancelled before firing: no empty B0/E0 pair.
-  EXPECT_EQ(trace, "B1.E1");
-}
-
-TEST(EngineShards, DetachingHooksClosesTheOpenBatch) {
-  Engine engine;
-  std::string trace;
-  engine.set_shard_batch_hooks(
-      [&](int s) { trace += "B" + std::to_string(s); },
-      [&](int s) { trace += "E" + std::to_string(s); });
-  engine.schedule_at(1.0, 3, [&] { trace += "."; });
-  engine.schedule_at(2.0, 3, [&] { trace += "."; });
-  engine.step();  // fires the t=1 event, leaving its batch open
-  engine.set_shard_batch_hooks(nullptr, nullptr);
-  EXPECT_EQ(trace, "B3.E3");
-  engine.run();  // no hooks installed: no further boundaries
-  EXPECT_EQ(trace, "B3.E3.");
-}
-
-TEST(PeriodicTask, ShardedFiringsBatchWithTheirSite) {
-  Engine engine;
-  std::string order;
-  // Insertion order says "b first", shard order says site 1 before site 2:
-  // every same-instant firing pair must come out "ab".
-  PeriodicTask b(engine, 1.0, 0.0, /*shard=*/2, [&] { order += 'b'; });
-  PeriodicTask a(engine, 1.0, 0.0, /*shard=*/1, [&] { order += 'a'; });
-  engine.run_until(2.5);
-  EXPECT_EQ(order, "ababab");
-}
-
 }  // namespace
 }  // namespace lts::sim

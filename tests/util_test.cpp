@@ -12,7 +12,6 @@
 #include <thread>
 
 #include "util/csv.hpp"
-#include "util/logging.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -487,40 +486,6 @@ TEST(AsciiTable, RendersAligned) {
 TEST(AsciiTable, WidthMismatchThrows) {
   AsciiTable t({"a", "b"});
   EXPECT_THROW(t.add_row({"only"}), Error);
-}
-
-}  // namespace
-}  // namespace lts
-
-// ------------------------------------------------------------- logging ----
-
-namespace lts {
-namespace {
-
-TEST(Logging, LevelGateWorks) {
-  const LogLevel before = log_level();
-  set_log_level(LogLevel::kError);
-  EXPECT_EQ(log_level(), LogLevel::kError);
-  // Below-threshold statements must not evaluate their stream arguments.
-  int evaluations = 0;
-  auto expensive = [&] {
-    ++evaluations;
-    return 42;
-  };
-  LTS_LOG(kDebug) << expensive();
-  EXPECT_EQ(evaluations, 0);
-  LTS_LOG(kError) << expensive();
-  EXPECT_EQ(evaluations, 1);
-  set_log_level(before);
-}
-
-TEST(Logging, OffSilencesEverything) {
-  const LogLevel before = log_level();
-  set_log_level(LogLevel::kOff);
-  int evaluations = 0;
-  LTS_LOG(kError) << [&] { ++evaluations; return 1; }();
-  EXPECT_EQ(evaluations, 0);
-  set_log_level(before);
 }
 
 }  // namespace

@@ -141,17 +141,15 @@ std::vector<Waiver> collect_waivers(
       continue;
     }
     if (w.token == "shared-guarded") {
-      // site-partitioned is listed before partitioned so the alternation
-      // matches the longer, more specific strategy name; the \b after the
-      // group keeps e.g. "partitioned-ish" from sneaking through.
+      // The justification must open with a strategy name; the \b keeps
+      // longer words such as "atomically" from passing for one.
       static const std::regex kStrategy(
-          R"(^\s*(mutex|atomic|site-partitioned|partitioned)\b)");
+          R"(^\s*(mutex|atomic|partitioned)\b)");
       if (!std::regex_search(w.justification, kStrategy)) {
         diags.push_back(
             {path, w.line, "waiver-syntax",
-             "shared-guarded strategy must be mutex, atomic, partitioned, "
-             "or site-partitioned (got '" +
-                 w.justification + "')"});
+             "shared-guarded strategy must be mutex, atomic or partitioned "
+             "(got '" + w.justification + "')"});
         continue;
       }
     }

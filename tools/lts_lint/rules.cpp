@@ -62,7 +62,7 @@ const std::vector<Rule>& rule_registry() {
         "sharing discipline",
         "All parallelism flows through ThreadPool so worker count stays a "
         "pure performance knob. A [&] capture without a declared strategy "
-        "(mutex, atomic, partitioned, site-partitioned) is a data race "
+        "(mutex, atomic, partitioned) is a data race "
         "waiting for a reviewer to miss it.",
         "pool.parallel_for(n, [&](std::size_t i) { total += x[i]; });",
         "shared-guarded"},
@@ -101,8 +101,8 @@ const std::vector<Rule>& rule_registry() {
       {{"R8", "hot-path-allocation",
         "no new/make_unique/make_shared/std::function construction or "
         "un-reserved push_back loops inside declared hot-path functions "
-        "(recompute_rates*, fill_flows, hierarchical_fill, predict_batch, "
-        "schedule_many*, schedule_batch, Engine::step/run)",
+        "(recompute_rates*, fill_flows, predict_batch, schedule_many*, "
+        "schedule_batch, Engine::step/run)",
         "The scale arc's budgets (rate solve at 100k flows, batched "
         "serving throughput) assume the steady state allocates nothing; "
         "an allocator call or growth-doubling loop inside these functions "

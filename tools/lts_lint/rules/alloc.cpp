@@ -21,8 +21,8 @@ namespace {
 bool is_hot(const FunctionDef& fd) {
   static const std::set<std::string> kHot = {
       "recompute_rates",  "recompute_rates_core",
-      "fill_flows",       "hierarchical_fill",
-      "predict_batch",    "schedule_many",
+      "fill_flows",       "predict_batch",
+      "schedule_many",
       "schedule_many_from_snapshot",
       "schedule_batch",
       // Training hot path: these run once per tree node (split search) or

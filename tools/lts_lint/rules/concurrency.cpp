@@ -48,7 +48,7 @@ void check_concurrency(RuleContext& ctx) {
       ctx.report(i + 1, "R4",
                  "parallel_for lambda captures by reference: declare the "
                  "sharing discipline with // lts-lint: "
-                 "shared-guarded(mutex|atomic|partitioned|site-partitioned)");
+                 "shared-guarded(mutex|atomic|partitioned)");
     }
   }
 }
