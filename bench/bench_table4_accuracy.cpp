@@ -12,19 +12,30 @@
 // Expected shape (paper): Kubernetes default 0.16/0.26 << linear 0.50/0.60
 // < XGBoost 0.56/0.72 < Random Forest 0.70/0.88.
 //
-// Writes BENCH_table4.json: every method's Top-1/Top-2/mean regret and each
-// model's holdout report (deterministic for the fixed seeds, compared
-// exactly against bench/baseline/table4.json by bench/compare_baseline.py),
-// plus the wall seconds of each stage under the "wall" group (reported, not
+// The Top-k studies share the corpus, the 80/20 split (seed 5) and the
+// evaluation draw: risk-averse ranking (rf_k*), rich telemetry (rf_rich,
+// xgb_rich), feature ablation (rf_*_only) and the least_cpu / least_rtt
+// heuristics are scored in the same evaluate_methods call. Each method
+// ranks from the same snapshot with its own scheduler, so the studies cannot
+// move Table 4's rows. The staleness sweep ranks with Table 4's forest on
+// 60 scenarios of its own.
+//
+// Writes BENCH_table4.json (Table 4's methods and models) and
+// BENCH_topk_studies.json (the studies): simulated rows are deterministic
+// for the fixed seeds and compared exactly against bench/baseline/ by
+// bench/compare_baseline.py; "wall" rows are stage seconds (reported, not
 // compared).
 //
-// Flags: --quick shrinks the corpus for smoke runs (the report is then
-//        named "table4_quick", which no baseline matches);
+// Flags: --quick shrinks the corpus and the draws for smoke runs (the
+//        reports are then named "table4_quick" and "topk_studies_quick",
+//        which no baseline matches);
 //        --train-log <path> writes the training CSV for reuse.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <set>
 #include <string>
 
 #include "core/trainer.hpp"
@@ -32,21 +43,96 @@
 #include "exp/collector.hpp"
 #include "exp/evaluate.hpp"
 #include "exp/scenario.hpp"
+#include "util/stats.hpp"
+#include "util/string_util.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
 
+using namespace lts;
 using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point begin) {
   return std::chrono::duration<double>(Clock::now() - begin).count();
 }
 
+// A copy of `data` with every feature zeroed whose name starts with none of
+// `keep`. Trees never split on a column that was constant in training, so
+// this is a faithful inference-time ablation as well.
+ml::Dataset mask_features(const ml::Dataset& data,
+                          const std::vector<std::string>& keep) {
+  const auto& names = data.feature_names();
+  ml::Matrix x = data.x();
+  for (std::size_t j = 0; j < names.size(); ++j) {
+    if (std::none_of(keep.begin(), keep.end(), [&](const std::string& p) {
+          return names[j].starts_with(p);
+        })) {
+      for (std::size_t i = 0; i < x.rows(); ++i) x(i, j) = 0.0;
+    }
+  }
+  return ml::Dataset(std::move(x), data.y(), names);
+}
+
+// Top-1/Top-2 hits of `model` per staleness value, when the job launches
+// that many seconds after the snapshot it was ranked from. Scenario s has
+// seed 660000 + 104729 s and one truth run per (staleness, node); those runs
+// fan out on ThreadPool::global() into their own slots, and the ranking
+// stays on this thread, so the hits are the same for any pool size.
+std::vector<std::pair<int, int>> staleness_hits(
+    const std::shared_ptr<const ml::Regressor>& model,
+    const std::vector<exp::Scenario>& matrix, int num_scenarios,
+    const std::vector<double>& staleness) {
+  const std::size_t n_nodes = exp::EnvOptions{}.cluster_spec.num_nodes();
+  std::vector<std::pair<int, int>> hits(staleness.size());
+  for (int s = 0; s < num_scenarios; ++s) {
+    const std::uint64_t seed = 660000 + 104729ULL * s;
+    Rng pick(seed ^ 0x77);
+    const auto& scenario = exp::sample_scenario(matrix, pick);
+    // Item 0 warms the ranking environment; item 1 + v * n_nodes + node
+    // launches the job on `node`, staleness[v] seconds after warmup.
+    std::unique_ptr<exp::SimEnv> ranking_env;
+    telemetry::ClusterSnapshot snapshot;
+    std::vector<double> durations(staleness.size() * n_nodes);
+    // lts-lint: shared-guarded(partitioned: item 0 writes only ranking_env and snapshot, item 1 + k only durations[k])
+    ThreadPool::global().parallel_for(
+        1 + durations.size(), [&](std::size_t i) {
+          auto env = std::make_unique<exp::SimEnv>(seed);
+          env->warmup();
+          if (i == 0) {
+            snapshot = env->snapshot();
+            ranking_env = std::move(env);
+            return;
+          }
+          const std::size_t node = (i - 1) % n_nodes;
+          env->engine().run_until(env->options().warmup +
+                                  staleness[(i - 1) / n_nodes]);
+          durations[i - 1] =
+              env->run_job(scenario.config, node, seed ^ 0xfeedULL)
+                  .duration();
+        });
+
+    exp::SimEnv& env = *ranking_env;
+    core::LtsScheduler scheduler(
+        core::TelemetryFetcher(env.tsdb(), env.node_names()), model);
+    const auto ranking =
+        scheduler.schedule_from_snapshot(snapshot, scenario.config).ranking;
+    const std::size_t first = env.cluster().node_index(ranking[0].node);
+    const std::size_t second = env.cluster().node_index(ranking[1].node);
+    for (std::size_t v = 0; v < staleness.size(); ++v) {
+      const auto begin = durations.begin() + v * n_nodes;
+      const auto fastest = static_cast<std::size_t>(
+          std::min_element(begin, begin + n_nodes) - begin);
+      hits[v].first += first == fastest;
+      hits[v].second += first == fastest || second == fastest;
+    }
+  }
+  return hits;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  using namespace lts;
   const auto bench_begin = Clock::now();
   bool quick = false;
   std::string train_log_path;
@@ -64,10 +150,12 @@ int main(int argc, char** argv) {
   collect.base_seed = 12000;
   if (quick) matrix.resize(20);
   exp::BenchReport report(quick ? "table4_quick" : "table4");
-  report.note("corpus", std::to_string(matrix.size()) +
-                            " configs x 6 nodes x " +
-                            std::to_string(collect.repeats) + " repeats");
-  report.note("thread_pool", std::to_string(ThreadPool::global().size()));
+  exp::BenchReport studies(quick ? "topk_studies_quick" : "topk_studies");
+  for (auto* r : {&report, &studies}) {
+    r->note("corpus", std::to_string(matrix.size()) + " configs x 6 nodes x " +
+                          std::to_string(collect.repeats) + " repeats");
+    r->note("thread_pool", std::to_string(ThreadPool::global().size()));
+  }
   std::printf("Collecting training data: %zu configs x 6 nodes x %d reps\n",
               matrix.size(), collect.repeats);
   auto stage_begin = Clock::now();
@@ -80,34 +168,73 @@ int main(int argc, char** argv) {
     std::printf("  training log written to %s\n", train_log_path.c_str());
   }
 
-  // ---- 2. Offline training (§3.2.3). --------------------------------------
-  const ml::Dataset data = core::Trainer::dataset_from_log(log);
-  std::vector<std::pair<std::string, std::shared_ptr<const ml::Regressor>>>
-      models;
+  // ---- 2. Offline training (§3.2.3): every model once, on one split. -----
+  const ml::Dataset table1 = core::Trainer::dataset_from_log(log);
+  const ml::Dataset rich =
+      core::Trainer::dataset_from_log(log, core::FeatureSet::kRich);
+  // Each ablation view keeps the job-config features: without them a model
+  // cannot even normalize across workloads.
+  const auto view = [&](std::vector<std::string> keep) {
+    for (const char* job :
+         {"app_", "input_", "executors", "executor_", "shuffle_"}) {
+      keep.push_back(job);
+    }
+    return mask_features(table1, keep);
+  };
+  const ml::Dataset host_only = view({"cpu_", "mem_"});
+  const ml::Dataset network_only = view({"rtt_", "tx_", "rx_"});
+  const ml::Dataset config_only = view({});
+  struct ModelSpec {
+    std::string name;
+    std::string family;  // Trainer registry name
+    const ml::Dataset& data;
+    core::FeatureSet features = core::FeatureSet::kTable1;
+  };
+  const std::vector<ModelSpec> specs = {
+      {"linear", "linear", table1},
+      {"xgboost", "xgboost", table1},
+      {"random_forest", "random_forest", table1},
+      {"rf_rich", "random_forest", rich, core::FeatureSet::kRich},
+      {"xgb_rich", "xgboost", rich, core::FeatureSet::kRich},
+      {"rf_host_only", "random_forest", host_only},
+      {"rf_network_only", "random_forest", network_only},
+      {"rf_config_only", "random_forest", config_only},
+  };
+  // Table 4's rows go to BENCH_table4.json, every other row to the studies.
+  const std::set<std::string> table4_rows = {
+      "kube_default", "random", "linear", "xgboost", "random_forest"};
+  std::vector<exp::MethodUnderTest> methods;
   AsciiTable quality({"model", "holdout RMSE (s)", "holdout R^2"});
-  for (const std::string name : {"linear", "xgboost", "random_forest"}) {
+  for (const auto& spec : specs) {
+    exp::BenchReport& out = table4_rows.count(spec.name) ? report : studies;
     std::unique_ptr<ml::Regressor> fitted;
     stage_begin = Clock::now();
     const auto holdout = core::Trainer::train_and_evaluate(
-        name, data, /*test_fraction=*/0.2, /*seed=*/5, Json(), &fitted);
-    report.add("wall", "train_s." + name, seconds_since(stage_begin), "s");
-    report.add(name, "train_rmse", holdout.train_rmse, "s");
-    report.add(name, "test_rmse", holdout.test_rmse, "s");
-    report.add(name, "test_mae", holdout.test_mae, "s");
-    report.add(name, "test_r2", holdout.test_r2);
-    quality.add_row_numeric(name, {holdout.test_rmse, holdout.test_r2});
-    models.emplace_back(
-        name, std::shared_ptr<const ml::Regressor>(std::move(fitted)));
+        spec.family, spec.data, /*test_fraction=*/0.2, /*seed=*/5, Json(),
+        &fitted);
+    out.add("wall", "train_s." + spec.name, seconds_since(stage_begin), "s");
+    out.add(spec.name, "train_rmse", holdout.train_rmse, "s");
+    out.add(spec.name, "test_rmse", holdout.test_rmse, "s");
+    out.add(spec.name, "test_mae", holdout.test_mae, "s");
+    out.add(spec.name, "test_r2", holdout.test_r2);
+    quality.add_row_numeric(spec.name, {holdout.test_rmse, holdout.test_r2});
+    methods.emplace_back(spec.name, std::move(fitted), spec.features);
   }
   std::printf("%s\n", quality.render("Model quality (holdout)").c_str());
+  const auto forest = methods[2].model;  // Table 4's random_forest
+  for (const double k : {0.5, 1.0, 2.0}) {
+    methods.emplace_back(strformat("rf_k%.1f", k), forest,
+                         core::FeatureSet::kTable1, k);
+  }
 
-  // ---- 3. Evaluation on fresh scenarios (§6). -----------------------------
+  // ---- 3. Evaluation on fresh scenarios (§6): one draw, every method. ----
   exp::EvalOptions eval;
   eval.num_scenarios = quick ? 30 : 100;
   eval.base_seed = 770000;
+  eval.heuristics = {"least_cpu", "least_rtt"};
   stage_begin = Clock::now();
   const auto result =
-      exp::evaluate_methods(models, exp::paper_scenario_matrix(), eval);
+      exp::evaluate_methods(methods, exp::paper_scenario_matrix(), eval);
   report.add("wall", "evaluate_s", seconds_since(stage_begin), "s");
 
   AsciiTable table4({"Method", "Top-1", "Top-2"});
@@ -120,10 +247,14 @@ int main(int argc, char** argv) {
     return m;
   };
   for (const auto& acc : result.accuracy) {
-    table4.add_row_numeric(label(acc.method), {acc.top1, acc.top2}, 3);
-    report.add(acc.method, "top1", acc.top1);
-    report.add(acc.method, "top2", acc.top2);
-    report.add(acc.method, "mean_regret", acc.mean_regret, "s");
+    const bool in_table4 = table4_rows.count(acc.method) != 0;
+    exp::BenchReport& out = in_table4 ? report : studies;
+    out.add(acc.method, "top1", acc.top1);
+    out.add(acc.method, "top2", acc.top2);
+    out.add(acc.method, "mean_regret", acc.mean_regret, "s");
+    if (in_table4) {
+      table4.add_row_numeric(label(acc.method), {acc.top1, acc.top2}, 3);
+    }
   }
   std::printf("%s", table4
                         .render("Table 4: Top-1/Top-2 accuracy in selecting "
@@ -135,8 +266,68 @@ int main(int argc, char** argv) {
       "\nPaper reports: default 0.160/0.260, linear 0.500/0.600, "
       "xgboost 0.560/0.720, random forest 0.700/0.880.\n");
 
+  // ---- 4. The studies' tables; p90 regret for the risk rows. -------------
+  const auto print_study = [&](const std::string& title,
+                               const std::vector<std::string>& rows,
+                               bool with_p90) {
+    std::vector<std::string> header = {"Method", "Top-1", "Top-2",
+                                       "mean regret (s)"};
+    if (with_p90) header.push_back("p90 regret (s)");
+    AsciiTable table(std::move(header));
+    for (const auto& method : rows) {
+      const auto& acc = result.by_method(method);
+      std::vector<double> cells = {acc.top1, acc.top2, acc.mean_regret};
+      if (with_p90) {
+        std::vector<double> regrets;
+        for (const auto& o : result.outcomes) {
+          regrets.push_back(o.node_durations[o.rankings.at(method).front()] -
+                            o.node_durations[o.fastest_node]);
+        }
+        cells.push_back(percentile(regrets, 90));
+        studies.add(method, "p90_regret", cells.back(), "s");
+      }
+      table.add_row_numeric(method, cells, 3);
+    }
+    std::printf("\n%s", table
+                            .render(title + " (" +
+                                    std::to_string(eval.num_scenarios) +
+                                    " scenarios, Table 4's draw)")
+                            .c_str());
+  };
+  print_study("Risk-averse placement (rank by mean + k*stddev)",
+              {"random_forest", "rf_k0.5", "rf_k1.0", "rf_k2.0"}, true);
+  print_study("Rich telemetry (Table-1 vs Table-1 + rich features)",
+              {"random_forest", "rf_rich", "xgboost", "xgb_rich"}, false);
+  print_study("Feature ablation (random forest views, heuristics)",
+              {"random_forest", "rf_network_only", "rf_host_only",
+               "rf_config_only", "least_rtt", "least_cpu"},
+              false);
+
+  const int stale_scenarios = quick ? 10 : 60;
+  const std::vector<double> staleness = {0.0, 30.0, 60.0, 120.0, 300.0};
+  stage_begin = Clock::now();
+  const auto hits = staleness_hits(forest, exp::paper_scenario_matrix(),
+                                   stale_scenarios, staleness);
+  studies.add("wall", "staleness_s", seconds_since(stage_begin), "s");
+  AsciiTable stale_table({"staleness (s)", "Top-1", "Top-2"});
+  for (std::size_t v = 0; v < staleness.size(); ++v) {
+    const std::string row = strformat("%.0f", staleness[v]);
+    const double top1 = static_cast<double>(hits[v].first) / stale_scenarios;
+    const double top2 = static_cast<double>(hits[v].second) / stale_scenarios;
+    stale_table.add_row_numeric(row, {top1, top2}, 3);
+    studies.add("staleness/" + row, "top1", top1);
+    studies.add("staleness/" + row, "top2", top2);
+  }
+  std::printf("\n%s", stale_table
+                          .render("Telemetry staleness (random_forest, " +
+                                  std::to_string(stale_scenarios) +
+                                  " scenarios of its own)")
+                          .c_str());
+
   report.add("wall", "total_s", seconds_since(bench_begin), "s");
   report.write("BENCH_table4.json");
-  std::printf("report written to BENCH_table4.json\n");
+  studies.write("BENCH_topk_studies.json");
+  std::printf("\nreports written to BENCH_table4.json and "
+              "BENCH_topk_studies.json\n");
   return 0;
 }

@@ -172,7 +172,6 @@ StreamResult run_job_stream(StreamPolicy policy,
   // (e.g. one whose pods can never fit any node) fails the stream loudly
   // with the last attempt's per-node rejection reasons instead of spinning
   // until the drain guard aborts the whole run with no explanation.
-  constexpr SimTime kRetryDelay = 5.0;
   auto try_place = std::make_shared<std::function<void(std::size_t)>>();
   // The stored lambda must not capture try_place strongly — that's a
   // shared_ptr cycle (the function would own itself and leak). The local

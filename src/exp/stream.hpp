@@ -138,6 +138,10 @@ struct JobLaunch {
   const std::vector<std::string>* offer = nullptr;
 };
 
+/// Delay before a stream retries a placement that found no room, in both
+/// stream runners: like a pending pod, the job waits for capacity to free.
+constexpr SimTime kRetryDelay = 5.0;
+
 /// The job launch both stream runners share. Binds the pinned driver, then
 /// each executor through the default scheduler (restricted to the offer
 /// when one is given). On the first infeasible pod it unbinds every pod of

@@ -7,14 +7,6 @@ namespace lts::ml {
 Matrix::Matrix(std::size_t rows, std::size_t cols, double fill)
     : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
 
-Matrix Matrix::from_rows(const std::vector<std::vector<double>>& rows) {
-  Matrix m;
-  for (const auto& r : rows) {
-    m.push_row(std::span<const double>(r.data(), r.size()));
-  }
-  return m;
-}
-
 double& Matrix::operator()(std::size_t r, std::size_t c) {
   LTS_ASSERT(r < rows_ && c < cols_);
   return data_[r * cols_ + c];

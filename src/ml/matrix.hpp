@@ -15,8 +15,6 @@ class Matrix {
   Matrix() = default;
   Matrix(std::size_t rows, std::size_t cols, double fill = 0.0);
 
-  static Matrix from_rows(const std::vector<std::vector<double>>& rows);
-
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
   bool empty() const { return rows_ == 0; }

@@ -119,7 +119,6 @@ class TelemetryStack {
 
   /// Per-node exporter access, indexed like Cluster nodes (for the fault
   /// injector's silence/delay primitives).
-  std::size_t num_node_exporters() const { return node_exporters_.size(); }
   NodeExporter& node_exporter(std::size_t i);
 
  private:

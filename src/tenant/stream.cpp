@@ -107,8 +107,6 @@ TenantStreamsResult run_tenant_streams(const std::vector<exp::Scenario>& matrix,
   LTS_REQUIRE(!options.tenants.empty(), "run_tenant_streams: no tenants");
   LTS_REQUIRE(options.max_placement_retries >= 1,
               "run_tenant_streams: max_placement_retries >= 1");
-  LTS_REQUIRE(options.retry_delay > 0.0,
-              "run_tenant_streams: retry_delay > 0");
   for (const auto& t : options.tenants) {
     LTS_REQUIRE(t.num_jobs >= 1, "run_tenant_streams: tenant " + t.spec.name +
                                      " num_jobs >= 1");
@@ -457,7 +455,7 @@ TenantStreamsResult run_tenant_streams(const std::vector<exp::Scenario>& matrix,
     for (const auto& [name, run] : runs) backlog |= !run.pending.empty();
     if (backlog && !tick_scheduled) {
       tick_scheduled = true;
-      env.engine().schedule_in(options.retry_delay, [&] {
+      env.engine().schedule_in(exp::kRetryDelay, [&] {
         tick_scheduled = false;
         pump(true);
       });

@@ -86,7 +86,6 @@ struct TenantStreamsOptions {
   /// unplaceable after this many deferrals fails the run loudly with the
   /// last attempt's per-node rejection reasons.
   int max_placement_retries = 240;
-  SimTime retry_delay = 5.0;
 };
 
 struct TenantJobResult : exp::StreamJobResult {

@@ -586,6 +586,9 @@ TEST(Evaluate, ProtocolProducesConsistentOutcomes) {
   EXPECT_THROW(result.by_method("nope"), Error);
 }
 
+// Also the precondition of scoring many studies in one call: adding methods
+// (heuristics, a risk-averse copy of a model, a kRich model) must leave
+// every shared method's rankings, truth and scores exactly as they were.
 TEST(Evaluate, DeterministicAcrossRuns) {
   auto matrix = paper_scenario_matrix();
   matrix.resize(4);
@@ -593,21 +596,50 @@ TEST(Evaluate, DeterministicAcrossRuns) {
   collect.repeats = 1;
   const CsvTable log = collect_training_data(matrix, collect);
   const auto data = core::Trainer::dataset_from_log(log);
+  auto train = [](const std::string& name, const ml::Dataset& set) {
+    return std::shared_ptr<const ml::Regressor>(
+        core::Trainer::train(name, set));
+  };
   auto make_models = [&] {
-    std::vector<std::pair<std::string, std::shared_ptr<const ml::Regressor>>>
-        models;
-    models.emplace_back("linear", std::shared_ptr<const ml::Regressor>(
-                                      core::Trainer::train("linear", data)));
-    return models;
+    return std::vector<MethodUnderTest>{
+        {"linear", train("linear", data)},
+        {"random_forest", train("random_forest", data)}};
   };
   EvalOptions eval;
   eval.num_scenarios = 3;
   eval.truth_repeats = 1;
   const auto a = evaluate_methods(make_models(), matrix, eval);
-  const auto b = evaluate_methods(make_models(), matrix, eval);
-  for (std::size_t i = 0; i < a.accuracy.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a.accuracy[i].top1, b.accuracy[i].top1);
-    EXPECT_DOUBLE_EQ(a.accuracy[i].mean_regret, b.accuracy[i].mean_regret);
+
+  auto more = make_models();
+  more.emplace_back("rf_k1.0", more[1].model, core::FeatureSet::kTable1, 1.0);
+  more.emplace_back(
+      "linear_rich",
+      train("linear",
+            core::Trainer::dataset_from_log(log, core::FeatureSet::kRich)),
+      core::FeatureSet::kRich);
+  EvalOptions more_eval = eval;
+  more_eval.heuristics = {"least_cpu", "least_rtt"};
+  const auto b = evaluate_methods(more, matrix, more_eval);
+
+  ASSERT_EQ(b.accuracy.size(), a.accuracy.size() + 4);
+  for (const auto& acc : a.accuracy) {
+    const auto& other = b.by_method(acc.method);
+    EXPECT_EQ(acc.top1, other.top1) << acc.method;
+    EXPECT_EQ(acc.top2, other.top2) << acc.method;
+    EXPECT_EQ(acc.mean_regret, other.mean_regret) << acc.method;
+  }
+  ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
+  for (std::size_t s = 0; s < a.outcomes.size(); ++s) {
+    const auto& oa = a.outcomes[s];
+    const auto& ob = b.outcomes[s];
+    EXPECT_EQ(oa.node_durations, ob.node_durations) << "scenario " << s;
+    EXPECT_EQ(oa.fastest_node, ob.fastest_node) << "scenario " << s;
+    EXPECT_EQ(ob.rankings.size(), oa.rankings.size() + 4);
+    for (const auto& [method, ranking] : oa.rankings) {
+      ASSERT_EQ(ob.rankings.count(method), 1u) << method;
+      EXPECT_EQ(ranking, ob.rankings.at(method))
+          << method << ", scenario " << s;
+    }
   }
 }
 
