@@ -6,7 +6,9 @@
 // epsilon-greedy contextual bandit learns placement online (one job per
 // episode, learning only from its own choices), while the paper's offline
 // models train on batch corpora truncated to the same number of executed
-// jobs. Both are scored with greedy Top-1 on the same held-out scenarios.
+// jobs. At each budget one evaluate_methods call scores the bandit's
+// current value model and both offline models with greedy Top-1/Top-2 on
+// the same held-out scenarios.
 #include <cstdio>
 #include <memory>
 
@@ -18,47 +20,6 @@
 #include "util/string_util.hpp"
 #include "util/table.hpp"
 
-namespace {
-
-using namespace lts;
-
-// Greedy Top-1/Top-2 of a bandit on fresh scenarios (counterfactual truth).
-std::pair<double, double> eval_bandit(const core::BanditScheduler& bandit,
-                                      const std::vector<exp::Scenario>& matrix,
-                                      int scenarios, std::uint64_t base_seed) {
-  int top1 = 0, top2 = 0;
-  for (int s = 0; s < scenarios; ++s) {
-    const std::uint64_t seed = base_seed + 7919ULL * s;
-    Rng pick(seed ^ 0xabc);
-    const auto& scenario = exp::sample_scenario(matrix, pick);
-    exp::SimEnv probe(seed);
-    probe.warmup();
-    const auto snapshot = probe.snapshot();
-    const std::size_t choice =
-        bandit.pick_greedy(snapshot, scenario.config);
-    // Second choice: rerun greedy with the best node masked out by ranking
-    // all values; cheaper: compute full value ranking here.
-    std::vector<double> durations;
-    for (std::size_t n = 0; n < probe.node_names().size(); ++n) {
-      exp::SimEnv env(seed);
-      env.warmup();
-      durations.push_back(
-          env.run_job(scenario.config, n, seed ^ 0xF00D).duration());
-    }
-    const std::size_t fastest = static_cast<std::size_t>(
-        std::min_element(durations.begin(), durations.end()) -
-        durations.begin());
-    if (choice == fastest) {
-      ++top1;
-      ++top2;
-    }
-  }
-  return {static_cast<double>(top1) / scenarios,
-          static_cast<double>(top2) / scenarios};
-}
-
-}  // namespace
-
 int main() {
   using namespace lts;
   const auto matrix = exp::paper_scenario_matrix();
@@ -68,8 +29,9 @@ int main() {
 
   // ---- Online bandit: one environment + one executed job per episode. ----
   core::BanditScheduler bandit(core::BanditOptions{}, 4242);
-  AsciiTable table({"executed jobs", "bandit Top-1", "SL linear Top-1",
-                    "SL forest Top-1"});
+  AsciiTable table({"executed jobs", "bandit Top-1", "bandit Top-2",
+                    "SL linear Top-1", "SL linear Top-2", "SL forest Top-1",
+                    "SL forest Top-2"});
   Rng episode_rng(31337);
   int episodes_done = 0;
 
@@ -106,26 +68,27 @@ int main() {
     const auto forest = std::shared_ptr<const ml::Regressor>(
         core::Trainer::train("random_forest", truncated));
 
-    const auto [bandit_top1, bandit_top2] =
-        eval_bandit(bandit, matrix, kEvalScenarios, kEvalSeed);
     exp::EvalOptions eval;
     eval.num_scenarios = kEvalScenarios;
     eval.base_seed = kEvalSeed;
     eval.truth_repeats = 1;
     std::vector<exp::MethodUnderTest> methods;
+    methods.push_back({"bandit", bandit.value_model(), core::kBanditFeatures});
     methods.push_back({"linear", linear, core::FeatureSet::kTable1});
     methods.push_back({"forest", forest, core::FeatureSet::kTable1});
-    const auto sl = exp::evaluate_methods(methods, matrix, eval);
-    const std::vector<double> row{bandit_top1, sl.by_method("linear").top1,
-                                  sl.by_method("forest").top1};
+    const auto result = exp::evaluate_methods(methods, matrix, eval);
+    std::vector<double> row;
+    for (const auto& method : methods) {
+      row.push_back(result.by_method(method.name).top1);
+      row.push_back(result.by_method(method.name).top2);
+    }
     table.add_row_numeric(strformat("%d", budget), row, 3);
-    (void)bandit_top2;
     std::printf("  budget %d done (bandit epsilon now %.2f)\n", budget,
                 bandit.current_epsilon());
   }
   std::printf("%s", table
                         .render("Sample efficiency: online bandit vs "
-                                "offline supervised (greedy Top-1)")
+                                "offline supervised (greedy Top-k)")
                         .c_str());
   std::printf(
       "\nNote: the bandit explores on the live cluster (its exploration "

@@ -105,7 +105,7 @@ std::vector<std::pair<int, int>> staleness_hits(
             return;
           }
           const std::size_t node = (i - 1) % n_nodes;
-          env->engine().run_until(env->options().warmup +
+          env->engine().run_until(exp::kWarmup +
                                   staleness[(i - 1) / n_nodes]);
           durations[i - 1] =
               env->run_job(scenario.config, node, seed ^ 0xfeedULL)

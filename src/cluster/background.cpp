@@ -2,6 +2,14 @@
 
 namespace lts::cluster {
 
+namespace {
+
+constexpr Bytes kFetchBytes = 10.0 * 1024 * 1024;  // the paper's 10 MB file
+constexpr double kClientCpuDemand = 0.5;  // curl + kernel while fetching
+constexpr double kServerCpuDemand = 0.3;  // HTTP server while serving
+
+}  // namespace
+
 BackgroundLoad::BackgroundLoad(Cluster& cluster, std::size_t client_node,
                                std::size_t server_node,
                                BackgroundLoadOptions options, Rng rng)
@@ -65,12 +73,12 @@ void BackgroundLoad::begin_fetch(std::size_t loop_idx) {
   Loop& loop = loops_[loop_idx];
   loop.pause_event = sim::kInvalidEvent;
   loop.client_cpu =
-      cluster_.node(client_).cpu().add_persistent(options_.client_cpu_demand);
+      cluster_.node(client_).cpu().add_persistent(kClientCpuDemand);
   loop.server_cpu =
-      cluster_.node(server_).cpu().add_persistent(options_.server_cpu_demand);
+      cluster_.node(server_).cpu().add_persistent(kServerCpuDemand);
   loop.flow = cluster_.flows().start(
       cluster_.node(server_).vertex(), cluster_.node(client_).vertex(),
-      options_.fetch_bytes, [this, loop_idx] { end_fetch(loop_idx); });
+      kFetchBytes, [this, loop_idx] { end_fetch(loop_idx); });
 }
 
 void BackgroundLoad::end_fetch(std::size_t loop_idx) {

@@ -22,9 +22,6 @@
 namespace lts::cluster {
 
 struct BackgroundLoadOptions {
-  Bytes fetch_bytes = 10.0 * 1024 * 1024;  // the paper's 10 MB file
-  double client_cpu_demand = 0.5;          // curl + kernel while fetching
-  double server_cpu_demand = 0.3;          // HTTP server while serving
   SimTime mean_pause = 0.15;               // think time between fetches
   int parallel_fetches = 1;                // concurrent curl loops in the pod
   /// Resident memory the pod pair holds while running (downloads buffered

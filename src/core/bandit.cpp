@@ -4,22 +4,31 @@
 
 namespace lts::core {
 
+namespace {
+
+// Exploration: epsilon(t) = max(kBanditMinEpsilon,
+//                               kInitialEpsilon / sqrt(1 + t / kEpsilonDecay)).
+constexpr double kInitialEpsilon = 0.5;
+constexpr double kEpsilonDecay = 25.0;
+static_assert(kInitialEpsilon >= 0.0 && kInitialEpsilon <= 1.0);
+
+// Value model registry name; linear keeps per-update cost trivial.
+constexpr const char* kValueModel = "linear";
+
+}  // namespace
+
 BanditScheduler::BanditScheduler(BanditOptions options, std::uint64_t seed)
-    : options_(std::move(options)), rng_(seed) {
-  LTS_REQUIRE(options_.initial_epsilon >= 0.0 &&
-                  options_.initial_epsilon <= 1.0,
-              "BanditScheduler: epsilon in [0,1]");
+    : options_(options), rng_(seed) {
   LTS_REQUIRE(options_.refit_interval >= 1,
               "BanditScheduler: refit_interval >= 1");
-  replay_.set_feature_names(
-      FeatureConstructor::feature_names(options_.features));
+  replay_.set_feature_names(FeatureConstructor::feature_names(kBanditFeatures));
 }
 
 double BanditScheduler::current_epsilon() const {
-  return std::max(options_.min_epsilon,
-                  options_.initial_epsilon /
+  return std::max(kBanditMinEpsilon,
+                  kInitialEpsilon /
                       std::sqrt(1.0 + static_cast<double>(observations_) /
-                                          options_.epsilon_decay));
+                                          kEpsilonDecay));
 }
 
 std::size_t BanditScheduler::pick(const telemetry::ClusterSnapshot& snapshot,
@@ -40,8 +49,8 @@ std::size_t BanditScheduler::pick_greedy(
   std::size_t best = 0;
   double best_value = std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < snapshot.nodes.size(); ++i) {
-    const auto x = FeatureConstructor::build(snapshot.nodes[i], config,
-                                             options_.features);
+    const auto x =
+        FeatureConstructor::build(snapshot.nodes[i], config, kBanditFeatures);
     const double predicted = value_model_->predict_row(x);
     if (predicted < best_value) {
       best_value = predicted;
@@ -56,8 +65,8 @@ void BanditScheduler::observe(const telemetry::ClusterSnapshot& snapshot,
                               std::size_t node, double duration) {
   LTS_REQUIRE(node < snapshot.nodes.size(), "BanditScheduler: bad node");
   LTS_REQUIRE(duration > 0.0, "BanditScheduler: duration must be positive");
-  const auto x = FeatureConstructor::build(snapshot.nodes[node], config,
-                                           options_.features);
+  const auto x =
+      FeatureConstructor::build(snapshot.nodes[node], config, kBanditFeatures);
   replay_.add_row(x, duration);
   ++observations_;
   maybe_refit();
@@ -70,7 +79,7 @@ void BanditScheduler::maybe_refit() {
   if (replay_.size() < 4) return;  // not enough to fit anything
   Json params = Json::object();
   params["log_target"] = true;
-  auto model = ml::create_regressor(options_.value_model, params);
+  auto model = ml::create_regressor(kValueModel, params);
   model->fit(replay_);
   value_model_ = std::move(model);
 }

@@ -20,16 +20,14 @@
 
 namespace lts::core {
 
+/// Exploration floor: epsilon(t) never decays below this.
+inline constexpr double kBanditMinEpsilon = 0.05;
+/// Feature layout of the bandit's value model.
+inline constexpr FeatureSet kBanditFeatures = FeatureSet::kTable1;
+
 struct BanditOptions {
-  /// Exploration: epsilon(t) = max(min_epsilon, initial / sqrt(1 + t/decay)).
-  double initial_epsilon = 0.5;
-  double min_epsilon = 0.05;
-  double epsilon_decay = 25.0;
   /// Refit the value model after every `refit_interval` observations.
   int refit_interval = 10;
-  /// Value model registry name; linear keeps per-update cost trivial.
-  std::string value_model = "linear";
-  FeatureSet features = FeatureSet::kTable1;
 };
 
 class BanditScheduler {
@@ -57,6 +55,11 @@ class BanditScheduler {
   bool value_model_ready() const {
     return value_model_ != nullptr && value_model_->is_fitted();
   }
+  /// The current value model (null before the first refit); pick_greedy()
+  /// picks the node it predicts fastest, on kBanditFeatures rows.
+  std::shared_ptr<const ml::Regressor> value_model() const {
+    return value_model_;
+  }
 
  private:
   void maybe_refit();
@@ -65,7 +68,7 @@ class BanditScheduler {
   Rng rng_;
   int observations_ = 0;
   ml::Dataset replay_;  // (features of chosen node, duration)
-  std::unique_ptr<ml::Regressor> value_model_;
+  std::shared_ptr<const ml::Regressor> value_model_;
 };
 
 }  // namespace lts::core

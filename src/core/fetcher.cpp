@@ -41,7 +41,7 @@ std::shared_ptr<const telemetry::ClusterSnapshot> TelemetryFetcher::build(
       telemetry::build_snapshot(tsdb_, node_names_, now, options_));
   if (degradation_.enabled) {
     telemetry::annotate_staleness(*snapshot, degradation_.max_staleness);
-    if (degradation_.impute) telemetry::impute_stale_nodes(*snapshot);
+    telemetry::impute_stale_nodes(*snapshot);
   }
   return snapshot;
 }

@@ -31,15 +31,14 @@ namespace lts::core {
 /// Degradation policy (fault tolerance): how the fetcher treats nodes whose
 /// exporters stopped reporting. Off by default — the paper's pipeline
 /// assumes healthy telemetry, and with `enabled = false` fetch() returns
-/// exactly the raw snapshot it always has.
+/// exactly the raw snapshot it always has. Enabled, it flags stale rows and
+/// replaces their telemetry with the median of the fresh rows, so a silent
+/// node scores as "average" instead of as a phantom idle node.
 struct DegradationOptions {
   bool enabled = false;
   /// A node is stale if its exporter heartbeat is older than this (seconds)
   /// at snapshot time, or it never reported. A few scrape intervals.
   SimTime max_staleness = 10.0;
-  /// Replace stale rows' telemetry with the median of the fresh rows, so a
-  /// silent node scores as "average" instead of as a phantom idle node.
-  bool impute = true;
 };
 
 class TelemetryFetcher {
@@ -50,7 +49,7 @@ class TelemetryFetcher {
                    DegradationOptions degradation = {});
 
   /// Snapshot of all candidate nodes as of `now`. With degradation enabled,
-  /// rows are annotated for staleness and (optionally) imputed. Served from
+  /// rows are annotated for staleness and stale rows imputed. Served from
   /// the cache when (epoch, now) matches the previous fetch; the result is
   /// bit-identical either way.
   telemetry::ClusterSnapshot fetch(SimTime now) const;

@@ -47,9 +47,6 @@ LtsScheduler::LtsScheduler(TelemetryFetcher fetcher,
       risk_aversion_(risk_aversion),
       fallback_(fallback) {
   LTS_REQUIRE(risk_aversion_ >= 0.0, "LtsScheduler: risk_aversion >= 0");
-  LTS_REQUIRE(fallback_.min_fresh_fraction >= 0.0 &&
-                  fallback_.min_fresh_fraction <= 1.0,
-              "LtsScheduler: min_fresh_fraction must be in [0, 1]");
   if (!fallback_.enabled) {
     LTS_REQUIRE(model_ != nullptr, "LtsScheduler: null model");
     LTS_REQUIRE(model_->is_fitted(), "LtsScheduler: model must be fitted");
@@ -138,8 +135,7 @@ std::vector<Decision> LtsScheduler::schedule_batch(
     const bool snapshot_trusted =
         !snapshot.nodes.empty() &&
         static_cast<double>(fresh) >=
-            fallback_.min_fresh_fraction *
-                static_cast<double>(snapshot.nodes.size());
+            kMinFreshFraction * static_cast<double>(snapshot.nodes.size());
     use_fallback = !model_usable || !snapshot_trusted;
   }
 
@@ -241,7 +237,7 @@ std::vector<Decision> LtsScheduler::schedule_batch(
       for (std::size_t i = 0; i < n_nodes; ++i) {
         const auto& node = snapshot.nodes[i];
         double score = scores[c * n_nodes + i];
-        if (fallback_.enabled && fallback_.demote_stale && node.stale) {
+        if (fallback_.enabled && node.stale) {
           score += kStaleDemotionPenalty;
           ++decision.stale_demoted;
         }

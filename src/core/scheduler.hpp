@@ -23,18 +23,21 @@
 
 namespace lts::core {
 
+/// With the fallback policy on, if fewer than this fraction of snapshot rows
+/// are fresh the scheduler distrusts the whole snapshot and uses the
+/// fallback ranking instead of the model: at least a third of the cluster
+/// must be reporting.
+inline constexpr double kMinFreshFraction = 0.34;
+static_assert(kMinFreshFraction >= 0.0 && kMinFreshFraction <= 1.0);
+
 /// Fallback policy (fault tolerance): what the scheduler does when its
 /// model or its telemetry is unusable. Off by default — then the scheduler
-/// requires a fitted model and ranks exactly as the paper describes.
+/// requires a fitted model and ranks exactly as the paper describes. On, it
+/// falls back on an untrusted snapshot (kMinFreshFraction) or an unusable
+/// model, and in the model path pushes stale-telemetry nodes to the bottom
+/// of the ranking (their features are imputed guesses, not measurements).
 struct FallbackOptions {
   bool enabled = false;
-  /// If fewer than this fraction of snapshot rows are fresh, distrust the
-  /// whole snapshot and use the fallback ranking instead of the model.
-  /// Default: at least a third of the cluster must be reporting.
-  double min_fresh_fraction = 0.34;
-  /// In the model path, push stale-telemetry nodes to the bottom of the
-  /// ranking (their features are imputed guesses, not measurements).
-  bool demote_stale = true;
 };
 
 class LtsScheduler {

@@ -1,5 +1,6 @@
 #include "exp/envgen.hpp"
 
+#include "spark/workloads.hpp"
 #include "util/string_util.hpp"
 
 namespace lts::exp {
@@ -13,6 +14,23 @@ constexpr SimTime kRttBase = 0.008;
 constexpr SimTime kRttPerHop = 0.014;
 constexpr SimTime kRttMax = 0.090;
 constexpr Rate kWanCapacityBps = 600e6;
+
+// System-reserved resources subtracted from node capacity to form the
+// Kubernetes allocatable values.
+constexpr double kCpuReserve = 0.5;
+constexpr Bytes kMemoryReserve = 1.0 * 1024 * 1024 * 1024;
+
+// Per-node resident system-daemon CPU demand, drawn per environment in
+// [min, max].
+constexpr double kMinDaemonCpu = 0.2;
+constexpr double kMaxDaemonCpu = 2.0;
+
+// Abort guard: a job exceeding this much simulated time is a bug.
+constexpr SimTime kMaxJobDuration = 1800.0;
+
+// Seconds between the steps of a drift staircase.
+constexpr SimTime kDriftStepInterval = 90.0;
+static_assert(kDriftStepInterval > 0.0);
 
 }  // namespace
 
@@ -56,9 +74,6 @@ cluster::ClusterSpec scaled_cluster_spec(int sites, int nodes_per_site) {
 std::vector<fault::FaultSpec> generate_drift_schedule(
     const cluster::ClusterSpec& spec, std::uint64_t seed,
     const DriftScheduleOptions& options) {
-  LTS_REQUIRE(options.steps >= 1, "generate_drift_schedule: steps >= 1");
-  LTS_REQUIRE(options.step_interval > 0.0,
-              "generate_drift_schedule: step_interval > 0");
   LTS_REQUIRE(options.drift_links >= 1,
               "generate_drift_schedule: drift_links >= 1");
   LTS_REQUIRE(
@@ -93,12 +108,12 @@ std::vector<fault::FaultSpec> generate_drift_schedule(
     const auto chosen_nodes =
         rng.sample_without_replacement(node_names.size(), n_nodes);
     std::vector<fault::FaultSpec> schedule;
-    schedule.reserve(n_nodes * static_cast<std::size_t>(options.steps));
-    for (int step = 1; step <= options.steps; ++step) {
+    schedule.reserve(n_nodes * static_cast<std::size_t>(kDriftSteps));
+    for (int step = 1; step <= kDriftSteps; ++step) {
       const SimTime at = options.start +
-                         static_cast<double>(step - 1) * options.step_interval;
+                         static_cast<double>(step - 1) * kDriftStepInterval;
       const double scale =
-          static_cast<double>(step) / static_cast<double>(options.steps);
+          static_cast<double>(step) / static_cast<double>(kDriftSteps);
       for (const std::size_t node_idx : chosen_nodes) {
         fault::FaultSpec cut;
         cut.kind = fault::FaultKind::kNodeLinkDegrade;
@@ -118,12 +133,12 @@ std::vector<fault::FaultSpec> generate_drift_schedule(
       rng.sample_without_replacement(spec.wan_links.size(), n_links);
 
   std::vector<fault::FaultSpec> schedule;
-  schedule.reserve(n_links * static_cast<std::size_t>(options.steps) * 2);
-  for (int step = 1; step <= options.steps; ++step) {
+  schedule.reserve(n_links * static_cast<std::size_t>(kDriftSteps) * 2);
+  for (int step = 1; step <= kDriftSteps; ++step) {
     const SimTime at =
-        options.start + static_cast<double>(step - 1) * options.step_interval;
+        options.start + static_cast<double>(step - 1) * kDriftStepInterval;
     const double scale =
-        static_cast<double>(step) / static_cast<double>(options.steps);
+        static_cast<double>(step) / static_cast<double>(kDriftSteps);
     for (const std::size_t link_idx : chosen) {
       const auto& wan = spec.wan_links[link_idx];
       const std::string target = wan.site_a + ":" + wan.site_b;
@@ -175,8 +190,8 @@ SimEnv::SimEnv(std::uint64_t seed, EnvOptions options)
     const auto& node = cluster_->node(i);
     api_.register_node(
         node.name(),
-        k8s::Resources{node.cores() - options_.cpu_reserve,
-                       node.memory_capacity() - options_.memory_reserve},
+        k8s::Resources{node.cores() - kCpuReserve,
+                       node.memory_capacity() - kMemoryReserve},
         {{"topology.kubernetes.io/zone", node.site()},
          {"kubernetes.io/hostname", node.name()}});
   }
@@ -190,7 +205,7 @@ SimEnv::SimEnv(std::uint64_t seed, EnvOptions options)
   // persistent CPU demand per node, visible in the load average.
   for (std::size_t i = 0; i < cluster_->num_nodes(); ++i) {
     cluster_->node(i).cpu().add_persistent(
-        rng.uniform(options_.min_daemon_cpu, options_.max_daemon_cpu));
+        rng.uniform(kMinDaemonCpu, kMaxDaemonCpu));
   }
 
   // Background contention pods (§5.2), bound through the API server so the
@@ -205,7 +220,7 @@ SimEnv::SimEnv(std::uint64_t seed, EnvOptions options)
     std::size_t server =
         static_cast<std::size_t>(bg_rng.uniform_int(0, n_nodes - 2));
     if (server >= client) ++server;
-    cluster::BackgroundLoadOptions bg_opts = options_.background;
+    cluster::BackgroundLoadOptions bg_opts;
     bg_opts.parallel_fetches = static_cast<int>(bg_rng.uniform_int(
         options_.min_parallel_fetches, options_.max_parallel_fetches));
     bg_opts.client_memory =
@@ -236,7 +251,7 @@ SimEnv::SimEnv(std::uint64_t seed, EnvOptions options)
 
 void SimEnv::warmup() {
   if (warmed_up_) return;
-  engine_.run_until(options_.warmup);
+  engine_.run_until(kWarmup);
   warmed_up_ = true;
 }
 
@@ -290,11 +305,11 @@ spark::AppResult SimEnv::run_job(const spark::JobConfig& config,
   const auto app = make_app(config, driver_node, executor_nodes, job_seed);
   bool done = false;
   app->submit([&done](const spark::AppResult&) { done = true; });
-  const SimTime deadline = engine_.now() + options_.max_job_duration;
+  const SimTime deadline = engine_.now() + kMaxJobDuration;
   while (!done) {
     LTS_REQUIRE(engine_.step(), "SimEnv: event queue drained mid-job");
     LTS_REQUIRE(engine_.now() <= deadline,
-                "SimEnv: job exceeded max_job_duration");
+                "SimEnv: job exceeded kMaxJobDuration");
   }
 
   for (const auto& pod_name : bound_pods) {
@@ -307,11 +322,11 @@ std::unique_ptr<spark::SparkApp> SimEnv::make_app(
     const spark::JobConfig& config, std::size_t driver_node,
     const std::vector<std::size_t>& executor_nodes, std::uint64_t job_seed) {
   Rng dag_rng(job_seed * 0x2545f4914f6cdd1dULL + 0x9e37);
-  auto dag = spark::build_dag(config, dag_rng, options_.workload_cost);
+  auto dag = spark::build_dag(config, dag_rng);
   Rng app_rng(job_seed * 0xda942042e4dd58b5ULL + 0x7f4a);
   return std::make_unique<spark::SparkApp>(*cluster_, config, std::move(dag),
                                            driver_node, executor_nodes,
-                                           app_rng, options_.runtime);
+                                           app_rng);
 }
 
 }  // namespace lts::exp

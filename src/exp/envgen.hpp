@@ -22,21 +22,19 @@
 #include "k8s/scheduler.hpp"
 #include "simcore/engine.hpp"
 #include "spark/runtime.hpp"
-#include "spark/workloads.hpp"
 #include "telemetry/exporters.hpp"
 #include "telemetry/snapshot.hpp"
 
 namespace lts::exp {
 
+/// Simulated seconds a SimEnv runs before the first snapshot, so load
+/// averages and rate() windows have settled.
+inline constexpr SimTime kWarmup = 40.0;
+
 struct EnvOptions {
   cluster::ClusterSpec cluster_spec = cluster::paper_cluster_spec();
   telemetry::ExporterOptions exporter;
   telemetry::SnapshotOptions snapshot;
-
-  /// System-reserved resources subtracted from node capacity to form the
-  /// Kubernetes allocatable values.
-  double cpu_reserve = 0.5;
-  Bytes memory_reserve = 1.0 * 1024 * 1024 * 1024;
 
   /// Background contention pods (the curl loops of §5.2): each scenario
   /// draws a count in [min, max] and random client/server node pairs.
@@ -44,31 +42,23 @@ struct EnvOptions {
   int max_background_pods = 4;
   int min_parallel_fetches = 1;
   int max_parallel_fetches = 6;
-  cluster::BackgroundLoadOptions background;
 
   /// Per-node heterogeneity, drawn per environment: extra one-way access
   /// delay in [0, max] (virtualization path differences; observable through
-  /// the ping mesh) and a resident system-daemon CPU demand in [min, max]
-  /// (observable through the load average).
+  /// the ping mesh). Each node also runs a resident system-daemon CPU
+  /// demand, observable through the load average.
   SimTime max_node_extra_delay = 12.0e-3;
-  double min_daemon_cpu = 0.2;
-  double max_daemon_cpu = 2.0;
-
-  /// Simulated seconds to run before the first snapshot, so load averages
-  /// and rate() windows have settled.
-  SimTime warmup = 40.0;
-
-  /// Abort guard: a job exceeding this much simulated time is a bug.
-  SimTime max_job_duration = 1800.0;
 
   /// Fault schedule, applied through the environment's FaultInjector at
   /// construction. Empty (the default) leaves the event sequence — and so
   /// every output — exactly as without fault support.
   std::vector<fault::FaultSpec> faults;
-
-  spark::RuntimeOptions runtime;
-  spark::WorkloadCost workload_cost;
 };
+
+/// Escalation steps of a drift staircase; each step raises severity
+/// linearly until the final step reaches max_capacity_cut / max_rtt_spike.
+inline constexpr int kDriftSteps = 4;
+static_assert(kDriftSteps >= 1);
 
 /// Knobs for a deterministic network-drift schedule: a staircase of
 /// permanent, escalating WAN degradations (capacity cuts + RTT spikes) on
@@ -80,10 +70,6 @@ struct DriftScheduleOptions {
   /// First step lands here; keep it at or after warmup plus some healthy
   /// stream so the retrainer has pre-drift completions in its window.
   SimTime start = 80.0;
-  /// Number of escalation steps; each step raises severity linearly until
-  /// the final step reaches max_capacity_cut / max_rtt_spike.
-  int steps = 4;
-  SimTime step_interval = 90.0;
   /// How many WAN links drift (chosen deterministically from the seed).
   int drift_links = 2;
   /// Final fraction of link capacity removed, in [0, 1).
@@ -126,7 +112,7 @@ class SimEnv {
   const EnvOptions& options() const { return options_; }
   std::uint64_t seed() const { return seed_; }
 
-  /// Runs the engine until options().warmup; idempotent.
+  /// Runs the engine until kWarmup; idempotent.
   void warmup();
 
   /// Telemetry snapshot of all nodes as of now.

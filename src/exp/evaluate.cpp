@@ -176,9 +176,7 @@ EvalResult evaluate_methods(const std::vector<MethodUnderTest>& models,
         if (entry.degradation.enabled) {
           telemetry::annotate_staleness(method_snapshot,
                                         entry.degradation.max_staleness);
-          if (entry.degradation.impute) {
-            telemetry::impute_stale_nodes(method_snapshot);
-          }
+          telemetry::impute_stale_nodes(method_snapshot);
         }
         const auto decision =
             scheduler.schedule_from_snapshot(method_snapshot, scenario.config);

@@ -4,6 +4,13 @@
 
 namespace lts::exp {
 
+namespace {
+
+// Injected fault lifetimes are exponential with this mean, floored at 5 s.
+constexpr SimTime kMeanFaultDuration = 45.0;
+
+}  // namespace
+
 std::vector<Scenario> paper_scenario_matrix() {
   std::vector<Scenario> out;
   const spark::AppType apps[] = {spark::AppType::kSort,
@@ -111,13 +118,13 @@ std::vector<fault::FaultSpec> generate_fault_schedule(
   for (int i = 0; i < count; ++i) {
     fault::FaultSpec fault;
     fault.at = options.start + rng.uniform(0.0, options.horizon);
-    fault.duration = std::max(5.0, rng.exponential(options.mean_duration));
+    fault.duration = std::max(5.0, rng.exponential(kMeanFaultDuration));
 
     // Kind mix: mostly link trouble and telemetry trouble, the occasional
-    // partition, and crashes only when the consumer can survive them.
+    // whole-site partition (drastic, so rare even when the schedule is
+    // dense), and crashes only when the consumer can survive them.
     const double kind_draw = rng.uniform();
-    if (options.include_partitions && !spec.wan_links.empty() &&
-        kind_draw < 0.08) {
+    if (!spec.wan_links.empty() && kind_draw < 0.08) {
       fault.kind = fault::FaultKind::kSitePartition;
       const auto& site = spec.sites[static_cast<std::size_t>(rng.uniform_int(
           0, static_cast<std::int64_t>(spec.sites.size()) - 1))];

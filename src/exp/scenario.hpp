@@ -46,16 +46,11 @@ struct FaultScheduleOptions {
   /// not before telemetry exists.
   SimTime start = 40.0;
   SimTime horizon = 600.0;
-  /// Fault lifetimes are exponential with this mean, floored at 5 s.
-  SimTime mean_duration = 45.0;
   /// Node crashes hang any job whose pods they host — fine for a live
   /// stream (the job just takes forever... bounded by recovery), fatal for
   /// counterfactual ground-truth replays, which must run each candidate
   /// placement to completion. Accuracy experiments keep this off.
   bool include_crashes = false;
-  /// Whole-site partitions: drastic; injected with low probability even
-  /// when the schedule is dense.
-  bool include_partitions = true;
 };
 
 /// Deterministically generates a fault schedule against `spec`'s nodes,

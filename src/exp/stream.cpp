@@ -114,7 +114,7 @@ StreamResult run_job_stream(StreamPolicy policy,
     std::size_t random_node;  // used by kRandom
   };
   std::vector<PlannedJob> plan;
-  SimTime t = env.options().warmup;
+  SimTime t = kWarmup;
   for (int j = 0; j < options.num_jobs; ++j) {
     t += stream_rng.exponential(options.mean_interarrival);
     plan.push_back(PlannedJob{

@@ -24,7 +24,7 @@ void ApiServer::bind(const PodSpec& pod, const std::string& node_name) {
   NodeEntry& node = node_mutable(node_name);
   node.requested = node.requested + pod.requests;
   node.pods.push_back(pod.name);
-  pod_bindings_[pod.name] = Binding{node_name, pod.requests, pod.labels};
+  pod_bindings_[pod.name] = Binding{node_name, pod.requests};
 }
 
 void ApiServer::remove_pod(const std::string& pod_name) {
@@ -46,18 +46,6 @@ const std::string& ApiServer::pod_node(const std::string& pod_name) const {
   LTS_REQUIRE(it != pod_bindings_.end(),
               "ApiServer: unknown pod: " + pod_name);
   return it->second.node;
-}
-
-int ApiServer::count_pods_with_label(const std::string& node_name,
-                                     const std::string& label_key,
-                                     const std::string& label_value) const {
-  int count = 0;
-  for (const auto& [pod_name, binding] : pod_bindings_) {
-    if (binding.node != node_name) continue;
-    const auto it = binding.labels.find(label_key);
-    if (it != binding.labels.end() && it->second == label_value) ++count;
-  }
-  return count;
 }
 
 void ApiServer::set_node_ready(const std::string& name, bool ready) {

@@ -36,13 +36,6 @@ class ApiServer {
   bool has_pod(const std::string& pod_name) const;
   const std::string& pod_node(const std::string& pod_name) const;
 
-  /// Number of pods bound to `node_name` whose labels contain
-  /// (label_key, label_value). Used by the anti-affinity / topology-spread
-  /// plugins.
-  int count_pods_with_label(const std::string& node_name,
-                            const std::string& label_key,
-                            const std::string& label_value) const;
-
   /// Node-controller readiness: an unready node keeps its bindings but the
   /// scheduler will not place new pods on it.
   void set_node_ready(const std::string& name, bool ready);
@@ -58,7 +51,6 @@ class ApiServer {
   struct Binding {
     std::string node;
     Resources requests;
-    std::map<std::string, std::string> labels;
   };
   std::map<std::string, Binding> pod_bindings_;
 };

@@ -66,22 +66,11 @@ struct NodeAffinity {
   }
 };
 
-/// preferredDuringSchedulingIgnoredDuringExecution pod anti-affinity,
-/// reduced to label equality on the hostname topology: nodes already
-/// hosting pods whose labels contain (key, value) score lower. This is how
-/// a Spark operator spreads a job's executors.
-struct PodAntiAffinity {
-  std::string label_key;
-  std::string label_value;
-  double weight = 1.0;  // in (0, 1]; scales the plugin's score
-};
-
 struct PodSpec {
   std::string name;
   Resources requests;
   std::map<std::string, std::string> labels;
   std::optional<NodeAffinity> node_affinity;
-  std::optional<PodAntiAffinity> anti_affinity;
   std::vector<Toleration> tolerations;
 };
 

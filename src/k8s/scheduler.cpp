@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 namespace lts::k8s {
 
@@ -84,58 +83,14 @@ double TaintTolerationScore::score(const PodSpec& pod,
   return untolerated == 0 ? 100.0 : std::max(0.0, 100.0 - 50.0 * untolerated);
 }
 
-double PodAntiAffinityScore::score(const PodSpec& pod,
-                                   const NodeEntry& node) const {
-  if (!pod.anti_affinity.has_value()) return 100.0;
-  const auto& rule = *pod.anti_affinity;
-  const int matching = api_.count_pods_with_label(node.name, rule.label_key,
-                                                  rule.label_value);
-  // Each co-located matching pod costs a weighted 33-point penalty, floored
-  // at zero (kube scores are [0, 100]).
-  return std::max(0.0, 100.0 - rule.weight * 33.0 * matching);
-}
-
-double TopologySpreadScore::score(const PodSpec& pod,
-                                  const NodeEntry& node) const {
-  if (!pod.anti_affinity.has_value()) return 100.0;
-  const auto& rule = *pod.anti_affinity;
-  const auto zone_it = node.labels.find("topology.kubernetes.io/zone");
-  if (zone_it == node.labels.end()) return 100.0;
-  // Count matching pods in this node's zone vs the emptiest zone.
-  std::map<std::string, int> per_zone;
-  for (const auto& other : api_.nodes()) {
-    const auto z = other.labels.find("topology.kubernetes.io/zone");
-    if (z == other.labels.end()) continue;
-    per_zone[z->second] += api_.count_pods_with_label(
-        other.name, rule.label_key, rule.label_value);
-  }
-  int min_zone = std::numeric_limits<int>::max();
-  for (const auto& [zone, count] : per_zone) {
-    min_zone = std::min(min_zone, count);
-  }
-  const int skew = per_zone[zone_it->second] - min_zone;
-  return std::max(0.0, 100.0 - rule.weight * 25.0 * skew);
-}
-
 DefaultScheduler::DefaultScheduler(const ApiServer& api, std::uint64_t seed)
-    : DefaultScheduler(api, seed, /*with_defaults=*/true) {}
-
-DefaultScheduler::DefaultScheduler(const ApiServer& api, std::uint64_t seed,
-                                   bool with_defaults)
     : api_(api), rng_(seed) {
-  if (with_defaults) {
-    add_filter(std::make_unique<NodeResourcesFitFilter>());
-    add_filter(std::make_unique<NodeAffinityFilter>());
-    add_filter(std::make_unique<TaintTolerationFilter>());
-    add_score(std::make_unique<LeastAllocatedScore>(), 1.0);
-    add_score(std::make_unique<BalancedAllocationScore>(), 1.0);
-    add_score(std::make_unique<TaintTolerationScore>(), 1.0);
-  }
-}
-
-DefaultScheduler DefaultScheduler::bare(const ApiServer& api,
-                                        std::uint64_t seed) {
-  return DefaultScheduler(api, seed, /*with_defaults=*/false);
+  add_filter(std::make_unique<NodeResourcesFitFilter>());
+  add_filter(std::make_unique<NodeAffinityFilter>());
+  add_filter(std::make_unique<TaintTolerationFilter>());
+  add_score(std::make_unique<LeastAllocatedScore>(), 1.0);
+  add_score(std::make_unique<BalancedAllocationScore>(), 1.0);
+  add_score(std::make_unique<TaintTolerationScore>(), 1.0);
 }
 
 void DefaultScheduler::add_filter(std::unique_ptr<FilterPlugin> plugin) {

@@ -6,8 +6,8 @@
 // network-bound jobs.
 //
 // Implemented as a plugin framework matching the upstream scheduler's
-// structure so tests can exercise plugins individually and the experiment
-// harness can read the full ranking (for Top-2 baseline accuracy).
+// structure: tests exercise each plugin on its own, and the experiment
+// harness reads the full ranking (for Top-2 baseline accuracy).
 #pragma once
 
 #include <functional>
@@ -87,35 +87,6 @@ class TaintTolerationScore : public ScorePlugin {
   double score(const PodSpec& pod, const NodeEntry& node) const override;
 };
 
-/// InterPodAntiAffinity (preferred): penalizes nodes already hosting pods
-/// matching the pod's anti-affinity label. Not part of the upstream
-/// default-plugin set this reproduction's baseline uses; register it
-/// explicitly (DefaultScheduler::bare + add_score) to model operators that
-/// spread a job's executors.
-class PodAntiAffinityScore : public ScorePlugin {
- public:
-  explicit PodAntiAffinityScore(const ApiServer& api) : api_(api) {}
-  std::string name() const override { return "PodAntiAffinity"; }
-  double score(const PodSpec& pod, const NodeEntry& node) const override;
-
- private:
-  const ApiServer& api_;
-};
-
-/// PodTopologySpread (zone level): prefers nodes whose topology zone
-/// (label "topology.kubernetes.io/zone") currently hosts the fewest pods
-/// matching the pod's anti-affinity label — evening a job's pods across
-/// sites. Register explicitly, like PodAntiAffinityScore.
-class TopologySpreadScore : public ScorePlugin {
- public:
-  explicit TopologySpreadScore(const ApiServer& api) : api_(api) {}
-  std::string name() const override { return "TopologySpread"; }
-  double score(const PodSpec& pod, const NodeEntry& node) const override;
-
- private:
-  const ApiServer& api_;
-};
-
 // ---- Scheduler -------------------------------------------------------------
 
 struct ScoredNode {
@@ -142,19 +113,14 @@ class DefaultScheduler {
   /// Constructs with the upstream default plugin set.
   explicit DefaultScheduler(const ApiServer& api, std::uint64_t seed = 1);
 
-  /// Empty plugin sets; add your own (used by plugin unit tests).
-  static DefaultScheduler bare(const ApiServer& api, std::uint64_t seed = 1);
-
-  void add_filter(std::unique_ptr<FilterPlugin> plugin);
-  void add_score(std::unique_ptr<ScorePlugin> plugin, double weight = 1.0);
-
   /// Runs filtering + scoring for `pod` against all registered nodes.
   /// Does NOT bind — callers bind through the ApiServer, mirroring the
   /// scheduler/API-server split in Kubernetes.
   ScheduleResult schedule(const PodSpec& pod);
 
  private:
-  DefaultScheduler(const ApiServer& api, std::uint64_t seed, bool with_defaults);
+  void add_filter(std::unique_ptr<FilterPlugin> plugin);
+  void add_score(std::unique_ptr<ScorePlugin> plugin, double weight);
 
   const ApiServer& api_;
   Rng rng_;

@@ -14,6 +14,11 @@ namespace {
 // far below one byte so no real transfer is cut short.
 constexpr Bytes kRemainingEpsilon = 1e-6;
 
+// Maximum queueing delay a fully utilized link adds (one-way). The queueing
+// curve is kMaxQueueDelay * utilization^4: negligible when idle, steep near
+// saturation.
+constexpr SimTime kMaxQueueDelay = 0.030;
+
 struct RecomputeMetrics {
   obs::Counter& total = obs::counter(
       "lts_net_rate_recomputes_total", {},
@@ -248,7 +253,7 @@ double FlowManager::link_utilization(LinkId link) const {
 
 SimTime FlowManager::link_queue_delay(LinkId link) const {
   const double u = link_utilization(link);
-  return options_.max_queue_delay * u * u * u * u;
+  return kMaxQueueDelay * u * u * u * u;
 }
 
 SimTime FlowManager::current_rtt(VertexId a, VertexId b) const {

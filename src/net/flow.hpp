@@ -45,10 +45,6 @@ struct FlowOptions {
   /// Fixed per-host protocol stack latency added to each measured RTT
   /// (kernel, virtualization). One-way, seconds.
   SimTime host_stack_delay = 50e-6;
-  /// Maximum queueing delay a fully utilized link adds (one-way). The
-  /// queueing curve is max_queue_delay * utilization^4: negligible when
-  /// idle, steep near saturation.
-  SimTime max_queue_delay = 0.030;
 };
 
 /// Snapshot of one flow's progress.

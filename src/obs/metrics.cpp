@@ -69,12 +69,6 @@ const char* kind_name(bool is_counter, bool is_gauge) {
   return is_counter ? "counter" : (is_gauge ? "gauge" : "histogram");
 }
 
-Json labels_to_json(const Labels& labels) {
-  Json j = Json::object();
-  for (const auto& [k, v] : labels) j[k] = v;
-  return j;
-}
-
 }  // namespace
 
 void Histogram::observe(double v) {
@@ -223,45 +217,6 @@ std::string MetricsRegistry::prometheus_text() const {
     }
   }
   return out;
-}
-
-Json MetricsRegistry::to_json() const {
-  std::lock_guard lock(mutex_);
-  Json root = Json::object();
-  for (const auto& [name, family] : families_) {
-    Json fam = Json::object();
-    fam["type"] = kind_name(family.kind == Kind::kCounter,
-                            family.kind == Kind::kGauge);
-    fam["help"] = family.help;
-    Json series = Json::array();
-    for (const auto& [key, child] : family.children) {
-      Json row = Json::object();
-      row["labels"] = labels_to_json(child.labels);
-      if (child.counter) {
-        row["value"] = child.counter->value();
-      } else if (child.gauge) {
-        row["value"] = child.gauge->value();
-      } else {
-        const Histogram& h = *child.histogram;
-        Json buckets = Json::array();
-        for (std::size_t i = 0; i <= h.boundaries().size(); ++i) {
-          Json bucket = Json::object();
-          bucket["le"] = i < h.boundaries().size()
-                             ? Json(h.boundaries()[i])
-                             : Json("+Inf");
-          bucket["count"] = static_cast<double>(h.bucket_count(i));
-          buckets.push_back(bucket);
-        }
-        row["buckets"] = buckets;
-        row["sum"] = h.sum();
-        row["count"] = static_cast<double>(h.count());
-      }
-      series.push_back(row);
-    }
-    fam["series"] = series;
-    root[name] = fam;
-  }
-  return root;
 }
 
 MetricsRegistry& MetricsRegistry::global() {

@@ -1,7 +1,7 @@
 // lts::obs metrics: a Prometheus-flavored instrumentation registry.
 //
 // Counters, gauges, and fixed-bucket histograms, addressable by (name,
-// labels), with text-format and JSON export. The process-wide registry is
+// labels), with Prometheus text-format export. The process-wide registry is
 // OFF by default: every instrument holds a pointer to its registry's enabled
 // flag and turns inc()/set()/observe() into a single predictable branch when
 // disabled, so hot paths (the simulation engine, the flow solver, the TSDB)
@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "util/common.hpp"
-#include "util/json.hpp"
 
 namespace lts::obs {
 
@@ -129,9 +128,6 @@ class MetricsRegistry {
 
   /// Prometheus text exposition format, families sorted by name.
   std::string prometheus_text() const;
-
-  /// JSON export: { name: {type, help, series: [{labels, ...values}]} }.
-  Json to_json() const;
 
   /// Process-wide registry used by the library's built-in instrumentation.
   /// Disabled by default.

@@ -5,6 +5,32 @@
 
 namespace lts::spark {
 
+namespace {
+
+constexpr SimTime kDriverStartupMin = 2.2;  // pod image + JVM + context init
+constexpr SimTime kDriverStartupMax = 3.6;
+constexpr SimTime kExecutorStartupMin = 1.8;
+constexpr SimTime kExecutorStartupMax = 3.2;
+constexpr double kDriverPlanningWork = 0.4;  // core-s before executors launch
+constexpr double kDriverServiceCpu = 0.15;   // persistent demand while running
+constexpr double kExecutorServiceCpu = 0.08;
+constexpr double kDispatchCpuPerTask = 0.008;  // driver core-seconds per task
+constexpr double kStageFinalizeCpu = 0.1;
+constexpr double kCollectFinalizeCpu = 0.2;  // fixed part of the driver merge
+constexpr double kCollectCpuPerByte = 1.0 / 80e6;  // merge cost per result byte
+constexpr SimTime kTaskLaunchOverhead = 0.002;  // serialization etc., per task
+constexpr double kTaskJitterSigma = 0.04;  // lognormal shape on task CPU work
+// A failed task (RuntimeOptions::task_failure_rate) burns this share of its
+// CPU work and is detected this long after.
+constexpr double kFailureWasteFraction = 0.6;
+constexpr SimTime kFailureDetectDelay = 1.0;
+constexpr double kSpillSlowdown = 1.2;     // task working set > heap share
+constexpr double kNodeSwapSlowdown = 2.0;  // node memory over-committed
+constexpr Rate kLocalReadRate = 800e6;     // node-local shuffle read, bytes/s
+constexpr SimTime kLoopbackRtt = 0.2e-3;   // driver and executor co-located
+
+}  // namespace
+
 SparkApp::SparkApp(cluster::Cluster& cluster, JobConfig config, AppDag dag,
                    std::size_t driver_node,
                    std::vector<std::size_t> executor_nodes, Rng rng,
@@ -32,20 +58,18 @@ SparkApp::SparkApp(cluster::Cluster& cluster, JobConfig config, AppDag dag,
 
   // Pre-draw all randomness so that counterfactual replays (same seed,
   // different driver node) see identical draws per task.
-  driver_startup_delay_ =
-      rng.uniform(options_.driver_startup_min, options_.driver_startup_max);
+  driver_startup_delay_ = rng.uniform(kDriverStartupMin, kDriverStartupMax);
   executor_startup_delays_.reserve(executors_.size());
   for (std::size_t i = 0; i < executors_.size(); ++i) {
-    executor_startup_delays_.push_back(rng.uniform(
-        options_.executor_startup_min, options_.executor_startup_max));
+    executor_startup_delays_.push_back(
+        rng.uniform(kExecutorStartupMin, kExecutorStartupMax));
   }
   task_jitter_.resize(dag_.stages.size());
   task_will_fail_.resize(dag_.stages.size());
   for (std::size_t s = 0; s < dag_.stages.size(); ++s) {
     task_jitter_[s].reserve(static_cast<std::size_t>(dag_.stages[s].num_tasks));
     for (int t = 0; t < dag_.stages[s].num_tasks; ++t) {
-      task_jitter_[s].push_back(
-          rng.lognormal_median(1.0, options_.task_jitter_sigma));
+      task_jitter_[s].push_back(rng.lognormal_median(1.0, kTaskJitterSigma));
     }
     task_will_fail_[s].assign(
         static_cast<std::size_t>(dag_.stages[s].num_tasks), 0);
@@ -125,7 +149,7 @@ void SparkApp::run_cpu(std::size_t node, double demand, double work,
 }
 
 SimTime SparkApp::rtt(std::size_t a, std::size_t b) const {
-  if (a == b) return options_.loopback_rtt;
+  if (a == b) return kLoopbackRtt;
   return cluster_.flows().current_rtt(cluster_.node(a).vertex(),
                                       cluster_.node(b).vertex());
 }
@@ -160,11 +184,10 @@ void SparkApp::on_driver_started() {
   cluster_.node(driver_node_).allocate_memory(config_.driver_memory);
   held_memory_.emplace_back(driver_node_, config_.driver_memory);
   service_cpu_.emplace_back(
-      driver_node_, cluster_.node(driver_node_)
-                        .cpu()
-                        .add_persistent(options_.driver_service_cpu));
+      driver_node_,
+      cluster_.node(driver_node_).cpu().add_persistent(kDriverServiceCpu));
   run_cpu(driver_node_, std::min(config_.driver_cores, 1.0),
-          options_.driver_planning_work, [this] {
+          kDriverPlanningWork, [this] {
             for (std::size_t i = 0; i < executors_.size(); ++i) {
               // Pod start + registration round trip back to the driver.
               const SimTime delay =
@@ -180,9 +203,9 @@ void SparkApp::on_executor_registered(std::size_t executor_index) {
   exec.registered = true;
   cluster_.node(exec.node).allocate_memory(config_.executor_memory);
   held_memory_.emplace_back(exec.node, config_.executor_memory);
-  service_cpu_.emplace_back(exec.node,
-                            cluster_.node(exec.node).cpu().add_persistent(
-                                options_.executor_service_cpu));
+  service_cpu_.emplace_back(
+      exec.node,
+      cluster_.node(exec.node).cpu().add_persistent(kExecutorServiceCpu));
   if (--executors_pending_ == 0) {
     begin_broadcast();
   }
@@ -201,8 +224,8 @@ void SparkApp::begin_broadcast() {
   SimTime local_time = 0.0;
   for (const auto& exec : executors_) {
     if (exec.node == driver_node_) {
-      local_time = std::max(
-          local_time, dag_.broadcast_bytes / options_.local_read_rate);
+      local_time =
+          std::max(local_time, dag_.broadcast_bytes / kLocalReadRate);
       continue;
     }
     ++broadcast_remaining_;
@@ -238,8 +261,8 @@ void SparkApp::start_stage(int stage_id) {
   // The driver serializes and dispatches every task of the stage: CPU work
   // on the driver's node that scales with the task count.
   const double dispatch_work =
-      options_.dispatch_cpu_per_task * static_cast<double>(spec.num_tasks) +
-      options_.stage_finalize_cpu;
+      kDispatchCpuPerTask * static_cast<double>(spec.num_tasks) +
+      kStageFinalizeCpu;
   run_cpu(driver_node_, std::min(config_.driver_cores, 1.0), dispatch_work,
           [this, stage_id] {
             const StageSpec& s =
@@ -269,8 +292,7 @@ void SparkApp::pump_slots() {
         ++exec.running;
         const int stage_id = static_cast<int>(s);
         const SimTime launch_delay =
-            0.5 * rtt(driver_node_, exec.node) +
-            options_.task_launch_overhead;
+            0.5 * rtt(driver_node_, exec.node) + kTaskLaunchOverhead;
         schedule(launch_delay, [this, stage_id, task, e] {
           begin_task(stage_id, task, e);
         });
@@ -323,7 +345,7 @@ void SparkApp::begin_task(int stage_id, int task,
     if (src_node == dst_node) {
       // Node-local read: no network flow, just local I/O.
       local_read_time =
-          std::max(local_read_time, bytes / options_.local_read_rate);
+          std::max(local_read_time, bytes / kLocalReadRate);
       continue;
     }
     ++*remaining;
@@ -370,12 +392,10 @@ void SparkApp::task_inputs_ready(int stage_id, int task,
   const double heap_share =
       config_.executor_memory / static_cast<double>(exec.slots);
   const double spill =
-      1.0 + options_.spill_slowdown *
-                std::max(0.0, task_mem / heap_share - 1.0);
+      1.0 + kSpillSlowdown * std::max(0.0, task_mem / heap_share - 1.0);
   // Swap penalty: the *node's* physical memory is over-committed.
   const double swap =
-      1.0 + options_.node_swap_slowdown *
-                std::max(0.0, node.memory_pressure() - 1.0);
+      1.0 + kNodeSwapSlowdown * std::max(0.0, node.memory_pressure() - 1.0);
   result_.max_spill_penalty =
       std::max(result_.max_spill_penalty, spill * swap);
 
@@ -394,13 +414,13 @@ void SparkApp::task_inputs_ready(int stage_id, int task,
   if (will_fail != 0) {
     will_fail = 0;
     const double wasted =
-        std::max(work * options_.failure_waste_fraction, 1e-6);
+        std::max(work * kFailureWasteFraction, 1e-6);
     run_cpu(node_idx, 1.0, wasted,
             [this, stage_id, task, executor_index, task_mem] {
               auto& node = cluster_.node(executors_[executor_index].node);
               node.release_memory(task_mem);
               ++result_.task_retries;
-              schedule(options_.failure_detect_delay,
+              schedule(kFailureDetectDelay,
                        [this, stage_id, task, executor_index] {
                          task_inputs_ready(stage_id, task, executor_index);
                        });
@@ -466,7 +486,7 @@ void SparkApp::stage_sync_gather(int stage_id) {
   SimTime local_time = 0.0;
   for (const auto& exec : executors_) {
     if (exec.node == driver_node_) {
-      local_time = std::max(local_time, per_exec / options_.local_read_rate);
+      local_time = std::max(local_time, per_exec / kLocalReadRate);
       continue;
     }
     ++*remaining;
@@ -501,8 +521,8 @@ void SparkApp::stage_sync_scatter(int stage_id) {
             SimTime local_time = 0.0;
             for (const auto& exec : executors_) {
               if (exec.node == driver_node_) {
-                local_time = std::max(local_time, spec.driver_sync_out /
-                                                      options_.local_read_rate);
+                local_time = std::max(
+                    local_time, spec.driver_sync_out / kLocalReadRate);
                 continue;
               }
               ++*remaining;
@@ -555,7 +575,7 @@ void SparkApp::begin_collect() {
   for (const auto& exec : executors_) {
     if (exec.node == driver_node_) {
       local_time =
-          std::max(local_time, per_exec / options_.local_read_rate);
+          std::max(local_time, per_exec / kLocalReadRate);
       continue;
     }
     ++collect_remaining_;
@@ -587,9 +607,7 @@ void SparkApp::finish_app() {
   const double thrash =
       1.0 + 5.0 * std::max(0.0, driver.memory_pressure() - 0.6);
   const double merge_work =
-      (options_.collect_finalize_cpu +
-       options_.collect_cpu_per_byte * dag_.result_bytes) *
-      thrash;
+      (kCollectFinalizeCpu + kCollectCpuPerByte * dag_.result_bytes) * thrash;
   run_cpu(driver_node_, std::min(config_.driver_cores, 1.0),
           merge_work, [this] {
             running_ = false;

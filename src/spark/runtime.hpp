@@ -34,32 +34,12 @@
 namespace lts::spark {
 
 struct RuntimeOptions {
-  SimTime driver_startup_min = 2.2;      // pod image + JVM + context init
-  SimTime driver_startup_max = 3.6;
-  SimTime executor_startup_min = 1.8;
-  SimTime executor_startup_max = 3.2;
-  double driver_planning_work = 0.4;     // core-seconds before executors launch
-  double driver_service_cpu = 0.15;      // persistent demand while app runs
-  double executor_service_cpu = 0.08;
-  double dispatch_cpu_per_task = 0.008;  // driver core-seconds per task
-  double stage_finalize_cpu = 0.1;
-  double collect_finalize_cpu = 0.2;     // fixed part of the driver merge
-  double collect_cpu_per_byte = 1.0 / 80e6;   // merge cost per result byte
-  SimTime task_launch_overhead = 0.002;  // serialization etc., per task
-  double task_jitter_sigma = 0.04;       // lognormal shape on task CPU work
   /// Fault injection: each task independently fails once with this
-  /// probability (pre-drawn per task). A failed task burns
-  /// `failure_waste_fraction` of its CPU work, is detected after
-  /// `failure_detect_delay`, and is retried on the same executor (first
-  /// retry always succeeds, as Spark's default 4-attempt budget almost
-  /// always does).
+  /// probability (pre-drawn per task). A failed task burns a fixed share of
+  /// its CPU work, is detected after a fixed delay, and is retried on the
+  /// same executor (first retry always succeeds, as Spark's default
+  /// 4-attempt budget almost always does).
   double task_failure_rate = 0.0;
-  double failure_waste_fraction = 0.6;
-  SimTime failure_detect_delay = 1.0;
-  double spill_slowdown = 1.2;           // task working set > heap share
-  double node_swap_slowdown = 2.0;       // node memory over-committed
-  Rate local_read_rate = 800e6;          // node-local shuffle read, bytes/s
-  SimTime loopback_rtt = 0.2e-3;         // driver and executor co-located
 };
 
 struct StageMetrics {

@@ -50,6 +50,14 @@ double AppDag::total_cpu_work() const {
 
 namespace {
 
+// Throughput constants that translate bytes into CPU work. Shared across
+// workloads so relative costs stay comparable.
+constexpr double kMapBytesPerCoreSec = 120e6;   // scan + serialize
+constexpr double kSortBytesPerCoreSec = 60e6;   // sort + spill merge
+constexpr double kJoinBytesPerCoreSec = 50e6;   // hash build + probe
+constexpr double kAggBytesPerCoreSec = 90e6;    // combiner aggregation
+constexpr double kRankBytesPerCoreSec = 70e6;   // pagerank contribution calc
+
 // Spark sizes map stages by input splits (~64 MB); bounded below by the
 // executor count so every executor participates, and above to keep the
 // control plane sane.
@@ -73,7 +81,7 @@ std::vector<double> zipf_weights(int n, double exponent, Rng& rng) {
   return w;
 }
 
-AppDag build_sort(const JobConfig& cfg, const WorkloadCost& cost) {
+AppDag build_sort(const JobConfig& cfg) {
   const Bytes input = cfg.input_bytes();
   const int reducers = cfg.effective_shuffle_partitions();
   AppDag dag;
@@ -83,7 +91,7 @@ AppDag build_sort(const JobConfig& cfg, const WorkloadCost& cost) {
   map.name = "map";
   map.num_tasks = map_task_count(input, cfg.executors);
   map.cpu_work_per_task = input / static_cast<double>(map.num_tasks) /
-                          cost.map_bytes_per_core_sec;
+                          kMapBytesPerCoreSec;
   map.output_bytes = input;  // full shuffle: every byte crosses the wire
   map.memory_per_task = input / static_cast<double>(map.num_tasks) * 0.5;
   dag.stages.push_back(std::move(map));
@@ -95,7 +103,7 @@ AppDag build_sort(const JobConfig& cfg, const WorkloadCost& cost) {
   reduce.num_tasks = reducers;
   reduce.shuffle_bytes_in = input;
   reduce.cpu_work_per_task = input / static_cast<double>(reducers) /
-                             cost.sort_bytes_per_core_sec;
+                             kSortBytesPerCoreSec;
   reduce.output_bytes = input * 0.05;  // sorted sample written back
   reduce.memory_per_task =
       input / static_cast<double>(reducers) * 1.2;  // sort buffer
@@ -107,7 +115,7 @@ AppDag build_sort(const JobConfig& cfg, const WorkloadCost& cost) {
   return dag;
 }
 
-AppDag build_groupby(const JobConfig& cfg, const WorkloadCost& cost) {
+AppDag build_groupby(const JobConfig& cfg) {
   const Bytes input = cfg.input_bytes();
   const int reducers = cfg.effective_shuffle_partitions();
   // Map-side combining shrinks the shuffle; the reduce does heavier
@@ -120,7 +128,7 @@ AppDag build_groupby(const JobConfig& cfg, const WorkloadCost& cost) {
   map.name = "map-combine";
   map.num_tasks = map_task_count(input, cfg.executors);
   map.cpu_work_per_task = input / static_cast<double>(map.num_tasks) /
-                          cost.agg_bytes_per_core_sec;
+                          kAggBytesPerCoreSec;
   map.output_bytes = shuffled;
   map.memory_per_task =
       input / static_cast<double>(map.num_tasks) * 0.8;  // combiner map
@@ -133,7 +141,7 @@ AppDag build_groupby(const JobConfig& cfg, const WorkloadCost& cost) {
   reduce.num_tasks = reducers;
   reduce.shuffle_bytes_in = shuffled;
   reduce.cpu_work_per_task = shuffled / static_cast<double>(reducers) /
-                             cost.agg_bytes_per_core_sec;
+                             kAggBytesPerCoreSec;
   reduce.output_bytes = shuffled * 0.1;
   reduce.memory_per_task = shuffled / static_cast<double>(reducers) * 1.5;
   dag.stages.push_back(std::move(reduce));
@@ -144,7 +152,7 @@ AppDag build_groupby(const JobConfig& cfg, const WorkloadCost& cost) {
   return dag;
 }
 
-AppDag build_join(const JobConfig& cfg, const WorkloadCost& cost, Rng& rng) {
+AppDag build_join(const JobConfig& cfg, Rng& rng) {
   const Bytes input = cfg.input_bytes();
   const Bytes left = input * 0.7;
   const Bytes right = input * 0.3;
@@ -157,7 +165,7 @@ AppDag build_join(const JobConfig& cfg, const WorkloadCost& cost, Rng& rng) {
   map_left.num_tasks = map_task_count(left, cfg.executors);
   map_left.cpu_work_per_task = left /
                                static_cast<double>(map_left.num_tasks) /
-                               cost.map_bytes_per_core_sec;
+                               kMapBytesPerCoreSec;
   map_left.output_bytes = left;
   map_left.memory_per_task =
       left / static_cast<double>(map_left.num_tasks) * 0.4;
@@ -169,7 +177,7 @@ AppDag build_join(const JobConfig& cfg, const WorkloadCost& cost, Rng& rng) {
   map_right.num_tasks = map_task_count(right, cfg.executors);
   map_right.cpu_work_per_task = right /
                                 static_cast<double>(map_right.num_tasks) /
-                                cost.map_bytes_per_core_sec;
+                                kMapBytesPerCoreSec;
   map_right.output_bytes = right;
   map_right.memory_per_task =
       right / static_cast<double>(map_right.num_tasks) * 0.4;
@@ -186,7 +194,7 @@ AppDag build_join(const JobConfig& cfg, const WorkloadCost& cost, Rng& rng) {
   // weight relative to uniform, so the heavy Zipf partition costs
   // proportionally more CPU and memory — Table 2's "skewed CPU and memory".
   join.cpu_work_per_task = (left + right) / static_cast<double>(partitions) /
-                           cost.join_bytes_per_core_sec;
+                           kJoinBytesPerCoreSec;
   join.output_bytes = (left + right) * 0.15;
   join.memory_per_task =
       (left + right) / static_cast<double>(partitions) * 2.0;  // hash table
@@ -199,7 +207,7 @@ AppDag build_join(const JobConfig& cfg, const WorkloadCost& cost, Rng& rng) {
   return dag;
 }
 
-AppDag build_pagerank(const JobConfig& cfg, const WorkloadCost& cost) {
+AppDag build_pagerank(const JobConfig& cfg) {
   const Bytes edges = cfg.input_bytes();
   const int partitions = cfg.effective_shuffle_partitions();
   AppDag dag;
@@ -209,7 +217,7 @@ AppDag build_pagerank(const JobConfig& cfg, const WorkloadCost& cost) {
   load.name = "load-graph";
   load.num_tasks = map_task_count(edges, cfg.executors);
   load.cpu_work_per_task = edges / static_cast<double>(load.num_tasks) /
-                           cost.map_bytes_per_core_sec;
+                           kMapBytesPerCoreSec;
   load.output_bytes = edges;
   load.memory_per_task = edges / static_cast<double>(load.num_tasks) * 0.6;
   dag.stages.push_back(std::move(load));
@@ -226,7 +234,7 @@ AppDag build_pagerank(const JobConfig& cfg, const WorkloadCost& cost) {
     iter.num_tasks = partitions;
     iter.shuffle_bytes_in = per_iter;
     iter.cpu_work_per_task = per_iter / static_cast<double>(partitions) /
-                             cost.rank_bytes_per_core_sec;
+                             kRankBytesPerCoreSec;
     iter.output_bytes = per_iter;
     iter.memory_per_task = per_iter / static_cast<double>(partitions) * 1.0;
     // Per-iteration driver barrier: rank deltas converge on the driver and
@@ -247,7 +255,7 @@ AppDag build_pagerank(const JobConfig& cfg, const WorkloadCost& cost) {
   ranks.shuffle_bytes_in = edges * 0.1;  // vertex ranks only
   ranks.cpu_work_per_task = edges * 0.1 /
                             static_cast<double>(ranks.num_tasks) /
-                            cost.agg_bytes_per_core_sec;
+                            kAggBytesPerCoreSec;
   ranks.output_bytes = edges * 0.05;
   ranks.memory_per_task =
       edges * 0.1 / static_cast<double>(ranks.num_tasks);
@@ -259,7 +267,7 @@ AppDag build_pagerank(const JobConfig& cfg, const WorkloadCost& cost) {
   return dag;
 }
 
-AppDag build_ml_pipeline(const JobConfig& cfg, const WorkloadCost& cost) {
+AppDag build_ml_pipeline(const JobConfig& cfg) {
   // Distributed synchronous training (§8 "distributed ML pipelines"):
   // load the dataset, then `iterations` epochs, each computing gradients on
   // data shards and synchronizing a model of `model_bytes` through the
@@ -275,7 +283,7 @@ AppDag build_ml_pipeline(const JobConfig& cfg, const WorkloadCost& cost) {
   load.name = "load-shards";
   load.num_tasks = map_task_count(input, cfg.executors);
   load.cpu_work_per_task = input / static_cast<double>(load.num_tasks) /
-                           cost.map_bytes_per_core_sec;
+                           kMapBytesPerCoreSec;
   load.output_bytes = input * 0.3;  // parsed feature blocks stay local
   load.memory_per_task = input / static_cast<double>(load.num_tasks) * 0.8;
   dag.stages.push_back(std::move(load));
@@ -289,7 +297,7 @@ AppDag build_ml_pipeline(const JobConfig& cfg, const WorkloadCost& cost) {
     epoch.shuffle_bytes_in = input * 0.05;  // shard re-balancing only
     epoch.cpu_work_per_task = input /
                               static_cast<double>(epoch.num_tasks) /
-                              cost.rank_bytes_per_core_sec;
+                              kRankBytesPerCoreSec;
     epoch.output_bytes = input * 0.05;
     epoch.memory_per_task =
         input / static_cast<double>(epoch.num_tasks) * 0.6 + model_bytes;
@@ -307,7 +315,7 @@ AppDag build_ml_pipeline(const JobConfig& cfg, const WorkloadCost& cost) {
   eval.shuffle_bytes_in = input * 0.1;
   eval.cpu_work_per_task = input * 0.1 /
                            static_cast<double>(eval.num_tasks) /
-                           cost.map_bytes_per_core_sec;
+                           kMapBytesPerCoreSec;
   eval.output_bytes = 1e6;
   eval.memory_per_task = model_bytes;
   dag.stages.push_back(std::move(eval));
@@ -318,7 +326,7 @@ AppDag build_ml_pipeline(const JobConfig& cfg, const WorkloadCost& cost) {
   return dag;
 }
 
-AppDag build_streaming(const JobConfig& cfg, const WorkloadCost& cost) {
+AppDag build_streaming(const JobConfig& cfg) {
   // Multi-stage streaming job (§8): 3*iterations micro-batches, each a
   // small map + keyed aggregation with a per-batch driver commit. Nearly
   // all control plane: the job is a latency stress test for the driver's
@@ -346,7 +354,7 @@ AppDag build_streaming(const JobConfig& cfg, const WorkloadCost& cost) {
     batch.shuffle_bytes_in = per_batch * 0.8;
     batch.cpu_work_per_task = per_batch /
                               static_cast<double>(batch.num_tasks) /
-                              cost.agg_bytes_per_core_sec;
+                              kAggBytesPerCoreSec;
     batch.output_bytes = per_batch;
     batch.memory_per_task = per_batch * 1.2;
     batch.driver_sync_in = std::min<Bytes>(per_batch * 0.05, 4e6);
@@ -362,15 +370,15 @@ AppDag build_streaming(const JobConfig& cfg, const WorkloadCost& cost) {
 
 }  // namespace
 
-AppDag build_dag(const JobConfig& config, Rng& rng, const WorkloadCost& cost) {
+AppDag build_dag(const JobConfig& config, Rng& rng) {
   config.validate();
   switch (config.app) {
-    case AppType::kSort: return build_sort(config, cost);
-    case AppType::kGroupBy: return build_groupby(config, cost);
-    case AppType::kJoin: return build_join(config, cost, rng);
-    case AppType::kPageRank: return build_pagerank(config, cost);
-    case AppType::kMlPipeline: return build_ml_pipeline(config, cost);
-    case AppType::kStreaming: return build_streaming(config, cost);
+    case AppType::kSort: return build_sort(config);
+    case AppType::kGroupBy: return build_groupby(config);
+    case AppType::kJoin: return build_join(config, rng);
+    case AppType::kPageRank: return build_pagerank(config);
+    case AppType::kMlPipeline: return build_ml_pipeline(config);
+    case AppType::kStreaming: return build_streaming(config);
   }
   throw Error("build_dag: unknown app type");
 }

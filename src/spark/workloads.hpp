@@ -16,20 +16,9 @@
 
 namespace lts::spark {
 
-/// Throughput constants that translate bytes into CPU work. Shared across
-/// workloads so relative costs stay comparable.
-struct WorkloadCost {
-  double map_bytes_per_core_sec = 120e6;     // scan + serialize
-  double sort_bytes_per_core_sec = 60e6;     // sort + spill merge
-  double join_bytes_per_core_sec = 50e6;     // hash build + probe
-  double agg_bytes_per_core_sec = 90e6;      // combiner aggregation
-  double rank_bytes_per_core_sec = 70e6;     // pagerank contribution calc
-};
-
 /// Builds the stage DAG for `config`. `rng` supplies the Join skew profile;
 /// builders draw nothing else, so a DAG is reusable across counterfactual
 /// runs of the same scenario.
-AppDag build_dag(const JobConfig& config, Rng& rng,
-                 const WorkloadCost& cost = {});
+AppDag build_dag(const JobConfig& config, Rng& rng);
 
 }  // namespace lts::spark

@@ -4,19 +4,27 @@
 
 namespace lts::telemetry {
 
+namespace {
+
+constexpr SimTime kScrapeInterval = 2.0;
+constexpr double kLoadEmaTau = 30.0;       // fast load average (30 s)
+constexpr double kRttNoiseFrac = 0.01;     // multiplicative RTT noise
+constexpr SimTime kRttNoiseFloor = 20e-6;  // additive jitter floor
+
+}  // namespace
+
 NodeExporter::NodeExporter(sim::Engine& engine, Tsdb& tsdb,
                            cluster::Cluster& cluster, std::size_t node_index,
-                           ExporterOptions options, Rng rng, SimTime phase)
+                           ExporterOptions options, SimTime phase)
     : tsdb_(tsdb),
       cluster_(cluster),
       node_index_(node_index),
       node_name_(cluster.node(node_index).name()),
       options_(options),
-      rng_(rng),
-      load_ema_(options.load_ema_tau),
+      load_ema_(kLoadEmaTau),
       engine_(engine) {
   task_ = std::make_unique<sim::PeriodicTask>(
-      engine, options_.scrape_interval, phase, [this] { scrape(); });
+      engine, kScrapeInterval, phase, [this] { scrape(); });
 }
 
 void NodeExporter::set_silenced(bool silenced) {
@@ -52,19 +60,13 @@ void NodeExporter::scrape() {
   samples.emplace_back(kMemAvailableMetric,
                        std::max(0.0, node.memory_available()));
 
-  auto noisy_counter = [&](double v) {
-    if (options_.counter_noise_frac <= 0.0) return v;
-    return v * (1.0 + options_.counter_noise_frac * rng_.normal());
-  };
   // Per-host NIC counters and flow gauges resolve through the FlowManager's
   // intrusive per-host indexes: each scrape costs O(flows touching this
   // host), so a full fleet sweep is O(total flows), not O(hosts x flows).
-  samples.emplace_back(
-      kTxBytesMetric,
-      noisy_counter(cluster_.flows().host_tx_bytes(node.vertex())));
-  samples.emplace_back(
-      kRxBytesMetric,
-      noisy_counter(cluster_.flows().host_rx_bytes(node.vertex())));
+  samples.emplace_back(kTxBytesMetric,
+                       cluster_.flows().host_tx_bytes(node.vertex()));
+  samples.emplace_back(kRxBytesMetric,
+                       cluster_.flows().host_rx_bytes(node.vertex()));
 
   if (options_.rich_metrics) {
     const auto& flows = cluster_.flows();
@@ -101,15 +103,10 @@ void NodeExporter::scrape() {
 }
 
 PingExporter::PingExporter(sim::Engine& engine, Tsdb& tsdb,
-                           cluster::Cluster& cluster, ExporterOptions options,
-                           Rng rng, SimTime phase)
-    : tsdb_(tsdb),
-      cluster_(cluster),
-      options_(options),
-      rng_(rng),
-      engine_(engine) {
+                           cluster::Cluster& cluster, Rng rng, SimTime phase)
+    : tsdb_(tsdb), cluster_(cluster), rng_(rng), engine_(engine) {
   task_ = std::make_unique<sim::PeriodicTask>(
-      engine, options_.scrape_interval, phase, [this] { probe(); });
+      engine, kScrapeInterval, phase, [this] { probe(); });
 }
 
 void PingExporter::probe() {
@@ -124,8 +121,8 @@ void PingExporter::probe() {
       // ICMP echo measurements see scheduler jitter and serialization
       // variance: multiplicative noise plus an additive floor.
       const SimTime measured =
-          true_rtt * (1.0 + options_.rtt_noise_frac * std::abs(rng_.normal())) +
-          options_.rtt_noise_floor * rng_.uniform();
+          true_rtt * (1.0 + kRttNoiseFrac * std::abs(rng_.normal())) +
+          kRttNoiseFloor * rng_.uniform();
       tsdb_.append(kPingRttMetric,
                    Labels{{"src", cluster_.node(i).name()},
                           {"dst", cluster_.node(j).name()}},
@@ -140,15 +137,16 @@ TelemetryStack::TelemetryStack(sim::Engine& engine, cluster::Cluster& cluster,
   for (std::size_t i = 0; i < n; ++i) {
     // Stagger scrapes across the interval so samples interleave.
     const SimTime phase =
-        options.scrape_interval * static_cast<double>(i) /
-        static_cast<double>(n + 1);
+        kScrapeInterval * static_cast<double>(i) / static_cast<double>(n + 1);
     node_exporters_.push_back(std::make_unique<NodeExporter>(
-        engine, tsdb_, cluster, i, options, rng.split(), phase));
+        engine, tsdb_, cluster, i, options, phase));
+    // Node exporters draw nothing, but each still takes its split of the
+    // stack's stream so the ping exporter's stream stays the same.
+    rng.split();
   }
   ping_exporter_ = std::make_unique<PingExporter>(
-      engine, tsdb_, cluster, options, rng.split(),
-      options.scrape_interval * static_cast<double>(n) /
-          static_cast<double>(n + 1));
+      engine, tsdb_, cluster, rng.split(),
+      kScrapeInterval * static_cast<double>(n) / static_cast<double>(n + 1));
 }
 
 NodeExporter& TelemetryStack::node_exporter(std::size_t i) {

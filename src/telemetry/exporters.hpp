@@ -1,16 +1,17 @@
 // Exporters: the simulated equivalents of node-exporter and ping_exporter.
 //
-// NodeExporter scrapes one node every `interval` seconds and appends:
+// NodeExporter scrapes one node every 2 s (kScrapeInterval) and appends:
 //   node_cpu_load{node=...}                     1-minute EMA of runnable demand
 //   node_memory_available_bytes{node=...}       capacity - used
 //   node_network_transmit_bytes_total{node=...} cumulative NIC tx counter
 //   node_network_receive_bytes_total{node=...}  cumulative NIC rx counter
 //
-// PingExporter probes the full node mesh every `interval` seconds:
+// PingExporter probes the full node mesh on the same interval:
 //   ping_rtt_seconds{src=...,dst=...}           measured RTT + noise
 //
-// Both add measurement noise from their own Rng stream — the model trains on
-// noisy observations, exactly like the paper's Prometheus pipeline.
+// The ping exporter adds measurement noise from its own Rng stream — the
+// model trains on noisy RTTs, exactly like the paper's Prometheus pipeline.
+// NIC counters are exact, as they are in Linux.
 #pragma once
 
 #include <memory>
@@ -40,22 +41,16 @@ inline constexpr const char* kQueueDelayMetric = "node_network_queue_delay_secon
 inline constexpr const char* kActiveFlowsMetric = "node_network_active_flows";
 
 struct ExporterOptions {
-  SimTime scrape_interval = 2.0;
   /// Export the §8 rich metrics (link utilization, queue delay, flow
   /// counts) in addition to the paper's baseline set.
   bool rich_metrics = true;
-  double load_ema_tau = 30.0;          // fast load average (30 s)
-  double rtt_noise_frac = 0.01;        // multiplicative RTT measurement noise
-  SimTime rtt_noise_floor = 20e-6;     // additive jitter floor
-  double counter_noise_frac = 0.0;     // NIC counters are exact in Linux
 };
 
 /// Scrapes one node's host-level metrics.
 class NodeExporter {
  public:
   NodeExporter(sim::Engine& engine, Tsdb& tsdb, cluster::Cluster& cluster,
-               std::size_t node_index, ExporterOptions options, Rng rng,
-               SimTime phase);
+               std::size_t node_index, ExporterOptions options, SimTime phase);
 
   const std::string& node_name() const { return node_name_; }
 
@@ -81,7 +76,6 @@ class NodeExporter {
   std::size_t node_index_;
   std::string node_name_;
   ExporterOptions options_;
-  Rng rng_;
   Ema load_ema_;
   sim::Engine& engine_;
   std::unique_ptr<sim::PeriodicTask> task_;
@@ -94,14 +88,13 @@ class NodeExporter {
 class PingExporter {
  public:
   PingExporter(sim::Engine& engine, Tsdb& tsdb, cluster::Cluster& cluster,
-               ExporterOptions options, Rng rng, SimTime phase);
+               Rng rng, SimTime phase);
 
  private:
   void probe();
 
   Tsdb& tsdb_;
   cluster::Cluster& cluster_;
-  ExporterOptions options_;
   Rng rng_;
   sim::Engine& engine_;
   std::unique_ptr<sim::PeriodicTask> task_;

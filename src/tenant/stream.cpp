@@ -179,8 +179,8 @@ TenantStreamsResult run_tenant_streams(const std::vector<exp::Scenario>& matrix,
         "Jobs preempted (cancelled and re-queued) while over quota");
 
     Rng rng(options.seed ^ name_salt(name) ^ 0x57AE57AEULL);
-    const auto arrivals = draw_arrivals(topt.num_jobs, topt.arrivals, rng,
-                                        options.env.warmup);
+    const auto arrivals =
+        draw_arrivals(topt.num_jobs, topt.arrivals, rng, exp::kWarmup);
     const std::uint64_t tenant_seed = options.seed ^ name_salt(name);
     run.plan.reserve(arrivals.size());
     for (std::size_t j = 0; j < arrivals.size(); ++j) {

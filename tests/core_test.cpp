@@ -512,6 +512,33 @@ TEST(Bandit, LearnsLoadAvoidanceFromItsOwnChoices) {
   EXPECT_EQ(bandit.pick_greedy(reversed, job), 0u);
 }
 
+TEST(Bandit, ValueModelRankedByLtsSchedulerPicksTheGreedyNode) {
+  // The RL bench scores the bandit as an evaluate_methods method: an
+  // LtsScheduler over value_model() must select what pick_greedy picks.
+  BanditOptions options;
+  options.refit_interval = 5;
+  BanditScheduler bandit(options, 7);
+  spark::JobConfig job;
+  Rng rng(3);
+  for (int i = 0; i < 80; ++i) {
+    const auto snapshot =
+        two_node_snapshot(rng.uniform(0, 4), rng.uniform(0, 4));
+    const std::size_t choice = bandit.pick(snapshot, job);
+    bandit.observe(snapshot, job, choice,
+                   5.0 + 2.0 * snapshot.nodes[choice].cpu_load);
+  }
+  ASSERT_NE(bandit.value_model(), nullptr);
+  telemetry::Tsdb tsdb;  // unused by schedule_from_snapshot
+  const LtsScheduler scheduler(TelemetryFetcher(tsdb, {"a", "b"}),
+                               bandit.value_model(), kBanditFeatures);
+  for (const auto& snapshot :
+       {two_node_snapshot(3.5, 0.5), two_node_snapshot(0.5, 3.5),
+        two_node_snapshot(1.0, 2.0), two_node_snapshot(1.0, 1.0)}) {
+    EXPECT_EQ(scheduler.schedule_from_snapshot(snapshot, job).selected(),
+              snapshot.nodes[bandit.pick_greedy(snapshot, job)].node);
+  }
+}
+
 TEST(Bandit, EpsilonDecays) {
   BanditScheduler bandit(BanditOptions{}, 1);
   const double initial = bandit.current_epsilon();
@@ -521,7 +548,7 @@ TEST(Bandit, EpsilonDecays) {
     bandit.observe(snapshot, job, 0, 10.0);
   }
   EXPECT_LT(bandit.current_epsilon(), initial);
-  EXPECT_GE(bandit.current_epsilon(), BanditOptions{}.min_epsilon);
+  EXPECT_GE(bandit.current_epsilon(), kBanditMinEpsilon);
 }
 
 TEST(Bandit, RejectsBadObservations) {

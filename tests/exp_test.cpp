@@ -126,9 +126,7 @@ EvalResult serial_evaluate(const std::vector<MethodUnderTest>& models,
         if (entry.degradation.enabled) {
           telemetry::annotate_staleness(method_snapshot,
                                         entry.degradation.max_staleness);
-          if (entry.degradation.impute) {
-            telemetry::impute_stale_nodes(method_snapshot);
-          }
+          telemetry::impute_stale_nodes(method_snapshot);
         }
         const auto decision =
             scheduler.schedule_from_snapshot(method_snapshot, scenario.config);
@@ -529,7 +527,7 @@ TEST(Evaluate, TracesOneSpanPerScenarioAndMethodOnCallingThread) {
     const auto& span = tracer.span(k);
     const auto& method = methods[k % m];
     EXPECT_EQ(span.name, "evaluate/" + method.name) << k;
-    EXPECT_EQ(span.sim_begin, EnvOptions{}.warmup) << k;
+    EXPECT_EQ(span.sim_begin, kWarmup) << k;
     ASSERT_FALSE(span.phases.empty()) << k;
     EXPECT_EQ(span.phases.back().name, "rank") << k;
     if (method.model == nullptr) continue;  // fallback: rank only

@@ -106,8 +106,7 @@ TEST(DriftSchedule, FallsBackToNodeLinkDegradeWithoutWanLinks) {
   exp::DriftScheduleOptions options;
   options.drift_links = 2;
   const auto schedule = exp::generate_drift_schedule(spec, 7, options);
-  ASSERT_EQ(schedule.size(),
-            static_cast<std::size_t>(options.steps) * 2);
+  ASSERT_EQ(schedule.size(), static_cast<std::size_t>(exp::kDriftSteps) * 2);
   double prev_severity = 0.0;
   for (const auto& f : schedule) {
     EXPECT_EQ(f.kind, fault::FaultKind::kNodeLinkDegrade);
@@ -129,7 +128,7 @@ TEST(DriftSchedule, FallsBackToNodeLinkDegradeWithoutWanLinks) {
   // More drift links than nodes: clamped to the node count, not an error.
   options.drift_links = 64;
   const auto clamped = exp::generate_drift_schedule(spec, 7, options);
-  EXPECT_EQ(clamped.size(), static_cast<std::size_t>(options.steps) * 4);
+  EXPECT_EQ(clamped.size(), static_cast<std::size_t>(exp::kDriftSteps) * 4);
 
   // Nothing can drift when the only available component is zeroed out.
   options.max_capacity_cut = 0.0;
@@ -394,12 +393,10 @@ TEST(FaultInjector, NodeCrashMidJobStallsUntilRecovery) {
 
   auto run_app = [&](exp::SimEnv& env, bool& done) {
     Rng dag_rng(job_seed * 0x2545f4914f6cdd1dULL + 0x9e37);
-    auto dag = spark::build_dag(config, dag_rng,
-                                env.options().workload_cost);
+    auto dag = spark::build_dag(config, dag_rng);
     Rng app_rng(job_seed * 0xda942042e4dd58b5ULL + 0x7f4a);
     auto app = std::make_unique<spark::SparkApp>(
-        env.cluster(), config, std::move(dag), driver, executors, app_rng,
-        env.options().runtime);
+        env.cluster(), config, std::move(dag), driver, executors, app_rng);
     app->submit([&done](const spark::AppResult&) { done = true; });
     return app;
   };

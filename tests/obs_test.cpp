@@ -221,24 +221,6 @@ TEST(PrometheusText, FamiliesSortedAndTyped) {
   EXPECT_LT(aa, zz);
 }
 
-TEST(MetricsRegistry, JsonExportCarriesValuesAndTypes) {
-  MetricsRegistry registry;
-  registry.set_enabled(true);
-  registry.counter("c_total", {{"node", "n1"}}).inc(2.0);
-  registry.histogram("h", {1.0}).observe(0.5);
-  const Json j = registry.to_json();
-  const Json& c = j.at("c_total");
-  EXPECT_EQ(c.at("type").as_string(), "counter");
-  EXPECT_DOUBLE_EQ(c.at("series").at(0u).at("value").as_double(), 2.0);
-  EXPECT_EQ(c.at("series").at(0u).at("labels").at("node").as_string(), "n1");
-  EXPECT_EQ(j.at("h").at("type").as_string(), "histogram");
-  EXPECT_DOUBLE_EQ(j.at("h").at("series").at(0u).at("count").as_double(),
-                   1.0);
-  // Round-trips through the text parser's view of the world.
-  const Json reparsed = Json::parse(j.dump());
-  EXPECT_EQ(reparsed.at("c_total").at("type").as_string(), "counter");
-}
-
 // -------------------------------------------------------------- tracer ----
 
 TEST(Tracer, DisabledTracerRecordsNothing) {

@@ -259,8 +259,7 @@ Decision reference_decision(const telemetry::ClusterSnapshot& snapshot,
     const bool snapshot_trusted =
         !snapshot.nodes.empty() &&
         static_cast<double>(fresh) >=
-            fallback.min_fresh_fraction *
-                static_cast<double>(snapshot.nodes.size());
+            kMinFreshFraction * static_cast<double>(snapshot.nodes.size());
     if (!model_usable || !snapshot_trusted) {
       double max_mem = 0.0;
       for (const auto& node : snapshot.nodes) {
@@ -297,7 +296,7 @@ Decision reference_decision(const telemetry::ClusterSnapshot& snapshot,
     } else {
       score = model->predict_row(rows[i]);
     }
-    if (fallback.enabled && fallback.demote_stale && node.stale) {
+    if (fallback.enabled && node.stale) {
       score += 1e9;  // LtsScheduler's stale-demotion penalty
       ++decision.stale_demoted;
     }
@@ -616,7 +615,7 @@ TEST(SnapshotCache, CachedSnapshotDemotesStaleNodesLikeFreshFetch) {
   // pipeline is a function of `now`, so a snapshot cached at (epoch, now)
   // must carry the same staleness annotations a fresh sweep at that `now`
   // would produce — and a scheduler reusing the cached snapshot under
-  // demote_stale must make the identical decision.
+  // stale demotion must make the identical decision.
   exp::SimEnv env(38);
   env.warmup();
   const std::string victim = env.node_names()[2];
@@ -646,7 +645,7 @@ TEST(SnapshotCache, CachedSnapshotDemotesStaleNodesLikeFreshFetch) {
   ASSERT_TRUE(saw_stale) << "silenced exporter never went stale";
 
   FallbackOptions fallback;
-  fallback.enabled = true;  // demote_stale defaults on
+  fallback.enabled = true;  // demotes stale nodes
   const auto model = load_tracking_model(6);
   LtsScheduler via_cache(cached, model, FeatureSet::kTable1, 0.0, fallback);
   LtsScheduler via_sweep(uncached, model, FeatureSet::kTable1, 0.0,

@@ -296,8 +296,7 @@ int cmd_schedule(const Args& args) {
   exp::SimEnv env(static_cast<std::uint64_t>(args.get_int("seed", 118)),
                   env_options);
   env.warmup();
-  const auto at = static_cast<SimTime>(
-      args.get_double("at", env.options().warmup));
+  const auto at = static_cast<SimTime>(args.get_double("at", exp::kWarmup));
   env.engine().run_until(at);
   core::DegradationOptions degradation;
   core::FallbackOptions fallback;
@@ -461,7 +460,7 @@ int cmd_query(const Args& args) {
   ObsSink obs_sink(args);
   exp::SimEnv env(static_cast<std::uint64_t>(args.get_int("seed", 118)));
   const SimTime at = static_cast<SimTime>(
-      args.get_int("at", static_cast<long long>(env.options().warmup)));
+      args.get_int("at", static_cast<long long>(exp::kWarmup)));
   env.engine().run_until(at);
   const auto query = telemetry::parse_promql(args.require("expr"));
   const auto results = telemetry::eval_promql(query, env.tsdb(), at);
