@@ -83,8 +83,7 @@ RunResult run_storm(int m, int n, SimTime horizon) {
     for (int i = 0; i < m; ++i) {
       for (int j = 0; j < n; ++j) {
         fm.start(s.sources[static_cast<std::size_t>(i)],
-                 s.sinks[static_cast<std::size_t>(j)], shuffle_size(i, j),
-                 nullptr);
+                 s.sinks[static_cast<std::size_t>(j)], shuffle_size(i, j));
       }
     }
   });

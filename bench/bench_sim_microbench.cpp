@@ -41,13 +41,13 @@ void BM_FlowFairShareRecompute(benchmark::State& state) {
   topo.add_duplex_link(r, b, 1e8, 1e-3);
   net::FlowManager fm(engine, topo);
   for (int i = 0; i < n_flows - 1; ++i) {
-    fm.start(a, b, 1e12, nullptr);  // long-lived background flows
+    fm.start(a, b, 1e12);  // long-lived background flows
   }
   for (auto _ : state) {
     // start/cancel only mark the solver dirty now; observing a host rate
     // forces the flush, so each iteration still measures two full max-min
     // recomputations over n_flows.
-    const auto id = fm.start(a, b, 1e12, nullptr);
+    const auto id = fm.start(a, b, 1e12);
     benchmark::DoNotOptimize(fm.host_tx_rate(a));
     fm.cancel(id);
     benchmark::DoNotOptimize(fm.host_tx_rate(a));
@@ -92,6 +92,33 @@ void BM_FullJobSimulation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FullJobSimulation)->Unit(benchmark::kMillisecond);
+
+// The fork that replaces a warmup: copy one warm environment, then run the
+// same Sort job on the copy. Against BM_FullJobSimulation this is the
+// evaluation's per-counterfactual saving; BM_EnvCopy isolates the copy.
+void BM_EnvCopy(benchmark::State& state) {
+  exp::SimEnv warm(1);
+  warm.warmup();
+  for (auto _ : state) {
+    exp::SimEnv env(warm);
+    benchmark::DoNotOptimize(env.engine().num_pending());
+  }
+}
+BENCHMARK(BM_EnvCopy)->Unit(benchmark::kMillisecond);
+
+void BM_ForkedJobSimulation(benchmark::State& state) {
+  spark::JobConfig job;
+  job.app = spark::AppType::kSort;
+  job.input_records = 1000000;
+  job.executors = 4;
+  exp::SimEnv warm(1);
+  warm.warmup();
+  for (auto _ : state) {
+    exp::SimEnv env(warm);
+    benchmark::DoNotOptimize(env.run_job(job, 0, 2));
+  }
+}
+BENCHMARK(BM_ForkedJobSimulation)->Unit(benchmark::kMillisecond);
 
 // Cost of a permanently-instrumented hot path: disabled, a counter inc is a
 // relaxed load + branch; enabled, it adds an atomic fetch_add. Both must be

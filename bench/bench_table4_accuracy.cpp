@@ -76,9 +76,10 @@ ml::Dataset mask_features(const ml::Dataset& data,
 
 // Top-1/Top-2 hits of `model` per staleness value, when the job launches
 // that many seconds after the snapshot it was ranked from. Scenario s has
-// seed 660000 + 104729 s and one truth run per (staleness, node); those runs
-// fan out on ThreadPool::global() into their own slots, and the ranking
-// stays on this thread, so the hits are the same for any pool size.
+// seed 660000 + 104729 s and one truth run per (staleness, node), each on a
+// fork of the scenario's warm environment; those runs fan out on
+// ThreadPool::global() into their own slots, and the ranking stays on this
+// thread, so the hits are the same for any pool size.
 std::vector<std::pair<int, int>> staleness_hits(
     const std::shared_ptr<const ml::Regressor>& model,
     const std::vector<exp::Scenario>& matrix, int num_scenarios,
@@ -89,30 +90,21 @@ std::vector<std::pair<int, int>> staleness_hits(
     const std::uint64_t seed = 660000 + 104729ULL * s;
     Rng pick(seed ^ 0x77);
     const auto& scenario = exp::sample_scenario(matrix, pick);
-    // Item 0 warms the ranking environment; item 1 + v * n_nodes + node
-    // launches the job on `node`, staleness[v] seconds after warmup.
-    std::unique_ptr<exp::SimEnv> ranking_env;
-    telemetry::ClusterSnapshot snapshot;
+    // Item v * n_nodes + node forks the warm environment and launches the
+    // job on `node`, staleness[v] seconds after warmup.
+    exp::SimEnv env(seed);
+    env.warmup();
+    const auto snapshot = env.snapshot();
     std::vector<double> durations(staleness.size() * n_nodes);
-    // lts-lint: shared-guarded(partitioned: item 0 writes only ranking_env and snapshot, item 1 + k only durations[k])
-    ThreadPool::global().parallel_for(
-        1 + durations.size(), [&](std::size_t i) {
-          auto env = std::make_unique<exp::SimEnv>(seed);
-          env->warmup();
-          if (i == 0) {
-            snapshot = env->snapshot();
-            ranking_env = std::move(env);
-            return;
-          }
-          const std::size_t node = (i - 1) % n_nodes;
-          env->engine().run_until(exp::kWarmup +
-                                  staleness[(i - 1) / n_nodes]);
-          durations[i - 1] =
-              env->run_job(scenario.config, node, seed ^ 0xfeedULL)
-                  .duration();
-        });
+    // lts-lint: shared-guarded(partitioned: item k writes only durations[k]; env is only read)
+    ThreadPool::global().parallel_for(durations.size(), [&](std::size_t i) {
+      exp::SimEnv fork(env);
+      fork.engine().run_until(exp::kWarmup + staleness[i / n_nodes]);
+      durations[i] =
+          fork.run_job(scenario.config, i % n_nodes, seed ^ 0xfeedULL)
+              .duration();
+    });
 
-    exp::SimEnv& env = *ranking_env;
     core::LtsScheduler scheduler(
         core::TelemetryFetcher(env.tsdb(), env.node_names()), model);
     const auto ranking =

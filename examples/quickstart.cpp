@@ -73,11 +73,11 @@ int main() {
     }
   }
 
-  // Counterfactual truth: run the identical scenario on every node.
+  // Counterfactual truth: run the identical scenario on every node, each on
+  // a fork of the warm environment the models ranked from.
   std::printf("Counterfactual durations per driver node:\n");
   for (std::size_t n = 0; n < 6; ++n) {
-    exp::SimEnv cf(seed, collect.env);
-    cf.warmup();
+    exp::SimEnv cf(env);
     const auto result = cf.run_job(job, n, seed ^ 0xf00dULL);
     std::printf("  %-8s %.2fs\n", cf.node_names()[n].c_str(),
                 result.duration());

@@ -45,12 +45,11 @@ int main(int argc, char** argv) {
     }
     const auto snap = probe.snapshot();
 
-    // ...and one environment per counterfactual run.
+    // ...and one fork of it per counterfactual run.
     AsciiTable table({"node", "site", "rtt_mean(ms)", "tx(MB/s)", "rx(MB/s)",
                       "cpu_load", "mem_free(GiB)", "duration(s)"});
     for (std::size_t n = 0; n < probe.node_names().size(); ++n) {
-      exp::SimEnv env(seed);
-      env.warmup();
+      exp::SimEnv env(probe);
       const auto result = env.run_job(job, n, seed ^ 0xf00dULL);
       const auto& t = snap.nodes[n];
       table.add_row({

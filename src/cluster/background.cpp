@@ -26,9 +26,47 @@ BackgroundLoad::BackgroundLoad(Cluster& cluster, std::size_t client_node,
   LTS_REQUIRE(options_.parallel_fetches >= 1,
               "BackgroundLoad: need at least one loop");
   loops_.resize(static_cast<std::size_t>(options_.parallel_fetches));
+  target_ = cluster_.engine().add_target(this);
 }
 
-BackgroundLoad::~BackgroundLoad() { stop(); }
+BackgroundLoad::BackgroundLoad(const BackgroundLoad& other, Cluster& cluster)
+    : cluster_(cluster),
+      client_(other.client_),
+      server_(other.server_),
+      options_(other.options_),
+      rng_(other.rng_),
+      running_(other.running_),
+      fetches_(other.fetches_),
+      loops_(other.loops_),
+      start_event_(other.start_event_),
+      target_(other.target_) {
+  cluster_.engine().rebind_target(target_, this);
+}
+
+BackgroundLoad::~BackgroundLoad() {
+  stop();
+  cluster_.engine().cancel(start_event_);
+  cluster_.engine().remove_target(target_);
+}
+
+void BackgroundLoad::start_in(SimTime delay) {
+  start_event_ = cluster_.engine().schedule_in(
+      delay, sim::Event{sim::EventKind::kBackgroundStart, target_});
+}
+
+void BackgroundLoad::on_event(const sim::Event& event) {
+  switch (event.kind) {
+    case sim::EventKind::kBackgroundStart:
+      start();
+      return;
+    case sim::EventKind::kBackgroundFetch:
+      begin_fetch(static_cast<std::size_t>(event.payload));
+      return;
+    default:
+      end_fetch(static_cast<std::size_t>(event.payload));
+      return;
+  }
+}
 
 void BackgroundLoad::start() {
   if (running_) return;
@@ -39,7 +77,7 @@ void BackgroundLoad::start() {
     // Desynchronize the loops so fetches do not start in lockstep.
     const SimTime stagger = rng_.uniform(0.0, options_.mean_pause);
     loops_[i].pause_event = cluster_.engine().schedule_in(
-        stagger, [this, i] { begin_fetch(i); });
+        stagger, sim::Event{sim::EventKind::kBackgroundFetch, target_, i});
   }
 }
 
@@ -78,7 +116,8 @@ void BackgroundLoad::begin_fetch(std::size_t loop_idx) {
       cluster_.node(server_).cpu().add_persistent(kServerCpuDemand);
   loop.flow = cluster_.flows().start(
       cluster_.node(server_).vertex(), cluster_.node(client_).vertex(),
-      kFetchBytes, [this, loop_idx] { end_fetch(loop_idx); });
+      kFetchBytes,
+      sim::Event{sim::EventKind::kBackgroundFetchDone, target_, loop_idx});
 }
 
 void BackgroundLoad::end_fetch(std::size_t loop_idx) {
@@ -92,7 +131,7 @@ void BackgroundLoad::end_fetch(std::size_t loop_idx) {
   if (!running_) return;
   const SimTime pause = rng_.exponential(options_.mean_pause);
   loop.pause_event = cluster_.engine().schedule_in(
-      pause, [this, loop_idx] { begin_fetch(loop_idx); });
+      pause, sim::Event{sim::EventKind::kBackgroundFetch, target_, loop_idx});
 }
 
 }  // namespace lts::cluster

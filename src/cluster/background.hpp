@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -31,23 +30,31 @@ struct BackgroundLoadOptions {
 };
 
 /// One background pod pair (client + server). Runs until stop().
-class BackgroundLoad {
+class BackgroundLoad final : public sim::EventTarget {
  public:
   BackgroundLoad(Cluster& cluster, std::size_t client_node,
                  std::size_t server_node, BackgroundLoadOptions options,
                  Rng rng);
+  /// Copies `other`'s loops, Rng state and pending events onto `cluster`, a
+  /// copy of other's cluster.
+  BackgroundLoad(const BackgroundLoad& other, Cluster& cluster);
   ~BackgroundLoad();
 
   BackgroundLoad(const BackgroundLoad&) = delete;
   BackgroundLoad& operator=(const BackgroundLoad&) = delete;
 
   void start();
+  /// Schedules start() `delay` seconds from now.
+  void start_in(SimTime delay);
   void stop();
   bool running() const { return running_; }
 
   std::size_t client_node() const { return client_; }
   std::size_t server_node() const { return server_; }
   std::uint64_t fetches_completed() const { return fetches_; }
+
+  void on_event(const sim::Event& event) override;
+  const char* target_name() const override { return "BackgroundLoad"; }
 
  private:
   struct Loop {
@@ -68,6 +75,8 @@ class BackgroundLoad {
   bool running_ = false;
   std::uint64_t fetches_ = 0;
   std::vector<Loop> loops_;
+  sim::EventId start_event_ = sim::kInvalidEvent;
+  std::uint32_t target_ = 0;
 };
 
 }  // namespace lts::cluster

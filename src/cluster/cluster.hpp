@@ -65,6 +65,9 @@ ClusterSpec paper_cluster_spec();
 class Cluster {
  public:
   Cluster(sim::Engine& engine, const ClusterSpec& spec);
+  /// Copies `other` (topology, flows, nodes, liveness) onto `engine`, a
+  /// copy of other's engine.
+  Cluster(const Cluster& other, sim::Engine& engine);
 
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;

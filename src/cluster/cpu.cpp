@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <vector>
 
 namespace lts::cluster {
 
@@ -15,32 +14,48 @@ CpuPool::CpuPool(sim::Engine& engine, double cores)
     : engine_(engine), cores_(cores) {
   LTS_REQUIRE(cores > 0.0, "CpuPool: cores must be positive");
   last_update_ = engine_.now();
+  target_ = engine_.add_target(this);
+}
+
+CpuPool::CpuPool(const CpuPool& other, sim::Engine& engine)
+    : engine_(engine),
+      cores_(other.cores_),
+      total_demand_(other.total_demand_),
+      next_id_(other.next_id_),
+      tasks_(other.tasks_),
+      last_update_(other.last_update_),
+      completion_event_(other.completion_event_),
+      target_(other.target_) {
+  engine_.rebind_target(target_, this);
+}
+
+CpuPool::~CpuPool() {
+  engine_.cancel(completion_event_);
+  engine_.remove_target(target_);
+}
+
+void CpuPool::require_runnable(double demand_cores, double work_core_seconds) {
+  LTS_REQUIRE(demand_cores > 0.0, "CpuPool: demand must be positive");
+  LTS_REQUIRE(work_core_seconds > 0.0, "CpuPool: work must be positive");
 }
 
 CpuTaskId CpuPool::run(double demand_cores, double work_core_seconds,
-                       std::function<void()> on_complete) {
-  LTS_REQUIRE(demand_cores > 0.0, "CpuPool: demand must be positive");
-  LTS_REQUIRE(work_core_seconds > 0.0, "CpuPool: work must be positive");
-  advance();
-  Task task;
-  task.demand = demand_cores;
-  task.remaining = work_core_seconds;
-  task.on_complete = std::move(on_complete);
-  const CpuTaskId id = next_id_++;
-  tasks_.emplace(id, std::move(task));
-  recompute_rates();
-  schedule_next_completion();
-  return id;
+                       sim::Event on_complete) {
+  require_runnable(demand_cores, work_core_seconds);
+  return add(demand_cores, work_core_seconds, on_complete);
 }
 
 CpuTaskId CpuPool::add_persistent(double demand_cores) {
   LTS_REQUIRE(demand_cores > 0.0, "CpuPool: demand must be positive");
+  return add(demand_cores, std::numeric_limits<double>::infinity(),
+             sim::Event{});
+}
+
+CpuTaskId CpuPool::add(double demand_cores, double remaining,
+                       sim::Event on_complete) {
   advance();
-  Task task;
-  task.demand = demand_cores;
-  task.remaining = std::numeric_limits<double>::infinity();
   const CpuTaskId id = next_id_++;
-  tasks_.emplace(id, std::move(task));
+  tasks_.push_back(Task{id, demand_cores, remaining, 0.0, on_complete});
   recompute_rates();
   schedule_next_completion();
   return id;
@@ -48,10 +63,14 @@ CpuTaskId CpuPool::add_persistent(double demand_cores) {
 
 void CpuPool::cancel(CpuTaskId id) {
   advance();
-  if (tasks_.erase(id) > 0) {
-    recompute_rates();
-    schedule_next_completion();
-  }
+  const auto it = std::lower_bound(
+      tasks_.begin(), tasks_.end(), id,
+      [](const Task& t, CpuTaskId v) { return t.id < v; });
+  if (it == tasks_.end() || it->id != id) return;
+  engine_.discard(it->on_complete);
+  tasks_.erase(it);
+  recompute_rates();
+  schedule_next_completion();
 }
 
 double CpuPool::utilization() const {
@@ -65,7 +84,7 @@ void CpuPool::advance() {
     last_update_ = now;
     return;
   }
-  for (auto& [id, t] : tasks_) {
+  for (Task& t : tasks_) {
     if (std::isfinite(t.remaining)) {
       t.remaining = std::max(0.0, t.remaining - t.rate * dt);
     }
@@ -75,12 +94,12 @@ void CpuPool::advance() {
 
 void CpuPool::recompute_rates() {
   total_demand_ = 0.0;
-  for (const auto& [id, t] : tasks_) total_demand_ += t.demand;
+  for (const Task& t : tasks_) total_demand_ += t.demand;
   // Processor sharing: everyone gets their demand if the node is
   // under-committed, otherwise rates shrink proportionally.
   const double scale =
       total_demand_ <= cores_ ? 1.0 : cores_ / total_demand_;
-  for (auto& [id, t] : tasks_) {
+  for (Task& t : tasks_) {
     t.rate = t.demand * scale;
   }
 }
@@ -91,38 +110,45 @@ void CpuPool::schedule_next_completion() {
     completion_event_ = sim::kInvalidEvent;
   }
   SimTime earliest = std::numeric_limits<SimTime>::infinity();
-  for (const auto& [id, t] : tasks_) {
+  for (const Task& t : tasks_) {
     if (!std::isfinite(t.remaining)) continue;
     LTS_ASSERT(t.rate > 0.0);
     earliest = std::min(earliest, t.remaining / t.rate);
   }
   if (!std::isfinite(earliest)) return;
   completion_event_ = engine_.schedule_in(
-      std::max(earliest, 0.0), [this] { handle_completion_event(); });
+      std::max(earliest, 0.0),
+      sim::Event{sim::EventKind::kCpuCompletion, target_});
+}
+
+void CpuPool::on_event(const sim::Event& /*event*/) {
+  handle_completion_event();
 }
 
 void CpuPool::handle_completion_event() {
   completion_event_ = sim::kInvalidEvent;
   advance();
-  std::vector<std::function<void()>> callbacks;
-  for (auto it = tasks_.begin(); it != tasks_.end();) {
+  // finished_ is persistent scratch: handlers cannot re-enter this function
+  // (completions only fire from the engine queue).
+  finished_.clear();
+  std::size_t kept = 0;
+  for (Task& t : tasks_) {
     // Done when remaining work is negligible OR would finish within a
     // nanosecond (guards against zero-progress loops once remaining/rate
     // underflows the clock's resolution at large timestamps).
-    if (std::isfinite(it->second.remaining) &&
-        it->second.remaining <=
-            std::max(kWorkEpsilon, it->second.rate * 1e-9)) {
-      if (it->second.on_complete) {
-        callbacks.push_back(std::move(it->second.on_complete));
-      }
-      it = tasks_.erase(it);
+    if (std::isfinite(t.remaining) &&
+        t.remaining <= std::max(kWorkEpsilon, t.rate * 1e-9)) {
+      finished_.push_back(t.on_complete);
     } else {
-      ++it;
+      tasks_[kept++] = t;
     }
   }
+  tasks_.resize(kept);
   recompute_rates();
   schedule_next_completion();
-  for (auto& cb : callbacks) cb();
+  for (std::size_t i = 0; i < finished_.size(); ++i) {
+    engine_.dispatch(finished_[i]);
+  }
 }
 
 }  // namespace lts::cluster

@@ -8,9 +8,10 @@
 // event timeline.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
-#include <functional>
-#include <map>
+#include <utility>
+#include <vector>
 
 #include "simcore/engine.hpp"
 #include "util/common.hpp"
@@ -20,18 +21,30 @@ namespace lts::cluster {
 using CpuTaskId = std::uint64_t;
 inline constexpr CpuTaskId kInvalidCpuTask = 0;
 
-class CpuPool {
+class CpuPool final : public sim::EventTarget {
  public:
   CpuPool(sim::Engine& engine, double cores);
+  /// Copies `other`'s tasks verbatim onto `engine`, a copy of other's
+  /// engine.
+  CpuPool(const CpuPool& other, sim::Engine& engine);
+  ~CpuPool();
 
   CpuPool(const CpuPool&) = delete;
   CpuPool& operator=(const CpuPool&) = delete;
 
   /// Runs a task needing `work` core-seconds at a parallelism of up to
-  /// `demand` cores. `on_complete` fires when the work finishes; completion
-  /// time stretches under contention.
+  /// `demand` cores. `on_complete` is dispatched when the work finishes;
+  /// completion time stretches under contention.
   CpuTaskId run(double demand_cores, double work_core_seconds,
-                std::function<void()> on_complete);
+                sim::Event on_complete = {});
+  /// Driver-layer form: `on_complete` runs through an engine callback.
+  template <std::invocable F>
+  CpuTaskId run(double demand_cores, double work_core_seconds,
+                F&& on_complete) {
+    require_runnable(demand_cores, work_core_seconds);
+    return run(demand_cores, work_core_seconds,
+               engine_.callback(std::forward<F>(on_complete)));
+  }
 
   /// Adds load without a completion (daemons, background services). Remove
   /// with cancel().
@@ -51,14 +64,20 @@ class CpuPool {
 
   std::size_t num_tasks() const { return tasks_.size(); }
 
+  void on_event(const sim::Event& event) override;
+  const char* target_name() const override { return "CpuPool"; }
+
  private:
   struct Task {
+    CpuTaskId id = kInvalidCpuTask;
     double demand = 0.0;
     double remaining = 0.0;  // core-seconds; infinity for persistent
     double rate = 0.0;       // core-seconds per second
-    std::function<void()> on_complete;
+    sim::Event on_complete;
   };
 
+  static void require_runnable(double demand_cores, double work_core_seconds);
+  CpuTaskId add(double demand_cores, double remaining, sim::Event on_complete);
   void advance();
   void recompute_rates();
   void schedule_next_completion();
@@ -68,9 +87,14 @@ class CpuPool {
   double cores_;
   double total_demand_ = 0.0;
   std::uint64_t next_id_ = 1;
-  std::map<CpuTaskId, Task> tasks_;
+  // Ascending id order (ids are handed out monotonically, so appends keep
+  // it sorted): every sum over the tasks adds in that order.
+  std::vector<Task> tasks_;
+  // Completion notifications of one harvest, dispatched after it.
+  std::vector<sim::Event> finished_;
   SimTime last_update_ = 0.0;
   sim::EventId completion_event_ = sim::kInvalidEvent;
+  std::uint32_t target_ = 0;
 };
 
 }  // namespace lts::cluster

@@ -14,6 +14,14 @@ Node::Node(sim::Engine& engine, std::string name, std::string site,
   LTS_REQUIRE(memory > 0.0, "Node: memory must be positive");
 }
 
+Node::Node(const Node& other, sim::Engine& engine)
+    : name_(other.name_),
+      site_(other.site_),
+      vertex_(other.vertex_),
+      cpu_(other.cpu_, engine),
+      memory_capacity_(other.memory_capacity_),
+      memory_used_(other.memory_used_) {}
+
 void Node::allocate_memory(Bytes bytes) {
   LTS_REQUIRE(bytes >= 0.0, "Node: negative allocation");
   memory_used_ += bytes;

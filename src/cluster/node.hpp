@@ -16,6 +16,8 @@ class Node {
  public:
   Node(sim::Engine& engine, std::string name, std::string site,
        net::VertexId vertex, double cores, Bytes memory);
+  /// Copies `other` onto `engine`, a copy of other's engine.
+  Node(const Node& other, sim::Engine& engine);
 
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;

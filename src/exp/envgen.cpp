@@ -242,11 +242,32 @@ SimEnv::SimEnv(std::uint64_t seed, EnvOptions options)
 
     auto load = std::make_unique<cluster::BackgroundLoad>(
         *cluster_, client, server, bg_opts, bg_rng.split());
-    const SimTime start_at = bg_rng.uniform(0.0, 5.0);
-    engine_.schedule_in(start_at,
-                        [ptr = load.get()] { ptr->start(); });
+    load->start_in(bg_rng.uniform(0.0, 5.0));
     background_.push_back(std::move(load));
   }
+}
+
+SimEnv::SimEnv(const SimEnv& other)
+    : seed_(other.seed_),
+      options_(other.options_),
+      engine_(other.engine_),
+      cluster_(std::make_unique<cluster::Cluster>(*other.cluster_, engine_)),
+      stack_(std::make_unique<telemetry::TelemetryStack>(*other.stack_, engine_,
+                                                         *cluster_)),
+      api_(other.api_),
+      kube_scheduler_(std::make_unique<k8s::DefaultScheduler>(
+          *other.kube_scheduler_, api_)),
+      faults_(std::make_unique<fault::FaultInjector>(
+          *other.faults_, engine_, *cluster_, stack_.get(), &api_)),
+      node_names_(other.node_names_),
+      warmed_up_(other.warmed_up_),
+      job_counter_(other.job_counter_) {
+  background_.reserve(other.background_.size());
+  for (const auto& load : other.background_) {
+    background_.push_back(
+        std::make_unique<cluster::BackgroundLoad>(*load, *cluster_));
+  }
+  engine_.require_rebound(other.engine_);
 }
 
 void SimEnv::warmup() {

@@ -4,9 +4,9 @@
 // telemetry stack (node exporters + ping mesh + TSDB), a Kubernetes API
 // server with the default scheduler, and a randomized set of background-load
 // pods (§5.2). Everything is a deterministic function of the seed, so
-// rebuilding a SimEnv with the same seed and running the same job with a
-// *different* driver node is an exact counterfactual — the basis of the
-// Table 4 ground truth.
+// copying a warm SimEnv (or rebuilding one with the same seed) and running
+// the same job with a *different* driver node is an exact counterfactual —
+// the basis of the Table 4 ground truth.
 #pragma once
 
 #include <functional>
@@ -99,7 +99,15 @@ class SimEnv {
  public:
   explicit SimEnv(std::uint64_t seed, EnvOptions options = {});
 
-  SimEnv(const SimEnv&) = delete;
+  /// Forks `other`: a copy whose every component is bound to its own engine,
+  /// cluster, TSDB and API server, with event ids, Rng states, the job
+  /// counter and the flows' lazy byte accounting copied verbatim. A copy
+  /// taken after warmup() continues bit for bit like a freshly warmed
+  /// environment, so counterfactual runs fork one warm state instead of
+  /// re-warming it. Reads only `other`'s raw state, so several threads may
+  /// copy one idle environment at once. Throws lts::Error naming what it
+  /// cannot take: a live SparkApp or a pending driver-layer callback.
+  SimEnv(const SimEnv& other);
   SimEnv& operator=(const SimEnv&) = delete;
 
   sim::Engine& engine() { return engine_; }

@@ -81,10 +81,21 @@ EvalResult evaluate_methods(const std::vector<MethodUnderTest>& models,
   obs::Counter& scenarios_counter = obs::counter(
       "lts_eval_scenarios_total", {},
       "Evaluation scenarios completed (counterfactual truth computed)");
+  const auto scenario_seed = [&](int s) {
+    return options.base_seed + 7919ULL * static_cast<std::uint64_t>(s);
+  };
+  const auto warm_env = [&](int s) {
+    auto env = std::make_unique<SimEnv>(scenario_seed(s), options.env);
+    env->warmup();
+    return env;
+  };
+  // Each scenario's environment is warmed once: every method ranks from it
+  // and every counterfactual run forks it. The next scenario's environment
+  // warms alongside this scenario's runs.
+  std::unique_ptr<SimEnv> next_env = warm_env(0);
   for (int s = 0; s < options.num_scenarios; ++s) {
     scenarios_counter.inc();
-    const std::uint64_t seed =
-        options.base_seed + 7919ULL * static_cast<std::uint64_t>(s);
+    const std::uint64_t seed = scenario_seed(s);
     Rng pick_rng(seed ^ 0xabcdef12ULL);
     const Scenario& scenario = sample_scenario(matrix, pick_rng);
     const std::uint64_t job_seed = seed ^ 0x5eedf00dULL;
@@ -93,28 +104,25 @@ EvalResult evaluate_methods(const std::vector<MethodUnderTest>& models,
     outcome.scenario_id = scenario.id;
     outcome.seed = seed;
 
-    // --- simulation: the ranking environment and the counterfactuals -----
-    // Item 0 warms the environment every method ranks from; item
-    // 1 + node * repeats + rep is one counterfactual run. Each is a pure
-    // function of the scenario seed and writes only its own slot, so the
-    // outcome does not depend on the pool size or on interleaving.
-    std::unique_ptr<SimEnv> ranking_env;
-    telemetry::ClusterSnapshot snapshot;
+    // --- simulation: the counterfactuals, forked from the warm state ------
+    // Item 0 warms the next scenario's environment; item
+    // 1 + node * repeats + rep forks this scenario's and runs the job on
+    // `node`. Forks only read the warm environment, and each item writes
+    // only its own slot, so the outcome does not depend on the pool size or
+    // on interleaving. A worker holds one fork at a time.
+    const std::unique_ptr<SimEnv> ranking_env = std::move(next_env);
+    const telemetry::ClusterSnapshot snapshot = ranking_env->snapshot();
     std::vector<double> run_durations(n_nodes * repeats);
-    // lts-lint: shared-guarded(partitioned: item 0 writes only ranking_env and snapshot, item 1 + k only run_durations[k])
+    // lts-lint: shared-guarded(partitioned: item 0 writes only next_env, item 1 + k only run_durations[k]; ranking_env is only read)
     ThreadPool::global().parallel_for(
         1 + run_durations.size(), [&](std::size_t i) {
           if (i == 0) {
-            auto env = std::make_unique<SimEnv>(seed, options.env);
-            env->warmup();
-            snapshot = env->snapshot();
-            ranking_env = std::move(env);
+            if (s + 1 < options.num_scenarios) next_env = warm_env(s + 1);
             return;
           }
           const std::size_t node = (i - 1) / repeats;
           const std::uint64_t rep = (i - 1) % repeats;
-          SimEnv env(seed, options.env);
-          env.warmup();
+          SimEnv env(*ranking_env);
           run_durations[i - 1] =
               env.run_job(scenario.config, node,
                           job_seed + 0x9e3779b9ULL * rep)

@@ -3,16 +3,18 @@
 // For each evaluation scenario, every method produces a full ranking of the
 // six candidate nodes from the same pre-launch telemetry snapshot. Ground
 // truth comes from counterfactual simulation: the identical environment
-// (same seed → same background load, same job randomness) is re-run once
+// (same warm state, same background load, same job randomness) is run once
 // per candidate driver node, and the node with the shortest measured
 // completion time is the "actual fastest node". A method scores a Top-k hit
 // when the actual fastest node appears among its k highest-ranked choices —
 // exactly the paper's §6 criterion, with the advantage that our fastest
 // node is exact rather than inferred post hoc.
 //
-// A scenario's simulations (the ranking environment's warmup and the
-// nodes x truth_repeats counterfactual runs) are independent, so they run
-// concurrently on ThreadPool::global(), each into its own slot. Rankings,
+// Each scenario's environment is warmed once; the methods rank from it, and
+// each of the nodes x truth_repeats counterfactual runs forks it (a SimEnv
+// copy continues bit for bit like a re-warmed environment). The runs are
+// independent, so they execute concurrently on ThreadPool::global(), each
+// into its own slot, while one worker warms the next scenario. Rankings,
 // model scoring (one "evaluate/<method>" trace span each), the per-node
 // sums and progress stay on the calling thread in scenario order, so every
 // outcome is bit-identical for any pool size.

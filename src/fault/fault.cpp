@@ -87,19 +87,60 @@ std::vector<FaultSpec> faults_from_json(const Json& j) {
 FaultInjector::FaultInjector(sim::Engine& engine, cluster::Cluster& cluster,
                              telemetry::TelemetryStack* telemetry,
                              k8s::ApiServer* api)
-    : engine_(engine), cluster_(cluster), telemetry_(telemetry), api_(api) {}
+    : engine_(engine),
+      cluster_(cluster),
+      telemetry_(telemetry),
+      api_(api),
+      saved_links_(cluster.topology().num_links()),
+      target_(engine.add_target(this)) {}
+
+FaultInjector::FaultInjector(const FaultInjector& other, sim::Engine& engine,
+                             cluster::Cluster& cluster,
+                             telemetry::TelemetryStack* telemetry,
+                             k8s::ApiServer* api)
+    : engine_(engine),
+      cluster_(cluster),
+      telemetry_(telemetry),
+      api_(api),
+      saved_links_(other.saved_links_),
+      specs_(other.specs_),
+      pending_(other.pending_),
+      target_(other.target_),
+      retrain_fail_active_(other.retrain_fail_active_),
+      injected_(other.injected_),
+      recovered_(other.recovered_) {
+  engine_.rebind_target(target_, this);
+}
+
+FaultInjector::~FaultInjector() {
+  for (const sim::EventId id : pending_) engine_.cancel(id);
+  engine_.remove_target(target_);
+}
 
 void FaultInjector::apply(const FaultSpec& spec) {
   LTS_REQUIRE(spec.at >= engine_.now(), "fault: injection time is in the past");
-  engine_.schedule_at(spec.at, [this, spec] { inject(spec); });
+  const auto index = static_cast<std::uint64_t>(specs_.size());
+  specs_.push_back(spec);
+  pending_.push_back(engine_.schedule_at(
+      spec.at, sim::Event{sim::EventKind::kFaultInject, target_, index}));
   if (spec.duration > 0.0) {
-    engine_.schedule_at(spec.at + spec.duration,
-                        [this, spec] { recover(spec); });
+    pending_.push_back(engine_.schedule_at(
+        spec.at + spec.duration,
+        sim::Event{sim::EventKind::kFaultRecover, target_, index}));
   }
 }
 
 void FaultInjector::apply_all(const std::vector<FaultSpec>& specs) {
   for (const auto& spec : specs) apply(spec);
+}
+
+void FaultInjector::on_event(const sim::Event& event) {
+  const FaultSpec& spec = specs_[static_cast<std::size_t>(event.payload)];
+  if (event.kind == sim::EventKind::kFaultInject) {
+    inject(spec);
+  } else {
+    recover(spec);
+  }
 }
 
 void FaultInjector::inject(const FaultSpec& spec) {
@@ -313,29 +354,34 @@ telemetry::NodeExporter& FaultInjector::exporter_for(const std::string& node) {
   return telemetry_->node_exporter(cluster_.node_index(node));
 }
 
+FaultInjector::SavedLink& FaultInjector::save_link(net::LinkId l) {
+  SavedLink& saved = saved_links_[static_cast<std::size_t>(l)];
+  if (!saved.saved) {
+    saved = SavedLink{true, cluster_.topology().link(l).capacity,
+                      cluster_.topology().link(l).prop_delay};
+  }
+  return saved;
+}
+
 void FaultInjector::cut_link_capacity(net::LinkId l, double keep_frac) {
   // First touch records the pristine capacity, so repeated or overlapping
   // cuts never compound and restore always returns to the original.
-  const auto [it, inserted] =
-      saved_links_.try_emplace(l, SavedLink{cluster_.topology().link(l).capacity,
-                                            cluster_.topology().link(l).prop_delay});
+  const SavedLink& saved = save_link(l);
   cluster_.topology().set_link_capacity(
-      l, std::max(kDeadLinkRate, it->second.capacity * keep_frac));
+      l, std::max(kDeadLinkRate, saved.capacity * keep_frac));
 }
 
 void FaultInjector::add_link_delay(net::LinkId l, SimTime extra) {
-  const auto [it, inserted] =
-      saved_links_.try_emplace(l, SavedLink{cluster_.topology().link(l).capacity,
-                                            cluster_.topology().link(l).prop_delay});
-  cluster_.topology().set_link_prop_delay(l, it->second.prop_delay + extra);
+  const SavedLink& saved = save_link(l);
+  cluster_.topology().set_link_prop_delay(l, saved.prop_delay + extra);
 }
 
 void FaultInjector::restore_link(net::LinkId l) {
-  const auto it = saved_links_.find(l);
-  if (it == saved_links_.end()) return;  // never faulted: nothing to restore
-  cluster_.topology().set_link_capacity(l, it->second.capacity);
-  cluster_.topology().set_link_prop_delay(l, it->second.prop_delay);
-  saved_links_.erase(it);
+  SavedLink& saved = saved_links_[static_cast<std::size_t>(l)];
+  if (!saved.saved) return;  // never faulted: nothing to restore
+  cluster_.topology().set_link_capacity(l, saved.capacity);
+  cluster_.topology().set_link_prop_delay(l, saved.prop_delay);
+  saved.saved = false;
 }
 
 }  // namespace lts::fault

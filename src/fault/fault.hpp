@@ -19,7 +19,6 @@
 // one is free.
 #pragma once
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -68,11 +67,17 @@ std::vector<FaultSpec> faults_from_json(const Json& j);
 /// The telemetry stack and API server are optional: without them, exporter
 /// faults throw and node crashes skip the readiness bookkeeping (pings and
 /// scrapes still stop, because the exporters consult Cluster::node_down).
-class FaultInjector {
+class FaultInjector final : public sim::EventTarget {
  public:
   FaultInjector(sim::Engine& engine, cluster::Cluster& cluster,
                 telemetry::TelemetryStack* telemetry = nullptr,
                 k8s::ApiServer* api = nullptr);
+  /// Copies `other`'s schedule and fault state onto copies of its engine,
+  /// cluster, telemetry stack and API server.
+  FaultInjector(const FaultInjector& other, sim::Engine& engine,
+                cluster::Cluster& cluster, telemetry::TelemetryStack* telemetry,
+                k8s::ApiServer* api);
+  ~FaultInjector();
 
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
@@ -117,6 +122,9 @@ class FaultInjector {
   int injected() const { return injected_; }
   int recovered() const { return recovered_; }
 
+  void on_event(const sim::Event& event) override;
+  const char* target_name() const override { return "FaultInjector"; }
+
  private:
   void inject(const FaultSpec& spec);
   void recover(const FaultSpec& spec);
@@ -139,11 +147,22 @@ class FaultInjector {
   telemetry::TelemetryStack* telemetry_;
   k8s::ApiServer* api_;
 
+  /// A faulted link's pristine attributes, indexed by link id; `saved` is
+  /// false for links no fault touches.
   struct SavedLink {
-    Rate capacity;
-    SimTime prop_delay;
+    bool saved = false;
+    Rate capacity = 0.0;
+    SimTime prop_delay = 0.0;
   };
-  std::map<net::LinkId, SavedLink> saved_links_;
+  /// Records link `l`'s pristine attributes on its first fault.
+  SavedLink& save_link(net::LinkId l);
+
+  std::vector<SavedLink> saved_links_;
+  // Applied specs, addressed by their events' payload, with the ids of
+  // their pending injection and recovery events.
+  std::vector<FaultSpec> specs_;
+  std::vector<sim::EventId> pending_;
+  std::uint32_t target_;
   bool retrain_fail_active_ = false;
   int injected_ = 0;
   int recovered_ = 0;

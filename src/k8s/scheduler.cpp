@@ -83,6 +83,12 @@ double TaintTolerationScore::score(const PodSpec& pod,
   return untolerated == 0 ? 100.0 : std::max(0.0, 100.0 - 50.0 * untolerated);
 }
 
+DefaultScheduler::DefaultScheduler(const DefaultScheduler& other,
+                                   const ApiServer& api)
+    : DefaultScheduler(api) {
+  rng_ = other.rng_;
+}
+
 DefaultScheduler::DefaultScheduler(const ApiServer& api, std::uint64_t seed)
     : api_(api), rng_(seed) {
   add_filter(std::make_unique<NodeResourcesFitFilter>());

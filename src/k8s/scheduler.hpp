@@ -112,6 +112,8 @@ class DefaultScheduler {
  public:
   /// Constructs with the upstream default plugin set.
   explicit DefaultScheduler(const ApiServer& api, std::uint64_t seed = 1);
+  /// The same plugins and tie-break stream state as `other`, reading `api`.
+  DefaultScheduler(const DefaultScheduler& other, const ApiServer& api);
 
   /// Runs filtering + scoring for `pod` against all registered nodes.
   /// Does NOT bind — callers bind through the ApiServer, mirroring the

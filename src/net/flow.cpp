@@ -61,6 +61,57 @@ FlowManager::FlowManager(sim::Engine& engine, const Topology& topo,
   host_tx_.assign(vertices, 0.0);
   host_rx_.assign(vertices, 0.0);
   last_update_ = engine_.now();
+  target_ = engine_.add_target(this);
+}
+
+FlowManager::FlowManager(const FlowManager& other, sim::Engine& engine,
+                         const Topology& topo)
+    : engine_(engine),
+      topo_(topo),
+      options_(other.options_),
+      obs_enabled_(other.obs_enabled_),
+      target_(other.target_),
+      next_id_(other.next_id_),
+      completed_(other.completed_),
+      slots_(other.slots_),
+      free_slots_(other.free_slots_),
+      by_id_(other.by_id_),
+      path_arena_(other.path_arena_),
+      live_path_words_(other.live_path_words_),
+      tx_head_(other.tx_head_),
+      tx_tail_(other.tx_tail_),
+      rx_head_(other.rx_head_),
+      rx_tail_(other.rx_tail_),
+      tx_count_(other.tx_count_),
+      rx_count_(other.rx_count_),
+      last_update_(other.last_update_),
+      completion_event_(other.completion_event_),
+      flush_event_(other.flush_event_),
+      dirty_(other.dirty_),
+      epoch_(other.epoch_),
+      last_fill_epoch_(other.last_fill_epoch_),
+      link_alloc_(other.link_alloc_),
+      alloc_epoch_(other.alloc_epoch_),
+      residual_(other.residual_),
+      residual_epoch_(other.residual_epoch_),
+      link_count_(other.link_count_),
+      count_epoch_(other.count_epoch_),
+      bottleneck_epoch_(other.bottleneck_epoch_),
+      completion_heap_(other.completion_heap_),
+      host_tx_(other.host_tx_),
+      host_rx_(other.host_rx_) {
+  engine_.rebind_target(target_, this);
+}
+
+FlowManager::~FlowManager() {
+  engine_.cancel(flush_event_);
+  engine_.cancel(completion_event_);
+  engine_.remove_target(target_);
+}
+
+void FlowManager::require_startable(VertexId src, VertexId dst, Bytes size) {
+  LTS_REQUIRE(size > 0.0, "FlowManager: flow size must be positive");
+  LTS_REQUIRE(src != dst, "FlowManager: flow to self");
 }
 
 std::uint32_t FlowManager::find_slot(FlowId id) const {
@@ -109,7 +160,7 @@ void FlowManager::release_slot(std::uint32_t slot) {
   --rx_count_[dst];
   live_path_words_ -= f.path_len;
   f.id = kInvalidFlow;
-  f.on_complete = nullptr;
+  f.on_complete = sim::Event{};
   free_slots_.push_back(slot);
 }
 
@@ -133,9 +184,8 @@ void FlowManager::maybe_compact_arena() {
 }
 
 FlowId FlowManager::start(VertexId src, VertexId dst, Bytes size,
-                          std::function<void()> on_complete) {
-  LTS_REQUIRE(size > 0.0, "FlowManager: flow size must be positive");
-  LTS_REQUIRE(src != dst, "FlowManager: flow to self");
+                          sim::Event on_complete) {
+  require_startable(src, dst, size);
   advance();
   const SimTime rtt = base_rtt(src, dst);
   const auto& route = topo_.route(src, dst);
@@ -152,7 +202,7 @@ FlowId FlowManager::start(VertexId src, VertexId dst, Bytes size,
   f.path_len = static_cast<std::uint32_t>(route.size());
   path_arena_.insert(path_arena_.end(), route.begin(), route.end());
   live_path_words_ += f.path_len;
-  f.on_complete = std::move(on_complete);
+  f.on_complete = on_complete;
   // Tail insertion: new ids are maximal, so both lists stay in id order.
   const auto srci = static_cast<std::size_t>(src);
   const auto dsti = static_cast<std::size_t>(dst);
@@ -187,6 +237,7 @@ void FlowManager::cancel(FlowId id) {
       by_id_.begin(), by_id_.end(), id,
       [this](std::uint32_t s, FlowId v) { return slots_[s].id < v; });
   by_id_.erase(it);
+  engine_.discard(slots_[slot].on_complete);
   release_slot(slot);
   maybe_compact_arena();
   mark_dirty();
@@ -205,10 +256,17 @@ void FlowManager::mark_dirty() {
   // first rate observation before the hook fires flushes early instead;
   // either way no stale rate is ever visible and no simulated time passes
   // while the allocation is stale.
-  flush_event_ = engine_.schedule_in(0.0, [this] {
+  flush_event_ =
+      engine_.schedule_in(0.0, sim::Event{sim::EventKind::kFlowFlush, target_});
+}
+
+void FlowManager::on_event(const sim::Event& event) {
+  if (event.kind == sim::EventKind::kFlowFlush) {
     flush_event_ = sim::kInvalidEvent;
     flush();
-  });
+  } else {
+    handle_completion_event();
+  }
 }
 
 void FlowManager::flush() {
@@ -543,9 +601,9 @@ void FlowManager::schedule_next_completion() {
   // The heap top is the same minimum the old full scan computed; its eta is
   // relative to the last recompute, and every recompute rebuilds the heap,
   // so the offset base is always the current instant.
-  completion_event_ =
-      engine_.schedule_in(std::max(completion_heap_.front().eta, 0.0),
-                          [this] { handle_completion_event(); });
+  completion_event_ = engine_.schedule_in(
+      std::max(completion_heap_.front().eta, 0.0),
+      sim::Event{sim::EventKind::kFlowCompletion, target_});
 }
 
 void FlowManager::handle_completion_event() {
@@ -560,9 +618,11 @@ void FlowManager::handle_completion_event() {
   } else {
     advance();
   }
-  // Collect finished flows first: completion callbacks may start new flows,
-  // which would invalidate any iteration state.
-  std::vector<std::function<void()>> callbacks;
+  // Collect finished flows first: completion handlers may start new flows,
+  // which would invalidate any iteration state. finished_ is persistent
+  // scratch; handlers cannot re-enter this function (completions only fire
+  // from the engine queue), so reusing it is safe.
+  finished_.clear();
   bool removed = false;
   std::size_t w = 0;
   for (std::size_t i = 0; i < by_id_.size(); ++i) {
@@ -572,7 +632,7 @@ void FlowManager::handle_completion_event() {
     // finish within a nanosecond — the latter guards against zero-progress
     // event loops when remaining/rate underflows the clock's resolution.
     if (f.remaining <= std::max(kRemainingEpsilon, f.rate * 1e-9)) {
-      if (f.on_complete) callbacks.push_back(std::move(f.on_complete));
+      finished_.push_back(f.on_complete);
       release_slot(s);
       ++completed_;
       removed = true;
@@ -594,7 +654,9 @@ void FlowManager::handle_completion_event() {
     recompute_rates();
     schedule_next_completion();
   }
-  for (auto& cb : callbacks) cb();
+  for (std::size_t i = 0; i < finished_.size(); ++i) {
+    engine_.dispatch(finished_[i]);
+  }
 }
 
 }  // namespace lts::net

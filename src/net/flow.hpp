@@ -25,8 +25,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <concepts>
 #include <cstdint>
-#include <functional>
+#include <utility>
 #include <vector>
 
 #include "net/topology.hpp"
@@ -56,22 +57,37 @@ struct FlowInfo {
   Rate rate = 0.0;
 };
 
-class FlowManager {
+class FlowManager final : public sim::EventTarget {
  public:
   FlowManager(sim::Engine& engine, const Topology& topo,
               FlowOptions options = {});
+  /// Copies `other`'s flows, rates and lazy byte accounting verbatim onto
+  /// `engine` (a copy of other's engine) and `topo` (a copy of its
+  /// topology). Reads only raw state: other's accessors, which flush
+  /// through const_cast, are not called, so several threads may copy one
+  /// manager as long as none of them queries it meanwhile.
+  FlowManager(const FlowManager& other, sim::Engine& engine,
+              const Topology& topo);
+  ~FlowManager();
 
   FlowManager(const FlowManager&) = delete;
   FlowManager& operator=(const FlowManager&) = delete;
 
-  /// Starts a transfer of `size` bytes from src to dst. `on_complete` fires
-  /// (via the engine, at the completion instant) once the last byte is
+  /// Starts a transfer of `size` bytes from src to dst. `on_complete` is
+  /// dispatched at the completion instant, once the last byte is
   /// delivered. Returns a handle usable with cancel()/info(). The rate
   /// recompute is deferred to a same-timestamp hook (or the first rate
   /// observation, whichever comes first), so batches of starts at one
   /// event time share a single progressive fill.
   FlowId start(VertexId src, VertexId dst, Bytes size,
-               std::function<void()> on_complete);
+               sim::Event on_complete = {});
+  /// Driver-layer form: `on_complete` runs through an engine callback.
+  template <std::invocable F>
+  FlowId start(VertexId src, VertexId dst, Bytes size, F&& on_complete) {
+    require_startable(src, dst, size);
+    return start(src, dst, size,
+                 engine_.callback(std::forward<F>(on_complete)));
+  }
 
   /// Aborts a flow; its callback never fires. No-op if already finished.
   /// Deferred-batched like start().
@@ -130,8 +146,13 @@ class FlowManager {
 
   const Topology& topology() const { return topo_; }
 
+  void on_event(const sim::Event& event) override;
+  const char* target_name() const override { return "FlowManager"; }
+
  private:
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+
+  static void require_startable(VertexId src, VertexId dst, Bytes size);
 
   struct Flow {
     FlowId id = kInvalidFlow;
@@ -152,7 +173,7 @@ class FlowManager {
     std::uint32_t tx_next = kNoSlot;
     std::uint32_t rx_prev = kNoSlot;
     std::uint32_t rx_next = kNoSlot;
-    std::function<void()> on_complete;
+    sim::Event on_complete;
   };
 
   /// Predicted time-to-completion at current rates, keyed for the min-heap
@@ -223,6 +244,7 @@ class FlowManager {
   // Cached once at construction (see simcore::Engine): skips the registry's
   // static-init guard on every recompute.
   const std::atomic<bool>* obs_enabled_;
+  std::uint32_t target_;
 
   std::uint64_t next_id_ = 1;
   std::uint64_t completed_ = 0;
@@ -270,6 +292,8 @@ class FlowManager {
   std::vector<LinkId> touched_links_;
   std::vector<std::uint32_t> unfrozen_;
   std::vector<HeapEntry> completion_heap_;
+  // Completion notifications of one harvest, dispatched after it.
+  std::vector<sim::Event> finished_;
 
   mutable std::vector<Bytes> host_tx_;
   mutable std::vector<Bytes> host_rx_;

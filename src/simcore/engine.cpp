@@ -1,5 +1,6 @@
 #include "simcore/engine.hpp"
 
+#include <string>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -22,52 +23,143 @@ struct EngineMetrics {
     return m;
   }
 };
+
+constexpr int kSlotBits = 32;
 }  // namespace
 
 Engine::Engine()
     : obs_enabled_(obs::MetricsRegistry::global().enabled_flag()) {}
 
+Engine::Engine(const Engine& other)
+    : now_(other.now_),
+      next_seq_(other.next_seq_),
+      processed_(other.processed_),
+      obs_enabled_(other.obs_enabled_),
+      queue_(other.queue_),
+      slots_(other.slots_),
+      free_slots_(other.free_slots_),
+      targets_(other.targets_),
+      free_targets_(other.free_targets_) {
+  LTS_REQUIRE(other.callbacks_.size() == other.free_callbacks_.size(),
+              "Engine: cannot copy a pending driver-layer callback");
+}
+
 void Engine::record_step_metrics() {
   auto& metrics = EngineMetrics::get();
   metrics.events.inc();
-  metrics.queue_depth.set(static_cast<double>(handlers_.size()));
+  metrics.queue_depth.set(static_cast<double>(num_pending()));
 }
 
-EventId Engine::schedule_at(SimTime t, std::function<void()> fn) {
+EventId Engine::schedule_at(SimTime t, const Event& event) {
   LTS_REQUIRE(t >= now_, "Engine: cannot schedule event in the past");
-  const EventId id = next_id_++;
+  std::uint32_t slot;
+  if (!free_slots_.empty()) {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  } else {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  }
+  const EventId id = (next_seq_++ << kSlotBits) | slot;
+  slots_[slot] = Slot{id, event};
   queue_.push(QueueEntry{t, id});
-  handlers_.emplace(id, std::move(fn));
   return id;
 }
 
-EventId Engine::schedule_in(SimTime delay, std::function<void()> fn) {
+EventId Engine::schedule_in(SimTime delay, const Event& event) {
   LTS_REQUIRE(delay >= 0.0, "Engine: negative delay");
-  return schedule_at(now_ + delay, std::move(fn));
+  return schedule_at(now_ + delay, event);
+}
+
+Event Engine::callback(std::function<void()> fn) {
+  if (!fn) return Event{};
+  std::uint32_t slot;
+  if (!free_callbacks_.empty()) {
+    slot = free_callbacks_.back();
+    free_callbacks_.pop_back();
+    callbacks_[slot] = std::move(fn);
+  } else {
+    slot = static_cast<std::uint32_t>(callbacks_.size());
+    callbacks_.push_back(std::move(fn));
+  }
+  return Event{EventKind::kCallback, 0, slot};
+}
+
+void Engine::discard(const Event& event) {
+  if (event.kind != EventKind::kCallback) return;
+  const auto slot = static_cast<std::uint32_t>(event.payload);
+  callbacks_[slot] = nullptr;
+  free_callbacks_.push_back(slot);
+}
+
+void Engine::dispatch(const Event& event) {
+  switch (event.kind) {
+    case EventKind::kNone:
+      return;
+    case EventKind::kCallback: {
+      // Move the closure out and free its slot first, so it may schedule
+      // further callbacks (reusing the slot) while it runs.
+      const auto slot = static_cast<std::uint32_t>(event.payload);
+      auto fn = std::move(callbacks_[slot]);
+      callbacks_[slot] = nullptr;
+      free_callbacks_.push_back(slot);
+      fn();
+      return;
+    }
+    case EventKind::kPeriodic:
+    case EventKind::kFlowFlush:
+    case EventKind::kFlowCompletion:
+    case EventKind::kCpuCompletion:
+    case EventKind::kBackgroundStart:
+    case EventKind::kBackgroundFetch:
+    case EventKind::kBackgroundFetchDone:
+    case EventKind::kScrape:
+    case EventKind::kDelayedReport:
+    case EventKind::kProbe:
+    case EventKind::kFaultInject:
+    case EventKind::kFaultRecover:
+    case EventKind::kSparkStep:
+      targets_[event.target]->on_event(event);
+      return;
+  }
+}
+
+void Engine::release_slot(std::uint32_t slot) {
+  slots_[slot].id = kInvalidEvent;
+  free_slots_.push_back(slot);
 }
 
 bool Engine::cancel(EventId id) {
-  // Lazy deletion: drop the handler; the queue entry is skipped when popped.
-  return handlers_.erase(id) > 0;
+  // Lazy deletion: free the record; the queue entry is skipped when popped.
+  if (!pending(id)) return false;
+  const std::uint32_t slot = slot_of(id);
+  discard(slots_[slot].event);
+  release_slot(slot);
+  return true;
+}
+
+bool Engine::pending(EventId id) const {
+  const std::uint32_t slot = slot_of(id);
+  return id != kInvalidEvent && slot < slots_.size() && slots_[slot].id == id;
 }
 
 bool Engine::step() {
   while (!queue_.empty()) {
     const QueueEntry entry = queue_.top();
     queue_.pop();
-    auto it = handlers_.find(entry.id);
-    if (it == handlers_.end()) continue;  // cancelled
+    const std::uint32_t slot = slot_of(entry.id);
+    if (slots_[slot].id != entry.id) continue;  // cancelled
     LTS_ASSERT(entry.time >= now_);
     now_ = entry.time;
-    // Move the handler out before erasing so the callback may schedule or
-    // cancel events (including re-entrant use of the same id space).
-    auto fn = std::move(it->second);
-    handlers_.erase(it);
+    // Copy the record out and free its slot before dispatching, so the
+    // handler may schedule or cancel events (reusing the slot).
+    const Event event = slots_[slot].event;
+    release_slot(slot);
     ++processed_;
     if (obs_enabled_->load(std::memory_order_relaxed)) {
       record_step_metrics();
     }
-    fn();
+    dispatch(event);
     return true;
   }
   return false;
@@ -82,7 +174,7 @@ void Engine::run_until(SimTime t) {
   LTS_REQUIRE(t >= now_, "Engine: run_until into the past");
   while (!queue_.empty()) {
     const QueueEntry entry = queue_.top();
-    if (handlers_.count(entry.id) == 0) {
+    if (slots_[slot_of(entry.id)].id != entry.id) {
       queue_.pop();
       continue;
     }
@@ -92,15 +184,67 @@ void Engine::run_until(SimTime t) {
   now_ = t;
 }
 
-PeriodicTask::PeriodicTask(Engine& engine, SimTime interval, SimTime phase,
-                           std::function<void()> fn)
-    : engine_(engine), interval_(interval), fn_(std::move(fn)) {
-  LTS_REQUIRE(interval > 0.0, "PeriodicTask: interval must be positive");
-  LTS_REQUIRE(phase >= 0.0, "PeriodicTask: negative phase");
-  pending_ = engine_.schedule_in(phase, [this] { arm(); });
+std::uint32_t Engine::add_target(EventTarget* target) {
+  if (!free_targets_.empty()) {
+    const std::uint32_t index = free_targets_.back();
+    free_targets_.pop_back();
+    targets_[index] = target;
+    return index;
+  }
+  targets_.push_back(target);
+  return static_cast<std::uint32_t>(targets_.size() - 1);
 }
 
-PeriodicTask::~PeriodicTask() { stop(); }
+void Engine::remove_target(std::uint32_t index) {
+  targets_[index] = nullptr;
+  free_targets_.push_back(index);
+}
+
+void Engine::rebind_target(std::uint32_t index, EventTarget* target) {
+  LTS_REQUIRE(index < targets_.size(), "Engine: unknown target index");
+  targets_[index] = target;
+}
+
+void Engine::require_rebound(const Engine& source) const {
+  for (std::size_t i = 0; i < targets_.size(); ++i) {
+    if (targets_[i] != nullptr && i < source.targets_.size() &&
+        targets_[i] == source.targets_[i]) {
+      throw Error(std::string("copy: cannot take a live ") +
+                  targets_[i]->target_name());
+    }
+  }
+}
+
+PeriodicTask::PeriodicTask(Engine& engine, SimTime interval, SimTime phase,
+                           Event tick)
+    : engine_(engine), interval_(interval), tick_(tick), target_(0) {
+  LTS_REQUIRE(interval > 0.0, "PeriodicTask: interval must be positive");
+  LTS_REQUIRE(phase >= 0.0, "PeriodicTask: negative phase");
+  target_ = engine_.add_target(this);
+  pending_ = engine_.schedule_in(phase, Event{EventKind::kPeriodic, target_});
+}
+
+PeriodicTask::PeriodicTask(Engine& engine, SimTime interval, SimTime phase,
+                           std::function<void()> fn)
+    : PeriodicTask(engine, interval, phase, Event{}) {
+  fn_ = std::move(fn);
+}
+
+PeriodicTask::PeriodicTask(const PeriodicTask& other, Engine& engine)
+    : engine_(engine),
+      interval_(other.interval_),
+      tick_(other.tick_),
+      target_(other.target_),
+      pending_(other.pending_),
+      running_(other.running_) {
+  LTS_REQUIRE(!other.fn_, "PeriodicTask: cannot copy a driver-layer closure");
+  engine_.rebind_target(target_, this);
+}
+
+PeriodicTask::~PeriodicTask() {
+  stop();
+  engine_.remove_target(target_);
+}
 
 void PeriodicTask::stop() {
   if (!running_) return;
@@ -109,11 +253,16 @@ void PeriodicTask::stop() {
   pending_ = kInvalidEvent;
 }
 
-void PeriodicTask::arm() {
+void PeriodicTask::on_event(const Event& /*event*/) {
+  pending_ = kInvalidEvent;
   if (!running_) return;
-  fn_();
-  if (!running_) return;  // fn may have stopped us
-  pending_ = engine_.schedule_in(interval_, [this] { arm(); });
+  if (fn_) {
+    fn_();
+  } else {
+    engine_.dispatch(tick_);
+  }
+  if (!running_) return;  // the tick may have stopped us
+  pending_ = engine_.schedule_in(interval_, Event{EventKind::kPeriodic, target_});
 }
 
 }  // namespace lts::sim

@@ -5,13 +5,24 @@
 // sequence) order, which makes every simulation a deterministic function of
 // its inputs — the property the counterfactual evaluation in exp/evaluate
 // relies on.
+//
+// An event is a record: a kind, the index of the component it targets and
+// one payload word. A component registers with its engine once and gets a
+// target index; Engine::dispatch, one switch over the kind, routes a record
+// to that component's on_event. Records hold no pointers, so a copy of an
+// engine holds the same pending events, and a copied component only has to
+// point its target index at itself (exp::SimEnv's copy does this for a
+// whole environment). The driver layer (stream runners, tests) may still
+// schedule closures: each lives in a callback slot while its record is
+// pending, and an engine holding one refuses to be copied.
 #pragma once
 
 #include <atomic>
+#include <concepts>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <queue>
+#include <utility>
 #include <vector>
 
 #include "util/common.hpp"
@@ -22,20 +33,85 @@ namespace lts::sim {
 using EventId = std::uint64_t;
 inline constexpr EventId kInvalidEvent = 0;
 
+/// The simulator's fixed set of event handlers.
+enum class EventKind : std::uint8_t {
+  kNone,                 // a completion nobody listens to
+  kCallback,             // driver-layer closure; payload = callback slot
+  kPeriodic,             // PeriodicTask firing
+  kFlowFlush,            // FlowManager's deferred rate recompute
+  kFlowCompletion,       // FlowManager's next flow completion
+  kCpuCompletion,        // CpuPool's next task completion
+  kBackgroundStart,      // BackgroundLoad::start
+  kBackgroundFetch,      // payload = fetch loop
+  kBackgroundFetchDone,  // payload = fetch loop
+  kScrape,               // NodeExporter scrape
+  kDelayedReport,        // payload = NodeExporter report slot
+  kProbe,                // PingExporter mesh probe
+  kFaultInject,          // payload = FaultInjector spec index
+  kFaultRecover,         // payload = FaultInjector spec index
+  kSparkStep,            // payload = SparkApp continuation slot
+};
+
+struct Event {
+  EventKind kind = EventKind::kNone;
+  std::uint32_t target = 0;
+  std::uint64_t payload = 0;
+};
+
+/// A component that receives event records. Not deleted through this base.
+class EventTarget {
+ public:
+  virtual void on_event(const Event& event) = 0;
+  /// Names the component in the error a copy throws when it cannot take it.
+  virtual const char* target_name() const = 0;
+
+ protected:
+  ~EventTarget() = default;
+};
+
 class Engine {
  public:
   Engine();
-  Engine(const Engine&) = delete;
+  /// Copies the clock, the pending records, the id counter and the target
+  /// table verbatim. The copy's targets still point at the source's
+  /// components until each copied component rebinds its index
+  /// (require_rebound checks that all did). Reads only the source's raw
+  /// state, so several threads may copy one idle engine at once. Throws
+  /// lts::Error while the source holds a driver-layer callback.
+  Engine(const Engine& other);
   Engine& operator=(const Engine&) = delete;
 
   /// Current simulated time in seconds.
   SimTime now() const { return now_; }
 
-  /// Schedules `fn` to run at absolute time `t` (>= now). Returns a handle.
-  EventId schedule_at(SimTime t, std::function<void()> fn);
+  /// Schedules `event` at absolute time `t` (>= now). Returns a handle.
+  EventId schedule_at(SimTime t, const Event& event);
 
-  /// Schedules `fn` to run `delay` seconds from now (delay >= 0).
-  EventId schedule_in(SimTime delay, std::function<void()> fn);
+  /// Schedules `event` `delay` seconds from now (delay >= 0).
+  EventId schedule_in(SimTime delay, const Event& event);
+
+  /// Driver-layer closures: scheduled through a one-shot callback slot.
+  template <std::invocable F>
+  EventId schedule_at(SimTime t, F&& fn) {
+    return schedule_at(t, callback(std::forward<F>(fn)));
+  }
+  template <std::invocable F>
+  EventId schedule_in(SimTime delay, F&& fn) {
+    return schedule_in(delay, callback(std::forward<F>(fn)));
+  }
+
+  /// Parks a closure in a callback slot and returns the record that runs
+  /// (and frees) it once dispatched; an empty closure gives a kNone record.
+  /// Flow and CPU completions take such records from driver-layer callers.
+  Event callback(std::function<void()> fn);
+
+  /// Frees the callback slot of a record that will never be dispatched (a
+  /// cancelled flow's completion). No-op for every other kind.
+  void discard(const Event& event);
+
+  /// Runs `event`'s handler now. Flow and CPU completions notify their
+  /// owners through it.
+  void dispatch(const Event& event);
 
   /// Cancels a pending event. Safe to call with an already-fired or
   /// already-cancelled handle (returns false in that case).
@@ -43,7 +119,7 @@ class Engine {
 
   /// True if `id` refers to an event that has not yet fired or been
   /// cancelled.
-  bool pending(EventId id) const { return handlers_.count(id) > 0; }
+  bool pending(EventId id) const;
 
   /// Executes the next event; returns false when the queue is empty.
   bool step();
@@ -54,16 +130,32 @@ class Engine {
   /// Runs events with time <= t, then advances the clock to exactly t.
   void run_until(SimTime t);
 
-  std::size_t num_pending() const { return handlers_.size(); }
+  std::size_t num_pending() const { return slots_.size() - free_slots_.size(); }
   std::uint64_t num_processed() const { return processed_; }
+
+  /// Registers a component; events whose `target` is the returned index
+  /// reach its on_event. Indices of removed targets are reused.
+  std::uint32_t add_target(EventTarget* target);
+  void remove_target(std::uint32_t index);
+  /// Points a copied engine's `index` at the copied component.
+  void rebind_target(std::uint32_t index, EventTarget* target);
+  /// Throws lts::Error naming the first target of this copy that still
+  /// points into `source` (a component the copy did not take).
+  void require_rebound(const Engine& source) const;
 
  private:
   /// Outlined so the disabled-observability event loop carries only a
   /// relaxed load and a predictable branch, not the metrics code.
   __attribute__((noinline)) void record_step_metrics();
 
-  // Ids are handed out in insertion order, so (time, id) is the (time,
-  // insertion sequence) order the file comment promises.
+  /// An id is (insertion sequence << 32 | slot): (time, id) orders events
+  /// by (time, insertion sequence), the order the file comment promises,
+  /// and the low half addresses the pending record.
+  static std::uint32_t slot_of(EventId id) {
+    return static_cast<std::uint32_t>(id);
+  }
+  void release_slot(std::uint32_t slot);
+
   struct QueueEntry {
     SimTime time;
     EventId id;
@@ -72,9 +164,14 @@ class Engine {
       return id > other.id;
     }
   };
+  // A pending record; id == kInvalidEvent marks a free slot.
+  struct Slot {
+    EventId id = kInvalidEvent;
+    Event event;
+  };
 
   SimTime now_ = 0.0;
-  EventId next_id_ = 1;
+  std::uint64_t next_seq_ = 1;
   std::uint64_t processed_ = 0;
   // Cached once at construction: checking observability in the event loop
   // is then a single relaxed load, with no static-init guard per event.
@@ -82,19 +179,27 @@ class Engine {
   std::priority_queue<QueueEntry, std::vector<QueueEntry>,
                       std::greater<QueueEntry>>
       queue_;
-  // std::map, not unordered_map: handlers_ is only ever probed by id today,
-  // but an ordered container makes any future iteration deterministic by
-  // construction (lint rule R2).
-  std::map<EventId, std::function<void()>> handlers_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
+  std::vector<std::function<void()>> callbacks_;
+  std::vector<std::uint32_t> free_callbacks_;
+  std::vector<EventTarget*> targets_;
+  std::vector<std::uint32_t> free_targets_;
 };
 
-/// Repeats a callback at a fixed interval until stopped. The first firing is
+/// Repeats an event at a fixed interval until stopped. The first firing is
 /// at `start + phase`; exporters use distinct phases so scrapes of different
 /// nodes interleave rather than synchronize (as real Prometheus jitter does).
-class PeriodicTask {
+class PeriodicTask final : public EventTarget {
  public:
+  /// Dispatches `tick` at every firing.
+  PeriodicTask(Engine& engine, SimTime interval, SimTime phase, Event tick);
+  /// Driver-layer form: runs `fn` at every firing; cannot be copied.
   PeriodicTask(Engine& engine, SimTime interval, SimTime phase,
                std::function<void()> fn);
+  /// Copies `other`'s schedule onto `engine`, a copy of other's engine.
+  /// Throws lts::Error for the closure form.
+  PeriodicTask(const PeriodicTask& other, Engine& engine);
   ~PeriodicTask();
 
   PeriodicTask(const PeriodicTask&) = delete;
@@ -103,12 +208,15 @@ class PeriodicTask {
   void stop();
   bool running() const { return running_; }
 
- private:
-  void arm();
+  void on_event(const Event& event) override;
+  const char* target_name() const override { return "PeriodicTask"; }
 
+ private:
   Engine& engine_;
   SimTime interval_;
+  Event tick_;
   std::function<void()> fn_;
+  std::uint32_t target_;
   EventId pending_ = kInvalidEvent;
   bool running_ = true;
 };

@@ -80,19 +80,43 @@ SparkApp::SparkApp(cluster::Cluster& cluster, JobConfig config, AppDag dag,
       }
     }
   }
+  target_ = cluster_.engine().add_target(this);
 }
 
-SparkApp::~SparkApp() { cancel(); }
+SparkApp::~SparkApp() {
+  cancel();
+  cluster_.engine().remove_target(target_);
+}
 
 void SparkApp::cancel() {
   if (!running_) return;
   running_ = false;
-  for (const auto id : live_events_) cluster_.engine().cancel(id);
-  live_events_.clear();
-  for (const auto id : live_flows_) cluster_.flows().cancel(id);
-  live_flows_.clear();
-  for (const auto& [node, id] : live_cpu_) cluster_.node(node).cpu().cancel(id);
-  live_cpu_.clear();
+  // Release in the order the id-ordered live sets did: pending events, then
+  // flows by id, then CPU tasks by (node, id). Each CPU cancel reschedules
+  // its pool's completion event, so this order decides event ids.
+  std::vector<net::FlowId> flows;
+  std::vector<std::pair<std::size_t, cluster::CpuTaskId>> cpu_tasks;
+  for (std::uint32_t slot = 0; slot < continuations_.size(); ++slot) {
+    Continuation& c = continuations_[slot];
+    if (!c.fn) continue;
+    switch (c.on) {
+      case Waiting::kEvent:
+        cluster_.engine().cancel(c.id);
+        break;
+      case Waiting::kFlow:
+        flows.push_back(c.id);
+        break;
+      case Waiting::kCpu:
+        cpu_tasks.emplace_back(c.node, c.id);
+        break;
+    }
+    c.fn = nullptr;
+    free_continuations_.push_back(slot);
+  }
+  std::sort(flows.begin(), flows.end());
+  std::sort(cpu_tasks.begin(), cpu_tasks.end());
+  for (const auto id : flows) cluster_.flows().cancel(id);
+  for (const auto& [node, id] : cpu_tasks) cluster_.node(node).cpu().cancel(id);
   release_pods();
 }
 
@@ -107,17 +131,36 @@ void SparkApp::release_pods() {
   held_memory_.clear();
 }
 
+std::uint32_t SparkApp::park(std::function<void()> fn, Waiting on,
+                             std::size_t node) {
+  std::uint32_t slot;
+  if (!free_continuations_.empty()) {
+    slot = free_continuations_.back();
+    free_continuations_.pop_back();
+  } else {
+    slot = static_cast<std::uint32_t>(continuations_.size());
+    continuations_.emplace_back();
+  }
+  continuations_[slot] = Continuation{std::move(fn), on, 0, node};
+  return slot;
+}
+
+void SparkApp::on_event(const sim::Event& event) {
+  const auto slot = static_cast<std::uint32_t>(event.payload);
+  // Free the slot before resuming: the continuation may park new ones.
+  auto fn = std::move(continuations_[slot].fn);
+  continuations_[slot].fn = nullptr;
+  // A record can outlive cancel() when its flow or CPU task finished in the
+  // harvest that led to the cancel; its slot is already free.
+  if (!fn) return;
+  free_continuations_.push_back(slot);
+  fn();
+}
+
 void SparkApp::schedule(SimTime delay, std::function<void()> fn) {
-  // Events cannot fire re-entrantly (they only run from the engine loop),
-  // so publishing the id through the shared slot after scheduling is safe.
-  auto idp = std::make_shared<sim::EventId>(sim::kInvalidEvent);
-  const sim::EventId id = cluster_.engine().schedule_in(
-      delay, [this, fn = std::move(fn), idp]() {
-        live_events_.erase(*idp);
-        fn();
-      });
-  *idp = id;
-  live_events_.insert(id);
+  const std::uint32_t slot = park(std::move(fn), Waiting::kEvent);
+  continuations_[slot].id =
+      cluster_.engine().schedule_in(delay, step_event(slot));
 }
 
 void SparkApp::start_flow(std::size_t src_node, std::size_t dst_node,
@@ -125,27 +168,17 @@ void SparkApp::start_flow(std::size_t src_node, std::size_t dst_node,
   // FlowManager::start defers the max-min recompute to a same-timestamp
   // hook, so the M×N flows a shuffle stage opens in one event share a
   // single progressive fill instead of paying one each.
-  auto idp = std::make_shared<net::FlowId>(net::kInvalidFlow);
-  const net::FlowId id = cluster_.flows().start(
+  const std::uint32_t slot = park(std::move(fn), Waiting::kFlow);
+  continuations_[slot].id = cluster_.flows().start(
       cluster_.node(src_node).vertex(), cluster_.node(dst_node).vertex(),
-      bytes, [this, fn = std::move(fn), idp]() {
-        live_flows_.erase(*idp);
-        fn();
-      });
-  *idp = id;
-  live_flows_.insert(id);
+      bytes, step_event(slot));
 }
 
 void SparkApp::run_cpu(std::size_t node, double demand, double work,
                        std::function<void()> fn) {
-  auto idp = std::make_shared<cluster::CpuTaskId>(cluster::kInvalidCpuTask);
-  const cluster::CpuTaskId id = cluster_.node(node).cpu().run(
-      demand, work, [this, node, fn = std::move(fn), idp]() {
-        live_cpu_.erase({node, *idp});
-        fn();
-      });
-  *idp = id;
-  live_cpu_.insert({node, id});
+  const std::uint32_t slot = park(std::move(fn), Waiting::kCpu, node);
+  continuations_[slot].id =
+      cluster_.node(node).cpu().run(demand, work, step_event(slot));
 }
 
 SimTime SparkApp::rtt(std::size_t a, std::size_t b) const {

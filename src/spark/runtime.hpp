@@ -22,7 +22,6 @@
 #pragma once
 
 #include <functional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -66,7 +65,7 @@ struct AppResult {
   double duration() const { return finish_time - submit_time; }
 };
 
-class SparkApp {
+class SparkApp final : public sim::EventTarget {
  public:
   /// `executor_nodes` has one node index per executor (the k8s default
   /// scheduler's choices); `driver_node` is the scheduler-under-test's pick.
@@ -88,6 +87,9 @@ class SparkApp {
   bool running() const { return running_; }
   const AppResult& result() const { return result_; }
   const JobConfig& config() const { return config_; }
+
+  void on_event(const sim::Event& event) override;
+  const char* target_name() const override { return "SparkApp"; }
 
  private:
   struct ExecutorState {
@@ -112,7 +114,23 @@ class SparkApp {
     bool has_pending() const { return next_pending < pending_tasks.size(); }
   };
 
+  /// What a parked continuation waits for.
+  enum class Waiting : std::uint8_t { kEvent, kFlow, kCpu };
+  /// A continuation parked until its event fires, its flow lands or its
+  /// CPU task finishes; the kSparkStep record carrying its slot resumes it.
+  struct Continuation {
+    std::function<void()> fn;  // empty: free slot
+    Waiting on = Waiting::kEvent;
+    std::uint64_t id = 0;  // the event, flow or CPU task
+    std::size_t node = 0;  // the CPU task's node
+  };
+
   // -- resource-tracked primitives (all cancellable via cancel()) --
+  std::uint32_t park(std::function<void()> fn, Waiting on,
+                     std::size_t node = 0);
+  sim::Event step_event(std::uint32_t slot) const {
+    return sim::Event{sim::EventKind::kSparkStep, target_, slot};
+  }
   void schedule(SimTime delay, std::function<void()> fn);
   void start_flow(std::size_t src_node, std::size_t dst_node, Bytes bytes,
                   std::function<void()> fn);
@@ -171,9 +189,9 @@ class SparkApp {
   std::function<void(const AppResult&)> on_complete_;
 
   // Live resources for cancellation safety.
-  std::set<sim::EventId> live_events_;
-  std::set<net::FlowId> live_flows_;
-  std::set<std::pair<std::size_t, cluster::CpuTaskId>> live_cpu_;
+  std::vector<Continuation> continuations_;
+  std::vector<std::uint32_t> free_continuations_;
+  std::uint32_t target_ = 0;
   std::vector<std::pair<std::size_t, cluster::CpuTaskId>> service_cpu_;
   std::vector<std::pair<std::size_t, Bytes>> held_memory_;
 };

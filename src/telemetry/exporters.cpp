@@ -1,5 +1,7 @@
 #include "telemetry/exporters.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 
 namespace lts::telemetry {
@@ -11,6 +13,12 @@ constexpr double kLoadEmaTau = 30.0;       // fast load average (30 s)
 constexpr double kRttNoiseFrac = 0.01;     // multiplicative RTT noise
 constexpr SimTime kRttNoiseFloor = 20e-6;  // additive jitter floor
 
+// The export order of a NodeExporter Report's values.
+constexpr std::array<const char*, 8> kNodeMetrics = {
+    kCpuLoadMetric,    kMemAvailableMetric, kTxBytesMetric,
+    kRxBytesMetric,    kUplinkUtilMetric,   kDownlinkUtilMetric,
+    kQueueDelayMetric, kActiveFlowsMetric};
+
 }  // namespace
 
 NodeExporter::NodeExporter(sim::Engine& engine, Tsdb& tsdb,
@@ -20,11 +28,38 @@ NodeExporter::NodeExporter(sim::Engine& engine, Tsdb& tsdb,
       cluster_(cluster),
       node_index_(node_index),
       node_name_(cluster.node(node_index).name()),
+      labels_{{"node", node_name_}},
       options_(options),
       load_ema_(kLoadEmaTau),
-      engine_(engine) {
-  task_ = std::make_unique<sim::PeriodicTask>(
-      engine, kScrapeInterval, phase, [this] { scrape(); });
+      engine_(engine),
+      target_(engine.add_target(this)),
+      task_(engine, kScrapeInterval, phase,
+            sim::Event{sim::EventKind::kScrape, target_}) {}
+
+NodeExporter::NodeExporter(const NodeExporter& other, sim::Engine& engine,
+                           Tsdb& tsdb, cluster::Cluster& cluster)
+    : tsdb_(tsdb),
+      cluster_(cluster),
+      node_index_(other.node_index_),
+      node_name_(other.node_name_),
+      labels_(other.labels_),
+      options_(other.options_),
+      load_ema_(other.load_ema_),
+      engine_(engine),
+      target_(other.target_),
+      task_(other.task_, engine),
+      silenced_(other.silenced_),
+      report_delay_(other.report_delay_),
+      reports_(other.reports_),
+      free_reports_(other.free_reports_) {
+  engine_.rebind_target(target_, this);
+}
+
+NodeExporter::~NodeExporter() {
+  for (const Report& report : reports_) {
+    if (report.event != sim::kInvalidEvent) engine_.cancel(report.event);
+  }
+  engine_.remove_target(target_);
 }
 
 void NodeExporter::set_silenced(bool silenced) {
@@ -43,6 +78,23 @@ void NodeExporter::set_report_delay(SimTime delay) {
   tsdb_.bump_epoch();
 }
 
+void NodeExporter::on_event(const sim::Event& event) {
+  if (event.kind == sim::EventKind::kScrape) {
+    scrape();
+    return;
+  }
+  const auto slot = static_cast<std::uint32_t>(event.payload);
+  append(reports_[slot]);
+  reports_[slot].event = sim::kInvalidEvent;
+  free_reports_.push_back(slot);
+}
+
+void NodeExporter::append(const Report& report) {
+  for (std::size_t i = 0; i < report.count; ++i) {
+    tsdb_.append(kNodeMetrics[i], labels_, report.at, report.values[i]);
+  }
+}
+
 void NodeExporter::scrape() {
   // A silenced exporter (fault injection) or one on a crashed node scrapes
   // nothing; the EMA freezes too, exactly as a dead process's state would.
@@ -50,42 +102,37 @@ void NodeExporter::scrape() {
 
   const SimTime now = engine_.now();
   auto& node = cluster_.node(node_index_);
-  const Labels labels{{"node", node_name_}};
 
   // Measure everything now; where the samples land (immediately or after
   // the injected reporting delay) is decided below.
-  std::vector<std::pair<const char*, double>> samples;
+  Report report;
+  report.at = now;
   load_ema_.update(now, node.cpu().total_demand());
-  samples.emplace_back(kCpuLoadMetric, load_ema_.value());
-  samples.emplace_back(kMemAvailableMetric,
-                       std::max(0.0, node.memory_available()));
+  report.values[report.count++] = load_ema_.value();
+  report.values[report.count++] = std::max(0.0, node.memory_available());
 
   // Per-host NIC counters and flow gauges resolve through the FlowManager's
   // intrusive per-host indexes: each scrape costs O(flows touching this
   // host), so a full fleet sweep is O(total flows), not O(hosts x flows).
-  samples.emplace_back(kTxBytesMetric,
-                       cluster_.flows().host_tx_bytes(node.vertex()));
-  samples.emplace_back(kRxBytesMetric,
-                       cluster_.flows().host_rx_bytes(node.vertex()));
+  report.values[report.count++] =
+      cluster_.flows().host_tx_bytes(node.vertex());
+  report.values[report.count++] =
+      cluster_.flows().host_rx_bytes(node.vertex());
 
   if (options_.rich_metrics) {
     const auto& flows = cluster_.flows();
     const auto up = cluster_.node_uplink(node_index_);
     const auto down = cluster_.node_downlink(node_index_);
-    samples.emplace_back(kUplinkUtilMetric, flows.link_utilization(up));
-    samples.emplace_back(kDownlinkUtilMetric, flows.link_utilization(down));
-    samples.emplace_back(kQueueDelayMetric,
-                         std::max(flows.link_queue_delay(up),
-                                  flows.link_queue_delay(down)));
-    samples.emplace_back(
-        kActiveFlowsMetric,
-        static_cast<double>(flows.host_active_flows(node.vertex())));
+    report.values[report.count++] = flows.link_utilization(up);
+    report.values[report.count++] = flows.link_utilization(down);
+    report.values[report.count++] = std::max(flows.link_queue_delay(up),
+                                             flows.link_queue_delay(down));
+    report.values[report.count++] =
+        static_cast<double>(flows.host_active_flows(node.vertex()));
   }
 
   if (report_delay_ <= 0.0) {
-    for (const auto& [metric, value] : samples) {
-      tsdb_.append(metric, labels, now, value);
-    }
+    append(report);
     return;
   }
   // Delayed reporting: the samples keep their measurement timestamp but
@@ -94,20 +141,44 @@ void NodeExporter::scrape() {
   // recovers), a fresher sample can land first; the TSDB then drops the
   // late arrivals and counts them in telemetry_out_of_order_dropped_total
   // instead of aborting ingestion.
-  engine_.schedule_in(
-      report_delay_, [this, labels, now, samples = std::move(samples)] {
-        for (const auto& [metric, value] : samples) {
-          tsdb_.append(metric, labels, now, value);
-        }
-      });
+  std::uint32_t slot;
+  if (!free_reports_.empty()) {
+    slot = free_reports_.back();
+    free_reports_.pop_back();
+  } else {
+    slot = static_cast<std::uint32_t>(reports_.size());
+    reports_.emplace_back();
+  }
+  reports_[slot] = report;
+  reports_[slot].event = engine_.schedule_in(
+      report_delay_,
+      sim::Event{sim::EventKind::kDelayedReport, target_, slot});
 }
 
 PingExporter::PingExporter(sim::Engine& engine, Tsdb& tsdb,
                            cluster::Cluster& cluster, Rng rng, SimTime phase)
-    : tsdb_(tsdb), cluster_(cluster), rng_(rng), engine_(engine) {
-  task_ = std::make_unique<sim::PeriodicTask>(
-      engine, kScrapeInterval, phase, [this] { probe(); });
+    : tsdb_(tsdb),
+      cluster_(cluster),
+      rng_(rng),
+      engine_(engine),
+      target_(engine.add_target(this)),
+      task_(engine, kScrapeInterval, phase,
+            sim::Event{sim::EventKind::kProbe, target_}) {}
+
+PingExporter::PingExporter(const PingExporter& other, sim::Engine& engine,
+                           Tsdb& tsdb, cluster::Cluster& cluster)
+    : tsdb_(tsdb),
+      cluster_(cluster),
+      rng_(other.rng_),
+      engine_(engine),
+      target_(other.target_),
+      task_(other.task_, engine) {
+  engine_.rebind_target(target_, this);
 }
+
+PingExporter::~PingExporter() { engine_.remove_target(target_); }
+
+void PingExporter::on_event(const sim::Event& /*event*/) { probe(); }
 
 void PingExporter::probe() {
   const SimTime now = engine_.now();
@@ -128,6 +199,18 @@ void PingExporter::probe() {
                           {"dst", cluster_.node(j).name()}},
                    now, measured);
     }
+  }
+}
+
+TelemetryStack::TelemetryStack(const TelemetryStack& other,
+                               sim::Engine& engine, cluster::Cluster& cluster)
+    : tsdb_(other.tsdb_),
+      ping_exporter_(std::make_unique<PingExporter>(*other.ping_exporter_,
+                                                    engine, tsdb_, cluster)) {
+  node_exporters_.reserve(other.node_exporters_.size());
+  for (const auto& exporter : other.node_exporters_) {
+    node_exporters_.push_back(
+        std::make_unique<NodeExporter>(*exporter, engine, tsdb_, cluster));
   }
 }
 

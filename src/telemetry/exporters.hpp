@@ -1,7 +1,7 @@
 // Exporters: the simulated equivalents of node-exporter and ping_exporter.
 //
 // NodeExporter scrapes one node every 2 s (kScrapeInterval) and appends:
-//   node_cpu_load{node=...}                     1-minute EMA of runnable demand
+//   node_cpu_load{node=...}                     30 s EMA of runnable demand
 //   node_memory_available_bytes{node=...}       capacity - used
 //   node_network_transmit_bytes_total{node=...} cumulative NIC tx counter
 //   node_network_receive_bytes_total{node=...}  cumulative NIC rx counter
@@ -14,6 +14,7 @@
 // NIC counters are exact, as they are in Linux.
 #pragma once
 
+#include <array>
 #include <memory>
 #include <string>
 #include <vector>
@@ -47,10 +48,18 @@ struct ExporterOptions {
 };
 
 /// Scrapes one node's host-level metrics.
-class NodeExporter {
+class NodeExporter final : public sim::EventTarget {
  public:
   NodeExporter(sim::Engine& engine, Tsdb& tsdb, cluster::Cluster& cluster,
                std::size_t node_index, ExporterOptions options, SimTime phase);
+  /// Copies `other`'s schedule, EMA and pending reports onto copies of its
+  /// engine, TSDB and cluster.
+  NodeExporter(const NodeExporter& other, sim::Engine& engine, Tsdb& tsdb,
+               cluster::Cluster& cluster);
+  ~NodeExporter();
+
+  NodeExporter(const NodeExporter&) = delete;
+  NodeExporter& operator=(const NodeExporter&) = delete;
 
   const std::string& node_name() const { return node_name_; }
 
@@ -68,27 +77,59 @@ class NodeExporter {
   void set_report_delay(SimTime delay);
   SimTime report_delay() const { return report_delay_; }
 
+  void on_event(const sim::Event& event) override;
+  const char* target_name() const override { return "NodeExporter"; }
+
  private:
+  static constexpr std::size_t kMaxSamples = 8;
+
+  /// One scrape's measurements: values[i] belongs to the i-th metric of the
+  /// fixed export order (the baseline four, then the rich four).
+  struct Report {
+    SimTime at = 0.0;
+    std::size_t count = 0;
+    std::array<double, kMaxSamples> values{};
+    sim::EventId event = sim::kInvalidEvent;  // pending delivery
+  };
+
   void scrape();
+  void append(const Report& report);
 
   Tsdb& tsdb_;
   cluster::Cluster& cluster_;
   std::size_t node_index_;
   std::string node_name_;
+  Labels labels_;
   ExporterOptions options_;
   Ema load_ema_;
   sim::Engine& engine_;
-  std::unique_ptr<sim::PeriodicTask> task_;
+  std::uint32_t target_;
+  sim::PeriodicTask task_;
   bool silenced_ = false;
   SimTime report_delay_ = 0.0;
+  // Delayed reports in flight, addressed by their event's payload; slots
+  // with event == kInvalidEvent are free.
+  std::vector<Report> reports_;
+  std::vector<std::uint32_t> free_reports_;
 };
 
 /// Full-mesh RTT prober (one instance covers all ordered node pairs, like a
 /// ping_exporter DaemonSet whose per-node results land in one TSDB).
-class PingExporter {
+class PingExporter final : public sim::EventTarget {
  public:
   PingExporter(sim::Engine& engine, Tsdb& tsdb, cluster::Cluster& cluster,
                Rng rng, SimTime phase);
+  /// Copies `other`'s schedule and Rng state onto copies of its engine,
+  /// TSDB and cluster.
+  PingExporter(const PingExporter& other, sim::Engine& engine, Tsdb& tsdb,
+               cluster::Cluster& cluster);
+  ~PingExporter();
+
+  PingExporter(const PingExporter&) = delete;
+  PingExporter& operator=(const PingExporter&) = delete;
+
+  void on_event(const sim::Event& event) override;
+  const char* target_name() const override { return "PingExporter"; }
 
  private:
   void probe();
@@ -97,7 +138,8 @@ class PingExporter {
   cluster::Cluster& cluster_;
   Rng rng_;
   sim::Engine& engine_;
-  std::unique_ptr<sim::PeriodicTask> task_;
+  std::uint32_t target_;
+  sim::PeriodicTask task_;
 };
 
 /// Installs a NodeExporter per node plus one PingExporter, with staggered
@@ -106,6 +148,13 @@ class TelemetryStack {
  public:
   TelemetryStack(sim::Engine& engine, cluster::Cluster& cluster,
                  ExporterOptions options, Rng rng);
+  /// Copies `other`'s TSDB and exporters onto `engine` and `cluster`,
+  /// copies of other's.
+  TelemetryStack(const TelemetryStack& other, sim::Engine& engine,
+                 cluster::Cluster& cluster);
+
+  TelemetryStack(const TelemetryStack&) = delete;
+  TelemetryStack& operator=(const TelemetryStack&) = delete;
 
   Tsdb& tsdb() { return tsdb_; }
   const Tsdb& tsdb() const { return tsdb_; }

@@ -1,8 +1,10 @@
 #include "telemetry/series.hpp"
 
+#include <algorithm>
+
 namespace lts::telemetry {
 
-Series::Series(std::size_t capacity) : buffer_(capacity) {
+Series::Series(std::size_t capacity) : capacity_(capacity) {
   LTS_REQUIRE(capacity > 0, "Series: capacity must be positive");
 }
 
@@ -12,12 +14,18 @@ bool Series::append(SimTime t, double v) {
     if (t < newest.t) return false;  // late sample, dropped
     if (v < newest.v) decreases_.push_back(Decrease{newest.t, t});
   }
-  const std::size_t pos = (head_ + size_) % buffer_.size();
-  buffer_[pos] = Sample{t, v};
-  if (size_ < buffer_.size()) {
+  if (size_ < capacity_) {
+    // Still growing: head_ is 0 and buffer_ holds exactly the samples. The
+    // buffer doubles, but never past capacity_.
+    if (buffer_.size() == buffer_.capacity()) {
+      buffer_.reserve(std::min(capacity_, std::max<std::size_t>(
+                                              2 * buffer_.size(), 8)));
+    }
+    buffer_.push_back(Sample{t, v});
     ++size_;
   } else {
-    head_ = (head_ + 1) % buffer_.size();
+    buffer_[head_] = Sample{t, v};
+    head_ = (head_ + 1) % capacity_;
     // Drop decrease records whose older endpoint has aged out of the ring.
     const SimTime oldest = at(0).t;
     std::size_t keep_from = 0;
@@ -35,7 +43,7 @@ bool Series::append(SimTime t, double v) {
 
 const Sample& Series::at(std::size_t i) const {
   LTS_REQUIRE(i < size_, "Series: index out of range");
-  return buffer_[(head_ + i) % buffer_.size()];
+  return buffer_[(head_ + i) % capacity_];
 }
 
 const Sample& Series::latest() const {

@@ -1,7 +1,10 @@
-// A single time series: fixed-capacity ring buffer of (time, value) samples.
+// A single time series: bounded ring buffer of (time, value) samples.
 //
 // Capacity bounds memory like a Prometheus retention window; the scheduler
-// only ever looks at the recent past, so old samples age out silently.
+// only ever looks at the recent past, so old samples age out silently. The
+// ring grows on demand up to its capacity and wraps from there, so a young
+// series (a freshly warmed environment holds ~20 samples per series) costs
+// only what it holds to build and to copy.
 #pragma once
 
 #include <cstddef>
@@ -29,7 +32,7 @@ class Series {
 
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
-  std::size_t capacity() const { return buffer_.size(); }
+  std::size_t capacity() const { return capacity_; }
 
   /// i = 0 is the oldest retained sample.
   const Sample& at(std::size_t i) const;
@@ -53,7 +56,8 @@ class Series {
     SimTime t_curr = 0.0;
   };
 
-  std::vector<Sample> buffer_;
+  std::vector<Sample> buffer_;  // grows to capacity_, then wraps
+  std::size_t capacity_;
   std::size_t head_ = 0;  // index of oldest
   std::size_t size_ = 0;
   std::vector<Decrease> decreases_;  // ordered by t_prev

@@ -7,8 +7,8 @@
 //     column scans of tree/GBT training;
 //   - exp::collect_training_data: one collection configuration's
 //     nodes x repeats samples;
-//   - exp::evaluate_methods: one scenario's ranking environment and its
-//     counterfactual runs;
+//   - exp::evaluate_methods: one scenario's counterfactual runs (forks of
+//     its warm environment) and the next scenario's warmup;
 //   - core::Trainer::train_and_evaluate: holdout scoring in row blocks.
 // Merging, FP sums, progress callbacks and trace spans stay on the calling
 // thread. On single-core hosts the pool degrades gracefully to sequential

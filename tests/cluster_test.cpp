@@ -97,8 +97,8 @@ TEST(CpuPool, CallbackMayScheduleMoreWork) {
 TEST(CpuPool, InvalidArgsThrow) {
   sim::Engine engine;
   CpuPool pool(engine, 1.0);
-  EXPECT_THROW(pool.run(0.0, 1.0, nullptr), Error);
-  EXPECT_THROW(pool.run(1.0, 0.0, nullptr), Error);
+  EXPECT_THROW(pool.run(0.0, 1.0), Error);
+  EXPECT_THROW(pool.run(1.0, 0.0), Error);
   EXPECT_THROW(pool.add_persistent(-1.0), Error);
   EXPECT_THROW(CpuPool(engine, 0.0), Error);
 }

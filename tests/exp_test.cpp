@@ -7,6 +7,7 @@
 #include <cstring>
 #include <sstream>
 #include <thread>
+#include <type_traits>
 
 #include "core/trainer.hpp"
 #include "exp/collector.hpp"
@@ -15,6 +16,8 @@
 #include "exp/figures.hpp"
 #include "exp/scenario.hpp"
 #include "obs/trace.hpp"
+#include "util/json.hpp"
+#include "util/thread_pool.hpp"
 
 namespace lts::exp {
 namespace {
@@ -325,6 +328,229 @@ TEST(SimEnv, BackgroundCountWithinConfiguredRange) {
   options.max_background_pods = 2;
   SimEnv env(5, options);
   EXPECT_EQ(env.num_background_pods(), 2u);
+}
+
+// ------------------------------------------------------------------ fork ----
+// A SimEnv copy taken after warmup() must continue bit for bit like a
+// freshly warmed environment of the same seed: the evaluation's
+// counterfactual runs fork one warm state instead of re-warming it.
+
+template <typename T>
+void append_bytes(std::string& out, const T& value) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  out.append(reinterpret_cast<const char*>(&value), sizeof value);
+}
+
+/// Every field of an AppResult, doubles as raw bytes: stage and job times
+/// must match exactly, not within a tolerance.
+std::string result_bytes(const spark::AppResult& r) {
+  std::string out;
+  append_bytes(out, r.completed);
+  append_bytes(out, r.task_retries);
+  append_bytes(out, r.submit_time);
+  append_bytes(out, r.finish_time);
+  out += r.driver_node + '|';
+  for (const auto& e : r.executor_nodes) out += e + '|';
+  for (const auto& st : r.stages) {
+    append_bytes(out, st.stage_id);
+    out += st.name + '|';
+    append_bytes(out, st.start);
+    append_bytes(out, st.end);
+    append_bytes(out, st.shuffle_bytes);
+    append_bytes(out, st.tasks);
+  }
+  append_bytes(out, r.total_shuffle_bytes);
+  append_bytes(out, r.result_bytes);
+  append_bytes(out, r.max_spill_penalty);
+  return out;
+}
+
+/// Every field of a snapshot, doubles as raw bytes.
+std::string snapshot_bytes(const telemetry::ClusterSnapshot& s) {
+  std::string out;
+  append_bytes(out, s.at);
+  for (const auto& n : s.nodes) {
+    out += n.node + '|';
+    for (const double v :
+         {n.rtt_mean, n.rtt_max, n.rtt_std, n.tx_rate, n.rx_rate, n.cpu_load,
+          n.mem_available, n.uplink_util, n.downlink_util, n.queue_delay,
+          n.active_flows, n.last_seen}) {
+      append_bytes(out, v);
+    }
+    append_bytes(out, n.has_data);
+    append_bytes(out, n.stale);
+  }
+  return out;
+}
+
+/// For every driver node: a fresh environment warmed from `seed` and a copy
+/// of one warm `source` show the same snapshot, run the job to the same
+/// AppResult bytes and process the same number of events doing it.
+void expect_fork_matches_rewarm(const SimEnv& source, std::uint64_t seed,
+                                const EnvOptions& options,
+                                const spark::JobConfig& job) {
+  for (std::size_t node = 0; node < source.node_names().size(); ++node) {
+    SimEnv fresh(seed, options);
+    fresh.warmup();
+    SimEnv fork(source);
+    ASSERT_EQ(snapshot_bytes(fork.snapshot()), snapshot_bytes(fresh.snapshot()))
+        << "seed " << seed << " node " << node;
+    EXPECT_EQ(fork.engine().num_processed(), fresh.engine().num_processed());
+    EXPECT_EQ(fork.engine().num_pending(), fresh.engine().num_pending());
+    const std::uint64_t fresh_before = fresh.engine().num_processed();
+    const std::uint64_t fork_before = fork.engine().num_processed();
+    const auto want = fresh.run_job(job, node, seed ^ 0x5eedULL);
+    const auto got = fork.run_job(job, node, seed ^ 0x5eedULL);
+    EXPECT_TRUE(got.completed);
+    EXPECT_EQ(result_bytes(got), result_bytes(want))
+        << "seed " << seed << " node " << node;
+    EXPECT_EQ(fork.engine().num_processed() - fork_before,
+              fresh.engine().num_processed() - fresh_before)
+        << "seed " << seed << " node " << node;
+    EXPECT_EQ(snapshot_bytes(fork.snapshot()), snapshot_bytes(fresh.snapshot()))
+        << "seed " << seed << " node " << node;
+  }
+}
+
+TEST(SimEnvFork, MatchesRewarmedEnvironmentOnEveryNode) {
+  const auto matrix = paper_scenario_matrix();
+  for (const std::uint64_t seed : {11, 22, 33, 44, 55, 66}) {
+    // A different application per seed, so every stage shape is covered.
+    const auto& job = matrix[static_cast<std::size_t>(seed) % matrix.size()];
+    SimEnv source(seed);
+    source.warmup();
+    expect_fork_matches_rewarm(source, seed, EnvOptions{}, job.config);
+  }
+}
+
+TEST(SimEnvFork, MatchesUnderFaultsAndWithoutRichMetrics) {
+  spark::JobConfig job;
+  job.input_records = 600000;
+  job.executors = 3;
+  // Faults pending at fork time on both sides of warmup: a degraded link
+  // that recovers mid-job, exporter reports in flight, a crash and its
+  // recovery after the fork.
+  EnvOptions faulty;
+  faulty.faults = fault::faults_from_json(Json::parse(R"([
+    {"kind": "link_degrade", "target": "ucsd:fiu", "at": 20.0,
+     "duration": 25.0, "severity": 0.7},
+    {"kind": "exporter_delay", "target": "node-2", "at": 30.0,
+     "duration": 20.0, "severity": 5.0},
+    {"kind": "exporter_silence", "target": "node-5", "at": 10.0,
+     "duration": 100.0},
+    {"kind": "node_crash", "target": "node-4", "at": 41.0, "duration": 3.0}
+  ])"));
+  EnvOptions plain;
+  plain.exporter.rich_metrics = false;
+  for (const auto& options : {faulty, plain}) {
+    SimEnv source(808, options);
+    source.warmup();
+    expect_fork_matches_rewarm(source, 808, options, job);
+  }
+}
+
+TEST(SimEnvFork, CopyOfACopyMatches) {
+  spark::JobConfig job;
+  job.app = spark::AppType::kJoin;
+  job.input_records = 500000;
+  job.executors = 4;
+  SimEnv source(909);
+  source.warmup();
+  const SimEnv first(source);
+  expect_fork_matches_rewarm(first, 909, EnvOptions{}, job);
+
+  // A copy taken later than warmup (the staleness sweep's fork, then run
+  // on) and copied again still tracks a fresh environment run as far.
+  SimEnv later(source);
+  later.engine().run_until(kWarmup + 30.0);
+  SimEnv fresh(909);
+  fresh.warmup();
+  fresh.engine().run_until(kWarmup + 30.0);
+  SimEnv again(later);
+  EXPECT_EQ(result_bytes(again.run_job(job, 2, 77)),
+            result_bytes(fresh.run_job(job, 2, 77)));
+}
+
+TEST(SimEnvFork, RunningACopyLeavesTheSourceUntouched) {
+  spark::JobConfig job;
+  job.input_records = 800000;
+  job.executors = 4;
+  SimEnv source(31);
+  source.warmup();
+  const SimTime now = source.engine().now();
+  const std::string snapshot = snapshot_bytes(source.snapshot());
+  const std::size_t pending = source.engine().num_pending();
+  const std::uint64_t processed = source.engine().num_processed();
+  const std::size_t pods = source.api().num_pods();
+  SimEnv fork(source);
+  fork.run_job(job, 3, 5);
+  fork.engine().run_until(fork.engine().now() + 60.0);
+  EXPECT_EQ(source.engine().now(), now);
+  EXPECT_EQ(snapshot_bytes(source.snapshot()), snapshot);
+  EXPECT_EQ(source.engine().num_pending(), pending);
+  EXPECT_EQ(source.engine().num_processed(), processed);
+  EXPECT_EQ(source.api().num_pods(), pods);
+  // The source still runs its own job exactly like a fresh warm env.
+  SimEnv fresh(31);
+  fresh.warmup();
+  EXPECT_EQ(result_bytes(source.run_job(job, 1, 6)),
+            result_bytes(fresh.run_job(job, 1, 6)));
+}
+
+TEST(SimEnvFork, ConcurrentCopiesOfOneSource) {
+  // Copies only read their source, so several threads may fork one warm
+  // environment at once (evaluate_methods does). Under TSan this is the
+  // race check; everywhere it must match the serial forks.
+  spark::JobConfig job;
+  job.input_records = 500000;
+  job.executors = 3;
+  SimEnv source(4242);
+  source.warmup();
+  constexpr std::size_t kCopies = 8;
+  std::vector<std::string> serial(kCopies);
+  for (std::size_t i = 0; i < kCopies; ++i) {
+    SimEnv fork(source);
+    serial[i] = result_bytes(fork.run_job(job, i % 6, 100 + i));
+  }
+  ThreadPool pool(4);
+  std::vector<std::string> parallel(kCopies);
+  // lts-lint: shared-guarded(partitioned: item i writes only parallel[i]; source is only read)
+  pool.parallel_for(kCopies, [&](std::size_t i) {
+    SimEnv fork(source);
+    parallel[i] = result_bytes(fork.run_job(job, i % 6, 100 + i));
+  });
+  EXPECT_EQ(parallel, serial);
+}
+
+TEST(SimEnvFork, RefusesWhatItCannotTake) {
+  SimEnv env(12);
+  env.warmup();
+  // A live SparkApp is bound to this environment's cluster.
+  spark::JobConfig job;
+  job.executors = 2;
+  {
+    auto app = env.make_app(job, 0, {1, 2}, 3);
+    app->submit([](const spark::AppResult&) {});
+    env.engine().run_until(env.engine().now() + 1.0);
+    try {
+      SimEnv copy(env);
+      ADD_FAILURE() << "copied a live SparkApp";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("SparkApp"), std::string::npos)
+          << e.what();
+    }
+  }
+  // Once the app is gone the environment copies again.
+  EXPECT_NO_THROW(SimEnv{env});
+  // A pending driver-layer closure cannot be copied either.
+  env.engine().schedule_in(1.0, [] {});
+  try {
+    SimEnv copy(env);
+    ADD_FAILURE() << "copied a driver-layer callback";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("callback"), std::string::npos)
+        << e.what();
+  }
 }
 
 // ------------------------------------------------------------- collector ----

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 
 #include "core/scheduler.hpp"
 #include "core/trainer.hpp"
@@ -15,16 +16,24 @@
 namespace lts {
 namespace {
 
-// Shared corpus: collected once (slowest step), reused by all tests.
+// Shared corpus: the slowest step. Under ctest every test runs in its own
+// process, so the corpus is collected once per ctest run (`lts collect
+// --configs 16 --repeats 3 --seed 505`, see tests/CMakeLists.txt) and read
+// from LTS_INTEGRATION_CORPUS; without that variable the suite collects the
+// same corpus in-process.
 class PipelineFixture : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    auto matrix = exp::paper_scenario_matrix();
-    matrix.resize(16);
-    exp::CollectorOptions options;
-    options.repeats = 3;
-    options.base_seed = 505;
-    log_ = new CsvTable(exp::collect_training_data(matrix, options));
+    if (const char* path = std::getenv("LTS_INTEGRATION_CORPUS")) {
+      log_ = new CsvTable(CsvTable::read_file(path));
+    } else {
+      auto matrix = exp::paper_scenario_matrix();
+      matrix.resize(16);
+      exp::CollectorOptions options;
+      options.repeats = 3;
+      options.base_seed = 505;
+      log_ = new CsvTable(exp::collect_training_data(matrix, options));
+    }
     data_ = new ml::Dataset(core::Trainer::dataset_from_log(*log_));
   }
   static void TearDownTestSuite() {

@@ -49,4 +49,11 @@ void Engine::step(std::vector<int>& pending) {
   pending.push_back(*task);
 }
 
+// Fires: scheduling is on the per-event path too; a closure wrapped per
+// scheduled event is the handler map this rule keeps out of the engine.
+int Engine::schedule_at(double t, int payload) {
+  std::function<void()> handler = [payload] { (void)payload; };
+  return static_cast<int>(t) + (handler ? 1 : 0);
+}
+
 }  // namespace lts::fixture

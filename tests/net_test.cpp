@@ -169,7 +169,7 @@ TEST(FlowManager, HostCountersAccumulate) {
   FlowOptions opts;
   opts.tcp_window_bytes = 1e12;
   FlowManager fm(engine, t.topo, opts);
-  fm.start(t.a, t.b, 5e7, nullptr);
+  fm.start(t.a, t.b, 5e7);
   engine.run();
   EXPECT_NEAR(fm.host_tx_bytes(t.a), 5e7, 1.0);
   EXPECT_NEAR(fm.host_rx_bytes(t.b), 5e7, 1.0);
@@ -183,7 +183,7 @@ TEST(FlowManager, MidFlightCountersReflectProgress) {
   FlowOptions opts;
   opts.tcp_window_bytes = 1e12;
   FlowManager fm(engine, t.topo, opts);
-  fm.start(t.a, t.b, 1e8, nullptr);  // 1s at 100 MB/s
+  fm.start(t.a, t.b, 1e8);  // 1s at 100 MB/s
   engine.run_until(0.5);
   EXPECT_NEAR(fm.host_tx_bytes(t.a), 5e7, 1e6);
 }
@@ -195,7 +195,7 @@ TEST(FlowManager, UtilizationAndQueueing) {
   opts.tcp_window_bytes = 1e12;
   FlowManager fm(engine, t.topo, opts);
   const SimTime idle_rtt = fm.current_rtt(t.a, t.b);
-  fm.start(t.a, t.b, 1e9, nullptr);
+  fm.start(t.a, t.b, 1e9);
   // WAN link saturated: utilization 1, queueing delay raises the RTT.
   const auto& path = t.topo.route(t.a, t.b);
   EXPECT_NEAR(fm.link_utilization(path[1]), 1.0, 1e-9);
@@ -239,8 +239,8 @@ TEST(FlowManager, ZeroOrNegativeSizeThrows) {
   sim::Engine engine;
   LineTopo t;
   FlowManager fm(engine, t.topo);
-  EXPECT_THROW(fm.start(t.a, t.b, 0.0, nullptr), Error);
-  EXPECT_THROW(fm.start(t.a, t.a, 10.0, nullptr), Error);
+  EXPECT_THROW(fm.start(t.a, t.b, 0.0), Error);
+  EXPECT_THROW(fm.start(t.a, t.a, 10.0), Error);
 }
 
 TEST(FlowManager, RatesRespectLinkCapacityInvariant) {
@@ -248,8 +248,8 @@ TEST(FlowManager, RatesRespectLinkCapacityInvariant) {
   LineTopo t;
   FlowManager fm(engine, t.topo);
   for (int i = 0; i < 20; ++i) {
-    fm.start(t.a, t.b, 1e7, nullptr);
-    fm.start(t.c, t.b, 1e7, nullptr);
+    fm.start(t.a, t.b, 1e7);
+    fm.start(t.c, t.b, 1e7);
   }
   for (std::size_t l = 0; l < t.topo.num_links(); ++l) {
     EXPECT_LE(fm.link_utilization(static_cast<LinkId>(l)), 1.0 + 1e-9);
@@ -271,7 +271,7 @@ TEST(FlowManager, InfoTracksMidFlightProgress) {
   FlowOptions opts;
   opts.tcp_window_bytes = 1e12;
   FlowManager fm(engine, t.topo, opts);
-  const FlowId id = fm.start(t.a, t.b, 1e8, nullptr);
+  const FlowId id = fm.start(t.a, t.b, 1e8);
   engine.run_until(0.25);
   const auto info = fm.info(id);
   EXPECT_EQ(info.src, t.a);
@@ -290,7 +290,7 @@ TEST(FlowManager, CancelMidCompletionWindowIsSafe) {
   FlowManager fm(engine, t.topo);
   std::vector<FlowId> ids;
   for (int i = 0; i < 10; ++i) {
-    ids.push_back(fm.start(t.a, t.b, 1e6 * (i + 1), nullptr));
+    ids.push_back(fm.start(t.a, t.b, 1e6 * (i + 1)));
   }
   // Cancel every other flow from inside an event between completions.
   engine.schedule_in(0.001, [&] {
@@ -309,7 +309,7 @@ TEST(FlowManager, QueueingRaisesMeasuredRttMonotonically) {
   FlowManager fm(engine, t.topo, opts);
   double previous = fm.current_rtt(t.a, t.b);
   for (int i = 0; i < 4; ++i) {
-    fm.start(t.a, t.b, 1e9, nullptr);
+    fm.start(t.a, t.b, 1e9);
     const double now = fm.current_rtt(t.a, t.b);
     EXPECT_GE(now, previous - 1e-12);
     previous = now;
@@ -320,9 +320,9 @@ TEST(FlowManager, ActiveFlowCountPerHost) {
   sim::Engine engine;
   LineTopo t;
   FlowManager fm(engine, t.topo);
-  fm.start(t.a, t.b, 1e9, nullptr);
-  fm.start(t.a, t.c, 1e9, nullptr);
-  fm.start(t.c, t.b, 1e9, nullptr);
+  fm.start(t.a, t.b, 1e9);
+  fm.start(t.a, t.c, 1e9);
+  fm.start(t.c, t.b, 1e9);
   EXPECT_EQ(fm.host_active_flows(t.a), 2u);
   EXPECT_EQ(fm.host_active_flows(t.b), 2u);
   EXPECT_EQ(fm.host_active_flows(t.c), 2u);

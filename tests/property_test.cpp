@@ -53,7 +53,7 @@ TEST_P(FlowPropertyTest, BytesConservedAcrossRandomWorkload) {
     const Bytes size = rng.uniform(1e5, 5e7);
     total_requested += size;
     engine.schedule_in(rng.uniform(0.0, 2.0), [&fm, &hosts, src, dst, size] {
-      fm.start(hosts[src], hosts[dst], size, nullptr);
+      fm.start(hosts[src], hosts[dst], size);
     });
   }
   engine.run();
@@ -84,7 +84,7 @@ TEST_P(FlowPropertyTest, LinkCapacityNeverExceeded) {
     const auto s = static_cast<std::size_t>(rng.uniform_int(0, 2));
     auto d = static_cast<std::size_t>(rng.uniform_int(0, 1));
     if (d >= s) ++d;
-    fm.start(hosts[s], hosts[d], rng.uniform(1e6, 1e8), nullptr);
+    fm.start(hosts[s], hosts[d], rng.uniform(1e6, 1e8));
     for (std::size_t l = 0; l < topo.num_links(); ++l) {
       EXPECT_LE(fm.link_utilization(static_cast<net::LinkId>(l)),
                 1.0 + 1e-9);
@@ -111,7 +111,7 @@ TEST_P(FlowPropertyTest, MaxMinAllocationIsWorkConserving) {
   net::FlowManager fm(engine, topo, options);
   std::vector<net::FlowId> ids;
   for (int i = 0; i < 8; ++i) {
-    ids.push_back(fm.start(a, b, 1e10, nullptr));
+    ids.push_back(fm.start(a, b, 1e10));
   }
   const SimTime rtt = fm.base_rtt(a, b);
   const Rate cap = options.tcp_window_bytes / rtt;
@@ -238,7 +238,7 @@ TEST_P(MaxMinPropertyTest, RandomTopologyAllocationIsMaxMinFair) {
         static_cast<std::size_t>(rng.uniform_int(0, rt.hosts.size() - 2));
     if (dst >= src) ++dst;
     // Large transfers: no flow finishes while we inspect the allocation.
-    ids.push_back(fm.start(rt.hosts[src], rt.hosts[dst], 1e12, nullptr));
+    ids.push_back(fm.start(rt.hosts[src], rt.hosts[dst], 1e12));
   }
   expect_max_min_fair(fm, rt.topo, ids, options.tcp_window_bytes);
 }
@@ -262,7 +262,7 @@ TEST_P(MaxMinPropertyTest, InvariantsSurviveCapacityCutsAndRestore) {
     if (dst >= src) ++dst;
     const Bytes size = rng.uniform(1e8, 2e9);
     total_requested += size;
-    ids.push_back(fm.start(rt.hosts[src], rt.hosts[dst], size, nullptr));
+    ids.push_back(fm.start(rt.hosts[src], rt.hosts[dst], size));
   }
   engine.run_until(0.5);
 
@@ -425,7 +425,7 @@ TEST_P(MaxMinPropertyTest, OptimizedSolverMatchesNaiveSolverBitForBit) {
       if (dst >= src) ++dst;
       // Effectively infinite transfers: the reference tracks no byte
       // progress, so nothing may complete under it.
-      const auto id = fm.start(rt.hosts[src], rt.hosts[dst], 1e15, nullptr);
+      const auto id = fm.start(rt.hosts[src], rt.hosts[dst], 1e15);
       RefFlow rf;
       rf.path = rt.topo.route(rt.hosts[src], rt.hosts[dst]);
       rf.cap = options.tcp_window_bytes /

@@ -127,6 +127,65 @@ TEST(Engine, ProcessedCountTracksFiredEvents) {
   EXPECT_EQ(engine.num_processed(), 5u);
 }
 
+/// A record-driven component: counts its firings and re-arms every second.
+class Ticker final : public EventTarget {
+ public:
+  explicit Ticker(Engine& engine)
+      : engine_(engine), target_(engine.add_target(this)) {
+    arm();
+  }
+  Ticker(const Ticker& other, Engine& engine)
+      : fired(other.fired), engine_(engine), target_(other.target_) {
+    engine_.rebind_target(target_, this);
+  }
+  ~Ticker() { engine_.remove_target(target_); }
+  Ticker(const Ticker&) = delete;
+  Ticker& operator=(const Ticker&) = delete;
+
+  void on_event(const Event& /*event*/) override {
+    ++fired;
+    arm();
+  }
+  const char* target_name() const override { return "Ticker"; }
+
+  int fired = 0;
+
+ private:
+  void arm() {
+    engine_.schedule_in(1.0, Event{EventKind::kProbe, target_, 0});
+  }
+
+  Engine& engine_;
+  std::uint32_t target_;
+};
+
+TEST(Engine, CopyContinuesPendingRecordsOnReboundTargets) {
+  Engine engine;
+  Ticker source(engine);
+  engine.run_until(3.5);
+  Engine copy(engine);
+  Ticker forked(source, copy);
+  EXPECT_NO_THROW(copy.require_rebound(engine));
+  EXPECT_EQ(copy.num_pending(), engine.num_pending());
+  EXPECT_EQ(copy.num_processed(), 3u);
+  copy.run_until(10.0);
+  EXPECT_EQ(forked.fired, 10);
+  EXPECT_EQ(source.fired, 3);  // the source neither ran nor moved
+  EXPECT_DOUBLE_EQ(engine.now(), 3.5);
+  engine.run_until(10.0);
+  EXPECT_EQ(source.fired, 10);
+}
+
+TEST(Engine, CopyRefusesCallbacksAndTargetsLeftBehind) {
+  Engine engine;
+  Ticker source(engine);
+  const Engine copy(engine);
+  // The copy's table still points at `source`: nothing rebound it.
+  EXPECT_THROW(copy.require_rebound(engine), Error);
+  engine.schedule_in(1.0, [] {});
+  EXPECT_THROW(Engine{engine}, Error);
+}
+
 TEST(PeriodicTask, FiresAtInterval) {
   Engine engine;
   std::vector<SimTime> fire_times;

@@ -2,6 +2,8 @@
 // exporters, and snapshot construction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "cluster/background.hpp"
 #include "cluster/cluster.hpp"
 #include "obs/metrics.hpp"
@@ -32,6 +34,38 @@ TEST(Series, RingBufferEvictsOldest) {
   EXPECT_EQ(s.size(), 3u);
   EXPECT_DOUBLE_EQ(s.at(0).v, 20.0);  // 0 and 1 evicted
   EXPECT_DOUBLE_EQ(s.latest().v, 40.0);
+
+  // The ring grows on demand, then wraps: across many wraps a series keeps
+  // exactly the newest `capacity` samples, oldest first, and its window
+  // queries see only those — including a counter reset that ages out.
+  Series grown(5);
+  EXPECT_EQ(grown.capacity(), 5u);
+  for (int i = 0; i < 23; ++i) {
+    const double v = i == 10 ? 0.0 : i * 10.0;  // one reset, at t = 10
+    grown.append(i, v);
+    ASSERT_EQ(grown.size(), std::min<std::size_t>(i + 1, 5));
+    for (std::size_t k = 0; k < grown.size(); ++k) {
+      const int t = i + 1 - static_cast<int>(grown.size()) +
+                    static_cast<int>(k);
+      EXPECT_DOUBLE_EQ(grown.at(k).t, t) << i << " " << k;
+    }
+    if (i == 12) {
+      EXPECT_EQ(grown.num_decreases_between(9.0, 12.0), 1u);
+    }
+  }
+  EXPECT_EQ(grown.capacity(), 5u);
+  const auto window = grown.range(19.0, 21.0);
+  ASSERT_EQ(window.size(), 3u);
+  EXPECT_DOUBLE_EQ(window.front().v, 190.0);
+  EXPECT_EQ(grown.num_decreases_between(0.0, 100.0), 0u);  // aged out
+
+  // A copied series is independent of its source from then on.
+  Series copy = grown;
+  copy.append(30.0, 999.0);
+  EXPECT_DOUBLE_EQ(copy.latest().v, 999.0);
+  EXPECT_DOUBLE_EQ(grown.latest().v, 220.0);
+  EXPECT_DOUBLE_EQ(copy.at(0).t, 19.0);
+  EXPECT_DOUBLE_EQ(grown.at(0).t, 18.0);
 }
 
 TEST(Series, RangeQuery) {

@@ -492,8 +492,7 @@ int cmd_whatif(const Args& args) {
   AsciiTable table({"node", "rtt_mean(ms)", "tx(MB/s)", "rx(MB/s)",
                     "cpu_load", "duration(s)"});
   for (std::size_t n = 0; n < probe.node_names().size(); ++n) {
-    exp::SimEnv env(seed);
-    env.warmup();
+    exp::SimEnv env(probe);
     const auto result = env.run_job(job, n, seed ^ 0xF00DULL);
     const auto& t = snap.nodes[n];
     table.add_row({t.node, strformat("%.1f", t.rtt_mean * 1e3),

@@ -30,8 +30,11 @@ bool is_hot(const FunctionDef& fd) {
       "best_split",       "build_node",
       "boost_one_round"};
   if (kHot.count(fd.name) > 0) return true;
-  // Engine dispatch: the per-event loop of the simulator itself.
-  return fd.class_name == "Engine" && (fd.name == "step" || fd.name == "run");
+  // The simulator's per-event path: scheduling a record, the loop that pops
+  // it and the switch that dispatches it.
+  static const std::set<std::string> kEngineHot = {
+      "schedule_at", "schedule_in", "step", "run", "dispatch"};
+  return fd.class_name == "Engine" && kEngineHot.count(fd.name) > 0;
 }
 
 }  // namespace
