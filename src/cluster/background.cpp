@@ -51,15 +51,15 @@ BackgroundLoad::~BackgroundLoad() {
 
 void BackgroundLoad::start_in(SimTime delay) {
   start_event_ = cluster_.engine().schedule_in(
-      delay, sim::Event{sim::EventKind::kBackgroundStart, target_});
+      delay, sim::target_event(target_, kStart));
 }
 
 void BackgroundLoad::on_event(const sim::Event& event) {
-  switch (event.kind) {
-    case sim::EventKind::kBackgroundStart:
+  switch (event.code) {
+    case kStart:
       start();
       return;
-    case sim::EventKind::kBackgroundFetch:
+    case kFetch:
       begin_fetch(static_cast<std::size_t>(event.payload));
       return;
     default:
@@ -77,7 +77,7 @@ void BackgroundLoad::start() {
     // Desynchronize the loops so fetches do not start in lockstep.
     const SimTime stagger = rng_.uniform(0.0, options_.mean_pause);
     loops_[i].pause_event = cluster_.engine().schedule_in(
-        stagger, sim::Event{sim::EventKind::kBackgroundFetch, target_, i});
+        stagger, sim::target_event(target_, kFetch, i));
   }
 }
 
@@ -117,7 +117,7 @@ void BackgroundLoad::begin_fetch(std::size_t loop_idx) {
   loop.flow = cluster_.flows().start(
       cluster_.node(server_).vertex(), cluster_.node(client_).vertex(),
       kFetchBytes,
-      sim::Event{sim::EventKind::kBackgroundFetchDone, target_, loop_idx});
+      sim::target_event(target_, kFetchDone, loop_idx));
 }
 
 void BackgroundLoad::end_fetch(std::size_t loop_idx) {
@@ -131,7 +131,7 @@ void BackgroundLoad::end_fetch(std::size_t loop_idx) {
   if (!running_) return;
   const SimTime pause = rng_.exponential(options_.mean_pause);
   loop.pause_event = cluster_.engine().schedule_in(
-      pause, sim::Event{sim::EventKind::kBackgroundFetch, target_, loop_idx});
+      pause, sim::target_event(target_, kFetch, loop_idx));
 }
 
 }  // namespace lts::cluster

@@ -57,6 +57,9 @@ class BackgroundLoad final : public sim::EventTarget {
   const char* target_name() const override { return "BackgroundLoad"; }
 
  private:
+  /// Event codes of this pod pair's records; fetch records carry the loop.
+  enum Code : std::uint8_t { kStart, kFetch, kFetchDone };
+
   struct Loop {
     net::FlowId flow = net::kInvalidFlow;
     CpuTaskId client_cpu = kInvalidCpuTask;

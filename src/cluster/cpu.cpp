@@ -34,14 +34,10 @@ CpuPool::~CpuPool() {
   engine_.remove_target(target_);
 }
 
-void CpuPool::require_runnable(double demand_cores, double work_core_seconds) {
-  LTS_REQUIRE(demand_cores > 0.0, "CpuPool: demand must be positive");
-  LTS_REQUIRE(work_core_seconds > 0.0, "CpuPool: work must be positive");
-}
-
 CpuTaskId CpuPool::run(double demand_cores, double work_core_seconds,
                        sim::Event on_complete) {
-  require_runnable(demand_cores, work_core_seconds);
+  LTS_REQUIRE(demand_cores > 0.0, "CpuPool: demand must be positive");
+  LTS_REQUIRE(work_core_seconds > 0.0, "CpuPool: work must be positive");
   return add(demand_cores, work_core_seconds, on_complete);
 }
 
@@ -67,7 +63,6 @@ void CpuPool::cancel(CpuTaskId id) {
       tasks_.begin(), tasks_.end(), id,
       [](const Task& t, CpuTaskId v) { return t.id < v; });
   if (it == tasks_.end() || it->id != id) return;
-  engine_.discard(it->on_complete);
   tasks_.erase(it);
   recompute_rates();
   schedule_next_completion();
@@ -118,7 +113,7 @@ void CpuPool::schedule_next_completion() {
   if (!std::isfinite(earliest)) return;
   completion_event_ = engine_.schedule_in(
       std::max(earliest, 0.0),
-      sim::Event{sim::EventKind::kCpuCompletion, target_});
+      sim::target_event(target_));
 }
 
 void CpuPool::on_event(const sim::Event& /*event*/) {

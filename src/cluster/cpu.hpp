@@ -8,9 +8,7 @@
 // event timeline.
 #pragma once
 
-#include <concepts>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "simcore/engine.hpp"
@@ -37,14 +35,6 @@ class CpuPool final : public sim::EventTarget {
   /// completion time stretches under contention.
   CpuTaskId run(double demand_cores, double work_core_seconds,
                 sim::Event on_complete = {});
-  /// Driver-layer form: `on_complete` runs through an engine callback.
-  template <std::invocable F>
-  CpuTaskId run(double demand_cores, double work_core_seconds,
-                F&& on_complete) {
-    require_runnable(demand_cores, work_core_seconds);
-    return run(demand_cores, work_core_seconds,
-               engine_.callback(std::forward<F>(on_complete)));
-  }
 
   /// Adds load without a completion (daemons, background services). Remove
   /// with cancel().
@@ -76,7 +66,6 @@ class CpuPool final : public sim::EventTarget {
     sim::Event on_complete;
   };
 
-  static void require_runnable(double demand_cores, double work_core_seconds);
   CpuTaskId add(double demand_cores, double remaining, sim::Event on_complete);
   void advance();
   void recompute_rates();

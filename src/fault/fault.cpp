@@ -122,11 +122,11 @@ void FaultInjector::apply(const FaultSpec& spec) {
   const auto index = static_cast<std::uint64_t>(specs_.size());
   specs_.push_back(spec);
   pending_.push_back(engine_.schedule_at(
-      spec.at, sim::Event{sim::EventKind::kFaultInject, target_, index}));
+      spec.at, sim::target_event(target_, kInject, index)));
   if (spec.duration > 0.0) {
     pending_.push_back(engine_.schedule_at(
         spec.at + spec.duration,
-        sim::Event{sim::EventKind::kFaultRecover, target_, index}));
+        sim::target_event(target_, kRecover, index)));
   }
 }
 
@@ -136,7 +136,7 @@ void FaultInjector::apply_all(const std::vector<FaultSpec>& specs) {
 
 void FaultInjector::on_event(const sim::Event& event) {
   const FaultSpec& spec = specs_[static_cast<std::size_t>(event.payload)];
-  if (event.kind == sim::EventKind::kFaultInject) {
+  if (event.code == kInject) {
     inject(spec);
   } else {
     recover(spec);

@@ -126,6 +126,9 @@ class FaultInjector final : public sim::EventTarget {
   const char* target_name() const override { return "FaultInjector"; }
 
  private:
+  /// Event codes of this injector's records; both carry a spec index.
+  enum Code : std::uint8_t { kInject, kRecover };
+
   void inject(const FaultSpec& spec);
   void recover(const FaultSpec& spec);
   /// Forward link id of the WAN edge between two sites (either order).

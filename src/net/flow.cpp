@@ -109,11 +109,6 @@ FlowManager::~FlowManager() {
   engine_.remove_target(target_);
 }
 
-void FlowManager::require_startable(VertexId src, VertexId dst, Bytes size) {
-  LTS_REQUIRE(size > 0.0, "FlowManager: flow size must be positive");
-  LTS_REQUIRE(src != dst, "FlowManager: flow to self");
-}
-
 std::uint32_t FlowManager::find_slot(FlowId id) const {
   const auto it = std::lower_bound(
       by_id_.begin(), by_id_.end(), id,
@@ -185,7 +180,8 @@ void FlowManager::maybe_compact_arena() {
 
 FlowId FlowManager::start(VertexId src, VertexId dst, Bytes size,
                           sim::Event on_complete) {
-  require_startable(src, dst, size);
+  LTS_REQUIRE(size > 0.0, "FlowManager: flow size must be positive");
+  LTS_REQUIRE(src != dst, "FlowManager: flow to self");
   advance();
   const SimTime rtt = base_rtt(src, dst);
   const auto& route = topo_.route(src, dst);
@@ -237,7 +233,6 @@ void FlowManager::cancel(FlowId id) {
       by_id_.begin(), by_id_.end(), id,
       [this](std::uint32_t s, FlowId v) { return slots_[s].id < v; });
   by_id_.erase(it);
-  engine_.discard(slots_[slot].on_complete);
   release_slot(slot);
   maybe_compact_arena();
   mark_dirty();
@@ -257,11 +252,11 @@ void FlowManager::mark_dirty() {
   // either way no stale rate is ever visible and no simulated time passes
   // while the allocation is stale.
   flush_event_ =
-      engine_.schedule_in(0.0, sim::Event{sim::EventKind::kFlowFlush, target_});
+      engine_.schedule_in(0.0, sim::target_event(target_, kFlush));
 }
 
 void FlowManager::on_event(const sim::Event& event) {
-  if (event.kind == sim::EventKind::kFlowFlush) {
+  if (event.code == kFlush) {
     flush_event_ = sim::kInvalidEvent;
     flush();
   } else {
@@ -603,7 +598,7 @@ void FlowManager::schedule_next_completion() {
   // so the offset base is always the current instant.
   completion_event_ = engine_.schedule_in(
       std::max(completion_heap_.front().eta, 0.0),
-      sim::Event{sim::EventKind::kFlowCompletion, target_});
+      sim::target_event(target_, kCompletion));
 }
 
 void FlowManager::handle_completion_event() {

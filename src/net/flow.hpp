@@ -25,9 +25,7 @@
 
 #include <atomic>
 #include <chrono>
-#include <concepts>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "net/topology.hpp"
@@ -81,13 +79,6 @@ class FlowManager final : public sim::EventTarget {
   /// event time share a single progressive fill.
   FlowId start(VertexId src, VertexId dst, Bytes size,
                sim::Event on_complete = {});
-  /// Driver-layer form: `on_complete` runs through an engine callback.
-  template <std::invocable F>
-  FlowId start(VertexId src, VertexId dst, Bytes size, F&& on_complete) {
-    require_startable(src, dst, size);
-    return start(src, dst, size,
-                 engine_.callback(std::forward<F>(on_complete)));
-  }
 
   /// Aborts a flow; its callback never fires. No-op if already finished.
   /// Deferred-batched like start().
@@ -152,7 +143,8 @@ class FlowManager final : public sim::EventTarget {
  private:
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
-  static void require_startable(VertexId src, VertexId dst, Bytes size);
+  /// Event codes of this manager's records.
+  enum Code : std::uint8_t { kFlush, kCompletion };
 
   struct Flow {
     FlowId id = kInvalidFlow;

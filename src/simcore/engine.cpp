@@ -82,45 +82,24 @@ Event Engine::callback(std::function<void()> fn) {
     slot = static_cast<std::uint32_t>(callbacks_.size());
     callbacks_.push_back(std::move(fn));
   }
-  return Event{EventKind::kCallback, 0, slot};
+  return Event{.kind = EventKind::kCallback, .payload = slot};
 }
 
-void Engine::discard(const Event& event) {
-  if (event.kind != EventKind::kCallback) return;
-  const auto slot = static_cast<std::uint32_t>(event.payload);
+void Engine::release_callback(std::uint32_t slot) {
   callbacks_[slot] = nullptr;
   free_callbacks_.push_back(slot);
 }
 
 void Engine::dispatch(const Event& event) {
-  switch (event.kind) {
-    case EventKind::kNone:
-      return;
-    case EventKind::kCallback: {
-      // Move the closure out and free its slot first, so it may schedule
-      // further callbacks (reusing the slot) while it runs.
-      const auto slot = static_cast<std::uint32_t>(event.payload);
-      auto fn = std::move(callbacks_[slot]);
-      callbacks_[slot] = nullptr;
-      free_callbacks_.push_back(slot);
-      fn();
-      return;
-    }
-    case EventKind::kPeriodic:
-    case EventKind::kFlowFlush:
-    case EventKind::kFlowCompletion:
-    case EventKind::kCpuCompletion:
-    case EventKind::kBackgroundStart:
-    case EventKind::kBackgroundFetch:
-    case EventKind::kBackgroundFetchDone:
-    case EventKind::kScrape:
-    case EventKind::kDelayedReport:
-    case EventKind::kProbe:
-    case EventKind::kFaultInject:
-    case EventKind::kFaultRecover:
-    case EventKind::kSparkStep:
-      targets_[event.target]->on_event(event);
-      return;
+  if (event.kind == EventKind::kTarget) {
+    targets_[event.target]->on_event(event);
+  } else if (event.kind == EventKind::kCallback) {
+    // Move the closure out and free its slot first, so it may schedule
+    // further callbacks (reusing the slot) while it runs.
+    const auto slot = static_cast<std::uint32_t>(event.payload);
+    auto fn = std::move(callbacks_[slot]);
+    release_callback(slot);
+    fn();
   }
 }
 
@@ -133,7 +112,10 @@ bool Engine::cancel(EventId id) {
   // Lazy deletion: free the record; the queue entry is skipped when popped.
   if (!pending(id)) return false;
   const std::uint32_t slot = slot_of(id);
-  discard(slots_[slot].event);
+  const Event& event = slots_[slot].event;
+  if (event.kind == EventKind::kCallback) {
+    release_callback(static_cast<std::uint32_t>(event.payload));
+  }
   release_slot(slot);
   return true;
 }
@@ -220,14 +202,10 @@ PeriodicTask::PeriodicTask(Engine& engine, SimTime interval, SimTime phase,
     : engine_(engine), interval_(interval), tick_(tick), target_(0) {
   LTS_REQUIRE(interval > 0.0, "PeriodicTask: interval must be positive");
   LTS_REQUIRE(phase >= 0.0, "PeriodicTask: negative phase");
+  LTS_REQUIRE(tick.kind != EventKind::kCallback,
+              "PeriodicTask: a callback record fires only once");
   target_ = engine_.add_target(this);
-  pending_ = engine_.schedule_in(phase, Event{EventKind::kPeriodic, target_});
-}
-
-PeriodicTask::PeriodicTask(Engine& engine, SimTime interval, SimTime phase,
-                           std::function<void()> fn)
-    : PeriodicTask(engine, interval, phase, Event{}) {
-  fn_ = std::move(fn);
+  pending_ = engine_.schedule_in(phase, target_event(target_));
 }
 
 PeriodicTask::PeriodicTask(const PeriodicTask& other, Engine& engine)
@@ -237,7 +215,6 @@ PeriodicTask::PeriodicTask(const PeriodicTask& other, Engine& engine)
       target_(other.target_),
       pending_(other.pending_),
       running_(other.running_) {
-  LTS_REQUIRE(!other.fn_, "PeriodicTask: cannot copy a driver-layer closure");
   engine_.rebind_target(target_, this);
 }
 
@@ -256,13 +233,9 @@ void PeriodicTask::stop() {
 void PeriodicTask::on_event(const Event& /*event*/) {
   pending_ = kInvalidEvent;
   if (!running_) return;
-  if (fn_) {
-    fn_();
-  } else {
-    engine_.dispatch(tick_);
-  }
+  engine_.dispatch(tick_);
   if (!running_) return;  // the tick may have stopped us
-  pending_ = engine_.schedule_in(interval_, Event{EventKind::kPeriodic, target_});
+  pending_ = engine_.schedule_in(interval_, target_event(target_));
 }
 
 }  // namespace lts::sim

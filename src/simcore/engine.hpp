@@ -6,15 +6,16 @@
 // its inputs — the property the counterfactual evaluation in exp/evaluate
 // relies on.
 //
-// An event is a record: a kind, the index of the component it targets and
-// one payload word. A component registers with its engine once and gets a
-// target index; Engine::dispatch, one switch over the kind, routes a record
-// to that component's on_event. Records hold no pointers, so a copy of an
-// engine holds the same pending events, and a copied component only has to
-// point its target index at itself (exp::SimEnv's copy does this for a
-// whole environment). The driver layer (stream runners, tests) may still
-// schedule closures: each lives in a callback slot while its record is
-// pending, and an engine holding one refuses to be copied.
+// An event is a record: how to route it, the index of the component it
+// targets, that component's own event code and one payload word. A
+// component registers with its engine once and gets a target index;
+// Engine::dispatch hands a target record to that component's on_event,
+// which reads the code. Records hold no pointers, so a copy of an engine
+// holds the same pending events, and a copied component only has to point
+// its target index at itself (exp::SimEnv's copy does this for a whole
+// environment). The driver layer (stream runners, tests) may still schedule
+// closures: each lives in a callback slot while its record is pending, and
+// an engine holding one refuses to be copied.
 #pragma once
 
 #include <atomic>
@@ -33,30 +34,29 @@ namespace lts::sim {
 using EventId = std::uint64_t;
 inline constexpr EventId kInvalidEvent = 0;
 
-/// The simulator's fixed set of event handlers.
+/// How Engine::dispatch routes a record.
 enum class EventKind : std::uint8_t {
-  kNone,                 // a completion nobody listens to
-  kCallback,             // driver-layer closure; payload = callback slot
-  kPeriodic,             // PeriodicTask firing
-  kFlowFlush,            // FlowManager's deferred rate recompute
-  kFlowCompletion,       // FlowManager's next flow completion
-  kCpuCompletion,        // CpuPool's next task completion
-  kBackgroundStart,      // BackgroundLoad::start
-  kBackgroundFetch,      // payload = fetch loop
-  kBackgroundFetchDone,  // payload = fetch loop
-  kScrape,               // NodeExporter scrape
-  kDelayedReport,        // payload = NodeExporter report slot
-  kProbe,                // PingExporter mesh probe
-  kFaultInject,          // payload = FaultInjector spec index
-  kFaultRecover,         // payload = FaultInjector spec index
-  kSparkStep,            // payload = SparkApp continuation slot
+  kNone,      // a completion nobody listens to
+  kCallback,  // driver-layer closure; payload = callback slot
+  kTarget,    // the component registered at `target`
 };
 
 struct Event {
   EventKind kind = EventKind::kNone;
+  /// The target's own event code; the engine never reads it.
+  std::uint8_t code = 0;
   std::uint32_t target = 0;
   std::uint64_t payload = 0;
 };
+
+/// A record for the component registered at `target`.
+constexpr Event target_event(std::uint32_t target, std::uint8_t code = 0,
+                             std::uint64_t payload = 0) {
+  return Event{.kind = EventKind::kTarget,
+               .code = code,
+               .target = target,
+               .payload = payload};
+}
 
 /// A component that receives event records. Not deleted through this base.
 class EventTarget {
@@ -102,12 +102,9 @@ class Engine {
 
   /// Parks a closure in a callback slot and returns the record that runs
   /// (and frees) it once dispatched; an empty closure gives a kNone record.
-  /// Flow and CPU completions take such records from driver-layer callers.
+  /// Tests hand such records to flows and CPU tasks as completions; one
+  /// that is never dispatched (its flow was cancelled) keeps its slot.
   Event callback(std::function<void()> fn);
-
-  /// Frees the callback slot of a record that will never be dispatched (a
-  /// cancelled flow's completion). No-op for every other kind.
-  void discard(const Event& event);
 
   /// Runs `event`'s handler now. Flow and CPU completions notify their
   /// owners through it.
@@ -155,6 +152,7 @@ class Engine {
     return static_cast<std::uint32_t>(id);
   }
   void release_slot(std::uint32_t slot);
+  void release_callback(std::uint32_t slot);
 
   struct QueueEntry {
     SimTime time;
@@ -192,13 +190,9 @@ class Engine {
 /// nodes interleave rather than synchronize (as real Prometheus jitter does).
 class PeriodicTask final : public EventTarget {
  public:
-  /// Dispatches `tick` at every firing.
+  /// Dispatches `tick` (not a one-shot callback record) at every firing.
   PeriodicTask(Engine& engine, SimTime interval, SimTime phase, Event tick);
-  /// Driver-layer form: runs `fn` at every firing; cannot be copied.
-  PeriodicTask(Engine& engine, SimTime interval, SimTime phase,
-               std::function<void()> fn);
   /// Copies `other`'s schedule onto `engine`, a copy of other's engine.
-  /// Throws lts::Error for the closure form.
   PeriodicTask(const PeriodicTask& other, Engine& engine);
   ~PeriodicTask();
 
@@ -215,7 +209,6 @@ class PeriodicTask final : public EventTarget {
   Engine& engine_;
   SimTime interval_;
   Event tick_;
-  std::function<void()> fn_;
   std::uint32_t target_;
   EventId pending_ = kInvalidEvent;
   bool running_ = true;

@@ -117,7 +117,7 @@ class SparkApp final : public sim::EventTarget {
   /// What a parked continuation waits for.
   enum class Waiting : std::uint8_t { kEvent, kFlow, kCpu };
   /// A continuation parked until its event fires, its flow lands or its
-  /// CPU task finishes; the kSparkStep record carrying its slot resumes it.
+  /// CPU task finishes; the record carrying its slot resumes it.
   struct Continuation {
     std::function<void()> fn;  // empty: free slot
     Waiting on = Waiting::kEvent;
@@ -129,7 +129,7 @@ class SparkApp final : public sim::EventTarget {
   std::uint32_t park(std::function<void()> fn, Waiting on,
                      std::size_t node = 0);
   sim::Event step_event(std::uint32_t slot) const {
-    return sim::Event{sim::EventKind::kSparkStep, target_, slot};
+    return sim::target_event(target_, 0, slot);
   }
   void schedule(SimTime delay, std::function<void()> fn);
   void start_flow(std::size_t src_node, std::size_t dst_node, Bytes bytes,

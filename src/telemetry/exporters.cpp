@@ -34,7 +34,7 @@ NodeExporter::NodeExporter(sim::Engine& engine, Tsdb& tsdb,
       engine_(engine),
       target_(engine.add_target(this)),
       task_(engine, kScrapeInterval, phase,
-            sim::Event{sim::EventKind::kScrape, target_}) {}
+            sim::target_event(target_, kScrape)) {}
 
 NodeExporter::NodeExporter(const NodeExporter& other, sim::Engine& engine,
                            Tsdb& tsdb, cluster::Cluster& cluster)
@@ -79,7 +79,7 @@ void NodeExporter::set_report_delay(SimTime delay) {
 }
 
 void NodeExporter::on_event(const sim::Event& event) {
-  if (event.kind == sim::EventKind::kScrape) {
+  if (event.code == kScrape) {
     scrape();
     return;
   }
@@ -151,8 +151,7 @@ void NodeExporter::scrape() {
   }
   reports_[slot] = report;
   reports_[slot].event = engine_.schedule_in(
-      report_delay_,
-      sim::Event{sim::EventKind::kDelayedReport, target_, slot});
+      report_delay_, sim::target_event(target_, kReport, slot));
 }
 
 PingExporter::PingExporter(sim::Engine& engine, Tsdb& tsdb,
@@ -163,7 +162,7 @@ PingExporter::PingExporter(sim::Engine& engine, Tsdb& tsdb,
       engine_(engine),
       target_(engine.add_target(this)),
       task_(engine, kScrapeInterval, phase,
-            sim::Event{sim::EventKind::kProbe, target_}) {}
+            sim::target_event(target_)) {}
 
 PingExporter::PingExporter(const PingExporter& other, sim::Engine& engine,
                            Tsdb& tsdb, cluster::Cluster& cluster)

@@ -83,6 +83,10 @@ class NodeExporter final : public sim::EventTarget {
  private:
   static constexpr std::size_t kMaxSamples = 8;
 
+  /// Event codes of this exporter's records; a report record carries its
+  /// slot in reports_.
+  enum Code : std::uint8_t { kScrape, kReport };
+
   /// One scrape's measurements: values[i] belongs to the i-th metric of the
   /// fixed export order (the baseline four, then the rich four).
   struct Report {

@@ -18,7 +18,8 @@ TEST(CpuPool, UncontendedTaskRunsAtDemand) {
   sim::Engine engine;
   CpuPool pool(engine, 4.0);
   double done_at = -1.0;
-  pool.run(2.0, 4.0, [&] { done_at = engine.now(); });  // 4 core-s at 2 cores
+  // 4 core-s at 2 cores
+  pool.run(2.0, 4.0, engine.callback([&] { done_at = engine.now(); }));
   engine.run();
   EXPECT_NEAR(done_at, 2.0, 1e-9);
 }
@@ -28,8 +29,8 @@ TEST(CpuPool, ContentionStretchesProportionally) {
   CpuPool pool(engine, 2.0);
   // Two tasks, each demanding 2 cores on a 2-core node: each runs at 1.
   double a = -1, b = -1;
-  pool.run(2.0, 2.0, [&] { a = engine.now(); });
-  pool.run(2.0, 2.0, [&] { b = engine.now(); });
+  pool.run(2.0, 2.0, engine.callback([&] { a = engine.now(); }));
+  pool.run(2.0, 2.0, engine.callback([&] { b = engine.now(); }));
   engine.run();
   EXPECT_NEAR(a, 2.0, 1e-9);
   EXPECT_NEAR(b, 2.0, 1e-9);
@@ -39,8 +40,8 @@ TEST(CpuPool, EarlyFinisherSpeedsUpRemainder) {
   sim::Engine engine;
   CpuPool pool(engine, 1.0);
   double small = -1, big = -1;
-  pool.run(1.0, 0.5, [&] { small = engine.now(); });
-  pool.run(1.0, 1.5, [&] { big = engine.now(); });
+  pool.run(1.0, 0.5, engine.callback([&] { small = engine.now(); }));
+  pool.run(1.0, 1.5, engine.callback([&] { big = engine.now(); }));
   engine.run();
   // Both at 0.5 cores until t=1 (small done: 0.5 work). Big then has 1.0
   // work left at full speed: done at t=2.
@@ -53,7 +54,7 @@ TEST(CpuPool, PersistentLoadSlowsTasks) {
   CpuPool pool(engine, 2.0);
   pool.add_persistent(1.0);
   double done = -1;
-  pool.run(2.0, 2.0, [&] { done = engine.now(); });
+  pool.run(2.0, 2.0, engine.callback([&] { done = engine.now(); }));
   // demand 3 on 2 cores: task rate = 2 * (2/3) = 4/3 -> 1.5s.
   engine.run_until(10.0);
   EXPECT_NEAR(done, 1.5, 1e-9);
@@ -64,7 +65,7 @@ TEST(CpuPool, CancelPersistentRestoresSpeed) {
   CpuPool pool(engine, 1.0);
   const CpuTaskId bg = pool.add_persistent(1.0);
   double done = -1;
-  pool.run(1.0, 1.0, [&] { done = engine.now(); });
+  pool.run(1.0, 1.0, engine.callback([&] { done = engine.now(); }));
   engine.schedule_at(1.0, [&] { pool.cancel(bg); });
   engine.run_until(10.0);
   // 0.5 work done in the first second (half speed), rest at full speed.
@@ -87,9 +88,9 @@ TEST(CpuPool, CallbackMayScheduleMoreWork) {
   sim::Engine engine;
   CpuPool pool(engine, 1.0);
   double second_done = -1;
-  pool.run(1.0, 1.0, [&] {
-    pool.run(1.0, 1.0, [&] { second_done = engine.now(); });
-  });
+  pool.run(1.0, 1.0, engine.callback([&] {
+    pool.run(1.0, 1.0, engine.callback([&] { second_done = engine.now(); }));
+  }));
   engine.run();
   EXPECT_NEAR(second_done, 2.0, 1e-9);
 }

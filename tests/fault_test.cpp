@@ -173,8 +173,8 @@ TEST(FaultInjector, SitePartitionStallsCrossSiteFlowsAndHeals) {
   const auto v_fiu = cluster.node(2).vertex();    // node-3 @ fiu
 
   bool cross_done = false;
-  const auto cross = cluster.flows().start(v_ucsd, v_fiu, 1e9,
-                                           [&] { cross_done = true; });
+  const auto cross = cluster.flows().start(
+      v_ucsd, v_fiu, 1e9, engine.callback([&] { cross_done = true; }));
   engine.run_until(2.0);
   const double before = cluster.flows().info(cross).transferred;
   EXPECT_GT(before, 10e6);  // cross-site flow is making real progress
@@ -193,7 +193,8 @@ TEST(FaultInjector, SitePartitionStallsCrossSiteFlowsAndHeals) {
 
   // Intra-site traffic is unaffected.
   bool local_done = false;
-  cluster.flows().start(v_ucsd, v_ucsd2, 50e6, [&] { local_done = true; });
+  cluster.flows().start(v_ucsd, v_ucsd2, 50e6,
+                        engine.callback([&] { local_done = true; }));
   engine.run_until(110.0);
   EXPECT_TRUE(local_done);
 

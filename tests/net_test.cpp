@@ -97,7 +97,8 @@ TEST(FlowManager, SingleFlowUsesBottleneckCapacity) {
   opts.tcp_window_bytes = 1e12;  // cap off for this test
   FlowManager fm(engine, t.topo, opts);
   bool done = false;
-  fm.start(t.a, t.b, 1e8, [&] { done = true; });  // 100 MB over 100 MB/s WAN
+  // 100 MB over 100 MB/s WAN
+  fm.start(t.a, t.b, 1e8, engine.callback([&] { done = true; }));
   engine.run();
   EXPECT_TRUE(done);
   EXPECT_NEAR(engine.now(), 1.0, 0.01);
@@ -112,8 +113,8 @@ TEST(FlowManager, TwoFlowsShareBottleneckFairly) {
   int done = 0;
   // Both A->B and C->B cross the 100 MB/s WAN link: 50 MB/s each, so each
   // 50 MB transfer takes 1 s.
-  fm.start(t.a, t.b, 5e7, [&] { ++done; });
-  fm.start(t.c, t.b, 5e7, [&] { ++done; });
+  fm.start(t.a, t.b, 5e7, engine.callback([&] { ++done; }));
+  fm.start(t.c, t.b, 5e7, engine.callback([&] { ++done; }));
   engine.run();
   EXPECT_EQ(done, 2);
   EXPECT_NEAR(engine.now(), 1.0, 0.01);
@@ -126,8 +127,9 @@ TEST(FlowManager, EarlyCompletionFreesBandwidth) {
   opts.tcp_window_bytes = 1e12;
   FlowManager fm(engine, t.topo, opts);
   double small_done = -1.0, big_done = -1.0;
-  fm.start(t.a, t.b, 2.5e7, [&] { small_done = engine.now(); });
-  fm.start(t.c, t.b, 7.5e7, [&] { big_done = engine.now(); });
+  fm.start(t.a, t.b, 2.5e7,
+           engine.callback([&] { small_done = engine.now(); }));
+  fm.start(t.c, t.b, 7.5e7, engine.callback([&] { big_done = engine.now(); }));
   engine.run();
   // Phase 1: both at 50 MB/s until the small one finishes at t=0.5 with
   // the big one at 25 MB remaining... it then gets the full 100 MB/s:
@@ -145,7 +147,7 @@ TEST(FlowManager, TcpWindowCapsLongRttFlows) {
   FlowManager fm(engine, t.topo, opts);
   bool done = false;
   // base rtt ~ 2*(1e-4 + 0.05 + 1e-4) = 0.1004 s; cap ~ 9.96 MB/s.
-  fm.start(t.a, t.b, 1e7, [&] { done = true; });
+  fm.start(t.a, t.b, 1e7, engine.callback([&] { done = true; }));
   engine.run();
   EXPECT_TRUE(done);
   EXPECT_NEAR(engine.now(), 1e7 / (1e6 / 0.1004), 0.02);
@@ -156,7 +158,8 @@ TEST(FlowManager, CancelStopsFlowAndCallback) {
   LineTopo t;
   FlowManager fm(engine, t.topo);
   bool fired = false;
-  const FlowId id = fm.start(t.a, t.b, 1e9, [&] { fired = true; });
+  const FlowId id =
+      fm.start(t.a, t.b, 1e9, engine.callback([&] { fired = true; }));
   engine.schedule_in(0.1, [&] { fm.cancel(id); });
   engine.run();
   EXPECT_FALSE(fired);
@@ -216,7 +219,7 @@ TEST(FlowManager, ManyFlowsAllComplete) {
   int done = 0;
   for (int i = 0; i < 50; ++i) {
     fm.start(i % 2 == 0 ? t.a : t.c, t.b, 1e6 * (i + 1),
-             [&] { ++done; });
+             engine.callback([&] { ++done; }));
   }
   engine.run();
   EXPECT_EQ(done, 50);
@@ -228,9 +231,9 @@ TEST(FlowManager, CallbackMayStartNewFlow) {
   LineTopo t;
   FlowManager fm(engine, t.topo);
   bool chained = false;
-  fm.start(t.a, t.b, 1e6, [&] {
-    fm.start(t.b, t.c, 1e6, [&] { chained = true; });
-  });
+  fm.start(t.a, t.b, 1e6, engine.callback([&] {
+    fm.start(t.b, t.c, 1e6, engine.callback([&] { chained = true; }));
+  }));
   engine.run();
   EXPECT_TRUE(chained);
 }

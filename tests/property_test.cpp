@@ -477,7 +477,8 @@ TEST_P(CpuPropertyTest, WorkIsConserved) {
     const double work = rng.uniform(0.1, 5.0);
     total_work += work;
     ++remaining;
-    pool.run(rng.uniform(0.5, 2.0), work, [&remaining] { --remaining; });
+    pool.run(rng.uniform(0.5, 2.0), work,
+             engine.callback([&remaining] { --remaining; }));
   }
   engine.run();
   EXPECT_EQ(remaining, 0);
@@ -497,8 +498,9 @@ TEST_P(CpuPropertyTest, OrderIndependentOfCallbacks) {
     int noise = 0;
     for (const auto& [demand, work] : tasks) {
       pool.run(demand, work,
-               with_noise_callbacks ? std::function<void()>([&] { ++noise; })
-                                    : std::function<void()>(nullptr));
+               engine.callback(with_noise_callbacks
+                                   ? std::function<void()>([&] { ++noise; })
+                                   : std::function<void()>(nullptr)));
     }
     engine.run();
     return engine.now();

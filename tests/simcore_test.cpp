@@ -1,7 +1,10 @@
 // Unit tests for the discrete-event engine.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "simcore/engine.hpp"
@@ -152,7 +155,7 @@ class Ticker final : public EventTarget {
 
  private:
   void arm() {
-    engine_.schedule_in(1.0, Event{EventKind::kProbe, target_, 0});
+    engine_.schedule_in(1.0, target_event(target_));
   }
 
   Engine& engine_;
@@ -186,54 +189,86 @@ TEST(Engine, CopyRefusesCallbacksAndTargetsLeftBehind) {
   EXPECT_THROW(Engine{engine}, Error);
 }
 
+/// A PeriodicTask's tick target: logs each record's code and time, then
+/// runs the test's hook.
+class Recorder final : public EventTarget {
+ public:
+  explicit Recorder(Engine& engine)
+      : engine_(engine), target_(engine.add_target(this)) {}
+  ~Recorder() { engine_.remove_target(target_); }
+  Recorder(const Recorder&) = delete;
+  Recorder& operator=(const Recorder&) = delete;
+
+  Event tick(char code = 'x') const {
+    return target_event(target_, static_cast<std::uint8_t>(code));
+  }
+  void on_event(const Event& event) override {
+    codes += static_cast<char>(event.code);
+    times.push_back(engine_.now());
+    if (on_tick) on_tick();
+  }
+  const char* target_name() const override { return "Recorder"; }
+
+  std::string codes;
+  std::vector<SimTime> times;
+  std::function<void()> on_tick;
+
+ private:
+  Engine& engine_;
+  std::uint32_t target_;
+};
+
 TEST(PeriodicTask, FiresAtInterval) {
   Engine engine;
-  std::vector<SimTime> fire_times;
-  PeriodicTask task(engine, 2.0, 0.5,
-                    [&] { fire_times.push_back(engine.now()); });
+  Recorder rec(engine);
+  PeriodicTask task(engine, 2.0, 0.5, rec.tick());
   engine.run_until(9.0);
-  ASSERT_EQ(fire_times.size(), 5u);
-  EXPECT_DOUBLE_EQ(fire_times[0], 0.5);
-  EXPECT_DOUBLE_EQ(fire_times[4], 8.5);
+  ASSERT_EQ(rec.times.size(), 5u);
+  EXPECT_DOUBLE_EQ(rec.times[0], 0.5);
+  EXPECT_DOUBLE_EQ(rec.times[4], 8.5);
 }
 
 TEST(PeriodicTask, StopHaltsFiring) {
   Engine engine;
-  int count = 0;
-  PeriodicTask task(engine, 1.0, 0.0, [&] { ++count; });
+  Recorder rec(engine);
+  PeriodicTask task(engine, 1.0, 0.0, rec.tick());
   engine.run_until(3.5);
   task.stop();
   engine.run_until(10.0);
-  EXPECT_EQ(count, 4);  // t = 0, 1, 2, 3
+  EXPECT_EQ(rec.times.size(), 4u);  // t = 0, 1, 2, 3
   EXPECT_FALSE(task.running());
 }
 
 TEST(PeriodicTask, CanStopItselfFromCallback) {
   Engine engine;
-  int count = 0;
+  Recorder rec(engine);
   std::unique_ptr<PeriodicTask> task;
-  task = std::make_unique<PeriodicTask>(engine, 1.0, 0.0, [&] {
-    if (++count == 3) task->stop();
-  });
+  rec.on_tick = [&] {
+    if (rec.times.size() == 3) task->stop();
+  };
+  task = std::make_unique<PeriodicTask>(engine, 1.0, 0.0, rec.tick());
   engine.run_until(10.0);
-  EXPECT_EQ(count, 3);
+  EXPECT_EQ(rec.times.size(), 3u);
 }
 
 TEST(PeriodicTask, DestructorCancels) {
   Engine engine;
-  int count = 0;
+  Recorder rec(engine);
   {
-    PeriodicTask task(engine, 1.0, 0.0, [&] { ++count; });
+    PeriodicTask task(engine, 1.0, 0.0, rec.tick());
     engine.run_until(2.5);
   }
   engine.run_until(10.0);
-  EXPECT_EQ(count, 3);
+  EXPECT_EQ(rec.times.size(), 3u);
 }
 
 TEST(PeriodicTask, InvalidArgsThrow) {
   Engine engine;
-  EXPECT_THROW(PeriodicTask(engine, 0.0, 0.0, [] {}), Error);
-  EXPECT_THROW(PeriodicTask(engine, 1.0, -1.0, [] {}), Error);
+  Recorder rec(engine);
+  EXPECT_THROW(PeriodicTask(engine, 0.0, 0.0, rec.tick()), Error);
+  EXPECT_THROW(PeriodicTask(engine, 1.0, -1.0, rec.tick()), Error);
+  // A callback record frees its closure when dispatched: it cannot repeat.
+  EXPECT_THROW(PeriodicTask(engine, 1.0, 0.0, engine.callback([] {})), Error);
 }
 
 }  // namespace
@@ -277,13 +312,13 @@ TEST(Engine, RunUntilRepeatedNoEvents) {
 
 TEST(PeriodicTask, TwoTasksInterleaveDeterministically) {
   Engine engine;
-  std::string order;
-  PeriodicTask a(engine, 2.0, 0.0, [&] { order += 'a'; });
-  PeriodicTask b(engine, 3.0, 0.0, [&] { order += 'b'; });
+  Recorder rec(engine);
+  PeriodicTask a(engine, 2.0, 0.0, rec.tick('a'));
+  PeriodicTask b(engine, 3.0, 0.0, rec.tick('b'));
   engine.run_until(6.0);
   // t=0: a,b (insertion order); t=2 a; t=3 b; t=4 a; t=6 b before a (b's
   // re-arm was scheduled at t=3, earlier than a's at t=4).
-  EXPECT_EQ(order, "abababa");
+  EXPECT_EQ(rec.codes, "abababa");
 }
 
 }  // namespace

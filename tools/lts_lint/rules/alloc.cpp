@@ -31,7 +31,7 @@ bool is_hot(const FunctionDef& fd) {
       "boost_one_round"};
   if (kHot.count(fd.name) > 0) return true;
   // The simulator's per-event path: scheduling a record, the loop that pops
-  // it and the switch that dispatches it.
+  // it and the branch that dispatches it.
   static const std::set<std::string> kEngineHot = {
       "schedule_at", "schedule_in", "step", "run", "dispatch"};
   return fd.class_name == "Engine" && kEngineHot.count(fd.name) > 0;
