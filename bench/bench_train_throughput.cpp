@@ -37,6 +37,7 @@
 #include "ml/gbt.hpp"
 #include "ml/tree.hpp"
 #include "util/rng.hpp"
+#include "util/string_util.hpp"
 #include "util/table.hpp"
 
 #include "train_reference.hpp"
@@ -74,7 +75,7 @@ ml::Dataset make_window(std::size_t rows, std::uint64_t seed) {
   std::vector<std::string> names;
   names.reserve(kFeatures);
   for (std::size_t c = 0; c < kFeatures; ++c) {
-    names.push_back("f" + std::to_string(c));
+    names.push_back(strformat("f%zu", c));
   }
   return ml::Dataset(std::move(x), std::move(y), std::move(names));
 }

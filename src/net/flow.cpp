@@ -44,13 +44,12 @@ FlowManager::FlowManager(sim::Engine& engine, const Topology& topo,
       options_(options),
       obs_enabled_(obs::MetricsRegistry::global().enabled_flag()) {
   const std::size_t links = topo_.num_links();
-  link_alloc_.assign(links, 0.0);
-  alloc_epoch_.assign(links, 0);
   residual_.assign(links, 0.0);
   residual_epoch_.assign(links, 0);
   link_count_.assign(links, 0);
   count_epoch_.assign(links, 0);
   bottleneck_epoch_.assign(links, 0);
+  link_alloc_.assign(links, 0.0);
   const std::size_t vertices = topo_.num_vertices();
   tx_head_.assign(vertices, kNoSlot);
   tx_tail_.assign(vertices, kNoSlot);
@@ -89,15 +88,14 @@ FlowManager::FlowManager(const FlowManager& other, sim::Engine& engine,
       flush_event_(other.flush_event_),
       dirty_(other.dirty_),
       epoch_(other.epoch_),
-      last_fill_epoch_(other.last_fill_epoch_),
-      link_alloc_(other.link_alloc_),
-      alloc_epoch_(other.alloc_epoch_),
       residual_(other.residual_),
       residual_epoch_(other.residual_epoch_),
       link_count_(other.link_count_),
       count_epoch_(other.count_epoch_),
       bottleneck_epoch_(other.bottleneck_epoch_),
-      completion_heap_(other.completion_heap_),
+      next_eta_(other.next_eta_),
+      link_alloc_(other.link_alloc_),
+      link_alloc_stale_(other.link_alloc_stale_),
       host_tx_(other.host_tx_),
       host_rx_(other.host_rx_) {
   engine_.rebind_target(target_, this);
@@ -295,13 +293,23 @@ double FlowManager::link_utilization(LinkId link) const {
   ensure_fresh();
   LTS_REQUIRE(link >= 0 && static_cast<std::size_t>(link) < link_alloc_.size(),
               "FlowManager: bad link id");
+  sum_link_alloc();
   const Rate cap = topo_.link(link).capacity;
-  const auto li = static_cast<std::size_t>(link);
-  // Links untouched by the last fill carry no allocation; their stale array
-  // entries are simply never read.
-  const Rate alloc = alloc_epoch_[li] == last_fill_epoch_ ? link_alloc_[li]
-                                                          : 0.0;
-  return std::clamp(alloc / cap, 0.0, 1.0);
+  return std::clamp(link_alloc_[static_cast<std::size_t>(link)] / cap, 0.0,
+                    1.0);
+}
+
+void FlowManager::sum_link_alloc() const {
+  if (!link_alloc_stale_) return;
+  link_alloc_stale_ = false;
+  std::fill(link_alloc_.begin(), link_alloc_.end(), 0.0);
+  for (const std::uint32_t s : by_id_) {
+    const Flow& f = slots_[s];
+    const LinkId* path = path_arena_.data() + f.path_begin;
+    for (std::uint32_t k = 0; k < f.path_len; ++k) {
+      link_alloc_[static_cast<std::size_t>(path[k])] += f.rate;
+    }
+  }
 }
 
 SimTime FlowManager::link_queue_delay(LinkId link) const {
@@ -426,37 +434,14 @@ void FlowManager::recompute_rates() {
 
 std::size_t FlowManager::recompute_rates_core() {
   const std::uint64_t fill_epoch = ++epoch_;
-  last_fill_epoch_ = fill_epoch;
-  completion_heap_.clear();
+  link_alloc_stale_ = true;
   if (by_id_.empty()) return 0;
-  const std::size_t rounds = fill_flows(fill_epoch);
-
-  // Final accumulation in id order (the order the old full-map walk used,
-  // so per-link sums round identically) doubles as the heap build.
-  completion_heap_.reserve(by_id_.size());
-  for (const std::uint32_t s : by_id_) {
-    const Flow& f = slots_[s];
-    const LinkId* path = path_arena_.data() + f.path_begin;
-    for (std::uint32_t k = 0; k < f.path_len; ++k) {
-      const auto li = static_cast<std::size_t>(path[k]);
-      if (alloc_epoch_[li] != fill_epoch) {
-        alloc_epoch_[li] = fill_epoch;
-        link_alloc_[li] = 0.0;
-      }
-      link_alloc_[li] += f.rate;
-    }
-    LTS_ASSERT(f.rate > 0.0);
-    completion_heap_.push_back(HeapEntry{f.remaining / f.rate, s});
-  }
-  const auto later = [](const HeapEntry& a, const HeapEntry& b) {
-    return a.eta > b.eta;
-  };
-  std::make_heap(completion_heap_.begin(), completion_heap_.end(), later);
-  return rounds;
+  return fill_flows(fill_epoch);
 }
 
 std::size_t FlowManager::fill_flows(std::uint64_t fill_epoch) {
   std::size_t rounds = 0;
+  next_eta_ = std::numeric_limits<SimTime>::infinity();
   unfrozen_.clear();
   unfrozen_.reserve(by_id_.size());
   for (const std::uint32_t s : by_id_) {
@@ -472,6 +457,10 @@ std::size_t FlowManager::fill_flows(std::uint64_t fill_epoch) {
     // the rate actually assigned (floor included), so floored flows never
     // oversubscribe their path.
     f.rate = std::max(rate, 1e-3);
+    LTS_ASSERT(f.rate > 0.0);
+    // Every flow freezes exactly once per fill, at its final rate, so the
+    // running minimum is the fill's earliest completion.
+    next_eta_ = std::min(next_eta_, f.remaining / f.rate);
     const LinkId* path = path_arena_.data() + f.path_begin;
     for (std::uint32_t k = 0; k < f.path_len; ++k) {
       const auto li = static_cast<std::size_t>(path[k]);
@@ -592,13 +581,11 @@ void FlowManager::schedule_next_completion() {
     engine_.cancel(completion_event_);
     completion_event_ = sim::kInvalidEvent;
   }
-  if (completion_heap_.empty()) return;
-  // The heap top is the same minimum the old full scan computed; its eta is
-  // relative to the last recompute, and every recompute rebuilds the heap,
-  // so the offset base is always the current instant.
+  if (by_id_.empty()) return;
+  // next_eta_ is relative to the last recompute, and every caller has just
+  // recomputed, so the offset base is the current instant.
   completion_event_ = engine_.schedule_in(
-      std::max(completion_heap_.front().eta, 0.0),
-      sim::target_event(target_, kCompletion));
+      std::max(next_eta_, 0.0), sim::target_event(target_, kCompletion));
 }
 
 void FlowManager::handle_completion_event() {

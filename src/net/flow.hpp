@@ -59,11 +59,12 @@ class FlowManager final : public sim::EventTarget {
  public:
   FlowManager(sim::Engine& engine, const Topology& topo,
               FlowOptions options = {});
-  /// Copies `other`'s flows, rates and lazy byte accounting verbatim onto
-  /// `engine` (a copy of other's engine) and `topo` (a copy of its
-  /// topology). Reads only raw state: other's accessors, which flush
-  /// through const_cast, are not called, so several threads may copy one
-  /// manager as long as none of them queries it meanwhile.
+  /// Copies `other`'s flows, rates, lazy byte accounting and lazy link sums
+  /// verbatim onto `engine` (a copy of other's engine) and `topo` (a copy
+  /// of its topology). Reads only raw state: other's accessors, which flush
+  /// and sum through const_cast or mutable state, are not called, so
+  /// several threads may copy one manager as long as none of them queries
+  /// it meanwhile.
   FlowManager(const FlowManager& other, sim::Engine& engine,
               const Topology& topo);
   ~FlowManager();
@@ -99,7 +100,9 @@ class FlowManager final : public sim::EventTarget {
   std::size_t num_active() const { return by_id_.size(); }
   std::uint64_t num_completed() const { return completed_; }
 
-  /// Instantaneous allocated-rate / capacity for a link, in [0, 1].
+  /// Instantaneous allocated-rate / capacity for a link, in [0, 1]. The
+  /// first read after a rate recompute sums every link's allocation in one
+  /// pass over the flows; later reads until the next recompute are O(1).
   double link_utilization(LinkId link) const;
 
   /// Current one-way queueing delay estimate for a link.
@@ -168,14 +171,6 @@ class FlowManager final : public sim::EventTarget {
     sim::Event on_complete;
   };
 
-  /// Predicted time-to-completion at current rates, keyed for the min-heap
-  /// that replaces the O(flows) min-scan when (re)scheduling the completion
-  /// event. Rebuilt by every recompute, so entries never go stale.
-  struct HeapEntry {
-    SimTime eta = 0.0;  // remaining / rate, relative to the last recompute
-    std::uint32_t slot = kNoSlot;
-  };
-
   /// Applies elapsed time to all flows (byte accounting) up to engine.now().
   /// Always safe while dirty: a stale allocation implies the last mutation
   /// happened at the current instant, so the elapsed interval is zero.
@@ -205,10 +200,15 @@ class FlowManager final : public sim::EventTarget {
 
   /// One progressive fill over every active flow, in ascending FlowId
   /// order. `fill_epoch` stamps this fill's residual state; epoch_ supplies
-  /// the per-round stamps. Returns the number of rounds.
+  /// the per-round stamps. Leaves the earliest completion in next_eta_.
+  /// Returns the number of rounds.
   std::size_t fill_flows(std::uint64_t fill_epoch);
 
-  /// (Re)schedules the single pending completion event from the heap top.
+  /// Sums the last fill's rates onto link_alloc_ if no read has done so
+  /// since that fill. Logically const, like ensure_fresh().
+  void sum_link_alloc() const;
+
+  /// (Re)schedules the single pending completion event at next_eta_.
   void schedule_next_completion();
 
   void handle_completion_event();
@@ -271,19 +271,25 @@ class FlowManager final : public sim::EventTarget {
   // when their stamp matches the current fill/round epoch, making per-round
   // work O(unfrozen flows × path length).
   std::uint64_t epoch_ = 0;
-  std::uint64_t last_fill_epoch_ = 0;
-  std::vector<Rate> link_alloc_;
-  std::vector<std::uint64_t> alloc_epoch_;
   std::vector<Rate> residual_;
   std::vector<std::uint64_t> residual_epoch_;
   std::vector<int> link_count_;
   std::vector<std::uint64_t> count_epoch_;
   std::vector<std::uint64_t> bottleneck_epoch_;
+  // Earliest remaining / rate over the last fill's flows: the delay, from
+  // that fill, of the next completion. Only meaningful with flows active.
+  SimTime next_eta_ = 0.0;
+  // Per-link allocated rate, summed lazily: a fill only marks the sums
+  // stale, and the first link_utilization() read after it adds the fill's
+  // rates in FlowId order, as an eager sum at the fill would have. Every
+  // mutation of the flow set marks the allocation dirty, so a flushed read
+  // always sums exactly the flows and rates of the last fill.
+  mutable std::vector<Rate> link_alloc_;
+  mutable bool link_alloc_stale_ = false;
   // Solver scratch, reused across recomputes to stay allocation-free on the
   // hot path.
   std::vector<LinkId> touched_links_;
   std::vector<std::uint32_t> unfrozen_;
-  std::vector<HeapEntry> completion_heap_;
   // Completion notifications of one harvest, dispatched after it.
   std::vector<sim::Event> finished_;
 

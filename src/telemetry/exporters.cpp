@@ -28,13 +28,18 @@ NodeExporter::NodeExporter(sim::Engine& engine, Tsdb& tsdb,
       cluster_(cluster),
       node_index_(node_index),
       node_name_(cluster.node(node_index).name()),
-      labels_{{"node", node_name_}},
       options_(options),
       load_ema_(kLoadEmaTau),
       engine_(engine),
       target_(engine.add_target(this)),
       task_(engine, kScrapeInterval, phase,
-            sim::target_event(target_, kScrape)) {}
+            sim::target_event(target_, kScrape)) {
+  static_assert(kNodeMetrics.size() == kMaxSamples);
+  const Labels labels{{"node", node_name_}};
+  for (std::size_t i = 0; i < kMaxSamples; ++i) {
+    series_ids_[i] = tsdb_.intern(kNodeMetrics[i], labels);
+  }
+}
 
 NodeExporter::NodeExporter(const NodeExporter& other, sim::Engine& engine,
                            Tsdb& tsdb, cluster::Cluster& cluster)
@@ -42,7 +47,7 @@ NodeExporter::NodeExporter(const NodeExporter& other, sim::Engine& engine,
       cluster_(cluster),
       node_index_(other.node_index_),
       node_name_(other.node_name_),
-      labels_(other.labels_),
+      series_ids_(other.series_ids_),
       options_(other.options_),
       load_ema_(other.load_ema_),
       engine_(engine),
@@ -91,7 +96,7 @@ void NodeExporter::on_event(const sim::Event& event) {
 
 void NodeExporter::append(const Report& report) {
   for (std::size_t i = 0; i < report.count; ++i) {
-    tsdb_.append(kNodeMetrics[i], labels_, report.at, report.values[i]);
+    tsdb_.append(series_ids_[i], report.at, report.values[i]);
   }
 }
 
@@ -162,12 +167,25 @@ PingExporter::PingExporter(sim::Engine& engine, Tsdb& tsdb,
       engine_(engine),
       target_(engine.add_target(this)),
       task_(engine, kScrapeInterval, phase,
-            sim::target_event(target_)) {}
+            sim::target_event(target_)) {
+  const std::size_t n = cluster_.num_nodes();
+  rtt_series_.resize(n * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (i == j) continue;
+      rtt_series_[i * n + j] = tsdb_.intern(
+          kPingRttMetric,
+          Labels{{"src", cluster_.node(i).name()},
+                 {"dst", cluster_.node(j).name()}});
+    }
+  }
+}
 
 PingExporter::PingExporter(const PingExporter& other, sim::Engine& engine,
                            Tsdb& tsdb, cluster::Cluster& cluster)
     : tsdb_(tsdb),
       cluster_(cluster),
+      rtt_series_(other.rtt_series_),
       rng_(other.rng_),
       engine_(engine),
       target_(other.target_),
@@ -193,10 +211,7 @@ void PingExporter::probe() {
       const SimTime measured =
           true_rtt * (1.0 + kRttNoiseFrac * std::abs(rng_.normal())) +
           kRttNoiseFloor * rng_.uniform();
-      tsdb_.append(kPingRttMetric,
-                   Labels{{"src", cluster_.node(i).name()},
-                          {"dst", cluster_.node(j).name()}},
-                   now, measured);
+      tsdb_.append(rtt_series_[i * n + j], now, measured);
     }
   }
 }

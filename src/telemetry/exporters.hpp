@@ -103,7 +103,8 @@ class NodeExporter final : public sim::EventTarget {
   cluster::Cluster& cluster_;
   std::size_t node_index_;
   std::string node_name_;
-  Labels labels_;
+  // This node's series of the export order, interned once.
+  std::array<SeriesId, kMaxSamples> series_ids_;
   ExporterOptions options_;
   Ema load_ema_;
   sim::Engine& engine_;
@@ -140,6 +141,9 @@ class PingExporter final : public sim::EventTarget {
 
   Tsdb& tsdb_;
   cluster::Cluster& cluster_;
+  // rtt_series_[i * n + j]: the series of probes from node i to node j,
+  // interned once (the diagonal is unused).
+  std::vector<SeriesId> rtt_series_;
   Rng rng_;
   sim::Engine& engine_;
   std::uint32_t target_;

@@ -52,10 +52,23 @@ const Sample& Series::latest() const {
 }
 
 std::vector<Sample> Series::range(SimTime t_from, SimTime t_to) const {
+  // The ring is time-ordered (append drops late samples), so the window is
+  // one contiguous run: binary-search its first sample, then walk to its
+  // end. "Before the window" is !(t >= t_from), which is a prefix of the
+  // ring for any t_from; a NaN bound selects nothing, as a scan would.
+  std::size_t lo = 0;
+  std::size_t hi = size_;
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (!(at(mid).t >= t_from)) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
   std::vector<Sample> out;
-  for (std::size_t i = 0; i < size_; ++i) {
-    const Sample& s = at(i);
-    if (s.t >= t_from && s.t <= t_to) out.push_back(s);
+  for (std::size_t i = lo; i < size_ && at(i).t <= t_to; ++i) {
+    out.push_back(at(i));
   }
   return out;
 }

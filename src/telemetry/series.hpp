@@ -38,7 +38,8 @@ class Series {
   const Sample& at(std::size_t i) const;
   const Sample& latest() const;
 
-  /// Samples with t in [t_from, t_to], oldest first.
+  /// Samples with t in [t_from, t_to], oldest first. O(log size) to find
+  /// the window plus O(samples in it).
   std::vector<Sample> range(SimTime t_from, SimTime t_to) const;
 
   /// Number of adjacent-sample decreases (cumulative-counter resets) whose

@@ -28,7 +28,9 @@ obs::Counter& counter_reset_counter() {
 
 }  // namespace
 
-Tsdb::Tsdb(std::size_t series_capacity) : series_capacity_(series_capacity) {
+Tsdb::Tsdb(std::size_t series_capacity)
+    : series_capacity_(series_capacity),
+      directory_(std::make_shared<Directory>()) {
   // Touch the correctness counters so a metrics export always carries the
   // families (at zero) instead of omitting them until the first incident.
   out_of_order_counter();
@@ -51,18 +53,35 @@ std::string encode_series_key(const std::string& name, const Labels& labels) {
   return key;
 }
 
-void Tsdb::append(const std::string& name, const Labels& labels, SimTime t,
-                  double v) {
+SeriesId Tsdb::intern(const std::string& name, const Labels& labels) {
+  std::string key = encode_series_key(name, labels);
+  if (const auto it = directory_->ids.find(key);
+      it != directory_->ids.end()) {
+    return it->second;
+  }
+  if (directory_.use_count() > 1) {
+    directory_ = std::make_shared<Directory>(*directory_);
+  }
+  const auto id = static_cast<SeriesId>(directory_->pairs.size());
+  directory_->ids.emplace(std::move(key), id);
+  directory_->pairs.emplace_back(name, labels);
+  return id;
+}
+
+void Tsdb::append(SeriesId id, SimTime t, double v) {
+  LTS_REQUIRE(id < directory_->pairs.size(), "Tsdb: unknown series id");
   // Even a dropped sample advances the epoch: the drop counters changed,
   // and a conservative invalidation is always safe.
   ++epoch_;
-  const std::string key = encode_series_key(name, labels);
-  auto it = series_.find(key);
-  if (it == series_.end()) {
-    it = series_.emplace(key, Entry{labels, Series(series_capacity_)}).first;
-    by_name_[name].push_back(key);
+  if (id >= series_.size()) series_.resize(id + 1, Series(series_capacity_));
+  Series& series = series_[id];
+  if (series.empty()) {
+    // First append: the series comes into being (a first sample is never
+    // late, so it is always accepted below).
+    by_name_[directory_->pairs[id].first].push_back(id);
+    ++num_series_;
   }
-  if (!it->second.series.append(t, v)) {
+  if (!series.append(t, v)) {
     out_of_order_counter().inc();
     ++samples_dropped_;
     return;
@@ -71,8 +90,12 @@ void Tsdb::append(const std::string& name, const Labels& labels, SimTime t,
 }
 
 const Series* Tsdb::find(const std::string& name, const Labels& labels) const {
-  const auto it = series_.find(encode_series_key(name, labels));
-  return it == series_.end() ? nullptr : &it->second.series;
+  const auto it = directory_->ids.find(encode_series_key(name, labels));
+  if (it == directory_->ids.end() || it->second >= series_.size()) {
+    return nullptr;
+  }
+  const Series& series = series_[it->second];
+  return series.empty() ? nullptr : &series;
 }
 
 std::vector<std::pair<Labels, const Series*>> Tsdb::select(
@@ -80,9 +103,8 @@ std::vector<std::pair<Labels, const Series*>> Tsdb::select(
   std::vector<std::pair<Labels, const Series*>> out;
   const auto it = by_name_.find(name);
   if (it == by_name_.end()) return out;
-  for (const auto& key : it->second) {
-    const auto& entry = series_.at(key);
-    out.emplace_back(entry.labels, &entry.series);
+  for (const SeriesId id : it->second) {
+    out.emplace_back(directory_->pairs[id].second, &series_[id]);
   }
   return out;
 }

@@ -3,7 +3,9 @@
 // rate over a window, and aggregations over time windows.
 #pragma once
 
+#include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -18,16 +20,32 @@ using Labels = std::map<std::string, std::string>;
 /// Canonical series identity string: name{k1="v1",k2="v2"}.
 std::string encode_series_key(const std::string& name, const Labels& labels);
 
+/// Dense handle of one (metric, labels) pair, from Tsdb::intern(). Valid in
+/// the Tsdb that issued it and in every copy of that Tsdb.
+using SeriesId = std::uint32_t;
+
 class Tsdb {
  public:
   explicit Tsdb(std::size_t series_capacity = 720);
 
-  /// Appends a sample, creating the series on first touch. A sample older
-  /// than its series' newest retained one is dropped (counted in
-  /// num_samples_dropped() and in the global obs counter
-  /// telemetry_out_of_order_dropped_total) rather than aborting ingestion.
+  /// Resolves a (metric, labels) pair to its id, registering the pair on
+  /// first use. Registering creates no series: until its first append an
+  /// interned pair is invisible to num_series(), find(), select() and every
+  /// query, so exporters may intern everything they could ever export.
+  SeriesId intern(const std::string& name, const Labels& labels);
+
+  /// Appends a sample to an interned series, creating the series on its
+  /// first append. A sample older than its series' newest retained one is
+  /// dropped (counted in num_samples_dropped() and in the global obs
+  /// counter telemetry_out_of_order_dropped_total) rather than aborting
+  /// ingestion. This is the exporters' per-scrape path: no key encoding,
+  /// no lookup.
+  void append(SeriesId id, SimTime t, double v);
+
   void append(const std::string& name, const Labels& labels, SimTime t,
-              double v);
+              double v) {
+    append(intern(name, labels), t, v);
+  }
 
   /// Series lookup; nullptr when it does not exist.
   const Series* find(const std::string& name, const Labels& labels) const;
@@ -36,7 +54,7 @@ class Tsdb {
   std::vector<std::pair<Labels, const Series*>> select(
       const std::string& name) const;
 
-  std::size_t num_series() const { return series_.size(); }
+  std::size_t num_series() const { return num_series_; }
   std::uint64_t num_samples() const { return samples_appended_; }
   std::uint64_t num_samples_dropped() const { return samples_dropped_; }
 
@@ -89,19 +107,26 @@ class Tsdb {
                                          SimTime window) const;
 
  private:
-  struct Entry {
-    Labels labels;
-    Series series;
+  /// The interned pairs: each id's metric name and labels, and each
+  /// encoded key's id. Copies share one directory, so a fork copies no
+  /// names or labels; intern() grows a private clone of a shared one, so
+  /// no Tsdb ever writes a directory another one reads.
+  struct Directory {
+    std::vector<std::pair<std::string, Labels>> pairs;  // by SeriesId
+    std::map<std::string, SeriesId> ids;
   };
 
   std::size_t series_capacity_;
   std::uint64_t samples_appended_ = 0;
   std::uint64_t samples_dropped_ = 0;
   std::uint64_t epoch_ = 0;
-  // key -> entry; std::map keeps deterministic iteration for select().
-  std::map<std::string, Entry> series_;
-  // metric name -> keys, to make select() cheap.
-  std::map<std::string, std::vector<std::string>> by_name_;
+  std::shared_ptr<Directory> directory_;
+  // Samples by SeriesId, grown by appends. A series is created on its
+  // first append and joins by_name_ then, in creation order (select()'s
+  // order).
+  std::vector<Series> series_;
+  std::map<std::string, std::vector<SeriesId>> by_name_;
+  std::size_t num_series_ = 0;
 };
 
 }  // namespace lts::telemetry

@@ -522,6 +522,35 @@ TEST(SimEnvFork, ConcurrentCopiesOfOneSource) {
   EXPECT_EQ(parallel, serial);
 }
 
+TEST(SimEnvFork, ForkBetweenAFillAndTheFirstUtilizationRead) {
+  // Link sums are lazy: a fill marks them stale and the next utilization
+  // read adds them up. A fork taken in between must do the same on its
+  // first read, and so match its source link for link.
+  SimEnv source(5150);
+  source.warmup();
+  net::FlowManager& flows = source.cluster().flows();
+  const std::size_t links = source.cluster().topology().num_links();
+  for (std::size_t l = 0; l < links; ++l) {
+    (void)flows.link_utilization(static_cast<net::LinkId>(l));  // summed
+  }
+  // A new flow, and a rate read that runs its fill without summing.
+  flows.start(source.cluster().node(0).vertex(),
+              source.cluster().node(3).vertex(), 5e8);
+  (void)flows.host_tx_rate(source.cluster().node(0).vertex());
+  SimEnv fork(source);
+  for (std::size_t l = 0; l < links; ++l) {
+    const auto link = static_cast<net::LinkId>(l);
+    EXPECT_EQ(fork.cluster().flows().link_utilization(link),
+              flows.link_utilization(link))
+        << "link " << l;
+  }
+  // Both run on alike, through scrapes that export the utilizations.
+  source.engine().run_until(source.engine().now() + 6.0);
+  fork.engine().run_until(fork.engine().now() + 6.0);
+  EXPECT_EQ(snapshot_bytes(fork.snapshot()), snapshot_bytes(source.snapshot()));
+  EXPECT_EQ(fork.engine().num_processed(), source.engine().num_processed());
+}
+
 TEST(SimEnvFork, RefusesWhatItCannotTake) {
   SimEnv env(12);
   env.warmup();

@@ -6,6 +6,7 @@
 #include "k8s/manifest.hpp"
 #include "k8s/resources.hpp"
 #include "k8s/scheduler.hpp"
+#include "util/string_util.hpp"
 
 namespace lts::k8s {
 namespace {
@@ -243,7 +244,7 @@ TEST(DefaultScheduler, TieBreakIsSeededDeterministic) {
   auto pick = [](std::uint64_t seed) {
     ApiServer api;
     for (int i = 0; i < 6; ++i) {
-      api.register_node("n" + std::to_string(i), gib(4, 8));
+      api.register_node(strformat("n%d", i), gib(4, 8));
     }
     DefaultScheduler scheduler(api, seed);
     PodSpec pod;

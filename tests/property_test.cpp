@@ -20,6 +20,7 @@
 #include "simcore/engine.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
+#include "util/string_util.hpp"
 
 namespace lts {
 namespace {
@@ -39,7 +40,7 @@ TEST_P(FlowPropertyTest, BytesConservedAcrossRandomWorkload) {
   const auto r2 = topo.add_router("r2");
   topo.add_duplex_link(r1, r2, rng.uniform(5e7, 5e8), rng.uniform(1e-3, 5e-2));
   for (int i = 0; i < 5; ++i) {
-    hosts.push_back(topo.add_host("h" + std::to_string(i)));
+    hosts.push_back(topo.add_host(strformat("h%d", i)));
     topo.add_duplex_link(hosts.back(), i % 2 == 0 ? r1 : r2,
                          rng.uniform(1e8, 1e9), 1e-4);
   }
@@ -145,7 +146,7 @@ RandomTopo make_random_topology(Rng& rng) {
   const int n_sites = static_cast<int>(rng.uniform_int(2, 4));
   std::vector<net::VertexId> routers;
   for (int s = 0; s < n_sites; ++s) {
-    routers.push_back(rt.topo.add_router("r" + std::to_string(s)));
+    routers.push_back(rt.topo.add_router(strformat("r%d", s)));
   }
   for (int i = 0; i < n_sites; ++i) {
     for (int j = i + 1; j < n_sites; ++j) {
@@ -156,8 +157,7 @@ RandomTopo make_random_topology(Rng& rng) {
   for (int s = 0; s < n_sites; ++s) {
     const int n_hosts = static_cast<int>(rng.uniform_int(1, 3));
     for (int h = 0; h < n_hosts; ++h) {
-      rt.hosts.push_back(rt.topo.add_host("h" + std::to_string(s) + "_" +
-                                          std::to_string(h)));
+      rt.hosts.push_back(rt.topo.add_host(strformat("h%d_%d", s, h)));
       rt.topo.add_duplex_link(rt.hosts.back(), routers[s],
                               rng.uniform(1e8, 1e9),
                               rng.uniform(5e-5, 5e-4));
@@ -453,6 +453,76 @@ TEST_P(MaxMinPropertyTest, OptimizedSolverMatchesNaiveSolverBitForBit) {
     }
     check();
   }
+}
+
+TEST_P(MaxMinPropertyTest, LinkUtilizationEqualsEagerIdOrderedSum) {
+  // Link sums are taken lazily, on the first utilization read after a
+  // fill. After every batch of starts, cancels, capacity changes and
+  // completions they must equal the eager sum: each live flow's rate added
+  // onto its path in FlowId order, over capacity, double for double.
+  Rng rng(GetParam() ^ 0x6666);
+  sim::Engine engine;
+  RandomTopo rt = make_random_topology(rng);
+  net::FlowManager fm(engine, rt.topo);
+  std::vector<net::FlowId> ids;  // ascending: ids are handed out in order
+  const auto expect_eager_sums = [&](int batch) {
+    // Utilizations first: after a mutation, the first of these reads runs
+    // the pending fill, then sums.
+    std::vector<double> utilization;
+    for (std::size_t l = 0; l < rt.topo.num_links(); ++l) {
+      utilization.push_back(fm.link_utilization(static_cast<net::LinkId>(l)));
+    }
+    std::vector<Rate> sum(rt.topo.num_links(), 0.0);
+    for (const auto id : ids) {
+      if (!fm.active(id)) continue;
+      const auto info = fm.info(id);
+      for (const auto l : rt.topo.route(info.src, info.dst)) {
+        sum[static_cast<std::size_t>(l)] += info.rate;
+      }
+    }
+    for (std::size_t l = 0; l < sum.size(); ++l) {
+      const auto link = static_cast<net::LinkId>(l);
+      EXPECT_EQ(utilization[l],
+                std::clamp(sum[l] / rt.topo.link(link).capacity, 0.0, 1.0))
+          << "batch " << batch << " link " << l;
+    }
+  };
+  for (int batch = 0; batch < 12; ++batch) {
+    const int n_starts = static_cast<int>(rng.uniform_int(0, 6));
+    for (int i = 0; i < n_starts; ++i) {
+      const auto src =
+          static_cast<std::size_t>(rng.uniform_int(0, rt.hosts.size() - 1));
+      auto dst =
+          static_cast<std::size_t>(rng.uniform_int(0, rt.hosts.size() - 2));
+      if (dst >= src) ++dst;
+      ids.push_back(
+          fm.start(rt.hosts[src], rt.hosts[dst], rng.uniform(1e6, 3e8)));
+    }
+    if (batch % 3 == 1 && !ids.empty()) {
+      fm.cancel(ids[static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(ids.size()) - 1))]);
+    }
+    if (batch % 4 == 2) {
+      const auto l = static_cast<net::LinkId>(rng.uniform_int(
+          0, static_cast<std::int64_t>(rt.topo.num_links()) - 1));
+      rt.topo.set_link_capacity(l, rt.topo.link(l).capacity *
+                                       rng.uniform(0.3, 1.5));
+      fm.invalidate_rates();
+    }
+    // Alternate which read comes first after the batch: a utilization read
+    // (it flushes, then sums) or a rate read (it flushes without summing).
+    if (batch % 2 == 0) {
+      expect_eager_sums(batch);
+    } else {
+      (void)fm.host_tx_rate(rt.hosts.front());
+      expect_eager_sums(batch);
+      expect_eager_sums(batch);  // a second read reuses the sums
+    }
+    // Let some transfers finish before the next batch.
+    engine.run_until(engine.now() + rng.uniform(0.05, 1.0));
+  }
+  engine.run();
+  expect_eager_sums(-1);  // every flow done: all links idle
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MaxMinPropertyTest,

@@ -12,6 +12,8 @@
 #include "telemetry/series.hpp"
 #include "telemetry/snapshot.hpp"
 #include "telemetry/tsdb.hpp"
+#include "util/string_util.hpp"
+#include "util/thread_pool.hpp"
 
 namespace lts::telemetry {
 namespace {
@@ -68,6 +70,24 @@ TEST(Series, RingBufferEvictsOldest) {
   EXPECT_DOUBLE_EQ(grown.at(0).t, 18.0);
 }
 
+/// The windowed read as a plain scan of every retained sample.
+std::vector<Sample> scan_range(const Series& s, SimTime t_from, SimTime t_to) {
+  std::vector<Sample> out;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    if (s.at(i).t >= t_from && s.at(i).t <= t_to) out.push_back(s.at(i));
+  }
+  return out;
+}
+
+void expect_same_samples(const std::vector<Sample>& got,
+                         const std::vector<Sample>& want, const char* what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].t, want[i].t) << what << " sample " << i;
+    EXPECT_EQ(got[i].v, want[i].v) << what << " sample " << i;
+  }
+}
+
 TEST(Series, RangeQuery) {
   Series s(16);
   for (int i = 0; i < 10; ++i) s.append(i, i);
@@ -75,6 +95,43 @@ TEST(Series, RangeQuery) {
   ASSERT_EQ(r.size(), 4u);
   EXPECT_DOUBLE_EQ(r.front().t, 3.0);
   EXPECT_DOUBLE_EQ(r.back().t, 6.0);
+
+  // A wrapped ring (head mid-buffer) with runs of equal timestamps: every
+  // window returns what a scan of all retained samples returns.
+  Series ring(7);
+  for (int i = 0; i < 19; ++i) ring.append(i / 2, i);  // t = 0,0,1,1,...,9
+  ASSERT_EQ(ring.size(), 7u);
+  ASSERT_EQ(ring.at(0).t, 6.0);  // oldest retained: t = 6 (v = 12)
+  ASSERT_EQ(ring.latest().t, 9.0);
+  const struct {
+    SimTime from, to;
+    const char* what;
+    std::size_t want;
+  } windows[] = {
+      {6.0, 6.0, "oldest edge", 2},
+      {-5.0, 6.5, "before and into the oldest edge", 2},
+      {9.0, 9.0, "newest edge", 1},
+      {8.5, 100.0, "into and past the newest edge", 1},
+      {7.0, 8.0, "equal timestamps on both bounds", 4},
+      {6.0, 9.0, "the full ring", 7},
+      {-1e9, 1e9, "wider than the ring", 7},
+      {3.0, 5.5, "empty: before the oldest sample", 0},
+      {9.5, 12.0, "empty: after the newest sample", 0},
+      {7.2, 7.8, "empty: between two samples", 0},
+      {8.0, 7.0, "empty: inverted", 0},
+  };
+  for (const auto& w : windows) {
+    const auto got = ring.range(w.from, w.to);
+    EXPECT_EQ(got.size(), w.want) << w.what;
+    expect_same_samples(got, scan_range(ring, w.from, w.to), w.what);
+  }
+  // Every window with bounds on or between the retained timestamps.
+  for (int a = 10; a <= 20; ++a) {
+    for (int b = a - 1; b <= 20; ++b) {
+      expect_same_samples(ring.range(a / 2.0, b / 2.0),
+                          scan_range(ring, a / 2.0, b / 2.0), "sweep");
+    }
+  }
 }
 
 TEST(Series, NonMonotoneTimestampDropped) {
@@ -227,6 +284,157 @@ TEST(Tsdb, SelectByName) {
   EXPECT_EQ(tsdb.num_samples(), 3u);
 }
 
+TEST(Tsdb, AppendsByIdAndByNameLandInOneSeries) {
+  Tsdb tsdb;
+  const Labels labels{{"node", "a"}};
+  const SeriesId id = tsdb.intern("m", labels);
+  EXPECT_EQ(tsdb.intern("m", labels), id);
+  EXPECT_NE(tsdb.intern("m", {{"node", "b"}}), id);
+  EXPECT_NE(tsdb.intern("other", labels), id);
+  tsdb.append(id, 1.0, 10.0);
+  tsdb.append("m", labels, 2.0, 20.0);
+  tsdb.append(id, 3.0, 30.0);
+  EXPECT_EQ(tsdb.num_series(), 1u);
+  EXPECT_EQ(tsdb.num_samples(), 3u);
+  const Series* series = tsdb.find("m", labels);
+  ASSERT_NE(series, nullptr);
+  ASSERT_EQ(series->size(), 3u);
+  EXPECT_EQ(series->at(1).v, 20.0);
+  const auto selected = tsdb.select("m");
+  ASSERT_EQ(selected.size(), 1u);
+  EXPECT_EQ(selected.front().first, labels);
+  EXPECT_EQ(selected.front().second, series);
+  EXPECT_THROW(tsdb.append(SeriesId{1000}, 4.0, 1.0), Error);
+}
+
+TEST(Tsdb, InterningCreatesNoSeries) {
+  // Series come into being on their first append, so interning ahead of
+  // time changes no count, no lookup and no select() order.
+  Tsdb tsdb;
+  const SeriesId b = tsdb.intern("m", {{"node", "b"}});
+  const SeriesId a = tsdb.intern("m", {{"node", "a"}});
+  const std::uint64_t epoch = tsdb.epoch();
+  EXPECT_EQ(tsdb.num_series(), 0u);
+  EXPECT_EQ(tsdb.find("m", {{"node", "b"}}), nullptr);
+  EXPECT_FALSE(tsdb.latest("m", {{"node", "b"}}).has_value());
+  EXPECT_TRUE(tsdb.select("m").empty());
+  // Creation order, not interning order, is select()'s order.
+  tsdb.append(a, 1.0, 1.0);
+  tsdb.append(b, 1.0, 2.0);
+  const auto selected = tsdb.select("m");
+  ASSERT_EQ(selected.size(), 2u);
+  EXPECT_EQ(selected[0].first.at("node"), "a");
+  EXPECT_EQ(selected[1].first.at("node"), "b");
+  EXPECT_EQ(tsdb.num_series(), 2u);
+  EXPECT_EQ(tsdb.epoch(), epoch + 2);
+}
+
+TEST(Tsdb, EpochAdvancesOnEveryAppendByIdAttempt) {
+  Tsdb tsdb;
+  const SeriesId id = tsdb.intern("cpu", {{"node", "n1"}});
+  std::uint64_t last = tsdb.epoch();
+  tsdb.append(id, 2.0, 0.5);
+  EXPECT_GT(tsdb.epoch(), last) << "accepted append by id";
+  last = tsdb.epoch();
+  tsdb.append(id, 1.0, 0.4);  // out of order: dropped
+  EXPECT_EQ(tsdb.num_samples_dropped(), 1u);
+  EXPECT_GT(tsdb.epoch(), last) << "dropped append by id";
+  last = tsdb.epoch();
+  tsdb.append(id, 2.0, 0.6);  // equal timestamp: accepted
+  EXPECT_GT(tsdb.epoch(), last) << "equal-time append by id";
+  EXPECT_EQ(tsdb.num_samples(), 2u);
+}
+
+TEST(Tsdb, OutOfOrderAppendByIdDroppedAndCounted) {
+  auto& registry = obs::MetricsRegistry::global();
+  auto& dropped = obs::counter("telemetry_out_of_order_dropped_total");
+  registry.set_enabled(true);
+  const double before = dropped.value();
+
+  Tsdb tsdb;
+  const Labels labels{{"node", "n1"}};
+  const SeriesId id = tsdb.intern("cpu", labels);
+  tsdb.append(id, 10.0, 0.5);
+  tsdb.append(id, 8.0, 0.9);  // late arrival: dropped
+  tsdb.append(id, 12.0, 0.6);
+  registry.set_enabled(false);
+
+  EXPECT_EQ(tsdb.num_samples(), 2u);
+  EXPECT_EQ(tsdb.num_samples_dropped(), 1u);
+  EXPECT_DOUBLE_EQ(dropped.value() - before, 1.0);
+  const Series* series = tsdb.find("cpu", labels);
+  ASSERT_NE(series, nullptr);
+  ASSERT_EQ(series->size(), 2u);
+  EXPECT_EQ(series->at(0).v, 0.5);
+  EXPECT_EQ(series->at(1).v, 0.6);
+}
+
+TEST(Tsdb, IdsStayValidInACopyAndTheCopyDiverges) {
+  Tsdb source;
+  const Labels la{{"node", "a"}};
+  const Labels lb{{"node", "b"}};
+  const SeriesId a = source.intern("m", la);
+  const SeriesId b = source.intern("m", lb);
+  source.append(a, 1.0, 1.0);
+
+  Tsdb copy = source;
+  copy.append(a, 2.0, 2.0);
+  copy.append(b, 2.0, 5.0);  // b is created in the copy only
+  EXPECT_EQ(copy.latest("m", la), 2.0);
+  EXPECT_EQ(copy.latest("m", lb), 5.0);
+  EXPECT_EQ(copy.num_series(), 2u);
+  EXPECT_EQ(copy.select("m").size(), 2u);
+  EXPECT_EQ(source.latest("m", la), 1.0);
+  EXPECT_FALSE(source.latest("m", lb).has_value());
+  EXPECT_EQ(source.num_series(), 1u);
+  EXPECT_EQ(source.select("m").size(), 1u);
+
+  // And the other way: the source moves on without the copy.
+  source.append(a, 3.0, 3.0);
+  EXPECT_EQ(source.latest("m", la), 3.0);
+  EXPECT_EQ(copy.latest("m", la), 2.0);
+  EXPECT_EQ(copy.find("m", la)->size(), 2u);
+  EXPECT_EQ(source.find("m", la)->size(), 2u);
+
+  // A pair first interned after the copy belongs to the Tsdb that
+  // interned it.
+  const SeriesId fresh = copy.intern("fresh", {});
+  copy.append(fresh, 4.0, 4.0);
+  const SeriesId other = source.intern("other", {});
+  source.append(other, 4.0, 7.0);
+  EXPECT_EQ(copy.latest("fresh", {}), 4.0);
+  EXPECT_EQ(source.latest("other", {}), 7.0);
+  EXPECT_TRUE(source.select("fresh").empty());
+  EXPECT_TRUE(copy.select("other").empty());
+  EXPECT_EQ(source.num_series(), 2u);
+  EXPECT_EQ(copy.num_series(), 3u);
+}
+
+TEST(Tsdb, CopiesOfOneSourceInternConcurrently) {
+  // Copies share the source's directory of interned pairs until one of
+  // them interns a new pair. Under TSan this is the race check.
+  Tsdb source;
+  const SeriesId shared = source.intern("m", {{"node", "a"}});
+  source.append(shared, 1.0, 1.0);
+  constexpr std::size_t kCopies = 8;
+  std::vector<std::size_t> created(kCopies);
+  ThreadPool pool(4);
+  // lts-lint: shared-guarded(partitioned: item i writes only created[i]; source is only read)
+  pool.parallel_for(kCopies, [&](std::size_t i) {
+    Tsdb copy = source;
+    for (int k = 0; k < 20; ++k) {
+      const SeriesId id = copy.intern(
+          "m", {{"node", strformat("n%d", k)}, {"copy", strformat("%zu", i)}});
+      copy.append(id, 2.0, static_cast<double>(k));
+    }
+    copy.append(shared, 2.0, 2.0);
+    created[i] = copy.num_series();
+  });
+  for (const std::size_t n : created) EXPECT_EQ(n, 21u);
+  EXPECT_EQ(source.num_series(), 1u);
+  EXPECT_EQ(source.find("m", {{"node", "a"}})->size(), 1u);
+}
+
 // ---------------------------------------------------------- exporters ----
 
 class ExporterFixture : public ::testing::Test {
@@ -249,6 +457,26 @@ TEST_F(ExporterFixture, NodeExporterEmitsAllMetrics) {
     EXPECT_TRUE(stack_.tsdb().latest(kTxBytesMetric, labels).has_value());
     EXPECT_TRUE(stack_.tsdb().latest(kRxBytesMetric, labels).has_value());
   }
+}
+
+TEST_F(ExporterFixture, SilencedExporterCreatesNoSeries) {
+  // Exporters intern their series up front; a node whose exporter never
+  // appends must still have no series at all, not empty ones.
+  stack_.node_exporter(2).set_silenced(true);
+  engine_.run_until(20.0);
+  const auto names = cluster_.node_names();
+  const std::size_t n = names.size();
+  for (const char* metric :
+       {kCpuLoadMetric, kMemAvailableMetric, kTxBytesMetric, kRxBytesMetric,
+        kUplinkUtilMetric, kDownlinkUtilMetric, kQueueDelayMetric,
+        kActiveFlowsMetric}) {
+    EXPECT_EQ(stack_.tsdb().find(metric, Labels{{"node", names[2]}}), nullptr)
+        << metric;
+    EXPECT_EQ(stack_.tsdb().select(metric).size(), n - 1) << metric;
+  }
+  // Eight node series per exporting node, plus the full ping mesh (pings
+  // do not depend on the node exporter).
+  EXPECT_EQ(stack_.tsdb().num_series(), 8 * (n - 1) + n * (n - 1));
 }
 
 TEST_F(ExporterFixture, PingMeshCoversAllOrderedPairs) {

@@ -17,6 +17,7 @@
 #include "ml/gbt.hpp"
 #include "ml/tree.hpp"
 #include "util/rng.hpp"
+#include "util/string_util.hpp"
 
 #include "../bench/train_reference.hpp"
 
@@ -53,7 +54,7 @@ ml::Dataset make_data(std::size_t rows, Shape shape, std::uint64_t seed) {
   }
   std::vector<std::string> names;
   for (std::size_t c = 0; c < kFeatures; ++c) {
-    names.push_back("f" + std::to_string(c));
+    names.push_back(strformat("f%zu", c));
   }
   return ml::Dataset(std::move(x), std::move(y), std::move(names));
 }

@@ -28,7 +28,7 @@ const std::vector<Protocol>& protocols() {
   static const std::vector<Protocol> kProtocols = [] {
     std::vector<Protocol> p;
     p.push_back({"Tsdb",
-                 std::regex(R"(^(series_|by_name_|samples_appended_|samples_dropped_)$)"),
+                 std::regex(R"(^(series_|by_name_|num_series_|samples_appended_|samples_dropped_)$)"),
                  std::regex(R"(\+\+\s*epoch_|epoch_\s*\+\+|bump_epoch\s*\()"),
                  "++epoch_ (or bump_epoch())"});
     p.push_back({"NodeExporter",
