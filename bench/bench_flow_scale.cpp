@@ -67,6 +67,43 @@ struct RunResult {
   Rate scrape_checksum = 0.0;
 };
 
+// A storm's event target: kStart opens every source x sink flow at once,
+// each kScrape adds every host's tx/rx rate to the checksum.
+class StormDriver final : public sim::EventTarget {
+ public:
+  enum Code : std::uint8_t { kStart, kScrape };
+
+  StormDriver(sim::Engine& engine, net::FlowManager& fm, const Shuffle& s)
+      : engine_(engine), fm_(fm), s_(s), target_(engine.add_target(this)) {}
+  ~StormDriver() { engine_.remove_target(target_); }
+  StormDriver(const StormDriver&) = delete;
+  StormDriver& operator=(const StormDriver&) = delete;
+
+  sim::Event event(Code code) const { return sim::target_event(target_, code); }
+  void on_event(const sim::Event& event) override {
+    if (event.code == kStart) {
+      for (std::size_t i = 0; i < s_.sources.size(); ++i) {
+        for (std::size_t j = 0; j < s_.sinks.size(); ++j) {
+          fm_.start(s_.sources[i], s_.sinks[j],
+                    shuffle_size(static_cast<int>(i), static_cast<int>(j)));
+        }
+      }
+      return;
+    }
+    for (const auto h : s_.sources) scrape_checksum += fm_.host_tx_rate(h);
+    for (const auto h : s_.sinks) scrape_checksum += fm_.host_rx_rate(h);
+  }
+  const char* target_name() const override { return "StormDriver"; }
+
+  Rate scrape_checksum = 0.0;
+
+ private:
+  sim::Engine& engine_;
+  net::FlowManager& fm_;
+  const Shuffle& s_;
+  std::uint32_t target_;
+};
+
 // Runs one M x N storm with 20 periodic all-host tx/rx rate scrapes (the
 // exporter pattern the per-host flow indexes serve), either until the
 // engine drains or, when `horizon` > 0, until that simulated time.
@@ -79,19 +116,11 @@ RunResult run_storm(int m, int n, SimTime horizon) {
   registry.set_enabled(true);
   const double recomputes_before = recompute_counter.value();
   RunResult out;
-  engine.schedule_at(0.0, [&] {
-    for (int i = 0; i < m; ++i) {
-      for (int j = 0; j < n; ++j) {
-        fm.start(s.sources[static_cast<std::size_t>(i)],
-                 s.sinks[static_cast<std::size_t>(j)], shuffle_size(i, j));
-      }
-    }
-  });
+  StormDriver driver(engine, fm, s);
+  engine.schedule_at(0.0, driver.event(StormDriver::kStart));
   for (int k = 1; k <= 20; ++k) {
-    engine.schedule_at(0.05 * static_cast<double>(k), [&] {
-      for (const auto h : s.sources) out.scrape_checksum += fm.host_tx_rate(h);
-      for (const auto h : s.sinks) out.scrape_checksum += fm.host_rx_rate(h);
-    });
+    engine.schedule_at(0.05 * static_cast<double>(k),
+                       driver.event(StormDriver::kScrape));
   }
   const auto wall_begin = std::chrono::steady_clock::now();
   if (horizon > 0.0) {
@@ -106,6 +135,7 @@ RunResult run_storm(int m, int n, SimTime horizon) {
   registry.set_enabled(false);
   out.final_sim_time = engine.now();
   out.completed = fm.num_completed();
+  out.scrape_checksum = driver.scrape_checksum;
   out.recomputes = static_cast<std::uint64_t>(
       std::llround(recompute_counter.value() - recomputes_before));
   return out;

@@ -14,16 +14,36 @@ namespace {
 
 using namespace lts;
 
+/// Re-arms itself 1 ms after each firing until it has fired 10000 times:
+/// the engine's schedule, step and dispatch loop and nothing else.
+class Ticker final : public sim::EventTarget {
+ public:
+  explicit Ticker(sim::Engine& engine)
+      : engine_(engine), target_(engine.add_target(this)) {}
+  ~Ticker() { engine_.remove_target(target_); }
+  Ticker(const Ticker&) = delete;
+  Ticker& operator=(const Ticker&) = delete;
+
+  void arm() { engine_.schedule_in(0.001, sim::target_event(target_)); }
+  void on_event(const sim::Event& /*event*/) override {
+    if (++fired < 10000) arm();
+  }
+  const char* target_name() const override { return "Ticker"; }
+
+  int fired = 0;
+
+ private:
+  sim::Engine& engine_;
+  std::uint32_t target_;
+};
+
 void BM_EngineEventThroughput(benchmark::State& state) {
   for (auto _ : state) {
     sim::Engine engine;
-    int counter = 0;
-    std::function<void()> tick = [&] {
-      if (++counter < 10000) engine.schedule_in(0.001, tick);
-    };
-    engine.schedule_in(0.001, tick);
+    Ticker ticker(engine);
+    ticker.arm();
     engine.run();
-    benchmark::DoNotOptimize(counter);
+    benchmark::DoNotOptimize(ticker.fired);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           10000);

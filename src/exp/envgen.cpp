@@ -182,8 +182,8 @@ SimEnv::SimEnv(std::uint64_t seed, EnvOptions options)
   }
   cluster_ = std::make_unique<cluster::Cluster>(engine_, spec);
   node_names_ = cluster_->node_names();
-  stack_ = std::make_unique<telemetry::TelemetryStack>(
-      engine_, *cluster_, options_.exporter, rng.split());
+  stack_ = std::make_unique<telemetry::TelemetryStack>(engine_, *cluster_,
+                                                       rng.split());
 
   // Register nodes with the API server; allocatable = capacity - reserved.
   for (std::size_t i = 0; i < cluster_->num_nodes(); ++i) {
@@ -324,10 +324,9 @@ spark::AppResult SimEnv::run_job(const spark::JobConfig& config,
   }
 
   const auto app = make_app(config, driver_node, executor_nodes, job_seed);
-  bool done = false;
-  app->submit([&done](const spark::AppResult&) { done = true; });
+  app->submit();
   const SimTime deadline = engine_.now() + kMaxJobDuration;
-  while (!done) {
+  while (!app->result().completed) {
     LTS_REQUIRE(engine_.step(), "SimEnv: event queue drained mid-job");
     LTS_REQUIRE(engine_.now() <= deadline,
                 "SimEnv: job exceeded kMaxJobDuration");

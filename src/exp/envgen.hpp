@@ -9,7 +9,6 @@
 // the basis of the Table 4 ground truth.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -33,7 +32,6 @@ inline constexpr SimTime kWarmup = 40.0;
 
 struct EnvOptions {
   cluster::ClusterSpec cluster_spec = cluster::paper_cluster_spec();
-  telemetry::ExporterOptions exporter;
   telemetry::SnapshotOptions snapshot;
 
   /// Background contention pods (the curl loops of §5.2): each scenario
@@ -105,8 +103,10 @@ class SimEnv {
   /// taken after warmup() continues bit for bit like a freshly warmed
   /// environment, so counterfactual runs fork one warm state instead of
   /// re-warming it. Reads only `other`'s raw state, so several threads may
-  /// copy one idle environment at once. Throws lts::Error naming what it
-  /// cannot take: a live SparkApp or a pending driver-layer callback.
+  /// copy one idle environment at once. Every event is a record, so only a
+  /// component stops a copy: it throws lts::Error naming the first event
+  /// target registered on `other`'s engine that is not part of the
+  /// environment (a live SparkApp, a stream runner).
   SimEnv(const SimEnv& other);
   SimEnv& operator=(const SimEnv&) = delete;
 

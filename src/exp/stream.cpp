@@ -37,9 +37,21 @@ void LiveJob::unbind(k8s::ApiServer& api) {
   pods.clear();
 }
 
-std::optional<k8s::ScheduleResult> launch_job(
-    SimEnv& env, const JobLaunch& launch, LiveJob& live, StreamJobResult& job,
-    std::function<void(const spark::AppResult&)> on_complete) {
+const spark::AppResult& LiveJob::finish(k8s::ApiServer& api,
+                                        StreamJobResult& job) {
+  const spark::AppResult& result = app->result();
+  job.driver_node = result.driver_node;
+  job.submitted = result.submit_time;
+  job.queueing_delay = result.submit_time - job.planned_arrival;
+  job.duration = result.duration();
+  unbind(api);
+  return result;
+}
+
+std::optional<k8s::ScheduleResult> launch_job(SimEnv& env,
+                                              const JobLaunch& launch,
+                                              LiveJob& live,
+                                              sim::Event on_complete) {
   LTS_REQUIRE(live.pods.empty() && live.app == nullptr,
               "launch_job: " + launch.name + " is already launched");
   const spark::JobConfig& config = launch.config;
@@ -67,15 +79,7 @@ std::optional<k8s::ScheduleResult> launch_job(
 
   live.app = env.make_app(config, env.cluster().node_index(launch.driver_node),
                           executor_nodes, launch.job_seed);
-  live.app->submit([&env, &live, &job, on_complete = std::move(on_complete)](
-                       const spark::AppResult& app_result) {
-    job.driver_node = app_result.driver_node;
-    job.submitted = app_result.submit_time;
-    job.queueing_delay = app_result.submit_time - job.planned_arrival;
-    job.duration = app_result.duration();
-    live.unbind(env.api());
-    on_complete(app_result);
-  });
+  live.app->submit(on_complete);
   return std::nullopt;
 }
 
@@ -90,6 +94,259 @@ std::string describe_job_config(const spark::JobConfig& config) {
       config.driver_cores, config.driver_memory / kMiB);
 }
 
+namespace {
+
+/// run_job_stream's driver, the stream's one event target. A job's arrival
+/// and each of its retries resume it with kPlace, the job's app completion
+/// with kComplete; the payload is the job's index in the plan.
+class JobStream final : public sim::EventTarget {
+ public:
+  JobStream(StreamPolicy policy, std::shared_ptr<const ml::Regressor> model,
+            const std::vector<Scenario>& matrix, const StreamOptions& options);
+  ~JobStream() { env_.engine().remove_target(target_); }
+  JobStream(const JobStream&) = delete;
+  JobStream& operator=(const JobStream&) = delete;
+
+  /// Schedules every arrival and steps until the last job completes.
+  StreamResult run();
+
+  void on_event(const sim::Event& event) override;
+  const char* target_name() const override { return "JobStream"; }
+
+ private:
+  enum Code : std::uint8_t { kPlace, kComplete };
+
+  struct PlannedJob {
+    const Scenario* scenario;
+    SimTime arrival;
+    std::uint64_t job_seed;
+    std::size_t random_node;  // used by kRandom
+  };
+  // Decision-time context held until the job completes, at which point it
+  // becomes one training row for the retrainer.
+  struct PendingFeedback {
+    bool valid = false;
+    core::TrainingRecord record;
+    double predicted = -1.0;  // <= 0 means no usable model prediction
+  };
+
+  /// Places job `j` now, from live state, or schedules its retry.
+  void place(std::size_t j);
+  /// Counts a deferred placement of job `j` and retries it kRetryDelay
+  /// later; past options.max_placement_retries the stream fails loudly
+  /// with the last attempt's per-node rejection reasons instead of
+  /// spinning until the drain guard aborts the whole run.
+  void retry(std::size_t j, const std::string& job_name,
+             const k8s::ScheduleResult& last_attempt);
+  void complete(std::size_t j);
+
+  const StreamPolicy policy_;
+  const StreamOptions& options_;
+  const bool model_policy_;
+  SimEnv env_;
+  std::vector<PlannedJob> plan_;
+  std::unique_ptr<core::LtsScheduler> scheduler_;  // model policies only
+  std::unique_ptr<core::OnlineTrainer> retrainer_;  // kModelRetrain only
+  std::vector<PendingFeedback> feedback_;
+  StreamResult result_;
+  std::vector<LiveJob> live_;
+  int remaining_;
+  const StreamCounters metrics_;
+  const std::uint32_t target_;
+};
+
+JobStream::JobStream(StreamPolicy policy,
+                     std::shared_ptr<const ml::Regressor> model,
+                     const std::vector<Scenario>& matrix,
+                     const StreamOptions& options)
+    : policy_(policy),
+      options_(options),
+      model_policy_(policy == StreamPolicy::kModel ||
+                    policy == StreamPolicy::kModelRetrain),
+      env_(options.seed, options.env),
+      remaining_(options.num_jobs),
+      metrics_(stream_counters()),
+      target_(env_.engine().add_target(this)) {
+  const std::size_t n_nodes = env_.node_names().size();
+
+  // Pre-draw the job sequence and arrival times: identical across policies.
+  Rng stream_rng(options.seed ^ 0x57AE57AEULL);
+  SimTime t = kWarmup;
+  for (int j = 0; j < options.num_jobs; ++j) {
+    t += stream_rng.exponential(options.mean_interarrival);
+    plan_.push_back(PlannedJob{
+        &sample_scenario(matrix, stream_rng), t,
+        options.seed * 1000003ULL + static_cast<std::uint64_t>(j),
+        static_cast<std::size_t>(stream_rng.uniform_int(
+            0, static_cast<std::int64_t>(n_nodes) - 1))});
+  }
+
+  // Optional model scheduler (reused across decisions).
+  if (model_policy_) {
+    scheduler_ = std::make_unique<core::LtsScheduler>(
+        core::TelemetryFetcher(env_.tsdb(), env_.node_names(),
+                               options.env.snapshot, options.degradation),
+        model, options.features, /*risk_aversion=*/0.0, options.fallback);
+  }
+
+  // Online retraining loop (kModelRetrain only): completions feed the
+  // rolling window, successful refits hot-swap the scheduler's model. A
+  // kRetrainFail fault makes attempts fail while active — the previous
+  // model keeps serving.
+  if (policy == StreamPolicy::kModelRetrain) {
+    core::RetrainOptions retrain_options = options.retrain;
+    retrain_options.enabled = true;
+    retrainer_ = std::make_unique<core::OnlineTrainer>(
+        retrain_options, options.features, model);
+    retrainer_->set_failure_hook(
+        [this] { return env_.fault_injector().retrain_fail_active(); });
+  }
+
+  feedback_.resize(plan_.size());
+  result_.jobs.resize(plan_.size());
+  for (std::size_t j = 0; j < plan_.size(); ++j) {
+    result_.jobs[j].scenario_id = plan_[j].scenario->id;
+    result_.jobs[j].planned_arrival = plan_[j].arrival;
+  }
+  live_.resize(plan_.size());
+}
+
+StreamResult JobStream::run() {
+  for (std::size_t j = 0; j < plan_.size(); ++j) {
+    env_.engine().schedule_at(plan_[j].arrival,
+                              sim::target_event(target_, kPlace, j));
+  }
+  while (remaining_ > 0) {
+    LTS_REQUIRE(env_.engine().step(), "run_job_stream: engine drained early");
+    LTS_REQUIRE(env_.engine().now() < plan_.back().arrival + 7200.0,
+                "run_job_stream: stream failed to complete");
+  }
+
+  result_.makespan = makespan(result_.jobs);
+  if (retrainer_) {
+    result_.model_version = retrainer_->model_version();
+    result_.retrain_events = retrainer_->events();
+    result_.final_model = retrainer_->model();
+  }
+  return std::move(result_);
+}
+
+void JobStream::on_event(const sim::Event& event) {
+  const auto j = static_cast<std::size_t>(event.payload);
+  if (event.code == kPlace) {
+    place(j);
+  } else {
+    complete(j);
+  }
+}
+
+void JobStream::retry(std::size_t j, const std::string& job_name,
+                      const k8s::ScheduleResult& last_attempt) {
+  StreamJobResult& job = result_.jobs[j];
+  ++job.placement_retries;
+  metrics_.placement_retries.inc();
+  if (job.placement_retries > options_.max_placement_retries) {
+    throw Error(strformat("run_job_stream: job %zu (%s, \"%s\") still "
+                          "unplaceable after %d retries [%s]; per-node "
+                          "rejections of the last attempt:",
+                          j, plan_[j].scenario->id.c_str(), job_name.c_str(),
+                          options_.max_placement_retries,
+                          describe_job_config(plan_[j].scenario->config)
+                              .c_str()) +
+                describe_rejections(last_attempt));
+  }
+  env_.engine().schedule_in(kRetryDelay, sim::target_event(target_, kPlace, j));
+}
+
+void JobStream::place(std::size_t j) {
+  const PlannedJob& planned = plan_[j];
+  const spark::JobConfig& config = planned.scenario->config;
+  const std::string job_name =
+      strformat("stream-%zu-%.0f", j, env_.engine().now());
+
+  // Per-decision trace span for the model policy: the scheduler marks its
+  // features/predict/rank phases on it, and "bind" lands below once the
+  // pods are bound and the app submitted.
+  std::optional<obs::ScopedSpan> span;
+  if (model_policy_) {
+    span.emplace(obs::Tracer::global(), "decision", env_.engine().now());
+  }
+
+  // Placement decision now, from live state.
+  std::size_t driver_node = 0;
+  switch (policy_) {
+    case StreamPolicy::kModel:
+    case StreamPolicy::kModelRetrain: {
+      // Fetch explicitly (instead of scheduler->schedule) so the same
+      // snapshot that produced the decision can seed the training row.
+      const SimTime now = env_.engine().now();
+      const auto snapshot = scheduler_->fetcher().fetch_shared(now);
+      if (span) span->phase("fetch", now);
+      const auto decision =
+          scheduler_->schedule_from_snapshot(*snapshot, config);
+      driver_node = env_.cluster().node_index(decision.selected());
+      if (retrainer_) {
+        PendingFeedback& fb = feedback_[j];
+        fb.valid = true;
+        fb.record.scenario_id = planned.scenario->id;
+        fb.record.node = decision.selected();
+        fb.record.snapshot_time = snapshot->at;
+        fb.record.telemetry = snapshot->by_name(decision.selected());
+        fb.record.config = config;
+        // Fallback rankings carry heuristic scores, not durations;
+        // OnlineTrainer also rejects stale-demoted scores (>= 1e8).
+        fb.predicted = decision.used_fallback
+                           ? -1.0
+                           : decision.ranking.front().predicted_duration;
+      }
+      break;
+    }
+    case StreamPolicy::kKubeDefault: {
+      const auto ranking = env_.kube_ranking(config);
+      if (!ranking.feasible()) {
+        retry(j, job_name, ranking);
+        return;
+      }
+      driver_node = env_.cluster().node_index(ranking.selected());
+      break;
+    }
+    case StreamPolicy::kRandom:
+      driver_node = planned.random_node;
+      break;
+  }
+
+  // Driver pinned, executors via the default scheduler; an infeasible pod
+  // unwinds the job's bindings and it retries later.
+  const JobLaunch launch{config, job_name, env_.node_names()[driver_node],
+                         planned.job_seed};
+  const auto failed = launch_job(env_, launch, live_[j],
+                                 sim::target_event(target_, kComplete, j));
+  if (failed) {
+    retry(j, job_name, *failed);
+    return;
+  }
+  if (span) span->phase("bind", env_.engine().now());
+}
+
+void JobStream::complete(std::size_t j) {
+  const spark::AppResult& app_result =
+      live_[j].finish(env_.api(), result_.jobs[j]);
+  metrics_.jobs_completed.inc();
+  if (retrainer_ && feedback_[j].valid) {
+    PendingFeedback& fb = feedback_[j];
+    fb.record.duration = app_result.duration();
+    fb.record.shuffle_bytes = app_result.total_shuffle_bytes;
+    fb.record.max_spill_penalty = app_result.max_spill_penalty;
+    const auto event = retrainer_->on_completion(fb.record, fb.predicted);
+    if (event && event->outcome == core::RetrainOutcome::kSwapped) {
+      scheduler_->set_model(retrainer_->model());
+    }
+  }
+  --remaining_;
+}
+
+}  // namespace
+
 StreamResult run_job_stream(StreamPolicy policy,
                             std::shared_ptr<const ml::Regressor> model,
                             const std::vector<Scenario>& matrix,
@@ -101,204 +358,7 @@ StreamResult run_job_stream(StreamPolicy policy,
     LTS_REQUIRE(model != nullptr && model->is_fitted(),
                 "run_job_stream: model policies need a fitted model");
   }
-
-  SimEnv env(options.seed, options.env);
-  const std::size_t n_nodes = env.node_names().size();
-
-  // Pre-draw the job sequence and arrival times: identical across policies.
-  Rng stream_rng(options.seed ^ 0x57AE57AEULL);
-  struct PlannedJob {
-    const Scenario* scenario;
-    SimTime arrival;
-    std::uint64_t job_seed;
-    std::size_t random_node;  // used by kRandom
-  };
-  std::vector<PlannedJob> plan;
-  SimTime t = kWarmup;
-  for (int j = 0; j < options.num_jobs; ++j) {
-    t += stream_rng.exponential(options.mean_interarrival);
-    plan.push_back(PlannedJob{
-        &sample_scenario(matrix, stream_rng), t,
-        options.seed * 1000003ULL + static_cast<std::uint64_t>(j),
-        static_cast<std::size_t>(stream_rng.uniform_int(
-            0, static_cast<std::int64_t>(n_nodes) - 1))});
-  }
-
-  // Optional model scheduler (reused across decisions).
-  std::unique_ptr<core::LtsScheduler> scheduler;
-  if (model_policy) {
-    scheduler = std::make_unique<core::LtsScheduler>(
-        core::TelemetryFetcher(env.tsdb(), env.node_names(),
-                               options.env.snapshot, options.degradation),
-        model, options.features, /*risk_aversion=*/0.0, options.fallback);
-  }
-
-  // Online retraining loop (kModelRetrain only): completions feed the
-  // rolling window, successful refits hot-swap the scheduler's model. A
-  // kRetrainFail fault makes attempts fail while active — the previous
-  // model keeps serving.
-  std::unique_ptr<core::OnlineTrainer> retrainer;
-  if (policy == StreamPolicy::kModelRetrain) {
-    core::RetrainOptions retrain_options = options.retrain;
-    retrain_options.enabled = true;
-    retrainer = std::make_unique<core::OnlineTrainer>(
-        retrain_options, options.features, model);
-    retrainer->set_failure_hook(
-        [&env] { return env.fault_injector().retrain_fail_active(); });
-  }
-
-  // Decision-time context held until the job completes, at which point it
-  // becomes one training row for the retrainer.
-  struct PendingFeedback {
-    bool valid = false;
-    core::TrainingRecord record;
-    double predicted = -1.0;  // <= 0 means no usable model prediction
-  };
-  std::vector<PendingFeedback> feedback(plan.size());
-
-  StreamResult result;
-  result.jobs.resize(plan.size());
-  for (std::size_t j = 0; j < plan.size(); ++j) {
-    result.jobs[j].scenario_id = plan[j].scenario->id;
-    result.jobs[j].planned_arrival = plan[j].arrival;
-  }
-  std::vector<LiveJob> live(plan.size());
-  int remaining = options.num_jobs;
-  const StreamCounters metrics = stream_counters();
-
-  // Placement may be infeasible while the cluster is backlogged; like real
-  // pending pods, the job retries a few seconds later — but only
-  // options.max_placement_retries times. A permanently-infeasible job
-  // (e.g. one whose pods can never fit any node) fails the stream loudly
-  // with the last attempt's per-node rejection reasons instead of spinning
-  // until the drain guard aborts the whole run with no explanation.
-  auto try_place = std::make_shared<std::function<void(std::size_t)>>();
-  // The stored lambda must not capture try_place strongly — that's a
-  // shared_ptr cycle (the function would own itself and leak). The local
-  // strong reference above outlives the event loop below, so weak_ptr
-  // locks always succeed while events can still fire.
-  *try_place = [&, weak = std::weak_ptr(try_place)](std::size_t j) {
-    const PlannedJob& planned = plan[j];
-    const spark::JobConfig& config = planned.scenario->config;
-    const std::string job_name =
-        strformat("stream-%zu-%.0f", j, env.engine().now());
-    auto retry = [&, weak, j,
-                  job_name](const k8s::ScheduleResult& last_attempt) {
-      StreamJobResult& job = result.jobs[j];
-      ++job.placement_retries;
-      metrics.placement_retries.inc();
-      if (job.placement_retries > options.max_placement_retries) {
-        throw Error(strformat(
-                        "run_job_stream: job %zu (%s, \"%s\") still "
-                        "unplaceable after %d retries [%s]; per-node "
-                        "rejections of the last attempt:",
-                        j, plan[j].scenario->id.c_str(), job_name.c_str(),
-                        options.max_placement_retries,
-                        describe_job_config(config).c_str()) +
-                    describe_rejections(last_attempt));
-      }
-      env.engine().schedule_in(kRetryDelay, [weak, j] {
-        if (const auto fn = weak.lock()) (*fn)(j);
-      });
-    };
-
-    // Per-decision trace span for the model policy: the scheduler marks its
-    // features/predict/rank phases on it, and "bind" lands below once the
-    // pods are bound and the app submitted.
-    std::optional<obs::ScopedSpan> span;
-    if (model_policy) {
-      span.emplace(obs::Tracer::global(), "decision", env.engine().now());
-    }
-
-    // Placement decision now, from live state.
-    std::size_t driver_node = 0;
-    switch (policy) {
-      case StreamPolicy::kModel:
-      case StreamPolicy::kModelRetrain: {
-        // Fetch explicitly (instead of scheduler->schedule) so the same
-        // snapshot that produced the decision can seed the training row.
-        const SimTime now = env.engine().now();
-        const auto snapshot = scheduler->fetcher().fetch_shared(now);
-        if (span) span->phase("fetch", now);
-        const auto decision =
-            scheduler->schedule_from_snapshot(*snapshot, config);
-        driver_node = env.cluster().node_index(decision.selected());
-        if (retrainer) {
-          PendingFeedback& fb = feedback[j];
-          fb.valid = true;
-          fb.record.scenario_id = planned.scenario->id;
-          fb.record.node = decision.selected();
-          fb.record.snapshot_time = snapshot->at;
-          fb.record.telemetry = snapshot->by_name(decision.selected());
-          fb.record.config = config;
-          // Fallback rankings carry heuristic scores, not durations;
-          // OnlineTrainer also rejects stale-demoted scores (>= 1e8).
-          fb.predicted = decision.used_fallback
-                             ? -1.0
-                             : decision.ranking.front().predicted_duration;
-        }
-        break;
-      }
-      case StreamPolicy::kKubeDefault: {
-        const auto ranking = env.kube_ranking(config);
-        if (!ranking.feasible()) {
-          retry(ranking);
-          return;
-        }
-        driver_node = env.cluster().node_index(ranking.selected());
-        break;
-      }
-      case StreamPolicy::kRandom:
-        driver_node = planned.random_node;
-        break;
-    }
-
-    // Driver pinned, executors via the default scheduler; an infeasible pod
-    // unwinds the job's bindings and it retries later.
-    const JobLaunch launch{config, job_name, env.node_names()[driver_node],
-                           planned.job_seed};
-    const auto failed = launch_job(
-        env, launch, live[j], result.jobs[j],
-        [&, j](const spark::AppResult& app_result) {
-          metrics.jobs_completed.inc();
-          if (retrainer && feedback[j].valid) {
-            PendingFeedback& fb = feedback[j];
-            fb.record.duration = app_result.duration();
-            fb.record.shuffle_bytes = app_result.total_shuffle_bytes;
-            fb.record.max_spill_penalty = app_result.max_spill_penalty;
-            const auto event =
-                retrainer->on_completion(fb.record, fb.predicted);
-            if (event && event->outcome == core::RetrainOutcome::kSwapped) {
-              scheduler->set_model(retrainer->model());
-            }
-          }
-          --remaining;
-        });
-    if (failed) {
-      retry(*failed);
-      return;
-    }
-    if (span) span->phase("bind", env.engine().now());
-  };
-
-  for (std::size_t j = 0; j < plan.size(); ++j) {
-    env.engine().schedule_at(plan[j].arrival,
-                             [try_place, j] { (*try_place)(j); });
-  }
-
-  while (remaining > 0) {
-    LTS_REQUIRE(env.engine().step(), "run_job_stream: engine drained early");
-    LTS_REQUIRE(env.engine().now() < plan.back().arrival + 7200.0,
-                "run_job_stream: stream failed to complete");
-  }
-
-  result.makespan = makespan(result.jobs);
-  if (retrainer) {
-    result.model_version = retrainer->model_version();
-    result.retrain_events = retrainer->events();
-    result.final_model = retrainer->model();
-  }
-  return result;
+  return JobStream(policy, std::move(model), matrix, options).run();
 }
 
 }  // namespace lts::exp

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <algorithm>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -125,6 +124,11 @@ struct LiveJob {
 
   /// Removes every bound pod of the job through the API server.
   void unbind(k8s::ApiServer& api);
+
+  /// The job bookkeeping both stream runners do on the app's completion
+  /// record: `job` gets its driver node, submit time, queueing delay and
+  /// duration, and the pods are unbound. Returns the app's result.
+  const spark::AppResult& finish(k8s::ApiServer& api, StreamJobResult& job);
 };
 
 /// One job placement for launch_job: the policy already chose the driver's
@@ -146,13 +150,13 @@ constexpr SimTime kRetryDelay = 5.0;
 /// each executor through the default scheduler (restricted to the offer
 /// when one is given). On the first infeasible pod it unbinds every pod of
 /// the job and returns that attempt. Otherwise it records the pods in
-/// `live`, builds and submits the app (SimEnv::make_app) and returns
-/// nullopt. When the app completes, `job` gets its driver node, submit
-/// time, queueing delay and duration, the pods are unbound, and then
-/// `on_complete` runs.
-std::optional<k8s::ScheduleResult> launch_job(
-    SimEnv& env, const JobLaunch& launch, LiveJob& live, StreamJobResult& job,
-    std::function<void(const spark::AppResult&)> on_complete);
+/// `live`, builds the app (SimEnv::make_app), submits it with
+/// `on_complete` as its completion record and returns nullopt; the
+/// record's listener calls live.finish.
+std::optional<k8s::ScheduleResult> launch_job(SimEnv& env,
+                                              const JobLaunch& launch,
+                                              LiveJob& live,
+                                              sim::Event on_complete);
 
 /// Last completion minus first *actual* submission over a finished
 /// stream's jobs (StreamJobResult or a type extending it); `last_finish`,

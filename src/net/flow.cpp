@@ -626,7 +626,7 @@ void FlowManager::handle_completion_event() {
   if (removed) {
     maybe_compact_arena();
     // One deferred recompute covers this harvest plus whatever flows the
-    // callbacks below start at this same instant.
+    // completion records below start at this same instant.
     mark_dirty();
   } else if (!flushed) {
     // Spurious wakeup: accumulated rounding pushed the true completion just

@@ -81,8 +81,8 @@ class FlowManager final : public sim::EventTarget {
   FlowId start(VertexId src, VertexId dst, Bytes size,
                sim::Event on_complete = {});
 
-  /// Aborts a flow; its callback never fires. No-op if already finished.
-  /// Deferred-batched like start().
+  /// Aborts a flow; its completion record never fires. No-op if already
+  /// finished. Deferred-batched like start().
   void cancel(FlowId id);
 
   /// Marks the max-min allocation stale against the topology's *current*

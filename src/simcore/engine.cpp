@@ -1,7 +1,6 @@
 #include "simcore/engine.hpp"
 
 #include <string>
-#include <utility>
 
 #include "obs/metrics.hpp"
 
@@ -30,20 +29,6 @@ constexpr int kSlotBits = 32;
 Engine::Engine()
     : obs_enabled_(obs::MetricsRegistry::global().enabled_flag()) {}
 
-Engine::Engine(const Engine& other)
-    : now_(other.now_),
-      next_seq_(other.next_seq_),
-      processed_(other.processed_),
-      obs_enabled_(other.obs_enabled_),
-      queue_(other.queue_),
-      slots_(other.slots_),
-      free_slots_(other.free_slots_),
-      targets_(other.targets_),
-      free_targets_(other.free_targets_) {
-  LTS_REQUIRE(other.callbacks_.size() == other.free_callbacks_.size(),
-              "Engine: cannot copy a pending driver-layer callback");
-}
-
 void Engine::record_step_metrics() {
   auto& metrics = EngineMetrics::get();
   metrics.events.inc();
@@ -71,36 +56,8 @@ EventId Engine::schedule_in(SimTime delay, const Event& event) {
   return schedule_at(now_ + delay, event);
 }
 
-Event Engine::callback(std::function<void()> fn) {
-  if (!fn) return Event{};
-  std::uint32_t slot;
-  if (!free_callbacks_.empty()) {
-    slot = free_callbacks_.back();
-    free_callbacks_.pop_back();
-    callbacks_[slot] = std::move(fn);
-  } else {
-    slot = static_cast<std::uint32_t>(callbacks_.size());
-    callbacks_.push_back(std::move(fn));
-  }
-  return Event{.kind = EventKind::kCallback, .payload = slot};
-}
-
-void Engine::release_callback(std::uint32_t slot) {
-  callbacks_[slot] = nullptr;
-  free_callbacks_.push_back(slot);
-}
-
 void Engine::dispatch(const Event& event) {
-  if (event.kind == EventKind::kTarget) {
-    targets_[event.target]->on_event(event);
-  } else if (event.kind == EventKind::kCallback) {
-    // Move the closure out and free its slot first, so it may schedule
-    // further callbacks (reusing the slot) while it runs.
-    const auto slot = static_cast<std::uint32_t>(event.payload);
-    auto fn = std::move(callbacks_[slot]);
-    release_callback(slot);
-    fn();
-  }
+  if (event.target != kNoTarget) targets_[event.target]->on_event(event);
 }
 
 void Engine::release_slot(std::uint32_t slot) {
@@ -111,12 +68,7 @@ void Engine::release_slot(std::uint32_t slot) {
 bool Engine::cancel(EventId id) {
   // Lazy deletion: free the record; the queue entry is skipped when popped.
   if (!pending(id)) return false;
-  const std::uint32_t slot = slot_of(id);
-  const Event& event = slots_[slot].event;
-  if (event.kind == EventKind::kCallback) {
-    release_callback(static_cast<std::uint32_t>(event.payload));
-  }
-  release_slot(slot);
+  release_slot(slot_of(id));
   return true;
 }
 
@@ -195,47 +147,6 @@ void Engine::require_rebound(const Engine& source) const {
                   targets_[i]->target_name());
     }
   }
-}
-
-PeriodicTask::PeriodicTask(Engine& engine, SimTime interval, SimTime phase,
-                           Event tick)
-    : engine_(engine), interval_(interval), tick_(tick), target_(0) {
-  LTS_REQUIRE(interval > 0.0, "PeriodicTask: interval must be positive");
-  LTS_REQUIRE(phase >= 0.0, "PeriodicTask: negative phase");
-  LTS_REQUIRE(tick.kind != EventKind::kCallback,
-              "PeriodicTask: a callback record fires only once");
-  target_ = engine_.add_target(this);
-  pending_ = engine_.schedule_in(phase, target_event(target_));
-}
-
-PeriodicTask::PeriodicTask(const PeriodicTask& other, Engine& engine)
-    : engine_(engine),
-      interval_(other.interval_),
-      tick_(other.tick_),
-      target_(other.target_),
-      pending_(other.pending_),
-      running_(other.running_) {
-  engine_.rebind_target(target_, this);
-}
-
-PeriodicTask::~PeriodicTask() {
-  stop();
-  engine_.remove_target(target_);
-}
-
-void PeriodicTask::stop() {
-  if (!running_) return;
-  running_ = false;
-  if (pending_ != kInvalidEvent) engine_.cancel(pending_);
-  pending_ = kInvalidEvent;
-}
-
-void PeriodicTask::on_event(const Event& /*event*/) {
-  pending_ = kInvalidEvent;
-  if (!running_) return;
-  engine_.dispatch(tick_);
-  if (!running_) return;  // the tick may have stopped us
-  pending_ = engine_.schedule_in(interval_, target_event(target_));
 }
 
 }  // namespace lts::sim

@@ -6,24 +6,20 @@
 // its inputs — the property the counterfactual evaluation in exp/evaluate
 // relies on.
 //
-// An event is a record: how to route it, the index of the component it
-// targets, that component's own event code and one payload word. A
-// component registers with its engine once and gets a target index;
-// Engine::dispatch hands a target record to that component's on_event,
-// which reads the code. Records hold no pointers, so a copy of an engine
-// holds the same pending events, and a copied component only has to point
-// its target index at itself (exp::SimEnv's copy does this for a whole
-// environment). The driver layer (stream runners, tests) may still schedule
-// closures: each lives in a callback slot while its record is pending, and
-// an engine holding one refuses to be copied.
+// An event is a record: the index of the component it targets, that
+// component's own event code and one payload word. A component registers
+// with its engine once and gets a target index; Engine::dispatch hands a
+// record to that component's on_event, which reads the code. Records are
+// the only kind of event and hold no pointers, so a copy of an engine holds
+// the same pending events, and a copied component only has to point its
+// target index at itself (exp::SimEnv's copy does this for a whole
+// environment).
 #pragma once
 
 #include <atomic>
-#include <concepts>
 #include <cstdint>
-#include <functional>
+#include <functional>  // std::greater
 #include <queue>
-#include <utility>
 #include <vector>
 
 #include "util/common.hpp"
@@ -34,28 +30,21 @@ namespace lts::sim {
 using EventId = std::uint64_t;
 inline constexpr EventId kInvalidEvent = 0;
 
-/// How Engine::dispatch routes a record.
-enum class EventKind : std::uint8_t {
-  kNone,      // a completion nobody listens to
-  kCallback,  // driver-layer closure; payload = callback slot
-  kTarget,    // the component registered at `target`
-};
+/// The target of a record nobody listens to.
+inline constexpr std::uint32_t kNoTarget = ~std::uint32_t{0};
 
 struct Event {
-  EventKind kind = EventKind::kNone;
+  /// The component registered at this index, or kNoTarget.
+  std::uint32_t target = kNoTarget;
   /// The target's own event code; the engine never reads it.
   std::uint8_t code = 0;
-  std::uint32_t target = 0;
   std::uint64_t payload = 0;
 };
 
 /// A record for the component registered at `target`.
 constexpr Event target_event(std::uint32_t target, std::uint8_t code = 0,
                              std::uint64_t payload = 0) {
-  return Event{.kind = EventKind::kTarget,
-               .code = code,
-               .target = target,
-               .payload = payload};
+  return Event{.target = target, .code = code, .payload = payload};
 }
 
 /// A component that receives event records. Not deleted through this base.
@@ -76,9 +65,8 @@ class Engine {
   /// table verbatim. The copy's targets still point at the source's
   /// components until each copied component rebinds its index
   /// (require_rebound checks that all did). Reads only the source's raw
-  /// state, so several threads may copy one idle engine at once. Throws
-  /// lts::Error while the source holds a driver-layer callback.
-  Engine(const Engine& other);
+  /// state, so several threads may copy one idle engine at once.
+  Engine(const Engine& other) = default;
   Engine& operator=(const Engine&) = delete;
 
   /// Current simulated time in seconds.
@@ -90,24 +78,8 @@ class Engine {
   /// Schedules `event` `delay` seconds from now (delay >= 0).
   EventId schedule_in(SimTime delay, const Event& event);
 
-  /// Driver-layer closures: scheduled through a one-shot callback slot.
-  template <std::invocable F>
-  EventId schedule_at(SimTime t, F&& fn) {
-    return schedule_at(t, callback(std::forward<F>(fn)));
-  }
-  template <std::invocable F>
-  EventId schedule_in(SimTime delay, F&& fn) {
-    return schedule_in(delay, callback(std::forward<F>(fn)));
-  }
-
-  /// Parks a closure in a callback slot and returns the record that runs
-  /// (and frees) it once dispatched; an empty closure gives a kNone record.
-  /// Tests hand such records to flows and CPU tasks as completions; one
-  /// that is never dispatched (its flow was cancelled) keeps its slot.
-  Event callback(std::function<void()> fn);
-
-  /// Runs `event`'s handler now. Flow and CPU completions notify their
-  /// owners through it.
+  /// Runs `event`'s handler now; a record with no target does nothing.
+  /// Flow, CPU and job completions notify their owners through it.
   void dispatch(const Event& event);
 
   /// Cancels a pending event. Safe to call with an already-fired or
@@ -152,7 +124,6 @@ class Engine {
     return static_cast<std::uint32_t>(id);
   }
   void release_slot(std::uint32_t slot);
-  void release_callback(std::uint32_t slot);
 
   struct QueueEntry {
     SimTime time;
@@ -179,39 +150,8 @@ class Engine {
       queue_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
-  std::vector<std::function<void()>> callbacks_;
-  std::vector<std::uint32_t> free_callbacks_;
   std::vector<EventTarget*> targets_;
   std::vector<std::uint32_t> free_targets_;
-};
-
-/// Repeats an event at a fixed interval until stopped. The first firing is
-/// at `start + phase`; exporters use distinct phases so scrapes of different
-/// nodes interleave rather than synchronize (as real Prometheus jitter does).
-class PeriodicTask final : public EventTarget {
- public:
-  /// Dispatches `tick` (not a one-shot callback record) at every firing.
-  PeriodicTask(Engine& engine, SimTime interval, SimTime phase, Event tick);
-  /// Copies `other`'s schedule onto `engine`, a copy of other's engine.
-  PeriodicTask(const PeriodicTask& other, Engine& engine);
-  ~PeriodicTask();
-
-  PeriodicTask(const PeriodicTask&) = delete;
-  PeriodicTask& operator=(const PeriodicTask&) = delete;
-
-  void stop();
-  bool running() const { return running_; }
-
-  void on_event(const Event& event) override;
-  const char* target_name() const override { return "PeriodicTask"; }
-
- private:
-  Engine& engine_;
-  SimTime interval_;
-  Event tick_;
-  std::uint32_t target_;
-  EventId pending_ = kInvalidEvent;
-  bool running_ = true;
 };
 
 }  // namespace lts::sim

@@ -20,10 +20,6 @@ constexpr double kCollectFinalizeCpu = 0.2;  // fixed part of the driver merge
 constexpr double kCollectCpuPerByte = 1.0 / 80e6;  // merge cost per result byte
 constexpr SimTime kTaskLaunchOverhead = 0.002;  // serialization etc., per task
 constexpr double kTaskJitterSigma = 0.04;  // lognormal shape on task CPU work
-// A failed task (RuntimeOptions::task_failure_rate) burns this share of its
-// CPU work and is detected this long after.
-constexpr double kFailureWasteFraction = 0.6;
-constexpr SimTime kFailureDetectDelay = 1.0;
 constexpr double kSpillSlowdown = 1.2;     // task working set > heap share
 constexpr double kNodeSwapSlowdown = 2.0;  // node memory over-committed
 constexpr Rate kLocalReadRate = 800e6;     // node-local shuffle read, bytes/s
@@ -33,13 +29,11 @@ constexpr SimTime kLoopbackRtt = 0.2e-3;   // driver and executor co-located
 
 SparkApp::SparkApp(cluster::Cluster& cluster, JobConfig config, AppDag dag,
                    std::size_t driver_node,
-                   std::vector<std::size_t> executor_nodes, Rng rng,
-                   RuntimeOptions options)
+                   std::vector<std::size_t> executor_nodes, Rng rng)
     : cluster_(cluster),
       config_(std::move(config)),
       dag_(std::move(dag)),
-      driver_node_(driver_node),
-      options_(options) {
+      driver_node_(driver_node) {
   config_.validate();
   dag_.validate();
   LTS_REQUIRE(driver_node_ < cluster_.num_nodes(),
@@ -65,19 +59,10 @@ SparkApp::SparkApp(cluster::Cluster& cluster, JobConfig config, AppDag dag,
         rng.uniform(kExecutorStartupMin, kExecutorStartupMax));
   }
   task_jitter_.resize(dag_.stages.size());
-  task_will_fail_.resize(dag_.stages.size());
   for (std::size_t s = 0; s < dag_.stages.size(); ++s) {
     task_jitter_[s].reserve(static_cast<std::size_t>(dag_.stages[s].num_tasks));
     for (int t = 0; t < dag_.stages[s].num_tasks; ++t) {
       task_jitter_[s].push_back(rng.lognormal_median(1.0, kTaskJitterSigma));
-    }
-    task_will_fail_[s].assign(
-        static_cast<std::size_t>(dag_.stages[s].num_tasks), 0);
-    if (options_.task_failure_rate > 0.0) {
-      for (int t = 0; t < dag_.stages[s].num_tasks; ++t) {
-        task_will_fail_[s][static_cast<std::size_t>(t)] =
-            rng.uniform() < options_.task_failure_rate ? 1 : 0;
-      }
     }
   }
   target_ = cluster_.engine().add_target(this);
@@ -93,12 +78,13 @@ void SparkApp::cancel() {
   running_ = false;
   // Release in the order the id-ordered live sets did: pending events, then
   // flows by id, then CPU tasks by (node, id). Each CPU cancel reschedules
-  // its pool's completion event, so this order decides event ids.
+  // its pool's completion event, so this order decides event ids. A task
+  // whose CPU work is cut short also gives back its working set.
   std::vector<net::FlowId> flows;
   std::vector<std::pair<std::size_t, cluster::CpuTaskId>> cpu_tasks;
   for (std::uint32_t slot = 0; slot < continuations_.size(); ++slot) {
     Continuation& c = continuations_[slot];
-    if (!c.fn) continue;
+    if (c.step.code == Code::kFree) continue;
     switch (c.on) {
       case Waiting::kEvent:
         cluster_.engine().cancel(c.id);
@@ -110,7 +96,11 @@ void SparkApp::cancel() {
         cpu_tasks.emplace_back(c.node, c.id);
         break;
     }
-    c.fn = nullptr;
+    if (c.step.code == Code::kTaskDone) {
+      cluster_.node(c.node).release_memory(
+          task_memory(c.step.stage, c.step.task));
+    }
+    c.step.code = Code::kFree;
     free_continuations_.push_back(slot);
   }
   std::sort(flows.begin(), flows.end());
@@ -131,8 +121,7 @@ void SparkApp::release_pods() {
   held_memory_.clear();
 }
 
-std::uint32_t SparkApp::park(std::function<void()> fn, Waiting on,
-                             std::size_t node) {
+std::uint32_t SparkApp::park(Step step, Waiting on, std::size_t node) {
   std::uint32_t slot;
   if (!free_continuations_.empty()) {
     slot = free_continuations_.back();
@@ -141,42 +130,106 @@ std::uint32_t SparkApp::park(std::function<void()> fn, Waiting on,
     slot = static_cast<std::uint32_t>(continuations_.size());
     continuations_.emplace_back();
   }
-  continuations_[slot] = Continuation{std::move(fn), on, 0, node};
+  continuations_[slot] = Continuation{step, on, 0, node};
   return slot;
 }
 
 void SparkApp::on_event(const sim::Event& event) {
   const auto slot = static_cast<std::uint32_t>(event.payload);
-  // Free the slot before resuming: the continuation may park new ones.
-  auto fn = std::move(continuations_[slot].fn);
-  continuations_[slot].fn = nullptr;
+  const Step step = continuations_[slot].step;
   // A record can outlive cancel() when its flow or CPU task finished in the
   // harvest that led to the cancel; its slot is already free.
-  if (!fn) return;
+  if (step.code == Code::kFree) return;
+  // Free the slot before resuming: the step may park new ones.
+  continuations_[slot].step.code = Code::kFree;
   free_continuations_.push_back(slot);
-  fn();
+  resume(step);
 }
 
-void SparkApp::schedule(SimTime delay, std::function<void()> fn) {
-  const std::uint32_t slot = park(std::move(fn), Waiting::kEvent);
+void SparkApp::resume(const Step& step) {
+  switch (step.code) {
+    case Code::kFree:
+      break;
+    case Code::kDriverStarted:
+      on_driver_started();
+      break;
+    case Code::kPlanned:
+      register_executors();
+      break;
+    case Code::kExecutorRegistered:
+      on_executor_registered(step.executor);
+      break;
+    case Code::kBroadcastArrived:
+      if (--broadcast_remaining_ == 0) start_ready_stages();
+      break;
+    case Code::kStageDispatched:
+      queue_stage_tasks(step.stage);
+      break;
+    case Code::kTaskLaunched:
+      begin_task(step.stage, step.task, step.executor);
+      break;
+    case Code::kTaskInputArrived:
+      if (--stage_state_[static_cast<std::size_t>(step.stage)]
+                .inputs_remaining[static_cast<std::size_t>(step.task)] == 0) {
+        task_inputs_ready(step.stage, step.task, step.executor);
+      }
+      break;
+    case Code::kTaskDone:
+      task_cpu_done(step.stage, step.task, step.executor);
+      break;
+    case Code::kTaskReported:
+      if (--stage_state_[static_cast<std::size_t>(step.stage)]
+                .reports_remaining == 0) {
+        finish_stage(step.stage);
+      }
+      break;
+    case Code::kSyncRoundsDone:
+      stage_sync_gather(step.stage);
+      break;
+    case Code::kSyncGatherArrived:
+      if (--stage_state_[static_cast<std::size_t>(step.stage)]
+                .sync_remaining == 0) {
+        stage_sync_scatter(step.stage);
+      }
+      break;
+    case Code::kSyncAggregated:
+      scatter_sync_state(step.stage);
+      break;
+    case Code::kSyncScatterArrived:
+      if (--stage_state_[static_cast<std::size_t>(step.stage)]
+                .sync_remaining == 0) {
+        complete_stage(step.stage);
+      }
+      break;
+    case Code::kCollectArrived:
+      if (--collect_remaining_ == 0) finish_app();
+      break;
+    case Code::kMerged:
+      complete();
+      break;
+  }
+}
+
+void SparkApp::schedule(SimTime delay, Step step) {
+  const std::uint32_t slot = park(step, Waiting::kEvent);
   continuations_[slot].id =
       cluster_.engine().schedule_in(delay, step_event(slot));
 }
 
 void SparkApp::start_flow(std::size_t src_node, std::size_t dst_node,
-                          Bytes bytes, std::function<void()> fn) {
+                          Bytes bytes, Step step) {
   // FlowManager::start defers the max-min recompute to a same-timestamp
   // hook, so the M×N flows a shuffle stage opens in one event share a
   // single progressive fill instead of paying one each.
-  const std::uint32_t slot = park(std::move(fn), Waiting::kFlow);
+  const std::uint32_t slot = park(step, Waiting::kFlow);
   continuations_[slot].id = cluster_.flows().start(
       cluster_.node(src_node).vertex(), cluster_.node(dst_node).vertex(),
       bytes, step_event(slot));
 }
 
 void SparkApp::run_cpu(std::size_t node, double demand, double work,
-                       std::function<void()> fn) {
-  const std::uint32_t slot = park(std::move(fn), Waiting::kCpu, node);
+                       Step step) {
+  const std::uint32_t slot = park(step, Waiting::kCpu, node);
   continuations_[slot].id =
       cluster_.node(node).cpu().run(demand, work, step_event(slot));
 }
@@ -187,10 +240,10 @@ SimTime SparkApp::rtt(std::size_t a, std::size_t b) const {
                                       cluster_.node(b).vertex());
 }
 
-void SparkApp::submit(std::function<void(const AppResult&)> on_complete) {
+void SparkApp::submit(sim::Event on_complete) {
   LTS_REQUIRE(!running_ && !result_.completed, "SparkApp: already submitted");
   running_ = true;
-  on_complete_ = std::move(on_complete);
+  on_complete_ = on_complete;
   result_.submit_time = cluster_.engine().now();
   result_.driver_node = cluster_.node(driver_node_).name();
   for (const auto& e : executors_) {
@@ -209,7 +262,7 @@ void SparkApp::submit(std::function<void(const AppResult&)> on_complete) {
   stages_remaining_ = static_cast<int>(dag_.stages.size());
   executors_pending_ = static_cast<int>(executors_.size());
 
-  schedule(driver_startup_delay_, [this] { on_driver_started(); });
+  schedule(driver_startup_delay_, {Code::kDriverStarted});
 }
 
 void SparkApp::on_driver_started() {
@@ -220,15 +273,16 @@ void SparkApp::on_driver_started() {
       driver_node_,
       cluster_.node(driver_node_).cpu().add_persistent(kDriverServiceCpu));
   run_cpu(driver_node_, std::min(config_.driver_cores, 1.0),
-          kDriverPlanningWork, [this] {
-            for (std::size_t i = 0; i < executors_.size(); ++i) {
-              // Pod start + registration round trip back to the driver.
-              const SimTime delay =
-                  executor_startup_delays_[i] +
-                  rtt(executors_[i].node, driver_node_);
-              schedule(delay, [this, i] { on_executor_registered(i); });
-            }
-          });
+          kDriverPlanningWork, {Code::kPlanned});
+}
+
+void SparkApp::register_executors() {
+  for (std::size_t i = 0; i < executors_.size(); ++i) {
+    // Pod start + registration round trip back to the driver.
+    const SimTime delay =
+        executor_startup_delays_[i] + rtt(executors_[i].node, driver_node_);
+    schedule(delay, {.code = Code::kExecutorRegistered, .executor = i});
+  }
 }
 
 void SparkApp::on_executor_registered(std::size_t executor_index) {
@@ -244,6 +298,32 @@ void SparkApp::on_executor_registered(std::size_t executor_index) {
   }
 }
 
+void SparkApp::driver_transfers(Bytes bytes, bool to_driver, Step step,
+                                int& remaining) {
+  remaining = 0;
+  SimTime local_time = 0.0;
+  for (const auto& exec : executors_) {
+    if (exec.node == driver_node_) {
+      local_time = std::max(local_time, bytes / kLocalReadRate);
+      continue;
+    }
+    ++remaining;
+  }
+  if (remaining == 0) {
+    remaining = 1;
+    schedule(local_time, step);
+    return;
+  }
+  for (const auto& exec : executors_) {
+    if (exec.node == driver_node_) continue;
+    if (to_driver) {
+      start_flow(exec.node, driver_node_, bytes, step);
+    } else {
+      start_flow(driver_node_, exec.node, bytes, step);
+    }
+  }
+}
+
 void SparkApp::begin_broadcast() {
   // The driver's file server ships jars/closures/broadcast variables to
   // every executor before any task can run (Spark cluster mode). These
@@ -253,28 +333,8 @@ void SparkApp::begin_broadcast() {
     start_ready_stages();
     return;
   }
-  broadcast_remaining_ = 0;
-  SimTime local_time = 0.0;
-  for (const auto& exec : executors_) {
-    if (exec.node == driver_node_) {
-      local_time =
-          std::max(local_time, dag_.broadcast_bytes / kLocalReadRate);
-      continue;
-    }
-    ++broadcast_remaining_;
-  }
-  if (broadcast_remaining_ == 0) {
-    schedule(local_time, [this] { start_ready_stages(); });
-    return;
-  }
-  for (const auto& exec : executors_) {
-    if (exec.node == driver_node_) continue;
-    start_flow(driver_node_, exec.node, dag_.broadcast_bytes, [this] {
-      if (--broadcast_remaining_ == 0) {
-        start_ready_stages();
-      }
-    });
-  }
+  driver_transfers(dag_.broadcast_bytes, /*to_driver=*/false,
+                   {Code::kBroadcastArrived}, broadcast_remaining_);
 }
 
 void SparkApp::start_ready_stages() {
@@ -297,17 +357,19 @@ void SparkApp::start_stage(int stage_id) {
       kDispatchCpuPerTask * static_cast<double>(spec.num_tasks) +
       kStageFinalizeCpu;
   run_cpu(driver_node_, std::min(config_.driver_cores, 1.0), dispatch_work,
-          [this, stage_id] {
-            const StageSpec& s =
-                dag_.stages[static_cast<std::size_t>(stage_id)];
-            auto& st = stage_state_[static_cast<std::size_t>(stage_id)];
-            st.tasks_on_executor.assign(executors_.size(), 0);
-            st.pending_tasks.reserve(static_cast<std::size_t>(s.num_tasks));
-            for (int t = 0; t < s.num_tasks; ++t) {
-              st.pending_tasks.push_back(t);
-            }
-            pump_slots();
-          });
+          {.code = Code::kStageDispatched, .stage = stage_id});
+}
+
+void SparkApp::queue_stage_tasks(int stage_id) {
+  const StageSpec& spec = dag_.stages[static_cast<std::size_t>(stage_id)];
+  auto& state = stage_state_[static_cast<std::size_t>(stage_id)];
+  state.tasks_on_executor.assign(executors_.size(), 0);
+  state.inputs_remaining.assign(static_cast<std::size_t>(spec.num_tasks), 0);
+  state.pending_tasks.reserve(static_cast<std::size_t>(spec.num_tasks));
+  for (int t = 0; t < spec.num_tasks; ++t) {
+    state.pending_tasks.push_back(t);
+  }
+  pump_slots();
 }
 
 void SparkApp::pump_slots() {
@@ -323,12 +385,10 @@ void SparkApp::pump_slots() {
         const int task = st.pending_tasks[st.next_pending++];
         ++st.tasks_on_executor[e];
         ++exec.running;
-        const int stage_id = static_cast<int>(s);
         const SimTime launch_delay =
             0.5 * rtt(driver_node_, exec.node) + kTaskLaunchOverhead;
-        schedule(launch_delay, [this, stage_id, task, e] {
-          begin_task(stage_id, task, e);
-        });
+        schedule(launch_delay, {Code::kTaskLaunched, static_cast<int>(s),
+                                task, e});
       }
     }
   }
@@ -369,7 +429,9 @@ void SparkApp::begin_task(int stage_id, int task,
   }
   const auto frac = source_fractions(stage_id);
   const std::size_t dst_node = executors_[executor_index].node;
-  auto remaining = std::make_shared<int>(0);
+  const Step arrived{Code::kTaskInputArrived, stage_id, task, executor_index};
+  int& remaining = stage_state_[static_cast<std::size_t>(stage_id)]
+                       .inputs_remaining[static_cast<std::size_t>(task)];
   SimTime local_read_time = 0.0;
   for (std::size_t src = 0; src < executors_.size(); ++src) {
     const Bytes bytes = task_in * frac[src];
@@ -381,30 +443,22 @@ void SparkApp::begin_task(int stage_id, int task,
           std::max(local_read_time, bytes / kLocalReadRate);
       continue;
     }
-    ++*remaining;
+    ++remaining;
     result_.total_shuffle_bytes += bytes;
     result_.stages[static_cast<std::size_t>(stage_id)].shuffle_bytes += bytes;
-    start_flow(src_node, dst_node, bytes,
-               [this, stage_id, task, executor_index, remaining] {
-                 if (--*remaining == 0) {
-                   task_inputs_ready(stage_id, task, executor_index);
-                 }
-               });
+    start_flow(src_node, dst_node, bytes, arrived);
   }
-  if (*remaining == 0) {
-    // All input was local.
-    schedule(local_read_time, [this, stage_id, task, executor_index] {
-      task_inputs_ready(stage_id, task, executor_index);
-    });
-  } else if (local_read_time > 0.0) {
-    ++*remaining;
-    schedule(local_read_time, [this, stage_id, task, executor_index,
-                               remaining] {
-      if (--*remaining == 0) {
-        task_inputs_ready(stage_id, task, executor_index);
-      }
-    });
+  // All input local, or a local read beside the flows: one more arrival.
+  if (remaining == 0 || local_read_time > 0.0) {
+    ++remaining;
+    schedule(local_read_time, arrived);
   }
+}
+
+Bytes SparkApp::task_memory(int stage_id, int task) const {
+  const StageSpec& spec = dag_.stages[static_cast<std::size_t>(stage_id)];
+  return spec.memory_per_task * spec.task_weight(task) *
+         static_cast<double>(spec.num_tasks);
 }
 
 void SparkApp::task_inputs_ready(int stage_id, int task,
@@ -414,10 +468,7 @@ void SparkApp::task_inputs_ready(int stage_id, int task,
   const std::size_t node_idx = exec.node;
   auto& node = cluster_.node(node_idx);
 
-  // Working set: this task's (weighted) share of the stage's memory needs.
-  const Bytes task_mem = spec.memory_per_task *
-                         spec.task_weight(task) *
-                         static_cast<double>(spec.num_tasks);
+  const Bytes task_mem = task_memory(stage_id, task);
   node.allocate_memory(task_mem);
 
   // Spill penalty: the working set must fit in this task's share of the
@@ -439,50 +490,19 @@ void SparkApp::task_inputs_ready(int stage_id, int task,
                       spec.task_weight(task) *
                       static_cast<double>(spec.num_tasks) * jitter * spill *
                       swap;
-
-  // Injected failure: burn part of the work, detect, release, retry. The
-  // pre-drawn flag is consumed so the retry succeeds.
-  auto& will_fail = task_will_fail_[static_cast<std::size_t>(stage_id)]
-                                   [static_cast<std::size_t>(task)];
-  if (will_fail != 0) {
-    will_fail = 0;
-    const double wasted =
-        std::max(work * kFailureWasteFraction, 1e-6);
-    run_cpu(node_idx, 1.0, wasted,
-            [this, stage_id, task, executor_index, task_mem] {
-              auto& node = cluster_.node(executors_[executor_index].node);
-              node.release_memory(task_mem);
-              ++result_.task_retries;
-              schedule(kFailureDetectDelay,
-                       [this, stage_id, task, executor_index] {
-                         task_inputs_ready(stage_id, task, executor_index);
-                       });
-            });
-    return;
-  }
-
   run_cpu(node_idx, 1.0, std::max(work, 1e-6),
-          [this, stage_id, task, executor_index, task_mem] {
-            task_cpu_done(stage_id, task, executor_index, task_mem);
-          });
+          {Code::kTaskDone, stage_id, task, executor_index});
 }
 
-void SparkApp::task_cpu_done(int stage_id, int /*task*/,
-                             std::size_t executor_index, Bytes held_memory) {
+void SparkApp::task_cpu_done(int stage_id, int task,
+                             std::size_t executor_index) {
   auto& exec = executors_[executor_index];
-  cluster_.node(exec.node).release_memory(held_memory);
+  cluster_.node(exec.node).release_memory(task_memory(stage_id, task));
   --exec.running;
   pump_slots();
   // Completion report travels back to the driver.
   const SimTime report_delay = 0.5 * rtt(exec.node, driver_node_);
-  schedule(report_delay, [this, stage_id] { on_task_report(stage_id); });
-}
-
-void SparkApp::on_task_report(int stage_id) {
-  auto& state = stage_state_[static_cast<std::size_t>(stage_id)];
-  if (--state.reports_remaining == 0) {
-    finish_stage(stage_id);
-  }
+  schedule(report_delay, {.code = Code::kTaskReported, .stage = stage_id});
 }
 
 void SparkApp::finish_stage(int stage_id) {
@@ -504,7 +524,8 @@ void SparkApp::finish_stage(int stage_id) {
     }
     control_latency = worst_rtt * static_cast<double>(spec.driver_sync_rounds);
   }
-  schedule(control_latency, [this, stage_id] { stage_sync_gather(stage_id); });
+  schedule(control_latency,
+           {.code = Code::kSyncRoundsDone, .stage = stage_id});
 }
 
 void SparkApp::stage_sync_gather(int stage_id) {
@@ -513,30 +534,11 @@ void SparkApp::stage_sync_gather(int stage_id) {
     stage_sync_scatter(stage_id);
     return;
   }
-  auto remaining = std::make_shared<int>(0);
-  const Bytes per_exec =
-      spec.driver_sync_in / static_cast<double>(executors_.size());
-  SimTime local_time = 0.0;
-  for (const auto& exec : executors_) {
-    if (exec.node == driver_node_) {
-      local_time = std::max(local_time, per_exec / kLocalReadRate);
-      continue;
-    }
-    ++*remaining;
-  }
-  if (*remaining == 0) {
-    schedule(local_time, [this, stage_id] { stage_sync_scatter(stage_id); });
-    return;
-  }
-  for (const auto& exec : executors_) {
-    if (exec.node == driver_node_) continue;
-    start_flow(exec.node, driver_node_, per_exec, [this, stage_id,
-                                                   remaining] {
-      if (--*remaining == 0) {
-        stage_sync_scatter(stage_id);
-      }
-    });
-  }
+  driver_transfers(spec.driver_sync_in / static_cast<double>(executors_.size()),
+                   /*to_driver=*/true,
+                   {.code = Code::kSyncGatherArrived, .stage = stage_id},
+                   stage_state_[static_cast<std::size_t>(stage_id)]
+                       .sync_remaining);
 }
 
 void SparkApp::stage_sync_scatter(int stage_id) {
@@ -545,36 +547,19 @@ void SparkApp::stage_sync_scatter(int stage_id) {
   const double agg_work =
       0.05 + (spec.driver_sync_in + spec.driver_sync_out) / 300e6;
   run_cpu(driver_node_, std::min(config_.driver_cores, 1.0), agg_work,
-          [this, stage_id, &spec] {
-            if (spec.driver_sync_out <= 1.0) {
-              complete_stage(stage_id);
-              return;
-            }
-            auto remaining = std::make_shared<int>(0);
-            SimTime local_time = 0.0;
-            for (const auto& exec : executors_) {
-              if (exec.node == driver_node_) {
-                local_time = std::max(
-                    local_time, spec.driver_sync_out / kLocalReadRate);
-                continue;
-              }
-              ++*remaining;
-            }
-            if (*remaining == 0) {
-              schedule(local_time,
-                       [this, stage_id] { complete_stage(stage_id); });
-              return;
-            }
-            for (const auto& exec : executors_) {
-              if (exec.node == driver_node_) continue;
-              start_flow(driver_node_, exec.node, spec.driver_sync_out,
-                         [this, stage_id, remaining] {
-                           if (--*remaining == 0) {
-                             complete_stage(stage_id);
-                           }
-                         });
-            }
-          });
+          {.code = Code::kSyncAggregated, .stage = stage_id});
+}
+
+void SparkApp::scatter_sync_state(int stage_id) {
+  const StageSpec& spec = dag_.stages[static_cast<std::size_t>(stage_id)];
+  if (spec.driver_sync_out <= 1.0) {
+    complete_stage(stage_id);
+    return;
+  }
+  driver_transfers(spec.driver_sync_out, /*to_driver=*/false,
+                   {.code = Code::kSyncScatterArrived, .stage = stage_id},
+                   stage_state_[static_cast<std::size_t>(stage_id)]
+                       .sync_remaining);
 }
 
 void SparkApp::complete_stage(int stage_id) {
@@ -601,30 +586,9 @@ void SparkApp::begin_collect() {
     finish_app();
     return;
   }
-  collect_remaining_ = 0;
-  const Bytes per_exec =
-      dag_.result_bytes / static_cast<double>(executors_.size());
-  SimTime local_time = 0.0;
-  for (const auto& exec : executors_) {
-    if (exec.node == driver_node_) {
-      local_time =
-          std::max(local_time, per_exec / kLocalReadRate);
-      continue;
-    }
-    ++collect_remaining_;
-  }
-  if (collect_remaining_ == 0) {
-    schedule(local_time, [this] { finish_app(); });
-    return;
-  }
-  for (const auto& exec : executors_) {
-    if (exec.node == driver_node_) continue;
-    start_flow(exec.node, driver_node_, per_exec, [this] {
-      if (--collect_remaining_ == 0) {
-        finish_app();
-      }
-    });
-  }
+  driver_transfers(dag_.result_bytes / static_cast<double>(executors_.size()),
+                   /*to_driver=*/true, {Code::kCollectArrived},
+                   collect_remaining_);
 }
 
 void SparkApp::finish_app() {
@@ -641,18 +605,18 @@ void SparkApp::finish_app() {
       1.0 + 5.0 * std::max(0.0, driver.memory_pressure() - 0.6);
   const double merge_work =
       (kCollectFinalizeCpu + kCollectCpuPerByte * dag_.result_bytes) * thrash;
-  run_cpu(driver_node_, std::min(config_.driver_cores, 1.0),
-          merge_work, [this] {
-            running_ = false;
-            release_pods();
-            result_.completed = true;
-            result_.finish_time = cluster_.engine().now();
-            if (on_complete_) {
-              // Move out first: the callback may destroy this app.
-              auto cb = std::move(on_complete_);
-              cb(result_);
-            }
-          });
+  run_cpu(driver_node_, std::min(config_.driver_cores, 1.0), merge_work,
+          {Code::kMerged});
+}
+
+void SparkApp::complete() {
+  running_ = false;
+  release_pods();
+  result_.completed = true;
+  result_.finish_time = cluster_.engine().now();
+  // Dispatched last, from a copy: the listener may destroy this app.
+  const sim::Event on_complete = on_complete_;
+  cluster_.engine().dispatch(on_complete);
 }
 
 }  // namespace lts::spark

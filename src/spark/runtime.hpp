@@ -21,7 +21,6 @@
 // driver node is an exact counterfactual.
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -31,15 +30,6 @@
 #include "util/rng.hpp"
 
 namespace lts::spark {
-
-struct RuntimeOptions {
-  /// Fault injection: each task independently fails once with this
-  /// probability (pre-drawn per task). A failed task burns a fixed share of
-  /// its CPU work, is detected after a fixed delay, and is retried on the
-  /// same executor (first retry always succeeds, as Spark's default
-  /// 4-attempt budget almost always does).
-  double task_failure_rate = 0.0;
-};
 
 struct StageMetrics {
   int stage_id = 0;
@@ -52,7 +42,6 @@ struct StageMetrics {
 
 struct AppResult {
   bool completed = false;
-  int task_retries = 0;  // fault-injection retries that occurred
   SimTime submit_time = 0.0;
   SimTime finish_time = 0.0;
   std::string driver_node;
@@ -71,17 +60,19 @@ class SparkApp final : public sim::EventTarget {
   /// scheduler's choices); `driver_node` is the scheduler-under-test's pick.
   SparkApp(cluster::Cluster& cluster, JobConfig config, AppDag dag,
            std::size_t driver_node, std::vector<std::size_t> executor_nodes,
-           Rng rng, RuntimeOptions options = {});
+           Rng rng);
   ~SparkApp();
 
   SparkApp(const SparkApp&) = delete;
   SparkApp& operator=(const SparkApp&) = delete;
 
-  /// Submits the application at the current simulated time. `on_complete`
-  /// fires once, with the final result.
-  void submit(std::function<void(const AppResult&)> on_complete);
+  /// Submits the application at the current simulated time. Once the app
+  /// completes, `on_complete` is dispatched (a record without a target:
+  /// nobody listens); its listener reads result() and may destroy the app.
+  void submit(sim::Event on_complete = {});
 
-  /// Aborts a running application, releasing every held resource.
+  /// Aborts a running application, releasing every held resource; its
+  /// completion record never fires.
   void cancel();
 
   bool running() const { return running_; }
@@ -110,57 +101,97 @@ class SparkApp final : public sim::EventTarget {
     std::vector<int> pending_tasks;
     std::size_t next_pending = 0;
     std::vector<int> tasks_on_executor;  // per executor, assigned count
+    std::vector<int> inputs_remaining;   // per task, reads still in flight
+    int sync_remaining = 0;  // driver-sync transfers still in flight
 
     bool has_pending() const { return next_pending < pending_tasks.size(); }
   };
 
-  /// What a parked continuation waits for.
+  /// The steps a record resumes. Each names the work that follows an event
+  /// firing, a flow landing or a CPU task finishing; an *Arrived step
+  /// counts one of several transfers (or the one local read standing in for
+  /// them) and moves on with the last.
+  enum class Code : std::uint8_t {
+    kFree,                // an empty slot
+    kDriverStarted,       // the driver pod is up
+    kPlanned,             // the driver planned the job
+    kExecutorRegistered,  // executor
+    kBroadcastArrived,
+    kStageDispatched,     // stage: the driver dispatched its tasks
+    kTaskLaunched,        // stage, task, executor
+    kTaskInputArrived,    // stage, task, executor
+    kTaskDone,            // stage, task, executor: its CPU work finished
+    kTaskReported,        // stage
+    kSyncRoundsDone,      // stage: the control rounds before the gather
+    kSyncGatherArrived,   // stage
+    kSyncAggregated,      // stage: the driver merged the gathered state
+    kSyncScatterArrived,  // stage
+    kCollectArrived,
+    kMerged,  // the driver merged the results: the app completes
+  };
+  struct Step {
+    Code code = Code::kFree;
+    int stage = 0;
+    int task = 0;
+    std::size_t executor = 0;
+  };
+  /// What a parked step waits for.
   enum class Waiting : std::uint8_t { kEvent, kFlow, kCpu };
-  /// A continuation parked until its event fires, its flow lands or its
-  /// CPU task finishes; the record carrying its slot resumes it.
+  /// A step parked until its event fires, its flow lands or its CPU task
+  /// finishes; the record carrying its slot resumes it.
   struct Continuation {
-    std::function<void()> fn;  // empty: free slot
+    Step step;
     Waiting on = Waiting::kEvent;
     std::uint64_t id = 0;  // the event, flow or CPU task
     std::size_t node = 0;  // the CPU task's node
   };
 
   // -- resource-tracked primitives (all cancellable via cancel()) --
-  std::uint32_t park(std::function<void()> fn, Waiting on,
-                     std::size_t node = 0);
+  std::uint32_t park(Step step, Waiting on, std::size_t node = 0);
   sim::Event step_event(std::uint32_t slot) const {
     return sim::target_event(target_, 0, slot);
   }
-  void schedule(SimTime delay, std::function<void()> fn);
+  void schedule(SimTime delay, Step step);
   void start_flow(std::size_t src_node, std::size_t dst_node, Bytes bytes,
-                  std::function<void()> fn);
-  void run_cpu(std::size_t node, double demand, double work,
-               std::function<void()> fn);
+                  Step step);
+  void run_cpu(std::size_t node, double demand, double work, Step step);
+  /// Runs a resumed step.
+  void resume(const Step& step);
 
   SimTime rtt(std::size_t a, std::size_t b) const;
 
   void on_driver_started();
+  void register_executors();
   void on_executor_registered(std::size_t executor_index);
   void begin_broadcast();
   void start_ready_stages();
   void start_stage(int stage_id);
+  void queue_stage_tasks(int stage_id);
   /// Dynamic task assignment: fills every free slot with the next pending
   /// task of the oldest running stage (Spark hands tasks to whichever
   /// executor has capacity, so a slow node naturally receives fewer tasks).
   void pump_slots();
   void begin_task(int stage_id, int task, std::size_t executor_index);
   void task_inputs_ready(int stage_id, int task, std::size_t executor_index);
-  void task_cpu_done(int stage_id, int task, std::size_t executor_index,
-                     Bytes held_memory);
-  void on_task_report(int stage_id);
+  void task_cpu_done(int stage_id, int task, std::size_t executor_index);
   void finish_stage(int stage_id);
   void stage_sync_gather(int stage_id);
   void stage_sync_scatter(int stage_id);
+  void scatter_sync_state(int stage_id);
   void complete_stage(int stage_id);
   void begin_collect();
   void finish_app();
+  void complete();
   void release_pods();
+  /// Moves `bytes` between the driver and every executor off the driver's
+  /// node (towards the driver when `to_driver`), each flow resuming `step`
+  /// as it lands, and sets `remaining` to their count. With every executor
+  /// on the driver's node, one local read of `bytes` resumes it instead.
+  void driver_transfers(Bytes bytes, bool to_driver, Step step,
+                        int& remaining);
 
+  /// A task's working set: its weighted share of the stage's memory needs.
+  Bytes task_memory(int stage_id, int task) const;
   /// Fraction of upstream map output held by each executor, for stage
   /// `stage_id`'s shuffle reads.
   std::vector<double> source_fractions(int stage_id) const;
@@ -169,13 +200,11 @@ class SparkApp final : public sim::EventTarget {
   JobConfig config_;
   AppDag dag_;
   std::size_t driver_node_;
-  RuntimeOptions options_;
 
   // Pre-drawn randomness (see header comment).
   SimTime driver_startup_delay_ = 0.0;
   std::vector<SimTime> executor_startup_delays_;
-  std::vector<std::vector<double>> task_jitter_;   // [stage][task]
-  std::vector<std::vector<char>> task_will_fail_;  // [stage][task], once
+  std::vector<std::vector<double>> task_jitter_;  // [stage][task]
 
   std::vector<ExecutorState> executors_;
   std::vector<StageState> stage_state_;
@@ -186,7 +215,7 @@ class SparkApp final : public sim::EventTarget {
 
   bool running_ = false;
   AppResult result_;
-  std::function<void(const AppResult&)> on_complete_;
+  sim::Event on_complete_;
 
   // Live resources for cancellation safety.
   std::vector<Continuation> continuations_;

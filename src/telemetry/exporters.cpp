@@ -23,20 +23,18 @@ constexpr std::array<const char*, 8> kNodeMetrics = {
 
 NodeExporter::NodeExporter(sim::Engine& engine, Tsdb& tsdb,
                            cluster::Cluster& cluster, std::size_t node_index,
-                           ExporterOptions options, SimTime phase)
+                           SimTime phase)
     : tsdb_(tsdb),
       cluster_(cluster),
       node_index_(node_index),
       node_name_(cluster.node(node_index).name()),
-      options_(options),
       load_ema_(kLoadEmaTau),
       engine_(engine),
       target_(engine.add_target(this)),
-      task_(engine, kScrapeInterval, phase,
-            sim::target_event(target_, kScrape)) {
-  static_assert(kNodeMetrics.size() == kMaxSamples);
+      scrape_(engine.schedule_in(phase, sim::target_event(target_, kScrape))) {
+  static_assert(kNodeMetrics.size() == kNumMetrics);
   const Labels labels{{"node", node_name_}};
-  for (std::size_t i = 0; i < kMaxSamples; ++i) {
+  for (std::size_t i = 0; i < kNumMetrics; ++i) {
     series_ids_[i] = tsdb_.intern(kNodeMetrics[i], labels);
   }
 }
@@ -48,11 +46,10 @@ NodeExporter::NodeExporter(const NodeExporter& other, sim::Engine& engine,
       node_index_(other.node_index_),
       node_name_(other.node_name_),
       series_ids_(other.series_ids_),
-      options_(other.options_),
       load_ema_(other.load_ema_),
       engine_(engine),
       target_(other.target_),
-      task_(other.task_, engine),
+      scrape_(other.scrape_),
       silenced_(other.silenced_),
       report_delay_(other.report_delay_),
       reports_(other.reports_),
@@ -61,6 +58,7 @@ NodeExporter::NodeExporter(const NodeExporter& other, sim::Engine& engine,
 }
 
 NodeExporter::~NodeExporter() {
+  engine_.cancel(scrape_);
   for (const Report& report : reports_) {
     if (report.event != sim::kInvalidEvent) engine_.cancel(report.event);
   }
@@ -86,6 +84,8 @@ void NodeExporter::set_report_delay(SimTime delay) {
 void NodeExporter::on_event(const sim::Event& event) {
   if (event.code == kScrape) {
     scrape();
+    scrape_ = engine_.schedule_in(kScrapeInterval,
+                                  sim::target_event(target_, kScrape));
     return;
   }
   const auto slot = static_cast<std::uint32_t>(event.payload);
@@ -95,7 +95,7 @@ void NodeExporter::on_event(const sim::Event& event) {
 }
 
 void NodeExporter::append(const Report& report) {
-  for (std::size_t i = 0; i < report.count; ++i) {
+  for (std::size_t i = 0; i < kNumMetrics; ++i) {
     tsdb_.append(series_ids_[i], report.at, report.values[i]);
   }
 }
@@ -109,32 +109,23 @@ void NodeExporter::scrape() {
   auto& node = cluster_.node(node_index_);
 
   // Measure everything now; where the samples land (immediately or after
-  // the injected reporting delay) is decided below.
-  Report report;
-  report.at = now;
+  // the injected reporting delay) is decided below. Per-host NIC counters
+  // and flow gauges resolve through the FlowManager's intrusive per-host
+  // indexes: each scrape costs O(flows touching this host), so a full fleet
+  // sweep is O(total flows), not O(hosts x flows).
+  const auto& flows = cluster_.flows();
+  const auto up = cluster_.node_uplink(node_index_);
+  const auto down = cluster_.node_downlink(node_index_);
   load_ema_.update(now, node.cpu().total_demand());
-  report.values[report.count++] = load_ema_.value();
-  report.values[report.count++] = std::max(0.0, node.memory_available());
-
-  // Per-host NIC counters and flow gauges resolve through the FlowManager's
-  // intrusive per-host indexes: each scrape costs O(flows touching this
-  // host), so a full fleet sweep is O(total flows), not O(hosts x flows).
-  report.values[report.count++] =
-      cluster_.flows().host_tx_bytes(node.vertex());
-  report.values[report.count++] =
-      cluster_.flows().host_rx_bytes(node.vertex());
-
-  if (options_.rich_metrics) {
-    const auto& flows = cluster_.flows();
-    const auto up = cluster_.node_uplink(node_index_);
-    const auto down = cluster_.node_downlink(node_index_);
-    report.values[report.count++] = flows.link_utilization(up);
-    report.values[report.count++] = flows.link_utilization(down);
-    report.values[report.count++] = std::max(flows.link_queue_delay(up),
-                                             flows.link_queue_delay(down));
-    report.values[report.count++] =
-        static_cast<double>(flows.host_active_flows(node.vertex()));
-  }
+  const Report report{
+      .at = now,
+      .values = {load_ema_.value(), std::max(0.0, node.memory_available()),
+                 flows.host_tx_bytes(node.vertex()),
+                 flows.host_rx_bytes(node.vertex()),
+                 flows.link_utilization(up), flows.link_utilization(down),
+                 std::max(flows.link_queue_delay(up),
+                          flows.link_queue_delay(down)),
+                 static_cast<double>(flows.host_active_flows(node.vertex()))}};
 
   if (report_delay_ <= 0.0) {
     append(report);
@@ -166,8 +157,7 @@ PingExporter::PingExporter(sim::Engine& engine, Tsdb& tsdb,
       rng_(rng),
       engine_(engine),
       target_(engine.add_target(this)),
-      task_(engine, kScrapeInterval, phase,
-            sim::target_event(target_)) {
+      probe_(engine.schedule_in(phase, sim::target_event(target_))) {
   const std::size_t n = cluster_.num_nodes();
   rtt_series_.resize(n * n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -189,13 +179,19 @@ PingExporter::PingExporter(const PingExporter& other, sim::Engine& engine,
       rng_(other.rng_),
       engine_(engine),
       target_(other.target_),
-      task_(other.task_, engine) {
+      probe_(other.probe_) {
   engine_.rebind_target(target_, this);
 }
 
-PingExporter::~PingExporter() { engine_.remove_target(target_); }
+PingExporter::~PingExporter() {
+  engine_.cancel(probe_);
+  engine_.remove_target(target_);
+}
 
-void PingExporter::on_event(const sim::Event& /*event*/) { probe(); }
+void PingExporter::on_event(const sim::Event& /*event*/) {
+  probe();
+  probe_ = engine_.schedule_in(kScrapeInterval, sim::target_event(target_));
+}
 
 void PingExporter::probe() {
   const SimTime now = engine_.now();
@@ -229,14 +225,14 @@ TelemetryStack::TelemetryStack(const TelemetryStack& other,
 }
 
 TelemetryStack::TelemetryStack(sim::Engine& engine, cluster::Cluster& cluster,
-                               ExporterOptions options, Rng rng) {
+                               Rng rng) {
   const std::size_t n = cluster.num_nodes();
   for (std::size_t i = 0; i < n; ++i) {
     // Stagger scrapes across the interval so samples interleave.
     const SimTime phase =
         kScrapeInterval * static_cast<double>(i) / static_cast<double>(n + 1);
-    node_exporters_.push_back(std::make_unique<NodeExporter>(
-        engine, tsdb_, cluster, i, options, phase));
+    node_exporters_.push_back(
+        std::make_unique<NodeExporter>(engine, tsdb_, cluster, i, phase));
     // Node exporters draw nothing, but each still takes its split of the
     // stack's stream so the ping exporter's stream stays the same.
     rng.split();

@@ -5,6 +5,8 @@
 //   node_memory_available_bytes{node=...}       capacity - used
 //   node_network_transmit_bytes_total{node=...} cumulative NIC tx counter
 //   node_network_receive_bytes_total{node=...}  cumulative NIC rx counter
+// and the §8 rich metrics: uplink and downlink utilization, queue delay and
+// active flow count.
 //
 // PingExporter probes the full node mesh on the same interval:
 //   ping_rtt_seconds{src=...,dst=...}           measured RTT + noise
@@ -41,21 +43,17 @@ inline constexpr const char* kDownlinkUtilMetric = "node_network_downlink_utiliz
 inline constexpr const char* kQueueDelayMetric = "node_network_queue_delay_seconds";
 inline constexpr const char* kActiveFlowsMetric = "node_network_active_flows";
 
-struct ExporterOptions {
-  /// Export the §8 rich metrics (link utilization, queue delay, flow
-  /// counts) in addition to the paper's baseline set.
-  bool rich_metrics = true;
-};
-
-/// Scrapes one node's host-level metrics.
+/// Scrapes one node's host-level metrics every 2 s, the first scrape at
+/// `phase`: each scrape record scrapes, then schedules the next.
 class NodeExporter final : public sim::EventTarget {
  public:
   NodeExporter(sim::Engine& engine, Tsdb& tsdb, cluster::Cluster& cluster,
-               std::size_t node_index, ExporterOptions options, SimTime phase);
+               std::size_t node_index, SimTime phase);
   /// Copies `other`'s schedule, EMA and pending reports onto copies of its
   /// engine, TSDB and cluster.
   NodeExporter(const NodeExporter& other, sim::Engine& engine, Tsdb& tsdb,
                cluster::Cluster& cluster);
+  /// Cancels the pending scrape and any delayed report.
   ~NodeExporter();
 
   NodeExporter(const NodeExporter&) = delete;
@@ -81,7 +79,7 @@ class NodeExporter final : public sim::EventTarget {
   const char* target_name() const override { return "NodeExporter"; }
 
  private:
-  static constexpr std::size_t kMaxSamples = 8;
+  static constexpr std::size_t kNumMetrics = 8;
 
   /// Event codes of this exporter's records; a report record carries its
   /// slot in reports_.
@@ -91,8 +89,7 @@ class NodeExporter final : public sim::EventTarget {
   /// fixed export order (the baseline four, then the rich four).
   struct Report {
     SimTime at = 0.0;
-    std::size_t count = 0;
-    std::array<double, kMaxSamples> values{};
+    std::array<double, kNumMetrics> values{};
     sim::EventId event = sim::kInvalidEvent;  // pending delivery
   };
 
@@ -104,12 +101,11 @@ class NodeExporter final : public sim::EventTarget {
   std::size_t node_index_;
   std::string node_name_;
   // This node's series of the export order, interned once.
-  std::array<SeriesId, kMaxSamples> series_ids_;
-  ExporterOptions options_;
+  std::array<SeriesId, kNumMetrics> series_ids_;
   Ema load_ema_;
   sim::Engine& engine_;
   std::uint32_t target_;
-  sim::PeriodicTask task_;
+  sim::EventId scrape_ = sim::kInvalidEvent;  // the pending scrape
   bool silenced_ = false;
   SimTime report_delay_ = 0.0;
   // Delayed reports in flight, addressed by their event's payload; slots
@@ -119,7 +115,8 @@ class NodeExporter final : public sim::EventTarget {
 };
 
 /// Full-mesh RTT prober (one instance covers all ordered node pairs, like a
-/// ping_exporter DaemonSet whose per-node results land in one TSDB).
+/// ping_exporter DaemonSet whose per-node results land in one TSDB). Probes
+/// on the node exporters' interval, the first probe at `phase`.
 class PingExporter final : public sim::EventTarget {
  public:
   PingExporter(sim::Engine& engine, Tsdb& tsdb, cluster::Cluster& cluster,
@@ -128,6 +125,7 @@ class PingExporter final : public sim::EventTarget {
   /// TSDB and cluster.
   PingExporter(const PingExporter& other, sim::Engine& engine, Tsdb& tsdb,
                cluster::Cluster& cluster);
+  /// Cancels the pending probe.
   ~PingExporter();
 
   PingExporter(const PingExporter&) = delete;
@@ -147,15 +145,14 @@ class PingExporter final : public sim::EventTarget {
   Rng rng_;
   sim::Engine& engine_;
   std::uint32_t target_;
-  sim::PeriodicTask task_;
+  sim::EventId probe_ = sim::kInvalidEvent;  // the pending probe
 };
 
 /// Installs a NodeExporter per node plus one PingExporter, with staggered
 /// phases. This is the "Prometheus stack" install step of §5.1.
 class TelemetryStack {
  public:
-  TelemetryStack(sim::Engine& engine, cluster::Cluster& cluster,
-                 ExporterOptions options, Rng rng);
+  TelemetryStack(sim::Engine& engine, cluster::Cluster& cluster, Rng rng);
   /// Copies `other`'s TSDB and exporters onto `engine` and `cluster`,
   /// copies of other's.
   TelemetryStack(const TelemetryStack& other, sim::Engine& engine,

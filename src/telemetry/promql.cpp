@@ -188,7 +188,8 @@ std::vector<PromResult> eval_promql(const PromQuery& query, const Tsdb& tsdb,
       case PromQuery::Function::kRate: {
         const double r = tsdb.rate(query.metric, labels, now, query.range);
         // rate() of <2 samples is "no data", mirroring Prometheus.
-        if (series->range(now - query.range, now).size() >= 2) value = r;
+        const auto [first, last] = series->window(now - query.range, now);
+        if (last - first >= 2) value = r;
         break;
       }
       case PromQuery::Function::kAvgOverTime:

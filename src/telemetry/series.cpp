@@ -51,7 +51,8 @@ const Sample& Series::latest() const {
   return at(size_ - 1);
 }
 
-std::vector<Sample> Series::range(SimTime t_from, SimTime t_to) const {
+std::pair<std::size_t, std::size_t> Series::window(SimTime t_from,
+                                                   SimTime t_to) const {
   // The ring is time-ordered (append drops late samples), so the window is
   // one contiguous run: binary-search its first sample, then walk to its
   // end. "Before the window" is !(t >= t_from), which is a prefix of the
@@ -66,11 +67,9 @@ std::vector<Sample> Series::range(SimTime t_from, SimTime t_to) const {
       hi = mid;
     }
   }
-  std::vector<Sample> out;
-  for (std::size_t i = lo; i < size_ && at(i).t <= t_to; ++i) {
-    out.push_back(at(i));
-  }
-  return out;
+  std::size_t last = lo;
+  while (last < size_ && at(last).t <= t_to) ++last;
+  return {lo, last};
 }
 
 std::size_t Series::num_decreases_between(SimTime t_from, SimTime t_to) const {

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "util/common.hpp"
@@ -38,9 +39,11 @@ class Series {
   const Sample& at(std::size_t i) const;
   const Sample& latest() const;
 
-  /// Samples with t in [t_from, t_to], oldest first. O(log size) to find
-  /// the window plus O(samples in it).
-  std::vector<Sample> range(SimTime t_from, SimTime t_to) const;
+  /// The samples with t in [t_from, t_to] as an index range [first, last)
+  /// of at(), oldest first. O(log size) to find the window plus O(samples
+  /// in it); nothing is copied.
+  std::pair<std::size_t, std::size_t> window(SimTime t_from,
+                                             SimTime t_to) const;
 
   /// Number of adjacent-sample decreases (cumulative-counter resets) whose
   /// both endpoints lie in [t_from, t_to]. Decreases are indexed at append

@@ -127,30 +127,31 @@ double Tsdb::rate(const std::string& name, const Labels& labels, SimTime now,
                   SimTime window) const {
   const Series* s = find(name, labels);
   if (s == nullptr) return 0.0;
-  const auto samples = s->range(now - window, now);
-  if (samples.size() < 2) return 0.0;
+  const auto [first, last] = s->window(now - window, now);
+  if (last - first < 2) return 0.0;
+  const Sample& oldest = s->at(first);
+  const Sample& newest = s->at(last - 1);
   // Prometheus rate() semantics for monotone counters: a sample lower than
   // its predecessor means the counter reset (the exporting host rebooted)
   // and restarted from zero, so the post-reset value IS the increase since
   // the reset. Summing adjacent increases with that correction keeps the
   // rate nonnegative instead of reporting one huge negative "throughput".
-  const std::size_t resets =
-      s->num_decreases_between(samples.front().t, samples.back().t);
+  const std::size_t resets = s->num_decreases_between(oldest.t, newest.t);
   double increase;
   if (resets == 0) {
     // The common monotone case stays the plain endpoint difference: summing
     // adjacent deltas is algebraically equal but not bit-identical, and the
     // golden replay trace depends on these exact values.
-    increase = samples.back().v - samples.front().v;
+    increase = newest.v - oldest.v;
   } else {
     counter_reset_counter().inc(static_cast<double>(resets));
     increase = 0.0;
-    for (std::size_t i = 1; i < samples.size(); ++i) {
-      const double dv = samples[i].v - samples[i - 1].v;
-      increase += dv >= 0.0 ? dv : samples[i].v;
+    for (std::size_t i = first + 1; i < last; ++i) {
+      const double dv = s->at(i).v - s->at(i - 1).v;
+      increase += dv >= 0.0 ? dv : s->at(i).v;
     }
   }
-  const double dt = samples.back().t - samples.front().t;
+  const double dt = newest.t - oldest.t;
   if (dt <= 0.0) return 0.0;
   return increase / dt;
 }
@@ -159,11 +160,11 @@ namespace {
 std::optional<std::vector<double>> window_values(const Series* s, SimTime now,
                                                  SimTime window) {
   if (s == nullptr) return std::nullopt;
-  const auto samples = s->range(now - window, now);
-  if (samples.empty()) return std::nullopt;
+  const auto [first, last] = s->window(now - window, now);
+  if (first == last) return std::nullopt;
   std::vector<double> values;
-  values.reserve(samples.size());
-  for (const auto& sample : samples) values.push_back(sample.v);
+  values.reserve(last - first);
+  for (std::size_t i = first; i < last; ++i) values.push_back(s->at(i).v);
   return values;
 }
 }  // namespace

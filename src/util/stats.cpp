@@ -105,48 +105,4 @@ double percentile(std::span<const double> xs, double q) {
   return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
-double pearson(std::span<const double> a, std::span<const double> b) {
-  LTS_REQUIRE(a.size() == b.size(), "pearson: size mismatch");
-  if (a.size() < 2) return 0.0;
-  const double ma = mean(a);
-  const double mb = mean(b);
-  double num = 0.0, da = 0.0, db = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const double xa = a[i] - ma;
-    const double xb = b[i] - mb;
-    num += xa * xb;
-    da += xa * xa;
-    db += xb * xb;
-  }
-  if (da == 0.0 || db == 0.0) return 0.0;
-  return num / std::sqrt(da * db);
-}
-
-std::vector<double> ranks_average_ties(std::span<const double> xs) {
-  const std::size_t n = xs.size();
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(),
-            [&](std::size_t i, std::size_t j) { return xs[i] < xs[j]; });
-  std::vector<double> ranks(n, 0.0);
-  std::size_t i = 0;
-  while (i < n) {
-    std::size_t j = i;
-    while (j + 1 < n && xs[order[j + 1]] == xs[order[i]]) ++j;
-    // Average 1-based rank over the tie group [i, j].
-    const double avg = (static_cast<double>(i) + static_cast<double>(j)) / 2.0 + 1.0;
-    for (std::size_t k = i; k <= j; ++k) ranks[order[k]] = avg;
-    i = j + 1;
-  }
-  return ranks;
-}
-
-double spearman(std::span<const double> a, std::span<const double> b) {
-  LTS_REQUIRE(a.size() == b.size(), "spearman: size mismatch");
-  if (a.size() < 2) return 0.0;
-  const auto ra = ranks_average_ties(a);
-  const auto rb = ranks_average_ties(b);
-  return pearson(ra, rb);
-}
-
 }  // namespace lts

@@ -67,13 +67,4 @@ double sum(std::span<const double> xs);
 /// for reporting paths, not hot loops.
 double percentile(std::span<const double> xs, double q);
 
-/// Pearson correlation; 0 if either side is constant.
-double pearson(std::span<const double> a, std::span<const double> b);
-
-/// Spearman rank correlation (average ranks for ties).
-double spearman(std::span<const double> a, std::span<const double> b);
-
-/// Ranks with ties averaged, 1-based (rank 1 = smallest).
-std::vector<double> ranks_average_ties(std::span<const double> xs);
-
 }  // namespace lts

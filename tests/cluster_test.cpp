@@ -7,19 +7,24 @@
 #include "cluster/cluster.hpp"
 #include "cluster/cpu.hpp"
 #include "cluster/node.hpp"
+#include "recorder.hpp"
 #include "simcore/engine.hpp"
 
 namespace lts::cluster {
 namespace {
+
+using test::Recorder;
 
 // ---------------------------------------------------------------- cpu ----
 
 TEST(CpuPool, UncontendedTaskRunsAtDemand) {
   sim::Engine engine;
   CpuPool pool(engine, 4.0);
+  Recorder rec(engine);
   double done_at = -1.0;
+  rec.hook = [&](const sim::Event&) { done_at = engine.now(); };
   // 4 core-s at 2 cores
-  pool.run(2.0, 4.0, engine.callback([&] { done_at = engine.now(); }));
+  pool.run(2.0, 4.0, rec.event());
   engine.run();
   EXPECT_NEAR(done_at, 2.0, 1e-9);
 }
@@ -28,9 +33,13 @@ TEST(CpuPool, ContentionStretchesProportionally) {
   sim::Engine engine;
   CpuPool pool(engine, 2.0);
   // Two tasks, each demanding 2 cores on a 2-core node: each runs at 1.
+  Recorder rec(engine);
   double a = -1, b = -1;
-  pool.run(2.0, 2.0, engine.callback([&] { a = engine.now(); }));
-  pool.run(2.0, 2.0, engine.callback([&] { b = engine.now(); }));
+  rec.hook = [&](const sim::Event& e) {
+    (e.code == 'a' ? a : b) = engine.now();
+  };
+  pool.run(2.0, 2.0, rec.event('a'));
+  pool.run(2.0, 2.0, rec.event('b'));
   engine.run();
   EXPECT_NEAR(a, 2.0, 1e-9);
   EXPECT_NEAR(b, 2.0, 1e-9);
@@ -39,9 +48,13 @@ TEST(CpuPool, ContentionStretchesProportionally) {
 TEST(CpuPool, EarlyFinisherSpeedsUpRemainder) {
   sim::Engine engine;
   CpuPool pool(engine, 1.0);
+  Recorder rec(engine);
   double small = -1, big = -1;
-  pool.run(1.0, 0.5, engine.callback([&] { small = engine.now(); }));
-  pool.run(1.0, 1.5, engine.callback([&] { big = engine.now(); }));
+  rec.hook = [&](const sim::Event& e) {
+    (e.code == 's' ? small : big) = engine.now();
+  };
+  pool.run(1.0, 0.5, rec.event('s'));
+  pool.run(1.0, 1.5, rec.event('b'));
   engine.run();
   // Both at 0.5 cores until t=1 (small done: 0.5 work). Big then has 1.0
   // work left at full speed: done at t=2.
@@ -53,8 +66,10 @@ TEST(CpuPool, PersistentLoadSlowsTasks) {
   sim::Engine engine;
   CpuPool pool(engine, 2.0);
   pool.add_persistent(1.0);
+  Recorder rec(engine);
   double done = -1;
-  pool.run(2.0, 2.0, engine.callback([&] { done = engine.now(); }));
+  rec.hook = [&](const sim::Event&) { done = engine.now(); };
+  pool.run(2.0, 2.0, rec.event());
   // demand 3 on 2 cores: task rate = 2 * (2/3) = 4/3 -> 1.5s.
   engine.run_until(10.0);
   EXPECT_NEAR(done, 1.5, 1e-9);
@@ -64,9 +79,17 @@ TEST(CpuPool, CancelPersistentRestoresSpeed) {
   sim::Engine engine;
   CpuPool pool(engine, 1.0);
   const CpuTaskId bg = pool.add_persistent(1.0);
+  Recorder rec(engine);
   double done = -1;
-  pool.run(1.0, 1.0, engine.callback([&] { done = engine.now(); }));
-  engine.schedule_at(1.0, [&] { pool.cancel(bg); });
+  rec.hook = [&](const sim::Event& e) {
+    if (e.code == 'c') {
+      pool.cancel(bg);
+    } else {
+      done = engine.now();
+    }
+  };
+  pool.run(1.0, 1.0, rec.event('d'));
+  engine.schedule_at(1.0, rec.event('c'));
   engine.run_until(10.0);
   // 0.5 work done in the first second (half speed), rest at full speed.
   EXPECT_NEAR(done, 1.5, 1e-9);
@@ -87,10 +110,16 @@ TEST(CpuPool, TotalDemandAndUtilization) {
 TEST(CpuPool, CallbackMayScheduleMoreWork) {
   sim::Engine engine;
   CpuPool pool(engine, 1.0);
+  Recorder rec(engine);
   double second_done = -1;
-  pool.run(1.0, 1.0, engine.callback([&] {
-    pool.run(1.0, 1.0, engine.callback([&] { second_done = engine.now(); }));
-  }));
+  rec.hook = [&](const sim::Event& e) {
+    if (e.code == '1') {
+      pool.run(1.0, 1.0, rec.event('2'));
+    } else {
+      second_done = engine.now();
+    }
+  };
+  pool.run(1.0, 1.0, rec.event('1'));
   engine.run();
   EXPECT_NEAR(second_done, 2.0, 1e-9);
 }

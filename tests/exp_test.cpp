@@ -16,6 +16,7 @@
 #include "exp/figures.hpp"
 #include "exp/scenario.hpp"
 #include "obs/trace.hpp"
+#include "recorder.hpp"
 #include "util/json.hpp"
 #include "util/thread_pool.hpp"
 
@@ -346,7 +347,6 @@ void append_bytes(std::string& out, const T& value) {
 std::string result_bytes(const spark::AppResult& r) {
   std::string out;
   append_bytes(out, r.completed);
-  append_bytes(out, r.task_retries);
   append_bytes(out, r.submit_time);
   append_bytes(out, r.finish_time);
   out += r.driver_node + '|';
@@ -423,7 +423,7 @@ TEST(SimEnvFork, MatchesRewarmedEnvironmentOnEveryNode) {
   }
 }
 
-TEST(SimEnvFork, MatchesUnderFaultsAndWithoutRichMetrics) {
+TEST(SimEnvFork, MatchesUnderFaults) {
   spark::JobConfig job;
   job.input_records = 600000;
   job.executors = 3;
@@ -440,13 +440,9 @@ TEST(SimEnvFork, MatchesUnderFaultsAndWithoutRichMetrics) {
      "duration": 100.0},
     {"kind": "node_crash", "target": "node-4", "at": 41.0, "duration": 3.0}
   ])"));
-  EnvOptions plain;
-  plain.exporter.rich_metrics = false;
-  for (const auto& options : {faulty, plain}) {
-    SimEnv source(808, options);
-    source.warmup();
-    expect_fork_matches_rewarm(source, 808, options, job);
-  }
+  SimEnv source(808, faulty);
+  source.warmup();
+  expect_fork_matches_rewarm(source, 808, faulty, job);
 }
 
 TEST(SimEnvFork, CopyOfACopyMatches) {
@@ -559,7 +555,7 @@ TEST(SimEnvFork, RefusesWhatItCannotTake) {
   job.executors = 2;
   {
     auto app = env.make_app(job, 0, {1, 2}, 3);
-    app->submit([](const spark::AppResult&) {});
+    app->submit();
     env.engine().run_until(env.engine().now() + 1.0);
     try {
       SimEnv copy(env);
@@ -571,13 +567,15 @@ TEST(SimEnvFork, RefusesWhatItCannotTake) {
   }
   // Once the app is gone the environment copies again.
   EXPECT_NO_THROW(SimEnv{env});
-  // A pending driver-layer closure cannot be copied either.
-  env.engine().schedule_in(1.0, [] {});
+  // Nor can a copy take a record pending for a target outside the
+  // environment.
+  test::Recorder outside(env.engine());
+  env.engine().schedule_in(1.0, outside.event());
   try {
     SimEnv copy(env);
-    ADD_FAILURE() << "copied a driver-layer callback";
+    ADD_FAILURE() << "copied a record for a target outside the environment";
   } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("callback"), std::string::npos)
+    EXPECT_NE(std::string(e.what()).find("Recorder"), std::string::npos)
         << e.what();
   }
 }

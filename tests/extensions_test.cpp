@@ -10,6 +10,7 @@
 #include "exp/envgen.hpp"
 #include "exp/scenario.hpp"
 #include "exp/stream.hpp"
+#include "recorder.hpp"
 #include "telemetry/exporters.hpp"
 
 namespace lts {
@@ -52,20 +53,6 @@ TEST(RichTelemetry, SnapshotReflectsBackgroundTraffic) {
   }
   EXPECT_GT(max_up, 0.02);     // some node carries the bg fetches
   EXPECT_GT(max_flows, 0.05);  // averaged flow count is nonzero somewhere
-}
-
-TEST(RichTelemetry, DisabledExporterEmitsNothing) {
-  exp::EnvOptions options;
-  options.exporter.rich_metrics = false;
-  exp::SimEnv env(7, options);
-  env.warmup();
-  const telemetry::Labels labels{{"node", "node-1"}};
-  EXPECT_FALSE(env.tsdb()
-                   .latest(telemetry::kUplinkUtilMetric, labels)
-                   .has_value());
-  // The snapshot still builds, with zeros.
-  const auto snapshot = env.snapshot();
-  EXPECT_DOUBLE_EQ(snapshot.nodes[0].uplink_util, 0.0);
 }
 
 // ------------------------------------------------------- rich features ----
@@ -352,10 +339,9 @@ TEST(Stream, LaunchJobUnwindsEveryPodWhenExecutorsCannotFit) {
       static_cast<int>(free_cpu / config.executor_cores) + 1;
   const std::string name = "unwind";
   exp::LiveJob live;
-  exp::StreamJobResult job;
+  test::Recorder rec(env.engine());
   const auto failed = exp::launch_job(
-      env, {config, name, env.node_names()[0], 1}, live, job,
-      [](const spark::AppResult&) { FAIL() << "unlaunched job completed"; });
+      env, {config, name, env.node_names()[0], 1}, live, rec.event());
   ASSERT_TRUE(failed.has_value());
   EXPECT_FALSE(failed->feasible());
   EXPECT_FALSE(failed->rejected.empty());
@@ -370,12 +356,14 @@ TEST(Stream, LaunchJobUnwindsEveryPodWhenExecutorsCannotFit) {
         << after[i].name;
     EXPECT_EQ(after[i].pods, before[i].pods) << after[i].name;
   }
+  env.engine().run_until(env.engine().now() + 60.0);
+  EXPECT_TRUE(rec.codes.empty()) << "unlaunched job completed";
 }
 
 TEST(Stream, LaunchJobPlacesExecutorsOnlyOnOfferedNodes) {
   // A DRF offer restricts the executors; the driver stays pinned where the
-  // policy put it. The launched job then runs to completion, which fills
-  // its record and unbinds its pods.
+  // policy put it. The launched job then runs to completion, and finishing
+  // it on its completion record fills its result and unbinds its pods.
   exp::SimEnv env(7);
   env.warmup();
   const std::vector<std::string> offer{env.node_names()[1],
@@ -387,9 +375,14 @@ TEST(Stream, LaunchJobPlacesExecutorsOnlyOnOfferedNodes) {
   exp::StreamJobResult job;
   job.planned_arrival = env.engine().now();
   bool completed = false;
+  test::Recorder rec(env.engine());
+  rec.hook = [&](const sim::Event&) {
+    live.finish(env.api(), job);
+    completed = true;
+  };
   const auto failed = exp::launch_job(
-      env, {config, name, env.node_names()[0], 11, &offer}, live, job,
-      [&](const spark::AppResult&) { completed = true; });
+      env, {config, name, env.node_names()[0], 11, &offer}, live,
+      rec.event());
   ASSERT_FALSE(failed.has_value());
   ASSERT_NE(live.app, nullptr);
   ASSERT_EQ(live.pods.size(), 5u);  // driver first, then the executors

@@ -10,6 +10,7 @@
 #include "exp/scenario.hpp"
 #include "fault/fault.hpp"
 #include "obs/metrics.hpp"
+#include "recorder.hpp"
 #include "spark/runtime.hpp"
 #include "spark/workloads.hpp"
 #include "telemetry/exporters.hpp"
@@ -172,9 +173,14 @@ TEST(FaultInjector, SitePartitionStallsCrossSiteFlowsAndHeals) {
   const auto v_ucsd2 = cluster.node(1).vertex();  // node-2 @ ucsd
   const auto v_fiu = cluster.node(2).vertex();    // node-3 @ fiu
 
+  test::Recorder rec(engine);
   bool cross_done = false;
-  const auto cross = cluster.flows().start(
-      v_ucsd, v_fiu, 1e9, engine.callback([&] { cross_done = true; }));
+  bool local_done = false;
+  rec.hook = [&](const sim::Event& e) {
+    (e.code == 'c' ? cross_done : local_done) = true;
+  };
+  const auto cross =
+      cluster.flows().start(v_ucsd, v_fiu, 1e9, rec.event('c'));
   engine.run_until(2.0);
   const double before = cluster.flows().info(cross).transferred;
   EXPECT_GT(before, 10e6);  // cross-site flow is making real progress
@@ -192,9 +198,7 @@ TEST(FaultInjector, SitePartitionStallsCrossSiteFlowsAndHeals) {
   EXPECT_LT(cluster.flows().info(cross).transferred - before, 1e3);
 
   // Intra-site traffic is unaffected.
-  bool local_done = false;
-  cluster.flows().start(v_ucsd, v_ucsd2, 50e6,
-                        engine.callback([&] { local_done = true; }));
+  cluster.flows().start(v_ucsd, v_ucsd2, 50e6, rec.event('l'));
   engine.run_until(110.0);
   EXPECT_TRUE(local_done);
 
@@ -392,13 +396,13 @@ TEST(FaultInjector, NodeCrashMidJobStallsUntilRecovery) {
   const std::size_t driver = 0;                   // node-1
   const std::vector<std::size_t> executors{1, 2};  // node-2, node-3
 
-  auto run_app = [&](exp::SimEnv& env, bool& done) {
+  auto run_app = [&](exp::SimEnv& env) {
     Rng dag_rng(job_seed * 0x2545f4914f6cdd1dULL + 0x9e37);
     auto dag = spark::build_dag(config, dag_rng);
     Rng app_rng(job_seed * 0xda942042e4dd58b5ULL + 0x7f4a);
     auto app = std::make_unique<spark::SparkApp>(
         env.cluster(), config, std::move(dag), driver, executors, app_rng);
-    app->submit([&done](const spark::AppResult&) { done = true; });
+    app->submit();
     return app;
   };
 
@@ -407,10 +411,9 @@ TEST(FaultInjector, NodeCrashMidJobStallsUntilRecovery) {
   {
     exp::SimEnv env(seed);
     env.warmup();
-    bool done = false;
-    auto app = run_app(env, done);
+    auto app = run_app(env);
     const SimTime deadline = env.engine().now() + 1200.0;
-    while (!done) {
+    while (!app->result().completed) {
       ASSERT_TRUE(env.engine().step());
       ASSERT_LE(env.engine().now(), deadline);
     }
@@ -422,19 +425,19 @@ TEST(FaultInjector, NodeCrashMidJobStallsUntilRecovery) {
   // far past its healthy completion time, then finishes after recovery.
   exp::SimEnv env(seed);
   env.warmup();
-  bool done = false;
-  auto app = run_app(env, done);
+  auto app = run_app(env);
   const SimTime submit = env.engine().now();
   env.engine().run_until(submit + 5.0);
-  ASSERT_FALSE(done);
+  ASSERT_FALSE(app->result().completed);
   env.fault_injector().crash_node("node-2");
 
   env.engine().run_until(submit + healthy_duration + 60.0);
-  EXPECT_FALSE(done) << "job finished despite a crashed executor node";
+  EXPECT_FALSE(app->result().completed)
+      << "job finished despite a crashed executor node";
 
   env.fault_injector().recover_node("node-2");
   const SimTime deadline = env.engine().now() + 1800.0;
-  while (!done) {
+  while (!app->result().completed) {
     ASSERT_TRUE(env.engine().step());
     ASSERT_LE(env.engine().now(), deadline);
   }

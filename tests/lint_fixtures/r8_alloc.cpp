@@ -56,4 +56,23 @@ int Engine::schedule_at(double t, int payload) {
   return static_cast<int>(t) + (handler ? 1 : 0);
 }
 
+// Fires: a Spark app's steps are on the per-event path as well, by
+// (class, name): a closure per step, or a counter shared between steps,
+// is what the step records replaced.
+void SparkApp::on_event(int code) {
+  std::function<void()> resume = [code] { (void)code; };
+  resume();
+}
+
+int SparkApp::park(int stage) {
+  auto inputs = std::make_shared<int>(stage);
+  return *inputs;
+}
+
+// Clean: submitting runs once per job, not once per event.
+void SparkApp::submit(std::vector<int>& steps, int n) {
+  auto first = std::make_shared<int>(n);
+  steps.push_back(*first);
+}
+
 }  // namespace lts::fixture

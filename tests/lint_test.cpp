@@ -295,16 +295,23 @@ TEST(LintR8, FiresInsideDeclaredHotFunctionsOnly) {
   EXPECT_TRUE(has_diag(diags, "R8", line_of(text, "std::make_shared")));
   EXPECT_TRUE(has_diag(diags, "R8",
                        line_of(text, "std::function<void()> handler")));
-  EXPECT_EQ(count_rule(diags, "R8"), 7u);
+  EXPECT_TRUE(has_diag(diags, "R8",
+                       line_of(text, "std::function<void()> resume")));
+  EXPECT_TRUE(has_diag(diags, "R8",
+                       line_of(text, "std::make_shared<int>(stage)")));
+  EXPECT_EQ(count_rule(diags, "R8"), 9u);
   // Unknown waiver token: diagnosed, does not suppress.
   EXPECT_TRUE(
       has_diag(diags, "waiver-syntax", line_of(text, "allocation-ok")));
-  EXPECT_EQ(diags.size(), 8u);
+  EXPECT_EQ(diags.size(), 10u);
   // reserve-then-push is the sanctioned pattern, and build_report's
   // identical body is not on the hot list.
   EXPECT_FALSE(has_diag(
       diags, "R8", line_of(text, "out.push_back(static_cast<double>(i))")));
   EXPECT_FALSE(has_diag(diags, "R8", line_of(text, "out.push_back(scratch[i])")));
+  // SparkApp::submit is not on the per-event list.
+  EXPECT_FALSE(
+      has_diag(diags, "R8", line_of(text, "std::make_shared<int>(n)")));
 }
 
 // ------------------------------------------------------- cross-file tree ----

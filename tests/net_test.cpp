@@ -6,11 +6,14 @@
 
 #include "net/flow.hpp"
 #include "net/topology.hpp"
+#include "recorder.hpp"
 #include "simcore/engine.hpp"
 #include "util/common.hpp"
 
 namespace lts::net {
 namespace {
+
+using test::Recorder;
 
 // A----r1----r2----B ; C hangs off r1.
 struct LineTopo {
@@ -96,9 +99,11 @@ TEST(FlowManager, SingleFlowUsesBottleneckCapacity) {
   FlowOptions opts;
   opts.tcp_window_bytes = 1e12;  // cap off for this test
   FlowManager fm(engine, t.topo, opts);
+  Recorder rec(engine);
   bool done = false;
+  rec.hook = [&](const sim::Event&) { done = true; };
   // 100 MB over 100 MB/s WAN
-  fm.start(t.a, t.b, 1e8, engine.callback([&] { done = true; }));
+  fm.start(t.a, t.b, 1e8, rec.event());
   engine.run();
   EXPECT_TRUE(done);
   EXPECT_NEAR(engine.now(), 1.0, 0.01);
@@ -110,11 +115,13 @@ TEST(FlowManager, TwoFlowsShareBottleneckFairly) {
   FlowOptions opts;
   opts.tcp_window_bytes = 1e12;
   FlowManager fm(engine, t.topo, opts);
+  Recorder rec(engine);
   int done = 0;
+  rec.hook = [&](const sim::Event&) { ++done; };
   // Both A->B and C->B cross the 100 MB/s WAN link: 50 MB/s each, so each
   // 50 MB transfer takes 1 s.
-  fm.start(t.a, t.b, 5e7, engine.callback([&] { ++done; }));
-  fm.start(t.c, t.b, 5e7, engine.callback([&] { ++done; }));
+  fm.start(t.a, t.b, 5e7, rec.event());
+  fm.start(t.c, t.b, 5e7, rec.event());
   engine.run();
   EXPECT_EQ(done, 2);
   EXPECT_NEAR(engine.now(), 1.0, 0.01);
@@ -126,10 +133,13 @@ TEST(FlowManager, EarlyCompletionFreesBandwidth) {
   FlowOptions opts;
   opts.tcp_window_bytes = 1e12;
   FlowManager fm(engine, t.topo, opts);
+  Recorder rec(engine);
   double small_done = -1.0, big_done = -1.0;
-  fm.start(t.a, t.b, 2.5e7,
-           engine.callback([&] { small_done = engine.now(); }));
-  fm.start(t.c, t.b, 7.5e7, engine.callback([&] { big_done = engine.now(); }));
+  rec.hook = [&](const sim::Event& e) {
+    (e.code == 's' ? small_done : big_done) = engine.now();
+  };
+  fm.start(t.a, t.b, 2.5e7, rec.event('s'));
+  fm.start(t.c, t.b, 7.5e7, rec.event('b'));
   engine.run();
   // Phase 1: both at 50 MB/s until the small one finishes at t=0.5 with
   // the big one at 25 MB remaining... it then gets the full 100 MB/s:
@@ -145,9 +155,11 @@ TEST(FlowManager, TcpWindowCapsLongRttFlows) {
   opts.tcp_window_bytes = 1e6;  // 1 MB window
   opts.host_stack_delay = 0.0;
   FlowManager fm(engine, t.topo, opts);
+  Recorder rec(engine);
   bool done = false;
+  rec.hook = [&](const sim::Event&) { done = true; };
   // base rtt ~ 2*(1e-4 + 0.05 + 1e-4) = 0.1004 s; cap ~ 9.96 MB/s.
-  fm.start(t.a, t.b, 1e7, engine.callback([&] { done = true; }));
+  fm.start(t.a, t.b, 1e7, rec.event());
   engine.run();
   EXPECT_TRUE(done);
   EXPECT_NEAR(engine.now(), 1e7 / (1e6 / 0.1004), 0.02);
@@ -157,10 +169,18 @@ TEST(FlowManager, CancelStopsFlowAndCallback) {
   sim::Engine engine;
   LineTopo t;
   FlowManager fm(engine, t.topo);
+  Recorder rec(engine);
   bool fired = false;
-  const FlowId id =
-      fm.start(t.a, t.b, 1e9, engine.callback([&] { fired = true; }));
-  engine.schedule_in(0.1, [&] { fm.cancel(id); });
+  FlowId id = 0;
+  rec.hook = [&](const sim::Event& e) {
+    if (e.code == 'c') {
+      fm.cancel(id);
+    } else {
+      fired = true;
+    }
+  };
+  id = fm.start(t.a, t.b, 1e9, rec.event('f'));
+  engine.schedule_in(0.1, rec.event('c'));
   engine.run();
   EXPECT_FALSE(fired);
   EXPECT_EQ(fm.num_active(), 0u);
@@ -216,10 +236,11 @@ TEST(FlowManager, ManyFlowsAllComplete) {
   sim::Engine engine;
   LineTopo t;
   FlowManager fm(engine, t.topo);
+  Recorder rec(engine);
   int done = 0;
+  rec.hook = [&](const sim::Event&) { ++done; };
   for (int i = 0; i < 50; ++i) {
-    fm.start(i % 2 == 0 ? t.a : t.c, t.b, 1e6 * (i + 1),
-             engine.callback([&] { ++done; }));
+    fm.start(i % 2 == 0 ? t.a : t.c, t.b, 1e6 * (i + 1), rec.event());
   }
   engine.run();
   EXPECT_EQ(done, 50);
@@ -230,10 +251,16 @@ TEST(FlowManager, CallbackMayStartNewFlow) {
   sim::Engine engine;
   LineTopo t;
   FlowManager fm(engine, t.topo);
+  Recorder rec(engine);
   bool chained = false;
-  fm.start(t.a, t.b, 1e6, engine.callback([&] {
-    fm.start(t.b, t.c, 1e6, engine.callback([&] { chained = true; }));
-  }));
+  rec.hook = [&](const sim::Event& e) {
+    if (e.code == '1') {
+      fm.start(t.b, t.c, 1e6, rec.event('2'));
+    } else {
+      chained = true;
+    }
+  };
+  fm.start(t.a, t.b, 1e6, rec.event('1'));
   engine.run();
   EXPECT_TRUE(chained);
 }
@@ -296,9 +323,11 @@ TEST(FlowManager, CancelMidCompletionWindowIsSafe) {
     ids.push_back(fm.start(t.a, t.b, 1e6 * (i + 1)));
   }
   // Cancel every other flow from inside an event between completions.
-  engine.schedule_in(0.001, [&] {
+  Recorder rec(engine);
+  rec.hook = [&](const sim::Event&) {
     for (std::size_t i = 0; i < ids.size(); i += 2) fm.cancel(ids[i]);
-  });
+  };
+  engine.schedule_in(0.001, rec.event());
   engine.run();
   EXPECT_EQ(fm.num_active(), 0u);
   EXPECT_EQ(fm.num_completed(), 5u);

@@ -17,6 +17,7 @@
 #include "ml/model.hpp"
 #include "net/flow.hpp"
 #include "net/topology.hpp"
+#include "recorder.hpp"
 #include "simcore/engine.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -45,6 +46,18 @@ TEST_P(FlowPropertyTest, BytesConservedAcrossRandomWorkload) {
                          rng.uniform(1e8, 1e9), 1e-4);
   }
   net::FlowManager fm(engine, topo);
+  // Each record starts the flow its payload indexes.
+  struct PlannedFlow {
+    std::size_t src;
+    std::size_t dst;
+    Bytes size;
+  };
+  std::vector<PlannedFlow> planned;
+  test::Recorder rec(engine);
+  rec.hook = [&](const sim::Event& e) {
+    const PlannedFlow& f = planned[e.payload];
+    fm.start(hosts[f.src], hosts[f.dst], f.size);
+  };
   double total_requested = 0.0;
   const int n_flows = 30;
   for (int i = 0; i < n_flows; ++i) {
@@ -53,9 +66,9 @@ TEST_P(FlowPropertyTest, BytesConservedAcrossRandomWorkload) {
     if (dst >= src) ++dst;
     const Bytes size = rng.uniform(1e5, 5e7);
     total_requested += size;
-    engine.schedule_in(rng.uniform(0.0, 2.0), [&fm, &hosts, src, dst, size] {
-      fm.start(hosts[src], hosts[dst], size);
-    });
+    planned.push_back(PlannedFlow{src, dst, size});
+    engine.schedule_in(rng.uniform(0.0, 2.0),
+                       rec.event('f', planned.size() - 1));
   }
   engine.run();
   EXPECT_EQ(fm.num_completed(), static_cast<std::uint64_t>(n_flows));
@@ -541,14 +554,15 @@ TEST_P(CpuPropertyTest, WorkIsConserved) {
   sim::Engine engine;
   const double cores = rng.uniform(1.0, 8.0);
   cluster::CpuPool pool(engine, cores);
+  test::Recorder rec(engine);
   double total_work = 0.0;
   int remaining = 0;
+  rec.hook = [&remaining](const sim::Event&) { --remaining; };
   for (int i = 0; i < 12; ++i) {
     const double work = rng.uniform(0.1, 5.0);
     total_work += work;
     ++remaining;
-    pool.run(rng.uniform(0.5, 2.0), work,
-             engine.callback([&remaining] { --remaining; }));
+    pool.run(rng.uniform(0.5, 2.0), work, rec.event());
   }
   engine.run();
   EXPECT_EQ(remaining, 0);
@@ -556,7 +570,8 @@ TEST_P(CpuPropertyTest, WorkIsConserved) {
 }
 
 TEST_P(CpuPropertyTest, OrderIndependentOfCallbacks) {
-  // Same workload, different callback bodies: identical completion time.
+  // Same workload, with and without a listener on every completion:
+  // identical completion time.
   Rng rng(GetParam() ^ 0xABCD);
   std::vector<std::pair<double, double>> tasks;
   for (int i = 0; i < 10; ++i) {
@@ -565,12 +580,12 @@ TEST_P(CpuPropertyTest, OrderIndependentOfCallbacks) {
   auto run = [&](bool with_noise_callbacks) {
     sim::Engine engine;
     cluster::CpuPool pool(engine, 3.0);
+    test::Recorder rec(engine);
     int noise = 0;
+    rec.hook = [&](const sim::Event&) { ++noise; };
     for (const auto& [demand, work] : tasks) {
       pool.run(demand, work,
-               engine.callback(with_noise_callbacks
-                                   ? std::function<void()>([&] { ++noise; })
-                                   : std::function<void()>(nullptr)));
+               with_noise_callbacks ? rec.event() : sim::Event{});
     }
     engine.run();
     return engine.now();

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 #include "cluster/background.hpp"
 #include "cluster/cluster.hpp"
+#include "recorder.hpp"
 #include "spark/job.hpp"
 #include "spark/runtime.hpp"
 #include "spark/workloads.hpp"
@@ -147,12 +149,11 @@ struct RuntimeFixture {
     auto dag = build_dag(config, dag_rng);
     SparkApp app(cluster, config, std::move(dag), driver, executors,
                  Rng(seed ^ 0xabc));
-    bool done = false;
-    app.submit([&](const AppResult&) { done = true; });
-    while (!done) {
+    app.submit();
+    while (!app.result().completed) {
       if (!engine.step()) break;
     }
-    EXPECT_TRUE(done);
+    EXPECT_TRUE(app.result().completed);
     return app.result();
   }
 };
@@ -260,8 +261,10 @@ TEST(Runtime, CancelReleasesEverything) {
   auto dag = build_dag(basic_config(), dag_rng);
   SparkApp app(f.cluster, basic_config(), std::move(dag), 0, {1, 2, 3},
                Rng(3));
+  test::Recorder rec(f.engine);
   bool completed = false;
-  app.submit([&](const AppResult&) { completed = true; });
+  rec.hook = [&](const sim::Event&) { completed = true; };
+  app.submit(rec.event());
   f.engine.run_until(6.0);  // mid-flight
   app.cancel();
   f.engine.run_until(300.0);
@@ -279,8 +282,62 @@ TEST(Runtime, DoubleSubmitRejected) {
   auto dag = build_dag(basic_config(), dag_rng);
   SparkApp app(f.cluster, basic_config(), std::move(dag), 0, {1, 2, 3},
                Rng(3));
-  app.submit(nullptr);
-  EXPECT_THROW(app.submit(nullptr), Error);
+  app.submit();
+  EXPECT_THROW(app.submit(), Error);
+}
+
+TEST(Runtime, CancelAtEveryEventReleasesEverything) {
+  // A Join job cancelled after its first k events, for every k short of a
+  // whole run: whatever it holds at that instant (pods, task working sets,
+  // flows, CPU tasks, pending steps) goes back, and its completion record
+  // never fires.
+  const JobConfig config = basic_config(AppType::kJoin);
+  auto make_app = [&config](RuntimeFixture& f) {
+    Rng dag_rng(3);
+    return std::make_unique<SparkApp>(f.cluster, config,
+                                      build_dag(config, dag_rng), 0,
+                                      std::vector<std::size_t>{1, 2, 3},
+                                      Rng(3));
+  };
+  std::uint64_t events = 0;
+  {
+    RuntimeFixture f;
+    const auto app = make_app(f);
+    app->submit();
+    f.engine.run();
+    ASSERT_TRUE(app->result().completed);
+    events = f.engine.num_processed();
+  }
+  ASSERT_GT(events, 20u);
+  for (std::uint64_t k = 0; k < events; ++k) {
+    RuntimeFixture f;
+    test::Recorder rec(f.engine);
+    auto app = make_app(f);
+    app->submit(rec.event());
+    for (std::uint64_t i = 0; i < k; ++i) ASSERT_TRUE(f.engine.step());
+    const auto expect_released = [&](const char* when) {
+      for (std::size_t n = 0; n < f.cluster.num_nodes(); ++n) {
+        // Within a byte: the node sums fractional working sets, so giving
+        // them back in another order can leave rounding dust.
+        EXPECT_NEAR(f.cluster.node(n).memory_used(), 0.0, 1.0)
+            << "cancelled after " << k << " events, " << when << ", node "
+            << n;
+        EXPECT_DOUBLE_EQ(f.cluster.node(n).cpu().total_demand(), 0.0)
+            << "cancelled after " << k << " events, " << when << ", node "
+            << n;
+      }
+      EXPECT_EQ(f.cluster.flows().num_active(), 0u)
+          << "cancelled after " << k << " events, " << when;
+    };
+    app->cancel();
+    expect_released("at the cancel");
+    // Dropped as an evicted stream job is: a record still aimed at the app
+    // would now reach a removed target.
+    app.reset();
+    f.engine.run();
+    expect_released("after draining");
+    EXPECT_TRUE(rec.codes.empty()) << "cancelled after " << k << " events";
+  }
 }
 
 TEST(Runtime, ExecutorCountMustMatchPlacements) {
@@ -390,77 +447,6 @@ TEST(ExtensionWorkloads, MlPipelineMoreDriverSensitiveThanSort) {
   const double ml_ratio =
       run_app(AppType::kMlPipeline, 2) / run_app(AppType::kMlPipeline, 0);
   EXPECT_GT(ml_ratio, sort_ratio);
-}
-
-}  // namespace
-}  // namespace lts::spark
-
-// ------------------------------------------------------- fault injection ----
-
-namespace lts::spark {
-namespace {
-
-TEST(FaultInjection, RetriesSlowTheJobButItCompletes) {
-  RuntimeOptions faulty;
-  faulty.task_failure_rate = 0.4;
-  RuntimeFixture with_faults, clean;
-  JobConfig config = basic_config();
-
-  Rng dag_rng(3);
-  auto dag1 = build_dag(config, dag_rng);
-  SparkApp faulty_app(with_faults.cluster, config, std::move(dag1), 0,
-                      {1, 2, 3}, Rng(3 ^ 0xabc), faulty);
-  bool done = false;
-  faulty_app.submit([&](const AppResult&) { done = true; });
-  while (!done) {
-    ASSERT_TRUE(with_faults.engine.step());
-  }
-  const auto clean_result = clean.run(config, 0, {1, 2, 3});
-  EXPECT_GT(faulty_app.result().task_retries, 0);
-  EXPECT_GT(faulty_app.result().duration(), clean_result.duration());
-  EXPECT_EQ(clean_result.task_retries, 0);
-}
-
-TEST(FaultInjection, DeterministicRetryCount) {
-  auto run_once = [] {
-    RuntimeOptions faulty;
-    faulty.task_failure_rate = 0.3;
-    RuntimeFixture f;
-    Rng dag_rng(5);
-    auto dag = build_dag(basic_config(), dag_rng);
-    SparkApp app(f.cluster, basic_config(), std::move(dag), 1, {0, 2, 4},
-                 Rng(77), faulty);
-    bool done = false;
-    app.submit([&](const AppResult&) { done = true; });
-    while (!done) {
-      if (!f.engine.step()) break;
-    }
-    return std::make_pair(app.result().task_retries,
-                          app.result().duration());
-  };
-  const auto a = run_once();
-  const auto b = run_once();
-  EXPECT_EQ(a.first, b.first);
-  EXPECT_DOUBLE_EQ(a.second, b.second);
-}
-
-TEST(FaultInjection, ResourcesStillBalanceAfterRetries) {
-  RuntimeOptions faulty;
-  faulty.task_failure_rate = 0.5;
-  RuntimeFixture f;
-  Rng dag_rng(9);
-  auto dag = build_dag(basic_config(AppType::kJoin), dag_rng);
-  SparkApp app(f.cluster, basic_config(AppType::kJoin), std::move(dag), 0,
-               {1, 2, 5}, Rng(9), faulty);
-  bool done = false;
-  app.submit([&](const AppResult&) { done = true; });
-  while (!done) {
-    ASSERT_TRUE(f.engine.step());
-  }
-  for (std::size_t n = 0; n < f.cluster.num_nodes(); ++n) {
-    EXPECT_DOUBLE_EQ(f.cluster.node(n).memory_used(), 0.0) << n;
-    EXPECT_DOUBLE_EQ(f.cluster.node(n).cpu().total_demand(), 0.0) << n;
-  }
 }
 
 }  // namespace

@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "cluster/background.hpp"
 #include "cluster/cluster.hpp"
 #include "obs/metrics.hpp"
+#include "recorder.hpp"
 #include "telemetry/exporters.hpp"
 #include "telemetry/promql.hpp"
 #include "telemetry/series.hpp"
@@ -19,6 +23,15 @@ namespace lts::telemetry {
 namespace {
 
 // ------------------------------------------------------------- series ----
+
+/// The samples of s.window(t_from, t_to), oldest first.
+std::vector<Sample> window_samples(const Series& s, SimTime t_from,
+                                   SimTime t_to) {
+  const auto [first, last] = s.window(t_from, t_to);
+  std::vector<Sample> out;
+  for (std::size_t i = first; i < last; ++i) out.push_back(s.at(i));
+  return out;
+}
 
 TEST(Series, AppendAndLatest) {
   Series s(8);
@@ -56,7 +69,7 @@ TEST(Series, RingBufferEvictsOldest) {
     }
   }
   EXPECT_EQ(grown.capacity(), 5u);
-  const auto window = grown.range(19.0, 21.0);
+  const auto window = window_samples(grown, 19.0, 21.0);
   ASSERT_EQ(window.size(), 3u);
   EXPECT_DOUBLE_EQ(window.front().v, 190.0);
   EXPECT_EQ(grown.num_decreases_between(0.0, 100.0), 0u);  // aged out
@@ -91,7 +104,7 @@ void expect_same_samples(const std::vector<Sample>& got,
 TEST(Series, RangeQuery) {
   Series s(16);
   for (int i = 0; i < 10; ++i) s.append(i, i);
-  const auto r = s.range(3.0, 6.0);
+  const auto r = window_samples(s, 3.0, 6.0);
   ASSERT_EQ(r.size(), 4u);
   EXPECT_DOUBLE_EQ(r.front().t, 3.0);
   EXPECT_DOUBLE_EQ(r.back().t, 6.0);
@@ -121,14 +134,14 @@ TEST(Series, RangeQuery) {
       {8.0, 7.0, "empty: inverted", 0},
   };
   for (const auto& w : windows) {
-    const auto got = ring.range(w.from, w.to);
+    const auto got = window_samples(ring, w.from, w.to);
     EXPECT_EQ(got.size(), w.want) << w.what;
     expect_same_samples(got, scan_range(ring, w.from, w.to), w.what);
   }
   // Every window with bounds on or between the retained timestamps.
   for (int a = 10; a <= 20; ++a) {
     for (int b = a - 1; b <= 20; ++b) {
-      expect_same_samples(ring.range(a / 2.0, b / 2.0),
+      expect_same_samples(window_samples(ring, a / 2.0, b / 2.0),
                           scan_range(ring, a / 2.0, b / 2.0), "sweep");
     }
   }
@@ -441,7 +454,7 @@ class ExporterFixture : public ::testing::Test {
  protected:
   ExporterFixture()
       : cluster_(engine_, cluster::paper_cluster_spec()),
-        stack_(engine_, cluster_, ExporterOptions{}, Rng(9)) {}
+        stack_(engine_, cluster_, Rng(9)) {}
 
   sim::Engine engine_;
   cluster::Cluster cluster_;
@@ -525,6 +538,72 @@ TEST_F(ExporterFixture, LoadAverageTracksCpuDemand) {
                                          Labels{{"node", "node-1"}});
   ASSERT_TRUE(load.has_value());
   EXPECT_NEAR(*load, 3.0, 0.2);
+}
+
+// An exporter schedules itself: its first scrape at its phase, then one
+// every 2 s, each scrape before the re-arm that schedules the next.
+
+/// The times of every sample a series holds, oldest first.
+std::vector<SimTime> sample_times(const Tsdb& tsdb, const std::string& name,
+                                  const Labels& labels) {
+  std::vector<SimTime> times;
+  if (const Series* s = tsdb.find(name, labels)) {
+    for (std::size_t i = 0; i < s->size(); ++i) times.push_back(s->at(i).t);
+  }
+  return times;
+}
+
+TEST(Exporters, ScrapesLandAtPhasePlusInterval) {
+  sim::Engine engine;
+  cluster::Cluster cluster(engine, cluster::paper_cluster_spec());
+  Tsdb tsdb;
+  NodeExporter node(engine, tsdb, cluster, 0, 0.5);
+  PingExporter ping(engine, tsdb, cluster, Rng(1), 1.25);
+  engine.run_until(9.0);
+  EXPECT_EQ(sample_times(tsdb, kCpuLoadMetric, {{"node", "node-1"}}),
+            (std::vector<SimTime>{0.5, 2.5, 4.5, 6.5, 8.5}));
+  EXPECT_EQ(sample_times(tsdb, kPingRttMetric,
+                         {{"src", "node-1"}, {"dst", "node-2"}}),
+            (std::vector<SimTime>{1.25, 3.25, 5.25, 7.25}));
+}
+
+TEST(Exporters, InterleaveInInsertionOrder) {
+  sim::Engine engine;
+  cluster::Cluster cluster(engine, cluster::paper_cluster_spec());
+  Tsdb tsdb;
+  // Two exporters due at the same instants, and between them a recorder
+  // that logs the samples appended so far every 3 s.
+  NodeExporter first(engine, tsdb, cluster, 0, 0.0);
+  test::Recorder rec(engine);
+  std::vector<std::uint64_t> seen;
+  rec.hook = [&](const sim::Event&) {
+    seen.push_back(tsdb.num_samples());
+    engine.schedule_in(3.0, rec.event());
+  };
+  engine.schedule_in(0.0, rec.event());
+  NodeExporter second(engine, tsdb, cluster, 1, 0.0);
+  engine.run_until(6.0);
+  // t=0: first, recorder, second (insertion order); t=3: both scraped at
+  // 0 and 2; t=6: the recorder before both exporters (its re-arm was
+  // scheduled at t=3, earlier than theirs at t=4).
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{8, 32, 48}));
+  EXPECT_EQ(tsdb.num_samples(), 64u);
+}
+
+TEST(Exporters, DestructorCancelsPendingScrape) {
+  sim::Engine engine;
+  cluster::Cluster cluster(engine, cluster::paper_cluster_spec());
+  Tsdb tsdb;
+  {
+    NodeExporter node(engine, tsdb, cluster, 0, 0.0);
+    PingExporter ping(engine, tsdb, cluster, Rng(1), 1.0);
+    engine.run_until(2.5);
+    EXPECT_EQ(engine.num_pending(), 2u);
+  }
+  ASSERT_EQ(engine.num_pending(), 0u);
+  const std::uint64_t samples = tsdb.num_samples();
+  engine.run_until(10.0);
+  EXPECT_EQ(tsdb.num_samples(), samples);
 }
 
 // ------------------------------------------------------------ snapshot ----
@@ -622,7 +701,7 @@ TEST(PromQL, EvaluatesAgainstTsdb) {
 TEST(PromQL, WorksAgainstLiveExporters) {
   sim::Engine engine;
   cluster::Cluster cluster(engine, cluster::paper_cluster_spec());
-  TelemetryStack stack(engine, cluster, ExporterOptions{}, Rng(3));
+  TelemetryStack stack(engine, cluster, Rng(3));
   engine.run_until(30.0);
   const auto rtt = promql_scalar(
       "avg_over_time(ping_rtt_seconds{src=\"node-1\",dst=\"node-3\"}[20s])",

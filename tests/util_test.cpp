@@ -195,27 +195,6 @@ TEST(Stats, Percentile) {
   EXPECT_DOUBLE_EQ(percentile(xs, 50), 5.5);
 }
 
-TEST(Stats, PearsonPerfectCorrelation) {
-  std::vector<double> a{1, 2, 3, 4}, b{2, 4, 6, 8}, c{8, 6, 4, 2};
-  EXPECT_NEAR(pearson(a, b), 1.0, 1e-12);
-  EXPECT_NEAR(pearson(a, c), -1.0, 1e-12);
-}
-
-TEST(Stats, SpearmanMonotone) {
-  std::vector<double> a{1, 2, 3, 4, 5};
-  std::vector<double> b{1, 4, 9, 16, 25};  // monotone, nonlinear
-  EXPECT_NEAR(spearman(a, b), 1.0, 1e-12);
-}
-
-TEST(Stats, RanksAverageTies) {
-  std::vector<double> xs{10, 20, 20, 30};
-  const auto r = ranks_average_ties(xs);
-  EXPECT_DOUBLE_EQ(r[0], 1.0);
-  EXPECT_DOUBLE_EQ(r[1], 2.5);
-  EXPECT_DOUBLE_EQ(r[2], 2.5);
-  EXPECT_DOUBLE_EQ(r[3], 4.0);
-}
-
 // ---------------------------------------------------------------- csv ----
 
 TEST(Csv, RoundTripWithQuoting) {

@@ -31,10 +31,14 @@ bool is_hot(const FunctionDef& fd) {
       "boost_one_round"};
   if (kHot.count(fd.name) > 0) return true;
   // The simulator's per-event path: scheduling a record, the loop that pops
-  // it and the branch that dispatches it.
+  // it and the branch that dispatches it; and a Spark app's steps, which
+  // park and resume as records (no closure or counter per step).
   static const std::set<std::string> kEngineHot = {
       "schedule_at", "schedule_in", "step", "run", "dispatch"};
-  return fd.class_name == "Engine" && kEngineHot.count(fd.name) > 0;
+  static const std::set<std::string> kSparkAppHot = {
+      "on_event", "park", "schedule", "start_flow", "run_cpu"};
+  return (fd.class_name == "Engine" && kEngineHot.count(fd.name) > 0) ||
+         (fd.class_name == "SparkApp" && kSparkAppHot.count(fd.name) > 0);
 }
 
 }  // namespace
