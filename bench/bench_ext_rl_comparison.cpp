@@ -28,7 +28,7 @@ int main() {
   const std::vector<int> checkpoints = {60, 120, 240, 480};
 
   // ---- Online bandit: one environment + one executed job per episode. ----
-  core::BanditScheduler bandit(core::BanditOptions{}, 4242);
+  core::BanditScheduler bandit(4242);
   AsciiTable table({"executed jobs", "bandit Top-1", "bandit Top-2",
                     "SL linear Top-1", "SL linear Top-2", "SL forest Top-1",
                     "SL forest Top-2"});

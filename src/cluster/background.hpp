@@ -35,12 +35,11 @@ class BackgroundLoad final : public sim::EventTarget {
   BackgroundLoad(Cluster& cluster, std::size_t client_node,
                  std::size_t server_node, BackgroundLoadOptions options,
                  Rng rng);
-  /// Copies `other`'s loops, Rng state and pending events onto `cluster`, a
-  /// copy of other's cluster.
+  /// Member-wise copy of `other` (its loops, Rng state and pending events)
+  /// re-pointed at `cluster`, a copy of other's cluster.
   BackgroundLoad(const BackgroundLoad& other, Cluster& cluster);
   ~BackgroundLoad();
 
-  BackgroundLoad(const BackgroundLoad&) = delete;
   BackgroundLoad& operator=(const BackgroundLoad&) = delete;
 
   void start();
@@ -57,6 +56,9 @@ class BackgroundLoad final : public sim::EventTarget {
   const char* target_name() const override { return "BackgroundLoad"; }
 
  private:
+  /// Copies every member; the rebinding constructor re-points the cluster.
+  BackgroundLoad(const BackgroundLoad&) = default;
+
   /// Event codes of this pod pair's records; fetch records carry the loop.
   enum Code : std::uint8_t { kStart, kFetch, kFetchDone };
 
@@ -70,7 +72,7 @@ class BackgroundLoad final : public sim::EventTarget {
   void begin_fetch(std::size_t loop_idx);
   void end_fetch(std::size_t loop_idx);
 
-  Cluster& cluster_;
+  Cluster* cluster_;
   std::size_t client_;
   std::size_t server_;
   BackgroundLoadOptions options_;

@@ -109,10 +109,6 @@ const Node& Cluster::node(std::size_t i) const {
   return *nodes_[i];
 }
 
-Node& Cluster::node_by_name(const std::string& name) {
-  return node(node_index(name));
-}
-
 std::size_t Cluster::node_index(const std::string& name) const {
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     if (nodes_[i]->name() == name) return i;

@@ -81,7 +81,6 @@ class Cluster {
   std::size_t num_nodes() const { return nodes_.size(); }
   Node& node(std::size_t i);
   const Node& node(std::size_t i) const;
-  Node& node_by_name(const std::string& name);
 
   /// Index of the node with this name; throws if absent.
   std::size_t node_index(const std::string& name) const;

@@ -11,27 +11,21 @@ constexpr double kWorkEpsilon = 1e-9;
 }
 
 CpuPool::CpuPool(sim::Engine& engine, double cores)
-    : engine_(engine), cores_(cores) {
+    : engine_(&engine), cores_(cores) {
   LTS_REQUIRE(cores > 0.0, "CpuPool: cores must be positive");
-  last_update_ = engine_.now();
-  target_ = engine_.add_target(this);
+  last_update_ = engine_->now();
+  target_ = engine_->add_target(this);
 }
 
 CpuPool::CpuPool(const CpuPool& other, sim::Engine& engine)
-    : engine_(engine),
-      cores_(other.cores_),
-      total_demand_(other.total_demand_),
-      next_id_(other.next_id_),
-      tasks_(other.tasks_),
-      last_update_(other.last_update_),
-      completion_event_(other.completion_event_),
-      target_(other.target_) {
-  engine_.rebind_target(target_, this);
+    : CpuPool(other) {
+  engine_ = &engine;
+  engine_->rebind_target(target_, this);
 }
 
 CpuPool::~CpuPool() {
-  engine_.cancel(completion_event_);
-  engine_.remove_target(target_);
+  engine_->cancel(completion_event_);
+  engine_->remove_target(target_);
 }
 
 CpuTaskId CpuPool::run(double demand_cores, double work_core_seconds,
@@ -73,7 +67,7 @@ double CpuPool::utilization() const {
 }
 
 void CpuPool::advance() {
-  const SimTime now = engine_.now();
+  const SimTime now = engine_->now();
   const SimTime dt = now - last_update_;
   if (dt <= 0.0) {
     last_update_ = now;
@@ -101,7 +95,7 @@ void CpuPool::recompute_rates() {
 
 void CpuPool::schedule_next_completion() {
   if (completion_event_ != sim::kInvalidEvent) {
-    engine_.cancel(completion_event_);
+    engine_->cancel(completion_event_);
     completion_event_ = sim::kInvalidEvent;
   }
   SimTime earliest = std::numeric_limits<SimTime>::infinity();
@@ -111,7 +105,7 @@ void CpuPool::schedule_next_completion() {
     earliest = std::min(earliest, t.remaining / t.rate);
   }
   if (!std::isfinite(earliest)) return;
-  completion_event_ = engine_.schedule_in(
+  completion_event_ = engine_->schedule_in(
       std::max(earliest, 0.0),
       sim::target_event(target_));
 }
@@ -142,7 +136,7 @@ void CpuPool::handle_completion_event() {
   recompute_rates();
   schedule_next_completion();
   for (std::size_t i = 0; i < finished_.size(); ++i) {
-    engine_.dispatch(finished_[i]);
+    engine_->dispatch(finished_[i]);
   }
 }
 

@@ -22,12 +22,11 @@ inline constexpr CpuTaskId kInvalidCpuTask = 0;
 class CpuPool final : public sim::EventTarget {
  public:
   CpuPool(sim::Engine& engine, double cores);
-  /// Copies `other`'s tasks verbatim onto `engine`, a copy of other's
-  /// engine.
+  /// Member-wise copy of `other` (its tasks verbatim) re-pointed at
+  /// `engine`, a copy of other's engine.
   CpuPool(const CpuPool& other, sim::Engine& engine);
   ~CpuPool();
 
-  CpuPool(const CpuPool&) = delete;
   CpuPool& operator=(const CpuPool&) = delete;
 
   /// Runs a task needing `work` core-seconds at a parallelism of up to
@@ -58,6 +57,9 @@ class CpuPool final : public sim::EventTarget {
   const char* target_name() const override { return "CpuPool"; }
 
  private:
+  /// Copies every member; the rebinding constructor re-points the engine.
+  CpuPool(const CpuPool&) = default;
+
   struct Task {
     CpuTaskId id = kInvalidCpuTask;
     double demand = 0.0;
@@ -72,7 +74,7 @@ class CpuPool final : public sim::EventTarget {
   void schedule_next_completion();
   void handle_completion_event();
 
-  sim::Engine& engine_;
+  sim::Engine* engine_;
   double cores_;
   double total_demand_ = 0.0;
   std::uint64_t next_id_ = 1;

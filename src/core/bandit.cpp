@@ -17,10 +17,7 @@ constexpr const char* kValueModel = "linear";
 
 }  // namespace
 
-BanditScheduler::BanditScheduler(BanditOptions options, std::uint64_t seed)
-    : options_(options), rng_(seed) {
-  LTS_REQUIRE(options_.refit_interval >= 1,
-              "BanditScheduler: refit_interval >= 1");
+BanditScheduler::BanditScheduler(std::uint64_t seed) : rng_(seed) {
   replay_.set_feature_names(FeatureConstructor::feature_names(kBanditFeatures));
 }
 
@@ -73,7 +70,7 @@ void BanditScheduler::observe(const telemetry::ClusterSnapshot& snapshot,
 }
 
 void BanditScheduler::maybe_refit() {
-  if (observations_ % options_.refit_interval != 0 && value_model_ready()) {
+  if (observations_ % kBanditRefitInterval != 0 && value_model_ready()) {
     return;
   }
   if (replay_.size() < 4) return;  // not enough to fit anything

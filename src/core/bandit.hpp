@@ -24,15 +24,13 @@ namespace lts::core {
 inline constexpr double kBanditMinEpsilon = 0.05;
 /// Feature layout of the bandit's value model.
 inline constexpr FeatureSet kBanditFeatures = FeatureSet::kTable1;
-
-struct BanditOptions {
-  /// Refit the value model after every `refit_interval` observations.
-  int refit_interval = 10;
-};
+/// The value model is refit after every this many observations.
+inline constexpr int kBanditRefitInterval = 10;
+static_assert(kBanditRefitInterval >= 1);
 
 class BanditScheduler {
  public:
-  BanditScheduler(BanditOptions options, std::uint64_t seed);
+  explicit BanditScheduler(std::uint64_t seed);
 
   /// Chooses a node index for `config` given the snapshot: with probability
   /// epsilon(t) explores uniformly, otherwise exploits the current value
@@ -64,7 +62,6 @@ class BanditScheduler {
  private:
   void maybe_refit();
 
-  BanditOptions options_;
   Rng rng_;
   int observations_ = 0;
   ml::Dataset replay_;  // (features of chosen node, duration)

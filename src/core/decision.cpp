@@ -9,15 +9,6 @@ const std::string& Decision::selected() const {
   return ranking.front().node;
 }
 
-bool Decision::in_top_k(const std::string& node, int k) const {
-  const std::size_t limit =
-      std::min(static_cast<std::size_t>(k), ranking.size());
-  for (std::size_t i = 0; i < limit; ++i) {
-    if (ranking[i].node == node) return true;
-  }
-  return false;
-}
-
 Decision DecisionModule::rank(std::vector<NodePrediction> predictions) {
   LTS_REQUIRE(!predictions.empty(), "DecisionModule: no candidates");
   std::sort(predictions.begin(), predictions.end(),

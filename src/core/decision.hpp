@@ -26,8 +26,6 @@ struct Decision {
   int stale_demoted = 0;
 
   const std::string& selected() const;
-  /// True if `node` is among the first k entries.
-  bool in_top_k(const std::string& node, int k) const;
 };
 
 class DecisionModule {

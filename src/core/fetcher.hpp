@@ -65,7 +65,6 @@ class TelemetryFetcher {
   /// Disabling bypasses memoization entirely (every fetch sweeps the TSDB);
   /// used by benchmarks to measure the uncached path honestly.
   void set_cache_enabled(bool enabled) { cache_enabled_ = enabled; }
-  bool cache_enabled() const { return cache_enabled_; }
 
   const std::vector<std::string>& node_names() const { return node_names_; }
   const DegradationOptions& degradation() const { return degradation_; }

@@ -129,8 +129,6 @@ std::optional<RetrainEvent> OnlineTrainer::on_completion(
     ++completions_since_drift_fire_;
   }
 
-  if (!options_.enabled) return std::nullopt;
-
   const bool periodic_due =
       completions_since_retrain_ >= options_.retrain_every;
   const bool drift_due =

@@ -30,7 +30,6 @@ namespace lts::core {
 /// Knobs for the online retraining loop. Defaults are the values used by
 /// the retraining benchmark; EXPERIMENTS.md discusses the trade-offs.
 struct RetrainOptions {
-  bool enabled = false;
   /// Refit every this many completions (the periodic trigger).
   int retrain_every = 25;
   /// Rolling window: at most this many most-recent completions are kept.

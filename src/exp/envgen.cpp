@@ -166,7 +166,9 @@ std::vector<fault::FaultSpec> generate_drift_schedule(
 }
 
 SimEnv::SimEnv(std::uint64_t seed, EnvOptions options)
-    : seed_(seed), options_(std::move(options)) {
+    : seed_(seed),
+      options_(std::move(options)),
+      kube_scheduler_(api_, seed_ ^ 0xcafef00dULL) {
   Rng rng(seed_ * 0x9e3779b97f4a7c15ULL + 0x1234);
 
   // Per-node heterogeneity (see EnvOptions): drawn before construction so
@@ -182,8 +184,7 @@ SimEnv::SimEnv(std::uint64_t seed, EnvOptions options)
   }
   cluster_ = std::make_unique<cluster::Cluster>(engine_, spec);
   node_names_ = cluster_->node_names();
-  stack_ = std::make_unique<telemetry::TelemetryStack>(engine_, *cluster_,
-                                                       rng.split());
+  stack_ = std::make_unique<telemetry::TelemetryStack>(*cluster_, rng.split());
 
   // Register nodes with the API server; allocatable = capacity - reserved.
   for (std::size_t i = 0; i < cluster_->num_nodes(); ++i) {
@@ -195,10 +196,8 @@ SimEnv::SimEnv(std::uint64_t seed, EnvOptions options)
         {{"topology.kubernetes.io/zone", node.site()},
          {"kubernetes.io/hostname", node.name()}});
   }
-  kube_scheduler_ =
-      std::make_unique<k8s::DefaultScheduler>(api_, seed_ ^ 0xcafef00dULL);
-  faults_ = std::make_unique<fault::FaultInjector>(engine_, *cluster_,
-                                                   stack_.get(), &api_);
+  faults_ = std::make_unique<fault::FaultInjector>(*cluster_, stack_.get(),
+                                                   &api_);
   faults_->apply_all(options_.faults);
 
   // Resident system daemons (kubelet, exporters, OS services): a small
@@ -252,13 +251,12 @@ SimEnv::SimEnv(const SimEnv& other)
       options_(other.options_),
       engine_(other.engine_),
       cluster_(std::make_unique<cluster::Cluster>(*other.cluster_, engine_)),
-      stack_(std::make_unique<telemetry::TelemetryStack>(*other.stack_, engine_,
+      stack_(std::make_unique<telemetry::TelemetryStack>(*other.stack_,
                                                          *cluster_)),
       api_(other.api_),
-      kube_scheduler_(std::make_unique<k8s::DefaultScheduler>(
-          *other.kube_scheduler_, api_)),
+      kube_scheduler_(other.kube_scheduler_, api_),
       faults_(std::make_unique<fault::FaultInjector>(
-          *other.faults_, engine_, *cluster_, stack_.get(), &api_)),
+          *other.faults_, *cluster_, stack_.get(), &api_)),
       node_names_(other.node_names_),
       warmed_up_(other.warmed_up_),
       job_counter_(other.job_counter_) {
@@ -315,7 +313,7 @@ spark::AppResult SimEnv::run_job(const spark::JobConfig& config,
   executor_nodes.reserve(static_cast<std::size_t>(config.executors));
   for (int e = 0; e < config.executors; ++e) {
     const auto pod = core::JobBuilder::executor_pod(config, job_name, e);
-    const auto result = kube_scheduler_->schedule(pod);
+    const auto result = kube_scheduler_.schedule(pod);
     LTS_REQUIRE(result.feasible(),
                 "SimEnv: no feasible node for executor pod");
     api_.bind(pod, result.selected());

@@ -99,14 +99,18 @@ class SimEnv {
 
   /// Forks `other`: a copy whose every component is bound to its own engine,
   /// cluster, TSDB and API server, with event ids, Rng states, the job
-  /// counter and the flows' lazy byte accounting copied verbatim. A copy
-  /// taken after warmup() continues bit for bit like a freshly warmed
-  /// environment, so counterfactual runs fork one warm state instead of
-  /// re-warming it. Reads only `other`'s raw state, so several threads may
-  /// copy one idle environment at once. Every event is a record, so only a
-  /// component stops a copy: it throws lts::Error naming the first event
-  /// target registered on `other`'s engine that is not part of the
-  /// environment (a live SparkApp, a stream runner).
+  /// counter and the flows' lazy byte accounting copied verbatim. The
+  /// aggregates (cluster, nodes, telemetry stack) clone the children they
+  /// own; each leaf component takes its implicit member-wise copy and only
+  /// re-points its collaborators, so a field added to a leaf is forked
+  /// without being listed again. The copy keeps no pointer into `other`,
+  /// so it may outlive it. A copy taken after warmup() continues bit for
+  /// bit like a freshly warmed environment, so counterfactual runs fork one
+  /// warm state instead of re-warming it. Reads only `other`'s raw state,
+  /// so several threads may copy one idle environment at once. Every event
+  /// is a record, so only a component stops a copy: it throws lts::Error
+  /// naming the first event target registered on `other`'s engine that is
+  /// not part of the environment (a running SparkApp, a stream runner).
   SimEnv(const SimEnv& other);
   SimEnv& operator=(const SimEnv&) = delete;
 
@@ -114,7 +118,7 @@ class SimEnv {
   cluster::Cluster& cluster() { return *cluster_; }
   const telemetry::Tsdb& tsdb() const { return stack_->tsdb(); }
   k8s::ApiServer& api() { return api_; }
-  k8s::DefaultScheduler& kube_scheduler() { return *kube_scheduler_; }
+  k8s::DefaultScheduler& kube_scheduler() { return kube_scheduler_; }
   fault::FaultInjector& fault_injector() { return *faults_; }
   const std::vector<std::string>& node_names() const { return node_names_; }
   const EnvOptions& options() const { return options_; }
@@ -156,7 +160,7 @@ class SimEnv {
   std::unique_ptr<cluster::Cluster> cluster_;
   std::unique_ptr<telemetry::TelemetryStack> stack_;
   k8s::ApiServer api_;
-  std::unique_ptr<k8s::DefaultScheduler> kube_scheduler_;
+  k8s::DefaultScheduler kube_scheduler_;
   std::unique_ptr<fault::FaultInjector> faults_;
   std::vector<std::string> node_names_;
   std::vector<std::unique_ptr<cluster::BackgroundLoad>> background_;

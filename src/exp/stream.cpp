@@ -37,9 +37,9 @@ void LiveJob::unbind(k8s::ApiServer& api) {
   pods.clear();
 }
 
-const spark::AppResult& LiveJob::finish(k8s::ApiServer& api,
-                                        StreamJobResult& job) {
-  const spark::AppResult& result = app->result();
+spark::AppResult LiveJob::finish(k8s::ApiServer& api, StreamJobResult& job) {
+  spark::AppResult result = app->result();
+  app.reset();
   job.driver_node = result.driver_node;
   job.submitted = result.submit_time;
   job.queueing_delay = result.submit_time - job.planned_arrival;
@@ -133,9 +133,9 @@ class JobStream final : public sim::EventTarget {
   /// Places job `j` now, from live state, or schedules its retry.
   void place(std::size_t j);
   /// Counts a deferred placement of job `j` and retries it kRetryDelay
-  /// later; past options.max_placement_retries the stream fails loudly
-  /// with the last attempt's per-node rejection reasons instead of
-  /// spinning until the drain guard aborts the whole run.
+  /// later; past kMaxPlacementRetries the stream fails loudly with the
+  /// last attempt's per-node rejection reasons instead of spinning until
+  /// the drain guard aborts the whole run.
   void retry(std::size_t j, const std::string& job_name,
              const k8s::ScheduleResult& last_attempt);
   void complete(std::size_t j);
@@ -194,10 +194,8 @@ JobStream::JobStream(StreamPolicy policy,
   // kRetrainFail fault makes attempts fail while active — the previous
   // model keeps serving.
   if (policy == StreamPolicy::kModelRetrain) {
-    core::RetrainOptions retrain_options = options.retrain;
-    retrain_options.enabled = true;
     retrainer_ = std::make_unique<core::OnlineTrainer>(
-        retrain_options, options.features, model);
+        options.retrain, options.features, model);
     retrainer_->set_failure_hook(
         [this] { return env_.fault_injector().retrain_fail_active(); });
   }
@@ -245,12 +243,12 @@ void JobStream::retry(std::size_t j, const std::string& job_name,
   StreamJobResult& job = result_.jobs[j];
   ++job.placement_retries;
   metrics_.placement_retries.inc();
-  if (job.placement_retries > options_.max_placement_retries) {
+  if (job.placement_retries > kMaxPlacementRetries) {
     throw Error(strformat("run_job_stream: job %zu (%s, \"%s\") still "
                           "unplaceable after %d retries [%s]; per-node "
                           "rejections of the last attempt:",
                           j, plan_[j].scenario->id.c_str(), job_name.c_str(),
-                          options_.max_placement_retries,
+                          kMaxPlacementRetries,
                           describe_job_config(plan_[j].scenario->config)
                               .c_str()) +
                 describe_rejections(last_attempt));
@@ -329,7 +327,7 @@ void JobStream::place(std::size_t j) {
 }
 
 void JobStream::complete(std::size_t j) {
-  const spark::AppResult& app_result =
+  const spark::AppResult app_result =
       live_[j].finish(env_.api(), result_.jobs[j]);
   metrics_.jobs_completed.inc();
   if (retrainer_ && feedback_[j].valid) {

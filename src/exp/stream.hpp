@@ -46,19 +46,12 @@ struct StreamOptions {
   /// decision falls back to the spreading heuristic).
   core::DegradationOptions degradation;
   core::FallbackOptions fallback;
-  /// Online retraining knobs, used only by kModelRetrain (which force-
-  /// enables the loop). Every completed job feeds the rolling window; a
-  /// successful refit hot-swaps the scheduler's model mid-stream. The
-  /// kModel policy ignores this entirely, and the pre-drawn job/arrival
-  /// plan is policy-independent either way.
+  /// Online retraining knobs, used only by kModelRetrain. Every completed
+  /// job feeds the rolling window; a successful refit hot-swaps the
+  /// scheduler's model mid-stream. The kModel policy ignores this
+  /// entirely, and the pre-drawn job/arrival plan is policy-independent
+  /// either way.
   core::RetrainOptions retrain;
-  /// Placement retry cap per job. A backlogged job re-tries every 5 s like
-  /// a pending pod; one that is still unplaceable after this many deferrals
-  /// is permanently infeasible, and the stream fails loudly naming the job,
-  /// its config, and the per-node rejection reasons from the last
-  /// scheduling attempt — instead of spinning until the opaque drain guard
-  /// kills the whole run. 240 retries = 20 simulated minutes of backlog.
-  int max_placement_retries = 240;
 };
 
 struct StreamJobResult {
@@ -117,7 +110,8 @@ StreamCounters stream_counters(const std::string& tenant = {});
 std::string describe_rejections(const k8s::ScheduleResult& result);
 
 /// A stream job's state while it holds the cluster: its bound pods (driver
-/// first) and its app. Both are empty until launch_job succeeds.
+/// first) and its app. Both are empty until launch_job succeeds and again
+/// once the job finishes.
 struct LiveJob {
   std::vector<std::string> pods;
   std::unique_ptr<spark::SparkApp> app;
@@ -127,8 +121,9 @@ struct LiveJob {
 
   /// The job bookkeeping both stream runners do on the app's completion
   /// record: `job` gets its driver node, submit time, queueing delay and
-  /// duration, and the pods are unbound. Returns the app's result.
-  const spark::AppResult& finish(k8s::ApiServer& api, StreamJobResult& job);
+  /// duration, the app is destroyed (its DAG, tables and engine target go
+  /// with it) and the pods are unbound. Returns the app's result.
+  spark::AppResult finish(k8s::ApiServer& api, StreamJobResult& job);
 };
 
 /// One job placement for launch_job: the policy already chose the driver's
@@ -145,6 +140,14 @@ struct JobLaunch {
 /// Delay before a stream retries a placement that found no room, in both
 /// stream runners: like a pending pod, the job waits for capacity to free.
 constexpr SimTime kRetryDelay = 5.0;
+/// Placement retry cap per job, in both stream runners. A job that is
+/// still unplaceable after this many deferrals is permanently infeasible,
+/// and the stream fails loudly naming the job, its config, and the
+/// per-node rejection reasons from the last scheduling attempt — instead
+/// of spinning until the opaque drain guard kills the whole run. 240
+/// retries = 20 simulated minutes of backlog.
+constexpr int kMaxPlacementRetries = 240;
+static_assert(kMaxPlacementRetries >= 1);
 
 /// The job launch both stream runners share. Binds the pinned driver, then
 /// each executor through the default scheduler (restricted to the offer

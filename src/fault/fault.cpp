@@ -47,16 +47,6 @@ FaultKind fault_kind_from_string(const std::string& s) {
   throw Error("fault: unknown fault kind: " + s);
 }
 
-Json fault_to_json(const FaultSpec& spec) {
-  JsonObject o;
-  o["kind"] = to_string(spec.kind);
-  o["target"] = spec.target;
-  o["at"] = spec.at;
-  o["duration"] = spec.duration;
-  o["severity"] = spec.severity;
-  return Json(std::move(o));
-}
-
 FaultSpec fault_from_json(const Json& j) {
   LTS_REQUIRE(j.is_object(), "fault: spec must be a JSON object");
   FaultSpec spec;
@@ -66,12 +56,6 @@ FaultSpec fault_from_json(const Json& j) {
   if (j.contains("duration")) spec.duration = j.at("duration").as_double();
   if (j.contains("severity")) spec.severity = j.at("severity").as_double();
   return spec;
-}
-
-Json faults_to_json(const std::vector<FaultSpec>& specs) {
-  Json arr = Json::array();
-  for (const auto& spec : specs) arr.push_back(fault_to_json(spec));
-  return arr;
 }
 
 std::vector<FaultSpec> faults_from_json(const Json& j) {
@@ -84,47 +68,41 @@ std::vector<FaultSpec> faults_from_json(const Json& j) {
   return specs;
 }
 
-FaultInjector::FaultInjector(sim::Engine& engine, cluster::Cluster& cluster,
+FaultInjector::FaultInjector(cluster::Cluster& cluster,
                              telemetry::TelemetryStack* telemetry,
                              k8s::ApiServer* api)
-    : engine_(engine),
-      cluster_(cluster),
+    : cluster_(&cluster),
       telemetry_(telemetry),
       api_(api),
       saved_links_(cluster.topology().num_links()),
-      target_(engine.add_target(this)) {}
+      target_(cluster.engine().add_target(this)) {}
 
-FaultInjector::FaultInjector(const FaultInjector& other, sim::Engine& engine,
+FaultInjector::FaultInjector(const FaultInjector& other,
                              cluster::Cluster& cluster,
                              telemetry::TelemetryStack* telemetry,
                              k8s::ApiServer* api)
-    : engine_(engine),
-      cluster_(cluster),
-      telemetry_(telemetry),
-      api_(api),
-      saved_links_(other.saved_links_),
-      specs_(other.specs_),
-      pending_(other.pending_),
-      target_(other.target_),
-      retrain_fail_active_(other.retrain_fail_active_),
-      injected_(other.injected_),
-      recovered_(other.recovered_) {
-  engine_.rebind_target(target_, this);
+    : FaultInjector(other) {
+  cluster_ = &cluster;
+  telemetry_ = telemetry;
+  api_ = api;
+  cluster_->engine().rebind_target(target_, this);
 }
 
 FaultInjector::~FaultInjector() {
-  for (const sim::EventId id : pending_) engine_.cancel(id);
-  engine_.remove_target(target_);
+  sim::Engine& engine = cluster_->engine();
+  for (const sim::EventId id : pending_) engine.cancel(id);
+  engine.remove_target(target_);
 }
 
 void FaultInjector::apply(const FaultSpec& spec) {
-  LTS_REQUIRE(spec.at >= engine_.now(), "fault: injection time is in the past");
+  sim::Engine& engine = cluster_->engine();
+  LTS_REQUIRE(spec.at >= engine.now(), "fault: injection time is in the past");
   const auto index = static_cast<std::uint64_t>(specs_.size());
   specs_.push_back(spec);
-  pending_.push_back(engine_.schedule_at(
+  pending_.push_back(engine.schedule_at(
       spec.at, sim::target_event(target_, kInject, index)));
   if (spec.duration > 0.0) {
-    pending_.push_back(engine_.schedule_at(
+    pending_.push_back(engine.schedule_at(
         spec.at + spec.duration,
         sim::target_event(target_, kRecover, index)));
   }
@@ -208,15 +186,15 @@ void FaultInjector::recover(const FaultSpec& spec) {
 }
 
 void FaultInjector::crash_node(const std::string& node) {
-  const std::size_t idx = cluster_.node_index(node);
-  if (cluster_.node_down(idx)) return;
-  cluster_.set_node_down(idx, true);
+  const std::size_t idx = cluster_->node_index(node);
+  if (cluster_->node_down(idx)) return;
+  cluster_->set_node_down(idx, true);
   // The host hangs: both access-link directions collapse to a trickle, so
   // every transfer touching the node stalls. Exporters stop on their own
   // (they consult node_down before scraping).
-  cut_link_capacity(cluster_.node_uplink(idx), 0.0);
-  cut_link_capacity(cluster_.node_downlink(idx), 0.0);
-  cluster_.flows().invalidate_rates();
+  cut_link_capacity(cluster_->node_uplink(idx), 0.0);
+  cut_link_capacity(cluster_->node_downlink(idx), 0.0);
+  cluster_->flows().invalidate_rates();
   if (api_ != nullptr) api_->set_node_ready(node, false);
   // The node's exporters stop answering (they consult node_down): cached
   // snapshots must not keep serving its last pre-crash heartbeat age.
@@ -224,17 +202,17 @@ void FaultInjector::crash_node(const std::string& node) {
 }
 
 void FaultInjector::recover_node(const std::string& node) {
-  const std::size_t idx = cluster_.node_index(node);
-  if (!cluster_.node_down(idx)) return;
-  cluster_.set_node_down(idx, false);
-  restore_link(cluster_.node_uplink(idx));
-  restore_link(cluster_.node_downlink(idx));
+  const std::size_t idx = cluster_->node_index(node);
+  if (!cluster_->node_down(idx)) return;
+  cluster_->set_node_down(idx, false);
+  restore_link(cluster_->node_uplink(idx));
+  restore_link(cluster_->node_downlink(idx));
   // The host rebooted: its cumulative NIC counters restart from zero, so
   // the exporter's next scrape publishes a value below the pre-crash one.
   // Rate queries must treat that as a counter reset (Tsdb::rate does), not
   // as negative throughput.
-  cluster_.flows().reset_host_counters(cluster_.node(idx).vertex());
-  cluster_.flows().invalidate_rates();
+  cluster_->flows().reset_host_counters(cluster_->node(idx).vertex());
+  cluster_->flows().invalidate_rates();
   if (api_ != nullptr) api_->set_node_ready(node, true);
   // Counter semantics just changed under every cached snapshot.
   bump_telemetry_epoch();
@@ -248,24 +226,24 @@ void FaultInjector::degrade_wan_link(const std::string& site_a,
   const net::LinkId fwd = wan_forward_link(site_a, site_b);
   cut_link_capacity(fwd, 1.0 - capacity_cut_frac);
   cut_link_capacity(fwd + 1, 1.0 - capacity_cut_frac);
-  cluster_.flows().invalidate_rates();
+  cluster_->flows().invalidate_rates();
 }
 
 void FaultInjector::degrade_node_link(const std::string& node,
                                       double capacity_cut_frac) {
   LTS_REQUIRE(capacity_cut_frac >= 0.0 && capacity_cut_frac <= 1.0,
               "fault: capacity cut fraction must be in [0, 1]");
-  const std::size_t idx = cluster_.node_index(node);
-  cut_link_capacity(cluster_.node_uplink(idx), 1.0 - capacity_cut_frac);
-  cut_link_capacity(cluster_.node_downlink(idx), 1.0 - capacity_cut_frac);
-  cluster_.flows().invalidate_rates();
+  const std::size_t idx = cluster_->node_index(node);
+  cut_link_capacity(cluster_->node_uplink(idx), 1.0 - capacity_cut_frac);
+  cut_link_capacity(cluster_->node_downlink(idx), 1.0 - capacity_cut_frac);
+  cluster_->flows().invalidate_rates();
 }
 
 void FaultInjector::restore_node_link(const std::string& node) {
-  const std::size_t idx = cluster_.node_index(node);
-  restore_link(cluster_.node_uplink(idx));
-  restore_link(cluster_.node_downlink(idx));
-  cluster_.flows().invalidate_rates();
+  const std::size_t idx = cluster_->node_index(node);
+  restore_link(cluster_->node_uplink(idx));
+  restore_link(cluster_->node_downlink(idx));
+  cluster_->flows().invalidate_rates();
 }
 
 void FaultInjector::spike_wan_rtt(const std::string& site_a,
@@ -275,7 +253,7 @@ void FaultInjector::spike_wan_rtt(const std::string& site_a,
   const net::LinkId fwd = wan_forward_link(site_a, site_b);
   add_link_delay(fwd, extra_one_way_delay);
   add_link_delay(fwd + 1, extra_one_way_delay);
-  cluster_.flows().invalidate_rates();
+  cluster_->flows().invalidate_rates();
 }
 
 void FaultInjector::restore_wan_link(const std::string& site_a,
@@ -283,28 +261,28 @@ void FaultInjector::restore_wan_link(const std::string& site_a,
   const net::LinkId fwd = wan_forward_link(site_a, site_b);
   restore_link(fwd);
   restore_link(fwd + 1);
-  cluster_.flows().invalidate_rates();
+  cluster_->flows().invalidate_rates();
 }
 
 void FaultInjector::partition_site(const std::string& site) {
   bool touched = false;
-  for (const auto& wan : cluster_.wan_links()) {
+  for (const auto& wan : cluster_->wan_links()) {
     if (wan.site_a != site && wan.site_b != site) continue;
     cut_link_capacity(wan.forward, 0.0);
     cut_link_capacity(wan.forward + 1, 0.0);
     touched = true;
   }
   LTS_REQUIRE(touched, "fault: no WAN links touch site: " + site);
-  cluster_.flows().invalidate_rates();
+  cluster_->flows().invalidate_rates();
 }
 
 void FaultInjector::heal_site(const std::string& site) {
-  for (const auto& wan : cluster_.wan_links()) {
+  for (const auto& wan : cluster_->wan_links()) {
     if (wan.site_a != site && wan.site_b != site) continue;
     restore_link(wan.forward);
     restore_link(wan.forward + 1);
   }
-  cluster_.flows().invalidate_rates();
+  cluster_->flows().invalidate_rates();
 }
 
 // The exporter setters bump the TSDB epoch themselves (lts_lint R6: the
@@ -334,7 +312,7 @@ void FaultInjector::restore_retrains() { retrain_fail_active_ = false; }
 
 net::LinkId FaultInjector::wan_forward_link(const std::string& site_a,
                                             const std::string& site_b) const {
-  for (const auto& wan : cluster_.wan_links()) {
+  for (const auto& wan : cluster_->wan_links()) {
     if ((wan.site_a == site_a && wan.site_b == site_b) ||
         (wan.site_a == site_b && wan.site_b == site_a)) {
       return wan.forward;
@@ -351,14 +329,14 @@ telemetry::NodeExporter& FaultInjector::exporter_for(const std::string& node) {
   LTS_REQUIRE(telemetry_ != nullptr,
               "fault: exporter faults need a TelemetryStack");
   // TelemetryStack builds one NodeExporter per cluster node, in node order.
-  return telemetry_->node_exporter(cluster_.node_index(node));
+  return telemetry_->node_exporter(cluster_->node_index(node));
 }
 
 FaultInjector::SavedLink& FaultInjector::save_link(net::LinkId l) {
   SavedLink& saved = saved_links_[static_cast<std::size_t>(l)];
   if (!saved.saved) {
-    saved = SavedLink{true, cluster_.topology().link(l).capacity,
-                      cluster_.topology().link(l).prop_delay};
+    saved = SavedLink{true, cluster_->topology().link(l).capacity,
+                      cluster_->topology().link(l).prop_delay};
   }
   return saved;
 }
@@ -367,20 +345,20 @@ void FaultInjector::cut_link_capacity(net::LinkId l, double keep_frac) {
   // First touch records the pristine capacity, so repeated or overlapping
   // cuts never compound and restore always returns to the original.
   const SavedLink& saved = save_link(l);
-  cluster_.topology().set_link_capacity(
+  cluster_->topology().set_link_capacity(
       l, std::max(kDeadLinkRate, saved.capacity * keep_frac));
 }
 
 void FaultInjector::add_link_delay(net::LinkId l, SimTime extra) {
   const SavedLink& saved = save_link(l);
-  cluster_.topology().set_link_prop_delay(l, saved.prop_delay + extra);
+  cluster_->topology().set_link_prop_delay(l, saved.prop_delay + extra);
 }
 
 void FaultInjector::restore_link(net::LinkId l) {
   SavedLink& saved = saved_links_[static_cast<std::size_t>(l)];
   if (!saved.saved) return;  // never faulted: nothing to restore
-  cluster_.topology().set_link_capacity(l, saved.capacity);
-  cluster_.topology().set_link_prop_delay(l, saved.prop_delay);
+  cluster_->topology().set_link_capacity(l, saved.capacity);
+  cluster_->topology().set_link_prop_delay(l, saved.prop_delay);
   saved.saved = false;
 }
 

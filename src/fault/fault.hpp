@@ -57,9 +57,7 @@ struct FaultSpec {
   double severity = 1.0;
 };
 
-Json fault_to_json(const FaultSpec& spec);
 FaultSpec fault_from_json(const Json& j);
-Json faults_to_json(const std::vector<FaultSpec>& specs);
 std::vector<FaultSpec> faults_from_json(const Json& j);
 
 /// Applies FaultSpecs to a live cluster, or injects/recovers directly.
@@ -69,17 +67,17 @@ std::vector<FaultSpec> faults_from_json(const Json& j);
 /// scrapes still stop, because the exporters consult Cluster::node_down).
 class FaultInjector final : public sim::EventTarget {
  public:
-  FaultInjector(sim::Engine& engine, cluster::Cluster& cluster,
+  /// Schedules its faults on the cluster's engine.
+  FaultInjector(cluster::Cluster& cluster,
                 telemetry::TelemetryStack* telemetry = nullptr,
                 k8s::ApiServer* api = nullptr);
-  /// Copies `other`'s schedule and fault state onto copies of its engine,
-  /// cluster, telemetry stack and API server.
-  FaultInjector(const FaultInjector& other, sim::Engine& engine,
-                cluster::Cluster& cluster, telemetry::TelemetryStack* telemetry,
-                k8s::ApiServer* api);
+  /// Member-wise copy of `other` (its schedule and fault state) re-pointed
+  /// at copies of its cluster, telemetry stack and API server, and so at
+  /// the cluster's engine.
+  FaultInjector(const FaultInjector& other, cluster::Cluster& cluster,
+                telemetry::TelemetryStack* telemetry, k8s::ApiServer* api);
   ~FaultInjector();
 
-  FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
 
   /// Schedules injection at `spec.at` and, if `spec.duration > 0`, recovery
@@ -126,6 +124,10 @@ class FaultInjector final : public sim::EventTarget {
   const char* target_name() const override { return "FaultInjector"; }
 
  private:
+  /// Copies every member; the rebinding constructor re-points the
+  /// collaborators.
+  FaultInjector(const FaultInjector&) = default;
+
   /// Event codes of this injector's records; both carry a spec index.
   enum Code : std::uint8_t { kInject, kRecover };
 
@@ -145,8 +147,7 @@ class FaultInjector final : public sim::EventTarget {
   void add_link_delay(net::LinkId l, SimTime extra);
   void restore_link(net::LinkId l);
 
-  sim::Engine& engine_;
-  cluster::Cluster& cluster_;
+  cluster::Cluster* cluster_;
   telemetry::TelemetryStack* telemetry_;
   k8s::ApiServer* api_;
 

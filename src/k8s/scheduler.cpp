@@ -5,23 +5,20 @@
 
 namespace lts::k8s {
 
-std::string NodeResourcesFitFilter::filter(const PodSpec& pod,
-                                           const NodeEntry& node) const {
+std::string node_resources_fit(const PodSpec& pod, const NodeEntry& node) {
   const Resources free = node.allocatable - node.requested;
   if (pod.requests.cpu > free.cpu) return "insufficient cpu";
   if (pod.requests.memory > free.memory) return "insufficient memory";
   return "";
 }
 
-std::string NodeAffinityFilter::filter(const PodSpec& pod,
-                                       const NodeEntry& node) const {
+std::string node_affinity(const PodSpec& pod, const NodeEntry& node) {
   if (!pod.node_affinity.has_value()) return "";
   if (pod.node_affinity->matches(node.name)) return "";
   return "node affinity mismatch";
 }
 
-std::string TaintTolerationFilter::filter(const PodSpec& pod,
-                                          const NodeEntry& node) const {
+std::string taint_toleration(const PodSpec& pod, const NodeEntry& node) {
   for (const auto& taint : node.taints) {
     if (taint.effect != TaintEffect::kNoSchedule) continue;
     bool tolerated = false;
@@ -36,8 +33,7 @@ std::string TaintTolerationFilter::filter(const PodSpec& pod,
   return "";
 }
 
-double LeastAllocatedScore::score(const PodSpec& pod,
-                                  const NodeEntry& node) const {
+double least_allocated_score(const PodSpec& pod, const NodeEntry& node) {
   const Resources after = node.requested + pod.requests;
   const double cpu_free =
       node.allocatable.cpu > 0.0
@@ -52,8 +48,7 @@ double LeastAllocatedScore::score(const PodSpec& pod,
   return 100.0 * (cpu_free + mem_free) / 2.0;
 }
 
-double BalancedAllocationScore::score(const PodSpec& pod,
-                                      const NodeEntry& node) const {
+double balanced_allocation_score(const PodSpec& pod, const NodeEntry& node) {
   const Resources after = node.requested + pod.requests;
   const double cpu_frac =
       node.allocatable.cpu > 0.0
@@ -66,8 +61,7 @@ double BalancedAllocationScore::score(const PodSpec& pod,
   return 100.0 - std::abs(cpu_frac - mem_frac) * 100.0;
 }
 
-double TaintTolerationScore::score(const PodSpec& pod,
-                                   const NodeEntry& node) const {
+double taint_toleration_score(const PodSpec& pod, const NodeEntry& node) {
   int untolerated = 0;
   for (const auto& taint : node.taints) {
     if (taint.effect != TaintEffect::kPreferNoSchedule) continue;
@@ -83,29 +77,13 @@ double TaintTolerationScore::score(const PodSpec& pod,
   return untolerated == 0 ? 100.0 : std::max(0.0, 100.0 - 50.0 * untolerated);
 }
 
+DefaultScheduler::DefaultScheduler(const ApiServer& api, std::uint64_t seed)
+    : api_(&api), rng_(seed) {}
+
 DefaultScheduler::DefaultScheduler(const DefaultScheduler& other,
                                    const ApiServer& api)
-    : DefaultScheduler(api) {
-  rng_ = other.rng_;
-}
-
-DefaultScheduler::DefaultScheduler(const ApiServer& api, std::uint64_t seed)
-    : api_(api), rng_(seed) {
-  add_filter(std::make_unique<NodeResourcesFitFilter>());
-  add_filter(std::make_unique<NodeAffinityFilter>());
-  add_filter(std::make_unique<TaintTolerationFilter>());
-  add_score(std::make_unique<LeastAllocatedScore>(), 1.0);
-  add_score(std::make_unique<BalancedAllocationScore>(), 1.0);
-  add_score(std::make_unique<TaintTolerationScore>(), 1.0);
-}
-
-void DefaultScheduler::add_filter(std::unique_ptr<FilterPlugin> plugin) {
-  filters_.push_back(std::move(plugin));
-}
-
-void DefaultScheduler::add_score(std::unique_ptr<ScorePlugin> plugin,
-                                 double weight) {
-  scores_.emplace_back(std::move(plugin), weight);
+    : DefaultScheduler(other) {
+  api_ = &api;
 }
 
 ScheduleResult DefaultScheduler::schedule(const PodSpec& pod) {
@@ -116,24 +94,21 @@ ScheduleResult DefaultScheduler::schedule(const PodSpec& pod) {
     double tiebreak;
   };
   std::vector<Candidate> candidates;
-  for (const auto& node : api_.nodes()) {
+  for (const auto& node : api_->nodes()) {
     if (!node.ready) {
       result.rejected.emplace_back(node.name, "node not ready");
       continue;
     }
-    std::string reason;
-    for (const auto& filter : filters_) {
-      reason = filter->filter(pod, node);
-      if (!reason.empty()) break;
-    }
+    std::string reason = node_resources_fit(pod, node);
+    if (reason.empty()) reason = node_affinity(pod, node);
+    if (reason.empty()) reason = taint_toleration(pod, node);
     if (!reason.empty()) {
       result.rejected.emplace_back(node.name, reason);
       continue;
     }
-    double total = 0.0;
-    for (const auto& [plugin, weight] : scores_) {
-      total += weight * plugin->score(pod, node);
-    }
+    const double total = least_allocated_score(pod, node) +
+                         balanced_allocation_score(pod, node) +
+                         taint_toleration_score(pod, node);
     // kube-scheduler picks randomly among max-score nodes; a random tiebreak
     // key applied to *all* candidates realizes that and also gives a
     // deterministic full ranking for the Top-2 baseline measurement.

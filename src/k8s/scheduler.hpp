@@ -5,13 +5,12 @@
 // live telemetry — which is exactly why Table 4's baseline row is weak for
 // network-bound jobs.
 //
-// Implemented as a plugin framework matching the upstream scheduler's
-// structure: tests exercise each plugin on its own, and the experiment
-// harness reads the full ranking (for Top-2 baseline accuracy).
+// The upstream default plugins are plain functions here, one per filter or
+// score, called in the upstream order: tests exercise each on its own, and
+// the experiment harness reads the full ranking (for Top-2 baseline
+// accuracy). There is no plugin framework: nothing registers other plugins.
 #pragma once
 
-#include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -20,72 +19,30 @@
 
 namespace lts::k8s {
 
-/// Decides whether `node` can host `pod` at all.
-class FilterPlugin {
- public:
-  virtual ~FilterPlugin() = default;
-  virtual std::string name() const = 0;
-  /// Returns an empty string if feasible, else a human-readable reason.
-  virtual std::string filter(const PodSpec& pod,
-                             const NodeEntry& node) const = 0;
-};
-
-/// Scores a feasible node in [0, 100]; higher is better.
-class ScorePlugin {
- public:
-  virtual ~ScorePlugin() = default;
-  virtual std::string name() const = 0;
-  virtual double score(const PodSpec& pod, const NodeEntry& node) const = 0;
-};
-
-// ---- Default filter plugins ------------------------------------------------
+// ---- Filters: "" if `node` can host `pod`, else a readable reason ----------
 
 /// NodeResourcesFit: allocatable minus already-requested must cover the
 /// pod's requests.
-class NodeResourcesFitFilter : public FilterPlugin {
- public:
-  std::string name() const override { return "NodeResourcesFit"; }
-  std::string filter(const PodSpec& pod, const NodeEntry& node) const override;
-};
+std::string node_resources_fit(const PodSpec& pod, const NodeEntry& node);
 
 /// NodeAffinity: required node-name match expression, when present.
-class NodeAffinityFilter : public FilterPlugin {
- public:
-  std::string name() const override { return "NodeAffinity"; }
-  std::string filter(const PodSpec& pod, const NodeEntry& node) const override;
-};
+std::string node_affinity(const PodSpec& pod, const NodeEntry& node);
 
 /// TaintToleration: every NoSchedule taint must be tolerated.
-class TaintTolerationFilter : public FilterPlugin {
- public:
-  std::string name() const override { return "TaintToleration"; }
-  std::string filter(const PodSpec& pod, const NodeEntry& node) const override;
-};
+std::string taint_toleration(const PodSpec& pod, const NodeEntry& node);
 
-// ---- Default score plugins -------------------------------------------------
+// ---- Scores: in [0, 100], higher is better ---------------------------------
 
 /// NodeResourcesLeastAllocated: prefers nodes with the most free *requested*
 /// capacity after placing the pod (the upstream default for spreading load).
-class LeastAllocatedScore : public ScorePlugin {
- public:
-  std::string name() const override { return "LeastAllocated"; }
-  double score(const PodSpec& pod, const NodeEntry& node) const override;
-};
+double least_allocated_score(const PodSpec& pod, const NodeEntry& node);
 
 /// NodeResourcesBalancedAllocation: prefers nodes whose cpu and memory
 /// request fractions stay close to each other after placement.
-class BalancedAllocationScore : public ScorePlugin {
- public:
-  std::string name() const override { return "BalancedAllocation"; }
-  double score(const PodSpec& pod, const NodeEntry& node) const override;
-};
+double balanced_allocation_score(const PodSpec& pod, const NodeEntry& node);
 
 /// TaintToleration scoring: penalizes untolerated PreferNoSchedule taints.
-class TaintTolerationScore : public ScorePlugin {
- public:
-  std::string name() const override { return "TaintTolerationScore"; }
-  double score(const PodSpec& pod, const NodeEntry& node) const override;
-};
+double taint_toleration_score(const PodSpec& pod, const NodeEntry& node);
 
 // ---- Scheduler -------------------------------------------------------------
 
@@ -110,24 +67,26 @@ struct ScheduleResult {
 
 class DefaultScheduler {
  public:
-  /// Constructs with the upstream default plugin set.
   explicit DefaultScheduler(const ApiServer& api, std::uint64_t seed = 1);
-  /// The same plugins and tie-break stream state as `other`, reading `api`.
+  /// Member-wise copy of `other` (its tie-break stream state) re-pointed at
+  /// `api`.
   DefaultScheduler(const DefaultScheduler& other, const ApiServer& api);
 
-  /// Runs filtering + scoring for `pod` against all registered nodes.
-  /// Does NOT bind — callers bind through the ApiServer, mirroring the
-  /// scheduler/API-server split in Kubernetes.
+  DefaultScheduler& operator=(const DefaultScheduler&) = delete;
+
+  /// Runs the three filters, then sums the three scores (each weight 1),
+  /// for `pod` against all registered nodes. Does NOT bind — callers bind
+  /// through the ApiServer, mirroring the scheduler/API-server split in
+  /// Kubernetes.
   ScheduleResult schedule(const PodSpec& pod);
 
  private:
-  void add_filter(std::unique_ptr<FilterPlugin> plugin);
-  void add_score(std::unique_ptr<ScorePlugin> plugin, double weight);
+  /// Copies every member; the rebinding constructor re-points the API
+  /// server.
+  DefaultScheduler(const DefaultScheduler&) = default;
 
-  const ApiServer& api_;
+  const ApiServer* api_;
   Rng rng_;
-  std::vector<std::unique_ptr<FilterPlugin>> filters_;
-  std::vector<std::pair<std::unique_ptr<ScorePlugin>, double>> scores_;
 };
 
 }  // namespace lts::k8s

@@ -1,8 +1,6 @@
 #include "ml/metrics.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "util/common.hpp"
 #include "util/stats.hpp"
@@ -41,47 +39,6 @@ double r2_score(std::span<const double> truth, std::span<const double> pred) {
   }
   if (ss_tot <= 0.0) return ss_res <= 0.0 ? 1.0 : 0.0;
   return 1.0 - ss_res / ss_tot;
-}
-
-double mape(std::span<const double> truth, std::span<const double> pred,
-            double eps) {
-  LTS_REQUIRE(truth.size() == pred.size() && !truth.empty(),
-              "mape: bad input sizes");
-  double acc = 0.0;
-  std::size_t count = 0;
-  for (std::size_t i = 0; i < truth.size(); ++i) {
-    if (std::abs(truth[i]) <= eps) continue;
-    acc += std::abs((truth[i] - pred[i]) / truth[i]);
-    ++count;
-  }
-  return count > 0 ? acc / static_cast<double>(count) : 0.0;
-}
-
-std::vector<std::size_t> argsort_ascending(std::span<const double> values) {
-  std::vector<std::size_t> order(values.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(), [&](std::size_t a,
-                                                   std::size_t b) {
-    return values[a] < values[b];
-  });
-  return order;
-}
-
-bool topk_hit_min(std::span<const double> truth, std::span<const double> pred,
-                  int k) {
-  LTS_REQUIRE(truth.size() == pred.size() && !truth.empty(),
-              "topk_hit_min: bad input sizes");
-  LTS_REQUIRE(k >= 1, "topk_hit_min: k must be >= 1");
-  const std::size_t best_true =
-      static_cast<std::size_t>(std::min_element(truth.begin(), truth.end()) -
-                               truth.begin());
-  const auto order = argsort_ascending(pred);
-  const std::size_t limit =
-      std::min(static_cast<std::size_t>(k), order.size());
-  for (std::size_t i = 0; i < limit; ++i) {
-    if (order[i] == best_true) return true;
-  }
-  return false;
 }
 
 }  // namespace lts::ml

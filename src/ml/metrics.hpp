@@ -2,7 +2,6 @@
 #pragma once
 
 #include <span>
-#include <vector>
 
 namespace lts::ml {
 
@@ -12,19 +11,5 @@ double mae(std::span<const double> truth, std::span<const double> pred);
 /// Coefficient of determination; can be negative for models worse than the
 /// mean predictor.
 double r2_score(std::span<const double> truth, std::span<const double> pred);
-
-/// Mean absolute percentage error over entries with |truth| > eps.
-double mape(std::span<const double> truth, std::span<const double> pred,
-            double eps = 1e-9);
-
-/// Top-k hit: does the index of the true minimum appear among the k
-/// smallest predicted values? This is exactly the paper's Top-1/Top-2
-/// node-selection accuracy criterion applied to one scheduling decision
-/// (candidates = nodes, values = durations; smaller is better).
-bool topk_hit_min(std::span<const double> truth, std::span<const double> pred,
-                  int k);
-
-/// Indices of `values` sorted ascending (stable).
-std::vector<std::size_t> argsort_ascending(std::span<const double> values);
 
 }  // namespace lts::ml

@@ -39,18 +39,18 @@ struct RecomputeMetrics {
 
 FlowManager::FlowManager(sim::Engine& engine, const Topology& topo,
                          FlowOptions options)
-    : engine_(engine),
-      topo_(topo),
+    : engine_(&engine),
+      topo_(&topo),
       options_(options),
       obs_enabled_(obs::MetricsRegistry::global().enabled_flag()) {
-  const std::size_t links = topo_.num_links();
+  const std::size_t links = topo_->num_links();
   residual_.assign(links, 0.0);
   residual_epoch_.assign(links, 0);
   link_count_.assign(links, 0);
   count_epoch_.assign(links, 0);
   bottleneck_epoch_.assign(links, 0);
   link_alloc_.assign(links, 0.0);
-  const std::size_t vertices = topo_.num_vertices();
+  const std::size_t vertices = topo_->num_vertices();
   tx_head_.assign(vertices, kNoSlot);
   tx_tail_.assign(vertices, kNoSlot);
   rx_head_.assign(vertices, kNoSlot);
@@ -59,52 +59,22 @@ FlowManager::FlowManager(sim::Engine& engine, const Topology& topo,
   rx_count_.assign(vertices, 0);
   host_tx_.assign(vertices, 0.0);
   host_rx_.assign(vertices, 0.0);
-  last_update_ = engine_.now();
-  target_ = engine_.add_target(this);
+  last_update_ = engine_->now();
+  target_ = engine_->add_target(this);
 }
 
 FlowManager::FlowManager(const FlowManager& other, sim::Engine& engine,
                          const Topology& topo)
-    : engine_(engine),
-      topo_(topo),
-      options_(other.options_),
-      obs_enabled_(other.obs_enabled_),
-      target_(other.target_),
-      next_id_(other.next_id_),
-      completed_(other.completed_),
-      slots_(other.slots_),
-      free_slots_(other.free_slots_),
-      by_id_(other.by_id_),
-      path_arena_(other.path_arena_),
-      live_path_words_(other.live_path_words_),
-      tx_head_(other.tx_head_),
-      tx_tail_(other.tx_tail_),
-      rx_head_(other.rx_head_),
-      rx_tail_(other.rx_tail_),
-      tx_count_(other.tx_count_),
-      rx_count_(other.rx_count_),
-      last_update_(other.last_update_),
-      completion_event_(other.completion_event_),
-      flush_event_(other.flush_event_),
-      dirty_(other.dirty_),
-      epoch_(other.epoch_),
-      residual_(other.residual_),
-      residual_epoch_(other.residual_epoch_),
-      link_count_(other.link_count_),
-      count_epoch_(other.count_epoch_),
-      bottleneck_epoch_(other.bottleneck_epoch_),
-      next_eta_(other.next_eta_),
-      link_alloc_(other.link_alloc_),
-      link_alloc_stale_(other.link_alloc_stale_),
-      host_tx_(other.host_tx_),
-      host_rx_(other.host_rx_) {
-  engine_.rebind_target(target_, this);
+    : FlowManager(other) {
+  engine_ = &engine;
+  topo_ = &topo;
+  engine_->rebind_target(target_, this);
 }
 
 FlowManager::~FlowManager() {
-  engine_.cancel(flush_event_);
-  engine_.cancel(completion_event_);
-  engine_.remove_target(target_);
+  engine_->cancel(flush_event_);
+  engine_->cancel(completion_event_);
+  engine_->remove_target(target_);
 }
 
 std::uint32_t FlowManager::find_slot(FlowId id) const {
@@ -182,7 +152,7 @@ FlowId FlowManager::start(VertexId src, VertexId dst, Bytes size,
   LTS_REQUIRE(src != dst, "FlowManager: flow to self");
   advance();
   const SimTime rtt = base_rtt(src, dst);
-  const auto& route = topo_.route(src, dst);
+  const auto& route = topo_->route(src, dst);
   const std::uint32_t slot = acquire_slot();
   Flow& f = slots_[slot];
   f.id = next_id_++;
@@ -250,7 +220,7 @@ void FlowManager::mark_dirty() {
   // either way no stale rate is ever visible and no simulated time passes
   // while the allocation is stale.
   flush_event_ =
-      engine_.schedule_in(0.0, sim::target_event(target_, kFlush));
+      engine_->schedule_in(0.0, sim::target_event(target_, kFlush));
 }
 
 void FlowManager::on_event(const sim::Event& event) {
@@ -266,7 +236,7 @@ void FlowManager::flush() {
   if (!dirty_) return;
   dirty_ = false;
   if (flush_event_ != sim::kInvalidEvent) {
-    engine_.cancel(flush_event_);
+    engine_->cancel(flush_event_);
     flush_event_ = sim::kInvalidEvent;
   }
   // Byte accounting first, at the pre-mutation rates (a no-op in practice:
@@ -283,7 +253,7 @@ FlowInfo FlowManager::info(FlowId id) const {
   // const_cast-free lazy accounting: report based on last_update_ plus
   // extrapolation at the current rate.
   const Flow& f = slots_[slot];
-  const SimTime dt = engine_.now() - last_update_;
+  const SimTime dt = engine_->now() - last_update_;
   const Bytes extra = std::min(f.remaining, f.rate * dt);
   return FlowInfo{f.src, f.dst, f.total, f.total - f.remaining + extra,
                   f.rate};
@@ -294,7 +264,7 @@ double FlowManager::link_utilization(LinkId link) const {
   LTS_REQUIRE(link >= 0 && static_cast<std::size_t>(link) < link_alloc_.size(),
               "FlowManager: bad link id");
   sum_link_alloc();
-  const Rate cap = topo_.link(link).capacity;
+  const Rate cap = topo_->link(link).capacity;
   return std::clamp(link_alloc_[static_cast<std::size_t>(link)] / cap, 0.0,
                     1.0);
 }
@@ -319,18 +289,18 @@ SimTime FlowManager::link_queue_delay(LinkId link) const {
 
 SimTime FlowManager::current_rtt(VertexId a, VertexId b) const {
   SimTime total = 2.0 * options_.host_stack_delay;
-  for (const LinkId lid : topo_.route(a, b)) {
-    total += topo_.link(lid).prop_delay + link_queue_delay(lid);
+  for (const LinkId lid : topo_->route(a, b)) {
+    total += topo_->link(lid).prop_delay + link_queue_delay(lid);
   }
-  for (const LinkId lid : topo_.route(b, a)) {
-    total += topo_.link(lid).prop_delay + link_queue_delay(lid);
+  for (const LinkId lid : topo_->route(b, a)) {
+    total += topo_->link(lid).prop_delay + link_queue_delay(lid);
   }
   return total;
 }
 
 SimTime FlowManager::base_rtt(VertexId a, VertexId b) const {
-  return 2.0 * options_.host_stack_delay + topo_.path_prop_delay(a, b) +
-         topo_.path_prop_delay(b, a);
+  return 2.0 * options_.host_stack_delay + topo_->path_prop_delay(a, b) +
+         topo_->path_prop_delay(b, a);
 }
 
 Bytes FlowManager::host_tx_bytes(VertexId host) const {
@@ -338,7 +308,7 @@ Bytes FlowManager::host_tx_bytes(VertexId host) const {
               "FlowManager: bad host id");
   ensure_fresh();
   Bytes total = host_tx_[static_cast<std::size_t>(host)];
-  const SimTime dt = engine_.now() - last_update_;
+  const SimTime dt = engine_->now() - last_update_;
   for (std::uint32_t s = tx_head_[static_cast<std::size_t>(host)];
        s != kNoSlot; s = slots_[s].tx_next) {
     const Flow& f = slots_[s];
@@ -352,7 +322,7 @@ Bytes FlowManager::host_rx_bytes(VertexId host) const {
               "FlowManager: bad host id");
   ensure_fresh();
   Bytes total = host_rx_[static_cast<std::size_t>(host)];
-  const SimTime dt = engine_.now() - last_update_;
+  const SimTime dt = engine_->now() - last_update_;
   for (std::uint32_t s = rx_head_[static_cast<std::size_t>(host)];
        s != kNoSlot; s = slots_[s].rx_next) {
     const Flow& f = slots_[s];
@@ -402,7 +372,7 @@ std::size_t FlowManager::host_active_flows(VertexId host) const {
 }
 
 void FlowManager::advance() {
-  const SimTime now = engine_.now();
+  const SimTime now = engine_->now();
   const SimTime dt = now - last_update_;
   if (dt <= 0.0) {
     last_update_ = now;
@@ -493,7 +463,7 @@ std::size_t FlowManager::fill_flows(std::uint64_t fill_epoch) {
           touched_links_.push_back(lid);
           if (residual_epoch_[li] != fill_epoch) {
             residual_epoch_[li] = fill_epoch;
-            residual_[li] = topo_.link(lid).capacity;
+            residual_[li] = topo_->link(lid).capacity;
           }
         }
         ++link_count_[li];
@@ -578,13 +548,13 @@ void FlowManager::record_recompute_metrics(
 
 void FlowManager::schedule_next_completion() {
   if (completion_event_ != sim::kInvalidEvent) {
-    engine_.cancel(completion_event_);
+    engine_->cancel(completion_event_);
     completion_event_ = sim::kInvalidEvent;
   }
   if (by_id_.empty()) return;
   // next_eta_ is relative to the last recompute, and every caller has just
   // recomputed, so the offset base is the current instant.
-  completion_event_ = engine_.schedule_in(
+  completion_event_ = engine_->schedule_in(
       std::max(next_eta_, 0.0), sim::target_event(target_, kCompletion));
 }
 
@@ -637,7 +607,7 @@ void FlowManager::handle_completion_event() {
     schedule_next_completion();
   }
   for (std::size_t i = 0; i < finished_.size(); ++i) {
-    engine_.dispatch(finished_[i]);
+    engine_->dispatch(finished_[i]);
   }
 }
 

@@ -59,17 +59,16 @@ class FlowManager final : public sim::EventTarget {
  public:
   FlowManager(sim::Engine& engine, const Topology& topo,
               FlowOptions options = {});
-  /// Copies `other`'s flows, rates, lazy byte accounting and lazy link sums
-  /// verbatim onto `engine` (a copy of other's engine) and `topo` (a copy
-  /// of its topology). Reads only raw state: other's accessors, which flush
-  /// and sum through const_cast or mutable state, are not called, so
-  /// several threads may copy one manager as long as none of them queries
-  /// it meanwhile.
+  /// Member-wise copy of `other` (flows, rates, lazy byte accounting and
+  /// lazy link sums verbatim) re-pointed at `engine` (a copy of other's
+  /// engine) and `topo` (a copy of its topology). Reads only raw state:
+  /// other's accessors, which flush and sum through const_cast or mutable
+  /// state, are not called, so several threads may copy one manager as
+  /// long as none of them queries it meanwhile.
   FlowManager(const FlowManager& other, sim::Engine& engine,
               const Topology& topo);
   ~FlowManager();
 
-  FlowManager(const FlowManager&) = delete;
   FlowManager& operator=(const FlowManager&) = delete;
 
   /// Starts a transfer of `size` bytes from src to dst. `on_complete` is
@@ -138,12 +137,16 @@ class FlowManager final : public sim::EventTarget {
   /// O(1) from the per-host index counters.
   std::size_t host_active_flows(VertexId host) const;
 
-  const Topology& topology() const { return topo_; }
+  const Topology& topology() const { return *topo_; }
 
   void on_event(const sim::Event& event) override;
   const char* target_name() const override { return "FlowManager"; }
 
  private:
+  /// Copies every member; the rebinding constructor above re-points the
+  /// collaborators.
+  FlowManager(const FlowManager&) = default;
+
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
   /// Event codes of this manager's records.
@@ -230,8 +233,8 @@ class FlowManager final : public sim::EventTarget {
       // lts-lint: nondeterminism-ok(wall-clock type names the obs-only timing argument; no simulation state depends on it)
       std::size_t rounds, std::chrono::steady_clock::time_point wall_begin);
 
-  sim::Engine& engine_;
-  const Topology& topo_;
+  sim::Engine* engine_;
+  const Topology* topo_;
   FlowOptions options_;
   // Cached once at construction (see simcore::Engine): skips the registry's
   // static-init guard on every recompute.

@@ -610,6 +610,8 @@ void SparkApp::finish_app() {
 }
 
 void SparkApp::complete() {
+  // The listener may destroy this app, so no record may still address it.
+  LTS_ASSERT(free_continuations_.size() == continuations_.size());
   running_ = false;
   release_pods();
   result_.completed = true;

@@ -21,48 +21,38 @@ constexpr std::array<const char*, 8> kNodeMetrics = {
 
 }  // namespace
 
-NodeExporter::NodeExporter(sim::Engine& engine, Tsdb& tsdb,
-                           cluster::Cluster& cluster, std::size_t node_index,
-                           SimTime phase)
-    : tsdb_(tsdb),
-      cluster_(cluster),
+NodeExporter::NodeExporter(Tsdb& tsdb, cluster::Cluster& cluster,
+                           std::size_t node_index, SimTime phase)
+    : tsdb_(&tsdb),
+      cluster_(&cluster),
       node_index_(node_index),
       node_name_(cluster.node(node_index).name()),
       load_ema_(kLoadEmaTau),
-      engine_(engine),
-      target_(engine.add_target(this)),
-      scrape_(engine.schedule_in(phase, sim::target_event(target_, kScrape))) {
+      target_(cluster.engine().add_target(this)),
+      scrape_(cluster.engine().schedule_in(
+          phase, sim::target_event(target_, kScrape))) {
   static_assert(kNodeMetrics.size() == kNumMetrics);
   const Labels labels{{"node", node_name_}};
   for (std::size_t i = 0; i < kNumMetrics; ++i) {
-    series_ids_[i] = tsdb_.intern(kNodeMetrics[i], labels);
+    series_ids_[i] = tsdb_->intern(kNodeMetrics[i], labels);
   }
 }
 
-NodeExporter::NodeExporter(const NodeExporter& other, sim::Engine& engine,
-                           Tsdb& tsdb, cluster::Cluster& cluster)
-    : tsdb_(tsdb),
-      cluster_(cluster),
-      node_index_(other.node_index_),
-      node_name_(other.node_name_),
-      series_ids_(other.series_ids_),
-      load_ema_(other.load_ema_),
-      engine_(engine),
-      target_(other.target_),
-      scrape_(other.scrape_),
-      silenced_(other.silenced_),
-      report_delay_(other.report_delay_),
-      reports_(other.reports_),
-      free_reports_(other.free_reports_) {
-  engine_.rebind_target(target_, this);
+NodeExporter::NodeExporter(const NodeExporter& other, Tsdb& tsdb,
+                           cluster::Cluster& cluster)
+    : NodeExporter(other) {
+  tsdb_ = &tsdb;
+  cluster_ = &cluster;
+  cluster_->engine().rebind_target(target_, this);
 }
 
 NodeExporter::~NodeExporter() {
-  engine_.cancel(scrape_);
+  sim::Engine& engine = cluster_->engine();
+  engine.cancel(scrape_);
   for (const Report& report : reports_) {
-    if (report.event != sim::kInvalidEvent) engine_.cancel(report.event);
+    if (report.event != sim::kInvalidEvent) engine.cancel(report.event);
   }
-  engine_.remove_target(target_);
+  engine.remove_target(target_);
 }
 
 void NodeExporter::set_silenced(bool silenced) {
@@ -70,7 +60,7 @@ void NodeExporter::set_silenced(bool silenced) {
   // Silencing changes what future fetches observe (telemetry goes stale or
   // resumes) without appending a sample, so epoch-keyed snapshot caches
   // must be told explicitly.
-  tsdb_.bump_epoch();
+  tsdb_->bump_epoch();
 }
 
 void NodeExporter::set_report_delay(SimTime delay) {
@@ -78,14 +68,14 @@ void NodeExporter::set_report_delay(SimTime delay) {
   report_delay_ = delay;
   // Same caching contract as set_silenced: the delay shapes which samples
   // a snapshot sees, so the shift itself invalidates cached snapshots.
-  tsdb_.bump_epoch();
+  tsdb_->bump_epoch();
 }
 
 void NodeExporter::on_event(const sim::Event& event) {
   if (event.code == kScrape) {
     scrape();
-    scrape_ = engine_.schedule_in(kScrapeInterval,
-                                  sim::target_event(target_, kScrape));
+    scrape_ = cluster_->engine().schedule_in(
+        kScrapeInterval, sim::target_event(target_, kScrape));
     return;
   }
   const auto slot = static_cast<std::uint32_t>(event.payload);
@@ -96,26 +86,26 @@ void NodeExporter::on_event(const sim::Event& event) {
 
 void NodeExporter::append(const Report& report) {
   for (std::size_t i = 0; i < kNumMetrics; ++i) {
-    tsdb_.append(series_ids_[i], report.at, report.values[i]);
+    tsdb_->append(series_ids_[i], report.at, report.values[i]);
   }
 }
 
 void NodeExporter::scrape() {
   // A silenced exporter (fault injection) or one on a crashed node scrapes
   // nothing; the EMA freezes too, exactly as a dead process's state would.
-  if (silenced_ || cluster_.node_down(node_index_)) return;
+  if (silenced_ || cluster_->node_down(node_index_)) return;
 
-  const SimTime now = engine_.now();
-  auto& node = cluster_.node(node_index_);
+  const SimTime now = cluster_->engine().now();
+  auto& node = cluster_->node(node_index_);
 
   // Measure everything now; where the samples land (immediately or after
   // the injected reporting delay) is decided below. Per-host NIC counters
   // and flow gauges resolve through the FlowManager's intrusive per-host
   // indexes: each scrape costs O(flows touching this host), so a full fleet
   // sweep is O(total flows), not O(hosts x flows).
-  const auto& flows = cluster_.flows();
-  const auto up = cluster_.node_uplink(node_index_);
-  const auto down = cluster_.node_downlink(node_index_);
+  const auto& flows = cluster_->flows();
+  const auto up = cluster_->node_uplink(node_index_);
+  const auto down = cluster_->node_downlink(node_index_);
   load_ema_.update(now, node.cpu().total_demand());
   const Report report{
       .at = now,
@@ -146,99 +136,94 @@ void NodeExporter::scrape() {
     reports_.emplace_back();
   }
   reports_[slot] = report;
-  reports_[slot].event = engine_.schedule_in(
+  reports_[slot].event = cluster_->engine().schedule_in(
       report_delay_, sim::target_event(target_, kReport, slot));
 }
 
-PingExporter::PingExporter(sim::Engine& engine, Tsdb& tsdb,
-                           cluster::Cluster& cluster, Rng rng, SimTime phase)
-    : tsdb_(tsdb),
-      cluster_(cluster),
+PingExporter::PingExporter(Tsdb& tsdb, cluster::Cluster& cluster, Rng rng,
+                           SimTime phase)
+    : tsdb_(&tsdb),
+      cluster_(&cluster),
       rng_(rng),
-      engine_(engine),
-      target_(engine.add_target(this)),
-      probe_(engine.schedule_in(phase, sim::target_event(target_))) {
-  const std::size_t n = cluster_.num_nodes();
+      target_(cluster.engine().add_target(this)),
+      probe_(cluster.engine().schedule_in(phase, sim::target_event(target_))) {
+  const std::size_t n = cluster_->num_nodes();
   rtt_series_.resize(n * n);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
       if (i == j) continue;
-      rtt_series_[i * n + j] = tsdb_.intern(
+      rtt_series_[i * n + j] = tsdb_->intern(
           kPingRttMetric,
-          Labels{{"src", cluster_.node(i).name()},
-                 {"dst", cluster_.node(j).name()}});
+          Labels{{"src", cluster_->node(i).name()},
+                 {"dst", cluster_->node(j).name()}});
     }
   }
 }
 
-PingExporter::PingExporter(const PingExporter& other, sim::Engine& engine,
-                           Tsdb& tsdb, cluster::Cluster& cluster)
-    : tsdb_(tsdb),
-      cluster_(cluster),
-      rtt_series_(other.rtt_series_),
-      rng_(other.rng_),
-      engine_(engine),
-      target_(other.target_),
-      probe_(other.probe_) {
-  engine_.rebind_target(target_, this);
+PingExporter::PingExporter(const PingExporter& other, Tsdb& tsdb,
+                           cluster::Cluster& cluster)
+    : PingExporter(other) {
+  tsdb_ = &tsdb;
+  cluster_ = &cluster;
+  cluster_->engine().rebind_target(target_, this);
 }
 
 PingExporter::~PingExporter() {
-  engine_.cancel(probe_);
-  engine_.remove_target(target_);
+  cluster_->engine().cancel(probe_);
+  cluster_->engine().remove_target(target_);
 }
 
 void PingExporter::on_event(const sim::Event& /*event*/) {
   probe();
-  probe_ = engine_.schedule_in(kScrapeInterval, sim::target_event(target_));
+  probe_ = cluster_->engine().schedule_in(kScrapeInterval,
+                                          sim::target_event(target_));
 }
 
 void PingExporter::probe() {
-  const SimTime now = engine_.now();
-  const std::size_t n = cluster_.num_nodes();
+  const SimTime now = cluster_->engine().now();
+  const std::size_t n = cluster_->num_nodes();
   for (std::size_t i = 0; i < n; ++i) {
-    if (cluster_.node_down(i)) continue;  // dead host answers no echo
+    if (cluster_->node_down(i)) continue;  // dead host answers no echo
     for (std::size_t j = 0; j < n; ++j) {
-      if (i == j || cluster_.node_down(j)) continue;
-      const SimTime true_rtt = cluster_.flows().current_rtt(
-          cluster_.node(i).vertex(), cluster_.node(j).vertex());
+      if (i == j || cluster_->node_down(j)) continue;
+      const SimTime true_rtt = cluster_->flows().current_rtt(
+          cluster_->node(i).vertex(), cluster_->node(j).vertex());
       // ICMP echo measurements see scheduler jitter and serialization
       // variance: multiplicative noise plus an additive floor.
       const SimTime measured =
           true_rtt * (1.0 + kRttNoiseFrac * std::abs(rng_.normal())) +
           kRttNoiseFloor * rng_.uniform();
-      tsdb_.append(rtt_series_[i * n + j], now, measured);
+      tsdb_->append(rtt_series_[i * n + j], now, measured);
     }
   }
 }
 
 TelemetryStack::TelemetryStack(const TelemetryStack& other,
-                               sim::Engine& engine, cluster::Cluster& cluster)
+                               cluster::Cluster& cluster)
     : tsdb_(other.tsdb_),
       ping_exporter_(std::make_unique<PingExporter>(*other.ping_exporter_,
-                                                    engine, tsdb_, cluster)) {
+                                                    tsdb_, cluster)) {
   node_exporters_.reserve(other.node_exporters_.size());
   for (const auto& exporter : other.node_exporters_) {
     node_exporters_.push_back(
-        std::make_unique<NodeExporter>(*exporter, engine, tsdb_, cluster));
+        std::make_unique<NodeExporter>(*exporter, tsdb_, cluster));
   }
 }
 
-TelemetryStack::TelemetryStack(sim::Engine& engine, cluster::Cluster& cluster,
-                               Rng rng) {
+TelemetryStack::TelemetryStack(cluster::Cluster& cluster, Rng rng) {
   const std::size_t n = cluster.num_nodes();
   for (std::size_t i = 0; i < n; ++i) {
     // Stagger scrapes across the interval so samples interleave.
     const SimTime phase =
         kScrapeInterval * static_cast<double>(i) / static_cast<double>(n + 1);
     node_exporters_.push_back(
-        std::make_unique<NodeExporter>(engine, tsdb_, cluster, i, phase));
+        std::make_unique<NodeExporter>(tsdb_, cluster, i, phase));
     // Node exporters draw nothing, but each still takes its split of the
     // stack's stream so the ping exporter's stream stays the same.
     rng.split();
   }
   ping_exporter_ = std::make_unique<PingExporter>(
-      engine, tsdb_, cluster, rng.split(),
+      tsdb_, cluster, rng.split(),
       kScrapeInterval * static_cast<double>(n) / static_cast<double>(n + 1));
 }
 

@@ -47,16 +47,17 @@ inline constexpr const char* kActiveFlowsMetric = "node_network_active_flows";
 /// `phase`: each scrape record scrapes, then schedules the next.
 class NodeExporter final : public sim::EventTarget {
  public:
-  NodeExporter(sim::Engine& engine, Tsdb& tsdb, cluster::Cluster& cluster,
-               std::size_t node_index, SimTime phase);
-  /// Copies `other`'s schedule, EMA and pending reports onto copies of its
-  /// engine, TSDB and cluster.
-  NodeExporter(const NodeExporter& other, sim::Engine& engine, Tsdb& tsdb,
+  /// Runs on the cluster's engine.
+  NodeExporter(Tsdb& tsdb, cluster::Cluster& cluster, std::size_t node_index,
+               SimTime phase);
+  /// Member-wise copy of `other` (its schedule, EMA and pending reports)
+  /// re-pointed at copies of its TSDB and cluster, and so at the cluster's
+  /// engine.
+  NodeExporter(const NodeExporter& other, Tsdb& tsdb,
                cluster::Cluster& cluster);
   /// Cancels the pending scrape and any delayed report.
   ~NodeExporter();
 
-  NodeExporter(const NodeExporter&) = delete;
   NodeExporter& operator=(const NodeExporter&) = delete;
 
   const std::string& node_name() const { return node_name_; }
@@ -79,6 +80,10 @@ class NodeExporter final : public sim::EventTarget {
   const char* target_name() const override { return "NodeExporter"; }
 
  private:
+  /// Copies every member; the rebinding constructor re-points the
+  /// collaborators.
+  NodeExporter(const NodeExporter&) = default;
+
   static constexpr std::size_t kNumMetrics = 8;
 
   /// Event codes of this exporter's records; a report record carries its
@@ -96,14 +101,13 @@ class NodeExporter final : public sim::EventTarget {
   void scrape();
   void append(const Report& report);
 
-  Tsdb& tsdb_;
-  cluster::Cluster& cluster_;
+  Tsdb* tsdb_;
+  cluster::Cluster* cluster_;
   std::size_t node_index_;
   std::string node_name_;
   // This node's series of the export order, interned once.
   std::array<SeriesId, kNumMetrics> series_ids_;
   Ema load_ema_;
-  sim::Engine& engine_;
   std::uint32_t target_;
   sim::EventId scrape_ = sim::kInvalidEvent;  // the pending scrape
   bool silenced_ = false;
@@ -119,31 +123,33 @@ class NodeExporter final : public sim::EventTarget {
 /// on the node exporters' interval, the first probe at `phase`.
 class PingExporter final : public sim::EventTarget {
  public:
-  PingExporter(sim::Engine& engine, Tsdb& tsdb, cluster::Cluster& cluster,
-               Rng rng, SimTime phase);
-  /// Copies `other`'s schedule and Rng state onto copies of its engine,
-  /// TSDB and cluster.
-  PingExporter(const PingExporter& other, sim::Engine& engine, Tsdb& tsdb,
+  /// Runs on the cluster's engine.
+  PingExporter(Tsdb& tsdb, cluster::Cluster& cluster, Rng rng, SimTime phase);
+  /// Member-wise copy of `other` (its schedule and Rng state) re-pointed at
+  /// copies of its TSDB and cluster, and so at the cluster's engine.
+  PingExporter(const PingExporter& other, Tsdb& tsdb,
                cluster::Cluster& cluster);
   /// Cancels the pending probe.
   ~PingExporter();
 
-  PingExporter(const PingExporter&) = delete;
   PingExporter& operator=(const PingExporter&) = delete;
 
   void on_event(const sim::Event& event) override;
   const char* target_name() const override { return "PingExporter"; }
 
  private:
+  /// Copies every member; the rebinding constructor re-points the
+  /// collaborators.
+  PingExporter(const PingExporter&) = default;
+
   void probe();
 
-  Tsdb& tsdb_;
-  cluster::Cluster& cluster_;
+  Tsdb* tsdb_;
+  cluster::Cluster* cluster_;
   // rtt_series_[i * n + j]: the series of probes from node i to node j,
   // interned once (the diagonal is unused).
   std::vector<SeriesId> rtt_series_;
   Rng rng_;
-  sim::Engine& engine_;
   std::uint32_t target_;
   sim::EventId probe_ = sim::kInvalidEvent;  // the pending probe
 };
@@ -152,11 +158,11 @@ class PingExporter final : public sim::EventTarget {
 /// phases. This is the "Prometheus stack" install step of §5.1.
 class TelemetryStack {
  public:
-  TelemetryStack(sim::Engine& engine, cluster::Cluster& cluster, Rng rng);
-  /// Copies `other`'s TSDB and exporters onto `engine` and `cluster`,
-  /// copies of other's.
-  TelemetryStack(const TelemetryStack& other, sim::Engine& engine,
-                 cluster::Cluster& cluster);
+  /// The exporters run on the cluster's engine.
+  TelemetryStack(cluster::Cluster& cluster, Rng rng);
+  /// Clones `other`'s TSDB and exporters onto `cluster`, a copy of other's,
+  /// and so onto the cluster's engine.
+  TelemetryStack(const TelemetryStack& other, cluster::Cluster& cluster);
 
   TelemetryStack(const TelemetryStack&) = delete;
   TelemetryStack& operator=(const TelemetryStack&) = delete;

@@ -306,9 +306,9 @@ void TenantStreams::complete(TenantRun& run, std::size_t j) {
   alloc_.release(name, job_key(j), env_.engine().now());
   run.counters.jobs_completed.inc();
   --remaining_;
-  // Freed capacity: run another allocation round, but never from inside
-  // the completion record's dispatch (the app must not be replaced while
-  // its own frame is live).
+  // Freed capacity: run another allocation round, as a record of its own
+  // after every event already queued at this instant. Running it inline
+  // would reorder those events against the round's placements.
   env_.engine().schedule_in(0.0, sim::target_event(target_, kPump));
 }
 
@@ -472,13 +472,13 @@ bool TenantStreams::try_place(const std::string& name, std::size_t j,
     TenantJobResult& job = run.result->jobs[j];
     ++job.placement_retries;
     run.counters.placement_retries.inc();
-    if (job.placement_retries > options_.max_placement_retries) {
+    if (job.placement_retries > exp::kMaxPlacementRetries) {
       throw Error(
           strformat("run_tenant_streams: tenant %s job %zu (%s) still "
                     "unplaceable after %d retries [%s]; per-node "
                     "rejections of the last attempt:",
                     name.c_str(), j, run.plan[j].scenario->id.c_str(),
-                    options_.max_placement_retries,
+                    exp::kMaxPlacementRetries,
                     exp::describe_job_config(config).c_str()) +
           exp::describe_rejections(last_attempt));
     }
@@ -543,8 +543,6 @@ void TenantStreams::pump(bool count_failures) {
 TenantStreamsResult run_tenant_streams(const std::vector<exp::Scenario>& matrix,
                                        const TenantStreamsOptions& options) {
   LTS_REQUIRE(!options.tenants.empty(), "run_tenant_streams: no tenants");
-  LTS_REQUIRE(options.max_placement_retries >= 1,
-              "run_tenant_streams: max_placement_retries >= 1");
   for (const auto& t : options.tenants) {
     LTS_REQUIRE(t.num_jobs >= 1, "run_tenant_streams: tenant " + t.spec.name +
                                      " num_jobs >= 1");

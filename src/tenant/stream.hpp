@@ -82,10 +82,6 @@ struct TenantStreamsOptions {
   std::uint64_t seed = 1;
   exp::EnvOptions env;
   core::FeatureSet features = core::FeatureSet::kTable1;
-  /// Same bounded-retry contract as the single-tenant stream: a job still
-  /// unplaceable after this many deferrals fails the run loudly with the
-  /// last attempt's per-node rejection reasons.
-  int max_placement_retries = 240;
 };
 
 struct TenantJobResult : exp::StreamJobResult {

@@ -120,26 +120,6 @@ class Rng {
     return -mean * std::log(u);
   }
 
-  /// Zipf-distributed integer in [0, n). Used for skewed Join partitions.
-  /// Simple inverse-CDF over precomputed weights is avoided to keep this
-  /// allocation-free: rejection sampling per Devroye.
-  std::int64_t zipf(std::int64_t n, double exponent) {
-    LTS_ASSERT(n >= 1);
-    // Rejection method; fine for the moderate n (<= few thousand) LTS uses.
-    const double b = std::pow(2.0, exponent - 1.0);
-    for (;;) {
-      const double u = uniform();
-      const double v = uniform();
-      const auto x = static_cast<std::int64_t>(
-          std::floor(std::pow(static_cast<double>(n), 1.0 - u)));
-      if (x < 1 || x > n) continue;
-      const double t = std::pow(1.0 + 1.0 / static_cast<double>(x), exponent - 1.0);
-      if (v * static_cast<double>(x) * (t - 1.0) / (b - 1.0) <= t / b) {
-        return x - 1;
-      }
-    }
-  }
-
   /// Fisher–Yates shuffle.
   template <typename T>
   void shuffle(std::vector<T>& v) {

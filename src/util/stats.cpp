@@ -78,11 +78,6 @@ double variance(std::span<const double> xs) {
 
 double stddev(std::span<const double> xs) { return std::sqrt(variance(xs)); }
 
-double min_of(std::span<const double> xs) {
-  if (xs.empty()) return 0.0;
-  return *std::min_element(xs.begin(), xs.end());
-}
-
 double max_of(std::span<const double> xs) {
   if (xs.empty()) return 0.0;
   return *std::max_element(xs.begin(), xs.end());

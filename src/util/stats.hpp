@@ -59,7 +59,6 @@ class Ema {
 double mean(std::span<const double> xs);
 double variance(std::span<const double> xs);  // population variance
 double stddev(std::span<const double> xs);
-double min_of(std::span<const double> xs);
 double max_of(std::span<const double> xs);
 double sum(std::span<const double> xs);
 

@@ -179,7 +179,7 @@ TEST(Cluster, NodeLookupByName) {
   sim::Engine engine;
   Cluster cluster(engine, paper_cluster_spec());
   EXPECT_EQ(cluster.node_index("node-3"), 2u);
-  EXPECT_EQ(cluster.node_by_name("node-6").site(), "sri");
+  EXPECT_EQ(cluster.node(cluster.node_index("node-6")).site(), "sri");
   EXPECT_THROW(cluster.node_index("node-7"), Error);
 }
 

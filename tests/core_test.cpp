@@ -104,10 +104,8 @@ TEST(Decision, RanksAscendingByPrediction) {
   const auto decision = DecisionModule::rank({
       {"slow", 30.0}, {"fast", 10.0}, {"mid", 20.0}});
   EXPECT_EQ(decision.selected(), "fast");
+  EXPECT_EQ(decision.ranking[1].node, "mid");
   EXPECT_EQ(decision.ranking[2].node, "slow");
-  EXPECT_TRUE(decision.in_top_k("fast", 1));
-  EXPECT_TRUE(decision.in_top_k("mid", 2));
-  EXPECT_FALSE(decision.in_top_k("slow", 2));
 }
 
 TEST(Decision, TiesBrokenByName) {
@@ -478,7 +476,7 @@ telemetry::ClusterSnapshot two_node_snapshot(double load_a, double load_b) {
 }
 
 TEST(Bandit, ExploresUntilModelExists) {
-  BanditScheduler bandit(BanditOptions{}, 1);
+  BanditScheduler bandit(1);
   EXPECT_FALSE(bandit.value_model_ready());
   const auto snapshot = two_node_snapshot(1.0, 2.0);
   spark::JobConfig job;
@@ -490,9 +488,7 @@ TEST(Bandit, ExploresUntilModelExists) {
 }
 
 TEST(Bandit, LearnsLoadAvoidanceFromItsOwnChoices) {
-  BanditOptions options;
-  options.refit_interval = 5;
-  BanditScheduler bandit(options, 7);
+  BanditScheduler bandit(7);
   spark::JobConfig job;
   Rng rng(3);
   // Reward structure: duration = 5 + 2 * cpu_load of the chosen node.
@@ -515,9 +511,7 @@ TEST(Bandit, LearnsLoadAvoidanceFromItsOwnChoices) {
 TEST(Bandit, ValueModelRankedByLtsSchedulerPicksTheGreedyNode) {
   // The RL bench scores the bandit as an evaluate_methods method: an
   // LtsScheduler over value_model() must select what pick_greedy picks.
-  BanditOptions options;
-  options.refit_interval = 5;
-  BanditScheduler bandit(options, 7);
+  BanditScheduler bandit(7);
   spark::JobConfig job;
   Rng rng(3);
   for (int i = 0; i < 80; ++i) {
@@ -540,7 +534,7 @@ TEST(Bandit, ValueModelRankedByLtsSchedulerPicksTheGreedyNode) {
 }
 
 TEST(Bandit, EpsilonDecays) {
-  BanditScheduler bandit(BanditOptions{}, 1);
+  BanditScheduler bandit(1);
   const double initial = bandit.current_epsilon();
   const auto snapshot = two_node_snapshot(1.0, 1.0);
   spark::JobConfig job;
@@ -552,7 +546,7 @@ TEST(Bandit, EpsilonDecays) {
 }
 
 TEST(Bandit, RejectsBadObservations) {
-  BanditScheduler bandit(BanditOptions{}, 1);
+  BanditScheduler bandit(1);
   const auto snapshot = two_node_snapshot(1.0, 1.0);
   spark::JobConfig job;
   EXPECT_THROW(bandit.observe(snapshot, job, 5, 10.0), Error);

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 #include <sstream>
 #include <thread>
 #include <type_traits>
@@ -450,21 +451,28 @@ TEST(SimEnvFork, CopyOfACopyMatches) {
   job.app = spark::AppType::kJoin;
   job.input_records = 500000;
   job.executors = 4;
-  SimEnv source(909);
-  source.warmup();
-  const SimEnv first(source);
+  // Every copy here outlives the environment it was taken from: no
+  // component of a fork may still point into its source (ASan reports one
+  // that reads it; a TSDB left behind loses the fork's scrapes in any
+  // build).
+  auto source = std::make_unique<SimEnv>(909);
+  source->warmup();
+  const SimEnv first(*source);
+  auto later = std::make_unique<SimEnv>(*source);
+  source.reset();
   expect_fork_matches_rewarm(first, 909, EnvOptions{}, job);
 
   // A copy taken later than warmup (the staleness sweep's fork, then run
   // on) and copied again still tracks a fresh environment run as far.
-  SimEnv later(source);
-  later.engine().run_until(kWarmup + 30.0);
+  later->engine().run_until(kWarmup + 30.0);
   SimEnv fresh(909);
   fresh.warmup();
   fresh.engine().run_until(kWarmup + 30.0);
-  SimEnv again(later);
+  SimEnv again(*later);
+  later.reset();
   EXPECT_EQ(result_bytes(again.run_job(job, 2, 77)),
             result_bytes(fresh.run_job(job, 2, 77)));
+  EXPECT_EQ(snapshot_bytes(again.snapshot()), snapshot_bytes(fresh.snapshot()));
 }
 
 TEST(SimEnvFork, RunningACopyLeavesTheSourceUntouched) {

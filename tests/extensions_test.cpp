@@ -296,9 +296,9 @@ TEST(Stream, BackloggedStreamAccountsQueueingRetriesAndMakespan) {
 
 TEST(Stream, BoundedRetryFailsLoudlyNamingJobAndRejections) {
   // One permanently-infeasible job: no node has 64 cores. The stream must
-  // fail after the configured number of deferrals with a message naming the
-  // job, its config, and per-node rejection reasons — not spin until the
-  // opaque drain guard kills the run.
+  // fail after kMaxPlacementRetries deferrals (1200 simulated seconds) with
+  // a message naming the job, its config, and per-node rejection reasons —
+  // not spin until the opaque drain guard kills the run.
   std::vector<exp::Scenario> matrix(1);
   matrix[0].id = "sort-huge";
   matrix[0].config.executors = 2;
@@ -306,7 +306,6 @@ TEST(Stream, BoundedRetryFailsLoudlyNamingJobAndRejections) {
   exp::StreamOptions options;
   options.num_jobs = 1;
   options.seed = 3;
-  options.max_placement_retries = 3;
   try {
     exp::run_job_stream(exp::StreamPolicy::kKubeDefault, nullptr, matrix,
                         options);
@@ -315,7 +314,7 @@ TEST(Stream, BoundedRetryFailsLoudlyNamingJobAndRejections) {
     const std::string msg = e.what();
     EXPECT_NE(msg.find("job 0"), std::string::npos) << msg;
     EXPECT_NE(msg.find("sort-huge"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("after 3 retries"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("after 240 retries"), std::string::npos) << msg;
     EXPECT_NE(msg.find("rejections of the last attempt"), std::string::npos)
         << msg;
   }
@@ -363,7 +362,8 @@ TEST(Stream, LaunchJobUnwindsEveryPodWhenExecutorsCannotFit) {
 TEST(Stream, LaunchJobPlacesExecutorsOnlyOnOfferedNodes) {
   // A DRF offer restricts the executors; the driver stays pinned where the
   // policy put it. The launched job then runs to completion, and finishing
-  // it on its completion record fills its result and unbinds its pods.
+  // it on its completion record fills its result, destroys its app and
+  // unbinds its pods.
   exp::SimEnv env(7);
   env.warmup();
   const std::vector<std::string> offer{env.node_names()[1],
@@ -401,6 +401,7 @@ TEST(Stream, LaunchJobPlacesExecutorsOnlyOnOfferedNodes) {
   }
   EXPECT_EQ(job.driver_node, env.node_names()[0]);
   EXPECT_GT(job.duration, 0.0);
+  EXPECT_EQ(live.app, nullptr);
   EXPECT_TRUE(live.pods.empty());
   for (const auto& pod : job_pods) EXPECT_FALSE(env.api().has_pod(pod));
 }

@@ -2,6 +2,7 @@
 // telemetry degradation, and the scheduler's graceful-degradation policies.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <span>
 
@@ -53,7 +54,21 @@ TEST(FaultSpecJson, RoundTripsEveryKind) {
       {fault::FaultKind::kRetrainFail, "", 110.0, 60.0, 1.0},
       {fault::FaultKind::kNodeLinkDegrade, "node-4", 120.0, 0.0, 0.6},
   };
-  const std::string text = fault::faults_to_json(schedule).dump();
+  // The schedule as a fault file spells it, one entry per kind.
+  const std::string text = R"([
+    {"kind": "node_crash", "target": "node-3", "at": 50, "duration": 40},
+    {"kind": "link_degrade", "target": "ucsd:fiu", "at": 60, "duration": 30,
+     "severity": 0.8},
+    {"kind": "rtt_spike", "target": "sri:fiu", "at": 70, "severity": 0.025},
+    {"kind": "site_partition", "target": "sri", "at": 80, "duration": 15},
+    {"kind": "exporter_silence", "target": "node-1", "at": 90,
+     "duration": 20},
+    {"kind": "exporter_delay", "target": "node-2", "at": 100, "duration": 25,
+     "severity": 12},
+    {"kind": "retrain_fail", "target": "", "at": 110, "duration": 60},
+    {"kind": "node_link_degrade", "target": "node-4", "at": 120,
+     "severity": 0.6}
+  ])";
   const auto parsed = fault::faults_from_json(Json::parse(text));
   ASSERT_EQ(parsed.size(), schedule.size());
   for (std::size_t i = 0; i < schedule.size(); ++i) {
@@ -139,7 +154,7 @@ TEST(DriftSchedule, FallsBackToNodeLinkDegradeWithoutWanLinks) {
 TEST(FaultInjector, NodeLinkDegradeCutsAccessCapacityAndRestores) {
   sim::Engine engine;
   cluster::Cluster cluster(engine, cluster::paper_cluster_spec());
-  fault::FaultInjector injector(engine, cluster);
+  fault::FaultInjector injector(cluster);
 
   const std::size_t node = cluster.node_index("node-2");
   const auto up = cluster.node_uplink(node);
@@ -167,7 +182,7 @@ TEST(FaultInjector, NodeLinkDegradeCutsAccessCapacityAndRestores) {
 TEST(FaultInjector, SitePartitionStallsCrossSiteFlowsAndHeals) {
   sim::Engine engine;
   cluster::Cluster cluster(engine, cluster::paper_cluster_spec());
-  fault::FaultInjector injector(engine, cluster);
+  fault::FaultInjector injector(cluster);
 
   const auto v_ucsd = cluster.node(0).vertex();   // node-1 @ ucsd
   const auto v_ucsd2 = cluster.node(1).vertex();  // node-2 @ ucsd
@@ -211,7 +226,7 @@ TEST(FaultInjector, SitePartitionStallsCrossSiteFlowsAndHeals) {
 TEST(FaultInjector, WanDegradeAndRttSpikeRestoreExactly) {
   sim::Engine engine;
   cluster::Cluster cluster(engine, cluster::paper_cluster_spec());
-  fault::FaultInjector injector(engine, cluster);
+  fault::FaultInjector injector(cluster);
 
   net::LinkId wan = -1;
   for (const auto& link : cluster.wan_links()) {
@@ -474,7 +489,7 @@ TEST(Degradation, SilencedExporterRowIsImputedAndDemoted) {
   EXPECT_TRUE(stale.has_data);
   // Imputed telemetry sits inside the fresh rows' envelope (it is their
   // median), not at the frozen pre-silence values or zero.
-  EXPECT_GE(stale.cpu_load, min_of(fresh_cpu));
+  EXPECT_GE(stale.cpu_load, std::ranges::min(fresh_cpu));
   EXPECT_LE(stale.cpu_load, max_of(fresh_cpu));
   EXPECT_GT(stale.mem_available, 0.0);
 

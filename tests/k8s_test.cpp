@@ -1,5 +1,6 @@
 // Unit tests for the Kubernetes layer: resource quantities, the API server,
-// the default scheduler's filter/score plugins, and manifest rendering.
+// the default scheduler's filter and score functions, and manifest
+// rendering.
 #include <gtest/gtest.h>
 
 #include "k8s/api.hpp"
@@ -100,28 +101,26 @@ TEST(Filters, NodeResourcesFit) {
   big.requests = gib(3, 1);
   PodSpec fits;
   fits.requests = gib(2, 4);
-  NodeResourcesFitFilter filter;
-  EXPECT_FALSE(filter.filter(big, api.node("n1")).empty());
-  EXPECT_TRUE(filter.filter(fits, api.node("n1")).empty());
+  EXPECT_FALSE(node_resources_fit(big, api.node("n1")).empty());
+  EXPECT_TRUE(node_resources_fit(fits, api.node("n1")).empty());
   // Occupy some and retry.
   PodSpec half;
   half.name = "h";
   half.requests = gib(1, 2);
   api.bind(half, "n1");
-  EXPECT_FALSE(filter.filter(fits, api.node("n1")).empty());
+  EXPECT_FALSE(node_resources_fit(fits, api.node("n1")).empty());
 }
 
 TEST(Filters, NodeAffinity) {
   ApiServer api;
   api.register_node("n1", gib(2, 4));
-  NodeAffinityFilter filter;
   PodSpec anywhere;
-  EXPECT_TRUE(filter.filter(anywhere, api.node("n1")).empty());
+  EXPECT_TRUE(node_affinity(anywhere, api.node("n1")).empty());
   PodSpec pinned;
   pinned.node_affinity = NodeAffinity{{"n2"}};
-  EXPECT_FALSE(filter.filter(pinned, api.node("n1")).empty());
+  EXPECT_FALSE(node_affinity(pinned, api.node("n1")).empty());
   pinned.node_affinity = NodeAffinity{{"n1", "n2"}};
-  EXPECT_TRUE(filter.filter(pinned, api.node("n1")).empty());
+  EXPECT_TRUE(node_affinity(pinned, api.node("n1")).empty());
 }
 
 TEST(Filters, TaintToleration) {
@@ -130,17 +129,16 @@ TEST(Filters, TaintToleration) {
                     {Taint{"dedicated", "gpu", TaintEffect::kNoSchedule}});
   api.register_node("soft", gib(2, 4), {},
                     {Taint{"pref", "", TaintEffect::kPreferNoSchedule}});
-  TaintTolerationFilter filter;
   PodSpec plain;
-  EXPECT_FALSE(filter.filter(plain, api.node("tainted")).empty());
+  EXPECT_FALSE(taint_toleration(plain, api.node("tainted")).empty());
   // PreferNoSchedule does not filter.
-  EXPECT_TRUE(filter.filter(plain, api.node("soft")).empty());
+  EXPECT_TRUE(taint_toleration(plain, api.node("soft")).empty());
   PodSpec tolerant;
   tolerant.tolerations = {Toleration{"dedicated", "gpu"}};
-  EXPECT_TRUE(filter.filter(tolerant, api.node("tainted")).empty());
+  EXPECT_TRUE(taint_toleration(tolerant, api.node("tainted")).empty());
   PodSpec tolerate_all;
   tolerate_all.tolerations = {Toleration{"", ""}};
-  EXPECT_TRUE(filter.filter(tolerate_all, api.node("tainted")).empty());
+  EXPECT_TRUE(taint_toleration(tolerate_all, api.node("tainted")).empty());
 }
 
 // --------------------------------------------------------- scoring ----
@@ -153,23 +151,21 @@ TEST(Scores, LeastAllocatedPrefersEmptyNode) {
   occupant.name = "o";
   occupant.requests = gib(2, 4);
   api.bind(occupant, "busy");
-  LeastAllocatedScore score;
   PodSpec pod;
   pod.requests = gib(1, 1);
-  EXPECT_GT(score.score(pod, api.node("empty")),
-            score.score(pod, api.node("busy")));
+  EXPECT_GT(least_allocated_score(pod, api.node("empty")),
+            least_allocated_score(pod, api.node("busy")));
 }
 
 TEST(Scores, BalancedAllocationPrefersEvenUsage) {
   ApiServer api;
   api.register_node("n", gib(4, 8));
-  BalancedAllocationScore score;
   PodSpec balanced;
   balanced.requests = gib(2, 4);  // 50% cpu, 50% mem
   PodSpec skewed;
   skewed.requests = gib(4, 1);  // 100% cpu, 12.5% mem
-  EXPECT_GT(score.score(balanced, api.node("n")),
-            score.score(skewed, api.node("n")));
+  EXPECT_GT(balanced_allocation_score(balanced, api.node("n")),
+            balanced_allocation_score(skewed, api.node("n")));
 }
 
 TEST(Scores, TaintTolerationPenalizesSoftTaints) {
@@ -177,10 +173,9 @@ TEST(Scores, TaintTolerationPenalizesSoftTaints) {
   api.register_node("soft", gib(2, 4), {},
                     {Taint{"pref", "", TaintEffect::kPreferNoSchedule}});
   api.register_node("clean", gib(2, 4));
-  TaintTolerationScore score;
   PodSpec pod;
-  EXPECT_GT(score.score(pod, api.node("clean")),
-            score.score(pod, api.node("soft")));
+  EXPECT_GT(taint_toleration_score(pod, api.node("clean")),
+            taint_toleration_score(pod, api.node("soft")));
 }
 
 // ------------------------------------------------------- scheduler ----

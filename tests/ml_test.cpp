@@ -146,25 +146,6 @@ TEST(Metrics, R2OfMeanPredictorIsZero) {
   EXPECT_NEAR(r2_score(truth, mean_pred), 0.0, 1e-12);
 }
 
-TEST(Metrics, MapeSkipsZeros) {
-  const std::vector<double> truth{0.0, 2.0};
-  const std::vector<double> pred{5.0, 1.0};
-  EXPECT_DOUBLE_EQ(mape(truth, pred), 0.5);
-}
-
-TEST(Metrics, TopkHitMin) {
-  const std::vector<double> truth{5, 1, 3};  // fastest = index 1
-  const std::vector<double> p1{10, 2, 7}, p2{2, 10, 7}, p3{2, 3, 7};
-  EXPECT_TRUE(topk_hit_min(truth, p1, 1));   // picks 1
-  EXPECT_FALSE(topk_hit_min(truth, p2, 1));  // picks 0
-  EXPECT_TRUE(topk_hit_min(truth, p3, 2));   // 1 in top-2
-}
-
-TEST(Metrics, ArgsortStable) {
-  const auto order = argsort_ascending(std::vector<double>{3, 1, 2, 1});
-  EXPECT_EQ(order, (std::vector<std::size_t>{1, 3, 2, 0}));
-}
-
 // --------------------------------------------------------------- linear ----
 
 TEST(Linear, RecoversCoefficientsWithoutInteraction) {

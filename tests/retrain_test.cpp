@@ -61,7 +61,6 @@ std::shared_ptr<const ml::Regressor> train_initial_linear(std::size_t n,
 
 core::RetrainOptions base_options() {
   core::RetrainOptions options;
-  options.enabled = true;
   options.retrain_every = 10;
   options.window_size = 50;
   options.min_rows = 4;

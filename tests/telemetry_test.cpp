@@ -454,7 +454,7 @@ class ExporterFixture : public ::testing::Test {
  protected:
   ExporterFixture()
       : cluster_(engine_, cluster::paper_cluster_spec()),
-        stack_(engine_, cluster_, Rng(9)) {}
+        stack_(cluster_, Rng(9)) {}
 
   sim::Engine engine_;
   cluster::Cluster cluster_;
@@ -557,8 +557,8 @@ TEST(Exporters, ScrapesLandAtPhasePlusInterval) {
   sim::Engine engine;
   cluster::Cluster cluster(engine, cluster::paper_cluster_spec());
   Tsdb tsdb;
-  NodeExporter node(engine, tsdb, cluster, 0, 0.5);
-  PingExporter ping(engine, tsdb, cluster, Rng(1), 1.25);
+  NodeExporter node(tsdb, cluster, 0, 0.5);
+  PingExporter ping(tsdb, cluster, Rng(1), 1.25);
   engine.run_until(9.0);
   EXPECT_EQ(sample_times(tsdb, kCpuLoadMetric, {{"node", "node-1"}}),
             (std::vector<SimTime>{0.5, 2.5, 4.5, 6.5, 8.5}));
@@ -573,7 +573,7 @@ TEST(Exporters, InterleaveInInsertionOrder) {
   Tsdb tsdb;
   // Two exporters due at the same instants, and between them a recorder
   // that logs the samples appended so far every 3 s.
-  NodeExporter first(engine, tsdb, cluster, 0, 0.0);
+  NodeExporter first(tsdb, cluster, 0, 0.0);
   test::Recorder rec(engine);
   std::vector<std::uint64_t> seen;
   rec.hook = [&](const sim::Event&) {
@@ -581,7 +581,7 @@ TEST(Exporters, InterleaveInInsertionOrder) {
     engine.schedule_in(3.0, rec.event());
   };
   engine.schedule_in(0.0, rec.event());
-  NodeExporter second(engine, tsdb, cluster, 1, 0.0);
+  NodeExporter second(tsdb, cluster, 1, 0.0);
   engine.run_until(6.0);
   // t=0: first, recorder, second (insertion order); t=3: both scraped at
   // 0 and 2; t=6: the recorder before both exporters (its re-arm was
@@ -595,8 +595,8 @@ TEST(Exporters, DestructorCancelsPendingScrape) {
   cluster::Cluster cluster(engine, cluster::paper_cluster_spec());
   Tsdb tsdb;
   {
-    NodeExporter node(engine, tsdb, cluster, 0, 0.0);
-    PingExporter ping(engine, tsdb, cluster, Rng(1), 1.0);
+    NodeExporter node(tsdb, cluster, 0, 0.0);
+    PingExporter ping(tsdb, cluster, Rng(1), 1.0);
     engine.run_until(2.5);
     EXPECT_EQ(engine.num_pending(), 2u);
   }
@@ -701,7 +701,7 @@ TEST(PromQL, EvaluatesAgainstTsdb) {
 TEST(PromQL, WorksAgainstLiveExporters) {
   sim::Engine engine;
   cluster::Cluster cluster(engine, cluster::paper_cluster_spec());
-  TelemetryStack stack(engine, cluster, Rng(3));
+  TelemetryStack stack(cluster, Rng(3));
   engine.run_until(30.0);
   const auto rtt = promql_scalar(
       "avg_over_time(ping_rtt_seconds{src=\"node-1\",dst=\"node-3\"}[20s])",

@@ -90,19 +90,6 @@ TEST(Rng, ExponentialMeanMatches) {
   EXPECT_NEAR(stats.mean(), 2.5, 0.1);
 }
 
-TEST(Rng, ZipfInRangeAndSkewed) {
-  Rng rng(23);
-  std::vector<int> counts(10, 0);
-  for (int i = 0; i < 20000; ++i) {
-    const auto z = rng.zipf(10, 1.5);
-    ASSERT_GE(z, 0);
-    ASSERT_LT(z, 10);
-    ++counts[static_cast<std::size_t>(z)];
-  }
-  EXPECT_GT(counts[0], counts[5]);
-  EXPECT_GT(counts[0], 4 * counts[9]);
-}
-
 TEST(Rng, ShufflePreservesElements) {
   Rng rng(29);
   std::vector<int> v{1, 2, 3, 4, 5, 6, 7};
