@@ -242,14 +242,9 @@ struct RefForest {
       Rng rng((params.seed + salt) * 0x9e3779b97f4a7c15ULL + b * 2 + 1);
       std::vector<std::size_t> rows;
       rows.reserve(n);
-      if (params.bootstrap) {
-        for (std::size_t i = 0; i < n; ++i) {
-          rows.push_back(static_cast<std::size_t>(
-              rng.uniform_int(0, static_cast<std::int64_t>(n) - 1)));
-        }
-      } else {
-        rows.resize(n);
-        std::iota(rows.begin(), rows.end(), std::size_t{0});
+      for (std::size_t i = 0; i < n; ++i) {
+        rows.push_back(static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(n) - 1)));
       }
       grown[b] = fit_tree_on(data, effective_tree, rows, rng);
     });
@@ -441,7 +436,7 @@ class RefGbt {
     std::vector<std::size_t> feature_pool;
   };
 
-  static double walk_tree(const std::vector<ml::GbtNode>& tree,
+  static double walk_tree(const std::vector<ml::TreeNode>& tree,
                           std::span<const double> features) {
     int idx = 0;
     while (!tree[static_cast<std::size_t>(idx)].is_leaf()) {
@@ -456,7 +451,7 @@ class RefGbt {
 
   int grow_gbt_node(Ctx& ctx, std::vector<std::size_t>& rows,
                     std::size_t begin, std::size_t end, int depth,
-                    std::vector<ml::GbtNode>& tree) {
+                    std::vector<ml::TreeNode>& tree) {
     const auto& grad = *ctx.grad;
     const auto& hess = *ctx.hess;
     double g_total = 0.0, h_total = 0.0;
@@ -467,7 +462,7 @@ class RefGbt {
     const double lambda = params_.reg_lambda;
 
     const int node_index = static_cast<int>(tree.size());
-    tree.push_back(ml::GbtNode{});
+    tree.push_back(ml::TreeNode{});
     tree[static_cast<std::size_t>(node_index)].value =
         -g_total / (h_total + lambda) * params_.learning_rate;
 
@@ -562,7 +557,7 @@ class RefGbt {
                 std::size_t{0});
     }
 
-    std::vector<ml::GbtNode> tree;
+    std::vector<ml::TreeNode> tree;
     grow_gbt_node(ctx, rows, 0, rows.size(), 0, tree);
     for (std::size_t i = 0; i < data.size(); ++i) {
       pred[i] += walk_tree(tree, data.row(i));
@@ -574,7 +569,7 @@ class RefGbt {
   bool fitted_ = false;
   double base_score_ = 0.0;
   std::size_t num_features_ = 0;
-  std::vector<std::vector<ml::GbtNode>> trees_;
+  std::vector<std::vector<ml::TreeNode>> trees_;
   std::vector<double> importance_;
   double best_val_rmse_ = std::numeric_limits<double>::quiet_NaN();
 };

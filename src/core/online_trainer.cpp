@@ -223,23 +223,15 @@ RetrainEvent OnlineTrainer::retrain_now(bool drift_triggered) {
     }
 
     if (have_holdout) {
-      std::vector<double> pred;
-      pred.reserve(test_set.size());
-      for (std::size_t i = 0; i < test_set.size(); ++i) {
-        pred.push_back(candidate->predict_row(test_set.row(i)));
-      }
-      event.holdout_rmse = ml::rmse(test_set.y(), pred);
+      event.holdout_rmse =
+          ml::rmse(test_set.y(), candidate->predict(test_set.x()));
 
       // Champion/challenger gate: the candidate has to earn the swap by
       // matching the serving model on rows neither trained on.
       if (options_.holdout_gate_slack >= 0.0 && model_ != nullptr &&
           model_->is_fitted()) {
-        std::vector<double> serving_pred;
-        serving_pred.reserve(test_set.size());
-        for (std::size_t i = 0; i < test_set.size(); ++i) {
-          serving_pred.push_back(model_->predict_row(test_set.row(i)));
-        }
-        event.serving_rmse = ml::rmse(test_set.y(), serving_pred);
+        event.serving_rmse =
+            ml::rmse(test_set.y(), model_->predict(test_set.x()));
         if (event.holdout_rmse >
             event.serving_rmse * (1.0 + options_.holdout_gate_slack)) {
           event.outcome = RetrainOutcome::kRejected;

@@ -198,8 +198,9 @@ std::vector<Decision> LtsScheduler::schedule_batch(
     const std::size_t n_unique = block.size() / cols;
     std::vector<double> unique_scores(n_unique);
     if (risk_aversion_ > 0.0) {
-      // Uncertainty needs the per-tree spread, which the flattened kernel
-      // does not expose; score row by row (still one snapshot fetch).
+      // Uncertainty needs the per-tree spread: the forest reads each tree's
+      // leaf for the row from its flat kernel, one distinct row at a time
+      // (still one snapshot fetch).
       for (std::size_t u = 0; u < n_unique; ++u) {
         const auto p = model->predict_with_uncertainty(
             std::span<const double>(block).subspan(u * cols, cols));

@@ -61,8 +61,8 @@ class LtsScheduler {
   // One serving path. schedule() and schedule_from_snapshot() are a batch
   // of one through schedule_many() and schedule_many_from_snapshot(), which
   // share schedule_batch(): one snapshot, one feature block over every
-  // (pod, node) candidate, one batched model call (predict_batch is
-  // bit-identical to predict_row, so batching never changes a decision).
+  // (pod, node) candidate, one batched model call (a row's prediction does
+  // not depend on its block, so batching never changes a decision).
   //
   // Tracing rule: a trace books each cost on the span that is open when
   // the cost is incurred. The fetching entry points give every decision a

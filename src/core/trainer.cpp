@@ -11,8 +11,8 @@ namespace lts::core {
 namespace {
 
 /// Predictions for every row of `data`: predict_batch over row blocks on
-/// ThreadPool::global(). predict_batch is bit-identical to predict_row per
-/// row, so neither the block size nor the pool size changes a bit.
+/// ThreadPool::global(). A row's prediction does not depend on its block,
+/// so neither the block size nor the pool size changes a bit.
 std::vector<double> predict_all(const ml::Regressor& model,
                                 const ml::Dataset& data) {
   constexpr std::size_t kBlockRows = 256;

@@ -22,12 +22,7 @@ PermutationImportance permutation_importance(const Regressor& model,
     result.feature_names.resize(data.num_features());
   }
 
-  std::vector<double> baseline_pred;
-  baseline_pred.reserve(data.size());
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    baseline_pred.push_back(model.predict_row(data.row(i)));
-  }
-  result.baseline_rmse = rmse(data.y(), baseline_pred);
+  result.baseline_rmse = rmse(data.y(), model.predict(data.x()));
 
   Rng rng(seed);
   Matrix working = data.x();
@@ -43,13 +38,8 @@ PermutationImportance permutation_importance(const Regressor& model,
       for (std::size_t i = 0; i < data.size(); ++i) {
         working(i, f) = column[i];
       }
-      std::vector<double> pred;
-      pred.reserve(data.size());
-      for (std::size_t i = 0; i < data.size(); ++i) {
-        pred.push_back(model.predict_row(working.row(i)));
-      }
-      total_increase +=
-          std::max(0.0, rmse(data.y(), pred) - result.baseline_rmse);
+      total_increase += std::max(
+          0.0, rmse(data.y(), model.predict(working)) - result.baseline_rmse);
       // Restore the column.
       for (std::size_t i = 0; i < data.size(); ++i) {
         working(i, f) = data.x()(i, f);

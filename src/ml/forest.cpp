@@ -1,9 +1,7 @@
 #include "ml/forest.hpp"
 
-#include <cmath>
 #include <numeric>
 
-#include "ml/metrics.hpp"
 #include "util/stats.hpp"
 #include "util/thread_pool.hpp"
 
@@ -15,15 +13,20 @@ ForestParams ForestParams::from_json(const Json& j) {
     p.n_estimators = j.at("n_estimators").as_int();
   }
   if (j.contains("tree")) p.tree = TreeParams::from_json(j.at("tree"));
-  if (j.contains("bootstrap")) p.bootstrap = j.at("bootstrap").as_bool();
+  // Files written before these keys retired carry exactly these values.
+  const auto retired = [&j](const std::string& key, bool only) {
+    LTS_REQUIRE(!j.contains(key) || (j.at(key).is_bool() &&
+                                     j.at(key).as_bool() == only),
+                "ForestParams: retired key '" + key + "' must be " +
+                    (only ? "true" : "false"));
+  };
+  retired("bootstrap", true);
+  retired("compute_oob", false);
   if (j.contains("max_features")) {
     p.max_features = j.at("max_features").as_int();
   }
   if (j.contains("seed")) {
     p.seed = static_cast<std::uint64_t>(j.at("seed").as_double());
-  }
-  if (j.contains("compute_oob")) {
-    p.compute_oob = j.at("compute_oob").as_bool();
   }
   return p;
 }
@@ -32,10 +35,8 @@ Json ForestParams::to_json() const {
   Json j = Json::object();
   j["n_estimators"] = n_estimators;
   j["tree"] = tree.to_json();
-  j["bootstrap"] = bootstrap;
   j["max_features"] = max_features;
   j["seed"] = static_cast<double>(seed);
-  j["compute_oob"] = compute_oob;
   return j;
 }
 
@@ -46,9 +47,8 @@ RandomForestRegressor::RandomForestRegressor(ForestParams params)
 }
 
 std::vector<std::unique_ptr<DecisionTreeRegressor>>
-RandomForestRegressor::grow_trees(
-    const Dataset& data, std::size_t count, std::uint64_t salt,
-    std::vector<std::vector<std::size_t>>* bags) {
+RandomForestRegressor::grow_trees(const Dataset& data, std::size_t count,
+                                  std::uint64_t salt) {
   const std::size_t n = data.size();
 
   TreeParams tree_params = params_.tree;
@@ -58,7 +58,6 @@ RandomForestRegressor::grow_trees(
           : std::max(1, static_cast<int>(num_features_) / 3);
 
   std::vector<std::unique_ptr<DecisionTreeRegressor>> grown(count);
-  if (bags != nullptr) bags->assign(count, {});
 
   // Sort the window's feature columns once and share the result across
   // every bag: each tree streams its bootstrap columns out of this presort
@@ -76,24 +75,18 @@ RandomForestRegressor::grow_trees(
   // interleaving. salt=0 is the initial fit; refits advance it so new
   // windows grow different trees.
   ThreadPool& pool = pool_ ? *pool_ : ThreadPool::global();
-  // lts-lint: shared-guarded(partitioned: tree b writes only grown[b] and (*bags)[b]; data/params/presorted are read-only)
+  // lts-lint: shared-guarded(partitioned: tree b writes only grown[b]; data/params/presorted are read-only)
   pool.parallel_for(count, [&](std::size_t b) {
     Rng rng((params_.seed + salt) * 0x9e3779b97f4a7c15ULL + b * 2 + 1);
     std::vector<std::size_t> rows;
     rows.reserve(n);
-    if (params_.bootstrap) {
-      for (std::size_t i = 0; i < n; ++i) {
-        rows.push_back(static_cast<std::size_t>(
-            rng.uniform_int(0, static_cast<std::int64_t>(n) - 1)));
-      }
-    } else {
-      rows.resize(n);
-      std::iota(rows.begin(), rows.end(), std::size_t{0});
+    for (std::size_t i = 0; i < n; ++i) {
+      rows.push_back(static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(n) - 1)));
     }
     auto tree = std::make_unique<DecisionTreeRegressor>(tree_params);
     tree->fit_on(data, rows, rng, &presorted);
     grown[b] = std::move(tree);
-    if (bags != nullptr) (*bags)[b] = std::move(rows);
   });
   return grown;
 }
@@ -101,38 +94,10 @@ RandomForestRegressor::grow_trees(
 void RandomForestRegressor::fit(const Dataset& data) {
   LTS_REQUIRE(!data.empty(), "RandomForest: empty training set");
   num_features_ = data.num_features();
-  const std::size_t n = data.size();
-  const auto n_trees = static_cast<std::size_t>(params_.n_estimators);
-
   refit_generation_ = 0;
-  std::vector<std::vector<std::size_t>> bags;
-  trees_ = grow_trees(data, n_trees, /*salt=*/0, &bags);
+  trees_ = grow_trees(data, static_cast<std::size_t>(params_.n_estimators),
+                      /*salt=*/0);
   rebuild_flat();
-
-  if (params_.compute_oob && params_.bootstrap) {
-    std::vector<double> oob_sum(n, 0.0);
-    std::vector<int> oob_count(n, 0);
-    std::vector<char> in_bag(n);
-    for (std::size_t b = 0; b < n_trees; ++b) {
-      std::fill(in_bag.begin(), in_bag.end(), 0);
-      for (const std::size_t r : bags[b]) in_bag[r] = 1;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (!in_bag[i]) {
-          oob_sum[i] += trees_[b]->predict_row(data.row(i));
-          ++oob_count[i];
-        }
-      }
-    }
-    std::vector<double> truth, preds;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (oob_count[i] > 0) {
-        truth.push_back(data.target(i));
-        preds.push_back(oob_sum[i] / oob_count[i]);
-      }
-    }
-    oob_r2_ = truth.size() >= 2 ? r2_score(truth, preds)
-                                : std::numeric_limits<double>::quiet_NaN();
-  }
 }
 
 void RandomForestRegressor::refit(const Dataset& data) {
@@ -146,7 +111,7 @@ void RandomForestRegressor::refit(const Dataset& data) {
   // out in FIFO order and the forest blends the last few windows.
   ++refit_generation_;
   const std::size_t replaced = std::max<std::size_t>(1, trees_.size() / 2);
-  auto fresh = grow_trees(data, replaced, refit_generation_, nullptr);
+  auto fresh = grow_trees(data, replaced, refit_generation_);
   std::vector<std::unique_ptr<DecisionTreeRegressor>> next;
   next.reserve(trees_.size());
   for (std::size_t i = replaced; i < trees_.size(); ++i) {
@@ -155,56 +120,30 @@ void RandomForestRegressor::refit(const Dataset& data) {
   for (auto& tree : fresh) next.push_back(std::move(tree));
   trees_ = std::move(next);
   rebuild_flat();
-  // OOB score would mix windows; clear it rather than report a stale one.
-  oob_r2_ = std::numeric_limits<double>::quiet_NaN();
 }
 
 void RandomForestRegressor::rebuild_flat() {
   flat_.clear();
-  if (trees_.empty()) return;  // unfitted round-trip: nothing to flatten
-  for (const auto& tree : trees_) {
-    if (!flat_.try_add_tree(std::span<const TreeNode>(tree->nodes()))) {
-      flat_.clear();  // oversized tree: serve through the scalar walk
-      return;
-    }
-  }
-  // predict_row computes (t0 + t1 + ...)/n; the same divisor reproduces it
-  // bit for bit because the flat kernel sums in tree order too.
+  for (const auto& tree : trees_) flat_.add_tree(tree->nodes());
+  // The mean of the member trees' walks is (t0 + t1 + ...)/n; the kernel
+  // sums in tree order too, so the same divisor reproduces it bit for bit.
   flat_.set_divisor(static_cast<double>(trees_.size()));
 }
 
 void RandomForestRegressor::predict_batch(std::span<const double> x,
                                           std::size_t rows, std::size_t cols,
                                           std::span<double> out) const {
-  LTS_REQUIRE(is_fitted(), "RandomForest: not fitted");
-  LTS_REQUIRE(cols == num_features_, "RandomForest: feature width mismatch");
-  LTS_REQUIRE(x.size() >= rows * cols,
-              "RandomForest: feature block smaller than rows * cols");
-  LTS_REQUIRE(out.size() >= rows, "RandomForest: output span too small");
-  if (flat_.empty()) {  // oversized tree bailed out of flattening
-    Regressor::predict_batch(x, rows, cols, out);
-    return;
-  }
+  check_batch(x, rows, cols, out, num_features_);
   flat_.predict(x.data(), rows, cols, out.data());
-}
-
-double RandomForestRegressor::predict_row(
-    std::span<const double> features) const {
-  LTS_REQUIRE(is_fitted(), "RandomForest: not fitted");
-  double total = 0.0;
-  for (const auto& tree : trees_) {
-    total += tree->predict_row(features);
-  }
-  return total / static_cast<double>(trees_.size());
 }
 
 Prediction RandomForestRegressor::predict_with_uncertainty(
     std::span<const double> features) const {
-  LTS_REQUIRE(is_fitted(), "RandomForest: not fitted");
+  std::vector<double> leaves(trees_.size());
+  check_batch(features, 1, features.size(), leaves, num_features_);
+  flat_.tree_values(features.data(), 1, features.size(), leaves.data());
   RunningStats stats;
-  for (const auto& tree : trees_) {
-    stats.add(tree->predict_row(features));
-  }
+  for (const double v : leaves) stats.add(v);
   return Prediction{stats.mean(), stats.stddev()};
 }
 
@@ -237,8 +176,18 @@ void RandomForestRegressor::from_json(const Json& j) {
           : 0;
   trees_.clear();
   for (const auto& entry : j.at("trees").as_array()) {
+    const std::string what = "RandomForest: tree " +
+                             std::to_string(trees_.size());
     auto tree = std::make_unique<DecisionTreeRegressor>();
-    tree->from_json(entry);
+    try {
+      tree->from_json(entry);
+    } catch (const Error& e) {
+      throw Error(what + ": " + e.what());
+    }
+    LTS_REQUIRE(tree->num_features() == num_features_,
+                what + " has " + std::to_string(tree->num_features()) +
+                    " features, the forest " +
+                    std::to_string(num_features_));
     trees_.push_back(std::move(tree));
   }
   rebuild_flat();

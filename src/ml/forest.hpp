@@ -1,9 +1,11 @@
 // Random forest regressor: bootstrap-bagged CART trees with per-split
 // feature subsampling. The paper's best-performing model family (Table 4).
+// Every prediction, the per-tree spread included, walks its FlatEnsemble.
 #pragma once
 
 #include <memory>
 
+#include "ml/flat.hpp"
 #include "ml/tree.hpp"
 
 namespace lts {
@@ -15,13 +17,12 @@ namespace lts::ml {
 struct ForestParams {
   int n_estimators = 100;
   TreeParams tree;
-  bool bootstrap = true;
   /// Features per split: 0 selects the regression heuristic max(1, p/3).
   int max_features = 0;
   std::uint64_t seed = 42;
-  /// Compute the out-of-bag R^2 during fit (costs one pass per tree).
-  bool compute_oob = false;
 
+  /// Older files' retired keys load only with the values ever written,
+  /// "bootstrap": true and "compute_oob": false.
   static ForestParams from_json(const Json& j);
   Json to_json() const;
 };
@@ -36,14 +37,12 @@ class RandomForestRegressor : public Regressor {
   /// forest tracks drift while retaining smoothing from earlier windows.
   /// Each refit advances a generation counter that salts the per-tree Rng,
   /// making every generation's trees distinct yet deterministic. Falls back
-  /// to fit() when unfitted or the feature width changed. The out-of-bag
-  /// score is cleared (it would mix windows).
+  /// to fit() when unfitted or the feature width changed.
   void refit(const Dataset& data) override;
-  double predict_row(std::span<const double> features) const override;
   void predict_batch(std::span<const double> x, std::size_t rows,
                      std::size_t cols, std::span<double> out) const override;
-  /// Mean and standard deviation of the per-tree predictions: the classic
-  /// bagging uncertainty estimate.
+  /// Mean and standard deviation of the per-tree predictions, read from the
+  /// kernel in tree order: the classic bagging uncertainty estimate.
   Prediction predict_with_uncertainty(
       std::span<const double> features) const override;
   bool is_fitted() const override { return !trees_.empty(); }
@@ -55,9 +54,6 @@ class RandomForestRegressor : public Regressor {
   const ForestParams& params() const { return params_; }
   std::size_t num_trees() const { return trees_.size(); }
   const DecisionTreeRegressor& tree(std::size_t i) const;
-
-  /// Out-of-bag R^2; NaN unless compute_oob was set at fit time.
-  double oob_r2() const { return oob_r2_; }
 
   /// Number of refit() calls since the last full fit() (serialized, so a
   /// reloaded model continues its deterministic retrain sequence).
@@ -73,8 +69,7 @@ class RandomForestRegressor : public Regressor {
   /// Grows `count` trees on `data` with Rngs derived from (seed, salt,
   /// tree index); the shared worker body of fit() and refit().
   std::vector<std::unique_ptr<DecisionTreeRegressor>> grow_trees(
-      const Dataset& data, std::size_t count, std::uint64_t salt,
-      std::vector<std::vector<std::size_t>>* bags);
+      const Dataset& data, std::size_t count, std::uint64_t salt);
   /// Re-flattens the whole ensemble (in tree order, with the tree count as
   /// the mean divisor); called wherever trees_ changes.
   void rebuild_flat();
@@ -82,10 +77,9 @@ class RandomForestRegressor : public Regressor {
   ForestParams params_;
   ThreadPool* pool_ = nullptr;
   std::vector<std::unique_ptr<DecisionTreeRegressor>> trees_;
-  FlatEnsemble flat_;  // SoA mirror of trees_ for batched prediction
+  FlatEnsemble flat_;  // every tree of trees_, packed for prediction
   std::size_t num_features_ = 0;
   std::uint64_t refit_generation_ = 0;
-  double oob_r2_ = std::numeric_limits<double>::quiet_NaN();
 };
 
 }  // namespace lts::ml

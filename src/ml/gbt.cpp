@@ -79,7 +79,7 @@ struct GradientBoostedTrees::TreeBuildContext {
 int GradientBoostedTrees::build_node(TreeBuildContext& ctx,
                                      std::vector<std::size_t>& rows,
                                      std::size_t begin, std::size_t end,
-                                     int depth, std::vector<GbtNode>& tree) {
+                                     int depth, std::vector<TreeNode>& tree) {
   const auto& grad = *ctx.grad;
   const auto& hess = *ctx.hess;
   double g_total = 0.0, h_total = 0.0;
@@ -90,7 +90,7 @@ int GradientBoostedTrees::build_node(TreeBuildContext& ctx,
   const double lambda = ctx.params->reg_lambda;
 
   const int node_index = static_cast<int>(tree.size());
-  tree.push_back(GbtNode{});
+  tree.push_back(TreeNode{});
   // Leaf weight (may be overwritten by a split below); shrinkage applied
   // here so prediction is a plain sum over trees.
   tree[static_cast<std::size_t>(node_index)].value =
@@ -300,20 +300,14 @@ void GradientBoostedTrees::boost_one_round(
   ctx.cols = &s.round_cols;
   ctx.feature_best = &s.feature_best;
 
-  std::vector<GbtNode> tree;
+  std::vector<TreeNode> tree;
   build_node(ctx, rows, 0, rows.size(), 0, tree);
-  // Update all predictions (train + validation) with the new tree — one
-  // batched flat traversal whose per-row addition is exactly the scalar
-  // `pred[i] += tree_predict(...)` it replaces.
+  // Update all predictions (train + validation) with the new tree: one
+  // batched flat traversal adding the tree's leaf to each row's total.
   s.round_flat.clear();
-  if (s.round_flat.try_add_tree(std::span<const GbtNode>(tree))) {
-    s.round_flat.accumulate(data.x().data().data(), data.size(),
-                            num_features_, pred.data());
-  } else {  // oversized tree: fall back to the scalar walk
-    for (std::size_t i = 0; i < data.size(); ++i) {
-      pred[i] += tree_predict(tree, data.row(i));
-    }
-  }
+  s.round_flat.add_tree(tree);
+  s.round_flat.accumulate(data.x().data().data(), data.size(), num_features_,
+                          pred.data());
   trees_.push_back(std::move(tree));
 }
 
@@ -351,54 +345,17 @@ void GradientBoostedTrees::refit(const Dataset& data) {
 
 void GradientBoostedTrees::rebuild_flat() {
   flat_.clear();
-  for (const auto& tree : trees_) {
-    if (!flat_.try_add_tree(std::span<const GbtNode>(tree))) {
-      flat_.clear();  // oversized tree: serve through the scalar walk
-      return;
-    }
-  }
-  // predict_row computes ((base + t0) + t1) + ...; seeding the accumulator
-  // with base_score_ reproduces that addition order bit for bit.
+  for (const auto& tree : trees_) flat_.add_tree(tree);
+  // A prediction is ((base + t0) + t1) + ...: the kernel seeded with
+  // base_score_ adds the trees' leaves in that order.
   flat_.set_init(base_score_);
 }
 
 void GradientBoostedTrees::predict_batch(std::span<const double> x,
                                          std::size_t rows, std::size_t cols,
                                          std::span<double> out) const {
-  LTS_REQUIRE(fitted_, "GBT: not fitted");
-  LTS_REQUIRE(cols == num_features_, "GBT: feature width mismatch");
-  LTS_REQUIRE(x.size() >= rows * cols,
-              "GBT: feature block smaller than rows * cols");
-  LTS_REQUIRE(out.size() >= rows, "GBT: output span too small");
-  if (flat_.empty() && !trees_.empty()) {  // oversized tree bailed out
-    Regressor::predict_batch(x, rows, cols, out);
-    return;
-  }
+  check_batch(x, rows, cols, out, num_features_);
   flat_.predict(x.data(), rows, cols, out.data());
-}
-
-double GradientBoostedTrees::tree_predict(const std::vector<GbtNode>& tree,
-                                          std::span<const double> features) {
-  int idx = 0;
-  while (!tree[static_cast<std::size_t>(idx)].is_leaf()) {
-    const auto& node = tree[static_cast<std::size_t>(idx)];
-    idx = features[static_cast<std::size_t>(node.feature)] <= node.threshold
-              ? node.left
-              : node.right;
-  }
-  return tree[static_cast<std::size_t>(idx)].value;
-}
-
-double GradientBoostedTrees::predict_row(
-    std::span<const double> features) const {
-  LTS_REQUIRE(fitted_, "GBT: not fitted");
-  LTS_REQUIRE(features.size() == num_features_,
-              "GBT: feature width mismatch");
-  double y = base_score_;
-  for (const auto& tree : trees_) {
-    y += tree_predict(tree, features);
-  }
-  return y;
 }
 
 Json GradientBoostedTrees::to_json() const {
@@ -435,11 +392,11 @@ void GradientBoostedTrees::from_json(const Json& j) {
   num_features_ = static_cast<std::size_t>(j.at("num_features").as_double());
   trees_.clear();
   for (const auto& tree_json : j.at("trees").as_array()) {
-    std::vector<GbtNode> tree;
+    std::vector<TreeNode> tree;
     for (const auto& entry : tree_json.as_array()) {
       const auto& f = entry.as_array();
       LTS_REQUIRE(f.size() == 5, "GBT: malformed node");
-      GbtNode node;
+      TreeNode node;
       node.feature = f[0].as_int();
       node.threshold = f[1].as_double();
       node.left = f[2].as_int();
@@ -447,6 +404,8 @@ void GradientBoostedTrees::from_json(const Json& j) {
       node.value = f[4].as_double();
       tree.push_back(node);
     }
+    check_tree_nodes(tree, num_features_,
+                     "GBT: tree " + std::to_string(trees_.size()));
     trees_.push_back(std::move(tree));
   }
   importance_ = j.at("importance").to_doubles();

@@ -9,7 +9,8 @@
 //
 // with leaf weight -G/(H+lambda), shrunk by the learning rate. Row and
 // column subsampling plus early stopping on a validation split match the
-// XGBoost knobs the paper tuned.
+// XGBoost knobs the paper tuned. A tree is a TreeNode array whose leaf
+// `value` is the shrunken weight; predictions walk a FlatEnsemble.
 #pragma once
 
 #include <memory>
@@ -17,6 +18,7 @@
 #include "ml/colindex.hpp"
 #include "ml/flat.hpp"
 #include "ml/model.hpp"
+#include "ml/tree.hpp"
 #include "util/rng.hpp"
 
 namespace lts::ml {
@@ -40,18 +42,6 @@ struct GbtParams {
   Json to_json() const;
 };
 
-/// One boosted tree: flat node array (feature < 0 marks a leaf whose
-/// `value` is the shrunken leaf weight).
-struct GbtNode {
-  int feature = -1;
-  double threshold = 0.0;
-  int left = -1;
-  int right = -1;
-  double value = 0.0;
-
-  bool is_leaf() const { return feature < 0; }
-};
-
 class GradientBoostedTrees : public Regressor {
  public:
   explicit GradientBoostedTrees(GbtParams params = {});
@@ -65,7 +55,6 @@ class GradientBoostedTrees : public Regressor {
   /// retraining stream). Feature importances keep accumulating; the stored
   /// validation RMSE is cleared (it described an older window).
   void refit(const Dataset& data) override;
-  double predict_row(std::span<const double> features) const override;
   void predict_batch(std::span<const double> x, std::size_t rows,
                      std::size_t cols, std::span<double> out) const override;
   bool is_fitted() const override { return fitted_; }
@@ -110,7 +99,7 @@ class GradientBoostedTrees : public Regressor {
 
   int build_node(TreeBuildContext& ctx, std::vector<std::size_t>& rows,
                  std::size_t begin, std::size_t end, int depth,
-                 std::vector<GbtNode>& tree);
+                 std::vector<TreeNode>& tree);
   /// One boosting round: gradient refresh over train_rows, row/column
   /// subsample draws from `rng`, grow a tree, update `pred` for every row,
   /// append the tree. Shared by fit() and refit().
@@ -118,8 +107,6 @@ class GradientBoostedTrees : public Regressor {
                        const std::vector<std::size_t>& train_rows,
                        std::vector<double>& pred, std::vector<double>& grad,
                        std::vector<double>& hess, Rng& rng);
-  static double tree_predict(const std::vector<GbtNode>& tree,
-                             std::span<const double> features);
   /// Re-flattens the ensemble (tree order, base_score as the accumulator
   /// seed); called wherever trees_ or base_score_ changes.
   void rebuild_flat();
@@ -128,8 +115,8 @@ class GradientBoostedTrees : public Regressor {
   bool fitted_ = false;
   double base_score_ = 0.0;
   std::size_t num_features_ = 0;
-  std::vector<std::vector<GbtNode>> trees_;
-  FlatEnsemble flat_;  // SoA mirror of trees_ for batched prediction
+  std::vector<std::vector<TreeNode>> trees_;
+  FlatEnsemble flat_;  // every tree of trees_, packed for prediction
   std::vector<double> importance_;  // raw gain per feature
   double best_val_rmse_ = std::numeric_limits<double>::quiet_NaN();
   FitScratch scratch_;

@@ -70,15 +70,16 @@ void LinearRegression::fit(const Dataset& data) {
   fitted_ = true;
 }
 
-double LinearRegression::predict_row(std::span<const double> features) const {
-  LTS_REQUIRE(fitted_, "LinearRegression: not fitted");
-  LTS_REQUIRE(features.size() == coef_.size(),
-              "LinearRegression: feature width mismatch");
-  double y = intercept_;
-  for (std::size_t j = 0; j < coef_.size(); ++j) {
-    y += coef_[j] * features[j];
+void LinearRegression::predict_batch(std::span<const double> x,
+                                     std::size_t rows, std::size_t cols,
+                                     std::span<double> out) const {
+  check_batch(x, rows, cols, out, coef_.size());
+  for (std::size_t r = 0; r < rows; ++r) {
+    const double* row = x.data() + r * cols;
+    double y = intercept_;
+    for (std::size_t j = 0; j < cols; ++j) y += coef_[j] * row[j];
+    out[r] = y;
   }
-  return y;
 }
 
 Json LinearRegression::to_json() const {

@@ -25,7 +25,8 @@ class LinearRegression : public Regressor {
   explicit LinearRegression(LinearParams params = {});
 
   void fit(const Dataset& data) override;
-  double predict_row(std::span<const double> features) const override;
+  void predict_batch(std::span<const double> x, std::size_t rows,
+                     std::size_t cols, std::span<double> out) const override;
   bool is_fitted() const override { return fitted_; }
   std::string name() const override { return "linear"; }
   Json to_json() const override;

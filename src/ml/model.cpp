@@ -13,24 +13,26 @@
 
 namespace lts::ml {
 
-void Regressor::predict_batch(std::span<const double> x, std::size_t rows,
-                              std::size_t cols,
-                              std::span<double> out) const {
-  LTS_REQUIRE(x.size() >= rows * cols,
-              "predict_batch: feature block smaller than rows * cols");
-  LTS_REQUIRE(out.size() >= rows, "predict_batch: output span too small");
-  for (std::size_t r = 0; r < rows; ++r) {
-    out[r] = predict_row(x.subspan(r * cols, cols));
-  }
+double Regressor::predict_row(std::span<const double> features) const {
+  double out = 0.0;
+  predict_batch(features, 1, features.size(), std::span<double>(&out, 1));
+  return out;
 }
 
 std::vector<double> Regressor::predict(const Matrix& x) const {
-  // Matrix rows are contiguous row-major, exactly the predict_batch block
-  // layout, so bulk prediction (GBT refit residuals, evaluation sweeps)
-  // rides the flattened kernels for free.
   std::vector<double> out(x.rows(), 0.0);
   predict_batch(x.data(), x.rows(), x.cols(), out);
   return out;
+}
+
+void Regressor::check_batch(std::span<const double> x, std::size_t rows,
+                            std::size_t cols, std::span<const double> out,
+                            std::size_t num_features) const {
+  LTS_REQUIRE(is_fitted(), name() + ": not fitted");
+  LTS_REQUIRE(cols == num_features, name() + ": feature width mismatch");
+  LTS_REQUIRE(x.size() >= rows * cols,
+              name() + ": feature block smaller than rows * cols");
+  LTS_REQUIRE(out.size() >= rows, name() + ": output span too small");
 }
 
 LogTargetRegressor::LogTargetRegressor(std::unique_ptr<Regressor> inner)
@@ -61,15 +63,9 @@ void LogTargetRegressor::refit(const Dataset& data) {
   inner_->refit(log_transformed(data));
 }
 
-double LogTargetRegressor::predict_row(
-    std::span<const double> features) const {
-  return std::exp(inner_->predict_row(features));
-}
-
 void LogTargetRegressor::predict_batch(std::span<const double> x,
                                        std::size_t rows, std::size_t cols,
                                        std::span<double> out) const {
-  // Same per-row computation as predict_row: exp of the inner prediction.
   inner_->predict_batch(x, rows, cols, out);
   for (std::size_t r = 0; r < rows; ++r) out[r] = std::exp(out[r]);
 }

@@ -2,7 +2,8 @@
 //
 // The scheduler core only sees this interface (§3.2.3 "Supervised Learning
 // Model"): fit on historical (features, duration) pairs, predict durations
-// at decision time. The registry maps the paper's model names ("linear",
+// at decision time, through the one prediction a model implements:
+// predict_batch. The registry maps the paper's model names ("linear",
 // "random_forest", "xgboost") to factories so Table 4 can iterate model
 // families uniformly. Models serialize to JSON for offline training /
 // online serving separation (§2.4 deployability).
@@ -42,18 +43,17 @@ class Regressor {
   /// changed. Deterministic for a given (state, data).
   virtual void refit(const Dataset& data) { fit(data); }
 
-  /// Predicts the target for one feature vector. Requires is_fitted().
-  virtual double predict_row(std::span<const double> features) const = 0;
-
   /// Batched prediction over a row-major feature block: `rows` vectors of
   /// `cols` doubles each, contiguous in `x`; one prediction per row is
-  /// written to `out` (size >= rows). Bit-identical to predict_row on each
-  /// row — tree ensembles override this with a flattened SoA traversal that
-  /// accumulates in the same order as the pointer walk (the serving hot
-  /// path); the default loops predict_row.
+  /// written to `out` (size >= rows). Requires is_fitted(). A row's
+  /// prediction does not depend on the rest of its block.
   virtual void predict_batch(std::span<const double> x, std::size_t rows,
-                             std::size_t cols, std::span<double> out) const;
+                             std::size_t cols, std::span<double> out) const = 0;
 
+  /// predict_batch over one feature vector.
+  double predict_row(std::span<const double> features) const;
+
+  /// predict_batch over every row of `x` (Matrix rows are contiguous).
   std::vector<double> predict(const Matrix& x) const;
 
   /// Point prediction plus uncertainty. The default wraps predict_row with
@@ -77,6 +77,13 @@ class Regressor {
   /// Per-feature importance scores summing to 1 (all-zero for models
   /// without a natural importance, e.g. before fitting).
   virtual std::vector<double> feature_importances() const { return {}; }
+
+ protected:
+  /// The checks predict_batch opens with: the model is fitted, `cols` is
+  /// its feature width, and `x` and `out` hold `rows` rows.
+  void check_batch(std::span<const double> x, std::size_t rows,
+                   std::size_t cols, std::span<const double> out,
+                   std::size_t num_features) const;
 };
 
 /// Wraps any regressor to fit on log(target) and predict back in the
@@ -90,7 +97,6 @@ class LogTargetRegressor : public Regressor {
 
   void fit(const Dataset& data) override;
   void refit(const Dataset& data) override;
-  double predict_row(std::span<const double> features) const override;
   void predict_batch(std::span<const double> x, std::size_t rows,
                      std::size_t cols, std::span<double> out) const override;
   bool is_fitted() const override;

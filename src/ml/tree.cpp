@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 
+#include "ml/flat.hpp"
 #include "util/thread_pool.hpp"
 
 namespace lts::ml {
@@ -79,17 +80,6 @@ void DecisionTreeRegressor::fit_on(const Dataset& data,
     scratch.columns.build_by_value_target(data.x(), data.y(), working);
   }
   build(data, working, 0, working.size(), 0, rng, scratch);
-  rebuild_flat();
-}
-
-void DecisionTreeRegressor::rebuild_flat() {
-  flat_.clear();
-  // An unfitted tree round-tripped through JSON has no nodes; leave the
-  // flat form empty rather than register a rootless tree. A tree too large
-  // to flatten (beyond any default depth cap) also stays empty —
-  // predict_batch then falls back to the scalar walk.
-  if (nodes_.empty()) return;
-  if (!flat_.try_add_tree(std::span<const TreeNode>(nodes_))) flat_.clear();
 }
 
 int DecisionTreeRegressor::build(const Dataset& data,
@@ -241,34 +231,20 @@ DecisionTreeRegressor::best_split(const Dataset& data,
   return best;
 }
 
-double DecisionTreeRegressor::predict_row(
-    std::span<const double> features) const {
-  LTS_REQUIRE(is_fitted(), "DecisionTree: not fitted");
-  LTS_REQUIRE(features.size() == num_features_,
-              "DecisionTree: feature width mismatch");
-  int idx = 0;
-  while (!nodes_[static_cast<std::size_t>(idx)].is_leaf()) {
-    const auto& node = nodes_[static_cast<std::size_t>(idx)];
-    idx = features[static_cast<std::size_t>(node.feature)] <= node.threshold
-              ? node.left
-              : node.right;
-  }
-  return nodes_[static_cast<std::size_t>(idx)].value;
-}
-
 void DecisionTreeRegressor::predict_batch(std::span<const double> x,
                                           std::size_t rows, std::size_t cols,
                                           std::span<double> out) const {
-  LTS_REQUIRE(is_fitted(), "DecisionTree: not fitted");
-  LTS_REQUIRE(cols == num_features_, "DecisionTree: feature width mismatch");
-  LTS_REQUIRE(x.size() >= rows * cols,
-              "DecisionTree: feature block smaller than rows * cols");
-  LTS_REQUIRE(out.size() >= rows, "DecisionTree: output span too small");
-  if (flat_.empty()) {  // oversized tree bailed out of flattening
-    Regressor::predict_batch(x, rows, cols, out);
-    return;
+  check_batch(x, rows, cols, out, num_features_);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const double* row = x.data() + r * cols;
+    std::size_t idx = 0;
+    while (!nodes_[idx].is_leaf()) {
+      const TreeNode& node = nodes_[idx];
+      idx = static_cast<std::size_t>(
+          row[node.feature] <= node.threshold ? node.left : node.right);
+    }
+    out[r] = nodes_[idx].value;
   }
-  flat_.predict(x.data(), rows, cols, out.data());
 }
 
 Json DecisionTreeRegressor::to_json() const {
@@ -308,8 +284,8 @@ void DecisionTreeRegressor::from_json(const Json& j) {
     node.n_samples = f[5].as_int();
     nodes_.push_back(node);
   }
+  check_tree_nodes(nodes_, num_features_, "DecisionTree");
   importance_ = j.at("importance").to_doubles();
-  rebuild_flat();
 }
 
 std::vector<double> DecisionTreeRegressor::feature_importances() const {
@@ -345,6 +321,34 @@ std::size_t DecisionTreeRegressor::num_leaves() const {
     if (node.is_leaf()) ++count;
   }
   return count;
+}
+
+void check_tree_nodes(std::span<const TreeNode> nodes,
+                      std::size_t num_features, const std::string& what) {
+  const std::size_t features =
+      std::min(num_features, FlatEnsemble::kMaxFeatures);
+  const auto at = [&](std::size_t i) {
+    return what + ": node " + std::to_string(i);
+  };
+  std::vector<char> reached(nodes.size(), 0);
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const TreeNode& node = nodes[i];
+    if (node.is_leaf()) continue;
+    LTS_REQUIRE(static_cast<std::size_t>(node.feature) < features,
+                at(i) + " splits on feature " + std::to_string(node.feature) +
+                    ", outside [0, " + std::to_string(features) + ")");
+    for (const int child : {node.left, node.right}) {
+      const auto c = static_cast<std::size_t>(child);
+      LTS_REQUIRE(c > i && c < nodes.size(),
+                  at(i) + " has child " + std::to_string(child) +
+                      ", not after it inside the " +
+                      std::to_string(nodes.size()) + "-node array");
+      LTS_REQUIRE(reached[c] == 0, at(i) + " reaches node " +
+                                       std::to_string(child) +
+                                       ", which another edge reached first");
+      reached[c] = 1;
+    }
+  }
 }
 
 }  // namespace lts::ml

@@ -1,12 +1,14 @@
 // CART regression tree with variance (SSE) splitting — the building block
-// of the random forest.
+// of the random forest. A tree predicts by walking its node array; that
+// walk is also the reference the ensembles' FlatEnsemble (flat.hpp) is
+// tested against.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <string>
 
 #include "ml/colindex.hpp"
-#include "ml/flat.hpp"
 #include "ml/model.hpp"
 #include "util/rng.hpp"
 
@@ -26,16 +28,24 @@ struct TreeParams {
   Json to_json() const;
 };
 
+/// One node of a tree's flat node array; node 0 is the root.
 struct TreeNode {
   int feature = -1;         // -1 marks a leaf
   double threshold = 0.0;
   int left = -1;
   int right = -1;
-  double value = 0.0;       // leaf prediction (mean of targets)
-  int n_samples = 0;
+  double value = 0.0;       // leaf prediction (a GBT leaf: shrunken weight)
+  int n_samples = 0;        // training rows that reached the node (CART)
 
   bool is_leaf() const { return feature < 0; }
 };
+
+/// Run on every loaded node array before anything walks it: throws an
+/// lts::Error naming `what` and the node unless each internal node's feature
+/// is below `num_features` (and fits the kernel's 16 bits), each child comes
+/// after its parent inside the array, and no node is reached twice.
+void check_tree_nodes(std::span<const TreeNode> nodes,
+                      std::size_t num_features, const std::string& what);
 
 class DecisionTreeRegressor : public Regressor {
  public:
@@ -52,7 +62,7 @@ class DecisionTreeRegressor : public Regressor {
   void fit_on(const Dataset& data, std::span<const std::size_t> rows,
               Rng& rng, const SortedColumns* presorted = nullptr);
 
-  double predict_row(std::span<const double> features) const override;
+  /// The pointer walk, one row at a time.
   void predict_batch(std::span<const double> x, std::size_t rows,
                      std::size_t cols, std::span<double> out) const override;
   bool is_fitted() const override { return !nodes_.empty(); }
@@ -62,6 +72,7 @@ class DecisionTreeRegressor : public Regressor {
   std::vector<double> feature_importances() const override;
 
   const std::vector<TreeNode>& nodes() const { return nodes_; }
+  std::size_t num_features() const { return num_features_; }
   int depth() const;
   std::size_t num_leaves() const;
 
@@ -86,9 +97,6 @@ class DecisionTreeRegressor : public Regressor {
   int build(const Dataset& data, std::vector<std::size_t>& rows,
             std::size_t begin, std::size_t end, int depth, Rng& rng,
             SplitScratch& scratch);
-  /// Regenerates flat_ from nodes_; called wherever nodes_ changes
-  /// (fit_on, from_json). flat_ is derived state, never serialized.
-  void rebuild_flat();
   /// Exact greedy split search over scratch.columns segment [begin, end)
   /// (the same index range `rows` spans in the row array). `sum` is the
   /// node's target total, already accumulated in row order by build().
@@ -105,7 +113,6 @@ class DecisionTreeRegressor : public Regressor {
   std::uint64_t seed_;
   std::size_t num_features_ = 0;
   std::vector<TreeNode> nodes_;
-  FlatEnsemble flat_;  // SoA mirror of nodes_ for batched prediction
   std::vector<double> importance_;  // raw SSE decrease per feature
 };
 

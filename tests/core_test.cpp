@@ -412,8 +412,12 @@ TEST(Scheduler, RiskAversionPenalizesUncertainNodes) {
     std::string name() const override { return "fake"; }
     Json to_json() const override { return Json::object(); }
     void from_json(const Json&) override {}
-    double predict_row(std::span<const double> x) const override {
-      return predict_with_uncertainty(x).mean;
+    void predict_batch(std::span<const double> x, std::size_t rows,
+                       std::size_t cols,
+                       std::span<double> out) const override {
+      for (std::size_t r = 0; r < rows; ++r) {
+        out[r] = predict_with_uncertainty(x.subspan(r * cols, cols)).mean;
+      }
     }
     ml::Prediction predict_with_uncertainty(
         std::span<const double> x) const override {

@@ -41,7 +41,6 @@ ForestParams test_params() {
   ForestParams params;
   params.n_estimators = 24;
   params.seed = 97;
-  params.compute_oob = true;
   return params;
 }
 
@@ -50,7 +49,6 @@ ForestParams test_params() {
 struct FitResult {
   std::string serialized;
   std::vector<double> predictions;
-  double oob_r2 = 0.0;
 };
 
 FitResult fit_with_pool_size(const Dataset& train, const Dataset& probe,
@@ -64,7 +62,6 @@ FitResult fit_with_pool_size(const Dataset& train, const Dataset& probe,
   for (std::size_t i = 0; i < probe.size(); ++i) {
     out.predictions.push_back(forest.predict_row(probe.row(i)));
   }
-  out.oob_r2 = forest.oob_r2();
   return out;
 }
 
@@ -83,7 +80,6 @@ TEST(ForestDeterminism, IndependentOfThreadPoolSize) {
     for (std::size_t i = 0; i < sequential.predictions.size(); ++i) {
       EXPECT_EQ(parallel.predictions[i], sequential.predictions[i]);
     }
-    EXPECT_EQ(parallel.oob_r2, sequential.oob_r2);
   }
 }
 

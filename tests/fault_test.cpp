@@ -26,7 +26,10 @@ using namespace lts;
 class ConstantModel : public ml::Regressor {
  public:
   void fit(const ml::Dataset&) override {}
-  double predict_row(std::span<const double>) const override { return 1.0; }
+  void predict_batch(std::span<const double>, std::size_t rows, std::size_t,
+                     std::span<double> out) const override {
+    std::fill_n(out.begin(), rows, 1.0);
+  }
   bool is_fitted() const override { return true; }
   std::string name() const override { return "constant"; }
   Json to_json() const override { return Json::object(); }

@@ -75,4 +75,29 @@ void SparkApp::submit(std::vector<int>& steps, int n) {
   steps.push_back(*first);
 }
 
+// Fires: the flat kernel's walk is hot by (class, name), and a template
+// member counts like any other; a per-call scratch vector is the
+// allocation its stack lanes avoid.
+template <FlatEnsemble::Fold kFold>
+void FlatEnsemble::walk_block(const double* x, std::size_t rows) const {
+  auto lanes = std::make_unique<unsigned[]>(rows);
+  lanes[0] = static_cast<unsigned>(x[0]);
+}
+
+// Fires: the per-tree entry point is on the same walk.
+void FlatEnsemble::tree_values(std::vector<double>& out, std::size_t n) const {
+  for (std::size_t t = 0; t < n; ++t) out.push_back(value_[t]);
+}
+
+// Clean: packing a tree runs once per fit, and a free `predict` is not
+// the kernel's.
+void FlatEnsemble::add_tree(std::vector<double>& values, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) values.push_back(0.0);
+}
+
+double predict(std::vector<double>& out, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) out.push_back(0.0);
+  return out.back();
+}
+
 }  // namespace lts::fixture

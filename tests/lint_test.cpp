@@ -299,11 +299,14 @@ TEST(LintR8, FiresInsideDeclaredHotFunctionsOnly) {
                        line_of(text, "std::function<void()> resume")));
   EXPECT_TRUE(has_diag(diags, "R8",
                        line_of(text, "std::make_shared<int>(stage)")));
-  EXPECT_EQ(count_rule(diags, "R8"), 9u);
+  EXPECT_TRUE(has_diag(diags, "R8",
+                       line_of(text, "std::make_unique<unsigned[]>")));
+  EXPECT_TRUE(has_diag(diags, "R8", line_of(text, "out.push_back(value_[t])")));
+  EXPECT_EQ(count_rule(diags, "R8"), 11u);
   // Unknown waiver token: diagnosed, does not suppress.
   EXPECT_TRUE(
       has_diag(diags, "waiver-syntax", line_of(text, "allocation-ok")));
-  EXPECT_EQ(diags.size(), 10u);
+  EXPECT_EQ(diags.size(), 12u);
   // reserve-then-push is the sanctioned pattern, and build_report's
   // identical body is not on the hot list.
   EXPECT_FALSE(has_diag(
@@ -312,6 +315,9 @@ TEST(LintR8, FiresInsideDeclaredHotFunctionsOnly) {
   // SparkApp::submit is not on the per-event list.
   EXPECT_FALSE(
       has_diag(diags, "R8", line_of(text, "std::make_shared<int>(n)")));
+  // FlatEnsemble::add_tree and a free predict() are not the kernel's walk.
+  EXPECT_FALSE(has_diag(diags, "R8", line_of(text, "values.push_back(0.0)")));
+  EXPECT_FALSE(has_diag(diags, "R8", line_of(text, "out.push_back(0.0)")));
 }
 
 // ------------------------------------------------------- cross-file tree ----

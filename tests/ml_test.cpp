@@ -1,13 +1,16 @@
 // Unit tests for the ML library: matrix/solver, dataset, metrics, the four
 // regressor families with serialization round-trips, uncertainty, model
-// analysis, the model envelope, refits and the flat-ensemble limits.
+// analysis, the model envelope and corrupt node arrays, refits, and the flat
+// kernel against the reference walk.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <span>
 
 #include "ml/dataset.hpp"
+#include "ml/flat.hpp"
 #include "ml/forest.hpp"
 #include "ml/gbt.hpp"
 #include "ml/linear.hpp"
@@ -16,6 +19,7 @@
 #include "ml/model.hpp"
 #include "ml/tree.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace lts::ml {
 namespace {
@@ -324,15 +328,32 @@ TEST(Forest, DifferentSeedsDiffer) {
   EXPECT_TRUE(any_diff);
 }
 
-TEST(Forest, OobScoreReasonable) {
-  const Dataset data = make_synthetic(1500, 21);
+TEST(Forest, RetiredKeysLoadOnlyWithTheirWrittenValues) {
+  // Forest files written before `bootstrap` and `compute_oob` were removed
+  // carry "bootstrap": true and "compute_oob": false. Those still load;
+  // any other value fails naming the key.
+  const Dataset data = make_synthetic(100, 46);
   ForestParams params;
-  params.n_estimators = 60;
-  params.compute_oob = true;
+  params.n_estimators = 8;
   RandomForestRegressor forest{params};
   forest.fit(data);
-  EXPECT_GT(forest.oob_r2(), 0.85);
-  EXPECT_LE(forest.oob_r2(), 1.0);
+  Json old = model_to_json(forest);
+  old["state"]["params"]["bootstrap"] = true;
+  old["state"]["params"]["compute_oob"] = false;
+  EXPECT_EQ(model_from_json(old)->predict_row(data.row(0)),
+            forest.predict_row(data.row(0)));
+  for (const auto& [key, value] :
+       {std::pair{"bootstrap", false}, std::pair{"compute_oob", true}}) {
+    Json bad = model_to_json(forest);
+    bad["state"]["params"][key] = value;
+    try {
+      model_from_json(bad);
+      ADD_FAILURE() << key << " = " << value << " loaded";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Forest, ImportancesFavorInformativeFeatures) {
@@ -572,6 +593,37 @@ TEST(Uncertainty, ForestSpreadIsMeaningful) {
   EXPECT_GE(out_dist.stddev, 0.0);
 }
 
+TEST(Uncertainty, ForestSpreadIsRunningStatsOverMemberTrees) {
+  // The forest's spread reads each tree's leaf from its flat kernel. The
+  // reference is the member trees' own walks in tree order: the kernel's
+  // per-tree values equal them one by one, and RunningStats over them gives
+  // the same mean and stddev, bit for bit.
+  const Dataset data = make_synthetic(300, 44, 0.3);
+  ForestParams params;
+  params.n_estimators = 40;
+  RandomForestRegressor forest{params};
+  forest.fit(data);
+  FlatEnsemble flat;
+  for (std::size_t t = 0; t < forest.num_trees(); ++t) {
+    flat.add_tree(forest.tree(t).nodes());
+  }
+  const std::size_t rows = 20, cols = data.num_features();
+  std::vector<double> per_tree(rows * forest.num_trees());
+  flat.tree_values(data.x().data().data(), rows, cols, per_tree.data());
+  for (std::size_t r = 0; r < rows; ++r) {
+    RunningStats walks;
+    for (std::size_t t = 0; t < forest.num_trees(); ++t) {
+      const double leaf = forest.tree(t).predict_row(data.row(r));
+      EXPECT_EQ(per_tree[r * forest.num_trees() + t], leaf)
+          << "row " << r << " tree " << t;
+      walks.add(leaf);
+    }
+    const auto p = forest.predict_with_uncertainty(data.row(r));
+    EXPECT_EQ(p.mean, walks.mean()) << "row " << r;
+    EXPECT_EQ(p.stddev, walks.stddev()) << "row " << r;
+  }
+}
+
 TEST(Uncertainty, LogTargetTransformsSpread) {
   Rng rng(42);
   Dataset data;
@@ -765,6 +817,48 @@ TEST(Envelope, LoadFailuresReportPathAndReason) {
   std::remove(path.c_str());
 }
 
+TEST(Envelope, CorruptNodeArraysFailCleanly) {
+  // A loaded node array is checked before anything walks it: a child
+  // outside the array, a back edge (on which a walk would never end) and
+  // a feature beyond the model's width each fail with an lts::Error naming
+  // the node, for every tree family and through the envelope loader.
+  const Dataset data = make_synthetic(120, 45);
+  struct Corruption {
+    std::size_t field;  // root's [feature, threshold, left, right, ...]
+    double value;
+    std::string fragment;
+  };
+  const Corruption corruptions[] = {
+      {2, 1e8, "node 0 has child 100000000"},
+      {3, 0.0, "node 0 has child 0"},
+      {0, 4.0, "node 0 splits on feature 4"},
+  };
+  for (const std::string family :
+       {"decision_tree", "random_forest", "xgboost"}) {
+    const auto model = create_regressor(family, small_params(family, false));
+    model->fit(data);
+    for (const Corruption& c : corruptions) {
+      Json envelope = model_to_json(*model);
+      Json& state = envelope["state"];
+      Json& root = family == "decision_tree"
+                       ? state["nodes"].as_array()[0]
+                   : family == "random_forest"
+                       ? state["trees"].as_array()[0]["nodes"].as_array()[0]
+                       : state["trees"].as_array()[0].as_array()[0];
+      JsonArray& fields = root.as_array();
+      ASSERT_GE(fields[0].as_int(), 0) << family << ": root is a leaf";
+      fields[c.field] = c.value;
+      try {
+        model_from_json(envelope);
+        ADD_FAILURE() << family << " loaded with " << c.fragment;
+      } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find(c.fragment), std::string::npos)
+            << family << ": " << e.what();
+      }
+    }
+  }
+}
+
 TEST(Envelope, FailedSaveLeavesNoFiles) {
   const Dataset data = make_synthetic(40, 43);
   LinearRegression model;
@@ -901,52 +995,96 @@ Json tree_to_json(const std::vector<TreeNode>& nodes, int num_features) {
   return j;
 }
 
-TEST(FlatEnsembleLimits, OversizedTreeIsRejectedAtTheCap) {
-  // kMaxTreeNodes is the largest tree whose local child indices fit the
-  // packed 16-bit fields. Exactly at the cap (a complete depth-14 tree,
-  // 2^15-1 = 32767 nodes) flattening succeeds; one level deeper it must
-  // refuse rather than truncate.
-  FlatEnsemble flat;
-  const auto at_cap = complete_tree(14, 4);
-  ASSERT_EQ(at_cap.size(), FlatEnsemble::kMaxTreeNodes);
-  EXPECT_TRUE(flat.try_add_tree(std::span<const TreeNode>(at_cap)));
-
-  FlatEnsemble refused;
-  const auto oversized = complete_tree(15, 4);
-  ASSERT_GT(oversized.size(), FlatEnsemble::kMaxTreeNodes);
-  EXPECT_FALSE(refused.try_add_tree(std::span<const TreeNode>(oversized)));
-  EXPECT_TRUE(refused.empty());
+/// The reference walk, written out: from the root, `x <= threshold` goes
+/// left and anything else (NaN included) goes right, down to a leaf.
+double walk(const std::vector<TreeNode>& nodes, std::span<const double> x) {
+  std::size_t i = 0;
+  while (!nodes[i].is_leaf()) {
+    const TreeNode& n = nodes[i];
+    i = static_cast<std::size_t>(
+        x[static_cast<std::size_t>(n.feature)] <= n.threshold ? n.left
+                                                               : n.right);
+  }
+  return nodes[i].value;
 }
 
-TEST(FlatEnsembleLimits, OversizedTreeScalarFallbackMatchesBitForBit) {
-  // A deserialized tree too large to flatten must still serve batched
-  // predictions — through the scalar walk — and produce the exact doubles
-  // predict_row does. 65535 nodes exceeds kMaxTreeNodes so rebuild_flat
-  // bails out and predict_batch takes the fallback path.
-  DecisionTreeRegressor tree;
-  tree.from_json(tree_to_json(complete_tree(15, 4), 4));
-  EXPECT_EQ(tree.depth(), 15);
-  EXPECT_EQ(tree.num_leaves(), std::size_t{1} << 15);
+/// A GBT state in GradientBoostedTrees::to_json's layout: five fields per
+/// node, no sample counts.
+Json gbt_state(const std::vector<std::vector<TreeNode>>& trees,
+               double base_score, int num_features) {
+  Json j = Json::object();
+  j["params"] = GbtParams{}.to_json();
+  j["fitted"] = true;
+  j["base_score"] = base_score;
+  j["num_features"] = num_features;
+  JsonArray arr;
+  for (const auto& nodes : trees) {
+    JsonArray tree;
+    for (const auto& node : nodes) {
+      tree.emplace_back(JsonArray{node.feature, node.threshold, node.left,
+                                  node.right, node.value});
+    }
+    arr.emplace_back(std::move(tree));
+  }
+  j["trees"] = Json(std::move(arr));
+  j["importance"] =
+      Json::from_doubles(std::vector<double>(num_features, 0.0));
+  return j;
+}
 
+TEST(FlatEnsemble, DeepTreesMatchTheWalk) {
+  // A complete depth-15 tree (65,535 nodes, child indices past 15 bits)
+  // packs like any other tree. In a forest envelope a prediction is the
+  // mean of the member trees' walks; in a GBT envelope it is base_score
+  // plus the walks above, in tree order; both bit for bit.
+  const auto big = complete_tree(15, 4);
+  ASSERT_EQ(big.size(), 65535u);
+  const auto small = complete_tree(3, 4);
   const std::size_t rows = 64, cols = 4;
   Rng rng(0xF1A7);
   std::vector<double> x(rows * cols);
   for (auto& v : x) v = rng.uniform(-1.0, 1.0);
+  const auto row = [&](std::size_t r) {
+    return std::span<const double>(x.data() + r * cols, cols);
+  };
   std::vector<double> batched(rows);
-  tree.predict_batch(x, rows, cols, batched);
+
+  Json forest = Json::object();
+  forest["type"] = "random_forest";
+  Json state = Json::object();
+  state["params"] = ForestParams{}.to_json();
+  state["num_features"] = 4;
+  state["trees"] =
+      Json(JsonArray{tree_to_json(big, 4), tree_to_json(small, 4)});
+  forest["state"] = state;
+  const auto model = model_from_json(forest);
+  const auto& rf = dynamic_cast<const RandomForestRegressor&>(*model);
+  ASSERT_EQ(rf.num_trees(), 2u);
+  model->predict_batch(x, rows, cols, batched);
   for (std::size_t r = 0; r < rows; ++r) {
-    const std::span<const double> row(x.data() + r * cols, cols);
-    EXPECT_EQ(batched[r], tree.predict_row(row)) << "row " << r;
+    const double mean =
+        (rf.tree(0).predict_row(row(r)) + rf.tree(1).predict_row(row(r))) /
+        2.0;
+    EXPECT_EQ(batched[r], mean) << "forest row " << r;
   }
 
-  // Same walk under the flat engine: a tree exactly at the cap must agree
-  // with its own scalar path too (both engines, one contract).
-  DecisionTreeRegressor small;
-  small.from_json(tree_to_json(complete_tree(14, 4), 4));
-  small.predict_batch(x, rows, cols, batched);
+  Json gbt = Json::object();
+  gbt["type"] = "xgboost";
+  gbt["state"] = gbt_state({small, big}, 0.25, 4);
+  model_from_json(gbt)->predict_batch(x, rows, cols, batched);
   for (std::size_t r = 0; r < rows; ++r) {
-    const std::span<const double> row(x.data() + r * cols, cols);
-    EXPECT_EQ(batched[r], small.predict_row(row)) << "row " << r;
+    EXPECT_EQ(batched[r], (0.25 + walk(small, row(r))) + walk(big, row(r)))
+        << "gbt row " << r;
+  }
+
+  // Child indices past 16 bits: in a complete depth-16 tree the last
+  // internal level's left children sit at 65,537 and beyond.
+  const auto wide = complete_tree(16, 4);
+  FlatEnsemble flat;
+  flat.add_tree(wide);
+  flat.predict(x.data(), rows, cols, batched.data());
+  for (std::size_t r = 0; r < rows; ++r) {
+    EXPECT_EQ(batched[r], walk(wide, row(r))) << "depth-16 row " << r;
   }
 }
 

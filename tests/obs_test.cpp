@@ -4,6 +4,7 @@
 // simulator relies on (instrumentation never changes simulation results).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <span>
 #include <string>
@@ -35,7 +36,10 @@ spark::JobConfig small_job() {
 class ConstantModel : public ml::Regressor {
  public:
   void fit(const ml::Dataset&) override {}
-  double predict_row(std::span<const double>) const override { return 1.0; }
+  void predict_batch(std::span<const double>, std::size_t rows, std::size_t,
+                     std::span<double> out) const override {
+    std::fill_n(out.begin(), rows, 1.0);
+  }
   bool is_fitted() const override { return true; }
   std::string name() const override { return "constant"; }
   Json to_json() const override { return Json::object(); }
@@ -50,14 +54,10 @@ constexpr double kSlowMs = 2.0;
 
 class SlowModel : public ConstantModel {
  public:
-  double predict_row(std::span<const double> features) const override {
+  void predict_batch(std::span<const double> x, std::size_t rows,
+                     std::size_t cols, std::span<double> out) const override {
     spin();
-    return ConstantModel::predict_row(features);
-  }
-  void predict_batch(std::span<const double>, std::size_t rows, std::size_t,
-                     std::span<double> out) const override {
-    spin();
-    for (std::size_t r = 0; r < rows; ++r) out[r] = 1.0;
+    ConstantModel::predict_batch(x, rows, cols, out);
   }
 
  private:

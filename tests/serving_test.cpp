@@ -2,13 +2,15 @@
 //
 // The flattened predict_batch kernel, the epoch-keyed snapshot cache, and
 // LtsScheduler's batched serving path are all pure optimizations: every
-// test here pins them against reference implementations (predict_row's
-// pointer walk, an uncached TSDB sweep, the scalar per-node pipeline
-// reference_decision, N sequential schedule() calls) and demands
-// bit-identical results — EXPECT_EQ on doubles, not EXPECT_NEAR.
+// test here pins them against reference implementations (per-model
+// oracles that share no code with predict_batch, an uncached TSDB sweep,
+// the scalar per-node pipeline reference_decision, N sequential schedule()
+// calls) and demands bit-identical results — EXPECT_EQ on doubles, not
+// EXPECT_NEAR.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <span>
 #include <vector>
 
@@ -16,7 +18,11 @@
 #include "core/fetcher.hpp"
 #include "core/scheduler.hpp"
 #include "exp/envgen.hpp"
+#include "ml/forest.hpp"
+#include "ml/gbt.hpp"
+#include "ml/linear.hpp"
 #include "ml/model.hpp"
+#include "ml/tree.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/rng.hpp"
@@ -69,18 +75,88 @@ std::vector<double> make_query_block(const Dataset& data, std::size_t rows,
   return block;
 }
 
-/// The differential itself: predict_batch over the block must equal
-/// predict_row on every row, to the last bit.
+/// The reference walk over a node array, written out here: from the root,
+/// `x <= threshold` goes left and anything else goes right, to a leaf.
+double walk(const std::vector<TreeNode>& nodes, std::span<const double> x) {
+  std::size_t i = 0;
+  while (!nodes[i].is_leaf()) {
+    const TreeNode& n = nodes[i];
+    i = static_cast<std::size_t>(
+        x[static_cast<std::size_t>(n.feature)] <= n.threshold ? n.left
+                                                               : n.right);
+  }
+  return nodes[i].value;
+}
+
+/// Predictions for each row of `x` from an oracle that shares no code with
+/// predict_batch: a linear model's intercept plus coefficients times
+/// features in feature order; a tree's walk above; a forest's member trees'
+/// walks (tree(i)), summed in tree order and divided by their count; a
+/// GBT's base_score plus walks of the trees in its serialized form; a
+/// log-target model's exp of its inner model's oracle.
+std::vector<double> reference_predictions(const Regressor& model,
+                                          std::span<const double> x,
+                                          std::size_t rows,
+                                          std::size_t cols) {
+  std::vector<double> out(rows);
+  const auto row = [&](std::size_t r) { return x.subspan(r * cols, cols); };
+  if (const auto* log = dynamic_cast<const LogTargetRegressor*>(&model)) {
+    out = reference_predictions(log->inner(), x, rows, cols);
+    for (double& v : out) v = std::exp(v);
+  } else if (const auto* lin = dynamic_cast<const LinearRegression*>(&model)) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      out[r] = lin->intercept();
+      for (std::size_t j = 0; j < cols; ++j) {
+        out[r] += lin->coefficients()[j] * row(r)[j];
+      }
+    }
+  } else if (const auto* tree =
+                 dynamic_cast<const DecisionTreeRegressor*>(&model)) {
+    for (std::size_t r = 0; r < rows; ++r) out[r] = walk(tree->nodes(), row(r));
+  } else if (const auto* forest =
+                 dynamic_cast<const RandomForestRegressor*>(&model)) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      double total = 0.0;
+      for (std::size_t t = 0; t < forest->num_trees(); ++t) {
+        total += forest->tree(t).predict_row(row(r));
+      }
+      out[r] = total / static_cast<double>(forest->num_trees());
+    }
+  } else {
+    const Json state =
+        dynamic_cast<const GradientBoostedTrees&>(model).to_json();
+    std::vector<std::vector<TreeNode>> trees;
+    for (const auto& tree_json : state.at("trees").as_array()) {
+      std::vector<TreeNode>& nodes = trees.emplace_back();
+      for (const auto& f : tree_json.as_array()) {
+        const auto& v = f.as_array();
+        nodes.push_back(TreeNode{v[0].as_int(), v[1].as_double(),
+                                 v[2].as_int(), v[3].as_int(),
+                                 v[4].as_double(), 0});
+      }
+    }
+    for (std::size_t r = 0; r < rows; ++r) {
+      out[r] = state.at("base_score").as_double();
+      for (const auto& nodes : trees) out[r] += walk(nodes, row(r));
+    }
+  }
+  return out;
+}
+
+/// The differential itself: predict_batch over the block, and predict_row
+/// on each row (a batch of one), must equal the oracle to the last bit.
 void expect_batch_matches_rows(const Regressor& model,
                                const std::vector<double>& block,
                                std::size_t rows, std::size_t cols,
                                const std::string& context) {
   std::vector<double> batched(rows, -1.0);
   model.predict_batch(block, rows, cols, batched);
+  const auto reference = reference_predictions(model, block, rows, cols);
   const std::span<const double> x(block);
   for (std::size_t r = 0; r < rows; ++r) {
-    const double scalar = model.predict_row(x.subspan(r * cols, cols));
-    EXPECT_EQ(batched[r], scalar) << context << " row " << r;
+    EXPECT_EQ(batched[r], reference[r]) << context << " row " << r;
+    EXPECT_EQ(model.predict_row(x.subspan(r * cols, cols)), reference[r])
+        << context << " single row " << r;
   }
 }
 
@@ -143,8 +219,8 @@ TEST(PredictBatch, MatchesPredictRowAfterRefit) {
 
 TEST(PredictBatch, MatchesPredictRowAfterEnvelopeRoundTrip) {
   // A model revived from its serialized envelope must rebuild its flat
-  // arrays on from_json and agree with both its own predict_row and the
-  // original model's batch output.
+  // arrays on from_json and agree with both the oracle and the original
+  // model's batch output.
   for (const auto& family : {"decision_tree", "random_forest", "xgboost"}) {
     const auto data = make_synthetic(300, 55);
     const auto model = create_regressor(family);
@@ -233,7 +309,10 @@ std::vector<spark::JobConfig> make_queue(std::size_t n) {
 class ConstantModel : public ml::Regressor {
  public:
   void fit(const ml::Dataset&) override {}
-  double predict_row(std::span<const double>) const override { return 1.0; }
+  void predict_batch(std::span<const double>, std::size_t rows, std::size_t,
+                     std::span<double> out) const override {
+    std::fill_n(out.begin(), rows, 1.0);
+  }
   bool is_fitted() const override { return true; }
   std::string name() const override { return "constant"; }
   Json to_json() const override { return Json::object(); }

@@ -102,7 +102,7 @@ const std::vector<Rule>& rule_registry() {
         "no new/make_unique/make_shared/std::function construction or "
         "un-reserved push_back loops inside declared hot-path functions "
         "(recompute_rates*, fill_flows, predict_batch, schedule_many*, "
-        "schedule_batch, Engine::step/run)",
+        "schedule_batch, Engine::step/run, FlatEnsemble's walk)",
         "The scale arc's budgets (rate solve at 100k flows, batched "
         "serving throughput) assume the steady state allocates nothing; "
         "an allocator call or growth-doubling loop inside these functions "

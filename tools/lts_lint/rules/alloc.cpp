@@ -37,8 +37,13 @@ bool is_hot(const FunctionDef& fd) {
       "schedule_at", "schedule_in", "step", "run", "dispatch"};
   static const std::set<std::string> kSparkAppHot = {
       "on_event", "park", "schedule", "start_flow", "run_cpu"};
+  // The flat kernel is the only walk a tree ensemble predicts through:
+  // every batch, every single row and the forest's per-tree spread.
+  static const std::set<std::string> kFlatHot = {
+      "predict", "accumulate", "tree_values", "walk_block"};
   return (fd.class_name == "Engine" && kEngineHot.count(fd.name) > 0) ||
-         (fd.class_name == "SparkApp" && kSparkAppHot.count(fd.name) > 0);
+         (fd.class_name == "SparkApp" && kSparkAppHot.count(fd.name) > 0) ||
+         (fd.class_name == "FlatEnsemble" && kFlatHot.count(fd.name) > 0);
 }
 
 }  // namespace
