@@ -97,7 +97,6 @@ int main() {
       stream.retrain.window_size = 90;
       stream.retrain.drift_threshold = 0.35;
       stream.retrain.drift_cooldown = 6;
-      stream.retrain.warm_start = false;
       const auto run = exp::run_job_stream(p.policy, model, matrix, stream);
       const auto summary = exp::summarize_stream(run);
       table.add_row_numeric(

@@ -1,29 +1,27 @@
-// Training-path throughput sweep: fit and rolling-window refit timings for
-// the tree / forest / GBT trainers, each run twice — once through the
-// embedded pre-overhaul reference (per-node gather + std::sort split
-// search, scalar per-row GBT round updates; bench/train_reference.hpp) and
-// once through the real trainers (presorted column indexes repartitioned
-// down the recursion, parallel per-feature scans, batched round updates).
+// Training-path throughput sweep: fit timings for the tree / forest / GBT
+// trainers, each run twice — once through the embedded pre-overhaul
+// reference (per-node gather + std::sort split search, scalar per-row GBT
+// round updates; bench/train_reference.hpp) and once through the real
+// trainers (presorted column indexes repartitioned down the recursion,
+// parallel per-feature scans, batched round updates).
 //
 // The overhaul's contract is that it changes nothing but time: every case
 // compares the serialized models and a probe-matrix prediction sweep bit
 // for bit and the binary exits nonzero on any divergence. Two speedup
-// gates ride on top (this container is single-core, so both are serial,
-// algorithmic wins — no parallel scan contributes):
+// gates ride on top; both are algorithmic wins that hold on one core:
 //
-//   - gbt/10000 (fit + warm-start refit at the 10k-row window scale) must
-//     hold >= 5x. Boosting scans every column it maintains, so the
-//     presorted indexes replace the per-node sorts outright.
+//   - gbt/10000 (a fit at the 10k-row window scale) must hold >= 5x.
+//     Boosting scans every column it maintains, so the presorted indexes
+//     replace the per-node sorts outright.
 //   - forest/10000 (the OnlineTrainer retrain shape: 120 trees,
-//     max_features 3, 10k-row windows) must hold >= 1.5x on both fit and
-//     rolling refit. Feature subsampling bounds this family: repartition
-//     maintains all 12 columns while each node's scan reads only 3, so
-//     the measured ~2x is the structural ceiling's neighborhood, not a
-//     regression (EXPERIMENTS.md carries the profile and the argument).
+//     max_features 3, a 10k-row window) must hold >= 1.5x. Feature
+//     subsampling bounds this family: repartition maintains all 12 columns
+//     while each node's scan reads only 3, so the measured ~2x is the
+//     structural ceiling's neighborhood, not a regression (EXPERIMENTS.md
+//     carries the profile and the argument).
 //
 // Emits BENCH_train_throughput.json via exp::BenchReport; CI uploads it as
 // a perf-trajectory artifact next to BENCH_flow_scale.json.
-#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -123,22 +121,15 @@ double time_call(Fn&& fn) {
       .count();
 }
 
-double percentile(std::vector<double> samples, double pct) {
-  if (samples.empty()) return 0.0;
-  std::sort(samples.begin(), samples.end());
-  const double pos =
-      pct / 100.0 * static_cast<double>(samples.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, samples.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return samples[lo] * (1.0 - frac) + samples[hi] * frac;
-}
-
-bool rows_bitwise_equal(const std::vector<double>& a,
-                        const std::vector<double>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i] != b[i]) return false;
+/// Bitwise comparison of a trainer's batched predictions over `probe`
+/// with the reference's row-at-a-time ones.
+template <typename RefPredict>
+bool same_predictions(const ml::Regressor& opt, const ml::Dataset& probe,
+                      RefPredict&& ref_predict) {
+  std::vector<double> opt_pred(probe.size(), 0.0);
+  opt.predict_batch(probe.x().data(), probe.size(), kFeatures, opt_pred);
+  for (std::size_t i = 0; i < probe.size(); ++i) {
+    if (opt_pred[i] != ref_predict(probe.row(i))) return false;
   }
   return true;
 }
@@ -150,7 +141,6 @@ bool rows_bitwise_equal(const std::vector<double>& a,
 bool forests_identical(const ml::RandomForestRegressor& opt,
                        const trainref::RefForest& ref) {
   if (opt.num_trees() != ref.trees.size()) return false;
-  if (opt.refit_generation() != ref.refit_generation) return false;
   if (opt.params().to_json().dump() != ref.params.to_json().dump()) {
     return false;
   }
@@ -191,15 +181,14 @@ int main() {
               "serialized models and probe predictions compared bit for "
               "bit against the baseline; nonzero exit on divergence");
   report.note("gate",
-              "gbt/10000 >= 5x; forest/10000 fit and refit >= 1.5x "
-              "(single-core serial; forest feature subsampling bounds the "
-              "win — see EXPERIMENTS.md)");
+              "gbt/10000 >= 5x; forest/10000 >= 1.5x (single-core "
+              "serial; forest feature subsampling bounds the win — see "
+              "EXPERIMENTS.md)");
 
   AsciiTable table({"case", "reference (s)", "optimized (s)", "speedup",
                     "identical"});
   bool all_identical = true;
-  double forest_fit_speedup = 0.0;
-  double forest_refit_speedup = 0.0;
+  double forest10k_speedup = 0.0;
   double gbt10k_speedup = 0.0;
   const ml::Dataset probe = make_window(512, 0xBEEF);
 
@@ -230,144 +219,56 @@ int main() {
                       for (int i = 0; i < reps; ++i) tree.fit(window);
                     }) /
                     reps;
-    std::vector<double> opt_pred(probe.size(), 0.0);
-    tree.predict_batch(probe.x().data(), probe.size(), kFeatures, opt_pred);
-    std::vector<double> ref_pred(probe.size(), 0.0);
-    for (std::size_t i = 0; i < probe.size(); ++i) {
-      ref_pred[i] = trainref::tree_value(ref, probe.row(i));
-    }
     r.identical =
         tree.to_json().dump() ==
             trainref::tree_model_json(ref, tp, kFeatures).dump() &&
-        rows_bitwise_equal(opt_pred, ref_pred);
+        same_predictions(tree, probe, [&](std::span<const double> row) {
+          return trainref::tree_value(ref, row);
+        });
     record("tree/" + std::to_string(rows), r);
   }
 
-  // --------------------------------------------- forest, 2k-row window ----
-  {
-    const ml::Dataset window = make_window(2000, 0xA5);
+  // ------------------------------------------------------------ forest ----
+  for (const std::size_t rows : {std::size_t{2000}, std::size_t{10000}}) {
+    const ml::Dataset window = make_window(rows, 0xA5);
     const ml::ForestParams fp = retrain_forest_params();
     CaseResult r;
     trainref::RefForest ref;
     ref.params = fp;
     r.ref_seconds = time_call([&] { ref.fit(window); });
     ml::RandomForestRegressor forest(fp);
-    const int reps = 3;
+    const int reps = rows <= 2000 ? 3 : 1;
     r.opt_seconds = time_call([&] {
                       for (int i = 0; i < reps; ++i) forest.fit(window);
                     }) /
                     reps;
-    std::vector<double> opt_pred(probe.size(), 0.0);
-    forest.predict_batch(probe.x().data(), probe.size(), kFeatures,
-                         opt_pred);
-    std::vector<double> ref_pred(probe.size(), 0.0);
-    for (std::size_t i = 0; i < probe.size(); ++i) {
-      ref_pred[i] = ref.predict_one(probe.row(i));
-    }
-    r.identical = forests_identical(forest, ref) &&
-                  rows_bitwise_equal(opt_pred, ref_pred);
-    record("forest/2000", r);
+    r.identical =
+        forests_identical(forest, ref) &&
+        same_predictions(forest, probe, [&](std::span<const double> row) {
+          return ref.predict_one(row);
+        });
+    const double speedup = record("forest/" + std::to_string(rows), r);
+    if (rows == 10000) forest10k_speedup = speedup;
   }
 
-  // ------------------- forest, 10k-row window: the gated retrain case ----
-  // Fit once on window 0, then roll through successive windows with
-  // refit() exactly as OnlineTrainer does. Both sides see the identical
-  // window sequence, so the models must agree bit for bit after the rolls.
-  {
-    const std::size_t rows = 10000;
-    const ml::Dataset window0 = make_window(rows, 0xA5);
-    std::vector<ml::Dataset> windows;
-    for (std::uint64_t k = 1; k <= 4; ++k) {
-      windows.push_back(make_window(rows, 0xA5 + k));
-    }
-    const ml::ForestParams fp = retrain_forest_params();
-
-    trainref::RefForest ref;
-    ref.params = fp;
-    CaseResult r;
-    r.ref_seconds = time_call([&] { ref.fit(window0); });
-    ml::RandomForestRegressor forest(fp);
-    r.opt_seconds = time_call([&] { forest.fit(window0); });
-
-    // Rolling refits, identity-paired: two windows through both trainers.
-    double ref_refit_total = 0.0, opt_refit_total = 0.0;
-    std::vector<double> opt_refit_samples;
-    for (int k = 0; k < 2; ++k) {
-      const ml::Dataset& w = windows[static_cast<std::size_t>(k)];
-      ref_refit_total += time_call([&] { ref.refit(w); });
-      const double dt = time_call([&] { forest.refit(w); });
-      opt_refit_total += dt;
-      opt_refit_samples.push_back(dt);
-    }
-    std::vector<double> opt_pred(probe.size(), 0.0);
-    forest.predict_batch(probe.x().data(), probe.size(), kFeatures,
-                         opt_pred);
-    std::vector<double> ref_pred(probe.size(), 0.0);
-    for (std::size_t i = 0; i < probe.size(); ++i) {
-      ref_pred[i] = ref.predict_one(probe.row(i));
-    }
-    r.identical = forests_identical(forest, ref) &&
-                  rows_bitwise_equal(opt_pred, ref_pred);
-    const std::string label = "forest/" + std::to_string(rows);
-    forest_fit_speedup = record(label, r);
-
-    // Optimized-only tail: keep rolling to collect a latency distribution
-    // (identity was already pinned above; these windows cycle).
-    for (int k = 0; k < 10; ++k) {
-      const ml::Dataset& w = windows[static_cast<std::size_t>((k + 2) % 4)];
-      opt_refit_samples.push_back(time_call([&] { forest.refit(w); }));
-    }
-    const double refit_ref_mean = ref_refit_total / 2.0;
-    const double refit_opt_mean = opt_refit_total / 2.0;
-    const double p50 = percentile(opt_refit_samples, 50.0);
-    const double p99 = percentile(opt_refit_samples, 99.0);
-    double sample_total = 0.0;
-    for (const double s : opt_refit_samples) sample_total += s;
-    forest_refit_speedup = refit_ref_mean / refit_opt_mean;
-    report.add(label, "refit_reference_seconds", refit_ref_mean, "s");
-    report.add(label, "refit_optimized_seconds", refit_opt_mean, "s");
-    report.add(label, "refit_speedup", forest_refit_speedup);
-    report.add(label, "refit_p50_seconds", p50, "s");
-    report.add(label, "refit_p99_seconds", p99, "s");
-    report.add(label, "refits_per_second",
-               static_cast<double>(opt_refit_samples.size()) / sample_total,
-               "1/s");
-    table.add_row({label + " refit", fmt(refit_ref_mean),
-                   fmt(refit_opt_mean),
-                   fmt(refit_ref_mean / refit_opt_mean, "%.1fx"),
-                   r.identical ? "yes" : "NO"});
-  }
-
-  // ------------------------------- GBT, fit + warm-start continuation ----
-  // The 10k-row case is the gated one: boosting scans every column its
-  // per-round index maintains, so this family carries the >= 5x headline.
+  // --------------------------------------------------------------- GBT ----
   for (const std::size_t rows : {std::size_t{2000}, std::size_t{10000}}) {
-    const ml::Dataset window0 = make_window(rows, 0xA5);
-    const ml::Dataset window1 = make_window(rows, 0xA6);
+    const ml::Dataset window = make_window(rows, 0xA5);
     const ml::GbtParams gp = bench_gbt_params();
     CaseResult r;
     trainref::RefGbt ref(gp);
-    r.ref_seconds = time_call([&] {
-      ref.fit(window0);
-      ref.refit(window1);  // continued boosting on the next window
-    });
+    r.ref_seconds = time_call([&] { ref.fit(window); });
     ml::GradientBoostedTrees gbt(gp);
     const int reps = rows <= 2000 ? 3 : 2;
     r.opt_seconds = time_call([&] {
-                      for (int i = 0; i < reps; ++i) {
-                        gbt.fit(window0);
-                        gbt.refit(window1);
-                      }
+                      for (int i = 0; i < reps; ++i) gbt.fit(window);
                     }) /
                     reps;
-    std::vector<double> opt_pred(probe.size(), 0.0);
-    gbt.predict_batch(probe.x().data(), probe.size(), kFeatures, opt_pred);
-    std::vector<double> ref_pred(probe.size(), 0.0);
-    for (std::size_t i = 0; i < probe.size(); ++i) {
-      ref_pred[i] = ref.predict_one(probe.row(i));
-    }
-    r.identical = gbt.to_json().dump() == ref.model_json().dump() &&
-                  rows_bitwise_equal(opt_pred, ref_pred);
+    r.identical =
+        gbt.to_json().dump() == ref.model_json().dump() &&
+        same_predictions(gbt, probe, [&](std::span<const double> row) {
+          return ref.predict_one(row);
+        });
     const double speedup = record("gbt/" + std::to_string(rows), r);
     if (rows == 10000) gbt10k_speedup = speedup;
   }
@@ -388,11 +289,10 @@ int main() {
                  gbt10k_speedup);
     return 1;
   }
-  if (forest_fit_speedup < 1.5 || forest_refit_speedup < 1.5) {
+  if (forest10k_speedup < 1.5) {
     std::fprintf(stderr,
-                 "ERROR: forest/10000 speedup (fit %.2fx, refit %.2fx) is "
-                 "below the 1.5x floor\n",
-                 forest_fit_speedup, forest_refit_speedup);
+                 "ERROR: forest/10000 speedup %.2fx is below the 1.5x floor\n",
+                 forest10k_speedup);
     return 1;
   }
   return 0;

@@ -226,56 +226,32 @@ inline Json tree_model_json(const RefTree& t, const ml::TreeParams& params,
 struct RefForest {
   ml::ForestParams params;
   std::size_t num_features = 0;
-  std::uint64_t refit_generation = 0;
   ml::TreeParams effective_tree;  // per-tree params with max_features applied
   std::vector<RefTree> trees;
 
-  void grow(const ml::Dataset& data, std::size_t count, std::uint64_t salt,
-            std::vector<RefTree>& grown) {
-    const std::size_t n = data.size();
-    grown.assign(count, RefTree{});
-    // Same per-tree Rng derivation and parallel growth discipline as
-    // RandomForestRegressor::grow_trees — only the split finder inside each
-    // tree differs, so the timing delta isolates the presort.
-    // lts-lint: shared-guarded(partitioned: tree b writes only grown[b]; data/params are read-only)
-    ThreadPool::global().parallel_for(count, [&](std::size_t b) {
-      Rng rng((params.seed + salt) * 0x9e3779b97f4a7c15ULL + b * 2 + 1);
-      std::vector<std::size_t> rows;
-      rows.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        rows.push_back(static_cast<std::size_t>(
-            rng.uniform_int(0, static_cast<std::int64_t>(n) - 1)));
-      }
-      grown[b] = fit_tree_on(data, effective_tree, rows, rng);
-    });
-  }
-
   void fit(const ml::Dataset& data) {
+    const std::size_t n = data.size();
     num_features = data.num_features();
     effective_tree = params.tree;
     effective_tree.max_features =
         params.max_features > 0
             ? params.max_features
             : std::max(1, static_cast<int>(num_features) / 3);
-    refit_generation = 0;
-    grow(data, static_cast<std::size_t>(params.n_estimators), /*salt=*/0,
-         trees);
-  }
-
-  void refit(const ml::Dataset& data) {
-    // FIFO half-replacement with a generation-salted Rng, as
-    // RandomForestRegressor::refit does.
-    ++refit_generation;
-    const std::size_t replaced = std::max<std::size_t>(1, trees.size() / 2);
-    std::vector<RefTree> fresh;
-    grow(data, replaced, refit_generation, fresh);
-    std::vector<RefTree> next;
-    next.reserve(trees.size());
-    for (std::size_t i = replaced; i < trees.size(); ++i) {
-      next.push_back(std::move(trees[i]));
-    }
-    for (auto& t : fresh) next.push_back(std::move(t));
-    trees = std::move(next);
+    trees.assign(static_cast<std::size_t>(params.n_estimators), RefTree{});
+    // Same per-tree Rng derivation and parallel growth discipline as
+    // RandomForestRegressor::fit — only the split finder inside each tree
+    // differs, so the timing delta isolates the presort.
+    // lts-lint: shared-guarded(partitioned: tree b writes only trees[b]; data/params are read-only)
+    ThreadPool::global().parallel_for(trees.size(), [&](std::size_t b) {
+      Rng rng(params.seed * 0x9e3779b97f4a7c15ULL + b * 2 + 1);
+      std::vector<std::size_t> rows;
+      rows.reserve(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        rows.push_back(static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(n) - 1)));
+      }
+      trees[b] = fit_tree_on(data, effective_tree, rows, rng);
+    });
   }
 
   double predict_one(std::span<const double> features) const {
@@ -290,7 +266,6 @@ inline Json forest_model_json(const RefForest& f) {
   Json j = Json::object();
   j["params"] = f.params.to_json();
   j["num_features"] = f.num_features;
-  j["refit_generation"] = static_cast<double>(f.refit_generation);
   JsonArray trees;
   trees.reserve(f.trees.size());
   for (const auto& t : f.trees) {
@@ -310,7 +285,6 @@ class RefGbt {
     num_features_ = data.num_features();
     trees_.clear();
     importance_.assign(num_features_, 0.0);
-    best_val_rmse_ = std::numeric_limits<double>::quiet_NaN();
     Rng rng(params_.seed);
 
     std::vector<std::size_t> train_rows(data.size());
@@ -358,38 +332,8 @@ class RefGbt {
         }
       }
     }
-    if (!val_rows.empty() && best_n_trees > 0) {
-      trees_.resize(best_n_trees);
-      best_val_rmse_ = best_rmse;
-    }
+    if (!val_rows.empty() && best_n_trees > 0) trees_.resize(best_n_trees);
     fitted_ = true;
-  }
-
-  void refit(const ml::Dataset& data) {
-    const auto reset_cap =
-        3 * static_cast<std::size_t>(std::max(1, params_.n_rounds));
-    if (!fitted_ || data.num_features() != num_features_ ||
-        trees_.size() >= reset_cap) {
-      fit(data);
-      return;
-    }
-    Rng rng(params_.seed + 0x5bd1e995ULL * (trees_.size() + 1));
-    std::vector<std::size_t> train_rows(data.size());
-    std::iota(train_rows.begin(), train_rows.end(), std::size_t{0});
-    // predict() rides the flat kernel, which is bit-identical to the scalar
-    // base + per-tree walk by construction.
-    std::vector<double> pred(data.size(), 0.0);
-    for (std::size_t i = 0; i < data.size(); ++i) {
-      pred[i] = predict_one(data.row(i));
-    }
-    std::vector<double> grad(data.size(), 0.0);
-    std::vector<double> hess(data.size(), 1.0);
-
-    const int extra = std::max(1, params_.n_rounds / 4);
-    for (int round = 0; round < extra; ++round) {
-      run_round(data, train_rows, pred, grad, hess, rng);
-    }
-    best_val_rmse_ = std::numeric_limits<double>::quiet_NaN();
   }
 
   double predict_one(std::span<const double> features) const {
@@ -571,7 +515,6 @@ class RefGbt {
   std::size_t num_features_ = 0;
   std::vector<std::vector<ml::TreeNode>> trees_;
   std::vector<double> importance_;
-  double best_val_rmse_ = std::numeric_limits<double>::quiet_NaN();
 };
 
 }  // namespace lts::trainref

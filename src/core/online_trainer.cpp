@@ -17,6 +17,9 @@ namespace {
 /// score.
 constexpr double kMaxUsablePrediction = 1e8;
 
+/// Holdout-split Rng seed; each refit adds the model version to it.
+constexpr std::uint64_t kHoldoutSeed = 97;
+
 struct RetrainMetrics {
   obs::Counter& swapped = obs::counter(
       "lts_retrain_total", {},
@@ -196,7 +199,7 @@ RetrainEvent OnlineTrainer::retrain_now(bool drift_triggered) {
           1.0,
           options_.holdout_fraction * static_cast<double>(data.size())));
       if (test_count < data.size() && data.size() - test_count >= 4) {
-        Rng rng(options_.seed + version_);
+        Rng rng(kHoldoutSeed + version_);
         auto split = data.train_test_split(options_.holdout_fraction, rng);
         train_set = std::move(split.first);
         test_set = std::move(split.second);
@@ -208,19 +211,9 @@ RetrainEvent OnlineTrainer::retrain_now(bool drift_triggered) {
                             ? options_.params
                             : default_retrain_params(options_.model_name);
 
-    // Warm start clones the serving model through its serialized form —
-    // cheap next to tree growing — and refits the clone, so a failure at
-    // any point leaves the serving pointer untouched.
-    std::unique_ptr<ml::Regressor> candidate;
-    const bool warm = options_.warm_start && model_ != nullptr &&
-                      model_->is_fitted() &&
-                      model_->name() == options_.model_name;
-    if (warm) {
-      candidate = ml::model_from_json(ml::model_to_json(*model_));
-      candidate->refit(train_set);
-    } else {
-      candidate = Trainer::train(options_.model_name, train_set, params);
-    }
+    // A new model: a failure at any point leaves the serving one untouched.
+    std::unique_ptr<ml::Regressor> candidate =
+        Trainer::train(options_.model_name, train_set, params);
 
     if (have_holdout) {
       event.holdout_rmse =
@@ -249,7 +242,7 @@ RetrainEvent OnlineTrainer::retrain_now(bool drift_triggered) {
       model_ = std::shared_ptr<const ml::Regressor>(std::move(candidate));
       event.outcome = RetrainOutcome::kSwapped;
       event.version = version_;
-      event.detail = warm ? "warm refit" : "cold fit";
+      event.detail = "fresh fit";
       // A fresh model invalidates the error history of the old one.
       drift_seeded_ = false;
       drift_score_ = 0.0;

@@ -9,8 +9,9 @@
 // serving model learned. A successful refit produces a new versioned model
 // that the caller hot-swaps into the scheduler; a failed or skipped refit
 // keeps the previous model serving, visible only through obs counters and
-// the event log. Everything is deterministic for a given (options, input
-// sequence): the only Rng is seeded from options and the model version.
+// the event log. Every refit is a fresh Trainer::train on the window.
+// Everything is deterministic for a given (options, input sequence): the
+// only Rng, the holdout split's, is seeded from a constant and the version.
 #pragma once
 
 #include <deque>
@@ -49,9 +50,7 @@ struct RetrainOptions {
   /// Minimum completions between consecutive drift-triggered refits, so a
   /// burst of bad predictions cannot refit on every completion.
   int drift_cooldown = 8;
-  /// Model family to refit (registry name). When it matches the serving
-  /// model and warm_start is set, refits warm-start from the serving
-  /// state; otherwise each refit trains from scratch.
+  /// Model family each refit trains (registry name).
   std::string model_name = "random_forest";
   /// Hyperparameters (JSON object) or null for default_retrain_params().
   Json params;
@@ -67,8 +66,6 @@ struct RetrainOptions {
   /// fails to beat. Negative disables the gate (every successful refit
   /// swaps).
   double holdout_gate_slack = 0.05;
-  std::uint64_t seed = 97;
-  bool warm_start = true;
 };
 
 enum class RetrainOutcome {

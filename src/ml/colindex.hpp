@@ -3,7 +3,7 @@
 //
 // The naive CART/GBT split search re-gathers and re-std::sorts every
 // candidate feature at every tree node, an O(nodes x features x n log n)
-// pattern that dominates fit/refit wall time once training runs inside the
+// pattern that dominates fit wall time once training runs inside the
 // serving loop (core::OnlineTrainer). SortedColumns sorts each feature
 // column ONCE per fit and then maintains node membership through the
 // recursion sklearn-style: after a split, every column's segment is
@@ -65,7 +65,7 @@ class SortedColumns {
 
   /// GBT presort: one column per dataset feature over ALL dataset rows,
   /// each sorted by (feature value, row). Matches GradientBoostedTrees'
-  /// per-node std::sort over (x, row) pairs. Built once per fit/refit;
+  /// per-node std::sort over (x, row) pairs. Built once per fit;
   /// per-round subsets are carved out with assign_filtered.
   void build_by_value_row(const Matrix& x);
 

@@ -2,7 +2,7 @@
 //
 // The random forest and the GBT keep their trees as TreeNode arrays (what
 // training grows and the model file stores) and pack them into one
-// FlatEnsemble at the end of fit/refit/from_json; every prediction they
+// FlatEnsemble at the end of fit and of from_json; every prediction they
 // make walks it. DecisionTreeRegressor's pointer walk is the reference it
 // is tested against. All trees share one contiguous array of 16-byte nodes
 // — the split threshold plus a 64-bit word holding the feature (16 bits)

@@ -9,9 +9,7 @@ namespace lts::ml {
 
 ForestParams ForestParams::from_json(const Json& j) {
   ForestParams p;
-  if (j.contains("n_estimators")) {
-    p.n_estimators = j.at("n_estimators").as_int();
-  }
+  if (j.contains("n_estimators")) p.n_estimators = j.int_at("n_estimators");
   if (j.contains("tree")) p.tree = TreeParams::from_json(j.at("tree"));
   // Files written before these keys retired carry exactly these values.
   const auto retired = [&j](const std::string& key, bool only) {
@@ -22,12 +20,8 @@ ForestParams ForestParams::from_json(const Json& j) {
   };
   retired("bootstrap", true);
   retired("compute_oob", false);
-  if (j.contains("max_features")) {
-    p.max_features = j.at("max_features").as_int();
-  }
-  if (j.contains("seed")) {
-    p.seed = static_cast<std::uint64_t>(j.at("seed").as_double());
-  }
+  if (j.contains("max_features")) p.max_features = j.int_at("max_features");
+  if (j.contains("seed")) p.seed = j.uint_at("seed");
   return p;
 }
 
@@ -46,18 +40,20 @@ RandomForestRegressor::RandomForestRegressor(ForestParams params)
               "ForestParams: need at least one tree");
 }
 
-std::vector<std::unique_ptr<DecisionTreeRegressor>>
-RandomForestRegressor::grow_trees(const Dataset& data, std::size_t count,
-                                  std::uint64_t salt) {
+void RandomForestRegressor::fit(const Dataset& data) {
+  LTS_REQUIRE(!data.empty(), "RandomForest: empty training set");
   const std::size_t n = data.size();
+  const std::size_t features = data.num_features();
 
   TreeParams tree_params = params_.tree;
   tree_params.max_features =
       params_.max_features > 0
           ? params_.max_features
-          : std::max(1, static_cast<int>(num_features_) / 3);
+          : std::max(1, static_cast<int>(features) / 3);
 
-  std::vector<std::unique_ptr<DecisionTreeRegressor>> grown(count);
+  // Grown into a local, so a fit that throws leaves the model as it was.
+  std::vector<std::unique_ptr<DecisionTreeRegressor>> grown(
+      static_cast<std::size_t>(params_.n_estimators));
 
   // Sort the window's feature columns once and share the result across
   // every bag: each tree streams its bootstrap columns out of this presort
@@ -70,14 +66,12 @@ RandomForestRegressor::grow_trees(const Dataset& data, std::size_t count,
     presorted.build_by_value_target(data.x(), data.y(), all_rows);
   }
 
-  // Each tree gets an independent Rng derived from (seed, salt, tree
-  // index), so training is deterministic regardless of thread
-  // interleaving. salt=0 is the initial fit; refits advance it so new
-  // windows grow different trees.
+  // Each tree gets an independent Rng derived from (seed, tree index), so
+  // training is deterministic regardless of thread interleaving.
   ThreadPool& pool = pool_ ? *pool_ : ThreadPool::global();
   // lts-lint: shared-guarded(partitioned: tree b writes only grown[b]; data/params/presorted are read-only)
-  pool.parallel_for(count, [&](std::size_t b) {
-    Rng rng((params_.seed + salt) * 0x9e3779b97f4a7c15ULL + b * 2 + 1);
+  pool.parallel_for(grown.size(), [&](std::size_t b) {
+    Rng rng(params_.seed * 0x9e3779b97f4a7c15ULL + b * 2 + 1);
     std::vector<std::size_t> rows;
     rows.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -88,37 +82,8 @@ RandomForestRegressor::grow_trees(const Dataset& data, std::size_t count,
     tree->fit_on(data, rows, rng, &presorted);
     grown[b] = std::move(tree);
   });
-  return grown;
-}
-
-void RandomForestRegressor::fit(const Dataset& data) {
-  LTS_REQUIRE(!data.empty(), "RandomForest: empty training set");
-  num_features_ = data.num_features();
-  refit_generation_ = 0;
-  trees_ = grow_trees(data, static_cast<std::size_t>(params_.n_estimators),
-                      /*salt=*/0);
-  rebuild_flat();
-}
-
-void RandomForestRegressor::refit(const Dataset& data) {
-  LTS_REQUIRE(!data.empty(), "RandomForest: empty training set");
-  if (!is_fitted() || data.num_features() != num_features_) {
-    fit(data);
-    return;
-  }
-  // Replace the oldest half of the ensemble with trees grown on the new
-  // window. Kept trees rotate to the front, so repeated refits age them
-  // out in FIFO order and the forest blends the last few windows.
-  ++refit_generation_;
-  const std::size_t replaced = std::max<std::size_t>(1, trees_.size() / 2);
-  auto fresh = grow_trees(data, replaced, refit_generation_);
-  std::vector<std::unique_ptr<DecisionTreeRegressor>> next;
-  next.reserve(trees_.size());
-  for (std::size_t i = replaced; i < trees_.size(); ++i) {
-    next.push_back(std::move(trees_[i]));
-  }
-  for (auto& tree : fresh) next.push_back(std::move(tree));
-  trees_ = std::move(next);
+  num_features_ = features;
+  trees_ = std::move(grown);
   rebuild_flat();
 }
 
@@ -157,7 +122,6 @@ Json RandomForestRegressor::to_json() const {
   Json j = Json::object();
   j["params"] = params_.to_json();
   j["num_features"] = num_features_;
-  j["refit_generation"] = static_cast<double>(refit_generation_);
   JsonArray trees;
   trees.reserve(trees_.size());
   for (const auto& tree : trees_) {
@@ -169,11 +133,10 @@ Json RandomForestRegressor::to_json() const {
 
 void RandomForestRegressor::from_json(const Json& j) {
   params_ = ForestParams::from_json(j.at("params"));
-  num_features_ = static_cast<std::size_t>(j.at("num_features").as_double());
-  refit_generation_ =
-      j.contains("refit_generation")
-          ? static_cast<std::uint64_t>(j.at("refit_generation").as_double())
-          : 0;
+  num_features_ = j.uint_at("num_features");
+  // Retired: it only salted warm refits, which no longer exist. Files
+  // written before then carry a non-negative integer here.
+  if (j.contains("refit_generation")) j.uint_at("refit_generation");
   trees_.clear();
   for (const auto& entry : j.at("trees").as_array()) {
     const std::string what = "RandomForest: tree " +

@@ -32,13 +32,6 @@ class RandomForestRegressor : public Regressor {
   explicit RandomForestRegressor(ForestParams params = {});
 
   void fit(const Dataset& data) override;
-  /// Warm-start retrain: replaces the oldest half of the ensemble with
-  /// trees grown on `data` (the newest window), keeping the rest, so the
-  /// forest tracks drift while retaining smoothing from earlier windows.
-  /// Each refit advances a generation counter that salts the per-tree Rng,
-  /// making every generation's trees distinct yet deterministic. Falls back
-  /// to fit() when unfitted or the feature width changed.
-  void refit(const Dataset& data) override;
   void predict_batch(std::span<const double> x, std::size_t rows,
                      std::size_t cols, std::span<double> out) const override;
   /// Mean and standard deviation of the per-tree predictions, read from the
@@ -55,10 +48,6 @@ class RandomForestRegressor : public Regressor {
   std::size_t num_trees() const { return trees_.size(); }
   const DecisionTreeRegressor& tree(std::size_t i) const;
 
-  /// Number of refit() calls since the last full fit() (serialized, so a
-  /// reloaded model continues its deterministic retrain sequence).
-  std::uint64_t refit_generation() const { return refit_generation_; }
-
   /// Trains on `pool` instead of the process-global one (nullptr restores
   /// the default). Each tree derives its Rng from (seed, tree index), so the
   /// fitted model is identical for any pool size — the determinism test
@@ -66,10 +55,6 @@ class RandomForestRegressor : public Regressor {
   void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
 
  private:
-  /// Grows `count` trees on `data` with Rngs derived from (seed, salt,
-  /// tree index); the shared worker body of fit() and refit().
-  std::vector<std::unique_ptr<DecisionTreeRegressor>> grow_trees(
-      const Dataset& data, std::size_t count, std::uint64_t salt);
   /// Re-flattens the whole ensemble (in tree order, with the tree count as
   /// the mean divisor); called wherever trees_ changes.
   void rebuild_flat();
@@ -79,7 +64,6 @@ class RandomForestRegressor : public Regressor {
   std::vector<std::unique_ptr<DecisionTreeRegressor>> trees_;
   FlatEnsemble flat_;  // every tree of trees_, packed for prediction
   std::size_t num_features_ = 0;
-  std::uint64_t refit_generation_ = 0;
 };
 
 }  // namespace lts::ml

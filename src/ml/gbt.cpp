@@ -12,11 +12,11 @@ namespace lts::ml {
 
 GbtParams GbtParams::from_json(const Json& j) {
   GbtParams p;
-  if (j.contains("n_rounds")) p.n_rounds = j.at("n_rounds").as_int();
+  if (j.contains("n_rounds")) p.n_rounds = j.int_at("n_rounds");
   if (j.contains("learning_rate")) {
     p.learning_rate = j.at("learning_rate").as_double();
   }
-  if (j.contains("max_depth")) p.max_depth = j.at("max_depth").as_int();
+  if (j.contains("max_depth")) p.max_depth = j.int_at("max_depth");
   if (j.contains("reg_lambda")) p.reg_lambda = j.at("reg_lambda").as_double();
   if (j.contains("gamma")) p.gamma = j.at("gamma").as_double();
   if (j.contains("min_child_weight")) {
@@ -25,14 +25,12 @@ GbtParams GbtParams::from_json(const Json& j) {
   if (j.contains("subsample")) p.subsample = j.at("subsample").as_double();
   if (j.contains("colsample")) p.colsample = j.at("colsample").as_double();
   if (j.contains("early_stopping_rounds")) {
-    p.early_stopping_rounds = j.at("early_stopping_rounds").as_int();
+    p.early_stopping_rounds = j.int_at("early_stopping_rounds");
   }
   if (j.contains("validation_fraction")) {
     p.validation_fraction = j.at("validation_fraction").as_double();
   }
-  if (j.contains("seed")) {
-    p.seed = static_cast<std::uint64_t>(j.at("seed").as_double());
-  }
+  if (j.contains("seed")) p.seed = j.uint_at("seed");
   return p;
 }
 
@@ -225,7 +223,7 @@ void GradientBoostedTrees::fit(const Dataset& data) {
   std::size_t best_n_trees = 0;
 
   for (int round = 0; round < params_.n_rounds; ++round) {
-    boost_one_round(data, train_rows, s.pred, s.grad, s.hess, rng);
+    boost_one_round(data, train_rows, rng);
 
     if (!val_rows.empty()) {
       double acc = 0.0;
@@ -254,13 +252,12 @@ void GradientBoostedTrees::fit(const Dataset& data) {
 
 void GradientBoostedTrees::boost_one_round(
     const Dataset& data, const std::vector<std::size_t>& train_rows,
-    std::vector<double>& pred, std::vector<double>& grad,
-    std::vector<double>& hess, Rng& rng) {
+    Rng& rng) {
+  FitScratch& s = scratch_;
   for (const std::size_t i : train_rows) {
-    grad[i] = pred[i] - data.target(i);  // d/dp 1/2 (p - y)^2
+    s.grad[i] = s.pred[i] - data.target(i);  // d/dp 1/2 (p - y)^2
   }
   // Row subsample for this round (scratch-backed, capacity retained).
-  FitScratch& s = scratch_;
   std::vector<std::size_t>& rows = s.rows;
   rows.clear();
   rows.reserve(train_rows.size());
@@ -275,8 +272,8 @@ void GradientBoostedTrees::boost_one_round(
   // Column subsample.
   TreeBuildContext ctx;
   ctx.data = &data;
-  ctx.grad = &grad;
-  ctx.hess = &hess;
+  ctx.grad = &s.grad;
+  ctx.hess = &s.hess;
   ctx.params = &params_;
   ctx.importance = &importance_;
   if (params_.colsample < 1.0) {
@@ -307,40 +304,8 @@ void GradientBoostedTrees::boost_one_round(
   s.round_flat.clear();
   s.round_flat.add_tree(tree);
   s.round_flat.accumulate(data.x().data().data(), data.size(), num_features_,
-                          pred.data());
+                          s.pred.data());
   trees_.push_back(std::move(tree));
-}
-
-void GradientBoostedTrees::refit(const Dataset& data) {
-  const auto reset_cap =
-      3 * static_cast<std::size_t>(std::max(1, params_.n_rounds));
-  if (!fitted_ || data.num_features() != num_features_ ||
-      trees_.size() >= reset_cap) {
-    fit(data);
-    return;
-  }
-  LTS_REQUIRE(data.size() >= 4, "GBT: need at least 4 samples");
-  // Continued boosting against the current ensemble's residuals on the new
-  // window. The Rng is salted by the ensemble size so consecutive refits
-  // draw fresh subsamples yet stay deterministic for a given model state.
-  Rng rng(params_.seed + 0x5bd1e995ULL * (trees_.size() + 1));
-  std::vector<std::size_t> train_rows(data.size());
-  std::iota(train_rows.begin(), train_rows.end(), std::size_t{0});
-  // Seed predictions from the current ensemble (same batched kernel
-  // Regressor::predict rides) into the reusable scratch buffer.
-  FitScratch& s = scratch_;
-  s.dataset_cols.build_by_value_row(data.x());
-  s.pred.assign(data.size(), 0.0);
-  predict_batch(data.x().data(), data.size(), num_features_, s.pred);
-  s.grad.assign(data.size(), 0.0);
-  s.hess.assign(data.size(), 1.0);
-
-  const int extra = std::max(1, params_.n_rounds / 4);
-  for (int round = 0; round < extra; ++round) {
-    boost_one_round(data, train_rows, s.pred, s.grad, s.hess, rng);
-  }
-  best_val_rmse_ = std::numeric_limits<double>::quiet_NaN();
-  rebuild_flat();
 }
 
 void GradientBoostedTrees::rebuild_flat() {
@@ -367,18 +332,7 @@ Json GradientBoostedTrees::to_json() const {
   JsonArray trees;
   trees.reserve(trees_.size());
   for (const auto& tree : trees_) {
-    JsonArray nodes;
-    nodes.reserve(tree.size());
-    for (const auto& node : tree) {
-      JsonArray fields;
-      fields.emplace_back(node.feature);
-      fields.emplace_back(node.threshold);
-      fields.emplace_back(node.left);
-      fields.emplace_back(node.right);
-      fields.emplace_back(node.value);
-      nodes.emplace_back(std::move(fields));
-    }
-    trees.emplace_back(std::move(nodes));
+    trees.push_back(nodes_to_json(tree, /*with_samples=*/false));
   }
   j["trees"] = Json(std::move(trees));
   j["importance"] = Json::from_doubles(importance_);
@@ -389,24 +343,12 @@ void GradientBoostedTrees::from_json(const Json& j) {
   params_ = GbtParams::from_json(j.at("params"));
   fitted_ = j.at("fitted").as_bool();
   base_score_ = j.at("base_score").as_double();
-  num_features_ = static_cast<std::size_t>(j.at("num_features").as_double());
+  num_features_ = j.uint_at("num_features");
   trees_.clear();
-  for (const auto& tree_json : j.at("trees").as_array()) {
-    std::vector<TreeNode> tree;
-    for (const auto& entry : tree_json.as_array()) {
-      const auto& f = entry.as_array();
-      LTS_REQUIRE(f.size() == 5, "GBT: malformed node");
-      TreeNode node;
-      node.feature = f[0].as_int();
-      node.threshold = f[1].as_double();
-      node.left = f[2].as_int();
-      node.right = f[3].as_int();
-      node.value = f[4].as_double();
-      tree.push_back(node);
-    }
-    check_tree_nodes(tree, num_features_,
-                     "GBT: tree " + std::to_string(trees_.size()));
-    trees_.push_back(std::move(tree));
+  for (const auto& tree : j.at("trees").as_array()) {
+    trees_.push_back(
+        nodes_from_json(tree, /*with_samples=*/false, num_features_,
+                        "GBT: tree " + std::to_string(trees_.size())));
   }
   importance_ = j.at("importance").to_doubles();
   rebuild_flat();

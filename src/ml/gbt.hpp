@@ -47,14 +47,6 @@ class GradientBoostedTrees : public Regressor {
   explicit GradientBoostedTrees(GbtParams params = {});
 
   void fit(const Dataset& data) override;
-  /// Warm-start retrain: continues boosting against the current ensemble's
-  /// residuals on the new window for n_rounds/4 extra rounds (no early
-  /// stopping — retraining windows are small). Falls back to a full fit()
-  /// when unfitted, the feature width changed, or the ensemble has grown
-  /// past 3x n_rounds (bounding memory and predict cost under a long
-  /// retraining stream). Feature importances keep accumulating; the stored
-  /// validation RMSE is cleared (it described an older window).
-  void refit(const Dataset& data) override;
   void predict_batch(std::span<const double> x, std::size_t rows,
                      std::size_t cols, std::span<double> out) const override;
   bool is_fitted() const override { return fitted_; }
@@ -81,7 +73,7 @@ class GradientBoostedTrees : public Regressor {
     double gain = 0.0;
   };
 
-  // Reusable training scratch, retained across rounds and refits (lint
+  // Reusable training scratch, retained across rounds and fits (lint
   // rule R8): the dataset-wide presorted columns, the per-round filtered
   // columns, and every per-round vector that used to be allocated fresh.
   struct FitScratch {
@@ -100,13 +92,11 @@ class GradientBoostedTrees : public Regressor {
   int build_node(TreeBuildContext& ctx, std::vector<std::size_t>& rows,
                  std::size_t begin, std::size_t end, int depth,
                  std::vector<TreeNode>& tree);
-  /// One boosting round: gradient refresh over train_rows, row/column
-  /// subsample draws from `rng`, grow a tree, update `pred` for every row,
-  /// append the tree. Shared by fit() and refit().
+  /// One boosting round on scratch_: gradient refresh over train_rows,
+  /// row/column subsample draws from `rng`, grow a tree, update the
+  /// prediction of every row, append the tree.
   void boost_one_round(const Dataset& data,
-                       const std::vector<std::size_t>& train_rows,
-                       std::vector<double>& pred, std::vector<double>& grad,
-                       std::vector<double>& hess, Rng& rng);
+                       const std::vector<std::size_t>& train_rows, Rng& rng);
   /// Re-flattens the ensemble (tree order, base_score as the accumulator
   /// seed); called wherever trees_ or base_score_ changes.
   void rebuild_flat();

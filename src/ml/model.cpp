@@ -59,10 +59,6 @@ void LogTargetRegressor::fit(const Dataset& data) {
   inner_->fit(log_transformed(data));
 }
 
-void LogTargetRegressor::refit(const Dataset& data) {
-  inner_->refit(log_transformed(data));
-}
-
 void LogTargetRegressor::predict_batch(std::span<const double> x,
                                        std::size_t rows, std::size_t cols,
                                        std::span<double> out) const {
@@ -157,9 +153,7 @@ std::unique_ptr<Regressor> model_from_json(const Json& j) {
 std::uint64_t model_version_from_json(const Json& j) {
   require_envelope_shape(j);
   if (!j.contains("model_version")) return 0;  // pre-versioning envelope
-  const double v = j.at("model_version").as_double();
-  LTS_REQUIRE(v >= 0.0, "model envelope: negative model_version");
-  return static_cast<std::uint64_t>(v);
+  return j.uint_at("model_version");
 }
 
 void save_model(const Regressor& model, const std::string& path,

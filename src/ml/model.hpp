@@ -31,17 +31,9 @@ class Regressor {
  public:
   virtual ~Regressor() = default;
 
-  /// Trains on the dataset; may be called again to retrain from scratch.
+  /// Trains on the dataset from scratch. Retraining (§2.4) is another fit
+  /// on the new window: nothing carries over from an earlier fit.
   virtual void fit(const Dataset& data) = 0;
-
-  /// Retrains on a fresh window, warm-starting from the current state when
-  /// the model family supports it (online retraining, §2.4). The default
-  /// simply refits from scratch; ensembles override: the random forest
-  /// replaces its oldest trees with trees grown on the new window, and the
-  /// boosted model continues boosting against its current predictions.
-  /// Falls back to fit() when the model is unfitted or the feature width
-  /// changed. Deterministic for a given (state, data).
-  virtual void refit(const Dataset& data) { fit(data); }
 
   /// Batched prediction over a row-major feature block: `rows` vectors of
   /// `cols` doubles each, contiguous in `x`; one prediction per row is
@@ -96,7 +88,6 @@ class LogTargetRegressor : public Regressor {
   explicit LogTargetRegressor(std::unique_ptr<Regressor> inner);
 
   void fit(const Dataset& data) override;
-  void refit(const Dataset& data) override;
   void predict_batch(std::span<const double> x, std::size_t rows,
                      std::size_t cols, std::span<double> out) const override;
   bool is_fitted() const override;
@@ -125,7 +116,7 @@ std::vector<std::string> registered_regressors();
 /// Round-trips a model through its serialized form (type tag included).
 /// The envelope additionally carries `model_version`, a monotonically
 /// increasing counter stamped by the online retraining loop so operators
-/// can tell which refit produced a deployed artifact (0 = offline-trained,
+/// can tell which retrain produced a deployed artifact (0 = offline-trained,
 /// never hot-swapped). Envelopes written before versioning load as 0.
 Json model_to_json(const Regressor& model, std::uint64_t model_version = 0);
 std::unique_ptr<Regressor> model_from_json(const Json& j);

@@ -11,16 +11,14 @@ namespace lts::ml {
 
 TreeParams TreeParams::from_json(const Json& j) {
   TreeParams p;
-  if (j.contains("max_depth")) p.max_depth = j.at("max_depth").as_int();
+  if (j.contains("max_depth")) p.max_depth = j.int_at("max_depth");
   if (j.contains("min_samples_split")) {
-    p.min_samples_split = j.at("min_samples_split").as_int();
+    p.min_samples_split = j.int_at("min_samples_split");
   }
   if (j.contains("min_samples_leaf")) {
-    p.min_samples_leaf = j.at("min_samples_leaf").as_int();
+    p.min_samples_leaf = j.int_at("min_samples_leaf");
   }
-  if (j.contains("max_features")) {
-    p.max_features = j.at("max_features").as_int();
-  }
+  if (j.contains("max_features")) p.max_features = j.int_at("max_features");
   if (j.contains("min_impurity_decrease")) {
     p.min_impurity_decrease = j.at("min_impurity_decrease").as_double();
   }
@@ -251,40 +249,16 @@ Json DecisionTreeRegressor::to_json() const {
   Json j = Json::object();
   j["params"] = params_.to_json();
   j["num_features"] = num_features_;
-  JsonArray nodes;
-  nodes.reserve(nodes_.size());
-  for (const auto& node : nodes_) {
-    JsonArray fields;
-    fields.emplace_back(node.feature);
-    fields.emplace_back(node.threshold);
-    fields.emplace_back(node.left);
-    fields.emplace_back(node.right);
-    fields.emplace_back(node.value);
-    fields.emplace_back(node.n_samples);
-    nodes.emplace_back(std::move(fields));
-  }
-  j["nodes"] = Json(std::move(nodes));
+  j["nodes"] = nodes_to_json(nodes_, /*with_samples=*/true);
   j["importance"] = Json::from_doubles(importance_);
   return j;
 }
 
 void DecisionTreeRegressor::from_json(const Json& j) {
   params_ = TreeParams::from_json(j.at("params"));
-  num_features_ = static_cast<std::size_t>(j.at("num_features").as_double());
-  nodes_.clear();
-  for (const auto& entry : j.at("nodes").as_array()) {
-    const auto& f = entry.as_array();
-    LTS_REQUIRE(f.size() == 6, "DecisionTree: malformed node");
-    TreeNode node;
-    node.feature = f[0].as_int();
-    node.threshold = f[1].as_double();
-    node.left = f[2].as_int();
-    node.right = f[3].as_int();
-    node.value = f[4].as_double();
-    node.n_samples = f[5].as_int();
-    nodes_.push_back(node);
-  }
-  check_tree_nodes(nodes_, num_features_, "DecisionTree");
+  num_features_ = j.uint_at("num_features");
+  nodes_ = nodes_from_json(j.at("nodes"), /*with_samples=*/true,
+                           num_features_, "DecisionTree");
   importance_ = j.at("importance").to_doubles();
 }
 
@@ -349,6 +323,44 @@ void check_tree_nodes(std::span<const TreeNode> nodes,
       reached[c] = 1;
     }
   }
+}
+
+Json nodes_to_json(std::span<const TreeNode> nodes, bool with_samples) {
+  JsonArray out;
+  out.reserve(nodes.size());
+  for (const TreeNode& node : nodes) {
+    JsonArray fields{node.feature, node.threshold, node.left, node.right,
+                     node.value};
+    if (with_samples) fields.emplace_back(node.n_samples);
+    out.emplace_back(std::move(fields));
+  }
+  return Json(std::move(out));
+}
+
+std::vector<TreeNode> nodes_from_json(const Json& j, bool with_samples,
+                                      std::size_t num_features,
+                                      const std::string& what) {
+  const std::size_t width = with_samples ? 6 : 5;
+  const JsonArray& entries = j.as_array();
+  std::vector<TreeNode> nodes(entries.size());
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    try {
+      const JsonArray& f = entries[i].as_array();
+      LTS_REQUIRE(f.size() == width,
+                  "expected " + std::to_string(width) + " fields");
+      TreeNode& node = nodes[i];
+      node.feature = f[0].as_int();
+      node.threshold = f[1].as_double();
+      node.left = f[2].as_int();
+      node.right = f[3].as_int();
+      node.value = f[4].as_double();
+      if (with_samples) node.n_samples = f[5].as_int();
+    } catch (const Error& e) {
+      throw Error(what + ": node " + std::to_string(i) + ": " + e.what());
+    }
+  }
+  check_tree_nodes(nodes, num_features, what);
+  return nodes;
 }
 
 }  // namespace lts::ml

@@ -28,17 +28,19 @@ struct TreeParams {
   Json to_json() const;
 };
 
-/// One node of a tree's flat node array; node 0 is the root.
+/// One node of a tree's flat node array; node 0 is the root. The doubles
+/// come first so the node packs into 32 bytes without padding.
 struct TreeNode {
-  int feature = -1;         // -1 marks a leaf
   double threshold = 0.0;
+  double value = 0.0;       // leaf prediction (a GBT leaf: shrunken weight)
+  int feature = -1;         // -1 marks a leaf
   int left = -1;
   int right = -1;
-  double value = 0.0;       // leaf prediction (a GBT leaf: shrunken weight)
   int n_samples = 0;        // training rows that reached the node (CART)
 
   bool is_leaf() const { return feature < 0; }
 };
+static_assert(sizeof(TreeNode) == 32);
 
 /// Run on every loaded node array before anything walks it: throws an
 /// lts::Error naming `what` and the node unless each internal node's feature
@@ -46,6 +48,17 @@ struct TreeNode {
 /// after its parent inside the array, and no node is reached twice.
 void check_tree_nodes(std::span<const TreeNode> nodes,
                       std::size_t num_features, const std::string& what);
+
+/// A node array in the model file format: one [feature, threshold, left,
+/// right, value] array per node, with n_samples appended when
+/// `with_samples` (CART trees; boosted trees leave it out).
+Json nodes_to_json(std::span<const TreeNode> nodes, bool with_samples);
+
+/// Reads nodes_to_json's format and runs check_tree_nodes on the result; a
+/// failure names `what` and the node.
+std::vector<TreeNode> nodes_from_json(const Json& j, bool with_samples,
+                                      std::size_t num_features,
+                                      const std::string& what);
 
 class DecisionTreeRegressor : public Regressor {
  public:

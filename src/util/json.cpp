@@ -233,8 +233,37 @@ double Json::as_double() const {
   return num_;
 }
 
+namespace {
+
+constexpr double kIntMin = -2147483648.0;  // [kIntMin, kIntEnd) is int's
+constexpr double kIntEnd = 2147483648.0;
+constexpr double kUintEnd = 18446744073709551616.0;  // 2^64
+
+/// The number `v` holds when it is an integer in [lo, end); otherwise an
+/// lts::Error naming `key` (an array element has none). NaN fails the
+/// equality and the infinities the range, so finiteness needs no test.
+double integer_in(const Json& v, double lo, double end, const char* type,
+                  const std::string& key) {
+  const double d = v.is_number() ? v.as_double() : std::nan("");
+  LTS_REQUIRE(d == std::trunc(d) && d >= lo && d < end,
+              "Json: " + (key.empty() ? "value" : "'" + key + "'") +
+                  " must be " + type + ", got " + v.dump());
+  return d;
+}
+
+}  // namespace
+
 int Json::as_int() const {
-  return static_cast<int>(as_double());
+  return static_cast<int>(integer_in(*this, kIntMin, kIntEnd, "an int", {}));
+}
+
+int Json::int_at(const std::string& key) const {
+  return static_cast<int>(integer_in(at(key), kIntMin, kIntEnd, "an int", key));
+}
+
+std::uint64_t Json::uint_at(const std::string& key) const {
+  return static_cast<std::uint64_t>(
+      integer_in(at(key), 0.0, kUintEnd, "a non-negative integer", key));
 }
 
 const std::string& Json::as_string() const {

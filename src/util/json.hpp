@@ -51,6 +51,8 @@ class Json {
 
   bool as_bool() const;
   double as_double() const;
+  /// Checked: throws an lts::Error unless the number is an integer (finite,
+  /// no fraction) in int's range.
   int as_int() const;
   const std::string& as_string() const;
   const JsonArray& as_array() const;
@@ -62,6 +64,10 @@ class Json {
   const Json& at(const std::string& key) const;
   Json& operator[](const std::string& key);
   bool contains(const std::string& key) const;
+  /// at(key) read under as_int()'s checks, as an int or as an unsigned
+  /// 64-bit integer; a failure names `key`.
+  int int_at(const std::string& key) const;
+  std::uint64_t uint_at(const std::string& key) const;
 
   /// Array element access with bounds check.
   const Json& at(std::size_t i) const;

@@ -1,7 +1,7 @@
 // Unit tests for the ML library: matrix/solver, dataset, metrics, the four
 // regressor families with serialization round-trips, uncertainty, model
-// analysis, the model envelope and corrupt node arrays, refits, and the flat
-// kernel against the reference walk.
+// analysis, the model envelope with corrupt node arrays and out-of-range
+// numbers, and the flat kernel against the reference walk.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -351,6 +351,38 @@ TEST(Forest, RetiredKeysLoadOnlyWithTheirWrittenValues) {
       ADD_FAILURE() << key << " = " << value << " loaded";
     } catch (const Error& e) {
       EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(Forest, RetiredRefitGenerationLoadsAsAnyCountEverWritten) {
+  // Forest files written while warm refits existed carry their refit count
+  // "refit_generation", which only salted later refits. A non-negative
+  // integer loads and the forest predicts bit for bit as before; any other
+  // value fails naming the key. New files leave the key out.
+  const Dataset data = make_synthetic(100, 46);
+  ForestParams params;
+  params.n_estimators = 8;
+  RandomForestRegressor forest{params};
+  forest.fit(data);
+  Json old = model_to_json(forest);
+  EXPECT_FALSE(old.at("state").contains("refit_generation"));
+  old["state"]["refit_generation"] = 3;
+  const auto loaded = model_from_json(old);
+  for (std::size_t i = 0; i < 20; ++i) {
+    EXPECT_EQ(loaded->predict_row(data.row(i)),
+              forest.predict_row(data.row(i)));
+  }
+  for (const Json& value : {Json("3"), Json(-1), Json(2.5)}) {
+    Json bad = model_to_json(forest);
+    bad["state"]["refit_generation"] = value;
+    try {
+      model_from_json(bad);
+      ADD_FAILURE() << "refit_generation " << value.dump() << " loaded";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("'refit_generation'"),
+                std::string::npos)
           << e.what();
     }
   }
@@ -819,9 +851,11 @@ TEST(Envelope, LoadFailuresReportPathAndReason) {
 
 TEST(Envelope, CorruptNodeArraysFailCleanly) {
   // A loaded node array is checked before anything walks it: a child
-  // outside the array, a back edge (on which a walk would never end) and
-  // a feature beyond the model's width each fail with an lts::Error naming
-  // the node, for every tree family and through the envelope loader.
+  // outside the array, a back edge (on which a walk would never end), a
+  // feature beyond the model's width, and a feature or child that is not
+  // an int (read before any cast could overflow) each fail with an
+  // lts::Error naming the node, for every tree family and through the
+  // envelope loader.
   const Dataset data = make_synthetic(120, 45);
   struct Corruption {
     std::size_t field;  // root's [feature, threshold, left, right, ...]
@@ -832,6 +866,8 @@ TEST(Envelope, CorruptNodeArraysFailCleanly) {
       {2, 1e8, "node 0 has child 100000000"},
       {3, 0.0, "node 0 has child 0"},
       {0, 4.0, "node 0 splits on feature 4"},
+      {0, 1e10, "node 0: Json: value must be an int, got 10000000000"},
+      {2, 2.5, "node 0: Json: value must be an int, got 2.5"},
   };
   for (const std::string family :
        {"decision_tree", "random_forest", "xgboost"}) {
@@ -859,6 +895,40 @@ TEST(Envelope, CorruptNodeArraysFailCleanly) {
   }
 }
 
+TEST(Envelope, OutOfRangeNumbersFailNamingTheKey) {
+  // Counts, seeds and versions are doubles in the file. One that is not an
+  // integer in its type's range fails with an lts::Error naming its key,
+  // before any cast could overflow.
+  const auto expect_error = [](const auto& load, const std::string& what) {
+    try {
+      load();
+      ADD_FAILURE() << "loaded with " << what;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+          << e.what();
+    }
+  };
+  const Dataset data = make_synthetic(120, 45);
+  for (const std::string family :
+       {"decision_tree", "random_forest", "xgboost"}) {
+    const auto model = create_regressor(family, small_params(family, false));
+    model->fit(data);
+    Json envelope = model_to_json(*model);
+    envelope["state"]["num_features"] = -1.0;
+    expect_error([&] { model_from_json(envelope); },
+                 "'num_features' must be a non-negative integer, got -1");
+    if (family == "decision_tree") continue;  // a lone tree has no seed
+    envelope = model_to_json(*model);
+    envelope["state"]["params"]["seed"] = -1.0;
+    expect_error([&] { model_from_json(envelope); },
+                 "'seed' must be a non-negative integer, got -1");
+  }
+  Json envelope = model_to_json(*create_regressor("linear"));
+  envelope["model_version"] = 1e30;
+  expect_error([&] { model_version_from_json(envelope); },
+               "'model_version' must be a non-negative integer");
+}
+
 TEST(Envelope, FailedSaveLeavesNoFiles) {
   const Dataset data = make_synthetic(40, 43);
   LinearRegression model;
@@ -869,86 +939,6 @@ TEST(Envelope, FailedSaveLeavesNoFiles) {
   EXPECT_FALSE(out.good());
   std::ifstream tmp(path + ".tmp");
   EXPECT_FALSE(tmp.good());
-}
-
-// ----------------------------------------------------------------- refit ----
-
-TEST(Refit, ForestWarmRefitIsDeterministicAndSerializesGeneration) {
-  const Dataset data = make_synthetic(200, 44);
-  const Dataset window = make_synthetic(80, 45);
-  ForestParams params;
-  params.n_estimators = 16;
-  params.seed = 9;
-
-  RandomForestRegressor a{params};
-  a.fit(data);
-  EXPECT_EQ(a.refit_generation(), 0u);
-  // A serialized clone refit on the same window must land on the identical
-  // model: refits draw per-tree seeds from the serialized generation.
-  auto b = model_from_json(model_to_json(a));
-  a.refit(window);
-  EXPECT_EQ(a.refit_generation(), 1u);
-  b->refit(window);
-  for (std::size_t i = 0; i < 30; ++i) {
-    EXPECT_DOUBLE_EQ(a.predict_row(window.row(i)), b->predict_row(window.row(i)));
-  }
-  EXPECT_EQ(a.num_trees(), static_cast<std::size_t>(params.n_estimators));
-
-  const auto reloaded = model_from_json(model_to_json(a));
-  const auto* forest =
-      dynamic_cast<const RandomForestRegressor*>(reloaded.get());
-  ASSERT_NE(forest, nullptr);
-  EXPECT_EQ(forest->refit_generation(), 1u);
-}
-
-TEST(Refit, ForestUnfittedOrWidthChangeFallsBackToFullFit) {
-  const Dataset data = make_synthetic(100, 46);
-  ForestParams params;
-  params.n_estimators = 8;
-  RandomForestRegressor cold{params};
-  cold.refit(data);  // never fitted: refit must behave like fit
-  EXPECT_TRUE(cold.is_fitted());
-  EXPECT_EQ(cold.refit_generation(), 0u);
-
-  RandomForestRegressor fitted{params};
-  fitted.fit(data);
-  Dataset narrow;
-  narrow.add_row(std::vector<double>{1.0}, 2.0);
-  narrow.add_row(std::vector<double>{2.0}, 3.0);
-  narrow.add_row(std::vector<double>{3.0}, 4.0);
-  narrow.add_row(std::vector<double>{4.0}, 5.0);
-  fitted.refit(narrow);  // feature width changed: full retrain
-  EXPECT_EQ(fitted.refit_generation(), 0u);
-  EXPECT_DOUBLE_EQ(fitted.predict_row(std::vector<double>{1.0}),
-                   fitted.predict_row(std::vector<double>{1.0}));
-}
-
-TEST(Refit, GbtContinuesBoostingThenResetsWhenOversized) {
-  const Dataset data = make_synthetic(200, 47);
-  GbtParams params;
-  params.n_rounds = 16;
-  params.early_stopping_rounds = 0;
-  GradientBoostedTrees model{params};
-  model.fit(data);
-  const std::size_t base = model.num_trees();
-
-  const Dataset window = make_synthetic(60, 48);
-  model.refit(window);
-  EXPECT_EQ(model.num_trees(), base + 4);  // n_rounds / 4 extra rounds
-
-  // Determinism: a serialized clone refit on the same window matches.
-  GradientBoostedTrees twin{params};
-  twin.fit(data);
-  twin.refit(window);
-  for (std::size_t i = 0; i < 30; ++i) {
-    EXPECT_DOUBLE_EQ(model.predict_row(window.row(i)),
-                     twin.predict_row(window.row(i)));
-  }
-
-  // Keep refitting: once the ensemble hits the 3x n_rounds cap it resets
-  // to a from-scratch fit instead of growing without bound.
-  for (int i = 0; i < 16; ++i) model.refit(window);
-  EXPECT_LE(model.num_trees(), static_cast<std::size_t>(3 * params.n_rounds));
 }
 
 // Complete binary tree with `depth` levels of internal nodes in heap

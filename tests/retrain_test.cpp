@@ -185,7 +185,6 @@ TEST(OnlineTrainer, HoldoutGateRejectsWeakCandidate) {
   options.window_size = 60;
   options.min_rows = 24;
   options.model_name = "random_forest";
-  options.warm_start = false;
   options.holdout_fraction = 0.3;
   options.holdout_gate_slack = 0.0;
   Json weak = Json::object();

@@ -130,9 +130,11 @@ std::vector<double> reference_predictions(const Regressor& model,
       std::vector<TreeNode>& nodes = trees.emplace_back();
       for (const auto& f : tree_json.as_array()) {
         const auto& v = f.as_array();
-        nodes.push_back(TreeNode{v[0].as_int(), v[1].as_double(),
-                                 v[2].as_int(), v[3].as_int(),
-                                 v[4].as_double(), 0});
+        nodes.push_back(TreeNode{.threshold = v[1].as_double(),
+                                 .value = v[4].as_double(),
+                                 .feature = v[0].as_int(),
+                                 .left = v[2].as_int(),
+                                 .right = v[3].as_int()});
       }
     }
     for (std::size_t r = 0; r < rows; ++r) {
@@ -202,18 +204,18 @@ TEST(PredictBatch, MatchesPredictRowAcrossRandomizedEnsembles) {
   }
 }
 
-TEST(PredictBatch, MatchesPredictRowAfterRefit) {
-  // refit() rebuilds the flat arrays in place (forest: tree replacement;
-  // GBT: continued boosting); the differential must survive the swap.
+TEST(PredictBatch, MatchesPredictRowAfterASecondFit) {
+  // A second fit on a new window (how a model retrains) rebuilds the flat
+  // arrays in place; the differential must survive the swap.
   for (const auto& family : {"random_forest", "xgboost"}) {
     const auto model = create_regressor(family);
     const auto first = make_synthetic(300, 41);
     model->fit(first);
     const auto window = make_synthetic(300, 42);
-    model->refit(window);
+    model->fit(window);
     const auto block = make_query_block(window, 130, 43);
     expect_batch_matches_rows(*model, block, 130, window.num_features(),
-                              std::string(family) + " post-refit");
+                              std::string(family) + " second fit");
   }
 }
 

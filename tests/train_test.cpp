@@ -3,10 +3,10 @@
 // GradientBoostedTrees must reproduce the pre-overhaul per-node
 // gather-and-sort search bit for bit — same serialized model, same
 // predictions — across dataset shapes (smooth, duplicate-heavy, skewed
-// targets), warm-start refit continuations, and the parallel/serial scan
-// paths. The reference implementation lives in bench/train_reference.hpp,
-// shared with bench_train_throughput so the suite pins exactly what the
-// bench races.
+// targets), fits of one model on successive windows, and the
+// parallel/serial scan paths. The reference implementation lives in
+// bench/train_reference.hpp, shared with bench_train_throughput so the
+// suite pins exactly what the bench races.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -132,10 +132,11 @@ TEST(TrainDifferential, ParallelAndSerialScansAreBitIdentical) {
 
 // ----------------------------------------------------------- forest ----
 
-TEST(TrainDifferential, ForestFitAndRollingRefitMatchReference) {
-  // Fit on one window, then roll two refits: FIFO half-replacement with
-  // generation-salted Rngs must track the reference through the whole
-  // sequence, pinning the shared window presort + bootstrap streaming path.
+TEST(TrainDifferential, ForestFitsOnSuccessiveWindowsMatchFreshReference) {
+  // One forest fit on three windows in turn, as a retraining loop would:
+  // each fit must equal a fresh reference fit on its window, pinning the
+  // shared window presort + bootstrap streaming path and showing that
+  // nothing from an earlier fit (a seed salt, a kept tree) leaks in.
   const ml::Dataset probe = make_data(64, Shape::kSmooth, 98);
   ml::ForestParams fp;
   fp.n_estimators = 8;
@@ -143,39 +144,34 @@ TEST(TrainDifferential, ForestFitAndRollingRefitMatchReference) {
   fp.max_features = 2;
   fp.seed = 5;
 
-  trainref::RefForest ref;
-  ref.params = fp;
   ml::RandomForestRegressor forest(fp);
-  const ml::Dataset window0 = make_data(300, Shape::kDupHeavy, 31);
-  ref.fit(window0);
-  forest.fit(window0);
-  EXPECT_EQ(forest.to_json().dump(), trainref::forest_model_json(ref).dump());
-
-  for (std::uint64_t k = 1; k <= 2; ++k) {
+  for (std::uint64_t k = 0; k < 3; ++k) {
     const ml::Dataset w = make_data(300, Shape::kDupHeavy, 31 + k);
-    ref.refit(w);
-    forest.refit(w);
+    trainref::RefForest ref;
+    ref.params = fp;
+    ref.fit(w);
+    forest.fit(w);
     EXPECT_EQ(forest.to_json().dump(),
               trainref::forest_model_json(ref).dump())
-        << "refit " << k;
+        << "window " << k;
+    std::vector<double> ref_pred(probe.size());
+    for (std::size_t i = 0; i < probe.size(); ++i) {
+      ref_pred[i] = ref.predict_one(probe.row(i));
+    }
+    expect_same_predictions(forest, ref_pred, probe);
   }
-  std::vector<double> ref_pred(probe.size());
-  for (std::size_t i = 0; i < probe.size(); ++i) {
-    ref_pred[i] = ref.predict_one(probe.row(i));
-  }
-  expect_same_predictions(forest, ref_pred, probe);
 }
 
 // -------------------------------------------------------------- gbt ----
 
-TEST(TrainDifferential, GbtFitAndWarmStartRefitMatchReference) {
-  // Row/column subsampling, early stopping, and the warm-start refit all
-  // consume randomness; bit-identity requires the presorted path to draw
-  // and accumulate in exactly the reference's order.
+TEST(TrainDifferential, GbtFitsOnSuccessiveWindowsMatchFreshReference) {
+  // Row/column subsampling and early stopping consume randomness;
+  // bit-identity requires the presorted path to draw and accumulate in
+  // exactly the reference's order. One model fits two windows in turn, so
+  // its reused training scratch must carry nothing from the first fit
+  // into the second.
   const ml::Dataset probe = make_data(64, Shape::kSmooth, 97);
   for (const Shape shape : all_shapes()) {
-    const ml::Dataset window0 = make_data(320, shape, 41);
-    const ml::Dataset window1 = make_data(320, shape, 42);
     ml::GbtParams gp;
     gp.n_rounds = 12;
     gp.max_depth = 3;
@@ -185,18 +181,20 @@ TEST(TrainDifferential, GbtFitAndWarmStartRefitMatchReference) {
     gp.validation_fraction = 0.2;
     gp.seed = 9;
 
-    trainref::RefGbt ref(gp);
-    ref.fit(window0);
-    ref.refit(window1);
     ml::GradientBoostedTrees gbt(gp);
-    gbt.fit(window0);
-    gbt.refit(window1);
-    EXPECT_EQ(gbt.to_json().dump(), ref.model_json().dump());
-    std::vector<double> ref_pred(probe.size());
-    for (std::size_t i = 0; i < probe.size(); ++i) {
-      ref_pred[i] = ref.predict_one(probe.row(i));
+    for (std::uint64_t k = 0; k < 2; ++k) {
+      const ml::Dataset w = make_data(320, shape, 41 + k);
+      trainref::RefGbt ref(gp);
+      ref.fit(w);
+      gbt.fit(w);
+      EXPECT_EQ(gbt.to_json().dump(), ref.model_json().dump())
+          << "window " << k;
+      std::vector<double> ref_pred(probe.size());
+      for (std::size_t i = 0; i < probe.size(); ++i) {
+        ref_pred[i] = ref.predict_one(probe.row(i));
+      }
+      expect_same_predictions(gbt, ref_pred, probe);
     }
-    expect_same_predictions(gbt, ref_pred, probe);
   }
 }
 

@@ -291,6 +291,31 @@ TEST(Json, TypeMismatchThrows) {
   EXPECT_THROW(j.at("a").as_array(), Error);
 }
 
+TEST(Json, CheckedIntegersRejectFractionsAndOverflow) {
+  // Each read accepts exactly the integers of its type's range.
+  const Json j = Json::parse(
+      R"({"min": -2147483648, "max": 2147483647, "over": 2147483648,)"
+      R"( "half": 2.5, "big": 1e300, "text": "7", "neg": -1,)"
+      R"( "top": 1.8446744073709550e19, "wrap": 18446744073709551616})");
+  EXPECT_EQ(j.int_at("min"), -2147483647 - 1);
+  EXPECT_EQ(j.at("max").as_int(), 2147483647);
+  for (const char* key : {"over", "half", "big", "text"}) {
+    EXPECT_THROW(j.int_at(key), Error) << key;
+    EXPECT_THROW(j.at(key).as_int(), Error) << key;
+  }
+  EXPECT_EQ(j.uint_at("top"), 18446744073709549568ULL);
+  for (const char* key : {"wrap", "neg", "half", "big", "text"}) {
+    try {
+      j.uint_at(key);
+      ADD_FAILURE() << key << " read as an unsigned integer";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("'") + key + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(Json, CopyOnWriteIsolation) {
   Json a = Json::object();
   a["k"] = 1;

@@ -141,7 +141,7 @@ Baseline load_baseline(const std::string& text) {
     d.path = entry.at("path").as_string();
     d.rule = entry.at("rule").as_string();
     d.message = entry.at("message").as_string();
-    const int count = entry.contains("count") ? entry.at("count").as_int() : 1;
+    const int count = entry.contains("count") ? entry.int_at("count") : 1;
     counts[fingerprint(d)] += count;
   }
   return counts;
