@@ -8,8 +8,8 @@
 // counterfactual ground-truth replays terminate — and measure:
 //
 //   * Top-1/Top-2 node-selection accuracy (the Table 4 protocol) of the LTS
-//     model with and without its degradation policies (staleness
-//     annotation + imputation + stale-demotion + fallback), vs the default
+//     model with and without the scheduler's degraded mode (staleness
+//     marking + imputation + stale demotion + fallback), vs the default
 //     Kubernetes scheduler and random placement;
 //   * P50/P99 job completion time of a live 30-job stream placed by each
 //     policy under the identical fault timeline.
@@ -42,12 +42,6 @@ int main() {
   const auto model = std::shared_ptr<const ml::Regressor>(
       core::Trainer::train("random_forest",
                            core::Trainer::dataset_from_log(log)));
-
-  core::DegradationOptions degradation;
-  degradation.enabled = true;
-  degradation.max_staleness = 10.0;
-  core::FallbackOptions fallback;
-  fallback.enabled = true;
 
   Json results = Json::array();
   for (const double rate : {0.0, 2.0, 6.0, 12.0}) {
@@ -91,8 +85,7 @@ int main() {
     methods[0].model = model;
     methods[1].name = "lts_degraded";
     methods[1].model = model;
-    methods[1].degradation = degradation;
-    methods[1].fallback = fallback;
+    methods[1].degraded = true;
     const auto accuracy = exp::evaluate_methods(methods, matrix, eval);
 
     AsciiTable acc_table({"Method", "Top-1", "Top-2", "Regret (s)"});
@@ -131,10 +124,7 @@ int main() {
       stream.env.faults = exp::generate_fault_schedule(
           stream.env.cluster_spec, /*seed=*/9000 + static_cast<int>(rate),
           stream_faults);
-      if (p.degraded) {
-        stream.degradation = degradation;
-        stream.fallback = fallback;
-      }
+      stream.degraded = p.degraded;
       const auto run = exp::run_job_stream(p.policy, p.model, matrix, stream);
       std::vector<double> durations;
       for (const auto& job : run.jobs) durations.push_back(job.duration);

@@ -14,6 +14,7 @@
 #include "core/trainer.hpp"
 #include "exp/collector.hpp"
 #include "exp/envgen.hpp"
+#include "exp/evaluate.hpp"
 #include "exp/scenario.hpp"
 #include "util/table.hpp"
 
@@ -33,15 +34,13 @@ int main() {
   // ---- 2. Train the paper's three models. -------------------------------
   const ml::Dataset data = core::Trainer::dataset_from_log(log);
   AsciiTable model_table({"model", "test RMSE (s)", "test R^2"});
-  std::vector<std::pair<std::string, std::shared_ptr<const ml::Regressor>>>
-      models;
+  std::vector<exp::MethodUnderTest> models;
   for (const std::string name : {"linear", "xgboost", "random_forest"}) {
     std::unique_ptr<ml::Regressor> fitted;
     const auto report = core::Trainer::train_and_evaluate(
         name, data, /*test_fraction=*/0.25, /*seed=*/3, Json(), &fitted);
     model_table.add_row_numeric(name, {report.test_rmse, report.test_r2});
-    models.emplace_back(name, std::shared_ptr<const ml::Regressor>(
-                                  std::move(fitted)));
+    models.emplace_back(name, std::move(fitted));
   }
   std::printf("%s", model_table.render("Holdout quality").c_str());
 
@@ -58,14 +57,14 @@ int main() {
 
   std::printf("\nScheduling a sort of %lld records:\n",
               static_cast<long long>(job.input_records));
-  for (const auto& [name, model] : models) {
+  for (const auto& method : models) {
     core::LtsScheduler scheduler(
-        core::TelemetryFetcher(env.tsdb(), env.node_names()), model);
+        core::TelemetryFetcher(env.tsdb(), env.node_names()), method.model);
     const auto decision = scheduler.schedule_from_snapshot(snapshot, job);
-    std::printf("  %-14s -> %s (predicted %.1fs)\n", name.c_str(),
+    std::printf("  %-14s -> %s (predicted %.1fs)\n", method.name.c_str(),
                 decision.selected().c_str(),
                 decision.ranking.front().predicted_duration);
-    if (name == "random_forest") {
+    if (method.name == "random_forest") {
       // The Job Builder's manifest for the winning decision.
       std::printf("\n--- manifest (random_forest pick) ---\n%s\n",
                   scheduler.build_manifest(job, "quickstart-sort", decision)

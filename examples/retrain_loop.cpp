@@ -50,10 +50,8 @@ int main() {
         std::chrono::steady_clock::now() - start);
 
     // Accuracy on fresh scenarios with the freshly trained model.
-    std::vector<std::pair<std::string, std::shared_ptr<const ml::Regressor>>>
-        models;
-    models.emplace_back("random_forest", std::shared_ptr<const ml::Regressor>(
-                                             std::move(fitted)));
+    std::vector<exp::MethodUnderTest> models;
+    models.emplace_back("random_forest", std::move(fitted));
     exp::EvalOptions eval;
     eval.num_scenarios = 40;
     eval.base_seed = 420000;

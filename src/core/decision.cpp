@@ -13,6 +13,7 @@ Decision DecisionModule::rank(std::vector<NodePrediction> predictions) {
   LTS_REQUIRE(!predictions.empty(), "DecisionModule: no candidates");
   std::sort(predictions.begin(), predictions.end(),
             [](const NodePrediction& a, const NodePrediction& b) {
+              if (a.stale != b.stale) return b.stale;
               if (a.predicted_duration != b.predicted_duration) {
                 return a.predicted_duration < b.predicted_duration;
               }

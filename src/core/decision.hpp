@@ -12,11 +12,15 @@ namespace lts::core {
 struct NodePrediction {
   std::string node;
   double predicted_duration = 0.0;  // seconds
+  /// Set by the degraded scheduler on a model-ranked candidate whose
+  /// telemetry is stale (imputed, not measured): it ranks below every
+  /// fresh candidate, and predicted_duration stays its real prediction.
+  bool stale = false;
 };
 
 struct Decision {
-  /// Ascending by predicted duration (ties broken by node name so the
-  /// decision is deterministic).
+  /// Fresh candidates before stale ones, each ascending by predicted
+  /// duration (ties broken by node name so the decision is deterministic).
   std::vector<NodePrediction> ranking;
   /// True if the fallback ranking produced this decision (model unusable or
   /// too little fresh telemetry); the "scores" are then spreading heuristic

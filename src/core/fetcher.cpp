@@ -23,27 +23,18 @@ struct FetcherMetrics {
 
 TelemetryFetcher::TelemetryFetcher(const telemetry::Tsdb& tsdb,
                                    std::vector<std::string> node_names,
-                                   telemetry::SnapshotOptions options,
-                                   DegradationOptions degradation)
+                                   telemetry::SnapshotOptions options)
     : tsdb_(tsdb),
       node_names_(std::move(node_names)),
       options_(options),
-      degradation_(degradation),
       cache_(std::make_shared<SnapshotCache>()) {
   LTS_REQUIRE(!node_names_.empty(), "TelemetryFetcher: no nodes");
-  LTS_REQUIRE(degradation_.max_staleness > 0.0,
-              "TelemetryFetcher: max_staleness must be positive");
 }
 
 std::shared_ptr<const telemetry::ClusterSnapshot> TelemetryFetcher::build(
     SimTime now) const {
-  auto snapshot = std::make_shared<telemetry::ClusterSnapshot>(
+  return std::make_shared<const telemetry::ClusterSnapshot>(
       telemetry::build_snapshot(tsdb_, node_names_, now, options_));
-  if (degradation_.enabled) {
-    telemetry::annotate_staleness(*snapshot, degradation_.max_staleness);
-    telemetry::impute_stale_nodes(*snapshot);
-  }
-  return snapshot;
 }
 
 std::shared_ptr<const telemetry::ClusterSnapshot>

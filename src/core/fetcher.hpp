@@ -1,5 +1,7 @@
 // Telemetry Fetcher (§3.2.3): queries the metrics server at scheduling time
-// for the most recent telemetry snapshot of every candidate node.
+// for the most recent telemetry snapshot of every candidate node. It returns
+// telemetry as scraped; how far to trust a row that stopped arriving is the
+// scheduler's policy (LtsScheduler's degraded mode), not the fetcher's.
 //
 // Serving-path addition: fetches are memoized behind an epoch-keyed cache,
 // so a queue of pending pods scheduled at the same instant pays for one
@@ -8,11 +10,10 @@
 //   - build_snapshot is a pure function of (tsdb contents, now, options),
 //     and the TSDB epoch advances on every append attempt, so an equal
 //     epoch means a rebuild would return bit-identical rows;
-//   - `now` is part of the key because the degradation pipeline
-//     (annotate_staleness, impute_stale_nodes) is a function of `now` too —
-//     a snapshot cached at t must never be reused at t' with t-relative
-//     staleness flags (the cache and schedule_from_snapshot would otherwise
-//     disagree on which nodes to demote);
+//   - `now` is part of the key because the windowed queries (NIC rates,
+//     the averaged RTTs and rich telemetry) look back from `now`, and the
+//     snapshot is stamped with it: a snapshot cached at t is never reused
+//     at t';
 //   - fault paths that change telemetry interpretation without appending
 //     (node recovery's counter reset, exporter silence/unsilence) bump the
 //     epoch explicitly, so no stale feature ever crosses an epoch boundary.
@@ -28,29 +29,14 @@
 
 namespace lts::core {
 
-/// Degradation policy (fault tolerance): how the fetcher treats nodes whose
-/// exporters stopped reporting. Off by default — the paper's pipeline
-/// assumes healthy telemetry, and with `enabled = false` fetch() returns
-/// exactly the raw snapshot it always has. Enabled, it flags stale rows and
-/// replaces their telemetry with the median of the fresh rows, so a silent
-/// node scores as "average" instead of as a phantom idle node.
-struct DegradationOptions {
-  bool enabled = false;
-  /// A node is stale if its exporter heartbeat is older than this (seconds)
-  /// at snapshot time, or it never reported. A few scrape intervals.
-  SimTime max_staleness = 10.0;
-};
-
 class TelemetryFetcher {
  public:
   TelemetryFetcher(const telemetry::Tsdb& tsdb,
                    std::vector<std::string> node_names,
-                   telemetry::SnapshotOptions options = {},
-                   DegradationOptions degradation = {});
+                   telemetry::SnapshotOptions options = {});
 
-  /// Snapshot of all candidate nodes as of `now`. With degradation enabled,
-  /// rows are annotated for staleness and stale rows imputed. Served from
-  /// the cache when (epoch, now) matches the previous fetch; the result is
+  /// Snapshot of all candidate nodes as of `now`. Served from the cache
+  /// when (epoch, now) matches the previous fetch; the result is
   /// bit-identical either way.
   telemetry::ClusterSnapshot fetch(SimTime now) const;
 
@@ -67,7 +53,6 @@ class TelemetryFetcher {
   void set_cache_enabled(bool enabled) { cache_enabled_ = enabled; }
 
   const std::vector<std::string>& node_names() const { return node_names_; }
-  const DegradationOptions& degradation() const { return degradation_; }
 
  private:
   /// Guarded single-entry memo. Held behind a shared_ptr so the by-value
@@ -84,7 +69,6 @@ class TelemetryFetcher {
   const telemetry::Tsdb& tsdb_;
   std::vector<std::string> node_names_;
   telemetry::SnapshotOptions options_;
-  DegradationOptions degradation_;
   std::shared_ptr<SnapshotCache> cache_;
   bool cache_enabled_ = true;
 };

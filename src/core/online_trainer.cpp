@@ -11,12 +11,6 @@
 namespace lts::core {
 namespace {
 
-/// Predictions at or above this are not real forecasts: the scheduler's
-/// stale-demotion penalty (1e9) starts there, and fallback rankings carry
-/// no prediction at all. Such completions are excluded from the drift
-/// score.
-constexpr double kMaxUsablePrediction = 1e8;
-
 /// Holdout-split Rng seed; each refit adds the model version to it.
 constexpr std::uint64_t kHoldoutSeed = 97;
 
@@ -115,8 +109,7 @@ std::optional<RetrainEvent> OnlineTrainer::on_completion(
   // Drift score: EWMA of the relative error of usable predictions. The
   // actual duration is positive by construction (it is a measured
   // completion time).
-  if (predicted_duration > 0.0 && predicted_duration < kMaxUsablePrediction &&
-      record.duration > 0.0) {
+  if (predicted_duration > 0.0 && record.duration > 0.0) {
     const double err =
         std::abs(predicted_duration - record.duration) / record.duration;
     drift_score_ = drift_seeded_ ? options_.drift_ewma_alpha * err +

@@ -99,17 +99,17 @@ class OnlineTrainer {
  public:
   /// `initial_model` is the offline-trained model serving at stream start
   /// (version 0); may be null only if the caller's scheduler runs in
-  /// fallback mode. Feature vectors are built with `features`, which must
+  /// degraded mode. Feature vectors are built with `features`, which must
   /// match the layout the initial model was trained on.
   OnlineTrainer(RetrainOptions options, FeatureSet features,
                 std::shared_ptr<const ml::Regressor> initial_model);
 
   /// Feeds one completed job. `predicted_duration` is what the serving
   /// model forecast for the chosen node at decision time; pass a
-  /// non-positive value (or >= 1e8, the stale-demotion range) when the
-  /// decision had no usable prediction (fallback ranking, demoted node) so
-  /// it does not pollute the drift score. Returns the retrain event if
-  /// this completion triggered an attempt.
+  /// non-positive value when the decision had no usable prediction
+  /// (fallback ranking, stale node) so it does not pollute the drift
+  /// score. Returns the retrain event if this completion triggered an
+  /// attempt.
   std::optional<RetrainEvent> on_completion(const TrainingRecord& record,
                                             double predicted_duration);
 

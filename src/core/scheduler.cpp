@@ -8,15 +8,10 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/stats.hpp"
 
 namespace lts::core {
 namespace {
-
-/// Added to a stale node's predicted duration to push it below every fresh
-/// node while preserving the relative order among stale nodes. Far larger
-/// than any plausible job duration, far smaller than anything that loses
-/// precision next to it.
-constexpr double kStaleDemotionPenalty = 1e9;
 
 struct SchedulerMetrics {
   obs::Counter& decisions = obs::counter(
@@ -35,19 +30,69 @@ struct SchedulerMetrics {
   }
 };
 
+/// Marks the rows whose exporter has not reported within kMaxStaleness of
+/// the snapshot time, or never reported.
+void mark_stale(telemetry::ClusterSnapshot& snapshot) {
+  for (auto& n : snapshot.nodes) {
+    n.stale = !n.has_data || (snapshot.at - n.last_seen) > kMaxStaleness;
+  }
+}
+
+/// Replaces every stale row's telemetry with the median of the fresh rows,
+/// keeping its name and freshness metadata. A no-op when no row is stale or
+/// none is fresh (nothing to impute from).
+void impute_stale(telemetry::ClusterSnapshot& snapshot) {
+  using telemetry::NodeTelemetry;
+  std::vector<const NodeTelemetry*> fresh;
+  for (const auto& n : snapshot.nodes) {
+    if (!n.stale) fresh.push_back(&n);
+  }
+  if (fresh.empty() || fresh.size() == snapshot.nodes.size()) return;
+
+  auto median_of = [&](auto field) {
+    std::vector<double> values;
+    values.reserve(fresh.size());
+    for (const auto* n : fresh) values.push_back(field(*n));
+    return percentile(values, 50.0);
+  };
+  const NodeTelemetry typical{
+      /*node=*/"",
+      median_of([](const NodeTelemetry& n) { return n.rtt_mean; }),
+      median_of([](const NodeTelemetry& n) { return n.rtt_max; }),
+      median_of([](const NodeTelemetry& n) { return n.rtt_std; }),
+      median_of([](const NodeTelemetry& n) { return n.tx_rate; }),
+      median_of([](const NodeTelemetry& n) { return n.rx_rate; }),
+      median_of([](const NodeTelemetry& n) { return n.cpu_load; }),
+      median_of([](const NodeTelemetry& n) { return n.mem_available; }),
+      median_of([](const NodeTelemetry& n) { return n.uplink_util; }),
+      median_of([](const NodeTelemetry& n) { return n.downlink_util; }),
+      median_of([](const NodeTelemetry& n) { return n.queue_delay; }),
+      median_of([](const NodeTelemetry& n) { return n.active_flows; })};
+
+  for (auto& n : snapshot.nodes) {
+    if (!n.stale) continue;
+    NodeTelemetry imputed = typical;
+    imputed.node = std::move(n.node);
+    imputed.last_seen = n.last_seen;
+    imputed.has_data = n.has_data;
+    imputed.stale = true;
+    n = std::move(imputed);
+  }
+}
+
 }  // namespace
 
 LtsScheduler::LtsScheduler(TelemetryFetcher fetcher,
                            std::shared_ptr<const ml::Regressor> model,
                            FeatureSet features, double risk_aversion,
-                           FallbackOptions fallback)
+                           bool degraded)
     : fetcher_(std::move(fetcher)),
       model_(std::move(model)),
       features_(features),
       risk_aversion_(risk_aversion),
-      fallback_(fallback) {
+      degraded_(degraded) {
   LTS_REQUIRE(risk_aversion_ >= 0.0, "LtsScheduler: risk_aversion >= 0");
-  if (!fallback_.enabled) {
+  if (!degraded_) {
     LTS_REQUIRE(model_ != nullptr, "LtsScheduler: null model");
     LTS_REQUIRE(model_->is_fitted(), "LtsScheduler: model must be fitted");
   }
@@ -102,6 +147,16 @@ std::vector<Decision> LtsScheduler::schedule_many_from_snapshot(
   return schedule_batch(&snapshot, configs, snapshot.at);
 }
 
+telemetry::ClusterSnapshot LtsScheduler::view(
+    const telemetry::ClusterSnapshot& snapshot) const {
+  telemetry::ClusterSnapshot out = snapshot;
+  if (degraded_) {
+    mark_stale(out);
+    impute_stale(out);
+  }
+  return out;
+}
+
 std::vector<Decision> LtsScheduler::schedule_batch(
     const telemetry::ClusterSnapshot* given,
     std::span<const spark::JobConfig> configs, SimTime now) const {
@@ -116,10 +171,13 @@ std::vector<Decision> LtsScheduler::schedule_batch(
   }
   std::shared_ptr<const telemetry::ClusterSnapshot> fetched;
   if (own_spans) fetched = fetcher_.fetch_shared(now);
-  const telemetry::ClusterSnapshot& snapshot = own_spans ? *fetched : *given;
   std::vector<Decision> decisions;
   decisions.reserve(configs.size());
   if (configs.empty()) return decisions;
+  const telemetry::ClusterSnapshot& raw = own_spans ? *fetched : *given;
+  std::optional<telemetry::ClusterSnapshot> viewed;
+  if (degraded_) viewed = view(raw);
+  const telemetry::ClusterSnapshot& snapshot = viewed ? *viewed : raw;
   if (span) span->phase("fetch", now);
 
   // One pointer snapshot for the whole queue: even if a hot-swap lands
@@ -127,7 +185,7 @@ std::vector<Decision> LtsScheduler::schedule_batch(
   const std::shared_ptr<const ml::Regressor> model = current_model();
   const bool model_usable = model != nullptr && model->is_fitted();
   bool use_fallback = false;
-  if (fallback_.enabled) {
+  if (degraded_) {
     std::size_t fresh = 0;
     for (const auto& node : snapshot.nodes) {
       if (!node.stale) ++fresh;
@@ -232,20 +290,17 @@ std::vector<Decision> LtsScheduler::schedule_batch(
       metrics.fallbacks.inc();
       decisions.push_back(fallback_rank(snapshot));
     } else {
-      Decision decision;
       std::vector<NodePrediction> predictions;
       predictions.reserve(n_nodes);
+      int stale_demoted = 0;
       for (std::size_t i = 0; i < n_nodes; ++i) {
         const auto& node = snapshot.nodes[i];
-        double score = scores[c * n_nodes + i];
-        if (fallback_.enabled && node.stale) {
-          score += kStaleDemotionPenalty;
-          ++decision.stale_demoted;
-        }
-        predictions.push_back(NodePrediction{node.node, score});
+        const bool demoted = degraded_ && node.stale;
+        if (demoted) ++stale_demoted;
+        predictions.push_back(
+            NodePrediction{node.node, scores[c * n_nodes + i], demoted});
       }
-      const int stale_demoted = decision.stale_demoted;
-      decision = DecisionModule::rank(std::move(predictions));
+      Decision decision = DecisionModule::rank(std::move(predictions));
       decision.stale_demoted = stale_demoted;
       if (stale_demoted > 0) metrics.stale_demoted.inc(stale_demoted);
       decisions.push_back(std::move(decision));

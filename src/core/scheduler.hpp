@@ -23,22 +23,17 @@
 
 namespace lts::core {
 
-/// With the fallback policy on, if fewer than this fraction of snapshot rows
-/// are fresh the scheduler distrusts the whole snapshot and uses the
-/// fallback ranking instead of the model: at least a third of the cluster
-/// must be reporting.
+/// In degraded mode, a row is stale when its node exporter has not reported
+/// within this many seconds of the snapshot time, or never reported: a few
+/// scrape intervals.
+inline constexpr SimTime kMaxStaleness = 10.0;
+static_assert(kMaxStaleness > 0.0);
+
+/// In degraded mode, if fewer than this fraction of snapshot rows are fresh
+/// the scheduler distrusts the whole snapshot and uses the fallback ranking
+/// instead of the model: at least a third of the cluster must be reporting.
 inline constexpr double kMinFreshFraction = 0.34;
 static_assert(kMinFreshFraction >= 0.0 && kMinFreshFraction <= 1.0);
-
-/// Fallback policy (fault tolerance): what the scheduler does when its
-/// model or its telemetry is unusable. Off by default — then the scheduler
-/// requires a fitted model and ranks exactly as the paper describes. On, it
-/// falls back on an untrusted snapshot (kMinFreshFraction) or an unusable
-/// model, and in the model path pushes stale-telemetry nodes to the bottom
-/// of the ranking (their features are imputed guesses, not measurements).
-struct FallbackOptions {
-  bool enabled = false;
-};
 
 class LtsScheduler {
  public:
@@ -49,14 +44,18 @@ class LtsScheduler {
   /// standard deviations of model uncertainty: a pessimistic policy that
   /// avoids placements the model is unsure about (extension beyond the
   /// paper; 0 reproduces its mean-duration ranking exactly).
-  /// With `fallback.enabled`, `model` may be null or unfitted — every
-  /// decision then uses the fallback ranking (a default-kube-like
-  /// spreading heuristic over whatever telemetry is fresh).
+  /// `degraded` turns on the stale-telemetry policy (fault tolerance). Off,
+  /// the scheduler requires a fitted model and ranks exactly as the paper
+  /// describes, from telemetry as fetched. On, it ranks from view(): stale
+  /// rows are marked and imputed, and a model ranking puts stale candidates
+  /// below every fresh one (their features are imputed guesses, not
+  /// measurements). A decision falls back to a default-kube-like spreading
+  /// heuristic when the model is null or unfitted (so `model` may be
+  /// either) or when fewer than kMinFreshFraction of the rows are fresh.
   LtsScheduler(TelemetryFetcher fetcher,
                std::shared_ptr<const ml::Regressor> model,
                FeatureSet features = FeatureSet::kTable1,
-               double risk_aversion = 0.0,
-               FallbackOptions fallback = {});
+               double risk_aversion = 0.0, bool degraded = false);
 
   // One serving path. schedule() and schedule_from_snapshot() are a batch
   // of one through schedule_many() and schedule_many_from_snapshot(), which
@@ -70,16 +69,17 @@ class LtsScheduler {
   // fetch -> features -> predict -> rank; the first decision's span is open
   // across the fetch, the feature build and the model call, and each later
   // decision marks those phases at no cost before its own rank. The
-  // snapshot entry points open no span: the same phases minus fetch land on
-  // whatever span the caller has open. A fallback decision has no features
-  // or predict phase.
+  // degraded view of a fetched snapshot is built inside the fetch phase.
+  // The snapshot entry points open no span: the same phases minus fetch
+  // land on whatever span the caller has open. A fallback decision has no
+  // features or predict phase.
 
   /// Full pipeline: fetch telemetry as of `now`, score every candidate
   /// node, return the ranking.
   Decision schedule(const spark::JobConfig& config, SimTime now) const;
 
-  /// Like schedule(), but from a pre-fetched snapshot (used when the caller
-  /// already logged the same snapshot).
+  /// Like schedule(), but from a pre-fetched snapshot as the fetcher
+  /// returns it (used when the caller already logged the same snapshot).
   Decision schedule_from_snapshot(const telemetry::ClusterSnapshot& snapshot,
                                   const spark::JobConfig& config) const;
 
@@ -96,6 +96,16 @@ class LtsScheduler {
       const telemetry::ClusterSnapshot& snapshot,
       std::span<const spark::JobConfig> configs) const;
 
+  /// The snapshot a decision ranks from. In degraded mode, every row whose
+  /// exporter has not reported within kMaxStaleness of `snapshot.at` (or
+  /// never reported) is marked stale, and its telemetry is replaced by the
+  /// median of the fresh rows, so a silent node scores as "average" instead
+  /// of as a phantom idle one (a zeroed row looks maximally attractive to
+  /// the model). Nothing is imputed when every row is stale. Otherwise the
+  /// snapshot is returned as given.
+  telemetry::ClusterSnapshot view(
+      const telemetry::ClusterSnapshot& snapshot) const;
+
   /// The manifest for a decision (Job Builder output).
   std::string build_manifest(const spark::JobConfig& config,
                              const std::string& job_name,
@@ -108,19 +118,19 @@ class LtsScheduler {
   /// scores every candidate node with that same model.
   void set_model(std::shared_ptr<const ml::Regressor> model);
 
-  /// The currently-serving model pointer (may be null in fallback mode).
+  /// The currently-serving model pointer (may be null in degraded mode).
   std::shared_ptr<const ml::Regressor> current_model() const;
 
   const TelemetryFetcher& fetcher() const { return fetcher_; }
   const ml::Regressor& model() const;
   bool has_usable_model() const;
   FeatureSet feature_set() const { return features_; }
-  const FallbackOptions& fallback() const { return fallback_; }
+  bool degraded() const { return degraded_; }
 
  private:
-  /// Default-kube-like spreading ranking over raw telemetry: prefer nodes
-  /// with low CPU load and plenty of free memory. Used when the model or
-  /// the snapshot cannot be trusted.
+  /// Default-kube-like spreading ranking over the viewed telemetry: prefer
+  /// nodes with low CPU load and plenty of free memory. Used when the model
+  /// or the snapshot cannot be trusted. Stale rows are not demoted here.
   Decision fallback_rank(const telemetry::ClusterSnapshot& snapshot) const;
 
   /// Shared body of every entry point. With `given` null it fetches the
@@ -137,7 +147,7 @@ class LtsScheduler {
   std::shared_ptr<const ml::Regressor> model_;
   FeatureSet features_;
   double risk_aversion_;
-  FallbackOptions fallback_;
+  bool degraded_;
 };
 
 }  // namespace lts::core

@@ -44,18 +44,6 @@ bool hit_topk(const std::vector<std::size_t>& ranking, std::size_t fastest,
 
 }  // namespace
 
-EvalResult evaluate_methods(
-    const std::vector<std::pair<std::string,
-                                std::shared_ptr<const ml::Regressor>>>& models,
-    const std::vector<Scenario>& matrix, const EvalOptions& options) {
-  std::vector<MethodUnderTest> entries;
-  entries.reserve(models.size());
-  for (const auto& [name, model] : models) {
-    entries.push_back(MethodUnderTest{name, model});
-  }
-  return evaluate_methods(entries, matrix, options);
-}
-
 EvalResult evaluate_methods(const std::vector<MethodUnderTest>& models,
                             const std::vector<Scenario>& matrix,
                             const EvalOptions& options) {
@@ -67,7 +55,7 @@ EvalResult evaluate_methods(const std::vector<MethodUnderTest>& models,
   std::vector<std::string> method_order = {"kube_default", "random"};
   for (const auto& h : options.heuristics) method_order.push_back(h);
   for (const auto& entry : models) {
-    LTS_REQUIRE(entry.fallback.enabled ||
+    LTS_REQUIRE(entry.degraded ||
                     (entry.model != nullptr && entry.model->is_fitted()),
                 "evaluate_methods: model '" + entry.name + "' not fitted");
     method_order.push_back(entry.name);
@@ -169,25 +157,17 @@ EvalResult evaluate_methods(const std::vector<MethodUnderTest>& models,
 
       // Supervised models: the paper's prediction-and-ranking pipeline, one
       // "evaluate/<method>" trace span each. Every method ranks from the
-      // same raw snapshot; degradation-enabled methods see it through their
-      // staleness annotation/imputation first.
+      // same snapshot; a degraded method's scheduler views it first.
       for (const auto& entry : models) {
         const std::string span_name = "evaluate/" + entry.name;
         obs::ScopedSpan span(obs::Tracer::global(), span_name.c_str(),
                              snapshot.at);
         core::LtsScheduler scheduler(
             core::TelemetryFetcher(env.tsdb(), env.node_names(),
-                                   options.env.snapshot, entry.degradation),
-            entry.model, entry.features, entry.risk_aversion,
-            entry.fallback);
-        auto method_snapshot = snapshot;
-        if (entry.degradation.enabled) {
-          telemetry::annotate_staleness(method_snapshot,
-                                        entry.degradation.max_staleness);
-          telemetry::impute_stale_nodes(method_snapshot);
-        }
+                                   options.env.snapshot),
+            entry.model, entry.features, entry.risk_aversion, entry.degraded);
         const auto decision =
-            scheduler.schedule_from_snapshot(method_snapshot, scenario.config);
+            scheduler.schedule_from_snapshot(snapshot, scenario.config);
         std::vector<std::size_t> ranked;
         ranked.reserve(decision.ranking.size());
         for (const auto& p : decision.ranking) {

@@ -53,13 +53,11 @@ struct MethodUnderTest {
   core::FeatureSet features = core::FeatureSet::kTable1;
   /// See LtsScheduler: 0 = the paper's mean-duration ranking.
   double risk_aversion = 0.0;
-  /// Degradation handling (fault tolerance experiments). All methods rank
-  /// from the same raw snapshot; a method with `degradation.enabled` sees
-  /// that snapshot after staleness annotation/imputation, and its scheduler
-  /// applies `fallback`. With `fallback.enabled` the model may be null
-  /// (pure fallback-ranking baseline).
-  core::DegradationOptions degradation;
-  core::FallbackOptions fallback;
+  /// Ranks through a degraded-mode scheduler (fault tolerance experiments;
+  /// see LtsScheduler). All methods rank from the same snapshot as fetched.
+  /// A degraded method's model may be null (pure fallback-ranking
+  /// baseline).
+  bool degraded = false;
 };
 
 struct EvalOptions {
@@ -112,12 +110,6 @@ struct EvalResult {
 EvalResult evaluate_methods(const std::vector<MethodUnderTest>& models,
                             const std::vector<Scenario>& matrix,
                             const EvalOptions& options);
-
-/// Convenience overload: (name, model) pairs, all using Table-1 features.
-EvalResult evaluate_methods(
-    const std::vector<std::pair<std::string,
-                                std::shared_ptr<const ml::Regressor>>>& models,
-    const std::vector<Scenario>& matrix, const EvalOptions& options);
 
 /// JCT summary of one live-stream run — the end-to-end metrics the stream
 /// comparisons (bench_ext_faults, bench_ext_retrain, `lts stream`) report.

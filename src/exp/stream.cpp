@@ -185,8 +185,8 @@ JobStream::JobStream(StreamPolicy policy,
   if (model_policy_) {
     scheduler_ = std::make_unique<core::LtsScheduler>(
         core::TelemetryFetcher(env_.tsdb(), env_.node_names(),
-                               options.env.snapshot, options.degradation),
-        model, options.features, /*risk_aversion=*/0.0, options.fallback);
+                               options.env.snapshot),
+        model, options.features, /*risk_aversion=*/0.0, options.degraded);
   }
 
   // Online retraining loop (kModelRetrain only): completions feed the
@@ -289,13 +289,17 @@ void JobStream::place(std::size_t j) {
         fb.record.scenario_id = planned.scenario->id;
         fb.record.node = decision.selected();
         fb.record.snapshot_time = snapshot->at;
-        fb.record.telemetry = snapshot->by_name(decision.selected());
+        // The row the decision ranked from: in degraded mode a stale node's
+        // telemetry is its imputed row, as the model saw it.
+        fb.record.telemetry =
+            scheduler_->view(*snapshot).by_name(decision.selected());
         fb.record.config = config;
-        // Fallback rankings carry heuristic scores, not durations;
-        // OnlineTrainer also rejects stale-demoted scores (>= 1e8).
-        fb.predicted = decision.used_fallback
+        // Fallback rankings carry heuristic scores, not durations, and a
+        // stale node's prediction rests on imputed telemetry.
+        const auto& chosen = decision.ranking.front();
+        fb.predicted = decision.used_fallback || chosen.stale
                            ? -1.0
-                           : decision.ranking.front().predicted_duration;
+                           : chosen.predicted_duration;
       }
       break;
     }
@@ -352,7 +356,7 @@ StreamResult run_job_stream(StreamPolicy policy,
   LTS_REQUIRE(options.num_jobs >= 1, "run_job_stream: num_jobs >= 1");
   const bool model_policy = policy == StreamPolicy::kModel ||
                             policy == StreamPolicy::kModelRetrain;
-  if (model_policy && !options.fallback.enabled) {
+  if (model_policy && !options.degraded) {
     LTS_REQUIRE(model != nullptr && model->is_fitted(),
                 "run_job_stream: model policies need a fitted model");
   }

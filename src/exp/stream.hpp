@@ -40,12 +40,11 @@ struct StreamOptions {
   std::uint64_t seed = 1;
   EnvOptions env;
   core::FeatureSet features = core::FeatureSet::kTable1;
-  /// Degradation handling for the model policies (fault tolerance). Both
-  /// default off: the model scheduler then behaves exactly as before. With
-  /// `fallback.enabled`, kModel additionally accepts a null model (every
-  /// decision falls back to the spreading heuristic).
-  core::DegradationOptions degradation;
-  core::FallbackOptions fallback;
+  /// Runs the model policies' scheduler in degraded mode (fault tolerance;
+  /// see LtsScheduler). Off by default: the model scheduler then behaves
+  /// exactly as the paper describes. On, the model policies also accept a
+  /// null model (every decision falls back to the spreading heuristic).
+  bool degraded = false;
   /// Online retraining knobs, used only by kModelRetrain. Every completed
   /// job feeds the rolling window; a successful refit hot-swaps the
   /// scheduler's model mid-stream. The kModel policy ignores this

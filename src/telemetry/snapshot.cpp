@@ -76,59 +76,4 @@ ClusterSnapshot build_snapshot(const Tsdb& tsdb,
   return snapshot;
 }
 
-int annotate_staleness(ClusterSnapshot& snapshot, SimTime max_staleness) {
-  int stale = 0;
-  for (auto& n : snapshot.nodes) {
-    n.stale = !n.has_data || (snapshot.at - n.last_seen) > max_staleness;
-    if (n.stale) ++stale;
-  }
-  return stale;
-}
-
-int impute_stale_nodes(ClusterSnapshot& snapshot) {
-  std::vector<const NodeTelemetry*> fresh;
-  int n_stale = 0;
-  for (const auto& n : snapshot.nodes) {
-    if (n.stale) {
-      ++n_stale;
-    } else {
-      fresh.push_back(&n);
-    }
-  }
-  if (fresh.empty() || n_stale == 0) return 0;
-
-  auto median_of = [&](auto field) {
-    std::vector<double> values;
-    values.reserve(fresh.size());
-    for (const auto* n : fresh) values.push_back(field(*n));
-    return percentile(values, 50.0);
-  };
-  const NodeTelemetry typical{
-      /*node=*/"",
-      median_of([](const NodeTelemetry& n) { return n.rtt_mean; }),
-      median_of([](const NodeTelemetry& n) { return n.rtt_max; }),
-      median_of([](const NodeTelemetry& n) { return n.rtt_std; }),
-      median_of([](const NodeTelemetry& n) { return n.tx_rate; }),
-      median_of([](const NodeTelemetry& n) { return n.rx_rate; }),
-      median_of([](const NodeTelemetry& n) { return n.cpu_load; }),
-      median_of([](const NodeTelemetry& n) { return n.mem_available; }),
-      median_of([](const NodeTelemetry& n) { return n.uplink_util; }),
-      median_of([](const NodeTelemetry& n) { return n.downlink_util; }),
-      median_of([](const NodeTelemetry& n) { return n.queue_delay; }),
-      median_of([](const NodeTelemetry& n) { return n.active_flows; })};
-
-  for (auto& n : snapshot.nodes) {
-    if (!n.stale) continue;
-    const std::string name = n.node;
-    const SimTime last_seen = n.last_seen;
-    const bool has_data = n.has_data;
-    n = typical;
-    n.node = name;
-    n.last_seen = last_seen;
-    n.has_data = has_data;
-    n.stale = true;
-  }
-  return n_stale;
-}
-
 }  // namespace lts::telemetry

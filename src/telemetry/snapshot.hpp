@@ -29,8 +29,9 @@ struct NodeTelemetry {
   SimTime queue_delay = 0.0;   // one-way, worst direction
   double active_flows = 0.0;   // flows terminating at this node
   // Freshness metadata (fault tolerance): when this node's exporter last
-  // reported, whether it ever did, and whether a degradation policy judged
-  // the row stale. Purely annotations — feature construction ignores them.
+  // reported, whether it ever did, and whether the scheduler's degraded
+  // view judged the row stale (build_snapshot never sets `stale`). Purely
+  // annotations — feature construction ignores them.
   SimTime last_seen = 0.0;
   bool has_data = false;
   bool stale = false;
@@ -54,19 +55,5 @@ struct SnapshotOptions {
 ClusterSnapshot build_snapshot(const Tsdb& tsdb,
                                const std::vector<std::string>& node_names,
                                SimTime now, SnapshotOptions options = {});
-
-/// Marks rows whose node exporter has not reported within `max_staleness`
-/// of the snapshot time (or never reported) as stale. Returns the number of
-/// stale rows. The first half of the fetcher's degradation policy.
-int annotate_staleness(ClusterSnapshot& snapshot, SimTime max_staleness);
-
-/// Replaces every stale row's telemetry fields with the median of the fresh
-/// rows — the imputation/fallback feature construction for missing
-/// telemetry. A stale node then scores as an "average" node instead of as a
-/// phantom idle one (zeroed rows look maximally attractive to the model,
-/// which is exactly the failure mode this guards against). No-op when every
-/// row is stale (nothing to impute from). Returns the number of imputed
-/// rows.
-int impute_stale_nodes(ClusterSnapshot& snapshot);
 
 }  // namespace lts::telemetry

@@ -124,17 +124,10 @@ EvalResult serial_evaluate(const std::vector<MethodUnderTest>& models,
       for (const auto& entry : models) {
         core::LtsScheduler scheduler(
             core::TelemetryFetcher(env.tsdb(), env.node_names(),
-                                   options.env.snapshot, entry.degradation),
-            entry.model, entry.features, entry.risk_aversion,
-            entry.fallback);
-        auto method_snapshot = snapshot;
-        if (entry.degradation.enabled) {
-          telemetry::annotate_staleness(method_snapshot,
-                                        entry.degradation.max_staleness);
-          telemetry::impute_stale_nodes(method_snapshot);
-        }
+                                   options.env.snapshot),
+            entry.model, entry.features, entry.risk_aversion, entry.degraded);
         const auto decision =
-            scheduler.schedule_from_snapshot(method_snapshot, scenario.config);
+            scheduler.schedule_from_snapshot(snapshot, scenario.config);
         std::vector<std::size_t> ranked;
         for (const auto& p : decision.ranking) {
           ranked.push_back(env.cluster().node_index(p.node));
@@ -696,12 +689,10 @@ std::vector<MethodUnderTest> oracle_methods(
   methods.emplace_back("forest_risk", forest, core::FeatureSet::kTable1,
                        /*risk_aversion=*/1.0);
   MethodUnderTest degraded("linear_degraded", linear);
-  degraded.degradation.enabled = true;
-  degraded.fallback.enabled = true;
+  degraded.degraded = true;
   methods.push_back(degraded);
   MethodUnderTest fallback_only("fallback_only", nullptr);
-  fallback_only.degradation.enabled = true;
-  fallback_only.fallback.enabled = true;
+  fallback_only.degraded = true;
   methods.push_back(fallback_only);
   return methods;
 }
@@ -792,7 +783,7 @@ TEST(Evaluate, TracesOneSpanPerScenarioAndMethodOnCallingThread) {
     ASSERT_FALSE(span.phases.empty()) << k;
     EXPECT_EQ(span.phases.back().name, "rank") << k;
     if (method.model == nullptr) continue;  // fallback: rank only
-    if (!method.fallback.enabled) {
+    if (!method.degraded) {
       ASSERT_EQ(span.phases.size(), 3u) << k;
       EXPECT_EQ(span.phases[0].name, "features") << k;
       EXPECT_EQ(span.phases[1].name, "predict") << k;
@@ -809,10 +800,8 @@ TEST(Evaluate, ProtocolProducesConsistentOutcomes) {
   collect.repeats = 1;
   const CsvTable log = collect_training_data(matrix, collect);
   const auto data = core::Trainer::dataset_from_log(log);
-  std::vector<std::pair<std::string, std::shared_ptr<const ml::Regressor>>>
-      models;
-  models.emplace_back("linear", std::shared_ptr<const ml::Regressor>(
-                                    core::Trainer::train("linear", data)));
+  std::vector<MethodUnderTest> models;
+  models.emplace_back("linear", core::Trainer::train("linear", data));
 
   EvalOptions eval;
   eval.num_scenarios = 4;

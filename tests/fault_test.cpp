@@ -10,6 +10,7 @@
 #include "exp/envgen.hpp"
 #include "exp/scenario.hpp"
 #include "fault/fault.hpp"
+#include "fakes.hpp"
 #include "obs/metrics.hpp"
 #include "recorder.hpp"
 #include "spark/runtime.hpp"
@@ -21,29 +22,24 @@ namespace {
 
 using namespace lts;
 
-/// Fitted model that predicts the same duration everywhere: rankings become
-/// pure tie-breaks, which makes demotion and fallback decisions explicit.
-class ConstantModel : public ml::Regressor {
- public:
-  void fit(const ml::Dataset&) override {}
-  void predict_batch(std::span<const double>, std::size_t rows, std::size_t,
-                     std::span<double> out) const override {
-    std::fill_n(out.begin(), rows, 1.0);
-  }
-  bool is_fitted() const override { return true; }
-  std::string name() const override { return "constant"; }
-  Json to_json() const override { return Json::object(); }
-  void from_json(const Json&) override {}
-};
+using test::ConstantModel;
+using test::small_job;
 
-spark::JobConfig small_job() {
-  spark::JobConfig config;
-  config.app = spark::AppType::kSort;
-  config.input_records = 1000000;
-  config.record_bytes = 200.0;
-  config.executors = 2;
-  config.validate();
-  return config;
+/// `snapshot` as a degraded scheduler over `env` ranks from it: rows
+/// silent for more than kMaxStaleness marked stale and imputed.
+telemetry::ClusterSnapshot degraded_view(
+    const exp::SimEnv& env, const telemetry::ClusterSnapshot& snapshot) {
+  const core::LtsScheduler degraded(
+      core::TelemetryFetcher(env.tsdb(), env.node_names()), nullptr,
+      core::FeatureSet::kTable1, /*risk_aversion=*/0.0, /*degraded=*/true);
+  return degraded.view(snapshot);
+}
+
+/// The rows of `env`'s current snapshot a degraded scheduler marks stale.
+int stale_rows(const exp::SimEnv& env) {
+  const auto view = degraded_view(env, env.snapshot());
+  return static_cast<int>(
+      std::ranges::count_if(view.nodes, &telemetry::NodeTelemetry::stale));
 }
 
 TEST(FaultSpecJson, RoundTripsEveryKind) {
@@ -275,12 +271,12 @@ TEST(FaultInjector, CrashStopsTelemetryPingsAndReadiness) {
   for (const auto& scored : kube.ranking) EXPECT_NE(scored.name, "node-3");
 
   // Its exporter heartbeat froze at the crash instant...
-  auto snapshot = env.snapshot();
+  const auto snapshot = env.snapshot();
   const auto& row = snapshot.by_name("node-3");
   EXPECT_TRUE(row.has_data);
   EXPECT_LE(row.last_seen, 50.0);
-  EXPECT_EQ(telemetry::annotate_staleness(snapshot, 10.0), 1);
-  EXPECT_TRUE(snapshot.by_name("node-3").stale);
+  EXPECT_EQ(stale_rows(env), 1);
+  EXPECT_TRUE(degraded_view(env, snapshot).by_name("node-3").stale);
   // ...and the ping mesh stopped probing it in either direction.
   EXPECT_LT(env.tsdb()
                 .latest_time(telemetry::kPingRttMetric,
@@ -293,9 +289,8 @@ TEST(FaultInjector, CrashStopsTelemetryPingsAndReadiness) {
   EXPECT_FALSE(env.cluster().node_down(idx));
   EXPECT_TRUE(env.api().node("node-3").ready);
   EXPECT_EQ(env.fault_injector().recovered(), 1);
-  auto after = env.snapshot();
-  EXPECT_GT(after.by_name("node-3").last_seen, 90.0);
-  EXPECT_EQ(telemetry::annotate_staleness(after, 10.0), 0);
+  EXPECT_GT(env.snapshot().by_name("node-3").last_seen, 90.0);
+  EXPECT_EQ(stale_rows(env), 0);
   EXPECT_GT(env.tsdb()
                 .latest_time(telemetry::kPingRttMetric,
                              {{"src", "node-1"}, {"dst", "node-3"}})
@@ -402,9 +397,8 @@ TEST(Degradation, UndelayingExporterMidStreamDropsLateSamples) {
   EXPECT_GT(env.tsdb().num_samples_dropped(), 0u);
   EXPECT_GT(dropped.value(), dropped_before);
   // The stream kept running and freshness recovered despite the drops.
-  auto after = env.snapshot();
-  EXPECT_GT(after.by_name("node-2").last_seen, 95.0);
-  EXPECT_EQ(telemetry::annotate_staleness(after, 10.0), 0);
+  EXPECT_GT(env.snapshot().by_name("node-2").last_seen, 95.0);
+  EXPECT_EQ(stale_rows(env), 0);
 }
 
 TEST(FaultInjector, NodeCrashMidJobStallsUntilRecovery) {
@@ -469,24 +463,29 @@ TEST(Degradation, SilencedExporterRowIsImputedAndDemoted) {
   exp::SimEnv env(33, options);
   env.warmup();
   env.engine().run_until(75.0);
+  const SimTime now = env.engine().now();
 
-  core::DegradationOptions degradation;
-  degradation.enabled = true;
-  degradation.max_staleness = 10.0;
-  core::TelemetryFetcher fetcher(env.tsdb(), env.node_names(),
-                                 env.options().snapshot, degradation);
-  const auto snapshot = fetcher.fetch(env.engine().now());
+  // With a tie-everything model, demotion alone decides the ranking.
+  core::LtsScheduler scheduler(
+      core::TelemetryFetcher(env.tsdb(), env.node_names(),
+                             env.options().snapshot),
+      std::make_shared<ConstantModel>(), core::FeatureSet::kTable1,
+      /*risk_aversion=*/0.0, /*degraded=*/true);
+  // The fetcher returns telemetry as scraped; only the view marks it.
+  const auto raw = scheduler.fetcher().fetch(now);
+  for (const auto& row : raw.nodes) EXPECT_FALSE(row.stale) << row.node;
+  const auto snapshot = scheduler.view(raw);
 
-  int stale_rows = 0;
+  int n_stale = 0;
   std::vector<double> fresh_cpu;
   for (const auto& row : snapshot.nodes) {
     if (row.stale) {
-      ++stale_rows;
+      ++n_stale;
     } else {
       fresh_cpu.push_back(row.cpu_load);
     }
   }
-  EXPECT_EQ(stale_rows, 1);
+  EXPECT_EQ(n_stale, 1);
   const auto& stale = snapshot.by_name("node-5");
   EXPECT_TRUE(stale.stale);
   EXPECT_TRUE(stale.has_data);
@@ -496,18 +495,16 @@ TEST(Degradation, SilencedExporterRowIsImputedAndDemoted) {
   EXPECT_LE(stale.cpu_load, max_of(fresh_cpu));
   EXPECT_GT(stale.mem_available, 0.0);
 
-  // With a tie-everything model, demotion alone decides: the stale node
-  // ranks last, and the decision records it.
-  core::FallbackOptions fallback;
-  fallback.enabled = true;
-  core::LtsScheduler scheduler(std::move(fetcher),
-                               std::make_shared<ConstantModel>(),
-                               core::FeatureSet::kTable1,
-                               /*risk_aversion=*/0.0, fallback);
-  const auto decision = scheduler.schedule(small_job(), env.engine().now());
+  // The stale node ranks last, flagged, with its real prediction (the
+  // constant model's 1.0), and the decision records it.
+  const auto decision = scheduler.schedule(small_job(), now);
   EXPECT_FALSE(decision.used_fallback);
   EXPECT_EQ(decision.stale_demoted, 1);
   ASSERT_EQ(decision.ranking.size(), env.node_names().size());
+  for (const auto& p : decision.ranking) {
+    EXPECT_EQ(p.predicted_duration, 1.0) << p.node;
+    EXPECT_EQ(p.stale, p.node == "node-5") << p.node;
+  }
   EXPECT_EQ(decision.ranking.back().node, "node-5");
 }
 
@@ -520,27 +517,23 @@ TEST(Degradation, DelayedExporterGoesStaleThenCatchesUp) {
   env.engine().run_until(60.0);
 
   // Reports lag 15 s: the freshest sample visible is ~15 s old.
-  auto during = env.snapshot();
-  EXPECT_LT(during.by_name("node-2").last_seen, 47.0);
-  EXPECT_EQ(telemetry::annotate_staleness(during, 10.0), 1);
+  EXPECT_LT(env.snapshot().by_name("node-2").last_seen, 47.0);
+  EXPECT_EQ(stale_rows(env), 1);
 
   // After the fault expires the pipeline drains and freshness recovers.
   env.engine().run_until(110.0);
-  auto after = env.snapshot();
-  EXPECT_GT(after.by_name("node-2").last_seen, 95.0);
-  EXPECT_EQ(telemetry::annotate_staleness(after, 10.0), 0);
+  EXPECT_GT(env.snapshot().by_name("node-2").last_seen, 95.0);
+  EXPECT_EQ(stale_rows(env), 0);
 }
 
 TEST(Fallback, NullModelProducesSpreadingRanking) {
   exp::SimEnv env(11);
   env.warmup();
-  core::FallbackOptions fallback;
-  fallback.enabled = true;
   core::TelemetryFetcher fetcher(env.tsdb(), env.node_names(),
                                  env.options().snapshot);
   core::LtsScheduler scheduler(fetcher, /*model=*/nullptr,
                                core::FeatureSet::kTable1,
-                               /*risk_aversion=*/0.0, fallback);
+                               /*risk_aversion=*/0.0, /*degraded=*/true);
   EXPECT_FALSE(scheduler.has_usable_model());
 
   const auto snapshot = fetcher.fetch(env.engine().now());
@@ -575,21 +568,25 @@ TEST(Fallback, NullModelProducesSpreadingRanking) {
 }
 
 TEST(Fallback, MostlyStaleSnapshotOverridesUsableModel) {
-  exp::SimEnv env(13);
+  // Five of six exporters go silent before the decision: one fresh row is
+  // below kMinFreshFraction, so the snapshot is distrusted.
+  exp::EnvOptions options;
+  for (const char* node : {"node-1", "node-2", "node-3", "node-4", "node-5"}) {
+    options.faults.push_back(
+        {fault::FaultKind::kExporterSilence, node, 20.0, 0.0, 1.0});
+  }
+  exp::SimEnv env(13, options);
   env.warmup();
-  core::DegradationOptions degradation;
-  degradation.enabled = true;
-  degradation.max_staleness = 1e-6;  // everything is "stale"
-  core::FallbackOptions fallback;
-  fallback.enabled = true;
+  ASSERT_EQ(stale_rows(env), 5);
   core::LtsScheduler scheduler(
       core::TelemetryFetcher(env.tsdb(), env.node_names(),
-                             env.options().snapshot, degradation),
+                             env.options().snapshot),
       std::make_shared<ConstantModel>(), core::FeatureSet::kTable1,
-      /*risk_aversion=*/0.0, fallback);
+      /*risk_aversion=*/0.0, /*degraded=*/true);
   EXPECT_TRUE(scheduler.has_usable_model());
   const auto decision = scheduler.schedule(small_job(), env.engine().now());
   EXPECT_TRUE(decision.used_fallback);
+  EXPECT_EQ(decision.stale_demoted, 0);
 }
 
 TEST(Fallback, DisabledKeepsStrictModelRequirement) {

@@ -66,11 +66,9 @@ TEST_F(PipelineFixture, ModelsLearnSignal) {
 
 TEST_F(PipelineFixture, SupervisedBeatsRandomAndKube) {
   const auto matrix = exp::paper_scenario_matrix();
-  std::vector<std::pair<std::string, std::shared_ptr<const ml::Regressor>>>
-      models;
+  std::vector<exp::MethodUnderTest> models;
   models.emplace_back("random_forest",
-                      std::shared_ptr<const ml::Regressor>(
-                          core::Trainer::train("random_forest", *data_)));
+                      core::Trainer::train("random_forest", *data_));
   exp::EvalOptions eval;
   eval.num_scenarios = 25;
   eval.truth_repeats = 1;

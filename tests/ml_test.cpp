@@ -9,6 +9,7 @@
 #include <fstream>
 #include <span>
 
+#include "fakes.hpp"
 #include "ml/dataset.hpp"
 #include "ml/flat.hpp"
 #include "ml/forest.hpp"
@@ -985,18 +986,7 @@ Json tree_to_json(const std::vector<TreeNode>& nodes, int num_features) {
   return j;
 }
 
-/// The reference walk, written out: from the root, `x <= threshold` goes
-/// left and anything else (NaN included) goes right, down to a leaf.
-double walk(const std::vector<TreeNode>& nodes, std::span<const double> x) {
-  std::size_t i = 0;
-  while (!nodes[i].is_leaf()) {
-    const TreeNode& n = nodes[i];
-    i = static_cast<std::size_t>(
-        x[static_cast<std::size_t>(n.feature)] <= n.threshold ? n.left
-                                                               : n.right);
-  }
-  return nodes[i].value;
-}
+using test::walk;
 
 /// A GBT state in GradientBoostedTrees::to_json's layout: five fields per
 /// node, no sample counts.

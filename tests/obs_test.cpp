@@ -14,6 +14,7 @@
 #include "exp/envgen.hpp"
 #include "exp/scenario.hpp"
 #include "exp/stream.hpp"
+#include "fakes.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/thread_pool.hpp"
@@ -21,30 +22,8 @@
 namespace lts::obs {
 namespace {
 
-spark::JobConfig small_job() {
-  spark::JobConfig config;
-  config.app = spark::AppType::kSort;
-  config.input_records = 1000000;
-  config.record_bytes = 200.0;
-  config.executors = 2;
-  config.validate();
-  return config;
-}
-
-/// Fitted model predicting a constant: ranking order is the deterministic
-/// name tie-break, which keeps the trace test independent of training.
-class ConstantModel : public ml::Regressor {
- public:
-  void fit(const ml::Dataset&) override {}
-  void predict_batch(std::span<const double>, std::size_t rows, std::size_t,
-                     std::span<double> out) const override {
-    std::fill_n(out.begin(), rows, 1.0);
-  }
-  bool is_fitted() const override { return true; }
-  std::string name() const override { return "constant"; }
-  Json to_json() const override { return Json::object(); }
-  void from_json(const Json&) override {}
-};
+using test::ConstantModel;
+using test::small_job;
 
 /// Busy-waits at least kSlowMs on steady_clock per prediction call, so a
 /// trace that books the model call where it happens shows at least that
@@ -243,9 +222,8 @@ TEST(Tracer, SpanRoundTripThroughScheduler) {
   exp::SimEnv env(11);
   env.warmup();
   core::LtsScheduler scheduler(
-      core::TelemetryFetcher(env.tsdb(), env.node_names(), {}, {}),
-      std::make_shared<ConstantModel>(), core::FeatureSet::kTable1,
-      /*risk_aversion=*/0.0, {});
+      core::TelemetryFetcher(env.tsdb(), env.node_names()),
+      std::make_shared<ConstantModel>());
   const auto job = small_job();
   const SimTime now = env.engine().now();
 
@@ -425,7 +403,7 @@ TEST(Instrumentation, EnabledRegistryDoesNotChangeStreamResults) {
   exp::StreamOptions options;
   options.num_jobs = 4;
   options.seed = 5;
-  options.fallback.enabled = true;  // model policy via fallback: no training
+  options.degraded = true;  // model policy via fallback: no training
 
   auto& registry = MetricsRegistry::global();
   auto& tracer = Tracer::global();

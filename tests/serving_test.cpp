@@ -18,6 +18,7 @@
 #include "core/fetcher.hpp"
 #include "core/scheduler.hpp"
 #include "exp/envgen.hpp"
+#include "fakes.hpp"
 #include "ml/forest.hpp"
 #include "ml/gbt.hpp"
 #include "ml/linear.hpp"
@@ -75,18 +76,7 @@ std::vector<double> make_query_block(const Dataset& data, std::size_t rows,
   return block;
 }
 
-/// The reference walk over a node array, written out here: from the root,
-/// `x <= threshold` goes left and anything else goes right, to a leaf.
-double walk(const std::vector<TreeNode>& nodes, std::span<const double> x) {
-  std::size_t i = 0;
-  while (!nodes[i].is_leaf()) {
-    const TreeNode& n = nodes[i];
-    i = static_cast<std::size_t>(
-        x[static_cast<std::size_t>(n.feature)] <= n.threshold ? n.left
-                                                               : n.right);
-  }
-  return nodes[i].value;
-}
+using test::walk;
 
 /// Predictions for each row of `x` from an oracle that shares no code with
 /// predict_batch: a linear model's intercept plus coefficients times
@@ -306,33 +296,20 @@ std::vector<spark::JobConfig> make_queue(std::size_t n) {
   return configs;
 }
 
-/// Fitted model predicting a constant: every fresh node ties, so stale
-/// demotion and the name tie-break alone decide the ranking.
-class ConstantModel : public ml::Regressor {
- public:
-  void fit(const ml::Dataset&) override {}
-  void predict_batch(std::span<const double>, std::size_t rows, std::size_t,
-                     std::span<double> out) const override {
-    std::fill_n(out.begin(), rows, 1.0);
-  }
-  bool is_fitted() const override { return true; }
-  std::string name() const override { return "constant"; }
-  Json to_json() const override { return Json::object(); }
-  void from_json(const Json&) override {}
-};
+using test::ConstantModel;
 
 /// The scalar serving pipeline, kept as the oracle for the batched path:
 /// one feature vector and one predict_row (or predict_with_uncertainty)
-/// call per node, then stale demotion and ranking. Without metrics and
-/// spans; the fallback ranking is LtsScheduler's spreading heuristic
-/// written out.
+/// call per node of the scheduler's view, then stale demotion and ranking.
+/// Without metrics and spans; the fallback ranking is LtsScheduler's
+/// spreading heuristic written out.
 Decision reference_decision(const telemetry::ClusterSnapshot& snapshot,
                             const spark::JobConfig& config,
                             const std::shared_ptr<const ml::Regressor>& model,
                             FeatureSet features, double risk_aversion,
-                            const FallbackOptions& fallback) {
+                            bool degraded) {
   const bool model_usable = model != nullptr && model->is_fitted();
-  if (fallback.enabled) {
+  if (degraded) {
     std::size_t fresh = 0;
     for (const auto& node : snapshot.nodes) {
       if (!node.stale) ++fresh;
@@ -377,11 +354,9 @@ Decision reference_decision(const telemetry::ClusterSnapshot& snapshot,
     } else {
       score = model->predict_row(rows[i]);
     }
-    if (fallback.enabled && node.stale) {
-      score += 1e9;  // LtsScheduler's stale-demotion penalty
-      ++decision.stale_demoted;
-    }
-    predictions.push_back(NodePrediction{node.node, score});
+    const bool demoted = degraded && node.stale;
+    if (demoted) ++decision.stale_demoted;
+    predictions.push_back(NodePrediction{node.node, score, demoted});
   }
 
   const int stale_demoted = decision.stale_demoted;
@@ -397,6 +372,7 @@ void expect_decisions_equal(const Decision& a, const Decision& b,
   ASSERT_EQ(a.ranking.size(), b.ranking.size()) << context;
   for (std::size_t i = 0; i < a.ranking.size(); ++i) {
     EXPECT_EQ(a.ranking[i].node, b.ranking[i].node) << context << " #" << i;
+    EXPECT_EQ(a.ranking[i].stale, b.ranking[i].stale) << context << " #" << i;
     EXPECT_EQ(a.ranking[i].predicted_duration,
               b.ranking[i].predicted_duration)
         << context << " #" << i;
@@ -404,20 +380,20 @@ void expect_decisions_equal(const Decision& a, const Decision& b,
 }
 
 /// Each batched decision equals reference_decision for its config on the
-/// scheduler's own snapshot at `now`.
+/// scheduler's own view of its snapshot at `now`.
 void expect_reference_decisions(const LtsScheduler& scheduler,
                                 double risk_aversion,
                                 std::span<const spark::JobConfig> configs,
                                 const std::vector<Decision>& decisions,
                                 SimTime now, const std::string& context) {
-  const auto snapshot = scheduler.fetcher().fetch(now);
+  const auto snapshot = scheduler.view(scheduler.fetcher().fetch(now));
   ASSERT_EQ(decisions.size(), configs.size()) << context;
   for (std::size_t q = 0; q < configs.size(); ++q) {
     expect_decisions_equal(
         decisions[q],
         reference_decision(snapshot, configs[q], scheduler.current_model(),
                            scheduler.feature_set(), risk_aversion,
-                           scheduler.fallback()),
+                           scheduler.degraded()),
         context + " vs reference, slot " + std::to_string(q));
   }
 }
@@ -541,10 +517,9 @@ TEST(ScheduleMany, FallbackQueueEqualsSequentialFallbacks) {
   exp::SimEnv env(26);
   env.warmup();
   const SimTime now = env.engine().now();
-  FallbackOptions fallback;
-  fallback.enabled = true;
   LtsScheduler scheduler(TelemetryFetcher(env.tsdb(), env.node_names()),
-                         nullptr, FeatureSet::kTable1, 0.0, fallback);
+                         nullptr, FeatureSet::kTable1, 0.0,
+                         /*degraded=*/true);
   const auto configs = make_queue(4);
   std::vector<Decision> sequential;
   for (const auto& config : configs) {
@@ -692,45 +667,45 @@ TEST(SnapshotCache, DisabledCacheSweepsEveryFetch) {
 }
 
 TEST(SnapshotCache, CachedSnapshotDemotesStaleNodesLikeFreshFetch) {
-  // Regression for the staleness/caching agreement: the degradation
-  // pipeline is a function of `now`, so a snapshot cached at (epoch, now)
-  // must carry the same staleness annotations a fresh sweep at that `now`
-  // would produce — and a scheduler reusing the cached snapshot under
-  // stale demotion must make the identical decision.
+  // Regression for the staleness/caching agreement: the degraded view is a
+  // function of the snapshot time, so a snapshot cached at (epoch, now)
+  // must view exactly like a fresh sweep at that `now` — and a degraded
+  // scheduler reusing the cached snapshot must make the identical
+  // decision.
   exp::SimEnv env(38);
   env.warmup();
   const std::string victim = env.node_names()[2];
   env.fault_injector().silence_exporter(victim);
   const SimTime start = env.engine().now();
-  env.engine().run_until(start + 30.0);  // > max_staleness of 10s
+  env.engine().run_until(start + 30.0);  // > kMaxStaleness of 10s
   const SimTime now = env.engine().now();
 
-  DegradationOptions degradation;
-  degradation.enabled = true;
-  TelemetryFetcher cached(env.tsdb(), env.node_names(), {}, degradation);
-  TelemetryFetcher uncached(env.tsdb(), env.node_names(), {}, degradation);
+  TelemetryFetcher cached(env.tsdb(), env.node_names());
+  TelemetryFetcher uncached(env.tsdb(), env.node_names());
   uncached.set_cache_enabled(false);
+  const auto model = load_tracking_model(6);
+  LtsScheduler via_cache(cached, model, FeatureSet::kTable1, 0.0,
+                         /*degraded=*/true);
+  LtsScheduler via_sweep(uncached, model, FeatureSet::kTable1, 0.0,
+                         /*degraded=*/true);
 
   const auto warm = cached.fetch_shared(now);
   const auto reused = cached.fetch_shared(now);
   ASSERT_EQ(warm.get(), reused.get());
-  const auto fresh = uncached.fetch_shared(now);
-  ASSERT_EQ(reused->nodes.size(), fresh->nodes.size());
+  const auto reused_view = via_cache.view(*reused);
+  const auto fresh_view = via_sweep.view(*uncached.fetch_shared(now));
+  ASSERT_EQ(reused_view.nodes.size(), fresh_view.nodes.size());
   bool saw_stale = false;
-  for (std::size_t i = 0; i < fresh->nodes.size(); ++i) {
-    EXPECT_EQ(reused->nodes[i].stale, fresh->nodes[i].stale) << i;
-    EXPECT_EQ(reused->nodes[i].cpu_load, fresh->nodes[i].cpu_load) << i;
-    EXPECT_EQ(reused->nodes[i].tx_rate, fresh->nodes[i].tx_rate) << i;
-    saw_stale = saw_stale || fresh->nodes[i].stale;
+  for (std::size_t i = 0; i < fresh_view.nodes.size(); ++i) {
+    EXPECT_EQ(reused_view.nodes[i].stale, fresh_view.nodes[i].stale) << i;
+    EXPECT_EQ(reused_view.nodes[i].cpu_load, fresh_view.nodes[i].cpu_load)
+        << i;
+    EXPECT_EQ(reused_view.nodes[i].tx_rate, fresh_view.nodes[i].tx_rate)
+        << i;
+    saw_stale = saw_stale || fresh_view.nodes[i].stale;
   }
   ASSERT_TRUE(saw_stale) << "silenced exporter never went stale";
 
-  FallbackOptions fallback;
-  fallback.enabled = true;  // demotes stale nodes
-  const auto model = load_tracking_model(6);
-  LtsScheduler via_cache(cached, model, FeatureSet::kTable1, 0.0, fallback);
-  LtsScheduler via_sweep(uncached, model, FeatureSet::kTable1, 0.0,
-                         fallback);
   const auto configs = make_queue(3);
   // Two passes through the cached scheduler: the second reuses the warm
   // snapshot end to end. Both must equal the cache-bypassing scheduler.
@@ -750,7 +725,7 @@ TEST(SnapshotCache, CachedSnapshotDemotesStaleNodesLikeFreshFetch) {
   // With a tie-everything model demotion alone decides the ranking: the
   // batch-of-one schedule() must still equal the scalar reference.
   LtsScheduler constant(cached, std::make_shared<ConstantModel>(),
-                        FeatureSet::kTable1, 0.0, fallback);
+                        FeatureSet::kTable1, 0.0, /*degraded=*/true);
   const auto tied = constant.schedule(configs[0], now);
   EXPECT_GT(tied.stale_demoted, 0);
   expect_reference_decisions(constant, 0.0, {&configs[0], 1}, {tied}, now,

@@ -5,24 +5,34 @@
 //                 [--residual-job]
 //   lts train     --log FILE --out FILE [--model NAME] [--features SET]
 //   lts evaluate  --model-file FILE [--scenarios N] [--seed S]
-//                 [--features SET]
+//                 [--features SET] [--metrics-out FILE] [--trace-out FILE]
 //   lts schedule  --model-file FILE [--seed S] [--app TYPE]
 //                 [--records N] [--executors E] [--features SET]
-//                 [--faults FILE] [--at T] [--degraded] [--max-staleness S]
-//                 [--queue N]
+//                 [--faults FILE] [--at T] [--degraded] [--queue N]
+//                 [--metrics-out FILE] [--trace-out FILE]
 //   lts stream    --model-file FILE [--policy model|model-retrain|kube|random]
 //                 [--jobs N] [--interarrival S] [--seed S] [--features SET]
-//                 [--faults FILE] [--drift] [--degraded] [--max-staleness S]
+//                 [--faults FILE] [--drift] [--degraded]
 //                 [--retrain-every K] [--retrain-window N] [--retrain-model M]
 //                 [--drift-threshold X] [--model-out FILE]
+//                 [--metrics-out FILE] [--trace-out FILE]
 //   lts whatif    [--seed S] [--app TYPE] [--records N] [--executors E]
+//   lts query     --expr EXPR [--seed S] [--at T]
+//                 [--metrics-out FILE] [--trace-out FILE]
+//
+// Each command accepts only the flags listed for it: any other flag, a
+// value flag without its value, an integer that is not a whole in-range
+// token or a number that is not finite fails with an error naming the flag.
 //
 // SET is "table1" (paper) or "rich" (§8 extension). --faults FILE injects a
 // JSON fault schedule (array of {kind, target, at, duration, severity}; see
-// src/fault/fault.hpp) into the simulated cluster, and --degraded turns on
-// the scheduler's staleness/fallback policies (and makes --model-file
-// optional: with no model every decision uses the fallback ranking). All
-// commands are self-contained simulations; no external services are needed.
+// src/fault/fault.hpp) into the simulated cluster, and --degraded runs the
+// scheduler in degraded mode: rows whose exporter has been silent for more
+// than kMaxStaleness (10 s) are imputed and ranked last, and a decision
+// falls back to a spreading heuristic when too little telemetry is fresh.
+// It also makes --model-file optional: with no model every decision uses
+// the fallback ranking. All commands are self-contained simulations; no
+// external services are needed.
 // --queue N ranks a queue of N pending jobs (the requested job plus N-1
 // variants cycling the app mix) in one batched schedule_many pass: one
 // cached snapshot fetch, one flattened-tree predict over every (pod, node)
@@ -35,14 +45,17 @@
 // final versioned model. --drift overlays a deterministic escalating WAN
 // degradation staircase so the network actually shifts mid-stream.
 //
-// Observability (evaluate/schedule/query): --metrics-out FILE enables the
-// lts::obs metrics registry and writes a Prometheus text-format dump after
-// the command finishes; --trace-out FILE enables per-decision trace spans
-// and writes them as a JSON array. Both are off without the flags and add
-// no overhead.
+// Observability (evaluate/schedule/stream/query): --metrics-out FILE
+// enables the lts::obs metrics registry and writes a Prometheus text-format
+// dump after the command finishes; --trace-out FILE enables per-decision
+// trace spans and writes them as a JSON array. Both are off without the
+// flags and add no overhead.
+#include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -67,45 +80,102 @@ namespace {
 
 using namespace lts;
 
+/// The flags one command reads: those that take a value, and switches,
+/// which are on when present.
+struct FlagSpec {
+  std::vector<std::string> values;
+  std::vector<std::string> switches;
+};
+
 class Args {
  public:
-  Args(int argc, char** argv, int first) {
+  /// Parses argv[first..] for `lts command`. A flag outside `spec`, a value
+  /// flag without its value or a stray token is an Error naming it.
+  Args(int argc, char** argv, int first, const std::string& command,
+       const FlagSpec& spec)
+      : spec_(spec) {
     for (int i = first; i < argc; ++i) {
-      std::string key = argv[i];
-      if (key.rfind("--", 0) != 0) {
-        throw Error("unexpected argument: " + key);
+      const std::string arg = argv[i];
+      if (arg.rfind("--", 0) != 0) {
+        throw Error("unexpected argument: " + arg);
       }
-      key = key.substr(2);
-      if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        values_[key] = argv[++i];
+      const std::string key = arg.substr(2);
+      if (is_switch(key)) {
+        values_[key] = "true";
+      } else if (!takes_value(key)) {
+        std::string known;
+        for (const auto& list : {spec.values, spec.switches}) {
+          for (const auto& flag : list) known += " --" + flag;
+        }
+        throw Error("unknown flag " + arg + " (lts " + command + " reads" +
+                    (known.empty() ? std::string(" no flags") : known) + ")");
+      } else if (i + 1 == argc ||
+                 std::string(argv[i + 1]).rfind("--", 0) == 0) {
+        throw Error(arg + " needs a value");
       } else {
-        values_[key] = "true";  // boolean flag
+        values_[key] = argv[++i];
       }
     }
   }
 
   std::string get(const std::string& key, const std::string& fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
+    const std::string* value = find(key);
+    return value == nullptr ? fallback : *value;
   }
   std::string require(const std::string& key) const {
-    const auto it = values_.find(key);
-    if (it == values_.end()) throw Error("missing required --" + key);
-    return it->second;
+    const std::string* value = find(key);
+    if (value == nullptr) throw Error("missing required --" + key);
+    return *value;
   }
-  long long get_int(const std::string& key, long long fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atoll(it->second.c_str());
+  /// The whole token must be an integer that fits Int.
+  template <class Int>
+  Int get_int(const std::string& key, Int fallback) const {
+    const std::string* value = find(key);
+    if (value == nullptr) return fallback;
+    Int parsed{};
+    const char* end = value->data() + value->size();
+    const auto [stop, ec] = std::from_chars(value->data(), end, parsed);
+    if (ec != std::errc() || stop != end) {
+      throw Error("--" + key + ": expected an integer in [" +
+                  std::to_string(std::numeric_limits<Int>::min()) + ", " +
+                  std::to_string(std::numeric_limits<Int>::max()) +
+                  "], got '" + *value + "'");
+    }
+    return parsed;
   }
+  /// The whole token must be a finite number.
   double get_double(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atof(it->second.c_str());
+    const std::string* value = find(key);
+    if (value == nullptr) return fallback;
+    double parsed = 0.0;
+    const char* end = value->data() + value->size();
+    const auto [stop, ec] = std::from_chars(value->data(), end, parsed);
+    if (ec != std::errc() || stop != end || !std::isfinite(parsed)) {
+      throw Error("--" + key + ": expected a finite number, got '" + *value +
+                  "'");
+    }
+    return parsed;
   }
   bool get_flag(const std::string& key) const {
+    LTS_REQUIRE(is_switch(key), "lts: --" + key + " is not a declared switch");
     return values_.count(key) > 0;
   }
 
  private:
+  bool takes_value(const std::string& key) const {
+    return std::ranges::find(spec_.values, key) != spec_.values.end();
+  }
+  bool is_switch(const std::string& key) const {
+    return std::ranges::find(spec_.switches, key) != spec_.switches.end();
+  }
+  /// The value of a declared value flag, or null when it was not given.
+  const std::string* find(const std::string& key) const {
+    LTS_REQUIRE(takes_value(key), "lts: --" + key + " is not a declared flag");
+    const auto it = values_.find(key);
+    return it == values_.end() ? nullptr : &it->second;
+  }
+
+  const FlagSpec& spec_;
   std::map<std::string, std::string> values_;
 };
 
@@ -188,8 +258,8 @@ std::shared_ptr<const ml::Regressor> load_model_cli(const std::string& path,
 spark::JobConfig job_from_args(const Args& args) {
   spark::JobConfig job;
   job.app = spark::app_type_from_string(args.get("app", "sort"));
-  job.input_records = args.get_int("records", 1000000);
-  job.executors = static_cast<int>(args.get_int("executors", 4));
+  job.input_records = args.get_int<std::int64_t>("records", 1000000);
+  job.executors = args.get_int<int>("executors", 4);
   job.record_bytes = 200.0;
   job.validate();
   return job;
@@ -197,8 +267,8 @@ spark::JobConfig job_from_args(const Args& args) {
 
 int cmd_topology(const Args& args) {
   exp::EnvOptions env_options;
-  const int sites = static_cast<int>(args.get_int("sites", 3));
-  const int per_site = static_cast<int>(args.get_int("nodes-per-site", 2));
+  const int sites = args.get_int<int>("sites", 3);
+  const int per_site = args.get_int<int>("nodes-per-site", 2);
   if (sites != 3 || per_site != 2) {
     env_options.cluster_spec = exp::scaled_cluster_spec(sites, per_site);
   }
@@ -220,13 +290,11 @@ int cmd_topology(const Args& args) {
 int cmd_collect(const Args& args) {
   const std::string out = args.require("out");
   auto matrix = exp::paper_scenario_matrix();
-  const auto configs = args.get_int("configs", 60);
-  if (configs < static_cast<long long>(matrix.size())) {
-    matrix.resize(static_cast<std::size_t>(configs));
-  }
+  const auto configs = args.get_int<std::size_t>("configs", 60);
+  if (configs < matrix.size()) matrix.resize(configs);
   exp::CollectorOptions options;
-  options.repeats = static_cast<int>(args.get_int("repeats", 10));
-  options.base_seed = static_cast<std::uint64_t>(args.get_int("seed", 12000));
+  options.repeats = args.get_int<int>("repeats", 10);
+  options.base_seed = args.get_int<std::uint64_t>("seed", 12000);
   options.residual_job = args.get_flag("residual-job");
   options.progress = [](std::size_t done, std::size_t total) {
     if (done % 360 == 0 || done == total) {
@@ -264,8 +332,8 @@ int cmd_evaluate(const Args& args) {
   const auto model =
       load_model_cli(args.require("model-file"), /*allow_fallback=*/false);
   exp::EvalOptions eval;
-  eval.num_scenarios = static_cast<int>(args.get_int("scenarios", 60));
-  eval.base_seed = static_cast<std::uint64_t>(args.get_int("seed", 770000));
+  eval.num_scenarios = args.get_int<int>("scenarios", 60);
+  eval.base_seed = args.get_int<std::uint64_t>("seed", 770000);
   std::vector<exp::MethodUnderTest> methods;
   methods.push_back({model->name(), model, set});
   const auto result =
@@ -293,22 +361,14 @@ int cmd_schedule(const Args& args) {
   const auto job = job_from_args(args);
   exp::EnvOptions env_options;
   env_options.faults = faults_from_args(args);
-  exp::SimEnv env(static_cast<std::uint64_t>(args.get_int("seed", 118)),
-                  env_options);
+  exp::SimEnv env(args.get_int<std::uint64_t>("seed", 118), env_options);
   env.warmup();
   const auto at = static_cast<SimTime>(args.get_double("at", exp::kWarmup));
   env.engine().run_until(at);
-  core::DegradationOptions degradation;
-  core::FallbackOptions fallback;
-  if (args.get_flag("degraded")) {
-    degradation.enabled = true;
-    degradation.max_staleness = args.get_double("max-staleness", 10.0);
-    fallback.enabled = true;
-  }
   core::LtsScheduler scheduler(
-      core::TelemetryFetcher(env.tsdb(), env.node_names(), {}, degradation),
-      model, set, /*risk_aversion=*/0.0, fallback);
-  const auto queue = args.get_int("queue", 1);
+      core::TelemetryFetcher(env.tsdb(), env.node_names()), model, set,
+      /*risk_aversion=*/0.0, args.get_flag("degraded"));
+  const auto queue = args.get_int<long long>("queue", 1);
   if (queue > 1) {
     // Batched serving path: the requested job plus queue-1 variants cycling
     // the app mix, ranked in one schedule_many pass (one cached snapshot
@@ -345,8 +405,10 @@ int cmd_schedule(const Args& args) {
   const auto decision = scheduler.schedule(job, env.engine().now());
   AsciiTable table({"rank", "node", "predicted duration (s)"});
   for (std::size_t i = 0; i < decision.ranking.size(); ++i) {
-    table.add_row({std::to_string(i + 1), decision.ranking[i].node,
-                   strformat("%.2f", decision.ranking[i].predicted_duration)});
+    const auto& p = decision.ranking[i];
+    table.add_row({std::to_string(i + 1), p.node,
+                   strformat(p.stale ? "%.2f (stale)" : "%.2f",
+                             p.predicted_duration)});
   }
   std::printf("%s\n", table.render("Decision").c_str());
   if (decision.used_fallback) {
@@ -379,20 +441,16 @@ int cmd_stream(const Args& args) {
   }
 
   exp::StreamOptions stream;
-  stream.num_jobs = static_cast<int>(args.get_int("jobs", 30));
+  stream.num_jobs = args.get_int<int>("jobs", 30);
   stream.mean_interarrival = args.get_double("interarrival", 12.0);
-  stream.seed = static_cast<std::uint64_t>(args.get_int("seed", 118));
+  stream.seed = args.get_int<std::uint64_t>("seed", 118);
   stream.features = feature_set(args);
   stream.env.faults = faults_from_args(args);
-  if (args.get_flag("degraded")) {
-    stream.degradation.enabled = true;
-    stream.degradation.max_staleness = args.get_double("max-staleness", 10.0);
-    stream.fallback.enabled = true;
-  }
-  stream.retrain.retrain_every = static_cast<int>(
-      args.get_int("retrain-every", stream.retrain.retrain_every));
-  stream.retrain.window_size = static_cast<std::size_t>(args.get_int(
-      "retrain-window", static_cast<long long>(stream.retrain.window_size)));
+  stream.degraded = args.get_flag("degraded");
+  stream.retrain.retrain_every =
+      args.get_int("retrain-every", stream.retrain.retrain_every);
+  stream.retrain.window_size =
+      args.get_int("retrain-window", stream.retrain.window_size);
   stream.retrain.drift_threshold =
       args.get_double("drift-threshold", stream.retrain.drift_threshold);
   stream.retrain.model_name =
@@ -458,9 +516,8 @@ int cmd_query(const Args& args) {
   // Evaluates a PromQL-mini expression against a warmed environment's
   // metrics server: lts query --expr 'node_cpu_load' [--seed S] [--at T]
   ObsSink obs_sink(args);
-  exp::SimEnv env(static_cast<std::uint64_t>(args.get_int("seed", 118)));
-  const SimTime at = static_cast<SimTime>(
-      args.get_int("at", static_cast<long long>(exp::kWarmup)));
+  exp::SimEnv env(args.get_int<std::uint64_t>("seed", 118));
+  const SimTime at = args.get_double("at", exp::kWarmup);
   env.engine().run_until(at);
   const auto query = telemetry::parse_promql(args.require("expr"));
   const auto results = telemetry::eval_promql(query, env.tsdb(), at);
@@ -485,7 +542,7 @@ int cmd_query(const Args& args) {
 
 int cmd_whatif(const Args& args) {
   const auto job = job_from_args(args);
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 118));
+  const auto seed = args.get_int<std::uint64_t>("seed", 118);
   exp::SimEnv probe(seed);
   probe.warmup();
   const auto snap = probe.snapshot();
@@ -505,6 +562,44 @@ int cmd_whatif(const Args& args) {
   return 0;
 }
 
+struct Command {
+  const char* name;
+  int (*run)(const Args&);
+  FlagSpec flags;
+};
+
+/// Every command with the flags it reads (see the header comment).
+const std::vector<Command>& commands() {
+  static const std::vector<Command> table = {
+      {"topology", cmd_topology, {{"sites", "nodes-per-site"}, {}}},
+      {"collect",
+       cmd_collect,
+       {{"out", "configs", "repeats", "seed"}, {"residual-job"}}},
+      {"train", cmd_train, {{"log", "out", "model", "features"}, {}}},
+      {"evaluate",
+       cmd_evaluate,
+       {{"model-file", "scenarios", "seed", "features", "metrics-out",
+         "trace-out"},
+        {}}},
+      {"schedule",
+       cmd_schedule,
+       {{"model-file", "seed", "app", "records", "executors", "features",
+         "faults", "at", "queue", "metrics-out", "trace-out"},
+        {"degraded"}}},
+      {"stream",
+       cmd_stream,
+       {{"model-file", "policy", "jobs", "interarrival", "seed", "features",
+         "faults", "retrain-every", "retrain-window", "retrain-model",
+         "drift-threshold", "model-out", "metrics-out", "trace-out"},
+        {"drift", "degraded"}}},
+      {"whatif", cmd_whatif, {{"seed", "app", "records", "executors"}, {}}},
+      {"query",
+       cmd_query,
+       {{"expr", "seed", "at", "metrics-out", "trace-out"}, {}}},
+  };
+  return table;
+}
+
 void usage() {
   std::fprintf(stderr,
                "usage: lts "
@@ -521,15 +616,11 @@ int main(int argc, char** argv) {
   }
   const std::string command = argv[1];
   try {
-    const Args args(argc, argv, 2);
-    if (command == "topology") return cmd_topology(args);
-    if (command == "collect") return cmd_collect(args);
-    if (command == "train") return cmd_train(args);
-    if (command == "evaluate") return cmd_evaluate(args);
-    if (command == "schedule") return cmd_schedule(args);
-    if (command == "stream") return cmd_stream(args);
-    if (command == "whatif") return cmd_whatif(args);
-    if (command == "query") return cmd_query(args);
+    for (const Command& c : commands()) {
+      if (command == c.name) {
+        return c.run(Args(argc, argv, 2, command, c.flags));
+      }
+    }
     usage();
     return 2;
   } catch (const std::exception& e) {

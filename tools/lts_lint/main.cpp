@@ -12,6 +12,7 @@
 // --format json/sarif render the same findings for scripting and
 // code-scanning upload, and --out writes the rendering to a file while the
 // human-readable summary stays on stderr.
+#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -111,7 +112,16 @@ int main(int argc, char** argv) {
     } else if (arg == "--write-baseline" && i + 1 < args.size()) {
       write_baseline_path = args[++i];
     } else if (arg == "--jobs" && i + 1 < args.size()) {
-      opts.jobs = static_cast<std::size_t>(std::stoul(args[++i]));
+      const std::string& text = args[++i];
+      const char* end = text.data() + text.size();
+      const auto [stop, ec] = std::from_chars(text.data(), end, opts.jobs);
+      if (ec != std::errc() || stop != end) {
+        std::fprintf(stderr,
+                     "lts_lint: --jobs: expected a non-negative integer, "
+                     "got '%s'\n",
+                     text.c_str());
+        return 2;
+      }
     } else if (arg == "--no-unused-waivers") {
       opts.check_unused_waivers = false;
     } else if (arg == "--list-rules") {
