@@ -7,11 +7,11 @@
 //
 // The overhaul's contract is that it changes nothing but time: every case
 // compares the serialized models and a probe-matrix prediction sweep bit
-// for bit and the binary exits nonzero on any divergence. Two speedup
-// gates ride on top; both are algorithmic wins that hold on one core, and
-// each gated case times both sides as the fastest of three fits,
-// alternating reference and optimized, so a slow spell of the host slows
-// both sides instead of deciding the ratio:
+// for bit and the binary exits nonzero on any divergence. Every case times
+// both sides as the fastest of three fits, alternating reference and
+// optimized, so a slow spell of the host slows both sides instead of
+// deciding the ratio. Two speedup gates ride on top; both are algorithmic
+// wins that hold on one core:
 //
 //   - gbt/10000 (a fit at the 10k-row window scale) must hold >= 5x.
 //     Boosting scans every column it maintains, so the presorted indexes
@@ -172,25 +172,15 @@ struct CaseResult {
   bool identical = false;
 };
 
-/// Fits per side in a gated case.
-constexpr int kGatedFits = 3;
+/// Fits per side in each case.
+constexpr int kFits = 3;
 
-/// Times one case's fits. An ungated case times one reference fit against
-/// the mean of `reps` optimized fits. A gated case times each side as the
-/// fastest of kGatedFits fits, alternating reference and optimized.
+/// Times each side as the fastest of kFits fits, alternating reference and
+/// optimized.
 template <typename RefFit, typename OptFit>
-void time_fits(CaseResult& r, bool gated, int reps, RefFit&& ref_fit,
-               OptFit&& opt_fit) {
-  if (!gated) {
-    r.ref_seconds = time_call(ref_fit);
-    r.opt_seconds = time_call([&] {
-                      for (int i = 0; i < reps; ++i) opt_fit();
-                    }) /
-                    reps;
-    return;
-  }
+void time_fits(CaseResult& r, RefFit&& ref_fit, OptFit&& opt_fit) {
   r.ref_seconds = r.opt_seconds = std::numeric_limits<double>::infinity();
-  for (int i = 0; i < kGatedFits; ++i) {
+  for (int i = 0; i < kFits; ++i) {
     r.ref_seconds = std::min(r.ref_seconds, time_call(ref_fit));
     r.opt_seconds = std::min(r.opt_seconds, time_call(opt_fit));
   }
@@ -210,9 +200,11 @@ int main() {
               "serialized models and probe predictions compared bit for "
               "bit against the baseline; nonzero exit on divergence");
   report.note("gate",
-              "gbt/10000 >= 5x; forest/10000 >= 1.5x, each side the "
-              "fastest of 3 alternating fits (forest feature subsampling "
-              "bounds the win — see EXPERIMENTS.md)");
+              "gbt/10000 >= 5x; forest/10000 >= 1.5x (forest feature "
+              "subsampling bounds the win — see EXPERIMENTS.md)");
+  report.note("timing",
+              "each side the fastest of 3 fits, alternating reference and "
+              "optimized");
 
   AsciiTable table({"case", "reference (s)", "optimized (s)", "speedup",
                     "identical"});
@@ -242,8 +234,7 @@ int main() {
     trainref::RefTree ref;
     ml::DecisionTreeRegressor tree(tp);
     time_fits(
-        r, /*gated=*/false, rows <= 2000 ? 5 : 3,
-        [&] { ref = trainref::fit_tree(window, tp, /*seed=*/7); },
+        r, [&] { ref = trainref::fit_tree(window, tp, /*seed=*/7); },
         [&] { tree.fit(window); });
     r.identical =
         tree.to_json().dump() ==
@@ -262,9 +253,7 @@ int main() {
     trainref::RefForest ref;
     ref.params = fp;
     ml::RandomForestRegressor forest(fp);
-    time_fits(
-        r, /*gated=*/rows == 10000, 3, [&] { ref.fit(window); },
-        [&] { forest.fit(window); });
+    time_fits(r, [&] { ref.fit(window); }, [&] { forest.fit(window); });
     r.identical =
         forests_identical(forest, ref) &&
         same_predictions(forest, probe, [&](std::span<const double> row) {
@@ -281,9 +270,7 @@ int main() {
     CaseResult r;
     trainref::RefGbt ref(gp);
     ml::GradientBoostedTrees gbt(gp);
-    time_fits(
-        r, /*gated=*/rows == 10000, 3, [&] { ref.fit(window); },
-        [&] { gbt.fit(window); });
+    time_fits(r, [&] { ref.fit(window); }, [&] { gbt.fit(window); });
     r.identical =
         gbt.to_json().dump() == ref.model_json().dump() &&
         same_predictions(gbt, probe, [&](std::span<const double> row) {

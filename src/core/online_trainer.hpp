@@ -106,10 +106,9 @@ class OnlineTrainer {
 
   /// Feeds one completed job. `predicted_duration` is what the serving
   /// model forecast for the chosen node at decision time; pass a
-  /// non-positive value when the decision had no usable prediction
-  /// (fallback ranking, stale node) so it does not pollute the drift
-  /// score. Returns the retrain event if this completion triggered an
-  /// attempt.
+  /// non-positive value when the decision had no usable prediction (a
+  /// fallback ranking) so it does not pollute the drift score. Returns the
+  /// retrain event if this completion triggered an attempt.
   std::optional<RetrainEvent> on_completion(const TrainingRecord& record,
                                             double predicted_duration);
 

@@ -294,12 +294,12 @@ void JobStream::place(std::size_t j) {
         fb.record.telemetry =
             scheduler_->view(*snapshot).by_name(decision.selected());
         fb.record.config = config;
-        // Fallback rankings carry heuristic scores, not durations, and a
-        // stale node's prediction rests on imputed telemetry.
-        const auto& chosen = decision.ranking.front();
-        fb.predicted = decision.used_fallback || chosen.stale
+        // Fallback rankings carry heuristic scores, not durations. A model
+        // ranking's front is a fresh node: degraded mode ranks by the model
+        // only while some rows are fresh, and they rank above stale ones.
+        fb.predicted = decision.used_fallback
                            ? -1.0
-                           : chosen.predicted_duration;
+                           : decision.ranking.front().predicted_duration;
       }
       break;
     }

@@ -8,10 +8,16 @@
 // reordered event, a changed constant — shows up here as a one-line diff
 // long before it would be noticed in aggregate experiment statistics.
 //
+// A second golden pins a degraded retraining stream with five of six
+// exporters silent: its decisions fall back and choose stale nodes, so the
+// model it retrains shows which telemetry row each completion trained on.
+// That row must be the one the decision ranked from, stale rows imputed;
+// training on the row as scraped writes a different model.
+//
 // To regenerate after an *intended* behavior change:
 //   LTS_UPDATE_GOLDEN=1 ./replay_test
-// and commit the updated tests/golden/replay_golden.json with the change
-// that caused it.
+// and commit the updated tests/golden/*.json with the change that caused
+// it.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -22,6 +28,7 @@
 #include "exp/envgen.hpp"
 #include "exp/scenario.hpp"
 #include "exp/stream.hpp"
+#include "fault/fault.hpp"
 #include "util/json.hpp"
 
 namespace lts {
@@ -29,8 +36,29 @@ namespace {
 
 constexpr std::uint64_t kSeed = 4242;
 
-std::string golden_path() {
-  return std::string(LTS_SOURCE_DIR) + "/golden/replay_golden.json";
+/// Compares `actual` byte for byte with tests/golden/`file`, or rewrites
+/// the file when LTS_UPDATE_GOLDEN is set.
+void expect_matches_golden(const std::string& file, const Json& record) {
+  const std::string path = std::string(LTS_SOURCE_DIR) + "/golden/" + file;
+  const std::string actual = record.dump(2) + "\n";
+
+  if (std::getenv("LTS_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream out(path);
+    ASSERT_TRUE(out.good()) << "cannot write " << path;
+    out << actual;
+    GTEST_SKIP() << "golden file regenerated at " << path;
+  }
+
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "missing golden file " << path
+                         << " — run with LTS_UPDATE_GOLDEN=1 to create it";
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+
+  // Byte-identical, including float formatting (%.17g round-trips exactly).
+  EXPECT_EQ(actual, buffer.str())
+      << file << " diverged; if this change in behavior is intended, "
+      << "regenerate with LTS_UPDATE_GOLDEN=1 and commit the new golden file";
 }
 
 Json snapshot_to_json(const telemetry::ClusterSnapshot& snapshot) {
@@ -107,28 +135,39 @@ Json build_replay_record() {
 }
 
 TEST(GoldenReplay, DefaultConfigMatchesCheckedInTrace) {
-  const std::string actual = build_replay_record().dump(2) + "\n";
+  expect_matches_golden("replay_golden.json", build_replay_record());
+}
 
-  if (std::getenv("LTS_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream out(golden_path());
-    ASSERT_TRUE(out.good()) << "cannot write " << golden_path();
-    out << actual;
-    GTEST_SKIP() << "golden file regenerated at " << golden_path();
+/// A degraded kModelRetrain stream with no initial model, node-1..node-5
+/// silent from t = 20 s: every decision falls back, and a linear refit
+/// every five completions swaps in unconditionally.
+Json build_degraded_retrain_record() {
+  const auto matrix = exp::paper_scenario_matrix();
+  exp::StreamOptions stream;
+  stream.num_jobs = 15;
+  stream.mean_interarrival = 8.0;
+  stream.seed = kSeed;
+  stream.degraded = true;
+  stream.retrain.retrain_every = 5;
+  stream.retrain.min_rows = 4;
+  stream.retrain.model_name = "linear";
+  stream.retrain.holdout_gate_slack = -1.0;
+  for (const char* node : {"node-1", "node-2", "node-3", "node-4", "node-5"}) {
+    stream.env.faults.push_back(
+        {fault::FaultKind::kExporterSilence, node, 20.0, 0.0, 1.0});
   }
+  const auto run = exp::run_job_stream(exp::StreamPolicy::kModelRetrain,
+                                       nullptr, matrix, stream);
+  Json record = stream_to_json(run);
+  record["model_version"] = static_cast<double>(run.model_version);
+  record["final_model"] =
+      run.final_model != nullptr ? run.final_model->to_json() : Json();
+  return record;
+}
 
-  std::ifstream in(golden_path());
-  ASSERT_TRUE(in.good())
-      << "missing golden file " << golden_path()
-      << " — run with LTS_UPDATE_GOLDEN=1 to create it";
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string expected = buffer.str();
-
-  // Byte-identical, including float formatting (%.17g round-trips exactly).
-  EXPECT_EQ(actual, expected)
-      << "default-config replay diverged from the golden trace; if this "
-         "change in behavior is intended, regenerate with "
-         "LTS_UPDATE_GOLDEN=1 and commit the new golden file";
+TEST(GoldenReplay, DegradedRetrainingStreamMatchesCheckedInModel) {
+  expect_matches_golden("degraded_retrain_golden.json",
+                        build_degraded_retrain_record());
 }
 
 TEST(GoldenReplay, RecordIsItselfDeterministic) {

@@ -147,9 +147,8 @@ TEST(OnlineTrainer, UnusablePredictionsDoNotPolluteDriftScore) {
   core::OnlineTrainer trainer(options, core::FeatureSet::kTable1, initial);
   Rng rng(52);
   for (int i = 0; i < 5; ++i) {
-    // Decisions without a usable prediction (a fallback ranking, a stale
-    // chosen node) arrive as non-positive values and must be excluded from
-    // the EWMA.
+    // Decisions without a usable prediction (a fallback ranking) arrive as
+    // non-positive values and must be excluded from the EWMA.
     trainer.on_completion(synth_record(rng), -1.0);
     trainer.on_completion(synth_record(rng), 0.0);
   }

@@ -1,30 +1,14 @@
 // lts — command-line front end for the Learning-to-Schedule library.
 //
-//   lts topology  [--sites N] [--nodes-per-site M]
-//   lts collect   --out FILE [--configs N] [--repeats R] [--seed S]
-//                 [--residual-job]
-//   lts train     --log FILE --out FILE [--model NAME] [--features SET]
-//   lts evaluate  --model-file FILE [--scenarios N] [--seed S]
-//                 [--features SET] [--metrics-out FILE] [--trace-out FILE]
-//   lts schedule  --model-file FILE [--seed S] [--app TYPE]
-//                 [--records N] [--executors E] [--features SET]
-//                 [--faults FILE] [--at T] [--degraded] [--queue N]
-//                 [--metrics-out FILE] [--trace-out FILE]
-//   lts stream    --model-file FILE [--policy model|model-retrain|kube|random]
-//                 [--jobs N] [--interarrival S] [--seed S] [--features SET]
-//                 [--faults FILE] [--drift] [--degraded]
-//                 [--retrain-every K] [--retrain-window N] [--retrain-model M]
-//                 [--drift-threshold X] [--model-out FILE]
-//                 [--metrics-out FILE] [--trace-out FILE]
-//   lts whatif    [--seed S] [--app TYPE] [--records N] [--executors E]
-//   lts query     --expr EXPR [--seed S] [--at T]
-//                 [--metrics-out FILE] [--trace-out FILE]
+//   lts <topology|collect|train|evaluate|schedule|stream|whatif|query>
+//       [--flag VALUE | --switch]...
 //
-// Each command accepts only the flags listed for it: any other flag, a
-// value flag without its value, an integer that is not a whole in-range
-// token or a number that is not finite fails with an error naming the flag.
+// commands() below lists the flags each command reads, and `lts` with no
+// command prints that list. Any other flag, a value flag without its value,
+// an integer that is not a whole in-range token or a number that is not
+// finite fails with an error naming the flag.
 //
-// SET is "table1" (paper) or "rich" (§8 extension). --faults FILE injects a
+// --features is "table1" (paper) or "rich" (§8 extension). --faults injects a
 // JSON fault schedule (array of {kind, target, at, duration, severity}; see
 // src/fault/fault.hpp) into the simulated cluster, and --degraded runs the
 // scheduler in degraded mode: rows whose exporter has been silent for more
@@ -38,12 +22,13 @@
 // cached snapshot fetch, one flattened-tree predict over every (pod, node)
 // candidate.
 //
-// `lts stream` runs a live job stream under one placement policy. With
-// --policy model-retrain the scheduler retrains online: every K completions
-// (or when the prediction-error EWMA exceeds --drift-threshold) it refits
-// on the rolling window and hot-swaps the model; --model-out saves the
-// final versioned model. --drift overlays a deterministic escalating WAN
-// degradation staircase so the network actually shifts mid-stream.
+// `lts stream` runs a live job stream under one placement policy (--policy
+// model, model-retrain, kube or random). With model-retrain the scheduler
+// retrains online: every --retrain-every completions (or when the
+// prediction-error EWMA exceeds --drift-threshold) it refits on the rolling
+// window and hot-swaps the model; --model-out saves the final versioned
+// model. --drift overlays a deterministic escalating WAN degradation
+// staircase so the network actually shifts mid-stream.
 //
 // Observability (evaluate/schedule/stream/query): --metrics-out FILE
 // enables the lts::obs metrics registry and writes a Prometheus text-format
@@ -87,6 +72,13 @@ struct FlagSpec {
   std::vector<std::string> switches;
 };
 
+/// " --a --b" for `flags`.
+std::string flag_list(const std::vector<std::string>& flags) {
+  std::string out;
+  for (const auto& flag : flags) out += " --" + flag;
+  return out;
+}
+
 class Args {
  public:
   /// Parses argv[first..] for `lts command`. A flag outside `spec`, a value
@@ -103,12 +95,8 @@ class Args {
       if (is_switch(key)) {
         values_[key] = "true";
       } else if (!takes_value(key)) {
-        std::string known;
-        for (const auto& list : {spec.values, spec.switches}) {
-          for (const auto& flag : list) known += " --" + flag;
-        }
         throw Error("unknown flag " + arg + " (lts " + command + " reads" +
-                    (known.empty() ? std::string(" no flags") : known) + ")");
+                    flag_list(spec.values) + flag_list(spec.switches) + ")");
       } else if (i + 1 == argc ||
                  std::string(argv[i + 1]).rfind("--", 0) == 0) {
         throw Error(arg + " needs a value");
@@ -568,7 +556,8 @@ struct Command {
   FlagSpec flags;
 };
 
-/// Every command with the flags it reads (see the header comment).
+/// Every command with the flags it reads: the one list Args enforces and
+/// usage() prints.
 const std::vector<Command>& commands() {
   static const std::vector<Command> table = {
       {"topology", cmd_topology, {{"sites", "nodes-per-site"}, {}}},
@@ -601,10 +590,16 @@ const std::vector<Command>& commands() {
 }
 
 void usage() {
-  std::fprintf(stderr,
-               "usage: lts "
-               "<topology|collect|train|evaluate|schedule|stream|whatif|query> "
-               "[--flags]\n(see the header of tools/lts_cli.cpp)\n");
+  std::fprintf(stderr, "usage: lts <command> [--flag VALUE | --switch]...\n");
+  for (const Command& c : commands()) {
+    std::string line = "  " + std::string(c.name);
+    line.resize(12, ' ');
+    line += "flags:" + flag_list(c.flags.values);
+    if (!c.flags.switches.empty()) {
+      line += "  switches:" + flag_list(c.flags.switches);
+    }
+    std::fprintf(stderr, "%s\n", line.c_str());
+  }
 }
 
 }  // namespace
