@@ -1,10 +1,9 @@
 // Serving-path decision throughput: a queue of pending pods ranked on the
-// paper topology, run twice — once per pod (schedule() at queue depth 1
-// with the snapshot cache off: every decision sweeps the TSDB and makes its
-// own batch-of-one model call, as a decision on a live stream does) and
-// once per queue (schedule_many: one epoch-cached snapshot fetch, exact
-// dedup of replica rows and one flattened predict_batch over every
-// distinct (pod, node) candidate). Both rank the identical queue; the run
+// paper topology, run twice — once per pod (schedule() at queue depth 1:
+// every decision sweeps the TSDB and makes its own batch-of-one model call,
+// as a decision on a live stream does) and once per queue (schedule_many:
+// one snapshot fetch, exact dedup of replica rows and one flattened
+// predict_batch over every distinct (pod, node) candidate). Both rank the identical queue; the run
 // FAILS (nonzero exit) if any decision — node order or predicted duration,
 // compared bit-for-bit — diverges between them.
 //
@@ -133,12 +132,11 @@ int main() {
   constexpr int kIterations = 200;
   const auto configs = make_queue(kQueue);
 
-  // Per-pod side: cache disabled, so every schedule() pays a full TSDB
-  // sweep and one model call for its own candidates.
-  core::TelemetryFetcher per_pod_fetcher(env.tsdb(), env.node_names());
-  per_pod_fetcher.set_cache_enabled(false);
-  core::LtsScheduler per_pod(per_pod_fetcher, model);
-  // Batched path: epoch-keyed cache on, one schedule_many per queue.
+  // Per-pod side: every schedule() pays a full TSDB sweep and one model
+  // call for its own candidates.
+  core::LtsScheduler per_pod(
+      core::TelemetryFetcher(env.tsdb(), env.node_names()), model);
+  // Batched side: one sweep and one schedule_many per queue.
   core::LtsScheduler batched(
       core::TelemetryFetcher(env.tsdb(), env.node_names()), model);
 
@@ -189,11 +187,11 @@ int main() {
               "topology (6 nodes / 3 sites), random-forest model, 200 "
               "iterations");
   report.note("baseline",
-              "per-pod serving loop: schedule() at queue depth 1 with the "
-              "snapshot cache disabled (a TSDB sweep and a batch-of-one "
-              "predict_batch per decision); reported as scalar_*");
+              "per-pod serving loop: schedule() at queue depth 1 (a TSDB "
+              "sweep and a batch-of-one predict_batch per decision); "
+              "reported as scalar_*");
   report.note("optimized",
-              "schedule_many: epoch-cached snapshot fetch + exact dedup of "
+              "schedule_many: one snapshot fetch + exact dedup of "
               "replica (pod, node) rows + flattened predict_batch over the "
               "distinct candidates");
   const std::string label = "queue/" + std::to_string(kQueue);
@@ -214,7 +212,7 @@ int main() {
   table.add_row({"per-pod", fmt(per_pod_dps, "%.0f"),
                  fmt(percentile(per_pod_result.per_decision_us, 0.50)),
                  fmt(percentile(per_pod_result.per_decision_us, 0.99))});
-  table.add_row({"batched+cached", fmt(batched_dps, "%.0f"),
+  table.add_row({"batched", fmt(batched_dps, "%.0f"),
                  fmt(percentile(batched_result.per_decision_us, 0.50)),
                  fmt(percentile(batched_result.per_decision_us, 0.99))});
   std::printf("%s", table.render("Decision throughput (64-pod queue)")

@@ -169,8 +169,8 @@ std::vector<Decision> LtsScheduler::schedule_batch(
   if (own_spans && !configs.empty()) {
     span.emplace(tracer, "schedule", now, /*reuse_open=*/true);
   }
-  std::shared_ptr<const telemetry::ClusterSnapshot> fetched;
-  if (own_spans) fetched = fetcher_.fetch_shared(now);
+  std::optional<telemetry::ClusterSnapshot> fetched;
+  if (own_spans) fetched = fetcher_.fetch(now);
   std::vector<Decision> decisions;
   decisions.reserve(configs.size());
   if (configs.empty()) return decisions;

@@ -83,10 +83,9 @@ class LtsScheduler {
   Decision schedule_from_snapshot(const telemetry::ClusterSnapshot& snapshot,
                                   const spark::JobConfig& config) const;
 
-  /// Ranks a whole queue of pending pods in one pass from one (cached)
-  /// snapshot fetch. The decisions equal schedule() once per config at the
-  /// same `now`: the cached snapshot is keyed on (TSDB epoch, now), so it
-  /// equals a fresh fetch by construction.
+  /// Ranks a whole queue of pending pods in one pass from one snapshot
+  /// fetch. The decisions equal schedule() once per config at the same
+  /// `now`.
   std::vector<Decision> schedule_many(
       std::span<const spark::JobConfig> configs, SimTime now) const;
 

@@ -1,6 +1,7 @@
 #include "exp/stream.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <optional>
 
 #include "core/job_builder.hpp"
@@ -278,21 +279,21 @@ void JobStream::place(std::size_t j) {
       // Fetch explicitly (instead of scheduler->schedule) so the same
       // snapshot that produced the decision can seed the training row.
       const SimTime now = env_.engine().now();
-      const auto snapshot = scheduler_->fetcher().fetch_shared(now);
+      const auto snapshot = scheduler_->fetcher().fetch(now);
       if (span) span->phase("fetch", now);
       const auto decision =
-          scheduler_->schedule_from_snapshot(*snapshot, config);
+          scheduler_->schedule_from_snapshot(snapshot, config);
       driver_node = env_.cluster().node_index(decision.selected());
       if (retrainer_) {
         PendingFeedback& fb = feedback_[j];
         fb.valid = true;
         fb.record.scenario_id = planned.scenario->id;
         fb.record.node = decision.selected();
-        fb.record.snapshot_time = snapshot->at;
+        fb.record.snapshot_time = snapshot.at;
         // The row the decision ranked from: in degraded mode a stale node's
         // telemetry is its imputed row, as the model saw it.
         fb.record.telemetry =
-            scheduler_->view(*snapshot).by_name(decision.selected());
+            scheduler_->view(snapshot).by_name(decision.selected());
         fb.record.config = config;
         // Fallback rankings carry heuristic scores, not durations. A model
         // ranking's front is a fresh node: degraded mode ranks by the model
@@ -354,6 +355,9 @@ StreamResult run_job_stream(StreamPolicy policy,
                             const std::vector<Scenario>& matrix,
                             const StreamOptions& options) {
   LTS_REQUIRE(options.num_jobs >= 1, "run_job_stream: num_jobs >= 1");
+  LTS_REQUIRE(std::isfinite(options.mean_interarrival) &&
+                  options.mean_interarrival > 0.0,
+              "run_job_stream: mean_interarrival must be finite and > 0");
   const bool model_policy = policy == StreamPolicy::kModel ||
                             policy == StreamPolicy::kModelRetrain;
   if (model_policy && !options.degraded) {

@@ -49,6 +49,13 @@ FaultKind fault_kind_from_string(const std::string& s) {
 
 FaultSpec fault_from_json(const Json& j) {
   LTS_REQUIRE(j.is_object(), "fault: spec must be a JSON object");
+  // A mistyped key would otherwise fall back to its default silently (a
+  // misspelt "duration" makes a fault permanent).
+  for (const auto& [key, value] : j.as_object()) {
+    LTS_REQUIRE(key == "kind" || key == "target" || key == "at" ||
+                    key == "duration" || key == "severity",
+                "fault: unknown key \"" + key + "\"");
+  }
   FaultSpec spec;
   spec.kind = fault_kind_from_string(j.at("kind").as_string());
   spec.target = j.at("target").as_string();
@@ -63,7 +70,14 @@ std::vector<FaultSpec> faults_from_json(const Json& j) {
   std::vector<FaultSpec> specs;
   specs.reserve(j.size());
   for (std::size_t i = 0; i < j.size(); ++i) {
-    specs.push_back(fault_from_json(j.at(i)));
+    try {
+      specs.push_back(fault_from_json(j.at(i)));
+    } catch (const Error& e) {
+      // "fault: <reason>" becomes "fault <i>: <reason>".
+      std::string reason = e.what();
+      if (reason.rfind("fault: ", 0) == 0) reason.erase(0, 7);
+      throw Error("fault " + std::to_string(i) + ": " + reason);
+    }
   }
   return specs;
 }
@@ -196,9 +210,6 @@ void FaultInjector::crash_node(const std::string& node) {
   cut_link_capacity(cluster_->node_downlink(idx), 0.0);
   cluster_->flows().invalidate_rates();
   if (api_ != nullptr) api_->set_node_ready(node, false);
-  // The node's exporters stop answering (they consult node_down): cached
-  // snapshots must not keep serving its last pre-crash heartbeat age.
-  bump_telemetry_epoch();
 }
 
 void FaultInjector::recover_node(const std::string& node) {
@@ -214,8 +225,6 @@ void FaultInjector::recover_node(const std::string& node) {
   cluster_->flows().reset_host_counters(cluster_->node(idx).vertex());
   cluster_->flows().invalidate_rates();
   if (api_ != nullptr) api_->set_node_ready(node, true);
-  // Counter semantics just changed under every cached snapshot.
-  bump_telemetry_epoch();
 }
 
 void FaultInjector::degrade_wan_link(const std::string& site_a,
@@ -285,10 +294,6 @@ void FaultInjector::heal_site(const std::string& site) {
   cluster_->flows().invalidate_rates();
 }
 
-// The exporter setters bump the TSDB epoch themselves (lts_lint R6: the
-// mutation and its cache invalidation live in one place), so the injector
-// only routes the calls.
-
 void FaultInjector::silence_exporter(const std::string& node) {
   exporter_for(node).set_silenced(true);
 }
@@ -319,10 +324,6 @@ net::LinkId FaultInjector::wan_forward_link(const std::string& site_a,
     }
   }
   throw Error("fault: no WAN link between " + site_a + " and " + site_b);
-}
-
-void FaultInjector::bump_telemetry_epoch() {
-  if (telemetry_ != nullptr) telemetry_->tsdb().bump_epoch();
 }
 
 telemetry::NodeExporter& FaultInjector::exporter_for(const std::string& node) {

@@ -57,7 +57,10 @@ struct FaultSpec {
   double severity = 1.0;
 };
 
+/// One spec object with keys kind and target, and optionally at, duration
+/// and severity; any other key is an error.
 FaultSpec fault_from_json(const Json& j);
+/// A JSON array of specs. Every error names the spec's index ("fault 0:").
 std::vector<FaultSpec> faults_from_json(const Json& j);
 
 /// Applies FaultSpecs to a live cluster, or injects/recovers directly.
@@ -137,11 +140,6 @@ class FaultInjector final : public sim::EventTarget {
   net::LinkId wan_forward_link(const std::string& site_a,
                                const std::string& site_b) const;
   telemetry::NodeExporter& exporter_for(const std::string& node);
-  /// Advances the TSDB epoch so epoch-keyed snapshot caches rebuild:
-  /// called by every fault primitive that changes how telemetry must be
-  /// interpreted without appending a sample (counter resets on node
-  /// recovery, exporter silence/delay toggles). No-op without a stack.
-  void bump_telemetry_epoch();
   /// Saves a link's pristine capacity/delay on first touch, then mutates.
   void cut_link_capacity(net::LinkId l, double keep_frac);
   void add_link_delay(net::LinkId l, SimTime extra);

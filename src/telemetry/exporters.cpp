@@ -55,20 +55,9 @@ NodeExporter::~NodeExporter() {
   engine.remove_target(target_);
 }
 
-void NodeExporter::set_silenced(bool silenced) {
-  silenced_ = silenced;
-  // Silencing changes what future fetches observe (telemetry goes stale or
-  // resumes) without appending a sample, so epoch-keyed snapshot caches
-  // must be told explicitly.
-  tsdb_->bump_epoch();
-}
-
 void NodeExporter::set_report_delay(SimTime delay) {
   LTS_REQUIRE(delay >= 0.0, "NodeExporter: negative report delay");
   report_delay_ = delay;
-  // Same caching contract as set_silenced: the delay shapes which samples
-  // a snapshot sees, so the shift itself invalidates cached snapshots.
-  tsdb_->bump_epoch();
 }
 
 void NodeExporter::on_event(const sim::Event& event) {

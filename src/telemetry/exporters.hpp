@@ -64,10 +64,8 @@ class NodeExporter final : public sim::EventTarget {
 
   /// Fault injection: a silenced exporter keeps its scrape schedule but
   /// appends nothing, so this node's telemetry goes stale in the TSDB.
-  /// A crashed node (Cluster::node_down) silences implicitly. Outlined
-  /// (lts_lint R6): shaping knobs bump the TSDB epoch so epoch-keyed
-  /// snapshot caches refresh on the next fetch.
-  void set_silenced(bool silenced);
+  /// A crashed node (Cluster::node_down) silences implicitly.
+  void set_silenced(bool silenced) { silenced_ = silenced; }
   bool silenced() const { return silenced_; }
 
   /// Fault injection: samples are measured on schedule but land in the

@@ -70,9 +70,6 @@ SeriesId Tsdb::intern(const std::string& name, const Labels& labels) {
 
 void Tsdb::append(SeriesId id, SimTime t, double v) {
   LTS_REQUIRE(id < directory_->pairs.size(), "Tsdb: unknown series id");
-  // Even a dropped sample advances the epoch: the drop counters changed,
-  // and a conservative invalidation is always safe.
-  ++epoch_;
   if (id >= series_.size()) series_.resize(id + 1, Series(series_capacity_));
   Series& series = series_[id];
   if (series.empty()) {

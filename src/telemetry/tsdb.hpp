@@ -58,20 +58,6 @@ class Tsdb {
   std::uint64_t num_samples() const { return samples_appended_; }
   std::uint64_t num_samples_dropped() const { return samples_dropped_; }
 
-  /// Monotone ingestion epoch: advances on every append attempt (accepted
-  /// or dropped) and on explicit bump_epoch(). Snapshot caches key on this
-  /// value — an unchanged epoch guarantees every query primitive above
-  /// would return exactly what it returned at the previous fetch, so a
-  /// cached snapshot is bit-identical to a rebuilt one.
-  std::uint64_t epoch() const { return epoch_; }
-
-  /// Out-of-band cache invalidation for events that change how telemetry
-  /// must be interpreted without appending a sample right now: a recovered
-  /// node whose cumulative counters restarted (reset_host_counters), an
-  /// exporter silenced or restored mid-scrape-interval. Conservative —
-  /// bumping when nothing changed only costs one extra snapshot rebuild.
-  void bump_epoch() { ++epoch_; }
-
   // ---- query primitives ----
 
   /// Most recent value, or nullopt if the series is missing/empty.
@@ -119,7 +105,6 @@ class Tsdb {
   std::size_t series_capacity_;
   std::uint64_t samples_appended_ = 0;
   std::uint64_t samples_dropped_ = 0;
-  std::uint64_t epoch_ = 0;
   std::shared_ptr<Directory> directory_;
   // Samples by SeriesId, grown by appends. A series is created on its
   // first append and joins by_name_ then, in creation order (select()'s

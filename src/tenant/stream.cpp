@@ -396,7 +396,7 @@ bool TenantStreams::try_place(const std::string& name, std::size_t j,
       switch (run.options->policy) {
         case exp::StreamPolicy::kModel: {
           telemetry::ClusterSnapshot snapshot =
-              *run.scheduler->fetcher().fetch_shared(env_.engine().now());
+              run.scheduler->fetcher().fetch(env_.engine().now());
           snapshot.nodes.erase(
               std::remove_if(snapshot.nodes.begin(), snapshot.nodes.end(),
                              [&](const telemetry::NodeTelemetry& n) {

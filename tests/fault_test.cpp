@@ -83,6 +83,16 @@ TEST(FaultSpecJson, RejectsMalformedSpecs) {
   EXPECT_THROW(fault::fault_kind_from_string("meteor_strike"), Error);
   EXPECT_THROW(fault::fault_from_json(Json::parse("[1,2]")), Error);
   EXPECT_THROW(fault::faults_from_json(Json::parse("{}")), Error);
+  // A misspelt key is an error, not a silent default (here it would have
+  // made the silence permanent), and the message names index and key.
+  try {
+    fault::faults_from_json(Json::parse(
+        R"([{"kind": "exporter_silence", "target": "node-2", "at": 50,)"
+        R"( "duraton": 10}])"));
+    ADD_FAILURE() << "unknown key accepted";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), "fault 0: unknown key \"duraton\"");
+  }
 }
 
 TEST(FaultSchedule, DeterministicAndRateScaled) {
@@ -333,46 +343,6 @@ TEST(FaultInjector, CrashRecoverResetsNicCountersWithoutNegativeRate) {
     EXPECT_GE(row.rx_rate, 0.0) << row.node;
   }
   EXPECT_GT(resets.value(), resets_before);
-}
-
-TEST(TelemetryEpoch, EveryFaultMutationPathBumpsOrDefersToScrape) {
-  // Cached snapshots key on Tsdb::epoch(). Fault paths that change how
-  // existing telemetry must be interpreted — a node gone or rebooted (its
-  // cumulative counters restarting through reset_host_counters), an
-  // exporter muted, delayed, or restored — must bump the epoch at the
-  // moment they mutate, not a scrape interval later.
-  exp::SimEnv env(33);
-  env.warmup();
-  auto& injector = env.fault_injector();
-  std::uint64_t last = env.tsdb().epoch();
-  const auto expect_bump = [&](const char* what, const auto& mutate) {
-    mutate();
-    EXPECT_GT(env.tsdb().epoch(), last) << what;
-    last = env.tsdb().epoch();
-  };
-  expect_bump("crash_node", [&] { injector.crash_node("node-1"); });
-  expect_bump("recover_node (counters reset via reset_host_counters)",
-              [&] { injector.recover_node("node-1"); });
-  expect_bump("silence_exporter",
-              [&] { injector.silence_exporter("node-2"); });
-  expect_bump("unsilence_exporter",
-              [&] { injector.unsilence_exporter("node-2"); });
-  expect_bump("delay_exporter",
-              [&] { injector.delay_exporter("node-3", 5.0); });
-  expect_bump("undelay_exporter",
-              [&] { injector.undelay_exporter("node-3"); });
-
-  // Pure capacity/delay mutations intentionally do NOT bump: they change
-  // the network, not the meaning of already-ingested samples. Their effect
-  // reaches the TSDB through the next scrape's append, which bumps then.
-  injector.degrade_wan_link("ucsd", "fiu", 0.5);
-  injector.spike_wan_rtt("ucsd", "fiu", 0.010);
-  injector.restore_wan_link("ucsd", "fiu");
-  injector.degrade_node_link("node-4", 0.5);
-  injector.restore_node_link("node-4");
-  injector.partition_site("sri");
-  injector.heal_site("sri");
-  EXPECT_EQ(env.tsdb().epoch(), last);
 }
 
 TEST(Degradation, UndelayingExporterMidStreamDropsLateSamples) {

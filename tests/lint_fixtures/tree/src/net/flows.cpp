@@ -1,16 +1,16 @@
 // Fixture tree: R6 must fire on the public mutator and stay silent on the
 // private helper — both facts (membership and access) come from the
 // companion header resolved through the include graph.
-#include "telemetry/store.hpp"
+#include "net/flows.hpp"
 
 namespace fixture {
 
-void Tsdb::evict(int id) {
-  series_.erase(series_.begin() + id);
+void FlowManager::evict(int id) {
+  by_id_.erase(by_id_.begin() + id);
 }
 
-void Tsdb::compact(int id) {
-  series_.push_back(id);
+void FlowManager::compact(int id) {
+  by_id_.push_back(id);
 }
 
 }  // namespace fixture

@@ -38,11 +38,11 @@ void watchdog_thread() {
   t.join();
 }
 
-// R6: a Tsdb mutator that skips the epoch bump, justified (the fixture's
-// pretend mutation is invisible to snapshots).
-void Tsdb::touch_metadata(int series) {
-  // lts-lint: epoch-ok(metadata-only rewrite: no sample or series-set change is observable through snapshot_features)
-  series_[series] = series;
+// R6: a FlowManager mutator that skips the dirty mark, justified (the
+// fixture's pretend mutation is invisible to the rate solver).
+void FlowManager::touch_slot(int slot) {
+  // lts-lint: epoch-ok(slot rewritten in place with its own value: no flow, path or capacity the solver reads changes)
+  slots_[slot] = slots_[slot];
 }
 
 // R7: a thread-order-dependent sum accepted because the result feeds a

@@ -204,12 +204,12 @@ TEST(LintR5, AcceptsPragmaOnceAfterLeadingComments) {
 TEST(LintR6, FiresOnPublicMutatorsWithoutAcknowledgment) {
   const std::string text = read_fixture("r6_epoch.cpp");
   const std::string companion = read_fixture("r6_epoch_header.txt");
-  const auto diags = lint_text("src/telemetry/fixture.cpp", text, companion);
-  // Public mutators of protocol state with no epoch bump / dirty mark.
-  EXPECT_TRUE(has_diag(diags, "R6", line_of(text, "series_.erase")));
-  EXPECT_TRUE(has_diag(diags, "R6", line_of(text, "report_delay_ = delay")));
-  EXPECT_TRUE(has_diag(diags, "R6", line_of(text, "by_name_.clear()")));
+  const auto diags = lint_text("src/net/fixture.cpp", text, companion);
+  // Public mutators of FlowManager state with no dirty mark.
   EXPECT_TRUE(has_diag(diags, "R6", line_of(text, "by_id_.erase")));
+  EXPECT_TRUE(has_diag(diags, "R6", line_of(text, "live_path_words_ +=")));
+  EXPECT_TRUE(has_diag(diags, "R6", line_of(text, "path_arena_.clear()")));
+  EXPECT_TRUE(has_diag(diags, "R6", line_of(text, "free_slots_.push_back")));
   EXPECT_EQ(count_rule(diags, "R6"), 4u);
   // The bare `epoch-ok` (no justification) is malformed and suppresses
   // nothing — both diagnostics land.
@@ -217,38 +217,39 @@ TEST(LintR6, FiresOnPublicMutatorsWithoutAcknowledgment) {
       has_diag(diags, "waiver-syntax", line_of(text, "lts-lint: epoch-ok")));
   EXPECT_EQ(count_rule(diags, "waiver-syntax"), 1u);
   EXPECT_EQ(diags.size(), 5u);
-  // ++epoch_, bump_epoch(), and mark_dirty() acknowledge; a private helper
-  // (gc_locked in the header) defers the bump to its public caller.
-  EXPECT_FALSE(has_diag(diags, "R6", line_of(text, "series_.push_back")));
-  EXPECT_FALSE(has_diag(diags, "R6", line_of(text, "samples_dropped_ = 0")));
+  // mark_dirty(), invalidate_rates() and a `dirty_ =` assignment
+  // acknowledge; a private helper (compact_locked in the header) defers the
+  // mark to its public caller.
   EXPECT_FALSE(has_diag(diags, "R6", line_of(text, "by_id_.push_back")));
+  EXPECT_FALSE(has_diag(diags, "R6", line_of(text, "slots_.resize")));
+  EXPECT_FALSE(has_diag(diags, "R6", line_of(text, "path_arena_.erase")));
+  EXPECT_FALSE(has_diag(diags, "R6", line_of(text, "free_slots_.pop_back")));
 }
 
 TEST(LintR6, WithoutTheClassIndexAccessFailsClosed) {
   // No companion: membership is unknown, so every protocol-member mutation
-  // is treated as public — the four firing sites still fire, and gc_locked
-  // (invisible `private:`) now fires too.
+  // is treated as public — the four firing sites still fire, and
+  // compact_locked (invisible `private:`) now fires too.
   const std::string text = read_fixture("r6_epoch.cpp");
-  const auto diags = lint_text("src/telemetry/fixture.cpp", text);
+  const auto diags = lint_text("src/net/fixture.cpp", text);
   EXPECT_EQ(count_rule(diags, "R6"), 5u);
 }
 
-TEST(LintR6, DeletingTheTsdbEpochBumpIsCaught) {
-  // The acceptance probe: strip the `++epoch_;` acknowledgment out of the
-  // real Tsdb mutation path and the invariant must fire on the real code.
-  std::string cpp = read_file(std::string(LTS_REPO_ROOT) + "/src/telemetry/tsdb.cpp");
+TEST(LintR6, DeletingTheFlowManagerDirtyMarkIsCaught) {
+  // The acceptance probe: strip the `mark_dirty();` acknowledgments out of
+  // the real FlowManager mutation paths and the invariant must fire on the
+  // real code.
+  std::string cpp = read_file(std::string(LTS_REPO_ROOT) + "/src/net/flow.cpp");
   const std::string hpp =
-      read_file(std::string(LTS_REPO_ROOT) + "/src/telemetry/tsdb.hpp");
-  EXPECT_EQ(count_rule(lint_text("src/telemetry/tsdb.cpp", cpp, hpp), "R6"),
-            0u);
+      read_file(std::string(LTS_REPO_ROOT) + "/src/net/flow.hpp");
+  EXPECT_EQ(count_rule(lint_text("src/net/flow.cpp", cpp, hpp), "R6"), 0u);
   std::size_t removed = 0;
-  for (std::size_t pos; (pos = cpp.find("++epoch_;")) != std::string::npos;
+  for (std::size_t pos; (pos = cpp.find("mark_dirty();")) != std::string::npos;
        ++removed) {
-    cpp.erase(pos, std::string("++epoch_;").size());
+    cpp.erase(pos, std::string("mark_dirty();").size());
   }
-  ASSERT_GE(removed, 1u) << "tsdb.cpp no longer bumps with ++epoch_;";
-  EXPECT_GE(count_rule(lint_text("src/telemetry/tsdb.cpp", cpp, hpp), "R6"),
-            1u);
+  ASSERT_GE(removed, 1u) << "flow.cpp no longer acknowledges with mark_dirty();";
+  EXPECT_GE(count_rule(lint_text("src/net/flow.cpp", cpp, hpp), "R6"), 1u);
 }
 
 // ------------------------------------------------------------------- R7 ----
@@ -327,17 +328,17 @@ TEST(LintTree, CrossFileIndexResolvesCompanionsAndAccess) {
   // member declarations; the .cpp violations are only visible through the
   // shared project model.
   const std::string root = std::string(LTS_FIXTURE_DIR) + "/tree";
-  const std::string store = read_file(root + "/src/telemetry/store.cpp");
+  const std::string flows = read_file(root + "/src/net/flows.cpp");
   const std::string graph = read_file(root + "/src/net/graph.cpp");
   const auto diags = lint_tree(root);
   EXPECT_TRUE(std::any_of(diags.begin(), diags.end(), [&](const Diagnostic& d) {
-    return d.rule == "R6" && d.path == "src/telemetry/store.cpp" &&
-           d.line == line_of(store, "series_.erase");
+    return d.rule == "R6" && d.path == "src/net/flows.cpp" &&
+           d.line == line_of(flows, "by_id_.erase");
   }));
   // The private helper's identical mutation is exempt.
   EXPECT_FALSE(
       std::any_of(diags.begin(), diags.end(), [&](const Diagnostic& d) {
-        return d.rule == "R6" && d.line == line_of(store, "series_.push_back");
+        return d.rule == "R6" && d.line == line_of(flows, "by_id_.push_back");
       }));
   // Both iteration forms over the companion's unordered member fire, and
   // the header's own (waived) declaration stays quiet.
@@ -377,7 +378,7 @@ TEST(LintBaseline, DiffSuppressesExactlyTheAcceptedFindings) {
   const std::vector<Diagnostic> old = {
       {"src/a.cpp", 10, "R2", "unordered container declared"},
       {"src/a.cpp", 20, "R2", "unordered container declared"},
-      {"src/b.cpp", 5, "R6", "mutation without epoch bump"}};
+      {"src/b.cpp", 5, "R6", "mutation without dirty mark"}};
   const auto base = lts::lint::load_baseline(lts::lint::write_baseline(old));
   // Fingerprints ignore line numbers: shifted findings stay suppressed.
   std::vector<Diagnostic> shifted = old;
@@ -502,7 +503,7 @@ TEST(LintOutput, JsonArrayRoundTrips) {
 
 TEST(LintOutput, SarifIsSchemaShapedAndRegistryDriven) {
   const std::vector<Diagnostic> diags = {
-      {"src/net/flow.cpp", 42, "R6", "mutation without epoch bump"}};
+      {"src/net/flow.cpp", 42, "R6", "mutation without dirty mark"}};
   const lts::Json doc = lts::Json::parse(lts::lint::to_sarif(diags));
   EXPECT_EQ(doc.at("version").as_string(), "2.1.0");
   EXPECT_NE(doc.at("$schema").as_string().find("sarif-schema-2.1.0"),

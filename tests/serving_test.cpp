@@ -1,12 +1,11 @@
 // Differential tests for the batched serving path.
 //
-// The flattened predict_batch kernel, the epoch-keyed snapshot cache, and
-// LtsScheduler's batched serving path are all pure optimizations: every
-// test here pins them against reference implementations (per-model
-// oracles that share no code with predict_batch, an uncached TSDB sweep,
-// the scalar per-node pipeline reference_decision, N sequential schedule()
-// calls) and demands bit-identical results — EXPECT_EQ on doubles, not
-// EXPECT_NEAR.
+// The flattened predict_batch kernel and LtsScheduler's batched serving
+// path are pure optimizations: every test here pins them against reference
+// implementations (per-model oracles that share no code with
+// predict_batch, the scalar per-node pipeline reference_decision, N
+// sequential schedule() calls) and demands bit-identical results —
+// EXPECT_EQ on doubles, not EXPECT_NEAR.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,6 +25,8 @@
 #include "ml/tree.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "telemetry/exporters.hpp"
+#include "telemetry/tsdb.hpp"
 #include "util/rng.hpp"
 
 // ------------------------------------------------ predict_batch kernels ----
@@ -250,7 +251,7 @@ TEST(PredictBatch, MatrixPredictAgreesWithBatch) {
 }  // namespace
 }  // namespace lts::ml
 
-// --------------------------------- schedule_many and the snapshot cache ----
+// ------------------------------------------------------- schedule_many ----
 
 namespace lts::core {
 namespace {
@@ -559,119 +560,28 @@ TEST(ScheduleMany, RiskAversionPathEqualsSequential) {
                              "risk queue");
 }
 
-// ------------------------------------------------ snapshot cache keying ----
+// ---------------------------------------------------------------- fetch ----
 
-TEST(SnapshotCache, SameEpochSameTimeServesSharedSnapshot) {
-  exp::SimEnv env(31);
-  env.warmup();
-  const SimTime now = env.engine().now();
-  TelemetryFetcher fetcher(env.tsdb(), env.node_names());
-  auto& registry = obs::MetricsRegistry::global();
-  auto& hits = obs::counter("lts_snapshot_cache_hits_total");
-  auto& misses = obs::counter("lts_snapshot_cache_misses_total");
-  registry.set_enabled(true);
-  const double hits0 = hits.value();
-  const double misses0 = misses.value();
-  const auto first = fetcher.fetch_shared(now);
-  const auto second = fetcher.fetch_shared(now);
-  registry.set_enabled(false);
-  // Pointer equality is the proof that the TSDB was swept exactly once.
-  EXPECT_EQ(first.get(), second.get());
-  EXPECT_EQ(misses.value() - misses0, 1.0);
-  EXPECT_EQ(hits.value() - hits0, 1.0);
+TEST(TelemetryFetcher, FetchReflectsSameInstantAppend) {
+  // Every fetch sweeps the TSDB: a sample appended at the fetch instant
+  // itself reaches the next fetch at that instant.
+  telemetry::Tsdb tsdb;
+  const telemetry::Labels labels{{"node", "a"}};
+  const SimTime now = 10.0;
+  tsdb.append(telemetry::kCpuLoadMetric, labels, now, 1.0);
+  const TelemetryFetcher fetcher(tsdb, {"a", "b"});
+  const auto before = fetcher.fetch(now);
+  tsdb.append(telemetry::kCpuLoadMetric, labels, now, 3.0);
+  const auto after = fetcher.fetch(now);
+  EXPECT_EQ(before.by_name("a").cpu_load, 1.0);
+  EXPECT_EQ(after.by_name("a").cpu_load, 3.0);
+  EXPECT_EQ(after.by_name("b").cpu_load, before.by_name("b").cpu_load);
 }
 
-TEST(SnapshotCache, CopiesOfTheFetcherShareOneCache) {
-  // LtsScheduler holds its fetcher by value; the copy must hit the cache
-  // its source populated (and vice versa).
-  exp::SimEnv env(32);
-  env.warmup();
-  const SimTime now = env.engine().now();
-  TelemetryFetcher fetcher(env.tsdb(), env.node_names());
-  const TelemetryFetcher copy = fetcher;
-  const auto a = fetcher.fetch_shared(now);
-  const auto b = copy.fetch_shared(now);
-  EXPECT_EQ(a.get(), b.get());
-}
-
-TEST(SnapshotCache, EpochAdvanceOnScrapeInvalidates) {
-  exp::SimEnv env(33);
-  env.warmup();
-  const SimTime now = env.engine().now();
-  TelemetryFetcher fetcher(env.tsdb(), env.node_names());
-  const auto before = fetcher.fetch_shared(now);
-  const std::uint64_t epoch_before = env.tsdb().epoch();
-  // Exporters scrape every ~2 simulated seconds; running the engine
-  // forward lands new samples and must advance the epoch.
-  env.engine().run_until(now + 10.0);
-  ASSERT_GT(env.tsdb().epoch(), epoch_before);
-  const auto after = fetcher.fetch_shared(now);
-  EXPECT_NE(before.get(), after.get());
-}
-
-TEST(SnapshotCache, DifferentFetchTimeMisses) {
-  exp::SimEnv env(34);
-  env.warmup();
-  const SimTime now = env.engine().now();
-  TelemetryFetcher fetcher(env.tsdb(), env.node_names());
-  const auto at_now = fetcher.fetch_shared(now);
-  const auto later = fetcher.fetch_shared(now + 1.0);
-  EXPECT_NE(at_now.get(), later.get());
-}
-
-TEST(SnapshotCache, NodeRecoveryInvalidates) {
-  // recover_node resets host counters without appending a sample; the
-  // explicit epoch bump must still force a rebuild.
-  exp::SimEnv env(35);
-  env.warmup();
-  const SimTime now = env.engine().now();
-  TelemetryFetcher fetcher(env.tsdb(), env.node_names());
-  const auto before = fetcher.fetch_shared(now);
-  const std::uint64_t epoch_before = env.tsdb().epoch();
-  env.fault_injector().crash_node(env.node_names()[0]);
-  env.fault_injector().recover_node(env.node_names()[0]);
-  EXPECT_GT(env.tsdb().epoch(), epoch_before);
-  const auto after = fetcher.fetch_shared(now);
-  EXPECT_NE(before.get(), after.get());
-}
-
-TEST(SnapshotCache, ExporterSilenceInvalidates) {
-  exp::SimEnv env(36);
-  env.warmup();
-  const SimTime now = env.engine().now();
-  TelemetryFetcher fetcher(env.tsdb(), env.node_names());
-  const auto before = fetcher.fetch_shared(now);
-  env.fault_injector().silence_exporter(env.node_names()[1]);
-  const auto silenced = fetcher.fetch_shared(now);
-  EXPECT_NE(before.get(), silenced.get());
-  env.fault_injector().unsilence_exporter(env.node_names()[1]);
-  const auto restored = fetcher.fetch_shared(now);
-  EXPECT_NE(silenced.get(), restored.get());
-}
-
-TEST(SnapshotCache, DisabledCacheSweepsEveryFetch) {
-  exp::SimEnv env(37);
-  env.warmup();
-  const SimTime now = env.engine().now();
-  TelemetryFetcher fetcher(env.tsdb(), env.node_names());
-  fetcher.set_cache_enabled(false);
-  auto& registry = obs::MetricsRegistry::global();
-  auto& misses = obs::counter("lts_snapshot_cache_misses_total");
-  registry.set_enabled(true);
-  const double misses0 = misses.value();
-  const auto a = fetcher.fetch_shared(now);
-  const auto b = fetcher.fetch_shared(now);
-  registry.set_enabled(false);
-  EXPECT_NE(a.get(), b.get());
-  EXPECT_EQ(misses.value() - misses0, 2.0);
-}
-
-TEST(SnapshotCache, CachedSnapshotDemotesStaleNodesLikeFreshFetch) {
-  // Regression for the staleness/caching agreement: the degraded view is a
-  // function of the snapshot time, so a snapshot cached at (epoch, now)
-  // must view exactly like a fresh sweep at that `now` — and a degraded
-  // scheduler reusing the cached snapshot must make the identical
-  // decision.
+TEST(ScheduleMany, DegradedQueueDemotesStaleNodes) {
+  // A degraded queue ranks from the scheduler's view of one fetch: the
+  // silenced node is marked stale there, and every decision demotes it
+  // below the fresh nodes exactly as the scalar reference does.
   exp::SimEnv env(38);
   env.warmup();
   const std::string victim = env.node_names()[2];
@@ -680,51 +590,26 @@ TEST(SnapshotCache, CachedSnapshotDemotesStaleNodesLikeFreshFetch) {
   env.engine().run_until(start + 30.0);  // > kMaxStaleness of 10s
   const SimTime now = env.engine().now();
 
-  TelemetryFetcher cached(env.tsdb(), env.node_names());
-  TelemetryFetcher uncached(env.tsdb(), env.node_names());
-  uncached.set_cache_enabled(false);
-  const auto model = load_tracking_model(6);
-  LtsScheduler via_cache(cached, model, FeatureSet::kTable1, 0.0,
-                         /*degraded=*/true);
-  LtsScheduler via_sweep(uncached, model, FeatureSet::kTable1, 0.0,
-                         /*degraded=*/true);
-
-  const auto warm = cached.fetch_shared(now);
-  const auto reused = cached.fetch_shared(now);
-  ASSERT_EQ(warm.get(), reused.get());
-  const auto reused_view = via_cache.view(*reused);
-  const auto fresh_view = via_sweep.view(*uncached.fetch_shared(now));
-  ASSERT_EQ(reused_view.nodes.size(), fresh_view.nodes.size());
-  bool saw_stale = false;
-  for (std::size_t i = 0; i < fresh_view.nodes.size(); ++i) {
-    EXPECT_EQ(reused_view.nodes[i].stale, fresh_view.nodes[i].stale) << i;
-    EXPECT_EQ(reused_view.nodes[i].cpu_load, fresh_view.nodes[i].cpu_load)
-        << i;
-    EXPECT_EQ(reused_view.nodes[i].tx_rate, fresh_view.nodes[i].tx_rate)
-        << i;
-    saw_stale = saw_stale || fresh_view.nodes[i].stale;
-  }
-  ASSERT_TRUE(saw_stale) << "silenced exporter never went stale";
+  const TelemetryFetcher fetcher(env.tsdb(), env.node_names());
+  LtsScheduler scheduler(fetcher, load_tracking_model(6), FeatureSet::kTable1,
+                         0.0, /*degraded=*/true);
+  ASSERT_TRUE(scheduler.view(fetcher.fetch(now)).by_name(victim).stale)
+      << "silenced exporter never went stale";
 
   const auto configs = make_queue(3);
-  // Two passes through the cached scheduler: the second reuses the warm
-  // snapshot end to end. Both must equal the cache-bypassing scheduler.
-  const auto first_pass = via_cache.schedule_many(configs, now);
-  const auto second_pass = via_cache.schedule_many(configs, now);
-  const auto swept = via_sweep.schedule_many(configs, now);
+  const auto decisions = scheduler.schedule_many(configs, now);
+  ASSERT_EQ(decisions.size(), configs.size());
   for (std::size_t q = 0; q < configs.size(); ++q) {
-    expect_decisions_equal(second_pass[q], first_pass[q],
-                           "cached re-read " + std::to_string(q));
-    expect_decisions_equal(second_pass[q], swept[q],
-                           "cache vs sweep " + std::to_string(q));
-    EXPECT_GT(second_pass[q].stale_demoted, 0) << q;
+    EXPECT_GT(decisions[q].stale_demoted, 0) << q;
+    EXPECT_EQ(decisions[q].ranking.back().node, victim) << q;
+    EXPECT_TRUE(decisions[q].ranking.back().stale) << q;
   }
-  expect_reference_decisions(via_cache, 0.0, configs, second_pass, now,
+  expect_reference_decisions(scheduler, 0.0, configs, decisions, now,
                              "stale queue");
 
   // With a tie-everything model demotion alone decides the ranking: the
   // batch-of-one schedule() must still equal the scalar reference.
-  LtsScheduler constant(cached, std::make_shared<ConstantModel>(),
+  LtsScheduler constant(fetcher, std::make_shared<ConstantModel>(),
                         FeatureSet::kTable1, 0.0, /*degraded=*/true);
   const auto tied = constant.schedule(configs[0], now);
   EXPECT_GT(tied.stale_demoted, 0);

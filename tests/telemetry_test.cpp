@@ -182,32 +182,6 @@ TEST(Tsdb, LatestAndMissing) {
   EXPECT_FALSE(tsdb.latest("cpu", Labels{{"node", "n2"}}).has_value());
 }
 
-TEST(Tsdb, EpochAdvancesOnEveryMutationPath) {
-  // Snapshot caches key on epoch(): an unchanged value promises that every
-  // query would return exactly what it returned last fetch. Each mutation
-  // path must therefore advance it — accepted appends, DROPPED appends
-  // (out-of-order samples still change num_samples_dropped, which callers
-  // may read), and the explicit out-of-band bump.
-  Tsdb tsdb;
-  const Labels labels{{"node", "n1"}};
-  std::uint64_t last = tsdb.epoch();
-  const auto expect_bump = [&](const char* what) {
-    EXPECT_GT(tsdb.epoch(), last) << what;
-    last = tsdb.epoch();
-  };
-  tsdb.append("cpu", labels, 1.0, 0.5);
-  expect_bump("accepted append");
-  tsdb.append("cpu", labels, 0.5, 0.4);  // out of order: dropped
-  EXPECT_EQ(tsdb.num_samples_dropped(), 1u);
-  expect_bump("dropped append");
-  tsdb.bump_epoch();
-  expect_bump("explicit bump");
-  // Queries are reads: no bump.
-  (void)tsdb.latest("cpu", labels);
-  (void)tsdb.rate("cpu", labels, 1.0, 1.0);
-  EXPECT_EQ(tsdb.epoch(), last);
-}
-
 TEST(Tsdb, CounterRate) {
   Tsdb tsdb;
   const Labels labels{{"node", "n1"}};
@@ -326,7 +300,6 @@ TEST(Tsdb, InterningCreatesNoSeries) {
   Tsdb tsdb;
   const SeriesId b = tsdb.intern("m", {{"node", "b"}});
   const SeriesId a = tsdb.intern("m", {{"node", "a"}});
-  const std::uint64_t epoch = tsdb.epoch();
   EXPECT_EQ(tsdb.num_series(), 0u);
   EXPECT_EQ(tsdb.find("m", {{"node", "b"}}), nullptr);
   EXPECT_FALSE(tsdb.latest("m", {{"node", "b"}}).has_value());
@@ -339,23 +312,6 @@ TEST(Tsdb, InterningCreatesNoSeries) {
   EXPECT_EQ(selected[0].first.at("node"), "a");
   EXPECT_EQ(selected[1].first.at("node"), "b");
   EXPECT_EQ(tsdb.num_series(), 2u);
-  EXPECT_EQ(tsdb.epoch(), epoch + 2);
-}
-
-TEST(Tsdb, EpochAdvancesOnEveryAppendByIdAttempt) {
-  Tsdb tsdb;
-  const SeriesId id = tsdb.intern("cpu", {{"node", "n1"}});
-  std::uint64_t last = tsdb.epoch();
-  tsdb.append(id, 2.0, 0.5);
-  EXPECT_GT(tsdb.epoch(), last) << "accepted append by id";
-  last = tsdb.epoch();
-  tsdb.append(id, 1.0, 0.4);  // out of order: dropped
-  EXPECT_EQ(tsdb.num_samples_dropped(), 1u);
-  EXPECT_GT(tsdb.epoch(), last) << "dropped append by id";
-  last = tsdb.epoch();
-  tsdb.append(id, 2.0, 0.6);  // equal timestamp: accepted
-  EXPECT_GT(tsdb.epoch(), last) << "equal-time append by id";
-  EXPECT_EQ(tsdb.num_samples(), 2u);
 }
 
 TEST(Tsdb, OutOfOrderAppendByIdDroppedAndCounted) {

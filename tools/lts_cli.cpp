@@ -19,7 +19,7 @@
 // external services are needed.
 // --queue N ranks a queue of N pending jobs (the requested job plus N-1
 // variants cycling the app mix) in one batched schedule_many pass: one
-// cached snapshot fetch, one flattened-tree predict over every (pod, node)
+// snapshot fetch, one flattened-tree predict over every (pod, node)
 // candidate.
 //
 // `lts stream` runs a live job stream under one placement policy (--policy
@@ -359,8 +359,8 @@ int cmd_schedule(const Args& args) {
   const auto queue = args.get_int<long long>("queue", 1);
   if (queue > 1) {
     // Batched serving path: the requested job plus queue-1 variants cycling
-    // the app mix, ranked in one schedule_many pass (one cached snapshot
-    // fetch, one batched predict over every (pod, node) candidate).
+    // the app mix, ranked in one schedule_many pass (one snapshot fetch,
+    // one batched predict over every (pod, node) candidate).
     std::vector<spark::JobConfig> configs;
     for (long long q = 0; q < queue; ++q) {
       spark::JobConfig item = job;
@@ -450,6 +450,11 @@ int cmd_stream(const Args& args) {
                              drift.end());
   }
 
+  const std::string model_out = args.get("model-out", "");
+  if (!model_out.empty() && policy != exp::StreamPolicy::kModelRetrain) {
+    throw Error("--model-out needs --policy model-retrain");
+  }
+
   const bool model_policy = policy == exp::StreamPolicy::kModel ||
                             policy == exp::StreamPolicy::kModelRetrain;
   std::shared_ptr<const ml::Regressor> model;
@@ -487,10 +492,10 @@ int cmd_stream(const Args& args) {
                 event.detail.c_str());
   }
 
-  const std::string model_out = args.get("model-out", "");
   if (!model_out.empty()) {
     LTS_REQUIRE(run.final_model != nullptr,
-                "lts stream: --model-out needs --policy model-retrain");
+                "--model-out: no model was trained (no --model-file was "
+                "loaded and no retrain succeeded)");
     ml::save_model(*run.final_model, model_out, run.model_version);
     std::printf("model (version %llu) written to %s\n",
                 static_cast<unsigned long long>(run.model_version),

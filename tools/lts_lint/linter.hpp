@@ -19,8 +19,8 @@
 //   R3  obs instrumentation pattern in hot paths (simcore, net)
 //   R4  concurrency hygiene (ThreadPool only; declared sharing disciplines)
 //   R5  header hygiene (#pragma once, no using-namespace)
-//   R6  epoch/invalidation protocol: public mutators of epoch-guarded
-//       state must bump the epoch / mark the rate cache dirty
+//   R6  invalidation protocol: public mutators of FlowManager flow/link
+//       state must mark the rate cache dirty
 //   R7  FP reduction order: no std::reduce, no shared FP accumulation in
 //       parallel_for lambdas, no accumulate over unordered iteration
 //   R8  hot-path allocation: no allocator calls or un-reserved push_back

@@ -14,16 +14,16 @@
 // access), merged across every scanned file, plus the include graph:
 // quoted includes resolved against the include roots discovered from
 // `compile_commands.json` (falling back to <root>/src and <root>/tools).
-// The index is what lets a rule checking src/telemetry/tsdb.cpp know that
-// `series_` is a private member of `Tsdb` declared in tsdb.hpp, that
-// `append` is public, and which header is the .cpp's companion — the
+// The index is what lets a rule checking src/net/flow.cpp know that
+// `by_id_` is a private member of `FlowManager` declared in flow.hpp, that
+// `cancel` is public, and which header is the .cpp's companion — the
 // cross-file facts the R6/R7/R8 invariant rules are built on.
 //
 // Parsing is line-oriented and heuristic by design (no real C++ frontend):
 // it exploits the repo's enforced conventions — data members end in `_`,
 // one declaration per line, functions defined at namespace scope. Inline
 // member-function bodies inside class definitions are not scanned for
-// rule violations (R6 protocol classes keep their mutators outlined,
+// rule violations (R6's FlowManager keeps its mutators outlined,
 // which the rules themselves encourage).
 #pragma once
 

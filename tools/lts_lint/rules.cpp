@@ -76,15 +76,13 @@ const std::vector<Rule>& rule_registry() {
         "using namespace std;  // at file scope in a .hpp", ""},
        check_hygiene},
       {{"R6", "epoch-protocol",
-        "public mutators of epoch-guarded state (Tsdb series, exporter "
-        "shaping knobs, FlowManager flow/link state) must bump the epoch "
-        "or mark the rate cache dirty",
-        "The batched serving path caches feature snapshots keyed on "
-        "Tsdb::epoch(), and the max-min solver caches rates behind "
-        "FlowManager's dirty flag. A public mutation that skips the bump "
-        "serves stale predictions or stale rates -- the exact bug class "
-        "PR 6/7's audit tests catch dynamically, checked statically here.",
-        "void Tsdb::drop_series(...) { series_.erase(it); }  // no ++epoch_",
+        "public mutators of FlowManager flow/link state must mark the rate "
+        "cache dirty",
+        "The max-min solver caches rates behind FlowManager's dirty flag. "
+        "A public mutation that skips the mark serves stale rates -- the "
+        "bug class the solver's audit tests catch dynamically, checked "
+        "statically here.",
+        "void FlowManager::forget(...) { by_id_.erase(it); }  // no mark_dirty()",
         "epoch-ok"},
        check_epoch},
       {{"R7", "fp-reduction-order",

@@ -9,9 +9,8 @@
 //   R3  obs instrumentation pattern in hot paths
 //   R4  concurrency hygiene (raw threads, detach, unguarded [&] captures)
 //   R5  header hygiene (#pragma once, using namespace)
-//   R6  epoch/invalidation protocol: public mutators of epoch-guarded
-//       state (Tsdb series, exporter shaping knobs, FlowManager flow/link
-//       state) must bump the epoch or mark the rate cache dirty
+//   R6  invalidation protocol: public mutators of FlowManager flow/link
+//       state must mark the rate cache dirty
 //   R7  floating-point reduction order: std::reduce/transform_reduce,
 //       FP accumulation inside parallel_for lambdas, and std::accumulate
 //       over unordered iteration in determinism-critical dirs

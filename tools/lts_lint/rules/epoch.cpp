@@ -1,15 +1,13 @@
-// R6: epoch/invalidation protocol. The batched serving path (PR 6) caches
-// feature snapshots keyed on Tsdb::epoch(), and the max-min solver (PR 4/7)
-// caches rates behind FlowManager's dirty flag. Every *public* member
-// function that mutates the guarded state must acknowledge the mutation —
-// bump the epoch or mark the cache dirty — or downstream consumers serve
-// stale data. Private helpers are exempt: they run inside a public mutator
-// that owns the acknowledgment (the cross-file access index is what makes
-// that distinction possible).
+// R6: invalidation protocol. The max-min solver caches rates behind
+// FlowManager's dirty flag, so every *public* FlowManager member function
+// that mutates flow or link state must acknowledge the mutation — mark the
+// cache dirty — or the solver serves stale rates. Private helpers are
+// exempt: they run inside a public mutator that owns the acknowledgment
+// (the cross-file access index is what makes that distinction possible).
 //
 // The scan covers namespace-level definitions (out-of-line members), which
 // is where the repo convention keeps mutators; an inline mutator hidden in
-// a class body is not seen, so protocol classes keep mutations outlined.
+// a class body is not seen, so FlowManager keeps its mutations outlined.
 #include <regex>
 
 #include "lts_lint/rules.hpp"
@@ -17,37 +15,14 @@
 namespace lts::lint {
 namespace {
 
-struct Protocol {
-  const char* cls;
-  std::regex guarded;  // matches a guarded member's full name
-  std::regex ack;      // acknowledgment pattern, searched over the body
-  const char* fix;     // what the diagnostic tells the author to call
-};
-
-const std::vector<Protocol>& protocols() {
-  static const std::vector<Protocol> kProtocols = [] {
-    std::vector<Protocol> p;
-    p.push_back({"Tsdb",
-                 std::regex(R"(^(series_|by_name_|num_series_|samples_appended_|samples_dropped_)$)"),
-                 std::regex(R"(\+\+\s*epoch_|epoch_\s*\+\+|bump_epoch\s*\()"),
-                 "++epoch_ (or bump_epoch())"});
-    p.push_back({"NodeExporter",
-                 std::regex(R"(^(silenced_|report_delay_)$)"),
-                 std::regex(R"(bump_epoch\s*\()"),
-                 "tsdb_.bump_epoch()"});
-    p.push_back({"FlowManager",
-                 std::regex(R"(^(slots_|free_slots_|by_id_|path_arena_|live_path_words_)$)"),
-                 std::regex(R"(mark_dirty\s*\(|invalidate_rates\s*\(|dirty_\s*=[^=])"),
-                 "mark_dirty() (or invalidate_rates())"});
-    return p;
-  }();
-  return kProtocols;
-}
+constexpr const char* kClass = "FlowManager";
 
 /// First guarded-member mutation on `code`, or "" if none. Mutations:
 /// assignment/compound assignment, ++/--, subscript assignment, and
 /// mutating container member calls.
-std::string mutated_member(const std::string& code, const Protocol& proto) {
+std::string mutated_member(const std::string& code) {
+  static const std::regex kGuarded(
+      R"(^(slots_|free_slots_|by_id_|path_arena_|live_path_words_)$)");
   static const std::regex kAssign(
       R"((\b[A-Za-z_]\w*_)\s*(?:\[[^\]]*\]\s*)?[+\-*/|&^]?=(?!=))");
   static const std::regex kPreIncDec(R"((?:\+\+|--)\s*([A-Za-z_]\w*_)\b)");
@@ -58,7 +33,7 @@ std::string mutated_member(const std::string& code, const Protocol& proto) {
     auto begin = std::sregex_iterator(code.begin(), code.end(), *re);
     for (auto it = begin; it != std::sregex_iterator(); ++it) {
       const std::string name = (*it)[1].str();
-      if (std::regex_match(name, proto.guarded)) return name;
+      if (std::regex_match(name, kGuarded)) return name;
     }
   }
   return "";
@@ -67,16 +42,10 @@ std::string mutated_member(const std::string& code, const Protocol& proto) {
 }  // namespace
 
 void check_epoch(RuleContext& ctx) {
+  static const std::regex kAck(
+      R"(mark_dirty\s*\(|invalidate_rates\s*\(|dirty_\s*=[^=])");
   for (const FunctionDef& fd : ctx.file->functions) {
-    if (fd.class_name.empty()) continue;
-    const Protocol* proto = nullptr;
-    for (const Protocol& p : protocols()) {
-      if (fd.class_name == p.cls) {
-        proto = &p;
-        break;
-      }
-    }
-    if (proto == nullptr) continue;
+    if (fd.class_name != kClass) continue;
     if (fd.name == fd.class_name) continue;  // construction precedes observers
 
     // Private/protected helpers mutate under a public mutator that owns the
@@ -96,17 +65,17 @@ void check_epoch(RuleContext& ctx) {
          ++l) {
       const std::string& code = ctx.lines()[l - 1].code;
       if (first_mutation == 0) {
-        member = mutated_member(code, *proto);
+        member = mutated_member(code);
         if (!member.empty()) first_mutation = l;
       }
-      if (!acked && std::regex_search(code, proto->ack)) acked = true;
+      if (!acked && std::regex_search(code, kAck)) acked = true;
     }
     if (first_mutation != 0 && !acked) {
       ctx.report(first_mutation, "R6",
-                 std::string(fd.class_name) + "::" + fd.name +
-                     " mutates epoch-guarded state ('" + member +
-                     "') without acknowledging it: call " + proto->fix +
-                     " so cached snapshots/rates are invalidated");
+                 std::string(kClass) + "::" + fd.name +
+                     " mutates rate-cached state ('" + member +
+                     "') without acknowledging it: call mark_dirty() (or "
+                     "invalidate_rates()) so cached rates are recomputed");
     }
   }
 }
